@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure in the paper's evaluation
 // (Figures 1-11 plus the read-cost analysis, robustness scenario and
-// ablations — see DESIGN.md's per-experiment index), together with
+// ablations — `popbench -list` prints the experiment index), together with
 // microbenchmarks of the read and update paths per reclamation scheme.
 //
 // The figure benches run the same sweep definitions cmd/popbench uses,

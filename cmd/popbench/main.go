@@ -1,8 +1,8 @@
 // Command popbench regenerates the paper's figures and runs ad-hoc
 // sweeps. Each figure id maps to one experiment from the evaluation
-// section (see DESIGN.md's per-experiment index); the output is the same
-// series the paper plots, as an aligned table (default), TSV (-tsv) or
-// CSV (-csv).
+// section (-list prints the index; internal/figures defines it); the
+// output is the same series the paper plots, as an aligned table
+// (default), TSV (-tsv) or CSV (-csv).
 //
 // With -ds, popbench instead runs a direct sweep of one data structure
 // across policies and thread counts; -rangepct carves range queries out

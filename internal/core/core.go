@@ -157,7 +157,7 @@ type Options struct {
 	// publish-on-ping path is engaged (paper Alg. 3 line 26).
 	CMult int
 	// AsymDrain is the reclaimer-side wait that stands in for
-	// sys_membarrier in HPAsym (substitution S3 in DESIGN.md).
+	// sys_membarrier in HPAsym (the substitution hpasym.go describes).
 	AsymDrain time.Duration
 	// BatchSize is the Crystalline-lite batch size.
 	BatchSize int

@@ -8,7 +8,7 @@ import (
 // crystAlgo is the appendix-E comparator: a simplified Crystalline-style
 // reclaimer (Nikolaev & Ravindran [50]).
 //
-// Substitution (DESIGN.md S5): full Crystalline is a wait-free scheme
+// Substitution: full Crystalline is a wait-free scheme
 // built on batch reference counting with per-slot handshakes. We keep its
 // two observable characteristics — (a) retirement in fixed-size *batches*
 // whose bookkeeping is amortised across members, and (b) robustness — by

@@ -12,7 +12,7 @@ import (
 // moves to the reclaimer, which in the original executes sys_membarrier
 // to force a barrier on every CPU before scanning.
 //
-// Substitution (DESIGN.md S3): Go has no process-wide membarrier, so the
+// Substitution: Go has no process-wide membarrier, so the
 // reclaimer issues a full fence of its own and then waits AsymDrain
 // before scanning, relying on the temporally-bounded-TSO property
 // (Morrison & Afek [46]) that a store buffer drains within a bounded,

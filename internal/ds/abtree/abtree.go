@@ -1,7 +1,7 @@
 // Package abtree implements a concurrent leaf-oriented (a,b)-tree
 // (ABT in the paper's plots; after Brown [13]).
 //
-// Substitution (DESIGN.md system 18): Brown's original is lock-free via
+// Substitution: Brown's original is lock-free via
 // LLX/SCX multi-word primitives that Go cannot express without a full
 // software LL/SC layer. This implementation keeps the *reclamation-
 // relevant* behaviour — copy-on-write node replacement, multi-node

@@ -111,6 +111,15 @@ type Sized interface {
 	Size(t *core.Thread) int
 }
 
+// MemMap is a Map that can report its node pool's occupancy — what the
+// harness and the store hold their structures as. Every structure in
+// this repository implements it.
+type MemMap interface {
+	Map
+	// Outstanding reports pool-level live+retired nodes (memory metric).
+	Outstanding() int64
+}
+
 // RangeScanner is implemented by ordered structures that support range
 // queries (the skiplist and the (a,b)-tree). A scan is one long
 // operation — it holds the calling thread's reservations across every

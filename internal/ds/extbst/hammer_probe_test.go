@@ -11,7 +11,8 @@ import (
 	"pop/internal/rng"
 )
 
-// TestHammerProbe chases the frozen-cell reclamation race (DESIGN.md F1)
+// TestHammerProbe chases the frozen-cell reclamation race (a dead node's
+// frozen child cells hiding a stale edge; see docs/ARCHITECTURE.md)
 // with sustained recycling pressure. Enabled by EXTBST_HAMMER=1; the
 // short always-on variant below runs a single round.
 func TestHammerProbe(t *testing.T) {

@@ -62,24 +62,26 @@
 // eleven reclamation schemes (the skiplist used this exact ordering
 // before the handoff moved here).
 //
-// # Hinted traversals
+// # One walk, hinted or not
 //
-// An index layered above the list descends to some node with key < the
-// target and resumes the walk there instead of at the head. The hinted
-// entry points (GetInOpHinted, PutInOpHinted, DeleteInOpHinted,
-// ScanInOpHinted) take such a start node, already protected by the
-// caller in a slot of its choosing, and return valid=false when the
-// hint turns out to be stale (start marked, an edge fails validation,
-// or a CAS loses a race) — the caller re-descends its index for a fresh
-// hint rather than falling back to an O(n) head walk. With start=nil
-// they are exactly the classic head-walk operations.
+// Every operation positions itself through the same walk, find. An index
+// layered above the list descends to some node with key < the target and
+// hands it to the hinted entry points (GetInOpHinted, PutInOpHinted,
+// DeleteInOpHinted, ScanInOpHinted) as the walk's start, already
+// protected in a slot of the caller's choosing; they return valid=false
+// when the hint turns out to be stale (start marked, an edge fails
+// validation, or a CAS loses a race) — the caller re-descends its index
+// for a fresh hint rather than falling back to an O(n) head walk. The
+// head walk is the degenerate case: start=nil begins at the head
+// sentinel, which cannot go stale, so the same failures simply restart.
 //
 // Reservation discipline (Michael's, adapted to the core API): three
 // rotating slots protect pred, curr and next; after protecting curr's
-// successor the traversal re-validates pred.next == curr, restarting from
-// the head on failure. Under NBR the unlink/insert/delete CASes are
-// bracketed by EnterWritePhase/ExitWritePhase and a neutralized Protect
-// restarts the whole operation.
+// successor the traversal re-validates pred.next == curr, restarting (or
+// reporting the hint stale) on failure. Under NBR the
+// unlink/insert/delete CASes are bracketed by
+// EnterWritePhase/ExitWritePhase and a neutralized Protect restarts the
+// whole operation.
 package hmlist
 
 import (
@@ -257,93 +259,36 @@ type position struct {
 	sNext    int   // slot currently protecting next
 }
 
-// find locates the first unmarked node with key >= key, unlinking marked
-// nodes on the way. ok=false means the operation was neutralized (NBR)
-// and must restart from StartOp level.
-func (l *List) find(t *core.Thread, key int64) (pos position, ok bool) {
+// find is the list's one walk: it locates the first unmarked node with
+// key >= key, unlinking marked nodes on the way. It starts at start — a
+// node with key strictly below the target, protected by the caller in
+// sStart — or, with start == nil, at the head sentinel in slotC.
+//
+// ok=false means the operation was neutralized (NBR) and must restart
+// from StartOp level. A failed edge validation or a lost help-CAS
+// restarts a head walk; on a hinted walk it returns valid=false instead,
+// because the origin itself may be stale and only the caller — who owns
+// the index that produced it — can pick a fresh one. A head walk never
+// returns valid=false with ok=true.
+func (l *List) find(t *core.Thread, key int64, start *Node, sStart int) (pos position, ok, valid bool) {
 retry:
 	pos = position{
 		predCell: &l.head.next,
 		pred:     l.head,
 		sPred:    slotC, sCurr: slotA, sNext: slotB,
 	}
-	craw, okp := t.Protect(pos.sCurr, pos.predCell)
-	if !okp {
-		return pos, false
-	}
-	if core.Marked(craw) {
-		// Head is never deleted; a marked head.next is impossible.
-		panic("hmlist: head.next marked")
-	}
-	pos.curr = (*Node)(craw)
-	for {
-		if pos.curr == l.tail {
-			pos.next = nil
-			return pos, true
-		}
-		nraw, okp := t.Protect(pos.sNext, &pos.curr.next)
-		if !okp {
-			return pos, false
-		}
-		// Validate the edge: pred must still point at curr (and pred must
-		// not have been logically deleted, which would mark this cell).
-		if pos.predCell.Load() != unsafe.Pointer(pos.curr) {
-			goto retry
-		}
-		if core.Marked(nraw) {
-			// curr is logically deleted (or replaced): help unlink it. For
-			// a replaced node the masked successor is the same-key
-			// replacement, so the walk lands on the key's live node.
-			next := (*Node)(core.Mask(nraw))
-			if !t.EnterWritePhase() {
-				return pos, false
-			}
-			if !pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(next)) {
-				t.ExitWritePhase()
-				goto retry
-			}
-			t.ExitWritePhase()
-			l.retire(t, pos.curr)
-			// next keeps its protection and becomes curr.
-			pos.curr = next
-			pos.sCurr, pos.sNext = pos.sNext, pos.sCurr
-			continue
-		}
-		next := (*Node)(nraw)
-		if pos.curr.key >= key {
-			pos.next = next
-			return pos, true
-		}
-		// Advance: curr becomes pred, next becomes curr; the old pred
-		// slot is recycled for the next protection.
-		pos.pred = pos.curr
-		pos.predCell = &pos.curr.next
-		pos.curr = next
-		pos.sPred, pos.sCurr, pos.sNext = pos.sCurr, pos.sNext, pos.sPred
-	}
-}
-
-// findFrom is find starting at a hinted node (key strictly below the
-// target, protected by the caller in sStart) instead of the head. Any
-// validation failure returns valid=false instead of restarting: the
-// walk origin may be stale, so only the caller — who owns the index
-// that produced it — can pick a fresh one. With start=nil it is exactly
-// find (valid always true).
-func (l *List) findFrom(t *core.Thread, key int64, start *Node, sStart int) (pos position, ok, valid bool) {
-	if start == nil {
-		pos, ok = l.find(t, key)
-		return pos, ok, true
-	}
-	pos = position{
-		predCell: &start.next,
-		pred:     start,
-		sPred:    sStart, sCurr: slotA, sNext: slotB,
+	if start != nil {
+		pos.predCell, pos.pred, pos.sPred = &start.next, start, sStart
 	}
 	craw, okp := t.Protect(pos.sCurr, pos.predCell)
 	if !okp {
 		return pos, false, false
 	}
 	if core.Marked(craw) {
+		if start == nil {
+			// Head is never deleted; a marked head.next is impossible.
+			panic("hmlist: head.next marked")
+		}
 		// The hint itself was deleted under us: its links are no longer
 		// a valid walk origin.
 		return pos, true, false
@@ -358,20 +303,32 @@ func (l *List) findFrom(t *core.Thread, key int64, start *Node, sStart int) (pos
 		if !okp {
 			return pos, false, false
 		}
+		// Validate the edge: pred must still point at curr (and pred must
+		// not have been logically deleted, which would mark this cell).
 		if pos.predCell.Load() != unsafe.Pointer(pos.curr) {
+			if start == nil {
+				goto retry
+			}
 			return pos, true, false
 		}
 		if core.Marked(nraw) {
+			// curr is logically deleted (or replaced): help unlink it. For
+			// a replaced node the masked successor is the same-key
+			// replacement, so the walk lands on the key's live node.
 			next := (*Node)(core.Mask(nraw))
 			if !t.EnterWritePhase() {
 				return pos, false, false
 			}
-			if !pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(next)) {
-				t.ExitWritePhase()
+			helped := pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(next))
+			t.ExitWritePhase()
+			if !helped {
+				if start == nil {
+					goto retry
+				}
 				return pos, true, false
 			}
-			t.ExitWritePhase()
 			l.retire(t, pos.curr)
+			// next keeps its protection and becomes curr.
 			pos.curr = next
 			pos.sCurr, pos.sNext = pos.sNext, pos.sCurr
 			continue
@@ -381,6 +338,8 @@ func (l *List) findFrom(t *core.Thread, key int64, start *Node, sStart int) (pos
 			pos.next = next
 			return pos, true, true
 		}
+		// Advance: curr becomes pred, next becomes curr; the old pred
+		// slot is recycled for the next protection.
 		pos.pred = pos.curr
 		pos.predCell = &pos.curr.next
 		pos.curr = next
@@ -415,10 +374,10 @@ func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 }
 
 // GetInOpHinted is GetInOp resuming at a hinted start node (see
-// findFrom). valid=false: the hint was stale, re-descend.
+// find). valid=false: the hint was stale, re-descend.
 func (l *List) GetInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (v uint64, present, valid bool) {
 	for {
-		pos, ok, val := l.findFrom(t, key, start, sStart)
+		pos, ok, val := l.find(t, key, start, sStart)
 		if !ok || !val {
 			if start != nil {
 				return 0, false, false
@@ -522,7 +481,7 @@ type PutOutcome struct {
 }
 
 // PutInOpHinted is the upsert body resuming at a hinted start node (see
-// findFrom). valid=false: the hint went stale or a CAS lost its race —
+// find). valid=false: the hint went stale or a CAS lost its race —
 // nothing was published, re-descend and retry. With start=nil it
 // retries internally and always returns valid=true.
 func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bool, start *Node, sStart int) (out PutOutcome, valid bool) {
@@ -530,7 +489,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 	cache := l.s.cacheFor(t)
 	var n *Node
 	for {
-		pos, ok, val2 := l.findFrom(t, key, start, sStart)
+		pos, ok, val2 := l.find(t, key, start, sStart)
 		if !ok || !val2 {
 			if start != nil {
 				goto fail
@@ -635,12 +594,12 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 }
 
 // DeleteInOpHinted is Delete's body resuming at a hinted start node
-// (see findFrom). valid=false: the hint went stale or the mark CAS lost
+// (see find). valid=false: the hint went stale or the mark CAS lost
 // its race — nothing was removed, re-descend and retry.
 func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (old uint64, removed, valid bool) {
 	checkKey(key)
 	for {
-		pos, ok, val := l.findFrom(t, key, start, sStart)
+		pos, ok, val := l.find(t, key, start, sStart)
 		if !ok || !val {
 			if start != nil {
 				return 0, false, false
@@ -681,7 +640,7 @@ func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart i
 }
 
 // ScanInOpHinted walks keys in [from, hi] ascending, resuming at a
-// hinted start node (see findFrom; start=nil walks from the head),
+// hinted start node (see find; start=nil walks from the head),
 // emitting every (key, value) pair observed unmarked while validated
 // reachable. done=true: the scan passed hi (or emit returned false).
 // done=false: a hop failed validation, was neutralized, or hit a marked
@@ -689,7 +648,7 @@ func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart i
 // with from=resume; keys below resume were emitted and are never
 // revisited, keeping output sorted and unique.
 func (l *List) ScanInOpHinted(t *core.Thread, from, hi int64, start *Node, sStart int, emit func(int64, uint64) bool) (resume int64, done bool) {
-	pos, ok, valid := l.findFrom(t, from, start, sStart)
+	pos, ok, valid := l.find(t, from, start, sStart)
 	if !ok || !valid {
 		return from, false
 	}

@@ -11,8 +11,9 @@ import (
 	"pop/internal/rng"
 )
 
-// TestHammerProbe chases the frozen-cell reclamation race (DESIGN.md F1):
-// traversals must restart on marked nodes rather than cross frozen links.
+// TestHammerProbe chases the frozen-cell reclamation race (a dead node's
+// frozen links hiding a stale edge; see docs/ARCHITECTURE.md): traversals
+// must restart on marked nodes rather than cross frozen links.
 // Enabled long via LAZYLIST_HAMMER=1; one short round otherwise.
 func TestHammerProbe(t *testing.T) {
 	dur := 2 * time.Second

@@ -38,8 +38,8 @@
 //
 // # Hint protocol (why a column may be trusted)
 //
-// descendIndex walks the columns to the last column with key < target
-// and protects that column's n cell. The column clears n *before* the
+// hintFor walks the columns to the last column with key < target and
+// protects that column's n cell. The column clears n *before* the
 // node is retired (purge runs before Retire under every policy — see
 // hmlist's retire ordering), so a successful Protect on n happened
 // before the clear, hence before the Retire, hence before any
@@ -50,6 +50,20 @@
 // walk after maxHintTries misses so progress never depends on a stalled
 // purge.
 //
+// # One walk
+//
+// Everything that touches the index positions itself through one
+// top-down descent, walk(key, lvl): hints (lvl 0, then the n cell),
+// splices, the purge's identity probe and each level's unlink. Nothing
+// scans a level from the head column, so every index operation —
+// purges included — costs O(log n) expected column loads
+// (TestPurgeStepCount asserts it on a counter). walk returns the cell
+// value it compared, not just the predecessor: a splice or unlink CASes
+// pred's cell against exactly that value, so anything that landed in
+// between fails the CAS instead of being linked around. A marked cell
+// value means pred itself is being purged, and the caller walks again —
+// the next walk helps pred out of the chain.
+//
 // # Column lifecycle
 //
 // The inserter publishes its bottom node with LINKING set (hmlist's
@@ -57,15 +71,15 @@
 // anywhere is always spliced at index level 0 — and only then releases
 // LINKING. Retirement funnels through hmlist's handoff: whichever side
 // clears its state bit last runs this package's purge hook exactly
-// once. The purge walks index level 0 to find the victim's column by
-// node identity (absent there means the column was never published:
-// unreachable Go garbage, nothing to do), marks every right cell
-// top-down so walkers stop splicing behind it and help unlink it, then
-// unlinks each level and clears n last. Mark-then-unlink on the column
-// cells is what makes a concurrent splice either land before the mark
-// (and be preserved by the unlink CAS, which swings to the masked
-// successor) or fail its CAS and re-walk — a splice is never lost into
-// a dead column.
+// once. The purge walks to the victim's key at index level 0 and finds
+// its column by node identity in the equal-key run there (absent means
+// the column was never published: unreachable Go garbage, nothing to
+// do), marks every right cell top-down so walkers stop splicing behind
+// it and help unlink it, then unlinks each level from a fresh walk to
+// its key and clears n last. Mark-then-unlink on the column cells is
+// what makes a concurrent splice either land before the mark (and be
+// preserved by the unlink CAS, which swings to the masked successor) or
+// fail its CAS and re-walk — a splice is never lost into a dead column.
 package skiplist
 
 import (
@@ -105,9 +119,12 @@ type column struct {
 	right []core.Atomic
 }
 
-// colLocal is a thread's private height-distribution generator.
+// colLocal is a thread's private state: the height-distribution
+// generator, and purgeHops — every column purgeIndex has loaded on this
+// thread, the step count TestPurgeStepCount reads.
 type colLocal struct {
-	hrng *rng.State
+	hrng      *rng.State
+	purgeHops int
 }
 
 // List is a lock-free skiplist map of int64 keys to uint64 values.
@@ -177,41 +194,37 @@ func (l *List) raiseTop(h int) {
 	}
 }
 
-// descendIndex walks the column spine to the last column with key
-// strictly below target. All loads are plain (GC memory); marked right
-// cells belong to columns being purged and are helped out of the chain
-// when the predecessor's cell is still clean. Returns nil when no
-// column precedes target (walk from the list head).
-func (l *List) descendIndex(key int64) *column {
-	pred := l.headCol
-	for h := l.indexTop() - 1; h >= 0; h-- {
+// walk is the index's one descent (see "One walk" in the package
+// comment): from indexTop() down to lvl, at each level advancing to the
+// last column with key strictly below key. All loads are plain (GC
+// memory). It returns that column (headCol when none precedes key), the
+// cell value it compared at lvl — the craw whose masked successor has
+// key >= key, which is what a caller's CAS on pred.right[lvl] must
+// expect — and the number of columns it loaded.
+func (l *List) walk(key int64, lvl int) (pred *column, craw unsafe.Pointer, hops int) {
+	pred = l.headCol
+	for h := max(l.indexTop()-1, lvl); h >= lvl; h-- {
 		for {
-			craw := pred.right[h].Load()
+			craw = pred.right[h].Load()
 			c := (*column)(core.Mask(craw))
+			hops++
 			if c.key >= key {
 				break // descend a level
 			}
-			rraw := c.right[h].Load()
-			if core.Marked(rraw) {
-				// c is being purged. Help unlink it if pred's cell is
-				// clean; a marked pred cell means pred is being purged
-				// too — just route through (columns never dangle).
-				if !core.Marked(craw) && pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
-					continue
-				}
-				pred = c
+			// A marked right cell means c is being purged: help unlink it if
+			// pred's cell is clean; a marked pred cell means pred is being
+			// purged too — just route through (columns never dangle).
+			if rraw := c.right[h].Load(); core.Marked(rraw) && !core.Marked(craw) &&
+				pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
 				continue
 			}
 			pred = c
 		}
 	}
-	if pred == l.headCol {
-		return nil
-	}
-	return pred
+	return pred, craw, hops
 }
 
-// hintFor materializes a bottom-layer walk origin for key: descend the
+// hintFor materializes a bottom-layer walk origin for key: walk the
 // index, protect the final column's n cell in slotHint. A nil return
 // (no index progress, cleared n, neutralized protect, or the caller
 // exhausted maxHintTries) means walk from the head.
@@ -219,8 +232,8 @@ func (l *List) hintFor(t *core.Thread, key int64, attempt int) (*hmlist.Node, in
 	if attempt >= maxHintTries {
 		return nil, 0
 	}
-	c := l.descendIndex(key)
-	if c == nil {
+	c, _, _ := l.walk(key, 0)
+	if c == l.headCol {
 		return nil, 0
 	}
 	raw, ok := t.Protect(slotHint, &c.n)
@@ -228,41 +241,6 @@ func (l *List) hintFor(t *core.Thread, key int64, attempt int) (*hmlist.Node, in
 		return nil, 0
 	}
 	return (*hmlist.Node)(raw), slotHint
-}
-
-// indexPred positions a level-h walk: the last column with key < target
-// whose cell (craw, unmarked) it returns, descending from the current
-// top so the walk is O(log n) rather than a level scan. ok=false means
-// the chosen pred's cell went marked under the probe — retry from the
-// head.
-func (l *List) indexPred(key int64, lvl int) (pred *column, craw unsafe.Pointer, ok bool) {
-	pred = l.headCol
-	top := l.indexTop()
-	if top <= lvl {
-		top = lvl + 1
-	}
-	for h := top - 1; h >= lvl; h-- {
-		for {
-			craw = pred.right[h].Load()
-			c := (*column)(core.Mask(craw))
-			if c.key >= key {
-				break
-			}
-			rraw := c.right[h].Load()
-			if core.Marked(rraw) {
-				if !core.Marked(craw) && pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
-					continue
-				}
-				pred = c
-				continue
-			}
-			pred = c
-		}
-	}
-	if core.Marked(craw) {
-		return nil, nil, false
-	}
-	return pred, craw, true
 }
 
 // linkIndex publishes n's column: height drawn geometric(1/4) (0 = no
@@ -280,9 +258,9 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 	c.n.Raw(unsafe.Pointer(n))
 	for lvl := 0; lvl < h; lvl++ {
 		for {
-			pred, craw, ok := l.indexPred(key, lvl)
-			if !ok {
-				continue
+			pred, craw, _ := l.walk(key, lvl)
+			if core.Marked(craw) {
+				continue // pred is being purged: walk again
 			}
 			// Route c past the successor, then splice. c is unpublished
 			// at this level, so the Raw store cannot race a helper; the
@@ -306,33 +284,27 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 // hence before the Retire that follows it.
 func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 	key := victim.Key()
+	hops := &l.localFor(t).purgeHops
 	// Find the victim's column by node identity at index level 0: splices
 	// go bottom-up, so absence there proves the column was never
-	// published (unreachable Go garbage the GC will sweep).
+	// published (unreachable Go garbage the GC will sweep). The probe
+	// starts from a live pred (unmarked cell), which the column — linked
+	// before this purge began — is reachable from; equal-key columns of
+	// older incarnations may precede it, so scan the run.
 	var c *column
-	pred, craw, _ := l.indexPred(key, 0)
-	if pred == nil {
-		// Pred's cell went marked mid-probe; the level-0 scan below
-		// re-walks from wherever the chain is clean.
-		pred = l.headCol
-		craw = pred.right[0].Load()
-	}
-	for {
-		s := (*column)(core.Mask(craw))
-		if s.key > key {
-			break
+	for c == nil {
+		_, craw, n := l.walk(key, 0)
+		*hops += n
+		if !core.Marked(craw) {
+			c = (*column)(craw)
 		}
-		if s.key == key && s.n.Load() == unsafe.Pointer(victim) {
-			c = s
-			break
-		}
-		// Equal-key columns of older incarnations may precede ours; walk
-		// through them (and anything a racing splice put in between).
-		pred = s
-		craw = pred.right[0].Load()
 	}
-	if c == nil {
-		return
+	for c.n.Load() != unsafe.Pointer(victim) {
+		if c.key > key {
+			return
+		}
+		c = (*column)(core.Mask(c.right[0].Load()))
+		*hops++
 	}
 	// Phase 1: mark every right cell top-down. A failed CAS means a
 	// splice landed behind c after we loaded the cell — reload and mark
@@ -348,7 +320,7 @@ func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 	// Phase 2: unlink each level. Walkers help, so the walk just retries
 	// until c is no longer reachable at the level.
 	for lvl := len(c.right) - 1; lvl >= 0; lvl-- {
-		l.unlinkIndexLevel(c, lvl)
+		l.unlinkIndexLevel(c, lvl, hops)
 	}
 	// Phase 3: cut the index->node edge. After this store no new hint
 	// can name the victim; earlier Protects validated against the
@@ -356,35 +328,31 @@ func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 	c.n.Store(nil)
 }
 
-// unlinkIndexLevel removes c (fully marked at lvl) from level lvl.
-func (l *List) unlinkIndexLevel(c *column, lvl int) {
-retry:
-	pred := l.headCol
+// unlinkIndexLevel removes c (fully marked at lvl) from level lvl: walk
+// to the last column below c's key, then scan the equal-key run for c
+// from there. A pred cell that goes marked (pred is being purged under
+// us) or a lost help-CAS re-walks.
+func (l *List) unlinkIndexLevel(c *column, lvl int, hops *int) {
 	for {
-		craw := pred.right[lvl].Load()
-		if core.Marked(craw) {
-			// pred is being purged under us: restart from the head (the
-			// head column is never purged).
-			goto retry
-		}
-		s := (*column)(craw)
-		if s.key > c.key {
-			return // c is not reachable at this level
-		}
-		if s == c {
-			if pred.right[lvl].CompareAndSwap(craw, core.Mask(c.right[lvl].Load())) {
-				return
+		pred, craw, n := l.walk(c.key, lvl)
+		*hops += n
+		for !core.Marked(craw) {
+			s := (*column)(craw)
+			if s.key > c.key {
+				return // c is not reachable at this level
 			}
-			continue // pred's cell changed: re-read
-		}
-		rraw := s.right[lvl].Load()
-		if core.Marked(rraw) {
-			if pred.right[lvl].CompareAndSwap(craw, core.Mask(rraw)) {
-				continue
+			if s == c {
+				if pred.right[lvl].CompareAndSwap(craw, core.Mask(c.right[lvl].Load())) {
+					return
+				}
+			} else if rraw := s.right[lvl].Load(); !core.Marked(rraw) {
+				pred = s
+			} else if !pred.right[lvl].CompareAndSwap(craw, core.Mask(rraw)) {
+				break
 			}
-			goto retry
+			craw = pred.right[lvl].Load()
+			*hops++
 		}
-		pred = s
 	}
 }
 

@@ -1,16 +1,18 @@
-package skiplist_test
+package skiplist
 
 import (
+	"math"
 	"testing"
 
 	"pop/internal/core"
 	"pop/internal/ds"
 	"pop/internal/ds/dstest"
-	"pop/internal/ds/skiplist"
+	"pop/internal/ds/hmlist"
+	"pop/internal/rng"
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.Map { return skiplist.New(d) }, dstest.Config{})
+	dstest.Run(t, func(d *core.Domain) ds.Map { return New(d) }, dstest.Config{})
 }
 
 // TestRangeEdges exercises degenerate bounds. (Randomized range
@@ -18,7 +20,7 @@ func TestConformance(t *testing.T) {
 // dstest's RangeSequentialVsRef/RangeOwnedStripes suites.)
 func TestRangeEdges(t *testing.T) {
 	d := core.NewDomain(core.EBR, 1, nil)
-	l := skiplist.New(d)
+	l := New(d)
 	th := d.RegisterThread()
 	for _, k := range []int64{-5, 0, 3, 7, 100} {
 		l.Insert(th, k)
@@ -45,7 +47,7 @@ func TestRangeEdges(t *testing.T) {
 // for the upper-level link path).
 func TestTowerHeightsReasonable(t *testing.T) {
 	d := core.NewDomain(core.EBR, 1, nil)
-	l := skiplist.New(d)
+	l := New(d)
 	th := d.RegisterThread()
 	for k := int64(0); k < 4096; k++ {
 		l.Insert(th, k)
@@ -57,5 +59,120 @@ func TestTowerHeightsReasonable(t *testing.T) {
 	// height >= 2; the range scan must still see every key.
 	if got := l.RangeCount(th, 0, 4095); got != 4096 {
 		t.Fatalf("RangeCount over all = %d, want 4096", got)
+	}
+}
+
+// checkIndex asserts the index shape at quiescence: every level sorted
+// non-decreasing by key with no marked cell left linked, every column
+// routing to a same-key node, and (level 0 holding every column) a live
+// column count inside the geometric(1/4) band around keys/4 — a purge
+// that misses its column shows up as growth.
+func checkIndex(t *testing.T, l *List, keys int64, phase string) {
+	t.Helper()
+	for lvl := 0; lvl < maxIndexHeight; lvl++ {
+		cols, prev := int64(0), int64(math.MinInt64)
+		for raw := l.headCol.right[lvl].Load(); ; {
+			if core.Marked(raw) {
+				t.Fatalf("%s: level %d: marked cell still linked before key %d", phase, lvl, prev)
+			}
+			c := (*column)(raw)
+			if c == l.tailCol {
+				break
+			}
+			if c.key < prev {
+				t.Fatalf("%s: level %d out of order: key %d follows %d", phase, lvl, c.key, prev)
+			}
+			if n := c.n.Load(); n == nil {
+				t.Fatalf("%s: live column for key %d has a cleared node pointer", phase, c.key)
+			} else if got := (*hmlist.Node)(n).Key(); got != c.key {
+				t.Fatalf("%s: column key %d routes to node key %d", phase, c.key, got)
+			}
+			cols, prev, raw = cols+1, c.key, c.right[lvl].Load()
+		}
+		// Geometric(1/4) heights: P(column) = 1/4. Allow generous slack.
+		if lo, hi := keys/6, keys/3; lvl == 0 && (cols < lo || cols > hi) {
+			t.Fatalf("%s: columns = %d of %d keys, outside sane geometric bounds [%d, %d]", phase, cols, keys, lo, hi)
+		}
+	}
+}
+
+// TestColumnAccounting pins the index invariants: roughly a quarter of
+// keys own a column (geometric(1/4)), every column routes to a live
+// same-key node, overwrite churn (every Put purges one column and
+// splices another) keeps every level sorted and the column count in
+// band, and a full delete leaves the index empty — every column unlinked
+// by the purge hook and every node back in its pool.
+func TestColumnAccounting(t *testing.T) {
+	d := core.NewDomain(core.EBR, 1, &core.Options{ReclaimThreshold: 64})
+	l := New(d)
+	th := d.RegisterThread()
+	const keys = 20_000
+	for k := int64(0); k < keys; k++ {
+		l.PutIfAbsent(th, k, 0)
+	}
+	checkIndex(t, l, keys, "prefill")
+	for round := uint64(1); round <= 2; round++ {
+		for k := int64(0); k < keys; k++ {
+			if _, replaced := l.Put(th, k, round); !replaced {
+				t.Fatalf("overwrite round %d: key %d absent", round, k)
+			}
+		}
+	}
+	checkIndex(t, l, keys, "overwrite")
+	// Deleting everything must purge every column and return every node
+	// to its pool once reclamation has run.
+	for k := int64(0); k < keys; k++ {
+		if _, ok := l.Delete(th, k); !ok {
+			t.Fatalf("delete %d: absent", k)
+		}
+	}
+	th.Flush()
+	for lvl := 0; lvl < maxIndexHeight; lvl++ {
+		if raw := l.headCol.right[lvl].Load(); (*column)(core.Mask(raw)) != l.tailCol {
+			t.Fatalf("index level %d not empty after full delete", lvl)
+		}
+	}
+	if got := l.Outstanding(); got != 0 {
+		t.Fatalf("node pool outstanding = %d after full delete+flush, want 0", got)
+	}
+}
+
+// TestPurgeStepCount is the complexity guard for the index purge: the
+// columns one purge loads (purgeHops: its walks plus its scan and unlink
+// loops) must grow with log n, not with n. Counted, not timed, so a
+// purge that scans a level fails here instead of waiting for a
+// benchmark.
+func TestPurgeStepCount(t *testing.T) {
+	const purges = 2000
+	meanHops := func(n int64) float64 {
+		d := core.NewDomain(core.EBR, 1, nil)
+		l := New(d)
+		th := d.RegisterThread()
+		for k := int64(0); k < n; k++ {
+			l.PutIfAbsent(th, k, 0)
+		}
+		// Single-threaded, so every overwrite retires its victim on the
+		// spot: exactly one purge per Put, about a quarter owning a column.
+		tl, r := l.localFor(th), rng.New(42)
+		before := tl.purgeHops
+		for i := 0; i < purges; i++ {
+			l.Put(th, r.Intn(n), 1)
+		}
+		mean := float64(tl.purgeHops-before) / purges
+		t.Logf("n=%d mean=%.2f", n, mean)
+		// Measured ~2.0–2.3·log2 n (1/4-density levels cost ~4 hops each, and
+		// a column owner re-walks once per level it unlinks).
+		if bound := 4 * math.Log2(float64(n)); mean > bound {
+			t.Errorf("n=%d: %.1f columns loaded per purge, want <= 4*log2(n) = %.0f", n, mean, bound)
+		}
+		return mean
+	}
+	small := meanHops(1 << 10)
+	large := meanHops(1 << 15)
+	if !testing.Short() {
+		large = meanHops(1 << 20)
+	}
+	if large > 3*small {
+		t.Errorf("purge cost grew %.1fx from n=1K (%.1f) to the largest n (%.1f), want <= 3x", large/small, small, large)
 	}
 }

@@ -1,6 +1,6 @@
 // Package figures encodes every experiment in the paper's evaluation —
 // Figures 1-11 plus the §2.1.2 read-cost analysis, the robustness
-// scenario, and ablations over the design parameters DESIGN.md calls out
+// scenario, and ablations over the design parameters core.Options exposes
 // — and this repository's extension experiments: the skiplist sweeps,
 // the scan-heavy range-query workloads on both ordered structures
 // (skl-scan, abt-scan), whose series include per-scan latency quantiles

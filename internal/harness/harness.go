@@ -286,14 +286,8 @@ type Result struct {
 	Timeline *telemetry.Timeline
 }
 
-// memMap is a Map that can report pool occupancy.
-type memMap interface {
-	ds.Map
-	Outstanding() int64
-}
-
 // build instantiates the data structure named in cfg.
-func build(cfg Config, d *core.Domain) (memMap, error) {
+func build(cfg Config, d *core.Domain) (ds.MemMap, error) {
 	switch cfg.DS {
 	case DSHarrisMichaelList:
 		return hmlist.New(d), nil
@@ -589,7 +583,7 @@ func Run(cfg Config) (Result, error) {
 // allocations, so recording into them does not share lines across
 // workers.) In churn mode the loop additionally ends after
 // cfg.Churn.AfterOps operations so the caller can rotate the handle.
-func runWorker(cfg Config, m memMap, th *core.Thread, gen *workload.Generator, id int, stop *atomic.Bool, c *workerCounters, live *padded.Uint64) {
+func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator, id int, stop *atomic.Bool, c *workerCounters, live *padded.Uint64) {
 	scanner, _ := m.(ds.RangeScanner) // non-nil whenever mix.RangePct > 0
 
 	staller := cfg.StallEvery > 0 && cfg.StallLength > 0 && id == 0
@@ -667,7 +661,7 @@ func runWorker(cfg Config, m memMap, th *core.Thread, gen *workload.Generator, i
 // (§5.0.2), splitting the work across all threads. Runs on the worker
 // threads'"own" goroutines to respect handle ownership. Prefilled keys
 // carry encoded values so execution-phase Gets verify from the start.
-func prefill(cfg Config, m memMap, threads []*core.Thread) error {
+func prefill(cfg Config, m ds.MemMap, threads []*core.Thread) error {
 	target := cfg.KeyRange / 2
 	per := target / int64(len(threads))
 	extra := target - per*int64(len(threads))

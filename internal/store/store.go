@@ -230,17 +230,11 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// memMap is what a shard's backing must provide.
-type memMap interface {
-	ds.Map
-	Outstanding() int64
-}
-
 // shard is one partition: its map plus padded counters. The counters
 // are atomic (several threads serve one shard) but each shard's block
 // is padded, so shard i's stats never false-share with shard j's.
 type shard struct {
-	m        memMap
+	m        ds.MemMap
 	scanner  ds.RangeScanner // nil when the backing is unordered
 	batch    ds.BatchGetter  // nil when the backing has no multi-get
 	batchPut ds.BatchPutter  // nil when the backing has no multi-put
@@ -345,7 +339,7 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		d := g.Member(i >> shift)
-		var m memMap
+		var m ds.MemMap
 		switch cfg.Backing {
 		case BackingSkipList:
 			m = skiplist.New(d)
