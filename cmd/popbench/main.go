@@ -152,7 +152,6 @@ func main() {
 		serveMode = flag.Bool("serve", false, "serve sweep: live TCP memcached-text server across connection counts × policies")
 		connsCSV  = flag.String("conns", "8,32", "serve sweep: comma-separated client connection counts")
 		slots     = flag.Int("slots", 8, "serve sweep: admission slots (connections executing at once)")
-		window    = flag.Duration("window", 50*time.Microsecond, "serve sweep: get-coalescing window")
 		openRate  = flag.Float64("openrate", 0, "serve sweep: open-loop total ops/s target (0 = closed loop)")
 		getPct    = flag.Int("getpct", 90, "serve sweep: get share of the op mix (rest are sets)")
 	)
@@ -235,7 +234,7 @@ func main() {
 	}
 	if *serveMode {
 		if err := serveSweep(serveSweepOpts{
-			backing: *backing, conns: *connsCSV, slots: *slots, window: *window,
+			backing: *backing, conns: *connsCSV, slots: *slots,
 			openRate: *openRate, getPct: *getPct, keys: *keyRange, dist: dist,
 			duration: *duration, seed: *seed, policies: *policies,
 			ycsb: *ycsbName, chaos: chaosCfg, jsonPath: *jsonOut,
@@ -393,7 +392,6 @@ type serveSweepOpts struct {
 	backing  string
 	conns    string // csv connection counts
 	slots    int
-	window   time.Duration
 	openRate float64
 	getPct   int
 	keys     int64
@@ -475,7 +473,6 @@ func serveSweep(o serveSweepOpts) error {
 		Slots:    o.slots,
 		Keys:     o.keys,
 		Backing:  o.backing,
-		Window:   o.window,
 		GetPct:   o.getPct,
 		OpenRate: o.openRate,
 		Dist:     o.dist,

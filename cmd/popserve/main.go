@@ -9,7 +9,7 @@
 // Examples:
 //
 //	popserve -addr :11311 -policy EpochPOP -slots 8
-//	popserve -policy HazardPtrPOP -backing hmht -shards 16 -window 100us
+//	popserve -policy HazardPtrPOP -backing hmht -shards 16
 //	printf 'set greet 0 0 5\r\nhello\r\nget greet\r\nquit\r\n' | nc 127.0.0.1 11311
 //
 // On SIGINT/SIGTERM the server drains connections, releases every
@@ -38,7 +38,6 @@ func main() {
 		shards   = flag.Int("shards", 8, "store shard count (power of two)")
 		groups   = flag.Int("groups", 1, "reclamation domain members the shards split across (power of two, <= shards)")
 		backing  = flag.String("backing", "skl", "per-shard structure (skl, hmht, hml, abt, ll, dgt)")
-		window   = flag.Duration("window", 50*time.Microsecond, "get-coalescing window (negative disables the wait)")
 		maxBatch = flag.Int("maxbatch", 64, "coalesced batch cap")
 		timeout  = flag.Duration("timeout", 10*time.Second, "admission-queue wait bound per burst")
 		maxValue = flag.Int("maxvalue", 0, "value size cap in bytes (0 = arena default)")
@@ -63,12 +62,13 @@ func main() {
 			Backing:     *backing,
 			MaxValueLen: *maxValue,
 		},
-		Window:         *window,
 		MaxBatch:       *maxBatch,
 		AcquireTimeout: *timeout,
 	}
 	if *smoke {
 		cfg.Addr = "127.0.0.1:0"
+		// Small enough that the smoke's set burst must trigger passes.
+		cfg.Opts = &core.Options{ReclaimThreshold: smokeReclaimThreshold}
 	}
 	s, err := server.New(cfg)
 	if err != nil {

@@ -90,11 +90,16 @@ func smokeTest(s *server.Server) error {
 	return nil
 }
 
+// smokeReclaimThreshold is the retire threshold -smoke runs with.
+const smokeReclaimThreshold = 64
+
 // metricsSmoke exercises the -metrics endpoint: scrape /metrics, push
 // traffic through the text protocol, scrape again, and require the
-// command counters to have advanced between the two scrapes. It also
-// checks /timeline decodes as JSON and "stats telemetry" answers over
-// the wire.
+// command counters to have advanced between the two scrapes — and the
+// reclamation pass counter too: every set below is a burst of its own
+// (lease, overwrite, release), so passes only run if releases carry
+// their retires forward. It also checks /timeline decodes as JSON and
+// "stats telemetry" answers over the wire.
 func metricsSmoke(maddr string, s *server.Server) error {
 	before, err := scrapeMetrics(maddr)
 	if err != nil {
@@ -112,11 +117,13 @@ func metricsSmoke(maddr string, s *server.Server) error {
 	}
 	defer nc.Close()
 	r := bufio.NewReader(nc)
-	if _, err := io.WriteString(nc, "set mk 0 0 3\r\nabc\r\n"); err != nil {
-		return err
-	}
-	if line, _ := r.ReadString('\n'); strings.TrimRight(line, "\r\n") != "STORED" {
-		return fmt.Errorf("set for metrics traffic not stored: %q", line)
+	for i := 0; i < 4*smokeReclaimThreshold; i++ {
+		if _, err := io.WriteString(nc, "set mk 0 0 3\r\nabc\r\n"); err != nil {
+			return err
+		}
+		if line, _ := r.ReadString('\n'); strings.TrimRight(line, "\r\n") != "STORED" {
+			return fmt.Errorf("set for metrics traffic not stored: %q", line)
+		}
 	}
 	for i := 0; i < 32; i++ {
 		if _, err := io.WriteString(nc, "get mk\r\n"); err != nil {
@@ -158,7 +165,7 @@ func metricsSmoke(maddr string, s *server.Server) error {
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{"pop_cmd_get_total", "pop_get_hits_total"} {
+	for _, name := range []string{"pop_cmd_get_total", "pop_get_hits_total", "pop_reclaim_passes_total"} {
 		if after[name] <= before[name] {
 			return fmt.Errorf("%s did not advance between scrapes (%g -> %g)",
 				name, before[name], after[name])

@@ -197,7 +197,10 @@ func (o *Options) withDefaults() Options {
 // domain's orphan queue; live threads adopt the queue at the start of
 // their next reclamation pass (every policy's reclaim and flush call
 // Thread.adoptOrphans), so no retired node is stranded by a departed
-// thread.
+// thread — and the release that brings the retires of departed threads
+// to ReclaimThreshold runs that pass itself (beginRelease), so the
+// queue is bounded even when no thread lives long enough to reach the
+// threshold alone.
 type Domain struct {
 	policy Policy
 	opts   Options
@@ -228,6 +231,9 @@ type Domain struct {
 	orphansDonated uint64
 	orphansAdopted uint64
 	orphanLen      padded.Int64 // nodes awaiting adoption (incl. batched)
+	// releaseDebt counts retires whose tenants released before a pass of
+	// their own accounted for them; see beginRelease.
+	releaseDebt int
 
 	freeFns [maxTypes]func(*Thread, *Header)
 	ntypes  int
@@ -288,8 +294,8 @@ func (d *Domain) RegisterType(free func(*Thread, *Header)) uint8 {
 
 // RegisterThread leases a thread handle, panicking when the domain is
 // full (the original, compatibility API; prefer TryRegisterThread where
-// capacity exhaustion should be an error, not a crash). A Thread must
-// only be used by the goroutine that leased it, until Release.
+// capacity exhaustion should be an error, not a crash). The Thread is
+// the caller's alone until Release (see Thread on ownership).
 func (d *Domain) RegisterThread() *Thread {
 	t, err := d.TryRegisterThread()
 	if err != nil {
@@ -356,13 +362,25 @@ func (d *Domain) leaseLocked(t *Thread) {
 // here, BEFORE Thread.Release touches the slot's state, and the slot is
 // not re-leasable (not on freeSlots) until finishRelease — so no new
 // tenant can appear while the SWMR wipe is in progress.
-func (d *Domain) beginRelease(t *Thread) {
+//
+// It also settles the tenant's retire count into the domain's release
+// debt and reports whether this release carried the debt to
+// ReclaimThreshold, in which case the caller owes one reclamation pass
+// (the debt restarts from zero whatever that pass frees: one pass per
+// threshold of new retires, never one per release).
+func (d *Domain) beginRelease(t *Thread) (passDue bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !t.leased {
 		panic("core: Release of a thread handle that is not leased (double release?)")
 	}
 	t.leased = false
+	d.releaseDebt += t.sinceReclaim
+	if d.releaseDebt < d.opts.ReclaimThreshold {
+		return false
+	}
+	d.releaseDebt = 0
+	return true
 }
 
 // finishRelease completes a release begun by beginRelease: donate the

@@ -65,25 +65,31 @@ func (a *crystAlgo) allocHook(t *Thread) {
 	}
 }
 
-func (a *crystAlgo) retireHook(t *Thread) {
-	bs := t.batches
-	// Seal a batch once the open list reaches BatchSize.
-	if len(t.retired) >= a.d.opts.BatchSize {
-		b := cbatch{nodes: make([]*Header, len(t.retired)), lo: eraMax, hi: 0}
-		copy(b.nodes, t.retired)
-		for _, h := range b.nodes {
-			if h.BirthEra < b.lo {
-				b.lo = h.BirthEra
-			}
-			if h.RetireEra > b.hi {
-				b.hi = h.RetireEra
-			}
-		}
-		bs.full = append(bs.full, b)
-		bs.pending += len(b.nodes)
-		t.batchedLen.Store(int64(bs.pending))
-		t.retired = t.retired[:0]
+// seal moves the open retire list into a sealed batch once it holds at
+// least min nodes.
+func (a *crystAlgo) seal(t *Thread, min int) {
+	if len(t.retired) < min {
+		return
 	}
+	b := cbatch{nodes: make([]*Header, len(t.retired)), lo: eraMax, hi: 0}
+	copy(b.nodes, t.retired)
+	for _, h := range b.nodes {
+		if h.BirthEra < b.lo {
+			b.lo = h.BirthEra
+		}
+		if h.RetireEra > b.hi {
+			b.hi = h.RetireEra
+		}
+	}
+	bs := t.batches
+	bs.full = append(bs.full, b)
+	bs.pending += len(b.nodes)
+	t.batchedLen.Store(int64(bs.pending))
+	t.retired = t.retired[:0]
+}
+
+func (a *crystAlgo) retireHook(t *Thread) {
+	a.seal(t, a.d.opts.BatchSize)
 	if t.sinceReclaim >= a.d.opts.ReclaimThreshold {
 		t.sinceReclaim = 0
 		a.reclaim(t)
@@ -95,11 +101,15 @@ func (a *crystAlgo) retireHook(t *Thread) {
 // intervalReserved); a departing thread donates its sealed batches and
 // its open tail to the orphan queue, and adoption moves sealed batches
 // wholesale into the adopter's batch list (lo/hi eras travel with the
-// batch, so the free test is unchanged by the handoff).
+// batch, so the free test is unchanged by the handoff). Adopted open
+// tails are sealed here once they add up to a batch: tenants that each
+// leave before filling a batch of their own must not keep one from ever
+// forming.
 func (a *crystAlgo) reclaim(t *Thread) {
 	defer a.d.recordPass(time.Now())
 	t.stats.Reclaims++
 	t.adoptOrphans()
+	a.seal(t, a.d.opts.BatchSize)
 	ts := t.d.threadList()
 	t.stats.ThreadsScanned += uint64(len(ts))
 	los := grow(t.scCounts, len(ts))
@@ -130,22 +140,7 @@ func (a *crystAlgo) flush(t *Thread) {
 	// and must make it into a batch, or this flush would strand them.
 	t.adoptOrphans()
 	// Seal the open tail so everything is batch-resident, then reclaim.
-	if len(t.retired) > 0 {
-		b := cbatch{nodes: make([]*Header, len(t.retired)), lo: eraMax, hi: 0}
-		copy(b.nodes, t.retired)
-		for _, h := range b.nodes {
-			if h.BirthEra < b.lo {
-				b.lo = h.BirthEra
-			}
-			if h.RetireEra > b.hi {
-				b.hi = h.RetireEra
-			}
-		}
-		t.batches.full = append(t.batches.full, b)
-		t.batches.pending += len(b.nodes)
-		t.batchedLen.Store(int64(t.batches.pending))
-		t.retired = t.retired[:0]
-	}
+	a.seal(t, 1)
 	a.d.epoch.Add(1)
 	a.reclaim(t)
 }

@@ -96,10 +96,11 @@ func (g *DomainGroup) Policy() Policy { return g.members[0].Policy() }
 func (g *DomainGroup) Cap() int { return g.slots }
 
 // GroupHandle is one leased group slot: the group-level analogue of a
-// Thread handle. Between Acquire and Release it must only be used by
-// the goroutine that acquired it (the same affinity rule as
-// RegisterThread). Member lazily leases the per-member Thread the
-// caller runs protected operations on.
+// Thread handle. Between Acquire and Release it has one exclusive
+// owner — the goroutine that acquired it, unless it is handed over
+// across a happens-before edge (the same rule as a Thread). Member
+// lazily leases the per-member Thread the caller runs protected
+// operations on.
 type GroupHandle struct {
 	g       *DomainGroup
 	slot    int
@@ -281,8 +282,7 @@ func (g *DomainGroup) signalLocked() {
 // adoption stays member-local — and only then does the slot become
 // re-leasable (keeping the ≤-1-thread-per-member-per-slot invariant),
 // after which the head AcquireWait waiter, if any, is woken. Must be
-// called by the goroutine that acquired h; h must not be used
-// afterwards.
+// called by h's owner; h must not be used afterwards.
 func (g *DomainGroup) Release(h *GroupHandle) {
 	g.mu.Lock()
 	if !h.leased {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -126,6 +127,82 @@ func TestOrphanAdoption(t *testing.T) {
 			}
 			if got := e.pool.Outstanding(); got != 0 {
 				t.Fatalf("pool outstanding = %d after adoption flush", got)
+			}
+		})
+	}
+}
+
+// TestOrphanageBounded is the release-debt rule: when every tenant
+// leases, retires a node or two and releases — never reaching
+// ReclaimThreshold on its own — the domain must still run one pass per
+// threshold of retires, so unreclaimed garbage stays bounded by the
+// threshold, and must not run more than that when a parked reader keeps
+// the passes from freeing anything.
+func TestOrphanageBounded(t *testing.T) {
+	const (
+		threshold = 64
+		total     = 10 * threshold
+	)
+	// tenants churns short-lived tenants until they have retired total
+	// nodes between them, calling check after every release.
+	tenants := func(e *env, check func(retired int)) {
+		cache := e.pool.NewCache()
+		for retired := 0; retired < total; {
+			th := e.d.RegisterThread()
+			th.StartOp()
+			for k := 0; k <= retired%2; k++ {
+				n := e.alloc(th, cache, int64(retired))
+				th.Retire(&n.Header)
+				retired++
+			}
+			th.EndOp()
+			th.Release()
+			check(retired)
+		}
+	}
+	for _, p := range core.Policies() {
+		if p == core.NR {
+			continue // NR leaks by design and never holds a retire list
+		}
+		opts := &core.Options{ReclaimThreshold: threshold, BatchSize: 8}
+		t.Run(p.String()+"/idle", func(t *testing.T) {
+			e := newEnv(t, p, 1, opts)
+			tenants(e, func(retired int) {
+				// The debt is settled at the release that reaches the
+				// threshold; that tenant's own list is the slack.
+				if got := e.d.Unreclaimed(); got > threshold+2 {
+					t.Fatalf("after %d retires: Unreclaimed = %d, want <= %d", retired, got, threshold+2)
+				}
+			})
+			if got := e.d.ReclaimStats().Passes; got < 9 {
+				t.Fatalf("Passes = %d after %d retires at threshold %d, want >= 9", got, total, threshold)
+			}
+		})
+		t.Run(p.String()+"/parked-reader", func(t *testing.T) {
+			e := newEnv(t, p, 2, opts)
+			reader := e.d.RegisterThread()
+			stop, parked := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(parked)
+				// Mid-operation for the whole run, answering pings: the
+				// reader that pins whatever its policy lets it pin.
+				reader.StartOp()
+				for {
+					select {
+					case <-stop:
+						reader.EndOp()
+						return
+					default:
+						reader.Poll()
+						runtime.Gosched()
+					}
+				}
+			}()
+			tenants(e, func(int) {})
+			close(stop)
+			<-parked
+			if got, max := e.d.ReclaimStats().Passes, uint64(total/threshold+1); got > max {
+				t.Fatalf("Passes = %d for %d retires at threshold %d, want <= %d (a pass per release?)", got, total, threshold, max)
 			}
 		})
 	}

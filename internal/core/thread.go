@@ -18,8 +18,10 @@ import (
 const publishWaitLimit = 30 * time.Second
 
 // Thread is a per-worker handle into a Domain. All data-structure
-// operations happen through a Thread; a Thread must only ever be used by
-// the goroutine that owns it — and ownership is a lease, not a life
+// operations happen through a Thread; a Thread has one exclusive owner
+// at a time (normally a goroutine; handing it to another needs a
+// happens-before edge between the old owner's last use and the new
+// owner's first) — and ownership is a lease, not a life
 // sentence: Release returns the slot to the domain (donating any
 // unreclaimed retires to the orphan queue), after which a different
 // goroutine may lease the same slot through TryRegisterThread. The
@@ -129,7 +131,7 @@ func (t *Thread) Incarnation() uint64 { return t.incarnation.Load() }
 func (t *Thread) Domain() *Domain { return t.d }
 
 // Release returns the thread's slot to the domain. It must be called by
-// the owner goroutine, outside any operation (after EndOp); the handle
+// the thread's owner, outside any operation (after EndOp); the handle
 // must not be used afterwards. The slot becomes re-leasable by any
 // goroutine via TryRegisterThread.
 //
@@ -147,6 +149,16 @@ func (t *Thread) Domain() *Domain { return t.d }
 //     is donated to the domain's orphan queue, adopted by a live
 //     thread's next reclamation pass — departing threads strand no
 //     garbage.
+//
+// The retires the tenant made since its last pass are not forgotten
+// either: they are added to the domain's release debt, and the release
+// that carries the debt to ReclaimThreshold runs the policy's ordinary
+// pass (which starts by adopting the orphanage) before donating what is
+// left. A domain whose tenants all leave long before reaching the
+// threshold on their own — a serving front's one-command bursts —
+// therefore still reclaims once per ReclaimThreshold retires, at the
+// same amortised cost as one long-lived thread, and never more often
+// than that however little a pass manages to free.
 //
 // Monotone counters (opSeq, pubCount, incarnation) are deliberately NOT
 // reset: a reclaimer that pinged this slot's old tenant and is still
@@ -168,7 +180,10 @@ func (t *Thread) Release() {
 	// re-leased is the same contract violation as any other use of a
 	// released handle, and is equally undetectable — a handle must
 	// never be touched after Release returns.)
-	t.d.beginRelease(t)
+	if t.d.beginRelease(t) {
+		t.sinceReclaim = t.d.opts.ReclaimThreshold
+		t.d.algo.retireHook(t)
+	}
 	for i := 0; i < MaxSlots; i++ {
 		atomic.StorePointer(&t.sharedPtrs[i], nil)
 		atomic.StoreUint64(&t.sharedEras[i], eraNone)

@@ -39,9 +39,6 @@ type ServeConfig struct {
 	Backing  string        // per-shard structure (default skl)
 	Seed     uint64        // trial seed
 
-	// Window is the server's get-coalescing window (default 50µs).
-	// Negative disables the wait (drain-only coalescing).
-	Window time.Duration
 	// MaxBatch caps a coalesced batch (default 64).
 	MaxBatch int
 
@@ -89,9 +86,6 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	}
 	if c.Backing == "" {
 		c.Backing = store.BackingSkipList
-	}
-	if c.Window == 0 {
-		c.Window = 50 * time.Microsecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -250,7 +244,6 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 			Backing:              cfg.Backing,
 			ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
 		},
-		Window:     cfg.Window,
 		MaxBatch:   cfg.MaxBatch,
 		ExtraSlots: cfg.Chaos.Slots(),
 	})

@@ -1,16 +1,15 @@
 package server
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"pop/internal/core"
 	"pop/internal/store"
 )
 
 // getReq is one connection's single-key get, queued to its shard's
-// coalescer. buf is the connection's scratch: the executor appends the
+// coalescer. buf is the connection's scratch: the combiner appends the
 // value into it and hands it back through out, so a hit costs no
 // allocation once the connection's buffer has grown.
 type getReq struct {
@@ -28,24 +27,44 @@ type getResult struct {
 }
 
 // coalescer merges concurrent single-key gets bound for one shard into
-// batched protected operations. One executor goroutine per shard owns a
-// dedicated group handle (leased at server start, outside the
-// connection-admission budget, so get service can never deadlock
-// against admission): it takes the first queued get, keeps collecting gets that
-// arrive within the coalescing window (up to maxBatch), and answers the
-// whole set with one Store.GetBatch — one StartOp/EndOp per shard per
-// window instead of per connection. Independent clients thereby share
-// protected operations: the reclamation cost of a read scales with
-// batch windows, not with connection count.
+// batched protected operations by flat combining (Hendler, Incze,
+// Shavit, Tzafrir, SPAA 2010): there is no executor goroutine and no
+// waiting for company. A connection enqueues its get and then tries the
+// combiner lock; whoever wins serves everything queued — its own get
+// and any that arrived while another combiner held the lock — with one
+// Store.GetBatch per maxBatch requests, on the shard's dedicated group
+// handle. A lone get therefore runs inline on the goroutine that read
+// it, and gets only share a protected operation when they actually
+// contend for the shard: the reclamation cost of a read scales with
+// combiner passes, not with connection count, and batching costs
+// nothing when there is nobody to batch with.
 //
-// A window of zero degrades to opportunistic draining: whatever is
-// already queued is batched, and a lone get is served immediately with
-// no added latency.
+// No request is stranded: a get is enqueued (under qmu) before its
+// TryLock, so if the TryLock fails, the holder's re-check of the queue
+// after its Unlock (also under qmu) sees it — either the re-check's qmu
+// section follows the enqueue's and observes the request, or it
+// precedes it, in which case the holder's Unlock happened before the
+// TryLock and the TryLock lost to a later holder that owes the same
+// re-check.
+//
+// The handle is leased once at server start, outside the
+// connection-admission budget (get service can never deadlock against
+// admission), and used by whichever goroutine holds mu: the mutex is
+// the happens-before edge that hands the handle's owner-only state from
+// one combiner to the next. Serving one shard only, the handle lazily
+// leases exactly that shard's member domain thread.
 type coalescer struct {
 	st       *store.Store
-	window   time.Duration
 	maxBatch int
-	reqs     chan getReq
+
+	qmu   sync.Mutex
+	queue []getReq // gets awaiting a combiner
+
+	mu    sync.Mutex        // the combiner lock; guards everything below
+	h     *core.GroupHandle // released by Server.Close
+	batch []getReq          // the queue being served (swapped with queue)
+	keys  []string
+	b     store.Batch
 
 	gets      atomic.Uint64 // gets served through this coalescer
 	batches   atomic.Uint64 // GetBatch calls issued
@@ -53,85 +72,71 @@ type coalescer struct {
 	maxSeen   atomic.Uint64 // widest batch observed
 }
 
-func newCoalescer(st *store.Store, window time.Duration, maxBatch int) *coalescer {
-	if maxBatch < 2 {
-		maxBatch = 2
-	}
-	return &coalescer{
-		st:       st,
-		window:   window,
-		maxBatch: maxBatch,
-		// Buffer one full batch per slot of backlog: submit only blocks
-		// when the executor is more than a window behind.
-		reqs: make(chan getReq, 4*maxBatch),
+// get answers one single-key get: enqueue, combine, receive. The value
+// is appended to buf[:0]; out must have room for one result (the
+// combiner may be this goroutine).
+func (c *coalescer) get(key string, buf []byte, out chan getResult) getResult {
+	c.qmu.Lock()
+	c.queue = append(c.queue, getReq{key: key, buf: buf, out: out})
+	c.qmu.Unlock()
+	c.combine()
+	return <-out
+}
+
+// combine serves the queue for as long as this goroutine can take the
+// combiner lock and there is something queued; the re-check after every
+// Unlock is what the no-stranding argument above rests on.
+func (c *coalescer) combine() {
+	for c.mu.TryLock() {
+		c.serveQueued()
+		c.mu.Unlock()
+		if c.queued() == 0 {
+			return
+		}
 	}
 }
 
-// submit queues one get; the caller then blocks on its result channel.
-func (c *coalescer) submit(r getReq) { c.reqs <- r }
+func (c *coalescer) queued() int {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	return len(c.queue)
+}
 
-// run is the shard executor: it owns h (a group handle leased by this
-// goroutine at server start) until the request channel closes at
-// shutdown, then releases it. close(ready) signals that the lease
-// exists — the server counts these slots out of the
-// connection-admission budget. Serving one shard only, the handle
-// lazily leases exactly that shard's member domain thread.
-func (c *coalescer) run(h *core.GroupHandle, ready chan<- struct{}) {
-	close(ready)
-	keys := make([]string, 0, c.maxBatch)
-	outs := make([]chan<- getResult, 0, c.maxBatch)
-	bufs := make([][]byte, 0, c.maxBatch)
-	var b store.Batch
-	for first := range c.reqs {
-		keys = append(keys[:0], first.key)
-		outs = append(outs[:0], first.out)
-		bufs = append(bufs[:0], first.buf)
-
-		// Collect the window's arrivals, polling with Gosched rather
-		// than a runtime timer: the window is tens of microseconds, well
-		// under the timer wakeup granularity of an otherwise idle
-		// process, and a lone lightly-loaded get must not pay a
-		// millisecond for a 50µs window. With a zero window this only
-		// drains what is already queued.
-		deadline := time.Now().Add(c.window)
-	collect:
-		for len(keys) < c.maxBatch {
-			select {
-			case r, ok := <-c.reqs:
-				if !ok {
-					break collect // shutdown: serve what we hold
-				}
-				keys = append(keys, r.key)
-				outs = append(outs, r.out)
-				bufs = append(bufs, r.buf)
-			default:
-				if c.window <= 0 || !time.Now().Before(deadline) {
-					break collect
-				}
-				runtime.Gosched()
-			}
-		}
-
-		c.st.GetBatch(h, keys, &b)
-		for i := range outs {
-			var res getResult
-			if b.OK[i] {
-				res = getResult{val: append(bufs[i][:0], b.Vals[i]...), ok: true}
-			} else {
-				res = getResult{val: bufs[i][:0]}
-			}
-			outs[i] <- res
-		}
-
-		n := uint64(len(keys))
-		c.gets.Add(n)
-		c.batches.Add(1)
-		if n > 1 {
-			c.coalesced.Add(n)
-		}
-		if n > c.maxSeen.Load() {
-			c.maxSeen.Store(n)
-		}
+// serveQueued takes everything queued and answers it, one GetBatch per
+// maxBatch requests (mu held).
+func (c *coalescer) serveQueued() {
+	c.qmu.Lock()
+	c.batch, c.queue = c.queue, c.batch[:0]
+	c.qmu.Unlock()
+	for reqs := c.batch; len(reqs) > 0; {
+		n := min(len(reqs), c.maxBatch)
+		c.serveBatch(reqs[:n])
+		reqs = reqs[n:]
 	}
-	c.st.Release(h)
+	clear(c.batch) // drop the served keys and buffers
+}
+
+func (c *coalescer) serveBatch(reqs []getReq) {
+	c.keys = c.keys[:0]
+	for i := range reqs {
+		c.keys = append(c.keys, reqs[i].key)
+	}
+	c.st.GetBatch(c.h, c.keys, &c.b)
+	for i, r := range reqs {
+		res := getResult{val: r.buf[:0]}
+		if c.b.OK[i] {
+			res = getResult{val: append(r.buf[:0], c.b.Vals[i]...), ok: true}
+		}
+		r.out <- res // never blocks: one request per channel, room for one result
+	}
+
+	n := uint64(len(reqs))
+	c.gets.Add(n)
+	c.batches.Add(1)
+	if n > 1 {
+		c.coalesced.Add(n)
+	}
+	if n > c.maxSeen.Load() {
+		c.maxSeen.Store(n) // mu held: no concurrent writer
+	}
 }

@@ -13,9 +13,10 @@
 //
 //   - Cross-connection get coalescing. Single-key gets are not executed
 //     on the connection's own thread: they are queued to the key's
-//     shard, where a dedicated executor merges every get that arrives
-//     within a short window into one Store.GetBatch — one protected
-//     operation serving many independent clients. This is the batch
+//     shard, and whichever connection takes the shard's combiner lock
+//     answers everything queued with one Store.GetBatch — one protected
+//     operation serving every client that contended for the shard, and
+//     an inline get when nobody did (coalesce.go). This is the batch
 //     amortization BenchmarkStoreBatchGet measures, harvested across
 //     connections instead of within one.
 //
@@ -69,6 +70,11 @@ type Command struct {
 	Bytes    int      // set/add payload length
 	Noreply  bool
 	StatsArg string
+
+	// fields is the request line's split scratch, reused across parses
+	// so a command costs no slice growth. Its entries alias the line
+	// just parsed and mean nothing once ParseCommand has returned.
+	fields [][]byte
 }
 
 // ClientError is a recoverable protocol violation: the server answers
@@ -185,11 +191,11 @@ func (rd *Reader) readLine() ([]byte, error) {
 }
 
 // ParseCommand parses one request line (terminator already stripped)
-// into cmd, reusing cmd's key slice. It is the pure, fuzzable half of
-// the codec.
+// into cmd, reusing cmd's key slice and field scratch. It is the pure,
+// fuzzable half of the codec.
 func ParseCommand(line []byte, cmd *Command) error {
-	*cmd = Command{Keys: cmd.Keys[:0]}
-	fields := splitFields(line)
+	fields := splitFields(cmd.fields[:0], line)
+	*cmd = Command{Keys: cmd.Keys[:0], fields: fields}
 	if len(fields) == 0 {
 		return ClientError("empty command line")
 	}
@@ -274,11 +280,10 @@ func ParseCommand(line []byte, cmd *Command) error {
 	return nil
 }
 
-// splitFields splits on single spaces without allocating a backing
-// array per call beyond the slice headers (bytes.Fields semantics for
-// the space-only separator the protocol uses).
-func splitFields(line []byte) [][]byte {
-	var out [][]byte
+// splitFields appends line's space-separated fields to out
+// (bytes.Fields semantics for the space-only separator the protocol
+// uses). The fields alias line.
+func splitFields(out [][]byte, line []byte) [][]byte {
 	start := -1
 	for i, b := range line {
 		if b == ' ' {

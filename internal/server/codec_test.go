@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -243,6 +244,28 @@ func TestReadCommandFraming(t *testing.T) {
 	})
 }
 
+// sameCommand compares everything a caller can read from a Command.
+func sameCommand(a, b Command) bool {
+	return a.Op == b.Op && slices.Equal(a.Keys, b.Keys) && a.Flags == b.Flags &&
+		a.Exptime == b.Exptime && a.Bytes == b.Bytes && a.Noreply == b.Noreply &&
+		a.StatsArg == b.StatsArg
+}
+
+// TestParseCommandAllocs pins the request line's steady-state cost: a
+// single-key get allocates its key string and nothing else (no field
+// slice, no key slice growth).
+func TestParseCommandAllocs(t *testing.T) {
+	line := []byte("get user:0000000042")
+	var cmd Command
+	if got := testing.AllocsPerRun(100, func() {
+		if err := ParseCommand(line, &cmd); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("ParseCommand(%q) allocates %.0f times per call, want <= 1", line, got)
+	}
+}
+
 // FuzzParseCommand feeds arbitrary request lines through the parser,
 // checking it never panics and that accepted commands satisfy the
 // parser's own invariants.
@@ -266,7 +289,16 @@ func FuzzParseCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var cmd Command
-		if err := ParseCommand(line, &cmd); err != nil {
+		err := ParseCommand(line, &cmd)
+		// A Command that has parsed other lines — the last one rejected
+		// half way through its keys — must carry nothing over.
+		var reused Command
+		ParseCommand([]byte("gets a b c d e f g h"), &reused)
+		ParseCommand([]byte("get k1 k2 bad\x01key k4"), &reused)
+		if rerr := ParseCommand(line, &reused); rerr != err || !sameCommand(cmd, reused) {
+			t.Fatalf("%q parses to %+v (%v) fresh but %+v (%v) into a reused Command", line, cmd, err, reused, rerr)
+		}
+		if err != nil {
 			return
 		}
 		switch cmd.Op {

@@ -29,9 +29,8 @@ type Config struct {
 	Policy core.Policy
 	// Slots is the connection-admission budget: how many connections
 	// may hold a thread lease at once (default 8). The domain group is
-	// sized at Slots plus one dedicated slot per shard for the
-	// coalescing executors, so get service never competes with
-	// admission.
+	// sized at Slots plus one dedicated slot per shard for the get
+	// coalescers, so get service never competes with admission.
 	Slots int
 	// Groups is the number of member reclamation domains the store's
 	// shards are partitioned into (default 1 = the classic single
@@ -42,12 +41,8 @@ type Config struct {
 	Groups int
 	// Store configures the sharded KV store underneath.
 	Store store.Config
-	// Window is the get-coalescing window: single-key gets arriving at
-	// one shard within it are merged into one batched protected
-	// operation (default 50µs; negative disables waiting, leaving
-	// opportunistic drain-only coalescing).
-	Window time.Duration
-	// MaxBatch caps a coalesced batch (default 64).
+	// MaxBatch caps a coalesced batch — the keys one protected
+	// operation may answer (default 64).
 	MaxBatch int
 	// AcquireTimeout bounds one burst's wait in the admission queue
 	// (default 10s); a timed-out command answers SERVER_ERROR and the
@@ -72,12 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.Slots <= 0 {
 		c.Slots = 8
 	}
-	if c.Window == 0 {
-		c.Window = 50 * time.Microsecond
-	}
-	if c.Window < 0 {
-		c.Window = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -99,7 +88,6 @@ type Server struct {
 	started time.Time
 	closed  atomic.Bool
 	connWG  sync.WaitGroup // accept loop + connection goroutines
-	coalWG  sync.WaitGroup // shard executors
 
 	mu     sync.Mutex
 	conns  map[uint64]*conn
@@ -120,9 +108,9 @@ type Server struct {
 	protoErrs atomic.Uint64 // CLIENT_ERROR/ERROR responses
 }
 
-// New builds the domain group, store, and shard executors. The
-// executors' group-slot leases are taken before Start returns control
-// to connections, so the admission budget is exactly cfg.Slots.
+// New builds the domain group, the store, and one get coalescer per
+// shard. The coalescers' group-slot leases are taken here, before any
+// connection exists, so the admission budget is exactly cfg.Slots.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	// Resolve the shard count the way the store will (power of two,
@@ -165,32 +153,16 @@ func New(cfg Config) (*Server, error) {
 		coal:  make([]*coalescer, shards),
 		conns: make(map[uint64]*conn),
 	}
-	// Spin up one executor per shard. Each leases its own group handle
-	// on its own goroutine (handles are goroutine-affine) and holds it
-	// until Close; serving only its shard, it only ever leases that
-	// shard's member domain thread, so an executor never widens another
-	// member's ping fan-out.
-	errs := make(chan error, shards)
+	// One dedicated handle per shard, held until Close. Serving only its
+	// shard, a handle only ever leases that shard's member domain thread,
+	// so a coalescer never widens another member's ping fan-out.
 	for i := range s.coal {
-		s.coal[i] = newCoalescer(st, cfg.Window, cfg.MaxBatch)
-		ready := make(chan struct{})
-		s.coalWG.Add(1)
-		go func(c *coalescer) {
-			defer s.coalWG.Done()
-			h, err := g.Acquire()
-			if err != nil {
-				errs <- err
-				close(ready)
-				return
-			}
-			errs <- nil
-			c.run(h, ready)
-		}(s.coal[i])
-		<-ready
-		if err := <-errs; err != nil {
-			s.stopCoalescers()
+		h, err := g.Acquire()
+		if err != nil {
+			s.releaseCoalescers()
 			return nil, fmt.Errorf("server: coalescer lease: %w", err)
 		}
+		s.coal[i] = &coalescer{st: st, h: h, maxBatch: cfg.MaxBatch}
 	}
 	return s, nil
 }
@@ -268,9 +240,10 @@ func (s *Server) acceptLoop() {
 }
 
 // Close stops accepting, severs every connection, waits for the
-// connection goroutines to finish their in-flight command, then retires
-// the shard executors and their thread leases. After Close,
-// Domain().Lifecycle().Leased counts only leaks — a clean shutdown
+// connection goroutines to finish their in-flight command (a get
+// already queued to a coalescer is always answered: see combine), then
+// returns the coalescers' thread leases. After Close,
+// Group().Lifecycle().Leased counts only leaks — a clean shutdown
 // leaves it at zero.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
@@ -286,17 +259,18 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	s.stopCoalescers()
+	s.releaseCoalescers()
 	return err
 }
 
-func (s *Server) stopCoalescers() {
+// releaseCoalescers returns the shard handles. No combiner can be
+// running: connWG.Wait ordered every connection's last use before this.
+func (s *Server) releaseCoalescers() {
 	for _, c := range s.coal {
 		if c != nil {
-			close(c.reqs)
+			s.g.Release(c.h)
 		}
 	}
-	s.coalWG.Wait()
 }
 
 // recordAdmission folds one burst's admission wait into the server
@@ -327,9 +301,9 @@ type Stats struct {
 	GetMisses uint64
 
 	CoalescedGets    uint64 // single-key gets served in a shared batch (>= 2 wide)
-	CoalescedBatches uint64 // batched protected ops issued by the executors
+	CoalescedBatches uint64 // batched protected ops issued by the coalescers
 	CoalesceWidest   uint64 // widest batch observed
-	ExecutorGets     uint64 // all gets routed through shard executors
+	ExecutorGets     uint64 // all gets served through the shard coalescers
 
 	AdmissionWaits    uint64 // bursts that queued for a slot
 	AdmissionTimeouts uint64 // bursts that gave up (SERVER_ERROR)
@@ -396,7 +370,7 @@ type conn struct {
 	deletes   atomic.Uint64
 	admWaits  atomic.Uint64 // bursts that acquired a thread
 	admNanos  atomic.Uint64 // total admission wait
-	coalesced atomic.Uint64 // single-key gets routed via executors
+	coalesced atomic.Uint64 // single-key gets served via the coalescers
 }
 
 type countingReader struct {
@@ -529,9 +503,14 @@ func (c *conn) needThread() (*core.GroupHandle, bool) {
 	}
 	s := c.srv
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AcquireTimeout)
-	th, err := s.g.AcquireWait(ctx)
-	cancel()
+	// A free slot costs no context and no timer; AcquireWait itself
+	// starts with this same Acquire, so queue fairness is unchanged.
+	th, err := s.g.Acquire()
+	if errors.Is(err, core.ErrNoSlots) {
+		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AcquireTimeout)
+		th, err = s.g.AcquireWait(ctx)
+		cancel()
+	}
 	wait := time.Since(start)
 	s.recordAdmission(wait)
 	c.admNanos.Add(uint64(wait.Nanoseconds()))
@@ -552,10 +531,11 @@ func (c *conn) dropThread() {
 	}
 }
 
-// doGet answers get/gets. Single-key gets ride the shard's coalescing
-// executor — no thread lease, and concurrent connections share one
-// protected operation. Multi-key gets hold the burst's own lease and go
-// through Store.GetBatch directly (already one protected op per shard).
+// doGet answers get/gets. Single-key gets go through the shard's
+// coalescer — no thread lease of the connection's own, and connections
+// contending for a shard share one protected operation. Multi-key gets
+// hold the burst's own lease and go through Store.GetBatch directly
+// (already one protected op per shard).
 func (c *conn) doGet(withCas bool) bool {
 	s := c.srv
 	keys := c.cmd.Keys
@@ -563,8 +543,7 @@ func (c *conn) doGet(withCas bool) bool {
 	c.gets.Add(uint64(len(keys)))
 	if len(keys) == 1 {
 		c.coalesced.Add(1)
-		s.coal[s.st.ShardIndex(keys[0])].submit(getReq{key: keys[0], buf: c.gbuf, out: c.res})
-		r := <-c.res
+		r := s.coal[s.st.ShardIndex(keys[0])].get(keys[0], c.gbuf, c.res)
 		c.gbuf = r.val[:0]
 		if r.ok {
 			s.getHits.Add(1)

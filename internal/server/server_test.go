@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,7 +132,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 
 // closeClean shuts the server down and asserts, through the shared
 // chaos invariant checker, that shutdown drained cleanly: a checker
-// thread adopts whatever the departing executors and connections
+// thread adopts whatever the departing coalescers and connections
 // donated, then the lease ledger and retire lists must balance.
 func closeClean(t *testing.T, s *Server) {
 	t.Helper()
@@ -290,11 +292,9 @@ func TestServerAdmissionStorm(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			s := startServer(t, Config{
-				Policy: p,
-				Slots:  slots,
-				Store:  store.Config{Shards: 2, MaxValueLen: 128},
-				// A visible window so concurrent single-key gets coalesce.
-				Window:         200 * time.Microsecond,
+				Policy:         p,
+				Slots:          slots,
+				Store:          store.Config{Shards: 2, MaxValueLen: 128},
 				AcquireTimeout: 30 * time.Second,
 			})
 			var wg sync.WaitGroup
@@ -327,10 +327,10 @@ func TestServerAdmissionStorm(t *testing.T) {
 				t.Errorf("AdmissionTimeouts = %d, want 0", st.AdmissionTimeouts)
 			}
 			if st.ExecutorGets == 0 {
-				t.Errorf("no gets flowed through the coalescing executors")
+				t.Errorf("no gets flowed through the coalescers")
 			}
-			// Only the per-shard coalescing executors still hold group
-			// slots once every client burst has released its lease.
+			// Only the per-shard coalescers still hold group slots once
+			// every client burst has released its lease.
 			if got, want := s.Group().InUse(), 2; got != want {
 				t.Errorf("InUse = %d after clients done, want %d (the coalescers)", got, want)
 			}
@@ -348,15 +348,14 @@ func TestServerAdmissionStorm(t *testing.T) {
 	}
 }
 
-// TestServerCoalescedGets pins the cross-connection coalescing claim:
-// many connections issuing simultaneous single-key gets inside one
-// window must share batches (CoalescedGets > 0, CoalesceWidest > 1).
+// TestServerCoalescedGets pins the cross-connection coalescing claim
+// without a clock: gets that queue while the shard's combiner lock is
+// held are answered, by whoever takes the lock next, with one GetBatch.
 func TestServerCoalescedGets(t *testing.T) {
 	s := startServer(t, Config{
 		Policy: core.EpochPOP,
 		Slots:  2,
 		Store:  store.Config{Shards: 1, MaxValueLen: 64},
-		Window: 2 * time.Millisecond,
 	})
 	defer closeClean(t, s)
 
@@ -364,36 +363,182 @@ func TestServerCoalescedGets(t *testing.T) {
 	seed.set("hotkey", "hot")
 	seed.close()
 
-	const clients = 8
+	const gets = 8
+	c := s.coal[0]
+	c.mu.Lock() // the test is the combiner the gets arrive behind
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < clients; i++ {
+	for i := 0; i < gets; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := dialServer(t, s)
-			defer c.close()
-			<-start
-			for j := 0; j < 20; j++ {
-				if got := c.get("hotkey"); got["hotkey"] != "hot" {
-					t.Errorf("get hotkey = %q", got)
-					return
-				}
+			if r := c.get("hotkey", nil, make(chan getResult, 1)); !r.ok || string(r.val) != "hot" {
+				t.Errorf("get hotkey = %q, %v", r.val, r.ok)
 			}
 		}()
 	}
-	close(start)
+	for c.queued() < gets {
+		runtime.Gosched()
+	}
+	before := s.Stats()
+	c.mu.Unlock()
+	c.combine() // a departing combiner's re-check
 	wg.Wait()
 
 	st := s.Stats()
-	if st.CoalescedGets == 0 {
-		t.Fatalf("CoalescedGets = 0 across %d concurrent clients (batches=%d gets=%d)",
-			clients, st.CoalescedBatches, st.ExecutorGets)
+	if got := st.CoalescedBatches - before.CoalescedBatches; got != 1 {
+		t.Errorf("%d queued gets took %d batches, want 1", gets, got)
 	}
-	if st.CoalesceWidest < 2 {
-		t.Fatalf("CoalesceWidest = %d, want >= 2", st.CoalesceWidest)
+	if got := st.CoalescedGets - before.CoalescedGets; got != gets {
+		t.Errorf("CoalescedGets advanced by %d, want %d", got, gets)
 	}
-	if st.CoalescedBatches >= st.ExecutorGets {
-		t.Fatalf("batches (%d) not amortized over gets (%d)", st.CoalescedBatches, st.ExecutorGets)
+	if st.CoalesceWidest != gets {
+		t.Errorf("CoalesceWidest = %d, want %d", st.CoalesceWidest, gets)
+	}
+}
+
+// TestCoalescerNoLostWakeup storms one shard's combiner. In the lockstep
+// rounds every goroutine issues exactly one get and the round ends only
+// when all are answered, so a get stranded behind a departing combiner
+// has no later arrival to rescue it and hangs the round; the
+// free-running leg is the same hand-over under sustained contention
+// (and, under -race, the check that the mutex really orders every use
+// of the shard handle).
+func TestCoalescerNoLostWakeup(t *testing.T) {
+	s := startServer(t, Config{
+		Policy:   core.EpochPOP,
+		Slots:    2,
+		MaxBatch: 8, // below the widest round: a pass takes several batches
+		Store:    store.Config{Shards: 1, MaxValueLen: 64},
+	})
+	seed := dialServer(t, s)
+	seed.set("hotkey", "hot")
+	seed.close()
+
+	c := s.coal[0]
+	var answered atomic.Uint64
+	get := func(out chan getResult) {
+		if r := c.get("hotkey", nil, out); r.ok && string(r.val) == "hot" {
+			answered.Add(1)
+		}
+	}
+	var want uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for _, leg := range []struct{ width, rounds, each int }{
+			{2, 5000, 1}, {3, 2000, 1}, {64, 200, 1}, {64, 1, 10000},
+		} {
+			want += uint64(leg.width * leg.rounds * leg.each)
+			for r := 0; r < leg.rounds; r++ {
+				for g := 0; g < leg.width; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						out := make(chan getResult, 1)
+						for i := 0; i < leg.each; i++ {
+							get(out)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("storm hung with %d gets answered and %d queued: a get was stranded", answered.Load(), c.queued())
+	}
+	if got := answered.Load(); got != want {
+		t.Errorf("%d of %d gets answered with the value", got, want)
+	}
+	if st := s.Stats(); st.ExecutorGets < want || st.CoalesceWidest > 8 {
+		t.Errorf("ExecutorGets = %d (want >= %d), CoalesceWidest = %d (want <= MaxBatch 8)", st.ExecutorGets, want, st.CoalesceWidest)
+	}
+	if got := s.Group().InUse(); got != 1 {
+		t.Errorf("InUse = %d after the storm, want 1 (the shard's coalescer)", got)
+	}
+	closeClean(t, s)
+}
+
+// TestServerCloseWithGetsInFlight closes the server under a get storm:
+// every connection goroutine must finish its in-flight get and exit,
+// and the coalescers' leases must come back (closeClean's ledger).
+func TestServerCloseWithGetsInFlight(t *testing.T) {
+	s := startServer(t, Config{
+		Policy: core.EpochPOP,
+		Slots:  2,
+		Store:  store.Config{Shards: 2, MaxValueLen: 64},
+	})
+	seed := dialServer(t, s)
+	seed.set("k0", "zero")
+	seed.set("k1", "one")
+	seed.close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		nc, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			defer nc.Close()
+			r := bufio.NewReader(nc)
+			for {
+				// Errors are the expected way out: Close severs the socket.
+				if _, err := fmt.Fprintf(nc, "get k%d\r\n", id%2); err != nil {
+					return
+				}
+				for {
+					l, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					if l == "END\r\n" {
+						break
+					}
+				}
+			}
+		}(i)
+	}
+	for s.Stats().ExecutorGets < 1000 {
+		runtime.Gosched()
+	}
+	closeClean(t, s)
+	wg.Wait()
+	if got := s.Group().InUse(); got != 0 {
+		t.Errorf("InUse = %d after Close, want 0", got)
+	}
+}
+
+// TestServerReclaimsUnderBursts is the serving-front face of the
+// release-debt rule: one connection whose every set is its own
+// lease-put-release burst never reaches the retire threshold inside a
+// lease, yet passes must run and unreclaimed memory must stay bounded.
+func TestServerReclaimsUnderBursts(t *testing.T) {
+	const threshold = 32
+	s := startServer(t, Config{
+		Policy: core.EpochPOP,
+		Slots:  2,
+		Store:  store.Config{Shards: 1, MaxValueLen: 64},
+		Opts:   &core.Options{ReclaimThreshold: threshold},
+	})
+	defer closeClean(t, s)
+	c := dialServer(t, s)
+	defer c.close()
+	for i := 0; i < 20*threshold; i++ {
+		c.set("hot", fmt.Sprintf("value-%04d", i))
+	}
+	st := c.stats("")
+	if n, _ := strconv.Atoi(st["reclaim_passes"]); n == 0 {
+		t.Errorf("reclaim_passes = %s after %d overwrites at threshold %d", st["reclaim_passes"], 20*threshold, threshold)
+	}
+	// An overwrite retires the old node and its value ticket, so a burst
+	// adds at most a few nodes to a debt that is settled at threshold.
+	if n, err := strconv.Atoi(st["unreclaimed"]); err != nil || n > 2*threshold {
+		t.Errorf("unreclaimed = %q, want <= %d", st["unreclaimed"], 2*threshold)
 	}
 }
