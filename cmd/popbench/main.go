@@ -173,33 +173,27 @@ func main() {
 	}
 	dist, err := workload.ParseDist(*distName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
 	if *ycsbName != "" && *dsName != "" {
-		fmt.Fprintln(os.Stderr, "popbench: -ycsb applies to the -store and -serve paths, not -ds")
-		os.Exit(2)
+		die(2, "-ycsb applies to the -store and -serve paths, not -ds")
 	}
 	if *traceFile != "" && (*serveMode || *dsName != "") {
-		fmt.Fprintln(os.Stderr, "popbench: -trace replays through the store path only")
-		os.Exit(2)
+		die(2, "-trace replays through the store path only")
 	}
 	if *traceFile != "" && *ycsbName != "" {
-		fmt.Fprintln(os.Stderr, "popbench: -trace and -ycsb are mutually exclusive (a trace is the workload)")
-		os.Exit(2)
+		die(2, "-trace and -ycsb are mutually exclusive (a trace is the workload)")
 	}
 	var trace []workload.TraceOp
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(2)
+			die(2, "%v", err)
 		}
 		trace, err = workload.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(2)
+			die(2, "%v", err)
 		}
 	}
 	// -ycsb and -trace imply the store sweep unless -serve picked the
@@ -210,99 +204,83 @@ func main() {
 	var chaosCfg chaos.Config
 	if *chaosOn {
 		if !*storeMode && !*serveMode {
-			fmt.Fprintln(os.Stderr, "popbench: -chaos applies to the -store and -serve paths")
-			os.Exit(2)
+			die(2, "-chaos applies to the -store and -serve paths")
 		}
 		chaosCfg = chaos.Default()
 	}
 	if (*chaosFrom > 0 || *chaosTo > 0) && !*storeMode {
-		fmt.Fprintln(os.Stderr, "popbench: -chaosstart/-chaosstop window the -store path's injectors")
-		os.Exit(2)
+		die(2, "-chaosstart/-chaosstop window the -store path's injectors")
 	}
 	if *sampleDur > 0 && !*storeMode {
-		fmt.Fprintln(os.Stderr, "popbench: -sample applies to the -store path (-figure timeline samples the canonical run)")
-		os.Exit(2)
+		die(2, "-sample applies to the -store path (-figure timeline samples the canonical run)")
 	}
 	if *valSize != "" && !*storeMode {
-		fmt.Fprintln(os.Stderr, "popbench: -valsize applies to the -store path")
-		os.Exit(2)
+		die(2, "-valsize applies to the -store path")
 	}
 	valMin, valMax, valSmallPct, err := parseValSize(*valSize)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-		os.Exit(2)
+		die(2, "%v", err)
 	}
-	if *serveMode {
-		if err := serveSweep(serveSweepOpts{
-			backing: *backing, conns: *connsCSV, slots: *slots,
-			openRate: *openRate, getPct: *getPct, keys: *keyRange, dist: dist,
-			duration: *duration, seed: *seed, policies: *policies,
-			ycsb: *ycsbName, chaos: chaosCfg, jsonPath: *jsonOut,
-			render: render, quiet: *quiet,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
+	ps, err := parsePolicies(*policies)
+	if err != nil {
+		die(2, "%v", err)
+	}
+	threadCounts, err := parseInts(*threads)
+	if err != nil {
+		die(2, "bad -threads: %v", err)
+	}
+	common := sweepCommon{
+		duration: *duration, seed: *seed, policies: ps, threads: threadCounts,
+		keys: *keyRange, dist: dist, backing: *backing, ycsb: *ycsbName, chaos: chaosCfg,
+		churn: workload.Churn{AfterOps: *churnOps}, rthresh: *rthresh,
+		jsonPath: *jsonOut, render: render, log: func(string, ...any) {},
+	}
+	if common.policies == nil {
+		common.policies = core.Policies()
+	}
+	if !*quiet {
+		common.log = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-		return
 	}
-	if *storeMode {
-		if err := storeSweep(storeSweepOpts{
-			backing: *backing, shards: *shardsCSV, batches: *batchCSV,
-			groups: *groupsCSV, mputPct: *mputPct, jsonPath: *jsonOut,
-			keys: *keyRange, dist: dist, duration: *duration, threads: *threads,
-			seed: *seed, policies: *policies, render: render, quiet: *quiet,
-			churn: workload.Churn{AfterOps: *churnOps}, rthresh: *rthresh,
-			ycsb: *ycsbName, chaos: chaosCfg,
+	var sweep func() error
+	switch {
+	case *serveMode:
+		sweep = serveSweepOpts{
+			sweepCommon: common,
+			conns:       *connsCSV, slots: *slots, openRate: *openRate, getPct: *getPct,
+		}.run
+	case *storeMode:
+		sweep = storeSweepOpts{
+			sweepCommon: common,
+			shards:      *shardsCSV, batches: *batchCSV, groups: *groupsCSV, mputPct: *mputPct,
 			chaosStart: *chaosFrom, chaosStop: *chaosTo, sample: *sampleDur,
 			trace: trace, traceName: *traceFile, tracePaced: *tracePaced,
 			valSpec: *valSize, valMin: valMin, valMax: valMax, valSmallPct: valSmallPct,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		}.run
+	case *dsName != "":
+		sweep = sweepOpts{
+			sweepCommon: common,
+			ds:          *dsName, mix: *mixName, rangePct: *rangePct, rangeSpan: *rangeSpan,
+		}.run
 	}
-	if *dsName != "" {
-		if err := directSweep(sweepOpts{
-			ds: *dsName, mix: *mixName, rangePct: *rangePct, rangeSpan: *rangeSpan,
-			keyRange: *keyRange, dist: dist, duration: *duration, threads: *threads,
-			seed: *seed, policies: *policies, render: render, quiet: *quiet,
-			churn: workload.Churn{AfterOps: *churnOps}, rthresh: *rthresh,
-			jsonPath: *jsonOut,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
+	if sweep != nil {
+		if err := sweep(); err != nil {
+			die(1, "%v", err)
 		}
 		return
 	}
 	if *figureID == "" {
-		fmt.Fprintln(os.Stderr, "popbench: -figure or -ds required (use -list to see figure ids)")
-		os.Exit(2)
+		die(2, "-figure or -ds required (use -list to see figure ids)")
 	}
 
 	ctx := figures.Ctx{
 		Duration: *duration,
 		Scale:    *scale,
 		Seed:     *seed,
-	}
-	if !*quiet {
-		ctx.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	if ctx.Threads, err = parseInts(*threads); err != nil {
-		fmt.Fprintf(os.Stderr, "popbench: bad -threads: %v\n", err)
-		os.Exit(2)
-	}
-	if *policies != "" {
-		for _, name := range strings.Split(*policies, ",") {
-			p, err := core.ParsePolicy(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-				os.Exit(2)
-			}
-			ctx.Policies = append(ctx.Policies, p)
-		}
+		Threads:  threadCounts,
+		Policies: ps,
+		Log:      common.log,
 	}
 
 	var toRun []figures.Figure
@@ -312,121 +290,138 @@ func main() {
 		for _, id := range strings.Split(*figureID, ",") {
 			f, ok := figures.Get(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "popbench: unknown figure %q (use -list)\n", id)
-				os.Exit(2)
+				die(2, "unknown figure %q (use -list)", id)
 			}
 			toRun = append(toRun, f)
 		}
 	}
 
 	for _, f := range toRun {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "== %s: %s\n", f.ID, f.Desc)
-		}
+		common.log("== %s: %s", f.ID, f.Desc)
 		series, err := f.Run(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %s failed: %v\n", f.ID, err)
-			os.Exit(1)
+			die(1, "%s failed: %v", f.ID, err)
 		}
-		for i := range series {
-			if err := render(&series[i]); err != nil {
-				fmt.Fprintf(os.Stderr, "popbench: write: %v\n", err)
-				os.Exit(1)
-			}
+		if err := common.emit(series, nil); err != nil {
+			die(1, "%v", err)
 		}
 	}
 }
 
+// die reports a fatal error and exits: status 2 for a usage error, 1
+// for a run that failed.
+func die(status int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "popbench: "+format+"\n", args...)
+	os.Exit(status)
+}
+
+// sweepCommon is what the direct sweeps take from the flags they share
+// (a sweep ignores the ones that do not apply to it, as the flags do).
+type sweepCommon struct {
+	duration time.Duration
+	seed     uint64
+	policies []core.Policy // -policies, or every policy
+	threads  []int         // -threads
+	keys     int64         // -keyrange: key range (-ds) or key population
+	dist     workload.Dist
+	backing  string // -store, -serve
+	ycsb     string // YCSB workload name ("" = the sweep's own mix)
+	chaos    chaos.Config
+	churn    workload.Churn
+	rthresh  int    // per-slot reclamation threshold (0 = paper default)
+	jsonPath string // JSON-lines sink ("" = none)
+	render   func(*report.Series) error
+	log      func(string, ...any) // progress lines (a no-op under -quiet)
+}
+
+// emit renders the series and, when -json names a file, appends recs to
+// it.
+func (c sweepCommon) emit(series []report.Series, recs []benchJSONRecord) error {
+	for i := range series {
+		if err := c.render(&series[i]); err != nil {
+			return fmt.Errorf("write: %w", err)
+		}
+	}
+	if c.jsonPath != "" && len(recs) > 0 {
+		if err := appendJSONLines(c.jsonPath, recs); err != nil {
+			return fmt.Errorf("write %s: %w", c.jsonPath, err)
+		}
+	}
+	return nil
+}
+
+// parsePolicies resolves the -policies list; nil when the flag is unset.
+func parsePolicies(csv string) ([]core.Policy, error) {
+	if csv == "" {
+		return nil, nil
+	}
+	var ps []core.Policy
+	for _, name := range strings.Split(csv, ",") {
+		p, err := core.ParsePolicy(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		ps = append(ps, p)
+	}
+	return ps, nil
+}
+
 // sweepOpts carries the -ds direct-sweep flag values.
 type sweepOpts struct {
+	sweepCommon
 	ds, mix   string
 	rangePct  int // -1 = auto
 	rangeSpan int64
-	keyRange  int64
-	dist      workload.Dist
-	churn     workload.Churn
-	rthresh   int
-	duration  time.Duration
-	threads   string
-	seed      uint64
-	policies  string
-	jsonPath  string // JSON-lines sink ("" = none)
-	render    func(*report.Series) error
-	quiet     bool
 }
 
 // storeSweepOpts carries the -store sweep flag values.
 type storeSweepOpts struct {
-	backing     string
+	sweepCommon
 	shards      string // csv shard counts
 	batches     string // csv batch sizes
 	groups      string // csv domain-group member counts
 	mputPct     int    // PutBatch share carved from the put share
-	jsonPath    string // JSON records sink ("" = none)
-	keys        int64
-	dist        workload.Dist
-	churn       workload.Churn
-	rthresh     int    // per-slot reclamation threshold (0 = paper default)
-	ycsb        string // YCSB workload name ("" = serve mix)
 	trace       []workload.TraceOp
 	traceName   string
 	tracePaced  bool
-	chaos       chaos.Config
-	chaosStart  time.Duration // burst window start ("" = immediate)
+	chaosStart  time.Duration // burst window start (0 = immediate)
 	chaosStop   time.Duration // burst window end (0 = run end)
 	sample      time.Duration // telemetry sampling interval (0 = off)
 	valSpec     string        // the raw -valsize spec (title/labels; "" = defaults)
 	valMin      int           // payload size bounds (0 = harness defaults)
 	valMax      int
 	valSmallPct int // bimodal small-share percent (0 = uniform draw)
-	duration    time.Duration
-	threads     string
-	seed        uint64
-	policies    string
-	render      func(*report.Series) error
-	quiet       bool
 }
 
 // serveSweepOpts carries the -serve sweep flag values.
 type serveSweepOpts struct {
-	backing  string
+	sweepCommon
 	conns    string // csv connection counts
 	slots    int
 	openRate float64
 	getPct   int
-	keys     int64
-	dist     workload.Dist
-	ycsb     string // YCSB workload name ("" = plain get/set mix)
-	chaos    chaos.Config
-	jsonPath string // JSON-lines sink ("" = none)
-	duration time.Duration
-	seed     uint64
-	policies string
-	render   func(*report.Series) error
-	quiet    bool
 }
 
-// serveSweep runs the live TCP serving front across connection counts ×
+// chaosMetrics are the injector-activity columns -store and -serve add
+// under -chaos.
+func chaosMetrics[R any](stats func(R) chaos.Stats) []figures.Metric[R] {
+	return []figures.Metric[R]{
+		{Name: "chaos injector ops", Get: func(r R) float64 { return float64(stats(r).Ops) }},
+		{Name: "chaos stall windows", Get: func(r R) float64 { return float64(stats(r).Stalls) }},
+		{Name: "chaos lease cycles", Get: func(r R) float64 { return float64(stats(r).Leases) }},
+	}
+}
+
+// run sweeps the live TCP serving front across connection counts ×
 // policies: one row per connection count, one column per policy, one
 // table per metric. Rows where conns exceed -slots are the admission
 // story — clients queue for thread leases instead of being refused, and
 // the wait shows up in the client-observed tails and the admission-wait
 // distribution.
-func serveSweep(o serveSweepOpts) error {
+func (o serveSweepOpts) run() error {
 	connList, err := parseInts(o.conns)
 	if err != nil {
 		return fmt.Errorf("bad -conns: %w", err)
-	}
-	ps := core.Policies()
-	if o.policies != "" {
-		ps = ps[:0]
-		for _, name := range strings.Split(o.policies, ",") {
-			p, err := core.ParsePolicy(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			ps = append(ps, p)
-		}
 	}
 	label := ""
 	if o.ycsb != "" {
@@ -448,62 +443,44 @@ func serveSweep(o serveSweepOpts) error {
 	if o.openRate > 0 {
 		loop = fmt.Sprintf("open loop %.0f op/s", o.openRate)
 	}
-	if o.chaos.Enabled() {
-		loop += ", chaos"
-	}
-	title := fmt.Sprintf("serve %s (%s%d slots, %d keys, %v dist, %d%% gets, %s)",
-		o.backing, label, o.slots, o.keys, o.dist, o.getPct, loop)
-	ctx := figures.Ctx{
-		Duration: o.duration,
-		Seed:     o.seed,
-		Log:      func(string, ...any) {},
-	}
-	if !o.quiet {
-		ctx.Log = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
 	metrics := figures.ServeMetrics()
 	if o.chaos.Enabled() {
-		metrics = append(metrics,
-			figures.ServeMetric{Name: "chaos injector ops", Get: func(r harness.ServeResult) float64 { return float64(r.Chaos.Ops) }},
-			figures.ServeMetric{Name: "chaos stall windows", Get: func(r harness.ServeResult) float64 { return float64(r.Chaos.Stalls) }},
-			figures.ServeMetric{Name: "chaos lease cycles", Get: func(r harness.ServeResult) float64 { return float64(r.Chaos.Leases) }},
-		)
+		loop += ", chaos"
+		metrics = append(metrics, chaosMetrics(func(r harness.ServeResult) chaos.Stats { return r.Chaos })...)
 	}
-	series, err := figures.SweepServeConns(ctx, title, harness.ServeConfig{
-		Slots:    o.slots,
-		Keys:     o.keys,
-		Backing:  o.backing,
-		GetPct:   o.getPct,
-		OpenRate: o.openRate,
-		Dist:     o.dist,
-		Chaos:    o.chaos,
-	}, connList, ps, metrics)
+	series, err := figures.Grid[harness.ServeResult]{
+		Title: fmt.Sprintf("serve %s (%s%d slots, %d keys, %v dist, %d%% gets, %s)",
+			o.backing, label, o.slots, o.keys, o.dist, o.getPct, loop),
+		XLabel: "conns",
+		Rows:   figures.Labels(connList), Cols: figures.PolicyNames(o.policies), Metrics: metrics,
+		Run: func(r, c int) (harness.ServeResult, error) {
+			return harness.RunServe(harness.ServeConfig{
+				Policy:   o.policies[c],
+				Slots:    o.slots,
+				Conns:    connList[r],
+				Duration: o.duration,
+				Keys:     o.keys,
+				Backing:  o.backing,
+				GetPct:   o.getPct,
+				OpenRate: o.openRate,
+				Dist:     o.dist,
+				Chaos:    o.chaos,
+				Seed:     o.seed,
+			})
+		},
+	}.Series(o.log)
 	if err != nil {
 		return err
 	}
-	for i := range series {
-		if err := o.render(&series[i]); err != nil {
-			return fmt.Errorf("write: %w", err)
-		}
-	}
-	if o.jsonPath != "" {
-		names := make([]string, len(metrics))
-		for i, m := range metrics {
-			names[i] = m.Name
-		}
-		if err := appendJSONLines(o.jsonPath, seriesRecords("serve", o.backing, names, series)); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-	}
-	return nil
+	return o.emit(series, seriesRecords("serve", o.backing, metrics, series))
 }
 
-// storeSweep runs the KV front across shards × policies × batch sizes
-// at the highest requested thread count: one row per (shards, batch)
-// combination, one column per policy, one table per metric. This is
-// the capacity-planning view of the store — how shard count and batch
+// run sweeps the KV front across shards × groups × batch sizes × policies
+// at the highest requested thread count: one row per (shards, groups,
+// batch) combination, one column per policy, one table per metric. This
+// is the capacity-planning view of the store — how shard count and batch
 // width trade against each policy's serving tails.
-func storeSweep(o storeSweepOpts) error {
+func (o storeSweepOpts) run() error {
 	shardList, err := parseInts(o.shards)
 	if err != nil {
 		return fmt.Errorf("bad -shards: %w", err)
@@ -516,58 +493,37 @@ func storeSweep(o storeSweepOpts) error {
 	if err != nil {
 		return fmt.Errorf("bad -groups: %w", err)
 	}
-	if o.groups == "" {
-		groupList = []int{1}
-	}
-	threadCounts, err := parseInts(o.threads)
-	if err != nil {
-		return fmt.Errorf("bad -threads: %w", err)
-	}
-	threads := threadCounts[len(threadCounts)-1]
-	ps := core.Policies()
-	if o.policies != "" {
-		ps = ps[:0]
-		for _, name := range strings.Split(o.policies, ",") {
-			p, err := core.ParsePolicy(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			ps = append(ps, p)
-		}
-	}
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.String()
-	}
+	threads := o.threads[len(o.threads)-1]
+	type R = harness.StoreResult
 
-	metrics := []figures.StoreMetric{
-		{Name: "throughput (ops/s)", Get: func(r harness.StoreResult) float64 { return r.Throughput }},
-		{Name: "served keys/s", Get: func(r harness.StoreResult) float64 { return r.KeyTput }},
-		figures.StoreOpLatencyMetric("get latency p50 (µs)", harness.SOpGet, 0.50),
-		figures.StoreOpLatencyMetric("get latency p99 (µs)", harness.SOpGet, 0.99),
-		figures.StoreOpLatencyMetric("mget latency p99 (µs)", harness.SOpMGet, 0.99),
-		figures.StoreOpLatencyMetric("put latency p99 (µs)", harness.SOpPut, 0.99),
-		{Name: "stale value reads", Get: func(r harness.StoreResult) float64 { return float64(r.Stale) }},
-		{Name: "value checksum failures", Get: func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }},
+	metrics := []figures.Metric[R]{
+		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
+		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
+		figures.StoreLat("get latency p50 (µs)", harness.SOpGet, 0.50),
+		figures.StoreLat("get latency p99 (µs)", harness.SOpGet, 0.99),
+		figures.StoreLat("mget latency p99 (µs)", harness.SOpMGet, 0.99),
+		figures.StoreLat("put latency p99 (µs)", harness.SOpPut, 0.99),
+		{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Stale) }},
+		{Name: "value checksum failures", Get: func(r R) float64 { return float64(r.ValueErrors) }},
 		// Allocation accounting: whole-process heap-allocation rate over
 		// the measured phase — the sweep-level view of the hot-path
 		// memory diet (inline values and pooled nodes cost zero here).
-		{Name: "allocs/op", Get: func(r harness.StoreResult) float64 { return r.AllocsPerOp }},
-		{Name: "alloc bytes/op", Get: func(r harness.StoreResult) float64 { return r.AllocBytesPerOp }},
-		{Name: "unreclaimed at run end (nodes)", Get: func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
-		{Name: "leaked after flush (nodes)", Get: func(r harness.StoreResult) float64 { return float64(r.LeakedAfter) }},
+		{Name: "allocs/op", Get: func(r R) float64 { return r.AllocsPerOp }},
+		{Name: "alloc bytes/op", Get: func(r R) float64 { return r.AllocBytesPerOp }},
+		{Name: "unreclaimed at run end (nodes)", Get: func(r R) float64 { return float64(r.Unreclaimed) }},
+		{Name: "leaked after flush (nodes)", Get: func(r R) float64 { return float64(r.LeakedAfter) }},
 		// The fan-out view (satellite of the domain-group work): how many
 		// thread-list entries a reclamation pass walks, and how many pings
 		// it sends — the quantity grouping divides by the member count.
-		{Name: "reclaim pings per pass", Get: func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
-		{Name: "reclaim threads scanned per pass", Get: func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
+		{Name: "reclaim pings per pass", Get: func(r R) float64 { return r.ReclaimDetail.PingsPerPass }},
+		{Name: "reclaim threads scanned per pass", Get: func(r R) float64 { return r.ReclaimDetail.ScannedPerPass }},
 	}
 	if o.churn.Enabled() {
 		// Elastic sweeps report the turnover they generated, so tails
 		// and garbage are explainable per lease rate.
 		metrics = append(metrics,
-			figures.StoreMetric{Name: "thread releases", Get: func(r harness.StoreResult) float64 { return float64(r.Lifecycle.Releases) }},
-			figures.StoreMetric{Name: "orphan nodes adopted", Get: func(r harness.StoreResult) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
+			figures.Metric[R]{Name: "thread releases", Get: func(r R) float64 { return float64(r.Lifecycle.Releases) }},
+			figures.Metric[R]{Name: "orphan nodes adopted", Get: func(r R) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
 		)
 	}
 	// Ask the store layer itself whether the backing scans (a throwaway
@@ -597,7 +553,7 @@ func storeSweep(o storeSweepOpts) error {
 	}
 	switch {
 	case probe.Ordered():
-		metrics = append(metrics, figures.StoreOpLatencyMetric("scan latency p99 (µs)", harness.SOpScan, 0.99))
+		metrics = append(metrics, figures.StoreLat("scan latency p99 (µs)", harness.SOpScan, 0.99))
 	case o.ycsb != "" && mix.ScanPct > 0:
 		// A scanning YCSB workload on an unordered backing would not be
 		// that workload anymore; scan traces are rejected by the harness.
@@ -620,17 +576,13 @@ func storeSweep(o storeSweepOpts) error {
 		mix.MPutPct += o.mputPct
 	}
 	if mix.RMWPct > 0 || traceMode {
-		metrics = append(metrics, figures.StoreOpLatencyMetric("rmw latency p99 (µs)", harness.SOpRMW, 0.99))
+		metrics = append(metrics, figures.StoreLat("rmw latency p99 (µs)", harness.SOpRMW, 0.99))
 	}
 	if mix.MPutPct > 0 {
-		metrics = append(metrics, figures.StoreOpLatencyMetric("mput latency p99 (µs)", harness.SOpMPut, 0.99))
+		metrics = append(metrics, figures.StoreLat("mput latency p99 (µs)", harness.SOpMPut, 0.99))
 	}
 	if o.chaos.Enabled() {
-		metrics = append(metrics,
-			figures.StoreMetric{Name: "chaos injector ops", Get: func(r harness.StoreResult) float64 { return float64(r.Chaos.Ops) }},
-			figures.StoreMetric{Name: "chaos stall windows", Get: func(r harness.StoreResult) float64 { return float64(r.Chaos.Stalls) }},
-			figures.StoreMetric{Name: "chaos lease cycles", Get: func(r harness.StoreResult) float64 { return float64(r.Chaos.Leases) }},
-		)
+		metrics = append(metrics, chaosMetrics(func(r R) chaos.Stats { return r.Chaos })...)
 	}
 
 	title := fmt.Sprintf("store %s (%s, %d keys, %v dist, %d threads)", o.backing, mixLabel, o.keys, o.dist, threads)
@@ -643,142 +595,98 @@ func storeSweep(o storeSweepOpts) error {
 	if o.chaos.Enabled() {
 		title += " chaos"
 	}
-	series := make([]report.Series, len(metrics))
-	for i, m := range metrics {
-		series[i] = report.Series{
-			Title:  fmt.Sprintf("%s — %s", title, m.Name),
-			XLabel: "shards×batch",
-			Names:  names,
-		}
-	}
-	log := func(string, ...any) {}
-	if !o.quiet {
-		log = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	var jsonRecs []storeJSONRecord
-	var timelines []report.Series
+
+	// One row per (shards, groups, batch). The ungrouped label stays
+	// bit-identical to the pre-group sweeps ("8x32"); the member count is
+	// appended only when it differs from one domain.
+	type rowSpec struct{ shards, groups, batch int }
+	var rows []rowSpec
+	var labels []string
 	for _, nshards := range shardList {
 		for _, ngroups := range groupList {
 			for _, nbatch := range batchList {
-				cells := make([][]float64, len(metrics))
-				for i := range cells {
-					cells[i] = make([]float64, len(ps))
-				}
-				for pi, p := range ps {
-					log("  store: shards=%d groups=%d batch=%d policy=%v", nshards, ngroups, nbatch, p)
-					res, err := harness.RunStore(harness.StoreConfig{
-						Policy:           p,
-						Threads:          threads,
-						Duration:         o.duration,
-						Keys:             o.keys,
-						Shards:           nshards,
-						Groups:           ngroups,
-						Backing:          o.backing,
-						Mix:              mix,
-						Dist:             o.dist,
-						Churn:            o.churn,
-						Trace:            o.trace,
-						TracePaced:       o.tracePaced,
-						Chaos:            o.chaos,
-						ChaosStart:       o.chaosStart,
-						ChaosStop:        o.chaosStop,
-						SampleEvery:      o.sample,
-						BatchSize:        nbatch,
-						ValueMin:         o.valMin,
-						ValueMax:         o.valMax,
-						ValueSmallPct:    o.valSmallPct,
-						OpLatency:        true,
-						ReclaimThreshold: o.rthresh,
-						Seed:             o.seed,
-					})
-					if err != nil {
-						return fmt.Errorf("store [shards=%d groups=%d batch=%d policy=%v]: %w", nshards, ngroups, nbatch, p, err)
-					}
-					for mi, m := range metrics {
-						cells[mi][pi] = m.Get(res)
-					}
-					if res.Timeline != nil {
-						timelines = append(timelines, figures.TimelineSeries(
-							fmt.Sprintf("%s — timeline [shards=%d groups=%d batch=%d policy=%v, sample %v]",
-								title, nshards, ngroups, nbatch, p, o.sample), res.Timeline))
-					}
-					if o.jsonPath != "" {
-						rec := storeJSONRecord{
-							Backing: o.backing, Policy: p.String(),
-							Shards: nshards, Groups: ngroups, Batch: nbatch,
-							Threads: threads, Metrics: map[string]float64{},
-							Timeline: res.Timeline,
-						}
-						for mi, m := range metrics {
-							rec.Metrics[m.Name] = cells[mi][pi]
-						}
-						jsonRecs = append(jsonRecs, rec)
-					}
-				}
-				// Keep the ungrouped label bit-identical to the pre-group
-				// sweeps ("8x32"), appending the member count only when it
-				// actually differs from one domain.
 				label := fmt.Sprintf("%dx%d", nshards, nbatch)
 				if ngroups != 1 {
 					label += fmt.Sprintf("g%d", ngroups)
 				}
-				for mi := range series {
-					series[mi].AddRow(label, cells[mi])
-				}
+				rows = append(rows, rowSpec{nshards, ngroups, nbatch})
+				labels = append(labels, label)
 			}
 		}
 	}
-	for i := range series {
-		if err := o.render(&series[i]); err != nil {
-			return fmt.Errorf("write: %w", err)
+	cellTimelines := make([]*telemetry.Timeline, len(rows)*len(o.policies)) // row-major; nil without -sample
+	series, err := figures.Grid[R]{
+		Title: title, XLabel: "shards×batch",
+		Rows: labels, Cols: figures.PolicyNames(o.policies), Metrics: metrics,
+		Run: func(r, c int) (R, error) {
+			res, err := harness.RunStore(harness.StoreConfig{
+				Policy:           o.policies[c],
+				Threads:          threads,
+				Duration:         o.duration,
+				Keys:             o.keys,
+				Shards:           rows[r].shards,
+				Groups:           rows[r].groups,
+				Backing:          o.backing,
+				Mix:              mix,
+				Dist:             o.dist,
+				Churn:            o.churn,
+				Trace:            o.trace,
+				TracePaced:       o.tracePaced,
+				Chaos:            o.chaos,
+				ChaosStart:       o.chaosStart,
+				ChaosStop:        o.chaosStop,
+				SampleEvery:      o.sample,
+				BatchSize:        rows[r].batch,
+				ValueMin:         o.valMin,
+				ValueMax:         o.valMax,
+				ValueSmallPct:    o.valSmallPct,
+				OpLatency:        true,
+				ReclaimThreshold: o.rthresh,
+				Seed:             o.seed,
+			})
+			cellTimelines[r*len(o.policies)+c] = res.Timeline
+			return res, err
+		},
+	}.Series(o.log)
+	if err != nil {
+		return err
+	}
+	recs := seriesRecords("store", o.backing, metrics, series)
+	for i := range recs {
+		row := rows[i/len(o.policies)]
+		recs[i].Shards, recs[i].Groups, recs[i].Batch, recs[i].Threads = row.shards, row.groups, row.batch, threads
+		recs[i].Timeline = cellTimelines[i]
+		if tl := cellTimelines[i]; tl != nil {
+			series = append(series, figures.TimelineSeries(
+				fmt.Sprintf("%s — timeline [shards=%d groups=%d batch=%d policy=%s, sample %v]",
+					title, row.shards, row.groups, row.batch, recs[i].Policy, o.sample), tl))
 		}
 	}
-	for i := range timelines {
-		if err := o.render(&timelines[i]); err != nil {
-			return fmt.Errorf("write: %w", err)
-		}
-	}
-	if o.jsonPath != "" {
-		if err := appendJSONLines(o.jsonPath, jsonRecs); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-	}
-	return nil
+	return o.emit(series, recs)
 }
 
-// storeJSONRecord is one (shards, groups, batch, policy) cell of a
-// store sweep, flattened for machine consumption (CI's BENCH_store.json
-// trajectory).
-type storeJSONRecord struct {
-	Backing  string              `json:"backing"`
-	Policy   string              `json:"policy"`
-	Shards   int                 `json:"shards"`
-	Groups   int                 `json:"groups"`
-	Batch    int                 `json:"batch"`
-	Threads  int                 `json:"threads"`
-	Metrics  map[string]float64  `json:"metrics"`
-	Timeline *telemetry.Timeline `json:"timeline,omitempty"` // present with -sample
-}
-
-// benchJSONRecord is one (x, policy) cell of a -ds or -serve sweep,
-// flattened for machine consumption like storeJSONRecord is for -store
-// (CI's BENCH_ds.json / BENCH_serve.json trajectories). X is the swept
-// axis value: a thread count for -ds, a connection count for -serve.
+// benchJSONRecord is one (x, policy) cell of a direct sweep, flattened
+// for machine consumption (one JSON line per cell). X is the row label:
+// a thread count for -ds, a connection count for -serve, the
+// shards×batch label for -store, whose records also carry the row's
+// parameters and, with -sample, the cell's timeline.
 type benchJSONRecord struct {
-	Sweep   string             `json:"sweep"`  // "ds" or "serve"
-	Target  string             `json:"target"` // structure (-ds) or backing (-serve)
+	Sweep   string             `json:"sweep"`  // "ds", "store" or "serve"
+	Target  string             `json:"target"` // structure (-ds) or backing (-store, -serve)
 	Policy  string             `json:"policy"`
 	X       string             `json:"x"`
 	Metrics map[string]float64 `json:"metrics"`
+
+	Shards   int                 `json:"shards,omitempty"`
+	Groups   int                 `json:"groups,omitempty"`
+	Batch    int                 `json:"batch,omitempty"`
+	Threads  int                 `json:"threads,omitempty"`
+	Timeline *telemetry.Timeline `json:"timeline,omitempty"`
 }
 
-// seriesRecords flattens per-metric series (identical row/column grids,
-// one series per metric, as SweepThreads/SweepServeConns build) into
-// one record per (row, policy) cell.
-func seriesRecords(sweep, target string, metricNames []string, series []report.Series) []benchJSONRecord {
-	if len(series) == 0 {
-		return nil
-	}
+// seriesRecords flattens a grid's series (one per metric, identical
+// rows and columns) into one record per cell, row-major.
+func seriesRecords[R any](sweep, target string, metrics []figures.Metric[R], series []report.Series) []benchJSONRecord {
 	var recs []benchJSONRecord
 	base := &series[0]
 	for ri := range base.Rows {
@@ -787,8 +695,8 @@ func seriesRecords(sweep, target string, metricNames []string, series []report.S
 				Sweep: sweep, Target: target, Policy: policy,
 				X: base.Rows[ri].X, Metrics: map[string]float64{},
 			}
-			for si := range series {
-				rec.Metrics[metricNames[si]] = series[si].Rows[ri].Cells[ci]
+			for si, m := range metrics {
+				rec.Metrics[m.Name] = series[si].Rows[ri].Cells[ci]
 			}
 			recs = append(recs, rec)
 		}
@@ -798,7 +706,7 @@ func seriesRecords(sweep, target string, metricNames []string, series []report.S
 
 // appendJSONLines appends records to path as JSON lines, so repeated
 // sweep invocations (CI runs several) accumulate one trajectory file.
-func appendJSONLines[T any](path string, recs []T) error {
+func appendJSONLines(path string, recs []benchJSONRecord) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -813,10 +721,10 @@ func appendJSONLines[T any](path string, recs []T) error {
 	return f.Close()
 }
 
-// directSweep runs one structure × all requested policies × the thread
-// sweep and prints throughput, range throughput and per-scan latency
-// quantiles (when the mix scans), and end-of-run memory state.
-func directSweep(o sweepOpts) error {
+// run sweeps one structure × all requested policies × the thread counts
+// and prints throughput, range throughput and per-scan latency quantiles
+// (when the mix scans), and end-of-run memory state.
+func (o sweepOpts) run() error {
 	var mix workload.Mix
 	switch o.mix {
 	case "read-heavy":
@@ -856,23 +764,7 @@ func directSweep(o sweepOpts) error {
 		return fmt.Errorf("-rangespan must be positive, got %d", o.rangeSpan)
 	}
 
-	threadCounts, err := parseInts(o.threads)
-	if err != nil {
-		return fmt.Errorf("bad -threads: %w", err)
-	}
-	ps := core.Policies()
-	if o.policies != "" {
-		ps = ps[:0]
-		for _, name := range strings.Split(o.policies, ",") {
-			p, err := core.ParsePolicy(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			ps = append(ps, p)
-		}
-	}
-
-	title := fmt.Sprintf("%s %s (keyrange %d", o.ds, o.mix, o.keyRange)
+	title := fmt.Sprintf("%s %s (keyrange %d", o.ds, o.mix, o.keys)
 	if mix.RangePct > 0 {
 		title += fmt.Sprintf(", %d%% range queries, span %d", mix.RangePct, o.rangeSpan)
 	}
@@ -880,8 +772,9 @@ func directSweep(o sweepOpts) error {
 		title += fmt.Sprintf(", churn %d ops/lease", o.churn.AfterOps)
 	}
 	title += ")"
-	metrics := []figures.Metric{
-		{Name: "throughput (ops/s)", Get: func(r harness.Result) float64 { return r.Throughput }},
+	type R = harness.Result
+	metrics := []figures.Metric[R]{
+		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
 	}
 	// Per-op-class tail latencies: direct sweeps always profile
 	// (harness.Config.OpLatency below), so the read/write split is
@@ -890,26 +783,20 @@ func directSweep(o sweepOpts) error {
 		if cl.MixShare(mix) == 0 {
 			continue
 		}
-		cl := cl
 		metrics = append(metrics,
-			figures.OpLatencyMetric(fmt.Sprintf("%v latency p50 (µs)", cl), cl, 0.50),
-			figures.OpLatencyMetric(fmt.Sprintf("%v latency p99 (µs)", cl), cl, 0.99),
+			figures.OpLat(fmt.Sprintf("%v latency p50 (µs)", cl), cl, 0.50),
+			figures.OpLat(fmt.Sprintf("%v latency p99 (µs)", cl), cl, 0.99),
 		)
 	}
-	metrics = append(metrics, figures.Metric{
-		Name: "value checksum failures",
-		Get:  func(r harness.Result) float64 { return float64(r.ValueErrors) },
-	}, figures.Metric{
-		Name: "allocs/op",
-		Get:  func(r harness.Result) float64 { return r.AllocsPerOp },
-	}, figures.Metric{
-		Name: "alloc bytes/op",
-		Get:  func(r harness.Result) float64 { return r.AllocBytesPerOp },
-	})
+	metrics = append(metrics,
+		figures.Metric[R]{Name: "value checksum failures", Get: func(r R) float64 { return float64(r.ValueErrors) }},
+		figures.Metric[R]{Name: "allocs/op", Get: func(r R) float64 { return r.AllocsPerOp }},
+		figures.Metric[R]{Name: "alloc bytes/op", Get: func(r R) float64 { return r.AllocBytesPerOp }},
+	)
 	if mix.RangePct > 0 {
 		metrics = append(metrics,
-			figures.Metric{Name: "range throughput (scans/s)", Get: func(r harness.Result) float64 { return r.RangeTput }},
-			figures.Metric{Name: "keys per scan", Get: func(r harness.Result) float64 {
+			figures.Metric[R]{Name: "range throughput (scans/s)", Get: func(r R) float64 { return r.RangeTput }},
+			figures.Metric[R]{Name: "keys per scan", Get: func(r R) float64 {
 				if r.RangeOps == 0 {
 					return 0
 				}
@@ -918,62 +805,47 @@ func directSweep(o sweepOpts) error {
 			// The scan-latency tail per policy — the histogram popbench
 			// exists to expose: long reads hurt different schemes very
 			// differently (cf. the paper's §5.1.2).
-			figures.ScanLatencyMetric("scan latency p50 (µs)", 0.50),
-			figures.ScanLatencyMetric("scan latency p90 (µs)", 0.90),
-			figures.ScanLatencyMetric("scan latency p99 (µs)", 0.99),
-			figures.ScanLatencyMaxMetric("scan latency max (µs)"),
+			figures.OpLat("scan latency p50 (µs)", harness.OpScan, 0.50),
+			figures.OpLat("scan latency p90 (µs)", harness.OpScan, 0.90),
+			figures.OpLat("scan latency p99 (µs)", harness.OpScan, 0.99),
+			figures.OpLat("scan latency max (µs)", harness.OpScan, 1),
 		)
 	}
 	metrics = append(metrics,
-		figures.Metric{Name: "unreclaimed at run end (nodes)", Get: func(r harness.Result) float64 { return float64(r.Unreclaimed) }},
-		figures.Metric{Name: "leaked after flush (nodes)", Get: func(r harness.Result) float64 { return float64(r.LeakedAfter) }},
+		figures.Metric[R]{Name: "unreclaimed at run end (nodes)", Get: func(r R) float64 { return float64(r.Unreclaimed) }},
+		figures.Metric[R]{Name: "leaked after flush (nodes)", Get: func(r R) float64 { return float64(r.LeakedAfter) }},
 	)
 	if o.churn.Enabled() {
 		metrics = append(metrics,
-			figures.Metric{Name: "thread releases", Get: func(r harness.Result) float64 { return float64(r.Lifecycle.Releases) }},
-			figures.Metric{Name: "orphan nodes adopted", Get: func(r harness.Result) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
+			figures.Metric[R]{Name: "thread releases", Get: func(r R) float64 { return float64(r.Lifecycle.Releases) }},
+			figures.Metric[R]{Name: "orphan nodes adopted", Get: func(r R) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
 		)
 	}
 
-	ctx := figures.Ctx{
-		Duration: o.duration,
-		Threads:  threadCounts,
-		Seed:     o.seed,
-		Log:      func(string, ...any) {},
-	}
-	if !o.quiet {
-		ctx.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	series, err := figures.SweepThreads(ctx, title, harness.Config{
-		DS:               o.ds,
-		KeyRange:         o.keyRange,
-		Mix:              mix,
-		RangeSpan:        o.rangeSpan,
-		Dist:             o.dist,
-		Churn:            o.churn,
-		ReclaimThreshold: o.rthresh,
-		OpLatency:        true,
-	}, ps, metrics)
+	series, err := figures.Grid[R]{
+		Title: title, XLabel: "threads",
+		Rows: figures.Labels(o.threads), Cols: figures.PolicyNames(o.policies), Metrics: metrics,
+		Run: func(r, c int) (R, error) {
+			return harness.Run(harness.Config{
+				DS:               o.ds,
+				Policy:           o.policies[c],
+				Threads:          o.threads[r],
+				Duration:         o.duration,
+				KeyRange:         o.keys,
+				Mix:              mix,
+				RangeSpan:        o.rangeSpan,
+				Dist:             o.dist,
+				Churn:            o.churn,
+				ReclaimThreshold: o.rthresh,
+				OpLatency:        true,
+				Seed:             o.seed,
+			})
+		},
+	}.Series(o.log)
 	if err != nil {
 		return err
 	}
-	for i := range series {
-		if err := o.render(&series[i]); err != nil {
-			return fmt.Errorf("write: %w", err)
-		}
-	}
-	if o.jsonPath != "" {
-		names := make([]string, len(metrics))
-		for i, m := range metrics {
-			names[i] = m.Name
-		}
-		if err := appendJSONLines(o.jsonPath, seriesRecords("ds", o.ds, names, series)); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-	}
-	return nil
+	return o.emit(series, seriesRecords("ds", o.ds, metrics, series))
 }
 
 // parseValSize parses the -valsize spec into harness StoreConfig value

@@ -505,19 +505,7 @@ func (d *Domain) Unreclaimed() int64 {
 func (d *Domain) Stats() Stats {
 	var agg Stats
 	for _, t := range d.threadList() {
-		s := t.StatsSnapshot()
-		agg.Retires += s.Retires
-		agg.Frees += s.Frees
-		agg.Reclaims += s.Reclaims
-		agg.EpochReclaims += s.EpochReclaims
-		agg.POPReclaims += s.POPReclaims
-		agg.PingsSent += s.PingsSent
-		agg.ThreadsScanned += s.ThreadsScanned
-		agg.Publishes += s.Publishes
-		agg.Restarts += s.Restarts
-		if s.MaxRetire > agg.MaxRetire {
-			agg.MaxRetire = s.MaxRetire
-		}
+		agg.add(t.StatsSnapshot())
 	}
 	return agg
 }
@@ -557,20 +545,36 @@ type ReclaimStats struct {
 	ScannedPerPass float64 // Scanned / Passes (0 when no pass ran)
 }
 
-func (r *ReclaimStats) fillAverages() {
+// add folds o into s: every counter sums, MaxRetire (a high-water mark)
+// takes the larger. The one aggregation rule behind Domain.Stats,
+// Domain.StatsSampled and their DomainGroup counterparts.
+func (s *Stats) add(o Stats) {
+	s.Retires += o.Retires
+	s.Frees += o.Frees
+	s.Reclaims += o.Reclaims
+	s.EpochReclaims += o.EpochReclaims
+	s.POPReclaims += o.POPReclaims
+	s.PingsSent += o.PingsSent
+	s.ThreadsScanned += o.ThreadsScanned
+	s.Publishes += o.Publishes
+	s.Restarts += o.Restarts
+	if o.MaxRetire > s.MaxRetire {
+		s.MaxRetire = o.MaxRetire
+	}
+}
+
+// reclaim derives the fan-out view from the counters.
+func (s Stats) reclaim() ReclaimStats {
+	r := ReclaimStats{Passes: s.Reclaims, Pings: s.PingsSent, Scanned: s.ThreadsScanned}
 	if r.Passes > 0 {
 		r.PingsPerPass = float64(r.Pings) / float64(r.Passes)
 		r.ScannedPerPass = float64(r.Scanned) / float64(r.Passes)
 	}
+	return r
 }
 
 // ReclaimStats snapshots the domain's ping/scan fan-out counters.
-func (d *Domain) ReclaimStats() ReclaimStats {
-	s := d.Stats()
-	r := ReclaimStats{Passes: s.Reclaims, Pings: s.PingsSent, Scanned: s.ThreadsScanned}
-	r.fillAverages()
-	return r
-}
+func (d *Domain) ReclaimStats() ReclaimStats { return d.Stats().reclaim() }
 
 // Mask clears the tag bits of a (possibly marked) node pointer. Data
 // structures tag the two low-order bits (Harris-Michael's mark); the

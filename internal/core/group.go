@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 )
 
 // DomainGroup partitions one logical reclamation domain into member
@@ -47,15 +45,10 @@ type DomainGroup struct {
 	members []*Domain
 	slots   int
 
-	mu       sync.Mutex
-	handles  []*GroupHandle // one per group slot ever created, reused across leases
-	free     []int          // LIFO of released group slots
-	inUse    int
-	peak     int
-	acquires uint64
-	releases uint64
-	waits    uint64
-	waiters  []chan struct{} // FIFO admission queue (buffered-1 wakeup tokens)
+	admission                // lease counters + wait queue; its mu also guards the fields below
+	handles   []*GroupHandle // one per group slot ever created, reused across leases
+	free      []int          // LIFO of released group slots
+	releases  uint64
 }
 
 // NewDomainGroup creates a group of `members` member domains under one
@@ -198,11 +191,7 @@ func (g *DomainGroup) Acquire() (*GroupHandle, error) {
 	}
 	h.leased = true
 	h.leases++
-	g.inUse++
-	g.acquires++
-	if g.inUse > g.peak {
-		g.peak = g.inUse
-	}
+	g.admitLocked()
 	return h, nil
 }
 
@@ -212,68 +201,12 @@ func (g *DomainGroup) Acquire() (*GroupHandle, error) {
 // path, identical in discipline to Handles.AcquireWait (eventually
 // fair under queued load, not strictly FIFO against line-jumpers).
 func (g *DomainGroup) AcquireWait(ctx context.Context) (*GroupHandle, error) {
-	for {
-		h, err := g.Acquire()
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, ErrNoSlots) {
-			return nil, err
-		}
-		w := make(chan struct{}, 1)
-		g.mu.Lock()
-		g.waiters = append(g.waiters, w)
-		g.waits++
-		g.mu.Unlock()
-		// Re-try after enqueueing: a Release between the failed Acquire
-		// above and the enqueue would have seen an empty queue and woken
-		// nobody; this second look closes that window.
-		if h, err := g.Acquire(); err == nil {
-			g.abandonWait(w)
-			return h, nil
-		} else if !errors.Is(err, ErrNoSlots) {
-			g.abandonWait(w)
-			return nil, err
-		}
-		select {
-		case <-w:
-			// Woken by a Release: loop and contend for the freed slot.
-		case <-ctx.Done():
-			g.abandonWait(w)
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// abandonWait removes w from the admission queue; if w was already
-// signalled, the wakeup token is forwarded so a cancelled waiter never
-// swallows an admission.
-func (g *DomainGroup) abandonWait(w chan struct{}) {
-	g.mu.Lock()
-	for i, x := range g.waiters {
-		if x == w {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			g.mu.Unlock()
-			return
-		}
-	}
-	g.mu.Unlock()
-	// Not queued ⇒ signalLocked already sent w its token.
-	<-w
-	g.mu.Lock()
-	g.signalLocked()
-	g.mu.Unlock()
-}
-
-// signalLocked pops the head waiter and hands it a wakeup token (g.mu
-// held; buffered channels, the send never blocks).
-func (g *DomainGroup) signalLocked() {
-	if len(g.waiters) == 0 {
-		return
-	}
-	w := g.waiters[0]
-	g.waiters = g.waiters[1:]
-	w <- struct{}{}
+	var h *GroupHandle
+	err := g.acquireWait(ctx, func() (err error) {
+		h, err = g.Acquire()
+		return err
+	})
+	return h, err
 }
 
 // Release returns h's group slot. Every member thread the handle
@@ -318,42 +251,6 @@ func (g *DomainGroup) Do(fn func(*GroupHandle) error) error {
 	return fn(h)
 }
 
-// InUse returns the number of group slots currently leased.
-func (g *DomainGroup) InUse() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inUse
-}
-
-// Peak returns the maximum concurrently leased group slots.
-func (g *DomainGroup) Peak() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
-
-// Acquires returns the cumulative group-slot lease count.
-func (g *DomainGroup) Acquires() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.acquires
-}
-
-// Waits returns how many AcquireWait calls found the group saturated
-// and queued (re-queues after losing a woken race count again).
-func (g *DomainGroup) Waits() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waits
-}
-
-// Waiting returns the current admission-queue length.
-func (g *DomainGroup) Waiting() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.waiters)
-}
-
 // Releases returns the cumulative group-slot release count.
 func (g *DomainGroup) Releases() uint64 {
 	g.mu.Lock()
@@ -365,19 +262,7 @@ func (g *DomainGroup) Releases() uint64 {
 func (g *DomainGroup) Stats() Stats {
 	var agg Stats
 	for _, d := range g.members {
-		s := d.Stats()
-		agg.Retires += s.Retires
-		agg.Frees += s.Frees
-		agg.Reclaims += s.Reclaims
-		agg.EpochReclaims += s.EpochReclaims
-		agg.POPReclaims += s.POPReclaims
-		agg.PingsSent += s.PingsSent
-		agg.ThreadsScanned += s.ThreadsScanned
-		agg.Publishes += s.Publishes
-		agg.Restarts += s.Restarts
-		if s.MaxRetire > agg.MaxRetire {
-			agg.MaxRetire = s.MaxRetire
-		}
+		agg.add(d.Stats())
 	}
 	return agg
 }
@@ -385,17 +270,7 @@ func (g *DomainGroup) Stats() Stats {
 // ReclaimStats aggregates the per-pass fan-out counters across members
 // — the figure of merit for grouping: ScannedPerPass at G members
 // should be ~1/G of the ungrouped value for the same workload.
-func (g *DomainGroup) ReclaimStats() ReclaimStats {
-	var agg ReclaimStats
-	for _, d := range g.members {
-		r := d.ReclaimStats()
-		agg.Passes += r.Passes
-		agg.Pings += r.Pings
-		agg.Scanned += r.Scanned
-	}
-	agg.fillAverages()
-	return agg
-}
+func (g *DomainGroup) ReclaimStats() ReclaimStats { return g.Stats().reclaim() }
 
 // Unreclaimed sums retired-but-unfreed nodes across members (each
 // member's orphanage included), preserving the per-member bound the

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-	"errors"
-	"sync"
-)
+import "context"
 
 // Handles is a goroutine-affine pool of Thread handles over a Domain:
 // serving layers size their domain for the peak worker count and let
@@ -29,13 +25,7 @@ import (
 // the goroutine that acquired it.
 type Handles struct {
 	d *Domain
-
-	mu       sync.Mutex
-	inUse    int
-	peak     int
-	acquires uint64
-	waits    uint64          // AcquireWait calls that had to queue
-	waiters  []chan struct{} // FIFO admission queue (buffered-1 wakeup tokens)
+	admission
 }
 
 // NewHandles creates a handle pool over d. Multiple pools may share a
@@ -60,11 +50,7 @@ func (p *Handles) Acquire() (*Thread, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.inUse++
-	p.acquires++
-	if p.inUse > p.peak {
-		p.peak = p.inUse
-	}
+	p.admitLocked()
 	p.mu.Unlock()
 	return t, nil
 }
@@ -76,75 +62,15 @@ func (p *Handles) Acquire() (*Thread, error) {
 // slot population queues for slots instead of erroring — so the only
 // error a healthy (deadline-free) caller can see is its own context's.
 //
-// Wakeups are handed to waiters in queue order, but a woken waiter
-// re-runs Acquire and can lose the slot to a concurrent non-waiting
-// Acquire; it then re-queues at the tail. Admission is therefore
-// eventually fair under queued load, not strictly FIFO against
-// line-jumpers.
+// Admission is eventually fair under queued load, not strictly FIFO
+// against line-jumpers (see admission.acquireWait).
 func (p *Handles) AcquireWait(ctx context.Context) (*Thread, error) {
-	for {
-		t, err := p.Acquire()
-		if err == nil {
-			return t, nil
-		}
-		if !errors.Is(err, ErrNoSlots) {
-			return nil, err
-		}
-		w := make(chan struct{}, 1)
-		p.mu.Lock()
-		p.waiters = append(p.waiters, w)
-		p.waits++
-		p.mu.Unlock()
-		// Re-try after enqueueing: a Release between the failed Acquire
-		// above and the enqueue would have seen an empty queue and woken
-		// nobody; this second look closes that window.
-		if t, err := p.Acquire(); err == nil {
-			p.abandonWait(w)
-			return t, nil
-		} else if !errors.Is(err, ErrNoSlots) {
-			p.abandonWait(w)
-			return nil, err
-		}
-		select {
-		case <-w:
-			// Woken by a Release: loop and contend for the freed slot.
-		case <-ctx.Done():
-			p.abandonWait(w)
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// abandonWait removes w from the admission queue. If w was already
-// popped and signalled, the wakeup token is forwarded to the next
-// waiter so a cancelled waiter never swallows an admission.
-func (p *Handles) abandonWait(w chan struct{}) {
-	p.mu.Lock()
-	for i, x := range p.waiters {
-		if x == w {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			p.mu.Unlock()
-			return
-		}
-	}
-	p.mu.Unlock()
-	// Not queued ⇒ signalLocked already sent w its token (the send
-	// happens under the lock we just held), so this receive cannot block.
-	<-w
-	p.mu.Lock()
-	p.signalLocked()
-	p.mu.Unlock()
-}
-
-// signalLocked pops the head waiter and hands it a wakeup token
-// (p.mu held; the channels are buffered so the send never blocks).
-func (p *Handles) signalLocked() {
-	if len(p.waiters) == 0 {
-		return
-	}
-	w := p.waiters[0]
-	p.waiters = p.waiters[1:]
-	w <- struct{}{}
+	var t *Thread
+	err := p.acquireWait(ctx, func() (err error) {
+		t, err = p.Acquire()
+		return err
+	})
+	return t, err
 }
 
 // Release returns a handle to the domain (Thread.Release: the slot's
@@ -178,45 +104,6 @@ func (p *Handles) Do(fn func(*Thread) error) error {
 	}
 	defer p.Release(t)
 	return fn(t)
-}
-
-// InUse returns the number of handles currently acquired through this
-// pool.
-func (p *Handles) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inUse
-}
-
-// Peak returns the maximum concurrently acquired handles this pool has
-// seen.
-func (p *Handles) Peak() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
-
-// Acquires returns the cumulative Acquire count (lease churn).
-func (p *Handles) Acquires() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.acquires
-}
-
-// Waits returns how many AcquireWait calls found the domain saturated
-// and queued (each re-queue after losing a woken race counts again): the
-// admission-queue pressure statistic.
-func (p *Handles) Waits() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waits
-}
-
-// Waiting returns the current admission-queue length.
-func (p *Handles) Waiting() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.waiters)
 }
 
 // Cap returns the domain's slot capacity.

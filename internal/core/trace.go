@@ -54,6 +54,24 @@ func (t *Thread) publishStats() {
 	m[mMaxRetire].Store(uint64(t.maxRetire))
 }
 
+// sampledStats reads the thread's mirror back into a Stats value (the
+// inverse of publishStats; any goroutine).
+func (t *Thread) sampledStats() Stats {
+	m := &t.statsPub
+	return Stats{
+		Retires:        m[mRetires].Load(),
+		Frees:          m[mFrees].Load(),
+		Reclaims:       m[mReclaims].Load(),
+		EpochReclaims:  m[mEpochReclaims].Load(),
+		POPReclaims:    m[mPOPReclaims].Load(),
+		PingsSent:      m[mPingsSent].Load(),
+		ThreadsScanned: m[mThreadsScanned].Load(),
+		Publishes:      m[mPublishes].Load(),
+		Restarts:       m[mRestarts].Load(),
+		MaxRetire:      int(m[mMaxRetire].Load()),
+	}
+}
+
 // StatsSampled aggregates the per-thread stats mirrors: the race-safe,
 // any-goroutine counterpart of Stats. Mid-run it lags each live thread
 // by at most statsPubEvery operations; after every thread has flushed
@@ -62,62 +80,28 @@ func (t *Thread) publishStats() {
 func (d *Domain) StatsSampled() Stats {
 	var agg Stats
 	for _, t := range d.threadList() {
-		m := &t.statsPub
-		agg.Retires += m[mRetires].Load()
-		agg.Frees += m[mFrees].Load()
-		agg.Reclaims += m[mReclaims].Load()
-		agg.EpochReclaims += m[mEpochReclaims].Load()
-		agg.POPReclaims += m[mPOPReclaims].Load()
-		agg.PingsSent += m[mPingsSent].Load()
-		agg.ThreadsScanned += m[mThreadsScanned].Load()
-		agg.Publishes += m[mPublishes].Load()
-		agg.Restarts += m[mRestarts].Load()
-		if mr := int(m[mMaxRetire].Load()); mr > agg.MaxRetire {
-			agg.MaxRetire = mr
-		}
+		agg.add(t.sampledStats())
 	}
 	return agg
 }
 
 // ReclaimStatsSampled is the race-safe counterpart of ReclaimStats,
 // derived from the stats mirrors.
-func (d *Domain) ReclaimStatsSampled() ReclaimStats {
-	s := d.StatsSampled()
-	r := ReclaimStats{Passes: s.Reclaims, Pings: s.PingsSent, Scanned: s.ThreadsScanned}
-	r.fillAverages()
-	return r
-}
+func (d *Domain) ReclaimStatsSampled() ReclaimStats { return d.StatsSampled().reclaim() }
 
 // StatsSampled aggregates the sampled stats across member domains (the
 // group-level counterpart of Stats, race-safe mid-run).
 func (g *DomainGroup) StatsSampled() Stats {
 	var agg Stats
 	for _, d := range g.members {
-		s := d.StatsSampled()
-		agg.Retires += s.Retires
-		agg.Frees += s.Frees
-		agg.Reclaims += s.Reclaims
-		agg.EpochReclaims += s.EpochReclaims
-		agg.POPReclaims += s.POPReclaims
-		agg.PingsSent += s.PingsSent
-		agg.ThreadsScanned += s.ThreadsScanned
-		agg.Publishes += s.Publishes
-		agg.Restarts += s.Restarts
-		if s.MaxRetire > agg.MaxRetire {
-			agg.MaxRetire = s.MaxRetire
-		}
+		agg.add(d.StatsSampled())
 	}
 	return agg
 }
 
 // ReclaimStatsSampled is the race-safe group counterpart of
 // ReclaimStats.
-func (g *DomainGroup) ReclaimStatsSampled() ReclaimStats {
-	s := g.StatsSampled()
-	r := ReclaimStats{Passes: s.Reclaims, Pings: s.PingsSent, Scanned: s.ThreadsScanned}
-	r.fillAverages()
-	return r
-}
+func (g *DomainGroup) ReclaimStatsSampled() ReclaimStats { return g.StatsSampled().reclaim() }
 
 // ---------------------------------------------------------------------
 // Ping-ack and pass-duration tracing

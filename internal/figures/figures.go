@@ -10,8 +10,8 @@
 // latencies.
 // Each figure knows its workload, data structure, sizes and thresholds,
 // runs the sweep through the harness, and returns the same series the
-// paper plots. cmd/popbench renders them; bench_test.go reuses the same
-// definitions so `go test -bench` regenerates every figure.
+// paper plots. cmd/popbench renders them (-figure), and builds its
+// direct sweeps on the same Grid.
 //
 // Sizes are the paper's divided by Ctx.Scale so laptop-scale runs finish;
 // pass Scale=1 for full-size structures. The retire-list threshold
@@ -85,42 +85,20 @@ type Figure struct {
 	Run  func(Ctx) ([]report.Series, error)
 }
 
-// Metric extracts one plotted value from a trial result. The standard
-// metrics below cover the paper's plots; cmd/popbench composes ad-hoc
-// ones for direct sweeps.
-type Metric struct {
+// Metric extracts one plotted value from a trial result of type R
+// (harness.Result, harness.StoreResult or harness.ServeResult).
+type Metric[R any] struct {
 	Name string
-	Get  func(harness.Result) float64
+	Get  func(R) float64
 }
 
-var (
-	mThroughput  = Metric{"throughput (ops/s)", func(r harness.Result) float64 { return r.Throughput }}
-	mReadTput    = Metric{"read throughput (ops/s)", func(r harness.Result) float64 { return r.ReadTput }}
-	mRangeTput   = Metric{"range throughput (scans/s)", func(r harness.Result) float64 { return r.RangeTput }}
-	mMaxRetire   = Metric{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.MaxRetire) }}
-	mPeakRes     = Metric{"peak resident nodes", func(r harness.Result) float64 { return float64(r.PeakResident) }}
-	mUnreclaimed = Metric{"total unreclaimed nodes", func(r harness.Result) float64 { return float64(r.Unreclaimed) }}
-	mScanP50     = ScanLatencyMetric("scan p50 (µs)", 0.50)
-	mScanP99     = ScanLatencyMetric("scan p99 (µs)", 0.99)
-)
-
-// ScanLatencyMetric builds a metric reading quantile q (in microseconds)
-// from a trial's scan-latency histogram; 0 when the mix had no scans.
-func ScanLatencyMetric(name string, q float64) Metric {
-	return Metric{Name: name, Get: func(r harness.Result) float64 {
-		if r.ScanLat == nil {
-			return 0
-		}
-		return r.ScanLat.Quantile(q) / 1e3
-	}}
-}
-
-// OpLatencyMetric builds a metric reading quantile q (in microseconds)
-// of one operation class's latency histogram; 0 when the class was not
-// profiled (requires harness.Config.OpLatency).
-func OpLatencyMetric(name string, class harness.OpClass, q float64) Metric {
-	return Metric{Name: name, Get: func(r harness.Result) float64 {
-		h := r.OpLat[class]
+// LatencyMetric builds a metric reading quantile q, in microseconds, of
+// the latency histogram pick selects; 0 when that histogram is absent
+// (the class was not profiled, the mix had no scans). q = 1 is the worst
+// observed latency, exactly.
+func LatencyMetric[R any](name string, pick func(R) *report.Histogram, q float64) Metric[R] {
+	return Metric[R]{Name: name, Get: func(r R) float64 {
+		h := pick(r)
 		if h == nil {
 			return 0
 		}
@@ -128,15 +106,97 @@ func OpLatencyMetric(name string, class harness.OpClass, q float64) Metric {
 	}}
 }
 
-// ScanLatencyMaxMetric builds a metric reading the worst observed scan
-// latency in microseconds.
-func ScanLatencyMaxMetric(name string) Metric {
-	return Metric{Name: name, Get: func(r harness.Result) float64 {
-		if r.ScanLat == nil {
-			return 0
+// Grid is the table every sweep builds: one trial per (row, column), one
+// series per metric, titled "<Title> — <metric name>". Rows are the
+// x-axis labels in sweep order, Cols the column names (policies, in most
+// figures); Run executes the trial for row r, column c.
+type Grid[R any] struct {
+	Title   string
+	XLabel  string
+	Rows    []string
+	Cols    []string
+	Metrics []Metric[R]
+	Run     func(r, c int) (R, error)
+}
+
+// Series runs the grid row by row, column by column within a row, and
+// returns one series per metric. A trial error is returned wrapped with
+// the cell that hit it. log (non-nil) receives one progress line per
+// trial.
+func (g Grid[R]) Series(log func(string, ...any)) ([]report.Series, error) {
+	out := make([]report.Series, len(g.Metrics))
+	for i, m := range g.Metrics {
+		out[i] = report.Series{
+			Title:  fmt.Sprintf("%s — %s", g.Title, m.Name),
+			XLabel: g.XLabel,
+			Names:  g.Cols,
 		}
-		return float64(r.ScanLat.Max()) / 1e3
-	}}
+	}
+	for r, row := range g.Rows {
+		cells := make([][]float64, len(g.Metrics))
+		for i := range cells {
+			cells[i] = make([]float64, len(g.Cols))
+		}
+		for c, col := range g.Cols {
+			log("  %s: %s=%s %s", g.Title, g.XLabel, row, col)
+			res, err := g.Run(r, c)
+			if err != nil {
+				return nil, fmt.Errorf("%s [%s=%s %s]: %w", g.Title, g.XLabel, row, col, err)
+			}
+			for mi, m := range g.Metrics {
+				cells[mi][c] = m.Get(res)
+			}
+		}
+		for mi := range out {
+			out[mi].AddRow(row, cells[mi])
+		}
+	}
+	return out, nil
+}
+
+// PolicyNames returns the policies' column names.
+func PolicyNames(ps []core.Policy) []string {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.String()
+	}
+	return names
+}
+
+// Labels formats a swept integer axis (thread counts, thresholds) as row
+// labels.
+func Labels[T int | uint64](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprint(x)
+	}
+	return out
+}
+
+// The metrics several figures share.
+var (
+	mThroughput  = Metric[harness.Result]{"throughput (ops/s)", func(r harness.Result) float64 { return r.Throughput }}
+	mRangeTput   = Metric[harness.Result]{"range throughput (scans/s)", func(r harness.Result) float64 { return r.RangeTput }}
+	mMaxRetire   = Metric[harness.Result]{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.MaxRetire) }}
+	mPeakRes     = Metric[harness.Result]{"peak resident nodes", func(r harness.Result) float64 { return float64(r.PeakResident) }}
+	mUnreclaimed = Metric[harness.Result]{"total unreclaimed nodes", func(r harness.Result) float64 { return float64(r.Unreclaimed) }}
+
+	sThroughput  = Metric[harness.StoreResult]{"throughput (ops/s)", func(r harness.StoreResult) float64 { return r.Throughput }}
+	sStale       = Metric[harness.StoreResult]{"stale value reads", func(r harness.StoreResult) float64 { return float64(r.Stale) }}
+	sValueErrs   = Metric[harness.StoreResult]{"value checksum failures", func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }}
+	sUnreclaimed = Metric[harness.StoreResult]{"unreclaimed at run end (nodes)", func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }}
+)
+
+// OpLat is LatencyMetric over one op class of a map trial (the scan
+// class is timed whenever the mix scans, the others under
+// harness.Config.OpLatency).
+func OpLat(name string, class harness.OpClass, q float64) Metric[harness.Result] {
+	return LatencyMetric(name, func(r harness.Result) *report.Histogram { return r.OpLat[class] }, q)
+}
+
+// StoreLat is LatencyMetric over one op class of a store trial.
+func StoreLat(name string, class harness.StoreOpClass, q float64) Metric[harness.StoreResult] {
+	return LatencyMetric(name, func(r harness.StoreResult) *report.Histogram { return r.OpLat[class] }, q)
 }
 
 // scaleSize divides a paper size by the context scale with a floor.
@@ -158,91 +218,76 @@ func scaleThreshold(c Ctx, paperThreshold int) int {
 	return t
 }
 
-// SweepThreads runs cfgBase for every (policy, thread-count) pair and
-// builds one series per metric. Callers fill Ctx completely (Run
-// functions do it via withDefaults; cmd/popbench from its flags).
-func SweepThreads(c Ctx, title string, cfgBase harness.Config, policies []core.Policy, metrics []Metric) ([]report.Series, error) {
-	names := make([]string, len(policies))
-	for i, p := range policies {
-		names[i] = p.String()
+// topThreads is the sweep's highest thread count, raised to min: the
+// single-row figures run there.
+func topThreads(c Ctx, min int) int {
+	if n := c.Threads[len(c.Threads)-1]; n > min {
+		return n
 	}
-	out := make([]report.Series, len(metrics))
-	for i, m := range metrics {
-		out[i] = report.Series{
-			Title:  fmt.Sprintf("%s — %s", title, m.Name),
-			XLabel: "threads",
-			Names:  names,
-		}
-	}
-	for _, n := range c.Threads {
-		cells := make([][]float64, len(metrics))
-		for i := range cells {
-			cells[i] = make([]float64, len(policies))
-		}
-		for pi, p := range policies {
-			cfg := cfgBase
-			cfg.Policy = p
-			cfg.Threads = n
-			cfg.Duration = c.Duration
-			cfg.Seed = c.Seed
-			c.Log("  %s: threads=%d policy=%v", title, n, p)
-			res, err := harness.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s [threads=%d policy=%v]: %w", title, n, p, err)
-			}
-			for mi, m := range metrics {
-				cells[mi][pi] = m.Get(res)
-			}
-		}
-		for mi := range metrics {
-			out[mi].AddRow(fmt.Sprintf("%d", n), cells[mi])
-		}
-	}
-	return out, nil
+	return min
 }
 
-// throughputAndMemory is the Figure 1/2 layout: throughput + max retire
-// list across a thread sweep. fixed=true keeps the paper's exact size
-// (the 2K lists are already laptop-scale and their size is the point).
-func throughputAndMemory(id, what, dsName string, paperSize int64, fixed bool, mix workload.Mix) Figure {
+// policiesOr is the figure's own policy set unless the context names
+// one.
+func (c Ctx) policiesOr(own ...core.Policy) []core.Policy {
+	if c.Policies != nil {
+		return c.Policies
+	}
+	return own
+}
+
+// threadSweep is the paper's standard plot: cfgBase for every (thread
+// count, policy) pair, one series per metric.
+func threadSweep(c Ctx, title string, cfgBase harness.Config, policies []core.Policy, metrics []Metric[harness.Result]) ([]report.Series, error) {
+	return Grid[harness.Result]{
+		Title: title, XLabel: "threads",
+		Rows: Labels(c.Threads), Cols: PolicyNames(policies), Metrics: metrics,
+		Run: func(r, col int) (harness.Result, error) {
+			cfg := cfgBase
+			cfg.Policy, cfg.Threads, cfg.Duration, cfg.Seed = policies[col], c.Threads[r], c.Duration, c.Seed
+			return harness.Run(cfg)
+		},
+	}.Series(c.Log)
+}
+
+// paperConfig is the structure a paper figure sweeps: dsName at the
+// paper's size with its 24K retire threshold, both divided by Ctx.Scale
+// unless fixed (the 2K lists are already laptop-scale and their size is
+// the point).
+func paperConfig(c Ctx, dsName string, paperSize int64, fixed bool, mix workload.Mix) harness.Config {
+	cfg := harness.Config{DS: dsName, KeyRange: paperSize, Mix: mix, ReclaimThreshold: 24576}
+	if !fixed {
+		cfg.KeyRange, cfg.ReclaimThreshold = scaleSize(c, paperSize), scaleThreshold(c, 24576)
+	}
+	return cfg
+}
+
+// sweepFigure is a figure that is one thread sweep of the standard
+// policy set over the trial cfg describes.
+func sweepFigure(id, what string, cfg func(Ctx) harness.Config, metrics ...Metric[harness.Result]) Figure {
 	return Figure{
 		ID:   id,
 		Desc: what,
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			size, threshold := paperSize, 24576
-			if !fixed {
-				size = scaleSize(c, paperSize)
-				threshold = scaleThreshold(c, 24576)
-			}
-			cfg := harness.Config{
-				DS:               dsName,
-				KeyRange:         size,
-				Mix:              mix,
-				ReclaimThreshold: threshold,
-			}
-			return SweepThreads(c, what, cfg, c.policySet(false),
-				[]Metric{mThroughput, mMaxRetire})
+			return threadSweep(c, what, cfg(c), c.policySet(false), metrics)
 		},
 	}
+}
+
+// throughputAndMemory is the Figure 1/2 layout: throughput + max retire
+// list across a thread sweep.
+func throughputAndMemory(id, what, dsName string, paperSize int64, fixed bool, mix workload.Mix) Figure {
+	return sweepFigure(id, what, func(c Ctx) harness.Config {
+		return paperConfig(c, dsName, paperSize, fixed, mix)
+	}, mThroughput, mMaxRetire)
 }
 
 // throughputOnly is the Figure 3 layout.
 func throughputOnly(id, what, dsName string, paperSize int64, mix workload.Mix) Figure {
-	return Figure{
-		ID:   id,
-		Desc: what,
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			cfg := harness.Config{
-				DS:               dsName,
-				KeyRange:         scaleSize(c, paperSize),
-				Mix:              mix,
-				ReclaimThreshold: scaleThreshold(c, 24576),
-			}
-			return SweepThreads(c, what, cfg, c.policySet(false), []Metric{mThroughput})
-		},
-	}
+	return sweepFigure(id, what, func(c Ctx) harness.Config {
+		return paperConfig(c, dsName, paperSize, false, mix)
+	}, mThroughput)
 }
 
 // appendixFigure is the appendix D/E layout: update-heavy and read-heavy
@@ -255,11 +300,6 @@ func appendixFigure(id, what, dsName string, paperSize int64, fixed, withCrystal
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
 			var out []report.Series
-			size, threshold := paperSize, 24576
-			if !fixed {
-				size = scaleSize(c, paperSize)
-				threshold = scaleThreshold(c, 24576)
-			}
 			for _, panel := range []struct {
 				name string
 				mix  workload.Mix
@@ -267,15 +307,9 @@ func appendixFigure(id, what, dsName string, paperSize int64, fixed, withCrystal
 				{"update-heavy", workload.UpdateHeavy},
 				{"read-heavy", workload.ReadHeavy},
 			} {
-				cfg := harness.Config{
-					DS:               dsName,
-					KeyRange:         size,
-					Mix:              panel.mix,
-					ReclaimThreshold: threshold,
-				}
-				series, err := SweepThreads(c, fmt.Sprintf("%s (%s)", what, panel.name),
-					cfg, c.policySet(withCrystalline),
-					[]Metric{mThroughput, mPeakRes, mUnreclaimed})
+				series, err := threadSweep(c, fmt.Sprintf("%s (%s)", what, panel.name),
+					paperConfig(c, dsName, paperSize, fixed, panel.mix), c.policySet(withCrystalline),
+					[]Metric[harness.Result]{mThroughput, mPeakRes, mUnreclaimed})
 				if err != nil {
 					return nil, err
 				}
@@ -295,15 +329,9 @@ func longReadsFigure() Figure {
 		Desc: "Fig 4: long-running reads on HML, sizes 10K-800K; read throughput ratio vs NR and memory",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 2 {
-				threads = 2
-			}
+			threads := topThreads(c, 2)
 			policies := c.policySet(false)
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-			}
+			names := PolicyNames(policies)
 			ratio := report.Series{
 				Title:  "Fig 4a: HML long-running reads — read throughput ratio to NR",
 				XLabel: "size",
@@ -371,29 +399,27 @@ func readCostFigure() Figure {
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
 			policies := c.policySet(false)
-			names := make([]string, len(policies))
-			cells := make([]float64, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-				res, err := harness.Run(harness.Config{
-					DS:       harness.DSHarrisMichaelList,
-					Policy:   p,
-					Threads:  1,
-					Duration: c.Duration,
-					KeyRange: 1024,
-					Mix:      workload.Mix{ContainsPct: 100},
-					Seed:     c.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if res.Ops > 0 {
-					cells[i] = float64(c.Duration.Nanoseconds()) / float64(res.Ops)
-				}
-			}
-			s := report.Series{Title: "Read-path cost — ns per contains (lower is better)", XLabel: "run", Names: names}
-			s.AddRow("1 thread", cells)
-			return []report.Series{s}, nil
+			return Grid[harness.Result]{
+				Title: "Read-path cost", XLabel: "run",
+				Rows: []string{"1 thread"}, Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{{"ns per contains (lower is better)", func(r harness.Result) float64 {
+					if r.Ops == 0 {
+						return 0
+					}
+					return float64(r.Elapsed.Nanoseconds()) / float64(r.Ops)
+				}}},
+				Run: func(_, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
+						DS:       harness.DSHarrisMichaelList,
+						Policy:   policies[col],
+						Threads:  1,
+						Duration: c.Duration,
+						KeyRange: 1024,
+						Mix:      workload.Mix{ContainsPct: 100},
+						Seed:     c.Seed,
+					})
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -406,39 +432,28 @@ func stallFigure() Figure {
 		Desc: "Robustness: unreclaimed garbage and throughput with a delayed thread",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 2 {
-				threads = 2
-			}
 			policies := c.policySet(false)
-			names := make([]string, len(policies))
-			unre := make([]float64, len(policies))
-			tput := make([]float64, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-				c.Log("  stall: policy=%v", p)
-				res, err := harness.Run(harness.Config{
-					DS:               harness.DSHarrisMichaelList,
-					Policy:           p,
-					Threads:          threads,
-					Duration:         c.Duration,
-					KeyRange:         2048,
-					ReclaimThreshold: 128,
-					StallEvery:       2 * time.Millisecond,
-					StallLength:      c.Duration / 4,
-					Seed:             c.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				unre[i] = float64(res.Unreclaimed)
-				tput[i] = res.Throughput
-			}
-			s1 := report.Series{Title: "Delayed thread — unreclaimed nodes at run end", XLabel: "run", Names: names}
-			s1.AddRow("stall", unre)
-			s2 := report.Series{Title: "Delayed thread — throughput (ops/s)", XLabel: "run", Names: names}
-			s2.AddRow("stall", tput)
-			return []report.Series{s1, s2}, nil
+			return Grid[harness.Result]{
+				Title: "Delayed thread", XLabel: "run",
+				Rows: []string{"stall"}, Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{
+					{"unreclaimed nodes at run end", mUnreclaimed.Get},
+					mThroughput,
+				},
+				Run: func(_, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
+						DS:               harness.DSHarrisMichaelList,
+						Policy:           policies[col],
+						Threads:          topThreads(c, 2),
+						Duration:         c.Duration,
+						KeyRange:         2048,
+						ReclaimThreshold: 128,
+						StallEvery:       2 * time.Millisecond,
+						StallLength:      c.Duration / 4,
+						Seed:             c.Seed,
+					})
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -451,41 +466,24 @@ func ablateThreshold() Figure {
 		Desc: "Ablation: retire-list threshold sweep on HML update-heavy",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			policies := []core.Policy{core.HP, core.HPAsym, core.HazardPtrPOP, core.EpochPOP, core.EBR, core.NBR}
-			if c.Policies != nil {
-				policies = c.Policies
-			}
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-			}
-			thr := report.Series{Title: "Threshold ablation — throughput (ops/s)", XLabel: "threshold", Names: names}
-			mem := report.Series{Title: "Threshold ablation — peak resident nodes", XLabel: "threshold", Names: names}
-			for _, threshold := range []int{128, 512, 2048, 8192} {
-				tputs := make([]float64, len(policies))
-				mems := make([]float64, len(policies))
-				for pi, p := range policies {
-					c.Log("  ablate-threshold: threshold=%d policy=%v", threshold, p)
-					res, err := harness.Run(harness.Config{
+			policies := c.policiesOr(core.HP, core.HPAsym, core.HazardPtrPOP, core.EpochPOP, core.EBR, core.NBR)
+			thresholds := []int{128, 512, 2048, 8192}
+			return Grid[harness.Result]{
+				Title: "Threshold ablation", XLabel: "threshold",
+				Rows: Labels(thresholds), Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{mThroughput, mPeakRes},
+				Run: func(r, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
 						DS:               harness.DSHarrisMichaelList,
-						Policy:           p,
-						Threads:          threads,
+						Policy:           policies[col],
+						Threads:          topThreads(c, 1),
 						Duration:         c.Duration,
 						KeyRange:         2048,
-						ReclaimThreshold: threshold,
+						ReclaimThreshold: thresholds[r],
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, err
-					}
-					tputs[pi] = res.Throughput
-					mems[pi] = float64(res.PeakResident)
-				}
-				thr.AddRow(fmt.Sprintf("%d", threshold), tputs)
-				mem.AddRow(fmt.Sprintf("%d", threshold), mems)
-			}
-			return []report.Series{thr, mem}, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -498,42 +496,25 @@ func ablateEpochFreq() Figure {
 		Desc: "Ablation: epoch frequency sweep for EBR/HE/IBR/EpochPOP on DGT",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			policies := []core.Policy{core.EBR, core.HE, core.IBR, core.HazardEraPOP, core.EpochPOP}
-			if c.Policies != nil {
-				policies = c.Policies
-			}
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-			}
-			thr := report.Series{Title: "EpochFreq ablation — throughput (ops/s)", XLabel: "epochFreq", Names: names}
-			mem := report.Series{Title: "EpochFreq ablation — peak resident nodes", XLabel: "epochFreq", Names: names}
-			for _, freq := range []int{16, 64, 256, 1024} {
-				tputs := make([]float64, len(policies))
-				mems := make([]float64, len(policies))
-				for pi, p := range policies {
-					c.Log("  ablate-epochfreq: freq=%d policy=%v", freq, p)
-					res, err := harness.Run(harness.Config{
+			policies := c.policiesOr(core.EBR, core.HE, core.IBR, core.HazardEraPOP, core.EpochPOP)
+			freqs := []int{16, 64, 256, 1024}
+			return Grid[harness.Result]{
+				Title: "EpochFreq ablation", XLabel: "epochFreq",
+				Rows: Labels(freqs), Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{mThroughput, mPeakRes},
+				Run: func(r, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
 						DS:               harness.DSExternalBST,
-						Policy:           p,
-						Threads:          threads,
+						Policy:           policies[col],
+						Threads:          topThreads(c, 1),
 						Duration:         c.Duration,
 						KeyRange:         scaleSize(c, 200_000),
-						EpochFreq:        freq,
+						EpochFreq:        freqs[r],
 						ReclaimThreshold: scaleThreshold(c, 24576),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, err
-					}
-					tputs[pi] = res.Throughput
-					mems[pi] = float64(res.PeakResident)
-				}
-				thr.AddRow(fmt.Sprintf("%d", freq), tputs)
-				mem.AddRow(fmt.Sprintf("%d", freq), mems)
-			}
-			return []report.Series{thr, mem}, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -546,10 +527,7 @@ func ablateCMult() Figure {
 		Desc: "Ablation: EpochPOP escalation factor C under a delayed thread",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 2 {
-				threads = 2
-			}
+			threads := topThreads(c, 2)
 			names := []string{"throughput (ops/s)", "unreclaimed nodes", "POP reclaims", "pings sent"}
 			s := report.Series{Title: "EpochPOP C ablation (delayed thread)", XLabel: "C", Names: names}
 			for _, cm := range []int{2, 4, 8, 16} {
@@ -592,22 +570,17 @@ func ablateCMult() Figure {
 // include scan-latency quantiles so the per-policy tail is visible, not
 // just the mean.
 func scanHeavyFigure(id, what, dsName string, paperSize int64) Figure {
-	return Figure{
-		ID:   id,
-		Desc: what,
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			cfg := harness.Config{
-				DS:               dsName,
-				KeyRange:         scaleSize(c, paperSize),
-				Mix:              workload.ScanHeavy,
-				RangeSpan:        100,
-				ReclaimThreshold: scaleThreshold(c, 2048),
-			}
-			return SweepThreads(c, what, cfg, c.policySet(false),
-				[]Metric{mThroughput, mRangeTput, mScanP50, mScanP99, mMaxRetire, mUnreclaimed})
-		},
-	}
+	return sweepFigure(id, what, func(c Ctx) harness.Config {
+		cfg := paperConfig(c, dsName, paperSize, false, workload.ScanHeavy)
+		cfg.RangeSpan = 100
+		cfg.ReclaimThreshold = scaleThreshold(c, 2048)
+		return cfg
+	},
+		mThroughput, mRangeTput,
+		OpLat("scan p50 (µs)", harness.OpScan, 0.50),
+		OpLat("scan p99 (µs)", harness.OpScan, 0.99),
+		mMaxRetire, mUnreclaimed,
+	)
 }
 
 // kvFigure sweeps one structure under the KV-serving mix (70% get /
@@ -618,90 +591,19 @@ func scanHeavyFigure(id, what, dsName string, paperSize int64) Figure {
 // structures — so this is the reclamation pressure a value-serving
 // workload adds on top of the paper's key-only churn.
 func kvFigure(id, what, dsName string, paperSize int64) Figure {
-	return Figure{
-		ID:   id,
-		Desc: what,
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			cfg := harness.Config{
-				DS:               dsName,
-				KeyRange:         scaleSize(c, paperSize),
-				Mix:              workload.KVStore,
-				OpLatency:        true,
-				ReclaimThreshold: scaleThreshold(c, 24576),
-			}
-			return SweepThreads(c, what, cfg, c.policySet(false), []Metric{
-				mThroughput,
-				OpLatencyMetric("get p50 (µs)", harness.OpGet, 0.50),
-				OpLatencyMetric("get p99 (µs)", harness.OpGet, 0.99),
-				OpLatencyMetric("put p99 (µs)", harness.OpPut, 0.99),
-				OpLatencyMetric("overwrite p99 (µs)", harness.OpOverwrite, 0.99),
-				OpLatencyMetric("delete p99 (µs)", harness.OpDelete, 0.99),
-				mMaxRetire,
-			})
-		},
-	}
-}
-
-// StoreMetric extracts one plotted value from a store trial result.
-type StoreMetric struct {
-	Name string
-	Get  func(harness.StoreResult) float64
-}
-
-// StoreOpLatencyMetric builds a metric reading quantile q (in
-// microseconds) of one store operation class's latency histogram; 0
-// when the class was not profiled.
-func StoreOpLatencyMetric(name string, class harness.StoreOpClass, q float64) StoreMetric {
-	return StoreMetric{Name: name, Get: func(r harness.StoreResult) float64 {
-		h := r.OpLat[class]
-		if h == nil {
-			return 0
-		}
-		return h.Quantile(q) / 1e3
-	}}
-}
-
-// SweepStoreThreads runs cfgBase for every (policy, thread-count) pair
-// and builds one series per metric — SweepThreads for store trials.
-func SweepStoreThreads(c Ctx, title string, cfgBase harness.StoreConfig, policies []core.Policy, metrics []StoreMetric) ([]report.Series, error) {
-	names := make([]string, len(policies))
-	for i, p := range policies {
-		names[i] = p.String()
-	}
-	out := make([]report.Series, len(metrics))
-	for i, m := range metrics {
-		out[i] = report.Series{
-			Title:  fmt.Sprintf("%s — %s", title, m.Name),
-			XLabel: "threads",
-			Names:  names,
-		}
-	}
-	for _, n := range c.Threads {
-		cells := make([][]float64, len(metrics))
-		for i := range cells {
-			cells[i] = make([]float64, len(policies))
-		}
-		for pi, p := range policies {
-			cfg := cfgBase
-			cfg.Policy = p
-			cfg.Threads = n
-			cfg.Duration = c.Duration
-			cfg.Seed = c.Seed
-			c.Log("  %s: threads=%d policy=%v", title, n, p)
-			res, err := harness.RunStore(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s [threads=%d policy=%v]: %w", title, n, p, err)
-			}
-			for mi, m := range metrics {
-				cells[mi][pi] = m.Get(res)
-			}
-		}
-		for mi := range metrics {
-			out[mi].AddRow(fmt.Sprintf("%d", n), cells[mi])
-		}
-	}
-	return out, nil
+	return sweepFigure(id, what, func(c Ctx) harness.Config {
+		cfg := paperConfig(c, dsName, paperSize, false, workload.KVStore)
+		cfg.OpLatency = true
+		return cfg
+	},
+		mThroughput,
+		OpLat("get p50 (µs)", harness.OpGet, 0.50),
+		OpLat("get p99 (µs)", harness.OpGet, 0.99),
+		OpLat("put p99 (µs)", harness.OpPut, 0.99),
+		OpLat("overwrite p99 (µs)", harness.OpOverwrite, 0.99),
+		OpLat("delete p99 (µs)", harness.OpDelete, 0.99),
+		mMaxRetire,
+	)
 }
 
 // storeServeFigure sweeps the KV-serving front: an 8-shard skiplist
@@ -718,25 +620,34 @@ func storeServeFigure() Figure {
 		Desc: "Store: 8-shard skiplist KV front, zipf(0.99) serving mix; throughput, per-class tails, stale reads",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			cfg := harness.StoreConfig{
-				Keys:             scaleSize(c, 4_000_000),
-				Shards:           8,
-				Dist:             workload.Zipf,
-				OpLatency:        true,
-				ReclaimThreshold: scaleThreshold(c, 24576),
-			}
-			return SweepStoreThreads(c, "Store serve (skl ×8 shards, zipf)", cfg, c.policySet(false), []StoreMetric{
-				{Name: "throughput (ops/s)", Get: func(r harness.StoreResult) float64 { return r.Throughput }},
-				{Name: "served keys/s", Get: func(r harness.StoreResult) float64 { return r.KeyTput }},
-				StoreOpLatencyMetric("get p50 (µs)", harness.SOpGet, 0.50),
-				StoreOpLatencyMetric("get p99 (µs)", harness.SOpGet, 0.99),
-				StoreOpLatencyMetric("mget p99 (µs)", harness.SOpMGet, 0.99),
-				StoreOpLatencyMetric("scan p99 (µs)", harness.SOpScan, 0.99),
-				StoreOpLatencyMetric("put p99 (µs)", harness.SOpPut, 0.99),
-				{Name: "stale value reads", Get: func(r harness.StoreResult) float64 { return float64(r.Stale) }},
-				{Name: "value checksum failures", Get: func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }},
-				{Name: "unreclaimed at run end (nodes)", Get: func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
-			})
+			policies := c.policySet(false)
+			return Grid[harness.StoreResult]{
+				Title: "Store serve (skl ×8 shards, zipf)", XLabel: "threads",
+				Rows: Labels(c.Threads), Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.StoreResult]{
+					sThroughput,
+					{"served keys/s", func(r harness.StoreResult) float64 { return r.KeyTput }},
+					StoreLat("get p50 (µs)", harness.SOpGet, 0.50),
+					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
+					StoreLat("mget p99 (µs)", harness.SOpMGet, 0.99),
+					StoreLat("scan p99 (µs)", harness.SOpScan, 0.99),
+					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					sStale, sValueErrs, sUnreclaimed,
+				},
+				Run: func(r, col int) (harness.StoreResult, error) {
+					return harness.RunStore(harness.StoreConfig{
+						Policy:           policies[col],
+						Threads:          c.Threads[r],
+						Duration:         c.Duration,
+						Keys:             scaleSize(c, 4_000_000),
+						Shards:           8,
+						Dist:             workload.Zipf,
+						OpLatency:        true,
+						ReclaimThreshold: scaleThreshold(c, 24576),
+						Seed:             c.Seed,
+					})
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -764,53 +675,38 @@ func pingFanoutFigure() Figure {
 				threads = append(threads, 64)
 			}
 			const shards = 32
-			groups := []int{1, shards / 4, shards}
-			policies := []core.Policy{core.EpochPOP, core.HazardPtrPOP}
-			if c.Policies != nil {
-				policies = c.Policies
-			}
 			type variant struct {
 				p core.Policy
 				g int
 			}
 			var vs []variant
-			names := make([]string, 0, len(policies)*len(groups))
-			for _, p := range policies {
-				for _, g := range groups {
+			var names []string
+			for _, p := range c.policiesOr(core.EpochPOP, core.HazardPtrPOP) {
+				for _, g := range []int{1, shards / 4, shards} {
 					vs = append(vs, variant{p, g})
 					names = append(names, fmt.Sprintf("%v g=%d", p, g))
 				}
 			}
-			metrics := []StoreMetric{
-				{Name: "throughput (ops/s)", Get: func(r harness.StoreResult) float64 { return r.Throughput }},
-				StoreOpLatencyMetric("get p99 (µs)", harness.SOpGet, 0.99),
-				StoreOpLatencyMetric("put p99 (µs)", harness.SOpPut, 0.99),
-				{Name: "reclaim pings per pass", Get: func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
-				{Name: "reclaim threads scanned per pass", Get: func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
-				{Name: "unreclaimed at run end (nodes)", Get: func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
-			}
-			out := make([]report.Series, len(metrics))
-			for i, m := range metrics {
-				out[i] = report.Series{
-					Title:  fmt.Sprintf("Ping fan-out (skl ×%d shards, zipf) — %s", shards, m.Name),
-					XLabel: "threads",
-					Names:  names,
-				}
-			}
-			for _, n := range threads {
-				cells := make([][]float64, len(metrics))
-				for i := range cells {
-					cells[i] = make([]float64, len(vs))
-				}
-				for vi, v := range vs {
-					c.Log("  pingfanout: threads=%d policy=%v groups=%d", n, v.p, v.g)
-					res, err := harness.RunStore(harness.StoreConfig{
-						Policy:   v.p,
-						Threads:  n,
+			return Grid[harness.StoreResult]{
+				Title:  fmt.Sprintf("Ping fan-out (skl ×%d shards, zipf)", shards),
+				XLabel: "threads",
+				Rows:   Labels(threads), Cols: names,
+				Metrics: []Metric[harness.StoreResult]{
+					sThroughput,
+					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
+					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					{"reclaim pings per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
+					{"reclaim threads scanned per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
+					sUnreclaimed,
+				},
+				Run: func(r, col int) (harness.StoreResult, error) {
+					return harness.RunStore(harness.StoreConfig{
+						Policy:   vs[col].p,
+						Threads:  threads[r],
 						Duration: c.Duration,
 						Keys:     scaleSize(c, 4_000_000),
 						Shards:   shards,
-						Groups:   v.g,
+						Groups:   vs[col].g,
 						// Scan-free serving mix: a scan visits every shard and
 						// leases its worker into every member, which would
 						// flatten the per-member fan-out this figure measures.
@@ -822,18 +718,8 @@ func pingFanoutFigure() Figure {
 						ReclaimThreshold: scaleThreshold(c, 24576),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, fmt.Errorf("pingfanout [threads=%d policy=%v groups=%d]: %w", n, v.p, v.g, err)
-					}
-					for mi, m := range metrics {
-						cells[mi][vi] = m.Get(res)
-					}
-				}
-				for mi := range metrics {
-					out[mi].AddRow(fmt.Sprintf("%d", n), cells[mi])
-				}
-			}
-			return out, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -852,60 +738,40 @@ func ycsbFigure() Figure {
 		Desc: "YCSB A–F on the 8-shard skiplist store: throughput and per-class tails per policy across the six core mixes",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
+			threads := topThreads(c, 1)
 			policies := c.policySet(false)
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
+			ws := workload.YCSBWorkloads()
+			rows := make([]string, len(ws))
+			for i, w := range ws {
+				rows[i] = w.Name
 			}
-			metrics := []StoreMetric{
-				{Name: "throughput (ops/s)", Get: func(r harness.StoreResult) float64 { return r.Throughput }},
-				StoreOpLatencyMetric("get p99 (µs)", harness.SOpGet, 0.99),
-				StoreOpLatencyMetric("put p99 (µs)", harness.SOpPut, 0.99),
-				StoreOpLatencyMetric("rmw p99 (µs)", harness.SOpRMW, 0.99),
-				StoreOpLatencyMetric("scan p99 (µs)", harness.SOpScan, 0.99),
-				{Name: "value checksum failures", Get: func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }},
-				{Name: "unreclaimed at run end (nodes)", Get: func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
-			}
-			out := make([]report.Series, len(metrics))
-			for i, m := range metrics {
-				out[i] = report.Series{
-					Title:  fmt.Sprintf("YCSB A–F (skl ×8 shards, %d threads) — %s", threads, m.Name),
-					XLabel: "workload",
-					Names:  names,
-				}
-			}
-			for _, w := range workload.YCSBWorkloads() {
-				cells := make([][]float64, len(metrics))
-				for i := range cells {
-					cells[i] = make([]float64, len(policies))
-				}
-				for pi, p := range policies {
-					c.Log("  ycsb: workload=%s policy=%v", w.Name, p)
-					res, err := harness.RunStore(harness.StoreConfig{
-						Policy:           p,
+			return Grid[harness.StoreResult]{
+				Title:  fmt.Sprintf("YCSB A–F (skl ×8 shards, %d threads)", threads),
+				XLabel: "workload",
+				Rows:   rows, Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.StoreResult]{
+					sThroughput,
+					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
+					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					StoreLat("rmw p99 (µs)", harness.SOpRMW, 0.99),
+					StoreLat("scan p99 (µs)", harness.SOpScan, 0.99),
+					sValueErrs, sUnreclaimed,
+				},
+				Run: func(r, col int) (harness.StoreResult, error) {
+					return harness.RunStore(harness.StoreConfig{
+						Policy:           policies[col],
 						Threads:          threads,
 						Duration:         c.Duration,
 						Keys:             scaleSize(c, 4_000_000),
 						Shards:           8,
-						Mix:              w.Mix,
-						Dist:             w.Dist,
+						Mix:              ws[r].Mix,
+						Dist:             ws[r].Dist,
 						OpLatency:        true,
 						ReclaimThreshold: scaleThreshold(c, 24576),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, fmt.Errorf("ycsb [%s policy=%v]: %w", w.Name, p, err)
-					}
-					for mi, m := range metrics {
-						cells[mi][pi] = m.Get(res)
-					}
-				}
-				for mi := range metrics {
-					out[mi].AddRow(w.Name, cells[mi])
-				}
-			}
-			return out, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -924,20 +790,16 @@ func hotpathFigure() Figure {
 		Desc: "Hot path: YCSB-B at 64 threads, inline 6 B vs arena 64 B values on skl and hmht — get p50/p99, allocs/op",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 64 {
-				threads = 64
-			}
+			threads := topThreads(c, 64)
 			w, err := workload.ParseYCSB("B")
 			if err != nil {
 				return nil, err
 			}
-			type variant struct {
+			vs := []struct {
 				backing string
 				valLen  int
 				label   string
-			}
-			vs := []variant{
+			}{
 				{store.BackingSkipList, 6, "skl inline 6B"},
 				{store.BackingSkipList, 64, "skl arena 64B"},
 				{store.BackingHashTable, 6, "hmht inline 6B"},
@@ -948,150 +810,64 @@ func hotpathFigure() Figure {
 				names[i] = v.label
 			}
 			policies := c.policySet(false)
-			metrics := []StoreMetric{
-				{Name: "throughput (ops/s)", Get: func(r harness.StoreResult) float64 { return r.Throughput }},
-				StoreOpLatencyMetric("get p50 (µs)", harness.SOpGet, 0.50),
-				StoreOpLatencyMetric("get p99 (µs)", harness.SOpGet, 0.99),
-				StoreOpLatencyMetric("put p99 (µs)", harness.SOpPut, 0.99),
-				{Name: "allocs/op", Get: func(r harness.StoreResult) float64 { return r.AllocsPerOp }},
-				{Name: "alloc bytes/op", Get: func(r harness.StoreResult) float64 { return r.AllocBytesPerOp }},
-				{Name: "stale value reads", Get: func(r harness.StoreResult) float64 { return float64(r.Stale) }},
-				{Name: "value checksum failures", Get: func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }},
-			}
-			out := make([]report.Series, len(metrics))
-			for i, m := range metrics {
-				out[i] = report.Series{
-					Title:  fmt.Sprintf("Hot path (YCSB B, %d threads, 8 shards) — %s", threads, m.Name),
-					XLabel: "policy",
-					Names:  names,
-				}
-			}
-			for _, p := range policies {
-				cells := make([][]float64, len(metrics))
-				for i := range cells {
-					cells[i] = make([]float64, len(vs))
-				}
-				for vi, v := range vs {
-					c.Log("  hotpath: policy=%v %s", p, v.label)
-					res, err := harness.RunStore(harness.StoreConfig{
-						Policy:           p,
+			return Grid[harness.StoreResult]{
+				Title:  fmt.Sprintf("Hot path (YCSB B, %d threads, 8 shards)", threads),
+				XLabel: "policy",
+				Rows:   PolicyNames(policies), Cols: names,
+				Metrics: []Metric[harness.StoreResult]{
+					sThroughput,
+					StoreLat("get p50 (µs)", harness.SOpGet, 0.50),
+					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
+					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					{"allocs/op", func(r harness.StoreResult) float64 { return r.AllocsPerOp }},
+					{"alloc bytes/op", func(r harness.StoreResult) float64 { return r.AllocBytesPerOp }},
+					sStale, sValueErrs,
+				},
+				Run: func(r, col int) (harness.StoreResult, error) {
+					return harness.RunStore(harness.StoreConfig{
+						Policy:           policies[r],
 						Threads:          threads,
 						Duration:         c.Duration,
 						Keys:             scaleSize(c, 4_000_000),
 						Shards:           8,
-						Backing:          v.backing,
+						Backing:          vs[col].backing,
 						Mix:              w.Mix,
 						Dist:             w.Dist,
-						ValueMin:         v.valLen,
-						ValueMax:         v.valLen,
+						ValueMin:         vs[col].valLen,
+						ValueMax:         vs[col].valLen,
 						OpLatency:        true,
 						ReclaimThreshold: scaleThreshold(c, 24576),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, fmt.Errorf("hotpath [policy=%v %s]: %w", p, v.label, err)
-					}
-					for mi, m := range metrics {
-						cells[mi][vi] = m.Get(res)
-					}
-				}
-				for mi := range metrics {
-					out[mi].AddRow(p.String(), cells[mi])
-				}
-			}
-			return out, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
 
-// ServeMetric extracts one plotted value from a serve trial result.
-type ServeMetric struct {
-	Name string
-	Get  func(harness.ServeResult) float64
-}
-
-// ServeLatencyMetric builds a metric reading quantile q (µs) of a
-// client-observed latency histogram chosen by pick.
-func ServeLatencyMetric(name string, pick func(harness.ServeResult) *report.Histogram, q float64) ServeMetric {
-	return ServeMetric{Name: name, Get: func(r harness.ServeResult) float64 {
-		h := pick(r)
-		if h == nil {
-			return 0
-		}
-		return h.Quantile(q) / 1e3
-	}}
-}
-
-// SweepServeConns runs cfgBase for every (policy, connection-count)
-// pair — the serving front's capacity view: how client-observed tails
-// and admission waits move as connections overcommit the slot budget.
-func SweepServeConns(c Ctx, title string, cfgBase harness.ServeConfig, conns []int, policies []core.Policy, metrics []ServeMetric) ([]report.Series, error) {
-	names := make([]string, len(policies))
-	for i, p := range policies {
-		names[i] = p.String()
-	}
-	out := make([]report.Series, len(metrics))
-	for i, m := range metrics {
-		out[i] = report.Series{
-			Title:  fmt.Sprintf("%s — %s", title, m.Name),
-			XLabel: "conns",
-			Names:  names,
-		}
-	}
-	for _, n := range conns {
-		cells := make([][]float64, len(metrics))
-		for i := range cells {
-			cells[i] = make([]float64, len(policies))
-		}
-		for pi, p := range policies {
-			cfg := cfgBase
-			cfg.Policy = p
-			cfg.Conns = n
-			cfg.Duration = c.Duration
-			cfg.Seed = c.Seed
-			c.Log("  %s: conns=%d policy=%v", title, n, p)
-			res, err := harness.RunServe(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s [conns=%d policy=%v]: %w", title, n, p, err)
-			}
-			for mi, m := range metrics {
-				cells[mi][pi] = m.Get(res)
-			}
-		}
-		for mi := range metrics {
-			out[mi].AddRow(fmt.Sprintf("%d", n), cells[mi])
-		}
-	}
-	return out, nil
-}
-
-// serveMetrics is the canonical serve-trial metric set: throughput,
+// ServeMetrics is the canonical serve-trial metric set: throughput,
 // client-observed get/set tails, the admission-queue wait distribution,
 // the coalescing counters, and the correctness columns (checksum
 // failures and leaked leases, both of which must be zero).
-func ServeMetrics() []ServeMetric {
-	getH := func(r harness.ServeResult) *report.Histogram { return r.GetLat }
-	setH := func(r harness.ServeResult) *report.Histogram { return r.SetLat }
-	admH := func(r harness.ServeResult) *report.Histogram { return r.AdmWait }
-	return []ServeMetric{
-		{Name: "throughput (ops/s)", Get: func(r harness.ServeResult) float64 { return r.Throughput }},
-		ServeLatencyMetric("get latency p50 (µs)", getH, 0.50),
-		ServeLatencyMetric("get latency p99 (µs)", getH, 0.99),
-		{Name: "get latency max (µs)", Get: func(r harness.ServeResult) float64 {
-			if r.GetLat == nil {
-				return 0
-			}
-			return float64(r.GetLat.Max()) / 1e3
-		}},
-		ServeLatencyMetric("set latency p50 (µs)", setH, 0.50),
-		ServeLatencyMetric("set latency p99 (µs)", setH, 0.99),
-		ServeLatencyMetric("admission wait p50 (µs)", admH, 0.50),
-		ServeLatencyMetric("admission wait p99 (µs)", admH, 0.99),
-		{Name: "admission waits (queued bursts)", Get: func(r harness.ServeResult) float64 { return float64(r.Server.AdmissionWaits) }},
-		{Name: "coalesced gets", Get: func(r harness.ServeResult) float64 { return float64(r.Server.CoalescedGets) }},
-		{Name: "coalesced batches", Get: func(r harness.ServeResult) float64 { return float64(r.Server.CoalescedBatches) }},
-		{Name: "value checksum failures", Get: func(r harness.ServeResult) float64 { return float64(r.ValueErrors) }},
-		{Name: "leaked leases after shutdown", Get: func(r harness.ServeResult) float64 { return float64(r.Lifecycle.Leased) }},
+func ServeMetrics() []Metric[harness.ServeResult] {
+	type R = harness.ServeResult
+	getH := func(r R) *report.Histogram { return r.GetLat }
+	setH := func(r R) *report.Histogram { return r.SetLat }
+	admH := func(r R) *report.Histogram { return r.AdmWait }
+	return []Metric[R]{
+		{"throughput (ops/s)", func(r R) float64 { return r.Throughput }},
+		LatencyMetric("get latency p50 (µs)", getH, 0.50),
+		LatencyMetric("get latency p99 (µs)", getH, 0.99),
+		LatencyMetric("get latency max (µs)", getH, 1),
+		LatencyMetric("set latency p50 (µs)", setH, 0.50),
+		LatencyMetric("set latency p99 (µs)", setH, 0.99),
+		LatencyMetric("admission wait p50 (µs)", admH, 0.50),
+		LatencyMetric("admission wait p99 (µs)", admH, 0.99),
+		{"admission waits (queued bursts)", func(r R) float64 { return float64(r.Server.AdmissionWaits) }},
+		{"coalesced gets", func(r R) float64 { return float64(r.Server.CoalescedGets) }},
+		{"coalesced batches", func(r R) float64 { return float64(r.Server.CoalescedBatches) }},
+		{"value checksum failures", func(r R) float64 { return float64(r.ValueErrors) }},
+		{"leaked leases after shutdown", func(r R) float64 { return float64(r.Lifecycle.Leased) }},
 	}
 }
 
@@ -1099,8 +875,8 @@ func ServeMetrics() []ServeMetric {
 // instance with 4 admission slots, swept from slot-parity up to 8×
 // overcommitted connections under a zipf get/set mix. Client-observed
 // tails include protocol framing, burst admission queueing, and the
-// coalescing window — the end-to-end serving cost of each reclamation
-// policy, not just its in-process op latency.
+// per-shard get combiner — the end-to-end serving cost of each
+// reclamation policy, not just its in-process op latency.
 func serveFigure() Figure {
 	return Figure{
 		ID:   "serve",
@@ -1108,14 +884,26 @@ func serveFigure() Figure {
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
 			const slots = 4
-			cfg := harness.ServeConfig{
-				Slots:  slots,
-				Keys:   scaleSize(c, 1_000_000),
-				Shards: 4,
-				Dist:   workload.Zipf,
-			}
-			return SweepServeConns(c, fmt.Sprintf("Serve (skl ×4 shards, %d slots, zipf)", slots),
-				cfg, []int{slots, 4 * slots, 8 * slots}, c.policySet(false), ServeMetrics())
+			conns := []int{slots, 4 * slots, 8 * slots}
+			policies := c.policySet(false)
+			return Grid[harness.ServeResult]{
+				Title:  fmt.Sprintf("Serve (skl ×4 shards, %d slots, zipf)", slots),
+				XLabel: "conns",
+				Rows:   Labels(conns), Cols: PolicyNames(policies),
+				Metrics: ServeMetrics(),
+				Run: func(r, col int) (harness.ServeResult, error) {
+					return harness.RunServe(harness.ServeConfig{
+						Policy:   policies[col],
+						Slots:    slots,
+						Conns:    conns[r],
+						Duration: c.Duration,
+						Keys:     scaleSize(c, 1_000_000),
+						Shards:   4,
+						Dist:     workload.Zipf,
+						Seed:     c.Seed,
+					})
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -1135,62 +923,33 @@ func nbrOverwriteFigure() Figure {
 		Desc: "Ablation: OverwritePct ∈ {0,5,15,30,50} on HML — overwrite p99, NBR restarts/neutralizations vs restart-free schemes",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 2 {
-				threads = 2
-			}
-			policies := []core.Policy{core.EBR, core.NBR, core.HazardPtrPOP, core.EpochPOP}
-			if c.Policies != nil {
-				policies = c.Policies
-			}
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-			}
-			mk := func(metric string) report.Series {
-				return report.Series{
-					Title:  fmt.Sprintf("NBR overwrite ablation (HML, %d threads) — %s", threads, metric),
-					XLabel: "overwritePct",
-					Names:  names,
-				}
-			}
-			thr, p99 := mk("throughput (ops/s)"), mk("overwrite p99 (µs)")
-			restarts, pubs := mk("NBR restarts"), mk("publish-handler runs")
-			for _, pct := range []int{0, 5, 15, 30, 50} {
-				cells := [4][]float64{}
-				for i := range cells {
-					cells[i] = make([]float64, len(policies))
-				}
-				for pi, p := range policies {
-					c.Log("  nbr-overwrite: pct=%d policy=%v", pct, p)
-					res, err := harness.Run(harness.Config{
+			threads := topThreads(c, 2)
+			policies := c.policiesOr(core.EBR, core.NBR, core.HazardPtrPOP, core.EpochPOP)
+			pcts := []int{0, 5, 15, 30, 50}
+			return Grid[harness.Result]{
+				Title:  fmt.Sprintf("NBR overwrite ablation (HML, %d threads)", threads),
+				XLabel: "overwritePct",
+				Rows:   Labels(pcts), Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{
+					mThroughput,
+					OpLat("overwrite p99 (µs)", harness.OpOverwrite, 0.99),
+					{"NBR restarts", func(r harness.Result) float64 { return float64(r.Reclaim.Restarts) }},
+					{"publish-handler runs", func(r harness.Result) float64 { return float64(r.Reclaim.Publishes) }},
+				},
+				Run: func(r, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
 						DS:               harness.DSHarrisMichaelList,
-						Policy:           p,
+						Policy:           policies[col],
 						Threads:          threads,
 						Duration:         c.Duration,
 						KeyRange:         2048,
-						Mix:              workload.Mix{ContainsPct: 100 - pct, OverwritePct: pct},
+						Mix:              workload.Mix{ContainsPct: 100 - pcts[r], OverwritePct: pcts[r]},
 						OpLatency:        true,
 						ReclaimThreshold: scaleThreshold(c, 2048),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, err
-					}
-					cells[0][pi] = res.Throughput
-					if h := res.OpLat[harness.OpOverwrite]; h != nil {
-						cells[1][pi] = h.Quantile(0.99) / 1e3
-					}
-					cells[2][pi] = float64(res.Reclaim.Restarts)
-					cells[3][pi] = float64(res.Reclaim.Publishes)
-				}
-				x := fmt.Sprintf("%d", pct)
-				thr.AddRow(x, cells[0])
-				p99.AddRow(x, cells[1])
-				restarts.AddRow(x, cells[2])
-				pubs.AddRow(x, cells[3])
-			}
-			return []report.Series{thr, p99, restarts, pubs}, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -1210,72 +969,38 @@ func churnFigure() Figure {
 		Desc: "Elastic serving: worker churn (release/respawn) on SKL KV mix — tails, orphan adoption, memory under turnover",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 2 {
-				threads = 2
-			}
+			threads := topThreads(c, 2)
 			policies := c.policySet(false)
-			names := make([]string, len(policies))
-			for i, p := range policies {
-				names[i] = p.String()
-			}
-			mk := func(metric string) report.Series {
-				return report.Series{
-					Title:  fmt.Sprintf("Worker churn (SKL kv, %d threads) — %s", threads, metric),
-					XLabel: "opsPerLease",
-					Names:  names,
-				}
-			}
-			series := []report.Series{
-				mk("throughput (ops/s)"),
-				mk("get latency p99 (µs)"),
-				mk("overwrite latency p99 (µs)"),
-				mk("unreclaimed at run end (nodes)"),
-				mk("thread releases"),
-				mk("orphan nodes adopted"),
-			}
-			for _, afterOps := range []uint64{0, 20000, 5000, 1000} {
-				cells := make([][]float64, len(series))
-				for i := range cells {
-					cells[i] = make([]float64, len(policies))
-				}
-				for pi, p := range policies {
-					c.Log("  churn: opsPerLease=%d policy=%v", afterOps, p)
-					res, err := harness.Run(harness.Config{
+			leases := []uint64{0, 20000, 5000, 1000}
+			rows := Labels(leases)
+			rows[0] = "none"
+			return Grid[harness.Result]{
+				Title:  fmt.Sprintf("Worker churn (SKL kv, %d threads)", threads),
+				XLabel: "opsPerLease",
+				Rows:   rows, Cols: PolicyNames(policies),
+				Metrics: []Metric[harness.Result]{
+					mThroughput,
+					OpLat("get latency p99 (µs)", harness.OpGet, 0.99),
+					OpLat("overwrite latency p99 (µs)", harness.OpOverwrite, 0.99),
+					{"unreclaimed at run end (nodes)", mUnreclaimed.Get},
+					{"thread releases", func(r harness.Result) float64 { return float64(r.Lifecycle.Releases) }},
+					{"orphan nodes adopted", func(r harness.Result) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
+				},
+				Run: func(r, col int) (harness.Result, error) {
+					return harness.Run(harness.Config{
 						DS:               harness.DSSkipList,
-						Policy:           p,
+						Policy:           policies[col],
 						Threads:          threads,
 						Duration:         c.Duration,
 						KeyRange:         scaleSize(c, 1_000_000),
 						Mix:              workload.KVStore,
-						Churn:            workload.Churn{AfterOps: afterOps},
+						Churn:            workload.Churn{AfterOps: leases[r]},
 						OpLatency:        true,
 						ReclaimThreshold: scaleThreshold(c, 24576),
 						Seed:             c.Seed,
 					})
-					if err != nil {
-						return nil, err
-					}
-					cells[0][pi] = res.Throughput
-					if h := res.OpLat[harness.OpGet]; h != nil {
-						cells[1][pi] = h.Quantile(0.99) / 1e3
-					}
-					if h := res.OpLat[harness.OpOverwrite]; h != nil {
-						cells[2][pi] = h.Quantile(0.99) / 1e3
-					}
-					cells[3][pi] = float64(res.Unreclaimed)
-					cells[4][pi] = float64(res.Lifecycle.Releases)
-					cells[5][pi] = float64(res.Lifecycle.OrphansAdopted)
-				}
-				x := "none"
-				if afterOps > 0 {
-					x = fmt.Sprintf("%d", afterOps)
-				}
-				for i := range series {
-					series[i].AddRow(x, cells[i])
-				}
-			}
-			return series, nil
+				},
+			}.Series(c.Log)
 		},
 	}
 }
@@ -1369,14 +1094,8 @@ func timelineFigure() Figure {
 		Desc: "Telemetry: YCSB-A grouped store sampled live under a stalled-reader burst — unreclaimed watermark, throughput, ping-ack p99 over time",
 		Run: func(c Ctx) ([]report.Series, error) {
 			c = c.withDefaults()
-			threads := c.Threads[len(c.Threads)-1]
-			if threads < 4 {
-				threads = 4
-			}
-			policies := []core.Policy{core.EBR, core.NBR, core.HazardPtrPOP, core.EpochPOP}
-			if c.Policies != nil {
-				policies = c.Policies
-			}
+			threads := topThreads(c, 4)
+			policies := c.policiesOr(core.EBR, core.NBR, core.HazardPtrPOP, core.EpochPOP)
 			w, err := workload.ParseYCSB("A")
 			if err != nil {
 				return nil, err
@@ -1385,10 +1104,9 @@ func timelineFigure() Figure {
 			if every < time.Millisecond {
 				every = time.Millisecond
 			}
-			names := make([]string, len(policies))
+			names := PolicyNames(policies)
 			tls := make([]*telemetry.Timeline, len(policies))
 			for i, p := range policies {
-				names[i] = p.String()
 				c.Log("  timeline: policy=%v (sample %v, burst %v..%v)", p, every, c.Duration/4, c.Duration/2)
 				res, err := harness.RunStore(harness.StoreConfig{
 					Policy:   p,

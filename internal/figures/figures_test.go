@@ -1,13 +1,20 @@
 package figures_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"pop/internal/core"
 	"pop/internal/figures"
+	"pop/internal/report"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/skeletons.golden from this run")
 
 // fastCtx keeps figure smoke-tests quick: two policies, one thread count,
 // tiny trials.
@@ -48,12 +55,58 @@ func TestGetResolvesEveryID(t *testing.T) {
 	}
 }
 
-// TestEveryFigureRuns executes each figure once at minimal scale and
-// sanity-checks the emitted series.
+// skeleton renders what a figure's output must keep from commit to
+// commit: every series' title, x label, column names and row labels —
+// no cell values. timeline's row count is the number of samples a run
+// happened to take, so its row labels are left out.
+func skeleton(id string, series []report.Series) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s\n", id)
+	for _, s := range series {
+		fmt.Fprintf(&b, "# %s\n%s: %s\n", s.Title, s.XLabel, strings.Join(s.Names, " | "))
+		if id == "timeline" {
+			continue
+		}
+		rows := make([]string, len(s.Rows))
+		for i, r := range s.Rows {
+			rows[i] = r.X
+		}
+		fmt.Fprintf(&b, "rows: %s\n", strings.Join(rows, " | "))
+	}
+	return b.String()
+}
+
+// TestEveryFigureRuns executes each figure once at minimal scale,
+// sanity-checks the emitted series, and compares every figure's
+// skeleton with testdata/skeletons.golden (-update rewrites it).
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps are slow in -short mode")
 	}
+	golden := filepath.Join("testdata", "skeletons.golden")
+	want := map[string]string{} // figure id -> its golden section
+	if !*update {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range strings.Split(string(raw), "== ")[1:] {
+			id, _, _ := strings.Cut(sec, "\n")
+			want[id] = "== " + sec
+		}
+	}
+	var got []string
+	defer func() {
+		// A -run subset must not truncate the golden.
+		if *update && !t.Failed() && len(got) == len(figures.All()) {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(strings.Join(got, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
 	for _, f := range figures.All() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
@@ -81,6 +134,11 @@ func TestEveryFigureRuns(t *testing.T) {
 							s.Title, r.X, len(r.Cells), len(s.Names))
 					}
 				}
+			}
+			sk := skeleton(f.ID, series)
+			got = append(got, sk)
+			if !*update && sk != want[f.ID] {
+				t.Errorf("skeleton differs from %s (-update only if the change is intended)\n--- got\n%s--- want\n%s", golden, sk, want[f.ID])
 			}
 		})
 	}

@@ -36,9 +36,7 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pop/internal/core"
@@ -49,7 +47,6 @@ import (
 	"pop/internal/ds/hmlist"
 	"pop/internal/ds/lazylist"
 	"pop/internal/ds/skiplist"
-	"pop/internal/padded"
 	"pop/internal/report"
 	"pop/internal/telemetry"
 	"pop/internal/workload"
@@ -234,9 +231,14 @@ type Result struct {
 	ReadOps    uint64  // get/contains operations completed (== OpCounts[OpGet])
 	RangeOps   uint64  // range queries completed (== OpCounts[OpScan])
 	RangeKeys  uint64  // keys returned across all range queries
-	Throughput float64 // Ops per second
+	Throughput float64 // Ops per second of Elapsed
 	ReadTput   float64 // ReadOps per second (Fig. 4's metric)
 	RangeTput  float64 // RangeOps per second
+
+	// Elapsed is the measured execution-phase length, release to
+	// quiescence: Config.Duration plus however long the workers' in-flight
+	// operations took to finish after stop. Every rate divides by it.
+	Elapsed time.Duration
 
 	// OpCounts splits Ops by operation class (get/put/overwrite/
 	// delete/scan) — the KV serving view of the trial.
@@ -338,17 +340,6 @@ func workerRole(cfg Config, id int) (workload.Mix, int64) {
 	return workload.UpdateHeavy, keyRange
 }
 
-// workerCounters receives one worker's tallies: total ops, per-class
-// ops, range keys, value-checksum failures, and the per-class latency
-// histograms (nil when that class is not profiled).
-type workerCounters struct {
-	ops       uint64
-	byClass   [NumOpClasses]uint64
-	rangeKeys uint64
-	valueErrs uint64
-	lats      [NumOpClasses]*report.Histogram
-}
-
 // Run executes one trial.
 func Run(cfg Config) (Result, error) {
 	cfg, err := cfg.withDefaults()
@@ -403,39 +394,14 @@ func Run(cfg Config) (Result, error) {
 		gens[i] = gen
 	}
 
-	// Per-worker counters and latency histograms (single-writer, merged
-	// after the run): scans are always timed when the mix scans; the
-	// other classes only under OpLatency, so figure reproductions don't
-	// pay the clock reads.
-	workers := make([]workerCounters, cfg.Threads)
-	for i := range workers {
-		if cfg.Mix.RangePct > 0 {
-			workers[i].lats[OpScan] = new(report.Histogram)
+	// Scans are always timed when the mix scans; the other classes only
+	// under OpLatency, so figure reproductions don't pay the clock reads.
+	workers := newTallies(cfg.Threads, int(NumOpClasses), func(c int) bool {
+		if OpClass(c) == OpScan {
+			return cfg.Mix.RangePct > 0
 		}
-		if cfg.OpLatency {
-			for _, c := range []OpClass{OpGet, OpPut, OpOverwrite, OpDelete} {
-				workers[i].lats[c] = new(report.Histogram)
-			}
-		}
-	}
-
-	// Live per-worker op counters (padded: workers publish on owned
-	// lines, the telemetry sampler sums them). Only written when a
-	// sampler is attached.
-	live := make([]padded.Uint64, cfg.Threads)
-	var tsampler *telemetry.Sampler
-	if cfg.SampleEvery > 0 {
-		tsampler = telemetry.NewSampler(d, telemetry.Config{
-			Every: cfg.SampleEvery,
-			Ops: func() uint64 {
-				var sum uint64
-				for i := range live {
-					sum += live[i].Load()
-				}
-				return sum
-			},
-		})
-	}
+		return cfg.OpLatency
+	})
 
 	if !cfg.NoPrefil {
 		if err := prefill(cfg, m, threads); err != nil {
@@ -443,133 +409,60 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	var (
-		stop      atomic.Bool
-		release   = make(chan struct{})
-		flushGo   = make(chan struct{})
-		loopsDone sync.WaitGroup // workers out of their op loops (quiescent)
-		finished  sync.WaitGroup // workers fully done (flushed)
-	)
-	// Each worker is a chain of "legs": a leg runs the op loop until
-	// stop (or, in churn mode, for Churn.AfterOps operations), and a
-	// churned leg releases its handle and spawns a fresh goroutine that
-	// re-leases a slot and continues — worker identity survives, thread
-	// identity does not. The terminal leg keeps its handle, parks until
-	// everyone stopped, and flushes (adopting any orphans its departed
-	// predecessors donated).
-	var runLeg func(id int, th *core.Thread)
-	runLeg = func(id int, th *core.Thread) {
-		var lv *padded.Uint64
-		if tsampler != nil {
-			lv = &live[id]
-		}
-		runWorker(cfg, m, th, gens[id], id, &stop, &workers[id], lv)
-		if cfg.Churn.Enabled() && !stop.Load() {
-			pool.Release(th)
-			nth, err := pool.Acquire()
+	var unreclaimed int64
+	t := &trial{
+		workers:  cfg.Threads,
+		duration: cfg.Duration,
+		// A leg ends at stop or, in churn mode, after Churn.AfterOps
+		// operations; the churned handle goes back through the pool.
+		leg: func(t *trial, id int) bool {
+			runWorker(cfg, m, threads[id], gens[id], id, t, &workers[id])
+			return cfg.Churn.Enabled() && !t.stop.Load()
+		},
+		rotate: func(id int) {
+			pool.Release(threads[id])
+			th, err := pool.Acquire()
 			if err != nil {
 				// Unreachable: every chain holds at most one handle, so a
 				// slot is always free for the successor.
 				panic(fmt.Sprintf("harness: churn re-lease: %v", err))
 			}
-			go runLeg(id, nth)
-			return
-		}
-		loopsDone.Done()
-		// Park quiescent until everyone stopped, then flush from the
-		// owner goroutine (a leased handle is not transferable).
-		<-flushGo
-		th.Flush()
-		finished.Done()
+			threads[id] = th
+		},
+		drain:        func(id int) { threads[id].Flush() },
+		settle:       func() error { unreclaimed = d.Unreclaimed(); return nil },
+		outstanding:  m.Outstanding,
+		samplePeriod: cfg.SamplePeriod,
+		source:       d,
+		sampleEvery:  cfg.SampleEvery,
 	}
-	for i := 0; i < cfg.Threads; i++ {
-		loopsDone.Add(1)
-		finished.Add(1)
-		go func(id int) {
-			<-release
-			runLeg(id, threads[id])
-		}(i)
-	}
+	ph, _ := t.run()
 
-	// Memory sampler: tracks peak outstanding nodes during execution.
-	var peak atomic.Int64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			if v := m.Outstanding(); v > peak.Load() {
-				peak.Store(v)
-			}
-			time.Sleep(cfg.SamplePeriod)
-		}
-	}()
-
-	if tsampler != nil {
-		tsampler.Start() // base snapshot excludes prefill-phase noise
-	}
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	close(release)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	loopsDone.Wait() // every worker is quiescent now
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	<-samplerDone
-
-	// End-of-run memory state, before any flush reclaims the backlog.
-	if v := m.Outstanding(); v > peak.Load() {
-		peak.Store(v)
-	}
-	unreclaimed := d.Unreclaimed()
-
-	close(flushGo)
-	finished.Wait()
-
-	// Stop after the flush barrier: every thread has republished its
-	// mirror, so Timeline.Final equals the owner-only Stats exactly.
-	var timeline *telemetry.Timeline
-	if tsampler != nil {
-		timeline = tsampler.Stop()
-	}
-
+	sum := sumTallies(workers)
 	res := Result{
 		Config:       cfg,
-		PeakResident: peak.Load(),
+		Ops:          sum.ops,
+		RangeKeys:    sum.keys,
+		ValueErrors:  sum.valueErrs,
+		Elapsed:      ph.elapsed,
+		PeakResident: ph.peak,
 		Unreclaimed:  unreclaimed,
 		LeakedAfter:  d.Unreclaimed(),
 		Reclaim:      d.Stats(),
 		Lifecycle:    d.Lifecycle(),
-		Timeline:     timeline,
+		Timeline:     ph.timeline,
 	}
-	for i := range workers {
-		res.Ops += workers[i].ops
-		res.RangeKeys += workers[i].rangeKeys
-		res.ValueErrors += workers[i].valueErrs
-		for c := OpClass(0); c < NumOpClasses; c++ {
-			res.OpCounts[c] += workers[i].byClass[c]
-		}
-	}
+	copy(res.OpCounts[:], sum.byClass)
+	copy(res.OpLat[:], sum.lats)
 	res.ReadOps = res.OpCounts[OpGet]
 	res.RangeOps = res.OpCounts[OpScan]
-	if res.Ops > 0 {
-		res.AllocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(res.Ops)
-		res.AllocBytesPerOp = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(res.Ops)
-	}
-	res.Throughput = float64(res.Ops) / cfg.Duration.Seconds()
-	res.ReadTput = float64(res.ReadOps) / cfg.Duration.Seconds()
-	res.RangeTput = float64(res.RangeOps) / cfg.Duration.Seconds()
-	res.MaxRetire = res.Reclaim.MaxRetire
-	// One merge path for every histogram class (the scan class and the
-	// per-op classes alike): collect each class across workers and fold.
-	for c := OpClass(0); c < NumOpClasses; c++ {
-		per := make([]*report.Histogram, len(workers))
-		for i := range workers {
-			per[i] = workers[i].lats[c]
-		}
-		res.OpLat[c] = report.MergeAll(per...)
-	}
 	res.ScanLat = res.OpLat[OpScan]
+	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
+	secs := ph.elapsed.Seconds()
+	res.Throughput = float64(res.Ops) / secs
+	res.ReadTput = float64(res.ReadOps) / secs
+	res.RangeTput = float64(res.RangeOps) / secs
+	res.MaxRetire = res.Reclaim.MaxRetire
 	return res, nil
 }
 
@@ -577,14 +470,16 @@ func Run(cfg Config) (Result, error) {
 // private generator (already role-resolved, see workerRole; it rides
 // the whole leg chain, so churn changes thread identity but not the op
 // stream). Counters accumulate in stack locals and fold into c once
-// after the loop: the workers slice is contiguous, so per-op stores
-// there would false-share cache lines between adjacent workers on the
+// after the loop: the tallies are contiguous, so per-op stores there
+// would false-share cache lines between adjacent workers on the
 // harness's hottest path. (The histograms are separate heap
 // allocations, so recording into them does not share lines across
 // workers.) In churn mode the loop additionally ends after
-// cfg.Churn.AfterOps operations so the caller can rotate the handle.
-func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator, id int, stop *atomic.Bool, c *workerCounters, live *padded.Uint64) {
+// cfg.Churn.AfterOps operations so the trial can rotate the handle.
+func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator, id int, t *trial, c *tally) {
 	scanner, _ := m.(ds.RangeScanner) // non-nil whenever mix.RangePct > 0
+	stop := &t.stop
+	live := t.livePub(id)
 
 	staller := cfg.StallEvery > 0 && cfg.StallLength > 0 && id == 0
 	nextStall := time.Now().Add(cfg.StallEvery)
@@ -595,7 +490,6 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		byClass   [NumOpClasses]uint64
 		rangeKeys uint64
 		valueErrs uint64
-		lastPub   uint64 // ops already folded into the live counter
 	)
 	for !stop.Load() && (quota == 0 || ops < quota) {
 		if staller && time.Now().After(nextStall) {
@@ -636,21 +530,13 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		}
 		byClass[class]++
 		ops++
-		// Publish live throughput on a coarse cadence (one Add to an
-		// owned padded line every 512 ops — invisible next to the ops
-		// themselves) so the telemetry sampler sees progress mid-leg.
-		if live != nil && ops-lastPub >= 512 {
-			live.Add(ops - lastPub)
-			lastPub = ops
-		}
+		live.tick(ops)
 	}
-	if live != nil {
-		live.Add(ops - lastPub)
-	}
+	live.flush(ops)
 	// Accumulate (don't overwrite): a churned worker's counters span
 	// many legs.
 	c.ops += ops
-	c.rangeKeys += rangeKeys
+	c.keys += rangeKeys
 	c.valueErrs += valueErrs
 	for i := range byClass {
 		c.byClass[i] += byClass[i]

@@ -107,6 +107,35 @@ func TestStallInjection(t *testing.T) {
 	}
 }
 
+// TestThroughputOverMeasuredElapsed: rates divide by the measured phase,
+// not the configured one. The staller is mid-stall when stop fires (a
+// stall every millisecond, each ten times the run's length), so the
+// phase outlasts Duration by at least the time it takes to notice.
+func TestThroughputOverMeasuredElapsed(t *testing.T) {
+	const dur = 30 * time.Millisecond
+	res, err := harness.Run(harness.Config{
+		DS:          harness.DSHarrisMichaelList,
+		Policy:      core.EpochPOP,
+		Threads:     2,
+		Duration:    dur,
+		KeyRange:    256,
+		StallEvery:  time.Millisecond,
+		StallLength: 10 * dur,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elapsed <= dur {
+		t.Fatalf("Elapsed %v, want more than the configured %v", res.Elapsed, dur)
+	}
+	if want := float64(res.Ops) / res.Elapsed.Seconds(); res.Throughput != want {
+		t.Fatalf("Throughput %v, want Ops/Elapsed = %v", res.Throughput, want)
+	}
+	if want := float64(res.ReadOps) / res.Elapsed.Seconds(); res.ReadTput != want {
+		t.Fatalf("ReadTput %v, want ReadOps/Elapsed = %v", res.ReadTput, want)
+	}
+}
+
 // TestRangeSweepBothScanners is the acceptance probe for the
 // cross-structure range-query dimension: a scan-bearing mix on each
 // RangeScanner (skiplist and (a,b)-tree) must complete under every

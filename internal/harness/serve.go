@@ -15,7 +15,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,17 +95,9 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	if c.GetPct < 0 || c.GetPct > 100 {
 		return c, fmt.Errorf("harness: GetPct %d out of [0,100]", c.GetPct)
 	}
-	if c.ValueMin <= 0 {
-		c.ValueMin = 16
-	}
-	if c.ValueMax <= 0 {
-		c.ValueMax = 256
-		if c.ValueMax < c.ValueMin {
-			c.ValueMax = c.ValueMin
-		}
-	}
-	if c.ValueMax < c.ValueMin {
-		return c, fmt.Errorf("harness: ValueMax %d below ValueMin %d", c.ValueMax, c.ValueMin)
+	var err error
+	if c.ValueMin, c.ValueMax, err = valueBounds(c.ValueMin, c.ValueMax); err != nil {
+		return c, err
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5e7e_cafe
@@ -121,7 +112,11 @@ type ServeResult struct {
 	Ops        uint64  // client ops completed (one get or set)
 	Gets, Sets uint64  // split by class
 	Hits       uint64  // gets that returned a value
-	Throughput float64 // Ops per second
+	Throughput float64 // Ops per second of Elapsed
+
+	// Elapsed is the measured phase: release until every client has
+	// finished its in-flight request after stop (see Result.Elapsed).
+	Elapsed time.Duration
 
 	// ValueErrors counts served values failing the workload checksum —
 	// a stale or torn value crossing the wire; must be zero.
@@ -219,13 +214,12 @@ func (c *serveClient) set(key string, val []byte) error {
 	return nil
 }
 
-// serveCounters receives one client's tallies.
-type serveCounters struct {
-	ops, gets, sets, hits uint64
-	valueErrs             uint64
-	getLat, setLat        *report.Histogram
-	err                   error
-}
+// The serve trial's op classes (tally indices).
+const (
+	serveGet = iota
+	serveSet
+	numServeClasses
+)
 
 // RunServe executes one serve trial: a live server on a loopback port,
 // Conns client connections generating the get/set mix, latency measured
@@ -255,13 +249,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}
 	addr := srv.Addr().String()
 
-	// The key table: rank -> wire key and its store hash (checksums).
-	keyTab := make([]string, cfg.Keys)
-	hkTab := make([]int64, cfg.Keys)
-	for i := range keyTab {
-		keyTab[i] = workload.KeyString(int64(i))
-		hkTab[i] = store.KeyHash(keyTab[i])
-	}
+	keyTab, hkTab := keyTable(cfg.Keys)
 
 	if err := servePrefill(cfg, addr, keyTab, hkTab); err != nil {
 		srv.Close()
@@ -295,35 +283,24 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		samplers[i] = sm
 	}
 
-	var (
-		stop    atomic.Bool
-		release = make(chan struct{})
-		wg      sync.WaitGroup
-	)
-	counters := make([]serveCounters, cfg.Conns)
-	for i := range counters {
-		counters[i].getLat = new(report.Histogram)
-		counters[i].setLat = new(report.Histogram)
-	}
+	counters := newTallies(cfg.Conns, numServeClasses, func(int) bool { return true })
+	errs := make([]error, cfg.Conns)
 	perConnRate := cfg.OpenRate / float64(cfg.Conns)
-	for i := 0; i < cfg.Conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			<-release
-			runServeClient(cfg, clients[id], samplers[id], id, keyTab, hkTab, perConnRate, &stop, &counters[id])
-		}(i)
-	}
-
-	close(release)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
+	// Clients hold no thread handle — the server leases per burst — so
+	// the trial has no rotation and no drain.
+	ph, _ := (&trial{
+		workers:  cfg.Conns,
+		duration: cfg.Duration,
+		leg: func(t *trial, id int) bool {
+			errs[id] = runServeClient(cfg, clients[id], samplers[id], id, keyTab, hkTab, perConnRate, &t.stop, &counters[id])
+			return false
+		},
+	}).run()
 	for _, c := range clients {
 		c.close()
 	}
 
-	res := ServeResult{Config: cfg, Server: srv.Stats(), AdmWait: srv.AdmissionWait()}
+	res := ServeResult{Config: cfg, Server: srv.Stats(), AdmWait: srv.AdmissionWait(), Elapsed: ph.elapsed}
 	// Injectors stop (flush + release their leases) before Close, so the
 	// post-shutdown lifecycle check below counts only real leaks.
 	res.Chaos = chaosRun.Stop()
@@ -331,23 +308,16 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		return res, err
 	}
 	res.Lifecycle = srv.Group().Lifecycle()
-	getLats := make([]*report.Histogram, cfg.Conns)
-	setLats := make([]*report.Histogram, cfg.Conns)
-	for i := range counters {
-		if counters[i].err != nil {
-			return res, fmt.Errorf("harness: client %d: %w", i, counters[i].err)
+	for i, err := range errs {
+		if err != nil {
+			return res, fmt.Errorf("harness: client %d: %w", i, err)
 		}
-		res.Ops += counters[i].ops
-		res.Gets += counters[i].gets
-		res.Sets += counters[i].sets
-		res.Hits += counters[i].hits
-		res.ValueErrors += counters[i].valueErrs
-		getLats[i] = counters[i].getLat
-		setLats[i] = counters[i].setLat
 	}
-	res.Throughput = float64(res.Ops) / cfg.Duration.Seconds()
-	res.GetLat = report.MergeAll(getLats...)
-	res.SetLat = report.MergeAll(setLats...)
+	sum := sumTallies(counters)
+	res.Ops, res.Hits, res.ValueErrors = sum.ops, sum.keys, sum.valueErrs
+	res.Gets, res.Sets = sum.byClass[serveGet], sum.byClass[serveSet]
+	res.GetLat, res.SetLat = sum.lats[serveGet], sum.lats[serveSet]
+	res.Throughput = float64(res.Ops) / ph.elapsed.Seconds()
 	if res.Lifecycle.Leased != 0 {
 		return res, fmt.Errorf("harness: %d thread leases leaked after shutdown", res.Lifecycle.Leased)
 	}
@@ -356,7 +326,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 
 // runServeClient is one connection's load loop.
 func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id int,
-	keyTab []string, hkTab []int64, rate float64, stop *atomic.Bool, out *serveCounters) {
+	keyTab []string, hkTab []int64, rate float64, stop *atomic.Bool, out *tally) error {
 	r := rng.New(cfg.Seed ^ (uint64(id)*0xff51afd7ed558ccd + 13))
 	var (
 		vbuf []byte
@@ -380,7 +350,7 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 				time.Sleep(d)
 			}
 			if stop.Load() {
-				return
+				return nil
 			}
 		}
 		n++
@@ -390,13 +360,12 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			var err error
 			gbuf, ok, err = c.get(keyTab[rank], gbuf)
 			if err != nil {
-				out.err = err
-				return
+				return err
 			}
-			out.getLat.Record(time.Since(intended).Nanoseconds())
-			out.gets++
+			out.lats[serveGet].Record(time.Since(intended).Nanoseconds())
+			out.byClass[serveGet]++
 			if ok {
-				out.hits++
+				out.keys++
 				if !workload.ValueBytesValid(hkTab[rank], gbuf) {
 					out.valueErrs++
 				}
@@ -406,14 +375,14 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
 			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
 			if err := c.set(keyTab[rank], vbuf); err != nil {
-				out.err = err
-				return
+				return err
 			}
-			out.setLat.Record(time.Since(intended).Nanoseconds())
-			out.sets++
+			out.lats[serveSet].Record(time.Since(intended).Nanoseconds())
+			out.byClass[serveSet]++
 		}
 		out.ops++
 	}
+	return nil
 }
 
 // servePrefill loads half the key population through one pipelined

@@ -11,7 +11,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"pop/internal/arena"
 	"pop/internal/chaos"
 	"pop/internal/core"
-	"pop/internal/padded"
 	"pop/internal/report"
 	"pop/internal/rng"
 	"pop/internal/store"
@@ -245,28 +243,12 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if c.ScanSpan <= 0 {
 		c.ScanSpan = 32
 	}
-	if c.ValueMin <= 0 {
-		c.ValueMin = 16
-	}
-	if c.ValueMin < workload.MinCompactLen {
-		c.ValueMin = workload.MinCompactLen
-	}
 	if c.ValueSmallPct < 0 || c.ValueSmallPct > 100 {
 		return c, fmt.Errorf("harness: ValueSmallPct %d out of [0, 100]", c.ValueSmallPct)
 	}
-	if c.ValueMax <= 0 {
-		// Default 256, but never below an explicitly chosen ValueMin:
-		// {ValueMin: 512} alone means fixed 512-byte payloads.
-		c.ValueMax = 256
-		if c.ValueMax < c.ValueMin {
-			c.ValueMax = c.ValueMin
-		}
-	}
-	if c.ValueMax < c.ValueMin {
-		return c, fmt.Errorf("harness: ValueMax %d below ValueMin %d", c.ValueMax, c.ValueMin)
-	}
-	if c.ValueMax > arena.MaxValueLen {
-		return c, fmt.Errorf("harness: ValueMax %d exceeds the value arena's %d-byte cap", c.ValueMax, arena.MaxValueLen)
+	var err error
+	if c.ValueMin, c.ValueMax, err = valueBounds(c.ValueMin, c.ValueMax); err != nil {
+		return c, err
 	}
 	if c.SamplePeriod <= 0 {
 		c.SamplePeriod = 2 * time.Millisecond
@@ -275,6 +257,30 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 		c.Seed = 0x5707e_cafe
 	}
 	return c, nil
+}
+
+// valueBounds resolves a config's payload-size range: ValueMin defaults
+// to 16 and is clamped up to workload.MinCompactLen, the smallest
+// verifiable payload; ValueMax defaults to 256, but never below an
+// explicitly chosen ValueMin ({ValueMin: 512} alone means fixed 512-byte
+// payloads), and may not exceed the value arena's cap.
+func valueBounds(vmin, vmax int) (int, int, error) {
+	if vmin <= 0 {
+		vmin = 16
+	}
+	if vmin < workload.MinCompactLen {
+		vmin = workload.MinCompactLen
+	}
+	if vmax <= 0 {
+		vmax = max(256, vmin)
+	}
+	if vmax < vmin {
+		return 0, 0, fmt.Errorf("harness: ValueMax %d below ValueMin %d", vmax, vmin)
+	}
+	if vmax > arena.MaxValueLen {
+		return 0, 0, fmt.Errorf("harness: ValueMax %d exceeds the value arena's %d-byte cap", vmax, arena.MaxValueLen)
+	}
+	return vmin, vmax, nil
 }
 
 // StoreResult is the outcome of one store trial.
@@ -361,15 +367,6 @@ func (e storeExtras) ReadExtras(dst []uint64) []uint64 {
 		st.ScanPairs, st.StaleReads)
 }
 
-// storeWorkerCounters receives one worker's tallies.
-type storeWorkerCounters struct {
-	ops       uint64
-	byClass   [NumStoreOpClasses]uint64
-	served    uint64
-	valueErrs uint64
-	lats      [NumStoreOpClasses]*report.Histogram
-}
-
 // RunStore executes one store trial.
 func RunStore(cfg StoreConfig) (StoreResult, error) {
 	cfg, err := cfg.withDefaults()
@@ -417,14 +414,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		threads[i] = h
 	}
 
-	// The key table: rank -> string key and its store hash (for value
-	// checksums). Built once; the hot loop only indexes it.
-	keyTab := make([]string, cfg.Keys)
-	hkTab := make([]int64, cfg.Keys)
-	for i := range keyTab {
-		keyTab[i] = workload.KeyString(int64(i))
-		hkTab[i] = store.KeyHash(keyTab[i])
-	}
+	keyTab, hkTab := keyTable(cfg.Keys)
 
 	// Worker→member affinity: with more than one member domain, worker
 	// id is pinned to member (id mod members) and draws keys only from
@@ -474,34 +464,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		}
 	}
 
-	workers := make([]storeWorkerCounters, cfg.Threads)
-	if cfg.OpLatency {
-		for i := range workers {
-			for c := StoreOpClass(0); c < NumStoreOpClasses; c++ {
-				workers[i].lats[c] = new(report.Histogram)
-			}
-		}
-	}
-
-	// Live per-worker op counters and the telemetry sampler (see
-	// Config.SampleEvery): the sampler reads the group's stats mirrors
-	// and the store's counters; workers publish coarse-grained
-	// throughput on padded lines.
-	live := make([]padded.Uint64, cfg.Threads)
-	var tsampler *telemetry.Sampler
-	if cfg.SampleEvery > 0 {
-		tsampler = telemetry.NewSampler(g, telemetry.Config{
-			Every:  cfg.SampleEvery,
-			Extras: storeExtras{s},
-			Ops: func() uint64 {
-				var sum uint64
-				for i := range live {
-					sum += live[i].Load()
-				}
-				return sum
-			},
-		})
-	}
+	workers := newTallies(cfg.Threads, int(NumStoreOpClasses), func(int) bool { return cfg.OpLatency })
 
 	// Prefill: mix runs load half the rank population (the §5.0.2
 	// shape, transplanted to the store); trace runs load every distinct
@@ -512,211 +475,129 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		return StoreResult{}, err
 	}
 
-	// Launch fault injectors after the prefill so they perturb the
-	// measured phase, not the load phase. In burst mode the injectors
-	// instead launch from a timer goroutine ChaosStart into the phase
-	// (see below).
-	burst := cfg.Chaos.Enabled() && (cfg.ChaosStart > 0 || cfg.ChaosStop > 0)
-	var chaosRun *chaos.Runner
-	if cfg.Chaos.Enabled() && !burst {
-		chaosRun, err = chaos.Start(cfg.Chaos, s, keyTab)
+	// Fault injectors launch after the prefill so they perturb the
+	// measured phase, not the load phase: for the whole phase, or — in
+	// burst mode — from a timer goroutine that starts them ChaosStart in
+	// and stops them at ChaosStop. Either way stopChaos returns once every
+	// injector thread has flushed and released, donating its leftover
+	// retires for the terminal drains to adopt.
+	stopChaos := func() (chaos.Stats, error) { return chaos.Stats{}, nil }
+	switch {
+	case !cfg.Chaos.Enabled():
+	case cfg.ChaosStart == 0 && cfg.ChaosStop == 0:
+		run, err := chaos.Start(cfg.Chaos, s, keyTab)
 		if err != nil {
 			return StoreResult{}, err
 		}
-	}
-
-	var (
-		stop      atomic.Bool
-		release   = make(chan struct{})
-		flushGo   = make(chan struct{})
-		loopsDone sync.WaitGroup
-		finished  sync.WaitGroup
-		cursor    atomic.Int64 // shared trace cursor
-		start     time.Time    // set just before release; read after <-release
-	)
-	var traceHK []int64 // trace[i].Key prehashed (checksum verification)
-	if traceMode {
-		traceHK = make([]int64, len(cfg.Trace))
-		for i := range cfg.Trace {
-			traceHK[i] = store.KeyHash(cfg.Trace[i].Key)
+		stopChaos = func() (chaos.Stats, error) { return run.Stop(), nil }
+	default:
+		type outcome struct {
+			stats chaos.Stats
+			err   error
 		}
-	}
-	// Leg chains as in Run: a churned leg returns its handle to the
-	// store's group and a fresh goroutine re-leases a slot (releasing
-	// donates the leg's unreclaimed retires member by member); the
-	// terminal leg keeps its handle and flushes (adopting donated
-	// orphans).
-	var runLeg func(id int, h *core.GroupHandle)
-	runLeg = func(id int, h *core.GroupHandle) {
-		var lv *padded.Uint64
-		if tsampler != nil {
-			lv = &live[id]
-		}
-		if traceMode {
-			runStoreTraceWorker(cfg, s, h, start, traceHK, &cursor, &workers[id], lv)
-		} else {
-			runStoreWorker(cfg, s, h, samplers[id], id, keyTab, hkTab, workerRanks(id), &stop, &workers[id], lv)
-		}
-		if cfg.Churn.Enabled() && !stop.Load() {
-			s.Release(h)
-			nh, err := s.Acquire()
-			if err != nil {
-				panic(fmt.Sprintf("harness: store churn re-lease: %v", err))
-			}
-			go runLeg(id, nh)
-			return
-		}
-		loopsDone.Done()
-		<-flushGo
-		// Drain, not Flush: churned predecessors may have donated
-		// orphans to members this terminal leg never touched.
-		h.Drain()
-		finished.Done()
-	}
-	for i := 0; i < cfg.Threads; i++ {
-		loopsDone.Add(1)
-		finished.Add(1)
-		go func(id int) {
-			<-release
-			runLeg(id, threads[id])
-		}(i)
-	}
-
-	var peak atomic.Int64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			if v := s.Outstanding(); v > peak.Load() {
-				peak.Store(v)
-			}
-			time.Sleep(cfg.SamplePeriod)
-		}
-	}()
-
-	if tsampler != nil {
-		tsampler.Start() // base snapshot excludes prefill and injector setup
-	}
-	// Burst-mode chaos: launch the injectors ChaosStart into the timed
-	// phase and stop them at ChaosStop, delivering their stats over a
-	// channel so the drain accounting below still happens after every
-	// injector thread has flushed and released.
-	var (
-		chaosBurst chan chaos.Stats
-		chaosErr   error
-	)
-	if burst {
-		chaosBurst = make(chan chaos.Stats, 1)
+		burst := make(chan outcome, 1)
 		go func() {
-			if cfg.ChaosStart > 0 {
-				time.Sleep(cfg.ChaosStart)
-			}
+			time.Sleep(cfg.ChaosStart)
 			run, err := chaos.Start(cfg.Chaos, s, keyTab)
 			if err != nil {
-				chaosErr = err
-				chaosBurst <- chaos.Stats{}
+				burst <- outcome{err: fmt.Errorf("harness: chaos burst: %w", err)}
 				return
 			}
 			stopAt := cfg.ChaosStop
 			if stopAt == 0 {
 				stopAt = cfg.Duration
 			}
-			if d := stopAt - cfg.ChaosStart; d > 0 {
-				time.Sleep(d)
-			}
-			chaosBurst <- run.Stop()
+			time.Sleep(stopAt - cfg.ChaosStart)
+			burst <- outcome{stats: run.Stop()}
 		}()
+		stopChaos = func() (chaos.Stats, error) { o := <-burst; return o.stats, o.err }
 	}
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start = time.Now()
-	close(release)
+
+	var traceHK []int64 // trace[i].Key prehashed (checksum verification)
+	var cursor atomic.Int64
 	if traceMode {
-		// The trace drains exactly once; the trial is over when the
-		// last op completes, however long that takes.
-		loopsDone.Wait()
-		stop.Store(true)
-	} else {
-		time.Sleep(cfg.Duration)
-		stop.Store(true)
-		loopsDone.Wait()
-	}
-	elapsed := time.Since(start)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	<-samplerDone
-
-	// Stop the injectors before the drain accounting: their threads
-	// flush and release, donating any leftover retires for the final
-	// worker flushes to adopt.
-	var chaosStats chaos.Stats
-	if chaosRun != nil {
-		chaosStats = chaosRun.Stop()
-	} else if chaosBurst != nil {
-		chaosStats = <-chaosBurst // channel receive orders the chaosErr write
-		if chaosErr != nil {
-			return StoreResult{}, fmt.Errorf("harness: chaos burst: %w", chaosErr)
+		traceHK = make([]int64, len(cfg.Trace))
+		for i := range cfg.Trace {
+			traceHK[i] = store.KeyHash(cfg.Trace[i].Key)
 		}
 	}
 
-	if v := s.Outstanding(); v > peak.Load() {
-		peak.Store(v)
+	res := StoreResult{Config: cfg}
+	t := &trial{
+		workers:  cfg.Threads,
+		duration: cfg.Duration,
+		leg: func(t *trial, id int) bool {
+			if traceMode {
+				runStoreTraceWorker(cfg, s, threads[id], id, t, traceHK, &cursor, &workers[id])
+				return false
+			}
+			runStoreWorker(cfg, s, threads[id], samplers[id], id, keyTab, hkTab, workerRanks(id), t, &workers[id])
+			return cfg.Churn.Enabled() && !t.stop.Load()
+		},
+		// A churned leg returns its handle to the store's group (donating
+		// its unreclaimed retires member by member) and re-leases a slot.
+		rotate: func(id int) {
+			s.Release(threads[id])
+			h, err := s.Acquire()
+			if err != nil {
+				panic(fmt.Sprintf("harness: store churn re-lease: %v", err))
+			}
+			threads[id] = h
+		},
+		// Drain, not Flush: churned predecessors may have donated orphans
+		// to members this terminal leg never touched.
+		drain: func(id int) { threads[id].Drain() },
+		settle: func() (err error) {
+			res.Chaos, err = stopChaos()
+			res.Unreclaimed = g.Unreclaimed()
+			res.ReclaimDetail = g.ReclaimStats()
+			return err
+		},
+		outstanding:  s.Outstanding,
+		samplePeriod: cfg.SamplePeriod,
+		source:       g,
+		extras:       storeExtras{s},
+		sampleEvery:  cfg.SampleEvery,
 	}
-	unreclaimed := g.Unreclaimed()
-	// Per-pass fan-out is a measured-phase statistic: snapshot it before
-	// the terminal drains, which lease every handle into every member
-	// and would re-average scanned-per-pass toward the flat number.
-	reclaimDetail := g.ReclaimStats()
-	close(flushGo)
-	finished.Wait()
+	if traceMode {
+		// The trace drains exactly once; the trial is over when the last
+		// op completes, however long that takes.
+		t.duration = 0
+	}
+	ph, err := t.run()
+	if err != nil {
+		return StoreResult{}, err
+	}
 
-	// Stop after the drain barrier: every handle has republished its
-	// stats mirror, so Timeline.Final is exact.
-	var timeline *telemetry.Timeline
-	if tsampler != nil {
-		timeline = tsampler.Stop()
-	}
-
-	res := StoreResult{
-		Config:        cfg,
-		PeakResident:  peak.Load(),
-		Unreclaimed:   unreclaimed,
-		LeakedAfter:   g.Unreclaimed(),
-		Store:         s.Stats(),
-		Reclaim:       g.Stats(),
-		ReclaimDetail: reclaimDetail,
-		Lifecycle:     g.Lifecycle(),
-		Chaos:         chaosStats,
-		Elapsed:       elapsed,
-		Timeline:      timeline,
-	}
-	for i := range workers {
-		res.Ops += workers[i].ops
-		res.ServedKeys += workers[i].served
-		res.ValueErrors += workers[i].valueErrs
-		for c := StoreOpClass(0); c < NumStoreOpClasses; c++ {
-			res.OpCounts[c] += workers[i].byClass[c]
-		}
-	}
-	if res.Ops > 0 {
-		res.AllocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(res.Ops)
-		res.AllocBytesPerOp = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(res.Ops)
-	}
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	res.KeyTput = float64(res.ServedKeys) / elapsed.Seconds()
+	sum := sumTallies(workers)
+	res.Ops, res.ServedKeys, res.ValueErrors = sum.ops, sum.keys, sum.valueErrs
+	copy(res.OpCounts[:], sum.byClass)
+	copy(res.OpLat[:], sum.lats)
+	res.PeakResident = ph.peak
+	res.LeakedAfter = g.Unreclaimed()
+	res.Store = s.Stats()
+	res.Reclaim = g.Stats()
+	res.Lifecycle = g.Lifecycle()
+	res.Elapsed = ph.elapsed
+	res.Timeline = ph.timeline
+	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
+	res.Throughput = float64(res.Ops) / ph.elapsed.Seconds()
+	res.KeyTput = float64(res.ServedKeys) / ph.elapsed.Seconds()
 	res.MaxRetire = res.Reclaim.MaxRetire
 	res.Stale = res.Store.StaleReads
-	for c := StoreOpClass(0); c < NumStoreOpClasses; c++ {
-		per := make([]*report.Histogram, len(workers))
-		for i := range workers {
-			per[i] = workers[i].lats[c]
-		}
-		res.OpLat[c] = report.MergeAll(per...)
-	}
 	return res, nil
+}
+
+// keyTable builds rank -> string key and its store hash (for value
+// checksums). Built once per trial; the hot loops only index it.
+func keyTable(keys int64) (keyTab []string, hkTab []int64) {
+	keyTab = make([]string, keys)
+	hkTab = make([]int64, keys)
+	for i := range keyTab {
+		keyTab[i] = workload.KeyString(int64(i))
+		hkTab[i] = store.KeyHash(keyTab[i])
+	}
+	return keyTab, hkTab
 }
 
 // scanWidth returns the hashed-key window width whose expected pair
@@ -749,11 +630,62 @@ func drawValueSize(cfg StoreConfig, r *rng.State) int {
 	return cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
 }
 
+// storeExec issues single store operations for one worker leg — the
+// part the mix-driven and the trace-driven loops share: every served
+// value is checksum-verified, and served keys and failures are tallied
+// here and folded into the worker's tally when the leg ends.
+type storeExec struct {
+	s          *store.Store
+	h          *core.GroupHandle
+	gbuf, vbuf []byte
+	served     uint64
+	valueErrs  uint64
+}
+
+func (x *storeExec) get(key string, hk int64) {
+	var ok bool
+	x.gbuf, ok = x.s.Get(x.h, key, x.gbuf)
+	if ok {
+		x.served++
+		if !workload.ValueBytesValid(hk, x.gbuf) {
+			x.valueErrs++
+		}
+	}
+}
+
+func (x *storeExec) put(key string, hk int64, tag uint32, size int) {
+	x.vbuf = workload.AppendValueBytes(x.vbuf[:0], hk, tag, size)
+	x.s.Put(x.h, key, x.vbuf)
+}
+
+// scan covers the hashed-key window [lo, lo+width], clamped at the
+// sentinel-free top.
+func (x *storeExec) scan(lo int64, width uint64) {
+	hi := lo + int64(width)
+	if hi < lo {
+		hi = 1<<63 - 2
+	}
+	x.served += uint64(x.s.Scan(x.h, lo, hi, func(hk int64, v []byte) bool {
+		if !workload.ValueBytesValid(hk, v) {
+			x.valueErrs++
+		}
+		return true
+	}))
+}
+
+// foldInto adds the leg's served keys and failures to the worker's tally.
+func (x *storeExec) foldInto(c *tally) {
+	c.keys += x.served
+	c.valueErrs += x.valueErrs
+}
+
 // runStoreWorker is one worker's execution phase. rankTab, when
 // non-nil, maps the sampler's dense rank space onto the worker's
 // member-owned ranks (worker→member affinity).
 func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *workload.Sampler,
-	id int, keyTab []string, hkTab []int64, rankTab []int64, stop *atomic.Bool, c *storeWorkerCounters, live *padded.Uint64) {
+	id int, keyTab []string, hkTab []int64, rankTab []int64, t *trial, c *tally) {
+	stop := &t.stop
+	live := t.livePub(id)
 	// The incarnation term keeps churn legs from replaying one leg's op
 	// sequence: each lease of the slot draws a distinct stream.
 	r := rng.New(cfg.Seed ^ (uint64(id)*0xff51afd7ed558ccd + 7) ^ (h.Incarnation() * 0x9e3779b97f4a7c15))
@@ -764,8 +696,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		return rank
 	}
 	var (
-		vbuf  []byte
-		gbuf  []byte
+		x     = storeExec{s: s, h: h}
 		batch store.Batch
 		kb    = make([]string, cfg.BatchSize)
 		ranks = make([]int64, cfg.BatchSize)
@@ -775,11 +706,8 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 	width := scanWidth(cfg.Keys, cfg.ScanSpan)
 	quota := cfg.Churn.AfterOps // 0 = no churn: run until stop
 	var (
-		ops       uint64
-		byClass   [NumStoreOpClasses]uint64
-		served    uint64
-		valueErrs uint64
-		lastPub   uint64 // ops already folded into the live counter
+		ops     uint64
+		byClass [NumStoreOpClasses]uint64
 	)
 	for !stop.Load() && (quota == 0 || ops < quota) {
 		op := cfg.Mix.NextStore(r)
@@ -792,22 +720,13 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		switch op {
 		case workload.StoreGet:
 			rank := pick(keys.Next())
-			var ok bool
-			gbuf, ok = s.Get(h, keyTab[rank], gbuf)
-			if ok {
-				served++
-				if !workload.ValueBytesValid(hkTab[rank], gbuf) {
-					valueErrs++
-				}
-			}
+			x.get(keyTab[rank], hkTab[rank])
 		case workload.StorePut:
 			// NextInsert == Next for uniform/zipf; under latest it
 			// advances the insert frontier the reads chase.
 			rank := pick(keys.NextInsert())
 			tag++
-			size := drawValueSize(cfg, r)
-			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-			s.Put(h, keyTab[rank], vbuf)
+			x.put(keyTab[rank], hkTab[rank], tag, drawValueSize(cfg, r))
 		case workload.StoreMGet:
 			for i := range kb {
 				ranks[i] = pick(keys.Next())
@@ -816,42 +735,22 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 			s.GetBatch(h, kb, &batch)
 			for i := range kb {
 				if batch.OK[i] {
-					served++
+					x.served++
 					if !workload.ValueBytesValid(hkTab[ranks[i]], batch.Vals[i]) {
-						valueErrs++
+						x.valueErrs++
 					}
 				}
 			}
 		case workload.StoreScan:
-			lo := int64(r.Uint64()) // uniform over the hashed-key space
-			hi := lo + int64(width)
-			if hi < lo {
-				hi = 1<<63 - 2 // clamp at the sentinel-free top
-			}
-			n := s.Scan(h, lo, hi, func(hk int64, v []byte) bool {
-				if !workload.ValueBytesValid(hk, v) {
-					valueErrs++
-				}
-				return true
-			})
-			served += uint64(n)
+			x.scan(int64(r.Uint64()), width) // uniform over the hashed-key space
 		case workload.StoreRMW:
 			// Read-modify-write (YCSB F): read the key, then put a
 			// fresh payload back — two protected ops, like a cache's
 			// read-update cycle.
 			rank := pick(keys.Next())
-			var ok bool
-			gbuf, ok = s.Get(h, keyTab[rank], gbuf)
-			if ok {
-				served++
-				if !workload.ValueBytesValid(hkTab[rank], gbuf) {
-					valueErrs++
-				}
-			}
+			x.get(keyTab[rank], hkTab[rank])
 			tag++
-			size := drawValueSize(cfg, r)
-			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-			s.Put(h, keyTab[rank], vbuf)
+			x.put(keyTab[rank], hkTab[rank], tag, drawValueSize(cfg, r))
 		case workload.StoreMPut:
 			// Batched upsert: one protected op per shard group and one
 			// arena publish sequence per group instead of per key.
@@ -874,18 +773,12 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		}
 		byClass[class]++
 		ops++
-		if live != nil && ops-lastPub >= 512 {
-			live.Add(ops - lastPub)
-			lastPub = ops
-		}
+		live.tick(ops)
 	}
-	if live != nil {
-		live.Add(ops - lastPub)
-	}
+	live.flush(ops)
 	// Accumulate across churn legs.
 	c.ops += ops
-	c.served += served
-	c.valueErrs += valueErrs
+	x.foldInto(c)
 	for i := range byClass {
 		c.byClass[i] += byClass[i]
 	}
@@ -897,19 +790,16 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 // index, so two same-config replays execute identical work regardless
 // of how ops land on workers.
 func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
-	start time.Time, traceHK []int64, cursor *atomic.Int64, c *storeWorkerCounters, live *padded.Uint64) {
-	var (
-		vbuf []byte
-		gbuf []byte
-		done uint64 // ops this worker completed (live-counter cadence)
-	)
+	id int, t *trial, traceHK []int64, cursor *atomic.Int64, c *tally) {
+	x := storeExec{s: s, h: h}
 	width := scanWidth(cfg.Keys, cfg.ScanSpan)
-	if live != nil {
-		defer func() { live.Add(done % 512) }()
-	}
+	start := t.start
+	live := t.livePub(id)
 	for {
 		i := cursor.Add(1) - 1
 		if i >= int64(len(cfg.Trace)) {
+			live.flush(c.ops)
+			x.foldInto(c)
 			return
 		}
 		op := cfg.Trace[i]
@@ -927,49 +817,18 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 		}
 		switch op.Op {
 		case workload.StoreGet:
-			var ok bool
-			gbuf, ok = s.Get(h, op.Key, gbuf)
-			if ok {
-				c.served++
-				if !workload.ValueBytesValid(hk, gbuf) {
-					c.valueErrs++
-				}
-			}
+			x.get(op.Key, hk)
 		case workload.StorePut:
-			vbuf = workload.AppendValueBytes(vbuf[:0], hk, traceTag(i), traceSize(cfg, op, i))
-			s.Put(h, op.Key, vbuf)
+			x.put(op.Key, hk, traceTag(i), traceSize(cfg, op, i))
 		case workload.StoreScan:
-			span := op.Size
-			if span <= 0 {
-				span = cfg.ScanSpan
-			}
 			w := width
 			if op.Size > 0 {
-				w = scanWidth(cfg.Keys, span)
+				w = scanWidth(cfg.Keys, op.Size)
 			}
-			lo := hk
-			hi := lo + int64(w)
-			if hi < lo {
-				hi = 1<<63 - 2
-			}
-			n := s.Scan(h, lo, hi, func(shk int64, v []byte) bool {
-				if !workload.ValueBytesValid(shk, v) {
-					c.valueErrs++
-				}
-				return true
-			})
-			c.served += uint64(n)
+			x.scan(hk, w)
 		case workload.StoreRMW:
-			var ok bool
-			gbuf, ok = s.Get(h, op.Key, gbuf)
-			if ok {
-				c.served++
-				if !workload.ValueBytesValid(hk, gbuf) {
-					c.valueErrs++
-				}
-			}
-			vbuf = workload.AppendValueBytes(vbuf[:0], hk, traceTag(i), traceSize(cfg, op, i))
-			s.Put(h, op.Key, vbuf)
+			x.get(op.Key, hk)
+			x.put(op.Key, hk, traceTag(i), traceSize(cfg, op, i))
 		default: // workload.StoreDelete
 			s.Delete(h, op.Key)
 		}
@@ -978,9 +837,7 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 		}
 		c.byClass[class]++
 		c.ops++
-		if done++; live != nil && done%512 == 0 {
-			live.Add(512)
-		}
+		live.tick(c.ops)
 	}
 }
 

@@ -17,7 +17,7 @@
 //     answers everything queued with one Store.GetBatch — one protected
 //     operation serving every client that contended for the shard, and
 //     an inline get when nobody did (coalesce.go). This is the batch
-//     amortization BenchmarkStoreBatchGet measures, harvested across
+//     amortization store.getbatch_ns_per_key (bench/) measures, harvested across
 //     connections instead of within one.
 //
 // This file is the protocol codec: request-line parsing and data-chunk

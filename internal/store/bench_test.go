@@ -10,7 +10,7 @@ import (
 
 // benchStore builds an 8-shard skiplist store under EpochPOP (one
 // member domain, so batch-vs-sequential numbers isolate the batching)
-// prefilled with keys, plus a ready batch of batchKeys lookups.
+// prefilled with keys, plus a ready batch of batchKeys keys.
 func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHandle, []string) {
 	b.Helper()
 	g := core.NewDomainGroup(core.EpochPOP, 1, 1, nil)
@@ -34,76 +34,6 @@ func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHan
 		kb[i] = workload.KeyString(r.Intn(keys))
 	}
 	return s, h, kb
-}
-
-// BenchmarkStoreBatchGet serves 64 keys per iteration through the
-// batched multi-get: the batch is sorted by (shard, hashed key) and
-// each shard's group runs in ONE protected operation (ds.BatchGetter),
-// so the per-operation entry/exit protocol and the per-key dispatch are
-// amortized across the group. Compare ns/op with
-// BenchmarkStoreSequentialGet64, which serves the same 64 keys as 64
-// independent Gets.
-func BenchmarkStoreBatchGet(b *testing.B) {
-	s, h, kb := benchStore(b, 1<<16, 64)
-	var batch Batch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.GetBatch(h, kb, &batch)
-	}
-	b.StopTimer()
-	if got := s.Stats().GetMisses; got != 0 {
-		b.Fatalf("%d misses on a fully prefilled store", got)
-	}
-	h.Flush()
-}
-
-// BenchmarkStoreSequentialGet64 is BenchmarkStoreBatchGet's baseline:
-// the identical 64 keys served one protected operation each.
-func BenchmarkStoreSequentialGet64(b *testing.B) {
-	s, h, kb := benchStore(b, 1<<16, 64)
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, key := range kb {
-			v, ok := s.Get(h, key, buf)
-			if !ok {
-				b.Fatal("miss on a fully prefilled store")
-			}
-			buf = v[:0]
-		}
-	}
-	b.StopTimer()
-	h.Flush()
-}
-
-// BenchmarkStoreGet is the single-key serve path (hash, shard, lookup,
-// stale-checked value copy).
-func BenchmarkStoreGet(b *testing.B) {
-	s, h, kb := benchStore(b, 1<<16, 64)
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, _ := s.Get(h, kb[i&63], buf)
-		buf = v[:0]
-	}
-	b.StopTimer()
-	h.Flush()
-}
-
-// BenchmarkStorePut is the upsert path on a hot key set: every
-// iteration replaces a value, so it measures alloc + map put + value
-// retirement end to end.
-func BenchmarkStorePut(b *testing.B) {
-	s, h, kb := benchStore(b, 1<<10, 64)
-	var vbuf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := kb[i&63]
-		vbuf = workload.AppendValueBytes(vbuf[:0], KeyHash(key), uint32(i), 64)
-		s.Put(h, key, vbuf)
-	}
-	b.StopTimer()
-	h.Flush()
 }
 
 // BenchmarkStorePutBatch upserts 64 keys per iteration through the

@@ -98,7 +98,8 @@
 // bulk on the group's member thread. A read-modify-write batch reuses
 // one Batch's scratch across the GetBatch → modify → PutBatch cycle.
 // Sorted keys also give tree descents warm upper-level paths. See
-// BenchmarkStoreBatchGet and BenchmarkStorePutBatch.
+// store.getbatch_ns_per_key against store.get_ns in bench/, and
+// BenchmarkStorePutBatch.
 //
 // # Scans
 //

@@ -366,8 +366,8 @@ func NewABTree(d *Domain) RangeSet { return newRangeSet(abtree.New(d)) }
 //
 // GetBatch and PutBatch answer a whole batch with one protected
 // operation per shard group (sorted by shard and in-shard key), which
-// measurably beats per-key ops — see BenchmarkStoreBatchGet and
-// BenchmarkStorePutBatch in internal/store. Scan yields (hashed key,
+// measurably beats per-key ops — see store.getbatch_ns_per_key in bench/
+// and BenchmarkStorePutBatch in internal/store. Scan yields (hashed key,
 // value copy) pairs over ordered backings.
 //
 // Serving pools resize live: Store.Acquire / Release lease group
