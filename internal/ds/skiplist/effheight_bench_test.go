@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pop/internal/core"
+	"pop/internal/rng"
 )
 
 // Index-vs-head-walk microbenchmarks: the default single-op paths seed
@@ -13,35 +14,66 @@ import (
 // Harris-Michael walk every operation would pay without the index. At
 // 1K keys that is ~512 protected hops per op versus ~5 column hops plus
 // a short protected tail, the before/after pair for the index's win.
+//
+// The indexed pair also runs at 128K keys: 1K keys of index and nodes sit
+// in L1, where a descent costs the same whatever the column layout, while
+// at 128K every column a descent visits is a cache miss — the size that
+// shows what a column costs in memory. Keys are visited in a fixed-seed
+// shuffled order at both sizes (an ascending order would keep every
+// descent on the previous one's warm path).
 
 const effKeys = 1 << 10
 
-func prefill(b *testing.B) (*core.Domain, *List, *core.Thread) {
+var indexedSizes = []struct {
+	name string
+	keys int64
+}{{"1K", effKeys}, {"128K", 128 << 10}}
+
+func prefill(b *testing.B, keys int64) (*List, *core.Thread) {
 	b.Helper()
 	d := core.NewDomain(core.EBR, 1, nil)
 	l := New(d)
 	th := d.RegisterThread()
-	for k := int64(0); k < effKeys; k++ {
+	for k := int64(0); k < keys; k++ {
 		l.PutIfAbsent(th, k, uint64(k))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	return d, l, th
+	return l, th
+}
+
+// shuffled returns 0…keys-1 in an order fixed by the seed.
+func shuffled(keys int64) []int64 {
+	order := make([]int64, keys)
+	for i := range order {
+		order[i] = int64(i)
+	}
+	r := rng.New(0x5eed)
+	for i := keys - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
 }
 
 func BenchmarkGetIndexed(b *testing.B) {
-	_, l, th := prefill(b)
-	for i := 0; i < b.N; i++ {
-		if _, ok := l.Get(th, int64(i)%effKeys); !ok {
-			b.Fatal("miss")
-		}
+	for _, sz := range indexedSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			order := shuffled(sz.keys)
+			l, th := prefill(b, sz.keys)
+			for i := 0; i < b.N; i++ {
+				if _, ok := l.Get(th, order[i%len(order)]); !ok {
+					b.Fatal("miss")
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkGetHeadWalk is the same protected lookup body with the index
 // bypassed: every descent walks the bottom layer from the head.
 func BenchmarkGetHeadWalk(b *testing.B) {
-	_, l, th := prefill(b)
+	l, th := prefill(b, effKeys)
 	for i := 0; i < b.N; i++ {
 		key := int64(i) % effKeys
 		th.StartOp()
@@ -54,9 +86,14 @@ func BenchmarkGetHeadWalk(b *testing.B) {
 }
 
 func BenchmarkPutIndexed(b *testing.B) {
-	_, l, th := prefill(b)
-	for i := 0; i < b.N; i++ {
-		l.Put(th, int64(i)%effKeys, uint64(i))
+	for _, sz := range indexedSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			order := shuffled(sz.keys)
+			l, th := prefill(b, sz.keys)
+			for i := 0; i < b.N; i++ {
+				l.Put(th, order[i%len(order)], uint64(i))
+			}
+		})
 	}
 }
 
@@ -64,7 +101,7 @@ func BenchmarkPutIndexed(b *testing.B) {
 // overwrite walks from the head, and the published replacement still
 // links its column (the index must stay coherent for the purge hook).
 func BenchmarkPutHeadWalk(b *testing.B) {
-	_, l, th := prefill(b)
+	l, th := prefill(b, effKeys)
 	for i := 0; i < b.N; i++ {
 		key := int64(i) % effKeys
 		th.StartOp()

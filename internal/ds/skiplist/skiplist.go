@@ -17,7 +17,7 @@
 // index cells lived inside reclaimed nodes. The index is now a separate
 // spine of *columns* on the ordinary Go heap:
 //
-//	column{ key, n (-> bottom node), right[height] }
+//	column{ key, n (-> bottom node), h } + h right-link cells, one object
 //
 // A column is published once by its inserter and unlinked when its node
 // retires, but never pooled or freed manually — the garbage collector
@@ -29,12 +29,24 @@
 // the bottom-layer hint out of a column's n cell — publishes a
 // reservation, and the hmlist walk it seeds revalidates everything.
 //
+// A descent through an index larger than cache pays for cache lines, not
+// instructions, so the header and its cells are one allocation (see
+// newColumn) sized so that what a visit reads — the key, then the cell
+// for the level being walked — shares a line: 32 B for height 1, 64 B
+// for heights 2–5, 128 B for 6–13. When the cells were a slice the
+// column pointed to, every visited column was two dependent misses
+// (header, then a cell array from another size class) and carried a
+// 24 B slice header; BenchmarkGetIndexed/128K read 811–996 ns per Get
+// before and 541–599 ns after, BenchmarkPutIndexed/128K 2.2–2.8 µs and
+// 1.5–1.7 µs.
+//
 // Column heights are geometric(1/4): three quarters of keys have no
-// column at all, and the expected index footprint is ~1/3 cell per key
-// (~13 B amortized), versus one mandatory tower per key before. Lookups
-// still descend O(log n) expected: a quarter-density index is one extra
-// bottom hop per descent on average, traded for hint hops that touch no
-// shared SMR state at all.
+// column at all, and a column averages ~40 B (three in four are the
+// 32 B shape), so the index costs ~10 B per key (~15 B with the
+// separate cell slice), versus one mandatory tower per key before.
+// Lookups still descend O(log n) expected: a quarter-density index is
+// one extra bottom hop per descent on average, traded for hint hops
+// that touch no shared SMR state at all.
 //
 // # Hint protocol (why a column may be trusted)
 //
@@ -107,16 +119,76 @@ const maxHintTries = 3
 // used by head walks.
 const slotHint = 3
 
-// column is one key's index presence: height cells of right links plus
-// the bottom node the index routes to. Columns live on the Go heap —
-// the GC reclaims them, the domain never does (see the package
-// comment) — so key is plainly immutable, right cells carry the usual
-// mark bit ("this column is being purged"), and n is a protectable cell
-// cleared before the node retires.
+// column is one key's index presence: the bottom node the index routes
+// to plus h cells of right links, which trail this header inside the
+// same heap object (see newColumn; cell is the only way to reach them).
+// Columns live on the Go heap — the GC reclaims them, the domain never
+// does (see the package comment) — so key and h are plainly immutable,
+// right cells carry the usual mark bit ("this column is being purged"),
+// and n is a protectable cell cleared before the node retires.
 type column struct {
-	key   int64
-	n     core.Atomic
-	right []core.Atomic
+	key int64
+	n   core.Atomic
+	h   int
+}
+
+// The allocation shapes: a column header with its cells inline. Every
+// size is what the Go allocator hands out anyway (no rounding waste),
+// and the three that hold interior columns are powers of two, so the
+// key a descent compares and the cell it loads next never straddle a
+// cache line — 32 B for height 1 (three quarters of all columns, two per
+// line), 64 B for heights 2–5 (one line), 128 B for 6–13 (key and the
+// cells for levels 0–4 on the first line). The 152 B shape (the 160 B
+// class) is the 16-cell head column and the 4^-14 of columns taller than
+// 13. TestColumnLayout pins each size.
+type (
+	col1 struct {
+		column
+		cells [1]core.Atomic
+	}
+	col5 struct {
+		column
+		cells [5]core.Atomic
+	}
+	col13 struct {
+		column
+		cells [13]core.Atomic
+	}
+	col16 struct {
+		column
+		cells [maxIndexHeight]core.Atomic
+	}
+)
+
+// newColumn allocates a column of height h — header and cells in one
+// object, the smallest shape that holds h cells (h = 0, the tail column,
+// is a bare header). The cells' type is what makes the GC scan them.
+func newColumn(key int64, h int) *column {
+	var c *column
+	switch {
+	case h == 0:
+		c = new(column)
+	case h == 1:
+		c = &new(col1).column
+	case h <= 5:
+		c = &new(col5).column
+	case h <= 13:
+		c = &new(col13).column
+	default:
+		c = &new(col16).column
+	}
+	c.key, c.h = key, h
+	return c
+}
+
+// cell returns right link i of c. The bounds check is what keeps the
+// pointer arithmetic inside c's own allocation: newColumn sized the
+// object for h cells.
+func (c *column) cell(i int) *core.Atomic {
+	if uint(i) >= uint(c.h) {
+		panic("skiplist: column cell index out of range")
+	}
+	return (*core.Atomic)(unsafe.Add(unsafe.Pointer(c), unsafe.Sizeof(column{})+uintptr(i)*unsafe.Sizeof(core.Atomic{})))
 }
 
 // colLocal is a thread's private state: the height-distribution
@@ -140,12 +212,12 @@ type List struct {
 // New creates an empty skiplist in domain d.
 func New(d *core.Domain) *List {
 	l := &List{
-		headCol: &column{key: math.MinInt64, right: make([]core.Atomic, maxIndexHeight)},
-		tailCol: &column{key: math.MaxInt64},
+		headCol: newColumn(math.MinInt64, maxIndexHeight),
+		tailCol: newColumn(math.MaxInt64, 0),
 		locals:  make([]*colLocal, d.MaxThreads()),
 	}
 	for h := 0; h < maxIndexHeight; h++ {
-		l.headCol.right[h].Raw(unsafe.Pointer(l.tailCol))
+		l.headCol.cell(h).Raw(unsafe.Pointer(l.tailCol))
 	}
 	l.b = hmlist.New(d)
 	l.b.EnableLinking(l.purgeIndex)
@@ -178,11 +250,11 @@ func indexHeight(r *rng.State) int {
 }
 
 // indexTop returns the number of index levels currently worth
-// descending: the effective-height probe, now O(1). The counter is
-// raised by splicers and never lowered — starting a descent above the
-// live columns only costs nil loads, while starting below one is always
-// safe because upper levels are only shortcuts (every key is reachable
-// through the bottom layer alone).
+// descending: one atomic load. The counter is raised by splicers and
+// never lowered — starting a descent above the live columns only costs
+// head-column loads that land on the tail, while starting below one is
+// always safe because upper levels are only shortcuts (every key is
+// reachable through the bottom layer alone).
 func (l *List) indexTop() int { return int(l.top.Load()) }
 
 func (l *List) raiseTop(h int) {
@@ -197,15 +269,17 @@ func (l *List) raiseTop(h int) {
 // walk is the index's one descent (see "One walk" in the package
 // comment): from indexTop() down to lvl, at each level advancing to the
 // last column with key strictly below key. All loads are plain (GC
-// memory). It returns that column (headCol when none precedes key), the
+// memory), and each visited column costs one of them: the successor cell
+// loaded for the mark check is the cell value the next iteration
+// compares. It returns that column (headCol when none precedes key), the
 // cell value it compared at lvl — the craw whose masked successor has
-// key >= key, which is what a caller's CAS on pred.right[lvl] must
+// key >= key, which is what a caller's CAS on pred.cell(lvl) must
 // expect — and the number of columns it loaded.
 func (l *List) walk(key int64, lvl int) (pred *column, craw unsafe.Pointer, hops int) {
 	pred = l.headCol
 	for h := max(l.indexTop()-1, lvl); h >= lvl; h-- {
+		craw = pred.cell(h).Load()
 		for {
-			craw = pred.right[h].Load()
 			c := (*column)(core.Mask(craw))
 			hops++
 			if c.key >= key {
@@ -214,11 +288,12 @@ func (l *List) walk(key int64, lvl int) (pred *column, craw unsafe.Pointer, hops
 			// A marked right cell means c is being purged: help unlink it if
 			// pred's cell is clean; a marked pred cell means pred is being
 			// purged too — just route through (columns never dangle).
-			if rraw := c.right[h].Load(); core.Marked(rraw) && !core.Marked(craw) &&
-				pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
+			rraw := c.cell(h).Load()
+			if core.Marked(rraw) && !core.Marked(craw) && pred.cell(h).CompareAndSwap(craw, core.Mask(rraw)) {
+				craw = core.Mask(rraw)
 				continue
 			}
-			pred = c
+			pred, craw = c, rraw
 		}
 	}
 	return pred, craw, hops
@@ -254,7 +329,7 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 	if h == 0 {
 		return
 	}
-	c := &column{key: key, right: make([]core.Atomic, h)}
+	c := newColumn(key, h)
 	c.n.Raw(unsafe.Pointer(n))
 	for lvl := 0; lvl < h; lvl++ {
 		for {
@@ -267,8 +342,8 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 			// CAS fails if pred's cell changed — including going marked,
 			// which is what makes a splice into a dying column impossible
 			// (mark-then-unlink, see the package comment).
-			c.right[lvl].Raw(craw)
-			if pred.right[lvl].CompareAndSwap(craw, unsafe.Pointer(c)) {
+			c.cell(lvl).Raw(craw)
+			if pred.cell(lvl).CompareAndSwap(craw, unsafe.Pointer(c)) {
 				break
 			}
 		}
@@ -303,23 +378,24 @@ func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 		if c.key > key {
 			return
 		}
-		c = (*column)(core.Mask(c.right[0].Load()))
+		c = (*column)(core.Mask(c.cell(0).Load()))
 		*hops++
 	}
 	// Phase 1: mark every right cell top-down. A failed CAS means a
 	// splice landed behind c after we loaded the cell — reload and mark
 	// the new successor chain in.
-	for lvl := len(c.right) - 1; lvl >= 0; lvl-- {
+	for lvl := c.h - 1; lvl >= 0; lvl-- {
 		for {
-			raw := c.right[lvl].Load()
-			if core.Marked(raw) || c.right[lvl].CompareAndSwap(raw, core.WithMark(raw)) {
+			cell := c.cell(lvl)
+			raw := cell.Load()
+			if core.Marked(raw) || cell.CompareAndSwap(raw, core.WithMark(raw)) {
 				break
 			}
 		}
 	}
 	// Phase 2: unlink each level. Walkers help, so the walk just retries
 	// until c is no longer reachable at the level.
-	for lvl := len(c.right) - 1; lvl >= 0; lvl-- {
+	for lvl := c.h - 1; lvl >= 0; lvl-- {
 		l.unlinkIndexLevel(c, lvl, hops)
 	}
 	// Phase 3: cut the index->node edge. After this store no new hint
@@ -342,15 +418,15 @@ func (l *List) unlinkIndexLevel(c *column, lvl int, hops *int) {
 				return // c is not reachable at this level
 			}
 			if s == c {
-				if pred.right[lvl].CompareAndSwap(craw, core.Mask(c.right[lvl].Load())) {
+				if pred.cell(lvl).CompareAndSwap(craw, core.Mask(c.cell(lvl).Load())) {
 					return
 				}
-			} else if rraw := s.right[lvl].Load(); !core.Marked(rraw) {
+			} else if rraw := s.cell(lvl).Load(); !core.Marked(rraw) {
 				pred = s
-			} else if !pred.right[lvl].CompareAndSwap(craw, core.Mask(rraw)) {
+			} else if !pred.cell(lvl).CompareAndSwap(craw, core.Mask(rraw)) {
 				break
 			}
-			craw = pred.right[lvl].Load()
+			craw = pred.cell(lvl).Load()
 			*hops++
 		}
 	}
@@ -452,9 +528,9 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 
 // GetBatch looks up every keys[i] inside one protected operation (one
 // StartOp/EndOp instead of one per key), recording results in vals[i]
-// and present[i]. Ascending key order gives consecutive descents warm
-// column paths; the O(1) indexTop probe replaced the per-batch
-// effective-height scan.
+// and present[i]. That is all the batch shares: every key descends the
+// index for its own hint, and ascending key order only helps in that
+// consecutive descents revisit the upper columns while they are cached.
 func (l *List) GetBatch(t *core.Thread, keys []int64, vals []uint64, present []bool) {
 	t.StartOp()
 	defer t.EndOp()

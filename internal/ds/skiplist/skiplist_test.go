@@ -2,7 +2,10 @@ package skiplist
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"pop/internal/core"
 	"pop/internal/ds"
@@ -71,7 +74,7 @@ func checkIndex(t *testing.T, l *List, keys int64, phase string) {
 	t.Helper()
 	for lvl := 0; lvl < maxIndexHeight; lvl++ {
 		cols, prev := int64(0), int64(math.MinInt64)
-		for raw := l.headCol.right[lvl].Load(); ; {
+		for raw := l.headCol.cell(lvl).Load(); ; {
 			if core.Marked(raw) {
 				t.Fatalf("%s: level %d: marked cell still linked before key %d", phase, lvl, prev)
 			}
@@ -87,7 +90,7 @@ func checkIndex(t *testing.T, l *List, keys int64, phase string) {
 			} else if got := (*hmlist.Node)(n).Key(); got != c.key {
 				t.Fatalf("%s: column key %d routes to node key %d", phase, c.key, got)
 			}
-			cols, prev, raw = cols+1, c.key, c.right[lvl].Load()
+			cols, prev, raw = cols+1, c.key, c.cell(lvl).Load()
 		}
 		// Geometric(1/4) heights: P(column) = 1/4. Allow generous slack.
 		if lo, hi := keys/6, keys/3; lvl == 0 && (cols < lo || cols > hi) {
@@ -128,7 +131,7 @@ func TestColumnAccounting(t *testing.T) {
 	}
 	th.Flush()
 	for lvl := 0; lvl < maxIndexHeight; lvl++ {
-		if raw := l.headCol.right[lvl].Load(); (*column)(core.Mask(raw)) != l.tailCol {
+		if raw := l.headCol.cell(lvl).Load(); (*column)(core.Mask(raw)) != l.tailCol {
 			t.Fatalf("index level %d not empty after full delete", lvl)
 		}
 	}
@@ -175,4 +178,138 @@ func TestPurgeStepCount(t *testing.T) {
 	if large > 3*small {
 		t.Errorf("purge cost grew %.1fx from n=1K (%.1f) to the largest n (%.1f), want <= 3x", large/small, small, large)
 	}
+}
+
+var columnSink *column
+
+// TestColumnLayout pins the single-object column layout: one allocation
+// per column, of the size class the shapes' comment names, with the h
+// cells contiguous behind the header inside that allocation and nothing
+// reachable past them.
+func TestColumnLayout(t *testing.T) {
+	const hdr, word = unsafe.Sizeof(column{}), unsafe.Sizeof(core.Atomic{})
+	for _, w := range []struct {
+		name               string
+		size, want, offset uintptr
+	}{
+		{"column", hdr, 24, hdr},
+		{"col1", unsafe.Sizeof(col1{}), 32, unsafe.Offsetof(col1{}.cells)},
+		{"col5", unsafe.Sizeof(col5{}), 64, unsafe.Offsetof(col5{}.cells)},
+		{"col13", unsafe.Sizeof(col13{}), 128, unsafe.Offsetof(col13{}.cells)},
+		{"col16", unsafe.Sizeof(col16{}), 152, unsafe.Offsetof(col16{}.cells)},
+	} {
+		if w.size != w.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", w.name, w.size, w.want)
+		}
+		if w.offset != hdr {
+			t.Errorf("%s: cells at offset %d, want %d (cell's arithmetic assumes it)", w.name, w.offset, hdr)
+		}
+	}
+	mustPanic := func(h, i int, c *column) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("height %d: cell(%d) did not panic", h, i)
+			}
+		}()
+		c.cell(i)
+	}
+	for h := 0; h <= maxIndexHeight; h++ {
+		// The Go size class each height's shape lands in.
+		class := uintptr(160)
+		switch {
+		case h == 0:
+			class = 24
+		case h == 1:
+			class = 32
+		case h <= 5:
+			class = 64
+		case h <= 13:
+			class = 128
+		}
+		if allocs := testing.AllocsPerRun(100, func() { columnSink = newColumn(7, h) }); allocs != 1 {
+			t.Errorf("height %d: %v allocations per column, want 1", h, allocs)
+		}
+		// Bytes per column as the allocator counts them: a shape too small
+		// for its height would let cell() reach into a neighbouring object.
+		// Anything else the process allocates meanwhile only adds, so take
+		// the least of a few samples.
+		const runs = 1000
+		got := ^uintptr(0)
+		for try := 0; try < 5 && got != class; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				columnSink = newColumn(7, h)
+			}
+			runtime.ReadMemStats(&after)
+			got = min(got, uintptr(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if got != class {
+			t.Errorf("height %d: %d B allocated per column, want the %d B class", h, got, class)
+		}
+		c := newColumn(7, h)
+		if c.key != 7 || c.h != h || c.n.Load() != nil {
+			t.Errorf("height %d: header = {%d, %v, %d}", h, c.key, c.n.Load(), c.h)
+		}
+		base := uintptr(unsafe.Pointer(c))
+		for i := 0; i < h; i++ {
+			if got, want := uintptr(unsafe.Pointer(c.cell(i))), base+hdr+uintptr(i)*word; got != want || got+word > base+class {
+				t.Errorf("height %d: cell(%d) at base+%d, want base+%d inside %d B", h, i, got-base, want-base, class)
+			}
+			if c.cell(i).Load() != nil {
+				t.Errorf("height %d: cell(%d) not zeroed", h, i)
+			}
+		}
+		mustPanic(h, h, c)
+		mustPanic(h, -1, c)
+	}
+	l := New(core.NewDomain(core.EBR, 1, nil))
+	if l.headCol.h != maxIndexHeight || l.tailCol.h != 0 {
+		t.Errorf("head column has %d cells, tail %d; want %d and 0", l.headCol.h, l.tailCol.h, maxIndexHeight)
+	}
+}
+
+// TestColumnsSurviveGC proves the collector agrees with the layout:
+// linked columns are reachable only through unsafe.Pointer cells — some
+// of them tagged (base+1) while a purge is in flight — and those cells
+// are reached by pointer arithmetic, so a shape the GC mis-scans would
+// free a linked column. Every round runs under a near-continuous
+// collector and ends in a full collection.
+func TestColumnsSurviveGC(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	d := core.NewDomain(core.EBR, 1, &core.Options{ReclaimThreshold: 64})
+	l := New(d)
+	th := d.RegisterThread()
+	const keys = 20_000
+	check := func(phase string, want uint64) {
+		t.Helper()
+		runtime.GC()
+		checkIndex(t, l, keys, phase)
+		for k := int64(0); k < keys; k++ {
+			if v, ok := l.Get(th, k); !ok || v != want {
+				t.Fatalf("%s: Get(%d) = %d, %t; want %d", phase, k, v, ok, want)
+			}
+		}
+	}
+	for k := int64(0); k < keys; k++ {
+		l.PutIfAbsent(th, k, 0)
+	}
+	check("prefill", 0)
+	for round := uint64(1); round <= 2; round++ {
+		for k := int64(0); k < keys; k++ {
+			l.Put(th, k, round)
+		}
+		check("overwrite", round)
+	}
+	for k := int64(0); k < keys; k++ {
+		if _, ok := l.Delete(th, k); !ok {
+			t.Fatalf("delete %d: absent", k)
+		}
+		if k%2 == 1 { // re-insert in pairs, so splices land next to fresh purges
+			l.PutIfAbsent(th, k-1, 9)
+			l.PutIfAbsent(th, k, 9)
+		}
+	}
+	check("delete/re-insert", 9)
 }
