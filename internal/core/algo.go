@@ -19,8 +19,9 @@ type algorithm interface {
 	endOp(t *Thread)
 	// protect implements Thread.Protect.
 	protect(t *Thread, slot int, a *Atomic) (unsafe.Pointer, bool)
-	// retireHook runs after a node is appended to the retire list and
-	// decides whether to reclaim.
+	// retireHook runs after a node is appended to the retire list.
+	// baseAlgo's is the shared threshold gate; NR leaks instead and
+	// Crystalline seals a batch ahead of the gate.
 	retireHook(t *Thread)
 	// allocHook runs on every allocation (IBR's epoch cadence).
 	allocHook(t *Thread)
@@ -29,24 +30,35 @@ type algorithm interface {
 	// enterWrite / exitWrite bracket an NBR write phase.
 	enterWrite(t *Thread) bool
 	exitWrite(t *Thread)
-	// flush performs a final reclamation attempt.
-	flush(t *Thread)
+	// reclaim is the policy's body of a reclamation pass — its pre-step,
+	// what it gathers from the other slots, and the sweep under its keep
+	// rule. Thread.pass owns everything around it and explains final.
+	reclaim(t *Thread, final bool)
 }
 
-// baseAlgo supplies the no-op defaults every policy starts from.
+// baseAlgo supplies the defaults every policy starts from: no-ops (NR
+// alone keeps reclaim's, and Thread.pass never calls it) and the shared
+// threshold gate.
 type baseAlgo struct{ d *Domain }
 
 func (baseAlgo) initThread(*Thread) {}
 func (baseAlgo) startOp(*Thread)    {}
 func (baseAlgo) endOp(*Thread)      {}
-func (baseAlgo) retireHook(*Thread) {}
 func (baseAlgo) allocHook(*Thread)  {}
 func (baseAlgo) poll(*Thread)       {}
 func (b baseAlgo) enterWrite(*Thread) bool {
 	return true
 }
-func (baseAlgo) exitWrite(*Thread) {}
-func (baseAlgo) flush(*Thread)     {}
+func (baseAlgo) exitWrite(*Thread)     {}
+func (baseAlgo) reclaim(*Thread, bool) {}
+
+// retireHook is the shared threshold gate: one pass per
+// ReclaimThreshold retires.
+func (b baseAlgo) retireHook(t *Thread) {
+	if t.sinceReclaim >= b.d.opts.ReclaimThreshold {
+		t.pass(false)
+	}
+}
 
 // newAlgorithm wires a policy to its implementation.
 func newAlgorithm(d *Domain, p Policy) algorithm {
@@ -71,9 +83,9 @@ func newAlgorithm(d *Domain, p Policy) algorithm {
 	case HazardEraPOP:
 		return &hePOPAlgo{baseAlgo: b}
 	case EpochPOP:
-		return &epochPOPAlgo{baseAlgo: b}
+		return &epochPOPAlgo{baseAlgo: b, ebr: ebrAlgo{b}, pop: hpPOPAlgo{b}}
 	case Crystalline:
-		return &crystAlgo{baseAlgo: b}
+		return &crystAlgo{ibrAlgo{b}}
 	default:
 		panic("core: unknown policy " + p.String())
 	}

@@ -246,7 +246,7 @@ func TestQuiescentThreadDoesNotBlockPing(t *testing.T) {
 // TestConcurrentReclaimersNoDeadlock: multiple POP reclaimers pinging
 // each other mid-retire must answer each other's pings (handler nesting).
 func TestConcurrentReclaimersNoDeadlock(t *testing.T) {
-	for _, p := range []core.Policy{core.HazardPtrPOP, core.HazardEraPOP, core.EpochPOP} {
+	for _, p := range []core.Policy{core.HazardPtrPOP, core.HazardEraPOP, core.EpochPOP, core.NBR} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			e := newEnv(t, p, 4, &core.Options{ReclaimThreshold: 8, CMult: 2})

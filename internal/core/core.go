@@ -195,12 +195,12 @@ func (o *Options) withDefaults() Options {
 // slots before growing toward maxThreads), and Thread.Release returns
 // it. A releasing thread donates its unreclaimed retire list to the
 // domain's orphan queue; live threads adopt the queue at the start of
-// their next reclamation pass (every policy's reclaim and flush call
-// Thread.adoptOrphans), so no retired node is stranded by a departed
-// thread — and the release that brings the retires of departed threads
-// to ReclaimThreshold runs that pass itself (beginRelease), so the
-// queue is bounded even when no thread lives long enough to reach the
-// threshold alone.
+// their next reclamation pass (Thread.pass calls Thread.adoptOrphans
+// ahead of every policy's reclaim), so no retired node is stranded by a
+// departed thread — and the release that brings the retires of departed
+// threads to ReclaimThreshold runs that pass itself (beginRelease), so
+// the queue is bounded even when no thread lives long enough to reach
+// the threshold alone.
 type Domain struct {
 	policy Policy
 	opts   Options
@@ -505,7 +505,7 @@ func (d *Domain) Unreclaimed() int64 {
 func (d *Domain) Stats() Stats {
 	var agg Stats
 	for _, t := range d.threadList() {
-		agg.add(t.StatsSnapshot())
+		agg.Add(t.StatsSnapshot())
 	}
 	return agg
 }
@@ -545,10 +545,11 @@ type ReclaimStats struct {
 	ScannedPerPass float64 // Scanned / Passes (0 when no pass ran)
 }
 
-// add folds o into s: every counter sums, MaxRetire (a high-water mark)
+// Add folds o into s: every counter sums, MaxRetire (a high-water mark)
 // takes the larger. The one aggregation rule behind Domain.Stats,
-// Domain.StatsSampled and their DomainGroup counterparts.
-func (s *Stats) add(o Stats) {
+// Domain.StatsSampled, their DomainGroup counterparts and the telemetry
+// sampler's ring overflow.
+func (s *Stats) Add(o Stats) {
 	s.Retires += o.Retires
 	s.Frees += o.Frees
 	s.Reclaims += o.Reclaims
@@ -561,6 +562,23 @@ func (s *Stats) add(o Stats) {
 	if o.MaxRetire > s.MaxRetire {
 		s.MaxRetire = o.MaxRetire
 	}
+}
+
+// Sub returns the interval delta s − prev of two cumulative snapshots:
+// every counter subtracts; MaxRetire stays s's, the current gauge
+// (high-water marks don't telescope). Add-ing successive deltas back
+// onto the first snapshot reproduces the last.
+func (s Stats) Sub(prev Stats) Stats {
+	s.Retires -= prev.Retires
+	s.Frees -= prev.Frees
+	s.Reclaims -= prev.Reclaims
+	s.EpochReclaims -= prev.EpochReclaims
+	s.POPReclaims -= prev.POPReclaims
+	s.PingsSent -= prev.PingsSent
+	s.ThreadsScanned -= prev.ThreadsScanned
+	s.Publishes -= prev.Publishes
+	s.Restarts -= prev.Restarts
+	return s
 }
 
 // reclaim derives the fan-out view from the counters.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"time"
-	"unsafe"
-)
+import "unsafe"
 
 // ebrAlgo is RCU-style epoch-based reclamation (paper Alg. 6): reads are
 // free; each operation announces the global epoch on entry and eraMax on
@@ -28,27 +25,19 @@ func (a *ebrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bo
 	return cell.Load(), true
 }
 
-func (a *ebrAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
+// reclaim frees everything retired before the minimum announced epoch
+// (eraMax when quiescent). A final pass advances the epoch first, so
+// nodes retired in the current one become eligible once every thread is
+// quiescent.
+func (a *ebrAlgo) reclaim(t *Thread, final bool) {
+	if final {
+		a.d.epoch.Add(1)
 	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
-}
-
-// reclaim frees everything retired before the minimum announced epoch.
-// Released slots announce eraMax (Thread.Release), identical to
-// quiescence, so they never pin the minimum.
-func (a *ebrAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	t.freeBeforeEpoch(t.minAnnouncedEpoch())
-}
-
-func (a *ebrAlgo) flush(t *Thread) {
-	// Advance the epoch so nodes retired in the current epoch become
-	// eligible once every thread is quiescent.
-	a.d.epoch.Add(1)
-	a.reclaim(t)
+	min := uint64(eraMax)
+	t.eachSlot(nil, func(o *Thread, _ bool) {
+		if e := o.resEpoch.Load(); e < min {
+			min = e
+		}
+	})
+	t.sweep(func(h *Header) bool { return h.RetireEra >= min })
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"time"
-	"unsafe"
-)
+import "unsafe"
 
 // epochPOPAlgo is EpochPOP (paper Alg. 3): threads run classic EBR and
 // HazardPtrPOP *simultaneously*. Operations announce epochs exactly like
@@ -15,7 +12,11 @@ import (
 // thread's (now published) reservations. No global mode switch: different
 // threads can be reclaiming in different modes at the same time, which is
 // the paper's key contrast with Qsense.
-type epochPOPAlgo struct{ baseAlgo }
+type epochPOPAlgo struct {
+	baseAlgo
+	ebr ebrAlgo   // the pass's first half
+	pop hpPOPAlgo // its escalation
+}
 
 func (a *epochPOPAlgo) startOp(t *Thread) {
 	t.checkPing((*Thread).publishPtrs)
@@ -45,44 +46,20 @@ func (a *epochPOPAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointe
 
 func (a *epochPOPAlgo) poll(t *Thread) { t.checkPing((*Thread).publishPtrs) }
 
-func (a *epochPOPAlgo) retireHook(t *Thread) {
-	threshold := a.d.opts.ReclaimThreshold
-	if t.sinceReclaim < threshold {
-		return
-	}
-	t.sinceReclaim = 0
-	defer a.d.recordPass(time.Now())
-	// Fast path (Alg. 3 lines 24-25): EBR-style reclamation. Released
-	// slots announce eraMax and never pin the minimum epoch; the
-	// escalation path inherits hppop.go's slot-lifecycle audit (released
-	// slots skip as quiescent, boundary-crossing detection is monotone
-	// across slot reuse).
-	t.stats.Reclaims++
+// reclaim is EBR's pass, then — only if that left too much —
+// HazardPtrPOP's (Alg. 3 lines 24-30). A list still at C×threshold
+// after the epoch sweep means some thread is pinning an old epoch: ping
+// everyone and free around the published reservations instead. A final
+// pass escalates if anything at all is left.
+func (a *epochPOPAlgo) reclaim(t *Thread, final bool) {
 	t.stats.EpochReclaims++
-	t.adoptOrphans()
-	t.freeBeforeEpoch(t.minAnnouncedEpoch())
-	// Escalation (lines 26-30): if the list is still ≥ C×threshold, some
-	// thread is pinning an old epoch — ping everyone and free with the
-	// HazardPtrPOP rule, skipping only the published reservations.
-	if len(t.retired) >= a.d.opts.CMult*threshold {
-		t.stats.POPReclaims++
-		skip := t.pingAllAndWait((*Thread).publishPtrs)
-		set := t.collectPtrSet(skip)
-		t.freeUnreserved(set)
+	a.ebr.reclaim(t, final)
+	limit := a.d.opts.CMult * a.d.opts.ReclaimThreshold
+	if final {
+		limit = 1
 	}
-}
-
-func (a *epochPOPAlgo) flush(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	a.d.epoch.Add(1)
-	t.stats.Reclaims++
-	t.stats.EpochReclaims++
-	t.adoptOrphans()
-	t.freeBeforeEpoch(t.minAnnouncedEpoch())
-	if len(t.retired) > 0 {
+	if len(t.retired) >= limit {
 		t.stats.POPReclaims++
-		skip := t.pingAllAndWait((*Thread).publishPtrs)
-		set := t.collectPtrSet(skip)
-		t.freeUnreserved(set)
+		a.pop.reclaim(t, final)
 	}
 }

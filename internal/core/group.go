@@ -262,7 +262,7 @@ func (g *DomainGroup) Releases() uint64 {
 func (g *DomainGroup) Stats() Stats {
 	var agg Stats
 	for _, d := range g.members {
-		agg.add(d.Stats())
+		agg.Add(d.Stats())
 	}
 	return agg
 }

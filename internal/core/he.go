@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"sync/atomic"
 	"unsafe"
 )
@@ -40,30 +38,10 @@ func (a *heAlgo) endOp(t *Thread) {
 	}
 }
 
-func (a *heAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	// Alg. 4 line 21: the reclaimer advances the era so in-flight
-	// operations stop pinning the current one.
+// reclaim gathers reserved eras from every slot. Alg. 4 line 21: the
+// reclaimer first advances the era so in-flight operations stop pinning
+// the current one.
+func (a *heAlgo) reclaim(t *Thread, _ bool) {
 	a.d.epoch.Add(1)
-	a.reclaim(t)
-}
-
-// reclaim gathers reserved eras from every slot. Released slots read
-// eraNone in every era slot (Thread.Release), contributing nothing to
-// the lifespan test; a re-leased slot shows only eras its new tenant
-// published.
-func (a *heAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	eras := t.collectEraList(nil)
-	t.freeOutsideEras(eras)
-}
-
-func (a *heAlgo) flush(t *Thread) {
-	a.d.epoch.Add(1)
-	a.reclaim(t)
+	t.sweepEras(nil)
 }

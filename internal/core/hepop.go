@@ -1,9 +1,6 @@
 package core
 
-import (
-	"time"
-	"unsafe"
-)
+import "unsafe"
 
 // hePOPAlgo is HazardEraPOP (paper Alg. 5): hazard eras with the
 // publish-on-ping treatment. Reads reserve the current era in a private
@@ -33,30 +30,9 @@ func (a *hePOPAlgo) endOp(t *Thread) { t.checkPing((*Thread).publishEras) }
 
 func (a *hePOPAlgo) poll(t *Thread) { t.checkPing((*Thread).publishEras) }
 
-func (a *hePOPAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	// As in HE, advance the era before reclaiming so new operations stop
-	// pinning the current one.
+// reclaim is HE's — era advance included — with the ping broadcast in
+// front of the gather, as HazardPtrPOP's is HP's.
+func (a *hePOPAlgo) reclaim(t *Thread, _ bool) {
 	a.d.epoch.Add(1)
-	a.reclaim(t)
-}
-
-// reclaim: see hppop.go's slot-lifecycle audit — identical here, with
-// era reservations in place of pointers (released slots read eraNone in
-// every era slot and are skipped as quiescent by pingAllAndWait).
-func (a *hePOPAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	skip := t.pingAllAndWait((*Thread).publishEras)
-	eras := t.collectEraList(skip)
-	t.freeOutsideEras(eras)
-}
-
-func (a *hePOPAlgo) flush(t *Thread) {
-	a.d.epoch.Add(1)
-	a.reclaim(t)
+	t.sweepEras(t.pingAndWait(popPing))
 }

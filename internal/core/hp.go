@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"sync/atomic"
 	"unsafe"
 )
@@ -34,24 +32,8 @@ func (a *hpAlgo) endOp(t *Thread) {
 	}
 }
 
-func (a *hpAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
+// reclaim scans every slot's shared reservations: eager publishing keeps
+// them current, so there is nobody to ping.
+func (a *hpAlgo) reclaim(t *Thread, _ bool) {
+	t.sweepPtrs(nil)
 }
-
-// reclaim scans every slot's shared reservations. Released slots read
-// all-nil (Thread.Release wipes them after EndOp already did), so a
-// departed tenant's reservations can never pin a node, and a reused
-// slot's visible reservations are always the current tenant's.
-func (a *hpAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	set := t.collectPtrSet(nil) // eager publishing: shared slots are current
-	t.freeUnreserved(set)
-}
-
-func (a *hpAlgo) flush(t *Thread) { a.reclaim(t) }

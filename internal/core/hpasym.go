@@ -42,31 +42,14 @@ func (a *hpAsymAlgo) endOp(t *Thread) {
 	}
 }
 
-func (a *hpAsymAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
-}
-
-// reclaim: as in HP, released slots' shared arrays read all-nil, so
-// slot churn only ever removes reservations from the scan, never adds
-// stale ones.
-func (a *hpAsymAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	// The membarrier substitution: fence ourselves, then give every other
-	// CPU's store buffer time to drain so the readers' plain stores are
-	// visible to the scan below.
+// reclaim is HP's behind the membarrier substitution: fence ourselves,
+// then give every other CPU's store buffer time to drain so the readers'
+// plain stores are visible to the scan.
+func (a *hpAsymAlgo) reclaim(t *Thread, _ bool) {
 	asymFence.Add(1)
 	sleepFor(a.d.opts.AsymDrain)
-	set := t.collectPtrSet(nil)
-	t.freeUnreserved(set)
+	t.sweepPtrs(nil)
 }
-
-func (a *hpAsymAlgo) flush(t *Thread) { a.reclaim(t) }
 
 // sleepFor waits approximately d without arming a timer (timer resolution
 // on Linux is far coarser than the microsecond drains we need).

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"time"
-	"unsafe"
-)
+import "unsafe"
 
 // hpPOPAlgo is HazardPtrPOP (paper Alg. 1–2), the core contribution:
 // hazard pointers without the per-read fence. Reads reserve pointers in a
@@ -36,28 +33,9 @@ func (a *hpPOPAlgo) endOp(t *Thread) { t.checkPing((*Thread).publishPtrs) }
 
 func (a *hpPOPAlgo) poll(t *Thread) { t.checkPing((*Thread).publishPtrs) }
 
-func (a *hpPOPAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
+// reclaim is Alg. 1 lines 19-22: HP's reclaim with the three lines that
+// collect publish counters, ping all and wait for all to publish in
+// front of the scan.
+func (a *hpPOPAlgo) reclaim(t *Thread, _ bool) {
+	t.sweepPtrs(t.pingAndWait(popPing))
 }
-
-// reclaim is Alg. 1 lines 19-22: collect publish counters, ping all,
-// wait for all to publish, then free everything unreserved. Slot
-// lifecycle audit: released slots are quiescent (even opSeq), so
-// pingAllAndWait skips them published-empty; a slot released (and even
-// re-leased) mid-wait crossed an operation boundary — opSeq moved, both
-// counters being monotone across reuse — so the wait loop skips it
-// rather than reading the new tenant's publishes as the old tenant's.
-func (a *hpPOPAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	skip := t.pingAllAndWait((*Thread).publishPtrs)
-	set := t.collectPtrSet(skip)
-	t.freeUnreserved(set)
-}
-
-func (a *hpPOPAlgo) flush(t *Thread) { a.reclaim(t) }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"time"
-	"unsafe"
-)
+import "unsafe"
 
 // ibrAlgo is 2GE interval-based reclamation (Wen et al. [60], the "IBR"
 // line in the paper's plots). Each operation reserves an era *interval*
@@ -48,42 +45,26 @@ func (a *ibrAlgo) allocHook(t *Thread) {
 	}
 }
 
-func (a *ibrAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
+// reclaim frees every retired node whose lifespan intersects no reserved
+// interval; a final pass advances the epoch first.
+func (a *ibrAlgo) reclaim(t *Thread, final bool) {
+	if final {
+		a.d.epoch.Add(1)
 	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
+	los, his := t.gatherIntervals()
+	t.sweep(func(h *Header) bool { return intervalReserved(los, his, h.BirthEra, h.RetireEra) })
 }
 
-// reclaim gathers reserved intervals from every slot. Released slots
-// read [eraMax, eraMax] (Thread.Release), which intervalReserved treats
-// as quiescent, so a departed tenant's interval never pins a lifespan.
-func (a *ibrAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
-	// Gather reserved intervals.
-	los := grow(t.scCounts, len(ts))
-	his := grow(t.scSeqs, len(ts))
-	for i, o := range ts {
-		los[i] = o.ibrLo.Load()
-		his[i] = o.ibrHi.Load()
-	}
-	kept := t.retired[:0]
-	freed := 0
-	for _, h := range t.retired {
-		if intervalReserved(los, his, h.BirthEra, h.RetireEra) {
-			kept = append(kept, h)
-		} else {
-			a.d.free(t, h)
-			freed++
-		}
-	}
-	t.retired = kept
-	t.stats.Frees += uint64(freed)
+// gatherIntervals snapshots every slot's reserved [lo, hi] interval into
+// the thread's scratch.
+func (t *Thread) gatherIntervals() (los, his []uint64) {
+	los, his = t.scCounts[:0], t.scSeqs[:0]
+	t.eachSlot(nil, func(o *Thread, _ bool) {
+		los = append(los, o.ibrLo.Load())
+		his = append(his, o.ibrHi.Load())
+	})
+	t.scCounts, t.scSeqs = los, his
+	return los, his
 }
 
 // intervalReserved reports whether [birth, retire] intersects any
@@ -98,9 +79,4 @@ func intervalReserved(los, his []uint64, birth, retire uint64) bool {
 		}
 	}
 	return false
-}
-
-func (a *ibrAlgo) flush(t *Thread) {
-	a.d.epoch.Add(1)
-	a.reclaim(t)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -110,81 +109,24 @@ func (a *nbrAlgo) exitWrite(t *Thread) {
 	t.phase.Store(1)
 }
 
-func (a *nbrAlgo) retireHook(t *Thread) {
-	if t.sinceReclaim < a.d.opts.ReclaimThreshold {
-		return
-	}
-	t.sinceReclaim = 0
-	a.reclaim(t)
+// nbrPing is the neutralization broadcast: ping everyone (the signal
+// goes to quiescent threads too; their next startOp acks it for free),
+// and stop waiting for a thread that is quiescent or in a write phase —
+// never wait on phase 2: its reservations are published, and it may be
+// blocked on a lock we hold.
+var nbrPing = pingRule{
+	target: func(uint64) bool { return true },
+	moot: func(o *Thread, _ uint64) bool {
+		ph := o.phase.Load()
+		return ph == 0 || ph == 2
+	},
 }
 
-// reclaim neutralizes everyone and frees around published write-phase
-// reservations. Slot lifecycle audit: a released slot reads phase 0, so
-// the wait loop below never blocks on it; a neutralization ping that
-// lands on a slot as (or after) its tenant departs is inert — the next
-// tenant's startOp acks it before anything has been read, so the ack
-// can neither discard progress nor attribute a restart to the wrong
-// tenant; and a released slot's shared reservations read all-nil, so
-// departed tenants never pin nodes.
-func (a *nbrAlgo) reclaim(t *Thread) {
-	defer a.d.recordPass(time.Now())
-	t.stats.Reclaims++
-	t.adoptOrphans()
-	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
-	counts := grow(t.scCounts, len(ts))
-	for i, o := range ts {
-		if o == t {
-			continue
-		}
-		counts[i] = o.pubCount.Load()
-	}
-	// Neutralize everyone (the signal broadcast).
-	pingStart := time.Now()
-	pinged := false
-	for _, o := range ts {
-		if o == t {
-			continue
-		}
-		o.ping.Store(1)
-		t.stats.PingsSent++
-		pinged = true
-	}
-	// Wait until every thread acked, went quiescent, or is in a write
-	// phase (whose reservations are published — never wait on phase 2:
-	// it may be blocked on a lock we hold).
-	deadline := pingStart.Add(publishWaitLimit)
-	for i, o := range ts {
-		if o == t {
-			continue
-		}
-		for o.pubCount.Load() == counts[i] {
-			if ph := o.phase.Load(); ph == 0 || ph == 2 {
-				break
-			}
-			// Another reclaimer may be waiting on *our* ack: answer any
-			// pending neutralization while we spin (the POP wait loop's
-			// checkPing(selfPublish), in NBR terms). Retire sites run
-			// after the write phase, so acking here discards no writes;
-			// it just marks the surrounding operation for restart at its
-			// next Protect. Without this, two threads whose retires
-			// trigger reclamation concurrently deadlock in phase 1, each
-			// waiting for the other's ack.
-			a.poll(t)
-			runtime.Gosched()
-			if time.Now().After(deadline) {
-				panic("core: NBR reclaimer waited >30s for neutralization acks")
-			}
-		}
-	}
-	if pinged {
-		// Neutralization broadcast → last ack: NBR's ping-ack span.
-		t.d.recordPingAck(pingStart)
-	}
-	// Scan all published reservations (only write-phase threads have
-	// non-empty slots; that includes our own, published at EnterWrite).
-	set := t.collectPtrSet(nil)
-	t.freeUnreserved(set)
+// reclaim neutralizes everyone, then frees around the published
+// reservations: only write-phase threads have non-empty shared slots
+// (our own included, published at EnterWrite), so the scan is HP's and
+// the broadcast's skip mask is not needed.
+func (a *nbrAlgo) reclaim(t *Thread, _ bool) {
+	t.pingAndWait(nbrPing)
+	t.sweepPtrs(nil)
 }
-
-func (a *nbrAlgo) flush(t *Thread) { a.reclaim(t) }

@@ -12,17 +12,11 @@ func (a *nrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, boo
 	return cell.Load(), true
 }
 
+// retireHook leaks: account the nodes and forget them. The retire list
+// is drained immediately so its length stays ~0 in the memory plots (NR
+// has no deferred-reclamation backlog — the leak shows up in outstanding
+// nodes instead), which is also why NR has no pass (see Thread.pass).
 func (a *nrAlgo) retireHook(t *Thread) {
-	// Leak: account the nodes and forget them. The retire list is drained
-	// immediately so its length stays ~0 in the memory plots (NR has no
-	// deferred-reclamation backlog — the leak shows up in outstanding
-	// nodes instead). Slot lifecycle audit: because the list is always
-	// empty at quiescence, an NR thread's Release never donates orphans,
-	// so NR needs no adoption pass.
 	a.d.leaked.Add(int64(len(t.retired)))
-	for _, h := range t.retired {
-		// Mark permanently retired; nobody will free these.
-		_ = h
-	}
 	t.retired = t.retired[:0]
 }

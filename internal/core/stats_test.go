@@ -6,10 +6,11 @@ import (
 )
 
 // TestStatsAddFoldsEveryField fails when a field is added to Stats and
-// not to Stats.add: every uint64 counter, set to distinct values on two
-// inputs, must come out as their sum, and MaxRetire as the larger. A
-// field of any other type fails outright, so its fold rule gets written
-// down here too.
+// not to Stats.Add or Stats.Sub: every uint64 counter, set to distinct
+// values on two inputs, must come out of Add as their sum and of Sub as
+// their difference; MaxRetire as the larger from Add and the receiver's
+// own from Sub. A field of any other type fails outright, so its fold
+// rule gets written down here too.
 func TestStatsAddFoldsEveryField(t *testing.T) {
 	var a, b Stats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
@@ -26,7 +27,7 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 		}
 	}
 	sum := a
-	sum.add(b)
+	sum.Add(b)
 	sv := reflect.ValueOf(sum)
 	for i := 0; i < sv.NumField(); i++ {
 		if sv.Field(i).Kind() != reflect.Uint64 {
@@ -41,8 +42,25 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 	}
 	// The fold is symmetric in MaxRetire.
 	sum = b
-	sum.add(a)
+	sum.Add(a)
 	if sum.MaxRetire != 9 {
 		t.Errorf("MaxRetire = %d after reversed add, want 9", sum.MaxRetire)
+	}
+
+	// Sub subtracts every counter and keeps the receiver's gauge.
+	dv := reflect.ValueOf(b.Sub(a))
+	for i := 0; i < dv.NumField(); i++ {
+		if dv.Field(i).Kind() != reflect.Uint64 {
+			continue
+		}
+		if got, want := dv.Field(i).Uint(), uint64(1000+7*i)-uint64(100+i); got != want {
+			t.Errorf("Stats.%s = %d after Sub, want the difference %d", dv.Type().Field(i).Name, got, want)
+		}
+	}
+	if got := b.Sub(a).MaxRetire; got != 9 {
+		t.Errorf("MaxRetire = %d after Sub, want the receiver's 9", got)
+	}
+	if got := a.Sub(b).MaxRetire; got != 5 {
+		t.Errorf("MaxRetire = %d after reversed Sub, want the receiver's 5", got)
 	}
 }

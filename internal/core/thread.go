@@ -100,7 +100,8 @@ type Thread struct {
 	// on this bit).
 	leased bool
 
-	// scratch buffers reused across reclamation passes
+	// scratch buffers reused across reclamation passes (scCounts/scSeqs
+	// double as the interval policies' lo/hi snapshots: they never ping)
 	scCounts []uint64
 	scSeqs   []uint64
 	scSkip   []bool
@@ -141,7 +142,7 @@ func (t *Thread) Domain() *Domain { return t.d }
 //     reservations nil/eraNone, announced epochs and IBR intervals
 //     eraMax, NBR phase 0), so any scan — HP/HPAsym/HE pointer or era
 //     scans, IBR/Crystalline interval scans, EBR's minimum epoch, the
-//     POP pingAllAndWait skip logic — sees exactly what it sees for a
+//     pingAndWait skip logic — sees exactly what it sees for a
 //     quiescent thread. Wiping is idempotent: EndOp already cleared
 //     everything a policy publishes, so no reclaimer can be relying on
 //     these words at release time.
@@ -154,11 +155,12 @@ func (t *Thread) Domain() *Domain { return t.d }
 // either: they are added to the domain's release debt, and the release
 // that carries the debt to ReclaimThreshold runs the policy's ordinary
 // pass (which starts by adopting the orphanage) before donating what is
-// left. A domain whose tenants all leave long before reaching the
-// threshold on their own — a serving front's one-command bursts —
-// therefore still reclaims once per ReclaimThreshold retires, at the
-// same amortised cost as one long-lived thread, and never more often
-// than that however little a pass manages to free.
+// left (Thread.pass, the same pass the threshold gate runs). A domain
+// whose tenants all leave long before reaching the threshold on their
+// own — a serving front's one-command bursts — therefore still reclaims
+// once per ReclaimThreshold retires, at the same amortised cost as one
+// long-lived thread, and never more often than that however little a
+// pass manages to free.
 //
 // Monotone counters (opSeq, pubCount, incarnation) are deliberately NOT
 // reset: a reclaimer that pinged this slot's old tenant and is still
@@ -181,8 +183,7 @@ func (t *Thread) Release() {
 	// released handle, and is equally undetectable — a handle must
 	// never be touched after Release returns.)
 	if t.d.beginRelease(t) {
-		t.sinceReclaim = t.d.opts.ReclaimThreshold
-		t.d.algo.retireHook(t)
+		t.pass(false)
 	}
 	for i := 0; i < MaxSlots; i++ {
 		atomic.StorePointer(&t.sharedPtrs[i], nil)
@@ -205,11 +206,11 @@ func (t *Thread) Release() {
 }
 
 // adoptOrphans transfers retire lists donated by departed threads to t.
-// Every policy calls it at the start of its reclamation pass and flush,
-// so orphaned garbage is reclaimed by whichever live thread reclaims
-// next. Adopted nodes are indistinguishable from t's own retires: their
-// headers carry birth/retire eras and the retired flag, which is all
-// any policy's free test reads.
+// Every pass starts with it (Thread.pass), so orphaned garbage is
+// reclaimed by whichever live thread reclaims next. Adopted nodes are
+// indistinguishable from t's own retires: their headers carry
+// birth/retire eras and the retired flag, which is all any policy's
+// free test reads.
 func (t *Thread) adoptOrphans() {
 	d := t.d
 	if d.orphanLen.Load() == 0 {
@@ -343,9 +344,37 @@ func (t *Thread) ExitWritePhase() { t.d.algo.exitWrite(t) }
 // the workload has stopped (all other threads quiescent) to drain retire
 // lists for the end-of-run accounting.
 func (t *Thread) Flush() {
-	t.d.algo.flush(t)
-	t.retiredLen.Store(uint32(len(t.retired)))
+	t.pass(true)
 	t.publishStats() // flushed threads report exact sampled stats
+}
+
+// pass runs one reclamation pass, and is the only place one begins and
+// ends: the threshold gate (baseAlgo.retireHook), Release's debt pass
+// and Flush all come through here. It restarts the retire count the
+// gate and the release debt are measured from, times the pass, counts
+// it, adopts the orphanage, runs the policy's body (algorithm.reclaim)
+// and republishes the retire-list length.
+//
+// final marks Flush's end-of-run pass, after the workload has stopped:
+// the policies whose keep rule compares against the global epoch first
+// advance it so nodes retired in the current epoch become eligible,
+// Crystalline seals its open tail, and EpochPOP escalates if anything
+// at all is left.
+//
+// NR has no pass: it leaks at every retire (nrAlgo.retireHook), so its
+// list is empty at quiescence, its Release never donates orphans, and
+// there is nothing to adopt, count or time.
+func (t *Thread) pass(final bool) {
+	t.sinceReclaim = 0
+	if t.d.policy == NR {
+		return
+	}
+	start := time.Now()
+	t.stats.Reclaims++
+	t.adoptOrphans()
+	t.d.algo.reclaim(t, final)
+	t.retiredLen.Store(uint32(len(t.retired)))
+	t.d.recordPass(start)
 }
 
 // ---------------------------------------------------------------------
@@ -394,39 +423,71 @@ func (t *Thread) checkPing(publish func(*Thread)) {
 	}
 }
 
-// pingAllAndWait implements collectPublishedCounters + pingAllToPublish +
-// waitForAllPublished (paper Alg. 1 lines 19-21, Alg. 2 lines 36-51).
+// pingRule is the policy-specific part of a ping broadcast: whom it
+// pings, and when a pinged slot stops mattering before it has answered.
+// (How the waiter answers a ping aimed at itself is not a parameter: it
+// polls, like any other busy thread — Thread.Poll.)
+type pingRule struct {
+	// target reports whether a slot whose opSeq read seq is pinged.
+	target func(seq uint64) bool
+	// moot reports whether pinged slot o, whose opSeq read seq at the
+	// broadcast, no longer needs to answer.
+	moot func(o *Thread, seq uint64) bool
+}
+
+// popPing is the POP broadcast (paper Alg. 1 lines 19-21, Alg. 2 lines
+// 36-51): ping whoever is inside an operation — a quiescent thread is
+// published-empty — and stop waiting for a thread that leaves the
+// operation it was pinged in, because its reservations were cleared at
+// that boundary. Either way any reservation the thread holds afterwards
+// was created after our victims were unlinked and is excluded by the
+// validation step (see the package comment).
+var popPing = pingRule{
+	target: func(seq uint64) bool { return seq%2 == 1 },
+	moot:   func(o *Thread, seq uint64) bool { return o.opSeq.Load() != seq },
+}
+
+// pingAndWait is the one broadcast-and-wait under every policy that
+// pings: collect every slot's publish counter and operation state, ping
+// the slots rule.target selects (the pthread_kill loop), and wait until
+// each pinged slot has answered (pubCount moved) or rule.moot excuses
+// it. It returns the per-slot skip mask the reservation walk takes:
+// skip[i] means slot i was not pinged, or became moot, or is the caller
+// (whose reservations are read from its private slots).
 //
-// It returns a per-thread skip mask: skip[i] means thread i's shared
-// reservations must be ignored (the thread was quiescent, or crossed an
-// operation boundary after our ping — in both cases any reservation it
-// holds now was created after our victims were unlinked and is therefore
-// excluded by the validation step; see the package comment).
+// While it waits the caller keeps answering pings aimed at itself by
+// polling, which is what lets concurrent reclaimers ping each other
+// without deadlock (in the paper, signal handlers nest freely). Under
+// NBR the poll acks a neutralization and marks the surrounding operation
+// for restart at its next Protect; retire sites run after the write
+// phase, so it discards no writes. Without it, two threads whose retires
+// trigger reclamation concurrently deadlock in phase 1, each waiting for
+// the other's ack (PR 10) — the reason there is one loop, not one per
+// policy.
 //
-// While waiting, the caller answers pings directed at itself via
-// selfPublish, which is what makes concurrent reclaimers ping each other
-// without deadlock (in the paper, signal handlers nest freely).
-func (t *Thread) pingAllAndWait(selfPublish func(*Thread)) []bool {
+// Slot lifecycle audit, for every caller: a released slot is quiescent
+// (even opSeq, phase 0), so popPing never pings it and nbrPing never
+// waits on it. A slot released — and even re-leased — mid-wait crossed
+// an operation boundary: opSeq and pubCount are monotone across reuse
+// (Release resets neither), so the wait sees opSeq moved and skips the
+// slot rather than reading the new tenant's publishes as the old
+// tenant's. A ping word left set on a slot whose tenant departed is
+// inert: the next tenant's first poll answers it with a publish of its
+// own reservations (always safe), and under NBR startOp acks it before
+// anything has been read, so the ack can neither discard progress nor
+// charge a restart to the wrong tenant.
+func (t *Thread) pingAndWait(rule pingRule) []bool {
 	ts := t.d.threadList()
 	n := len(ts)
-	t.scCounts = grow(t.scCounts, n)
-	t.scSeqs = grow(t.scSeqs, n)
-	t.scSkip = growBool(t.scSkip, n)
+	t.scCounts, t.scSeqs, t.scSkip = grow(t.scCounts, n), grow(t.scSeqs, n), grow(t.scSkip, n)
 	counts, seqs, skip := t.scCounts, t.scSeqs, t.scSkip
 	t.stats.ThreadsScanned += uint64(n)
 
-	// Collect counters and operation states.
 	for i, o := range ts {
-		if o == t {
-			skip[i] = true // self: scanned from localPtrs/localEras directly
-			continue
-		}
-		counts[i] = o.pubCount.Load()
-		seqs[i] = o.opSeq.Load()
-		skip[i] = seqs[i]%2 == 0 // quiescent: published-empty
+		counts[i], seqs[i] = o.pubCount.Load(), o.opSeq.Load()
+		skip[i] = o == t || !rule.target(seqs[i])
 	}
 
-	// Ping (the pthread_kill loop).
 	pingStart := time.Now()
 	pinged := false
 	for i, o := range ts {
@@ -437,29 +498,25 @@ func (t *Thread) pingAllAndWait(selfPublish func(*Thread)) []bool {
 		}
 	}
 
-	// Wait for every pinged thread to publish or to cross an operation
-	// boundary.
 	deadline := pingStart.Add(publishWaitLimit)
 	for i, o := range ts {
 		if skip[i] {
 			continue
 		}
 		for o.pubCount.Load() == counts[i] {
-			if o.opSeq.Load() != seqs[i] {
-				// The thread left the operation it was in when we pinged;
-				// its reservations were cleared at that boundary.
+			if rule.moot(o, seqs[i]) {
 				skip[i] = true
 				break
 			}
-			t.checkPing(selfPublish)
+			t.Poll()
 			runtime.Gosched()
 			if time.Now().After(deadline) {
-				panic(fmt.Sprintf("core: thread %d waited >%v for thread %d to publish (Assumption 1 violated: a thread is blocked inside an operation without polling)", t.tid, publishWaitLimit, o.tid))
+				panic(fmt.Sprintf("core: thread %d waited >%v for thread %d to answer its ping (Assumption 1 violated: a thread is blocked inside an operation without polling)", t.tid, publishWaitLimit, o.tid))
 			}
 		}
 	}
 	if pinged {
-		// Broadcast → last publish: one ping-ack observation per pass
+		// Broadcast → last answer: one ping-ack observation per pass
 		// that actually pinged (an all-quiescent pass has no ack wait).
 		t.d.recordPingAck(pingStart)
 	}
@@ -467,176 +524,132 @@ func (t *Thread) pingAllAndWait(selfPublish func(*Thread)) []bool {
 }
 
 // ---------------------------------------------------------------------
-// Scanning and freeing
+// The reservation walk and the sweep
 // ---------------------------------------------------------------------
 
-// collectPtrSet gathers the reservation set for a pointer-based scan.
-// skip==nil means scan everyone's shared slots (classic HP/HPAsym);
-// otherwise skipped threads are ignored and the caller's own private
-// slots are used directly.
+// eachSlot is the one walk a pass makes over the domain's slots to
+// gather what they reserve. skip == nil visits every slot's shared
+// surface, the caller's included (the eager publishers: HP, HPAsym, HE,
+// NBR's write-phase reservations, announced epochs, IBR intervals).
+// Otherwise skip is pingAndWait's mask: the caller is visited with
+// own == true (read its private slots — nobody pinged it), masked slots
+// are not visited, and neither is a slot created after the mask was
+// taken: every reservation such a slot holds was made after our victims
+// were unlinked, so the POP skip rule applies.
+//
+// Slot lifecycle audit, for every gather built on this walk: Release
+// wipes a slot's whole SWMR surface to what a quiescent thread shows —
+// shared pointers nil, shared eras eraNone, announced epoch eraMax,
+// interval [eraMax, eraMax] (quiescent to intervalReserved), phase 0 —
+// after EndOp already cleared everything the policy publishes. So a
+// departed tenant's reservation can never pin a node or the minimum
+// epoch, slot churn only ever removes reservations from a scan, and
+// whatever a re-leased slot shows was published by its current tenant.
+func (t *Thread) eachSlot(skip []bool, visit func(o *Thread, own bool)) {
+	ts := t.d.threadList()
+	t.stats.ThreadsScanned += uint64(len(ts))
+	for i, o := range ts {
+		switch {
+		case skip == nil:
+			visit(o, false)
+		case o == t:
+			visit(o, true)
+		case i < len(skip) && !skip[i]:
+			visit(o, false)
+		}
+	}
+}
+
+// collectPtrSet gathers the pointer reservations eachSlot(skip) visits.
 func (t *Thread) collectPtrSet(skip []bool) map[unsafe.Pointer]struct{} {
 	if t.scPtrs == nil {
 		t.scPtrs = make(map[unsafe.Pointer]struct{}, MaxSlots*8)
 	}
 	set := t.scPtrs
 	clear(set)
-	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
-	for i, o := range ts {
-		if skip != nil {
-			if o == t {
-				for s := 0; s < MaxSlots; s++ {
-					if p := Mask(t.localPtrs[s]); p != nil {
-						set[p] = struct{}{}
-					}
-				}
-				continue
-			}
-			if i >= len(skip) {
-				// A slot created after pingAllAndWait snapshotted the
-				// list: every reservation it holds was made after our
-				// victims were unlinked, so the POP skip rule applies.
-				continue
-			}
-			if skip[i] {
-				continue
-			}
-		}
+	t.eachSlot(skip, func(o *Thread, own bool) {
 		for s := 0; s < MaxSlots; s++ {
-			if p := Mask(atomic.LoadPointer(&o.sharedPtrs[s])); p != nil {
+			var p unsafe.Pointer
+			if own {
+				p = o.localPtrs[s]
+			} else {
+				p = atomic.LoadPointer(&o.sharedPtrs[s])
+			}
+			if p = Mask(p); p != nil {
 				set[p] = struct{}{}
 			}
 		}
-	}
+	})
 	return set
 }
 
-// collectEraList gathers reserved eras for an era-based scan, with the
-// same skip semantics as collectPtrSet.
+// collectEraList gathers the era reservations eachSlot(skip) visits.
 func (t *Thread) collectEraList(skip []bool) []uint64 {
 	eras := t.scEras[:0]
-	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
-	for i, o := range ts {
-		if skip != nil {
-			if o == t {
-				for s := 0; s < MaxSlots; s++ {
-					if e := t.localEras[s]; e != eraNone {
-						eras = append(eras, e)
-					}
-				}
-				continue
-			}
-			if i >= len(skip) {
-				continue // slot created after the ping snapshot (see collectPtrSet)
-			}
-			if skip[i] {
-				continue
-			}
-		}
+	t.eachSlot(skip, func(o *Thread, own bool) {
 		for s := 0; s < MaxSlots; s++ {
-			if e := atomic.LoadUint64(&o.sharedEras[s]); e != eraNone {
+			var e uint64
+			if own {
+				e = o.localEras[s]
+			} else {
+				e = atomic.LoadUint64(&o.sharedEras[s])
+			}
+			if e != eraNone {
 				eras = append(eras, e)
 			}
 		}
-	}
+	})
 	t.scEras = eras
 	return eras
 }
 
-// freeUnreserved frees every retired node whose pointer is absent from
-// the reservation set (paper Alg. 2 lines 26-35) and compacts the retire
-// list in place. Returns the number freed.
-//
-// Node pointers equal Header pointers because Header is, by contract, the
-// first field of every managed node type.
-func (t *Thread) freeUnreserved(set map[unsafe.Pointer]struct{}) int {
+// sweep is the one retire-list filter: free every retired node keep
+// rejects and compact the list in place.
+func (t *Thread) sweep(keep func(*Header) bool) {
 	kept := t.retired[:0]
-	freed := 0
 	for _, h := range t.retired {
-		if _, reserved := set[unsafe.Pointer(h)]; reserved {
+		if keep(h) {
 			kept = append(kept, h)
 		} else {
 			t.d.free(t, h)
-			freed++
 		}
 	}
+	t.stats.Frees += uint64(len(t.retired) - len(kept))
 	t.retired = kept
-	t.stats.Frees += uint64(freed)
-	return freed
 }
 
-// freeOutsideEras frees every retired node whose [birth,retire] lifespan
-// intersects no reserved era (paper Alg. 4 canFree) and compacts.
-func (t *Thread) freeOutsideEras(eras []uint64) int {
-	kept := t.retired[:0]
-	freed := 0
-	for _, h := range t.retired {
-		if eraListIntersects(eras, h.BirthEra, h.RetireEra) {
-			kept = append(kept, h)
-		} else {
-			t.d.free(t, h)
-			freed++
+// sweepPtrs frees every retired node whose pointer is absent from the
+// gathered reservation set (paper Alg. 2 lines 26-35). Node pointers
+// equal Header pointers because Header is, by contract, the first field
+// of every managed node type.
+func (t *Thread) sweepPtrs(skip []bool) {
+	set := t.collectPtrSet(skip)
+	t.sweep(func(h *Header) bool {
+		_, reserved := set[unsafe.Pointer(h)]
+		return reserved
+	})
+}
+
+// sweepEras frees every retired node whose [birth, retire] lifespan
+// holds no gathered era reservation (paper Alg. 4 canFree).
+func (t *Thread) sweepEras(skip []bool) {
+	eras := t.collectEraList(skip)
+	t.sweep(func(h *Header) bool {
+		for _, e := range eras {
+			if e >= h.BirthEra && e <= h.RetireEra {
+				return true
+			}
 		}
-	}
-	t.retired = kept
-	t.stats.Frees += uint64(freed)
-	return freed
+		return false
+	})
 }
 
-// eraListIntersects reports whether any reserved era falls within
-// [birth, retire].
-func eraListIntersects(eras []uint64, birth, retire uint64) bool {
-	for _, e := range eras {
-		if e >= birth && e <= retire {
-			return true
-		}
-	}
-	return false
-}
-
-// freeBeforeEpoch frees retired nodes with RetireEra < min (EBR/EpochPOP
-// fast path) and compacts.
-func (t *Thread) freeBeforeEpoch(min uint64) int {
-	kept := t.retired[:0]
-	freed := 0
-	for _, h := range t.retired {
-		if h.RetireEra < min {
-			t.d.free(t, h)
-			freed++
-		} else {
-			kept = append(kept, h)
-		}
-	}
-	t.retired = kept
-	t.stats.Frees += uint64(freed)
-	return freed
-}
-
-// minAnnouncedEpoch scans every thread's announced epoch (eraMax when
-// quiescent) and returns the minimum.
-func (t *Thread) minAnnouncedEpoch() uint64 {
-	min := uint64(eraMax)
-	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
-	for _, o := range ts {
-		if e := o.resEpoch.Load(); e < min {
-			min = e
-		}
-	}
-	return min
-}
-
-func grow(s []uint64, n int) []uint64 {
+// grow returns s resized to n elements, reusing its backing array when
+// it is large enough; callers store the result back so the scratch
+// survives the pass.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

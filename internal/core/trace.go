@@ -80,7 +80,7 @@ func (t *Thread) sampledStats() Stats {
 func (d *Domain) StatsSampled() Stats {
 	var agg Stats
 	for _, t := range d.threadList() {
-		agg.add(t.sampledStats())
+		agg.Add(t.sampledStats())
 	}
 	return agg
 }
@@ -94,7 +94,7 @@ func (d *Domain) ReclaimStatsSampled() ReclaimStats { return d.StatsSampled().re
 func (g *DomainGroup) StatsSampled() Stats {
 	var agg Stats
 	for _, d := range g.members {
-		agg.add(d.StatsSampled())
+		agg.Add(d.StatsSampled())
 	}
 	return agg
 }
@@ -108,13 +108,14 @@ func (g *DomainGroup) ReclaimStatsSampled() ReclaimStats { return g.StatsSampled
 // ---------------------------------------------------------------------
 
 // recordPingAck records one ping→all-acks wait (the broadcast-to-last-
-// publish span of a POP or NBR pass). Called from pingAllAndWait and
-// the NBR neutralization loop, only on passes that actually pinged.
+// publish span of a POP or NBR pass). Called from pingAndWait, only on
+// passes that actually pinged.
 func (d *Domain) recordPingAck(start time.Time) {
 	d.pingAckH.Record(int64(time.Since(start)))
 }
 
-// recordPass records one whole reclamation pass's duration. Passes are
+// recordPass records one whole reclamation pass's duration (called
+// from Thread.pass, the only place a pass runs). Passes are
 // threshold-gated (thousands of retires apart), so the two time.Now
 // calls per pass are noise; tracing is therefore always on.
 func (d *Domain) recordPass(start time.Time) {

@@ -146,19 +146,7 @@ type Timeline struct {
 func (tl *Timeline) SumDeltas() core.Stats {
 	s := tl.Base
 	for i := range tl.Samples {
-		d := &tl.Samples[i].Stats
-		s.Retires += d.Retires
-		s.Frees += d.Frees
-		s.Reclaims += d.Reclaims
-		s.EpochReclaims += d.EpochReclaims
-		s.POPReclaims += d.POPReclaims
-		s.PingsSent += d.PingsSent
-		s.ThreadsScanned += d.ThreadsScanned
-		s.Publishes += d.Publishes
-		s.Restarts += d.Restarts
-		if d.MaxRetire > s.MaxRetire {
-			s.MaxRetire = d.MaxRetire
-		}
+		s.Add(tl.Samples[i].Stats)
 	}
 	return s
 }
@@ -292,7 +280,7 @@ func (s *Sampler) Tick() {
 
 	sm := Sample{
 		At:          float64(now.Sub(s.started)) / float64(time.Millisecond),
-		Stats:       subStats(cur, s.prevStats),
+		Stats:       cur.Sub(s.prevStats),
 		Unreclaimed: s.src.Unreclaimed(),
 		Leased:      lc.Leased,
 	}
@@ -327,29 +315,12 @@ func (s *Sampler) Tick() {
 	s.pushLocked(sm)
 }
 
-// subStats returns per-field cur-prev deltas; MaxRetire stays the
-// cumulative gauge (high-water marks don't telescope).
-func subStats(cur, prev core.Stats) core.Stats {
-	return core.Stats{
-		Retires:        cur.Retires - prev.Retires,
-		Frees:          cur.Frees - prev.Frees,
-		Reclaims:       cur.Reclaims - prev.Reclaims,
-		EpochReclaims:  cur.EpochReclaims - prev.EpochReclaims,
-		POPReclaims:    cur.POPReclaims - prev.POPReclaims,
-		PingsSent:      cur.PingsSent - prev.PingsSent,
-		ThreadsScanned: cur.ThreadsScanned - prev.ThreadsScanned,
-		Publishes:      cur.Publishes - prev.Publishes,
-		Restarts:       cur.Restarts - prev.Restarts,
-		MaxRetire:      cur.MaxRetire,
-	}
-}
-
 // pushLocked appends sm to the ring, folding the oldest sample into
 // Base when full so the telescoping invariant survives overflow.
 func (s *Sampler) pushLocked(sm Sample) {
 	if s.n == len(s.ring) {
 		old := &s.ring[s.head]
-		s.base = mergeStats(s.base, old.Stats)
+		s.base.Add(old.Stats)
 		if len(old.Extras) == len(s.baseExtras) {
 			for i, v := range old.Extras {
 				s.baseExtras[i] += v
@@ -362,24 +333,6 @@ func (s *Sampler) pushLocked(sm Sample) {
 	}
 	s.ring[(s.head+s.n)%len(s.ring)] = sm
 	s.n++
-}
-
-// mergeStats adds delta d onto cumulative base b (gauge MaxRetire by
-// max).
-func mergeStats(b, d core.Stats) core.Stats {
-	b.Retires += d.Retires
-	b.Frees += d.Frees
-	b.Reclaims += d.Reclaims
-	b.EpochReclaims += d.EpochReclaims
-	b.POPReclaims += d.POPReclaims
-	b.PingsSent += d.PingsSent
-	b.ThreadsScanned += d.ThreadsScanned
-	b.Publishes += d.Publishes
-	b.Restarts += d.Restarts
-	if d.MaxRetire > b.MaxRetire {
-		b.MaxRetire = d.MaxRetire
-	}
-	return b
 }
 
 // scanStallsLocked runs the stalled-reader detector over the current
@@ -467,7 +420,7 @@ func (s *Sampler) snapshotLocked() Timeline {
 	// Final must equal Base + Σ deltas: fold the not-yet-sampled tail
 	// (everything since the last tick) into one closing sample so the
 	// invariant holds however the ticker landed.
-	tail := subStats(tl.Final, s.prevStats)
+	tail := tl.Final.Sub(s.prevStats)
 	if tail != (core.Stats{MaxRetire: tail.MaxRetire}) || s.n == 0 {
 		closing := Sample{
 			At:          float64(time.Since(s.started)) / float64(time.Millisecond),

@@ -79,7 +79,6 @@ import (
 	"pop/internal/ds/hashtable"
 	"pop/internal/ds/hmlist"
 	"pop/internal/ds/lazylist"
-	"pop/internal/ds/msqueue"
 	"pop/internal/ds/skiplist"
 	"pop/internal/store"
 )
@@ -409,20 +408,3 @@ func NewStore(g *DomainGroup, opts *StoreOptions) (*Store, error) {
 	}
 	return store.New(g, cfg)
 }
-
-// Queue is a concurrent FIFO of int64 values bound to a reclamation
-// domain (the Michael-Scott queue — the original hazard-pointer showcase
-// structure, included to demonstrate POP's drop-in property beyond sets).
-type Queue interface {
-	// Enqueue appends v.
-	Enqueue(t *Thread, v int64)
-	// Dequeue removes and returns the front value; ok=false when empty.
-	Dequeue(t *Thread) (v int64, ok bool)
-	// Len counts queued values (quiescent use only).
-	Len(t *Thread) int
-	// Outstanding reports live+retired node-pool occupancy.
-	Outstanding() int64
-}
-
-// NewQueue creates a Michael-Scott lock-free FIFO queue.
-func NewQueue(d *Domain) Queue { return msqueue.New(d) }

@@ -141,7 +141,7 @@ func TestOutstandingTracksLiveKeys(t *testing.T) {
 	}
 }
 
-// TestSharedDomainAcrossStructures runs a set and a queue in one
+// TestSharedDomainAcrossStructures runs a list and a tree in one
 // reclamation domain (the documented multi-structure pattern): retires
 // from both node types flow through the same reclaimer and must be freed
 // to their respective pools.
@@ -152,7 +152,7 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 			const workers = 3
 			d := pop.NewDomain(p, workers, &pop.Options{ReclaimThreshold: 64})
 			set := pop.NewHarrisMichaelList(d)
-			q := pop.NewQueue(d)
+			tree := pop.NewExternalBST(d)
 			var wg sync.WaitGroup
 			threads := make([]*pop.Thread, workers)
 			for i := range threads {
@@ -166,9 +166,9 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 					for i := int64(0); i < 2000; i++ {
 						k := base + i%97
 						set.Insert(th, k)
-						q.Enqueue(th, k)
+						tree.Insert(th, k)
 						set.Delete(th, k)
-						q.Dequeue(th)
+						tree.Delete(th, k)
 					}
 				}(w, threads[w])
 			}
@@ -176,8 +176,8 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 			for _, th := range threads {
 				th.Flush()
 			}
-			if got := set.Outstanding() + q.Outstanding(); got > 100 {
-				// Only currently-linked nodes (set leftovers + queue dummy)
+			if got := set.Outstanding() + tree.Outstanding(); got > 100 {
+				// Only currently-linked nodes (both structures' sentinels)
 				// may remain outstanding.
 				t.Fatalf("outstanding after flush = %d", got)
 			}
