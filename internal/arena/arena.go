@@ -22,6 +22,13 @@
 //   - A global overflow list (mutex-protected, batch transfers) bounds
 //     per-thread hoarding when producers and consumers are different
 //     threads.
+//   - Both lists are last-in-first-out and neither knows a slot's
+//     address, so the pool places the next allocations in the reverse
+//     of whatever order a burst of frees arrived in. What mimalloc's
+//     per-page free lists give for nothing — nodes allocated together
+//     are neighbours in memory — is the freeing side's job here:
+//     core.Thread.sweep frees a reclamation pass's nodes grouped by
+//     address.
 //   - Padded outstanding counters so memory statistics (the paper's
 //     memory-consumption plots) can be sampled without perturbing the run.
 package arena

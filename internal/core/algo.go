@@ -4,6 +4,10 @@ import "unsafe"
 
 // algorithm is the per-policy behaviour behind a Thread's public API.
 // One stateless instance per Domain; all mutable state lives on Thread.
+//
+// startOp, endOp and protect are reached only by threads tagged
+// hotGeneric: the five tagged policies have those three written out in
+// Thread.StartOp/EndOp/Protect and implement none of them here.
 type algorithm interface {
 	// initThread runs on every lease of a slot — first registration AND
 	// re-lease after a Release. Implementations must tolerate
@@ -52,6 +56,12 @@ func (b baseAlgo) enterWrite(*Thread) bool {
 func (baseAlgo) exitWrite(*Thread)     {}
 func (baseAlgo) reclaim(*Thread, bool) {}
 
+// protect has no default: a policy either overrides it or is tagged, and
+// a tagged thread's Protect returns before the interface.
+func (baseAlgo) protect(*Thread, int, *Atomic) (unsafe.Pointer, bool) {
+	panic("core: Protect reached the algorithm interface under a tagged policy")
+}
+
 // retireHook is the shared threshold gate: one pass per
 // ReclaimThreshold retires.
 func (b baseAlgo) retireHook(t *Thread) {
@@ -60,32 +70,33 @@ func (b baseAlgo) retireHook(t *Thread) {
 	}
 }
 
-// newAlgorithm wires a policy to its implementation.
-func newAlgorithm(d *Domain, p Policy) algorithm {
+// newAlgorithm wires a policy to its implementation and to the tag its
+// threads lease with (hotGeneric: the per-read side is the algorithm's).
+func newAlgorithm(d *Domain, p Policy) (algorithm, hotTag) {
 	b := baseAlgo{d: d}
 	switch p {
 	case NR:
-		return &nrAlgo{baseAlgo: b}
+		return &nrAlgo{baseAlgo: b}, hotNR
 	case HP:
-		return &hpAlgo{baseAlgo: b}
+		return &hpAlgo{baseAlgo: b}, hotHP
 	case HPAsym:
-		return &hpAsymAlgo{baseAlgo: b}
+		return &hpAsymAlgo{baseAlgo: b}, hotGeneric
 	case HE:
-		return &heAlgo{baseAlgo: b}
+		return &heAlgo{baseAlgo: b}, hotGeneric
 	case EBR:
-		return &ebrAlgo{baseAlgo: b}
+		return &ebrAlgo{baseAlgo: b}, hotEBR
 	case IBR:
-		return &ibrAlgo{baseAlgo: b}
+		return &ibrAlgo{baseAlgo: b}, hotGeneric
 	case NBR:
-		return &nbrAlgo{baseAlgo: b}
+		return &nbrAlgo{baseAlgo: b}, hotGeneric
 	case HazardPtrPOP:
-		return &hpPOPAlgo{baseAlgo: b}
+		return &hpPOPAlgo{baseAlgo: b}, hotHPPOP
 	case HazardEraPOP:
-		return &hePOPAlgo{baseAlgo: b}
+		return &hePOPAlgo{baseAlgo: b}, hotGeneric
 	case EpochPOP:
-		return &epochPOPAlgo{baseAlgo: b, ebr: ebrAlgo{b}, pop: hpPOPAlgo{b}}
+		return &epochPOPAlgo{baseAlgo: b, ebr: ebrAlgo{b}, pop: hpPOPAlgo{b}}, hotEpochPOP
 	case Crystalline:
-		return &crystAlgo{ibrAlgo{b}}
+		return &crystAlgo{ibrAlgo{b}}, hotGeneric
 	default:
 		panic("core: unknown policy " + p.String())
 	}

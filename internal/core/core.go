@@ -161,9 +161,6 @@ type Options struct {
 	AsymDrain time.Duration
 	// BatchSize is the Crystalline-lite batch size.
 	BatchSize int
-	// Debug enables expensive internal assertions (double-retire checks
-	// are always on; Debug adds slot-bounds and phase checks).
-	Debug bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -205,6 +202,7 @@ type Domain struct {
 	policy Policy
 	opts   Options
 	algo   algorithm
+	hot    hotTag // what every thread of the domain leases with
 
 	// epoch is the global era for HE/EBR/IBR/EpochPOP. Starts at 1 so 0
 	// can mean "no reservation".
@@ -265,7 +263,7 @@ func NewDomain(policy Policy, maxThreads int, opts *Options) *Domain {
 		maxThreads: maxThreads,
 	}
 	d.epoch.Store(1)
-	d.algo = newAlgorithm(d, policy)
+	d.algo, d.hot = newAlgorithm(d, policy)
 	return d
 }
 
@@ -350,6 +348,7 @@ func (d *Domain) TryRegisterThread() (*Thread, error) {
 // boundaries, never a counter reset.
 func (d *Domain) leaseLocked(t *Thread) {
 	t.leased = true
+	t.hot = d.hot
 	t.incarnation.Add(1)
 	d.leasedCount++
 	if d.leasedCount > d.peakLeased {

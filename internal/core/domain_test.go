@@ -78,18 +78,27 @@ func TestRobustClassification(t *testing.T) {
 	}
 }
 
+// TestProtectSlotBoundsDebug: an out-of-range slot panics in Protect
+// itself, under every policy and with no option to ask for it (the name
+// is from when the check was Options.Debug's).
 func TestProtectSlotBoundsDebug(t *testing.T) {
-	d := core.NewDomain(core.HP, 1, &core.Options{Debug: true})
-	th := d.RegisterThread()
-	var cell core.Atomic
-	th.StartOp()
-	defer th.EndOp()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range slot did not panic in debug mode")
+	for _, p := range core.Policies() {
+		for _, slot := range []int{core.MaxSlots, -1} {
+			d := core.NewDomain(p, 1, nil)
+			th := d.RegisterThread()
+			var cell core.Atomic
+			th.StartOp()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: Protect(slot %d) did not panic", p, slot)
+					}
+				}()
+				th.Protect(slot, &cell)
+			}()
+			th.EndOp()
 		}
-	}()
-	th.Protect(core.MaxSlots, &cell)
+	}
 }
 
 func TestFlushIdempotent(t *testing.T) {

@@ -1,29 +1,13 @@
 package core
 
-import "unsafe"
-
 // ebrAlgo is RCU-style epoch-based reclamation (paper Alg. 6): reads are
 // free; each operation announces the global epoch on entry and eraMax on
 // exit; a reclaimer frees everything retired before the minimum announced
 // epoch. Fast — and not robust: one delayed thread pins the minimum epoch
 // and stalls reclamation everywhere (the failure mode EpochPOP fixes).
+// The per-operation side is the hotEBR body of Thread.StartOp/EndOp/
+// Protect; what is left here is the pass.
 type ebrAlgo struct{ baseAlgo }
-
-func (a *ebrAlgo) startOp(t *Thread) {
-	t.opCount++
-	if t.opCount%uint64(a.d.opts.EpochFreq) == 0 {
-		a.d.epoch.Add(1)
-	}
-	t.resEpoch.Store(a.d.epoch.Load())
-}
-
-func (a *ebrAlgo) endOp(t *Thread) {
-	t.resEpoch.Store(eraMax)
-}
-
-func (a *ebrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	return cell.Load(), true
-}
 
 // reclaim frees everything retired before the minimum announced epoch
 // (eraMax when quiescent). A final pass advances the epoch first, so

@@ -1,7 +1,5 @@
 package core
 
-import "unsafe"
-
 // epochPOPAlgo is EpochPOP (paper Alg. 3): threads run classic EBR and
 // HazardPtrPOP *simultaneously*. Operations announce epochs exactly like
 // EBR (so reclamation is normally the cheap minimum-epoch test), while
@@ -11,40 +9,15 @@ import "unsafe"
 // the reclaimer escalates to publish-on-ping and frees around the delayed
 // thread's (now published) reservations. No global mode switch: different
 // threads can be reclaiming in different modes at the same time, which is
-// the paper's key contrast with Qsense.
+// the paper's key contrast with Qsense. Both per-operation halves are
+// the hotEpochPOP body of Thread.StartOp/EndOp/Protect.
 type epochPOPAlgo struct {
 	baseAlgo
 	ebr ebrAlgo   // the pass's first half
 	pop hpPOPAlgo // its escalation
 }
 
-func (a *epochPOPAlgo) startOp(t *Thread) {
-	t.checkPing((*Thread).publishPtrs)
-	// EBR announcement (Alg. 3 lines 10-13).
-	t.opCount++
-	if t.opCount%uint64(a.d.opts.EpochFreq) == 0 {
-		a.d.epoch.Add(1)
-	}
-	t.resEpoch.Store(a.d.epoch.Load())
-}
-
-func (a *epochPOPAlgo) endOp(t *Thread) {
-	t.resEpoch.Store(eraMax)
-	t.checkPing((*Thread).publishPtrs)
-}
-
-func (a *epochPOPAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	t.checkPing((*Thread).publishPtrs)
-	for {
-		p := cell.Load()
-		t.localPtrs[slot] = Mask(p) // the HazardPtrPOP half: private, no fence
-		if cell.Load() == p {
-			return p, true
-		}
-	}
-}
-
-func (a *epochPOPAlgo) poll(t *Thread) { t.checkPing((*Thread).publishPtrs) }
+func (a *epochPOPAlgo) poll(t *Thread) { t.pollPing() }
 
 // reclaim is EBR's pass, then — only if that left too much —
 // HazardPtrPOP's (Alg. 3 lines 24-30). A list still at C×threshold

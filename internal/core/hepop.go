@@ -11,7 +11,7 @@ import "unsafe"
 type hePOPAlgo struct{ baseAlgo }
 
 func (a *hePOPAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	t.checkPing((*Thread).publishEras)
+	t.pollPing()
 	oldEra := t.localEras[slot]
 	for {
 		p := cell.Load()
@@ -24,11 +24,11 @@ func (a *hePOPAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, 
 	}
 }
 
-func (a *hePOPAlgo) startOp(t *Thread) { t.checkPing((*Thread).publishEras) }
+func (a *hePOPAlgo) startOp(t *Thread) { t.pollPing() }
 
-func (a *hePOPAlgo) endOp(t *Thread) { t.checkPing((*Thread).publishEras) }
+func (a *hePOPAlgo) endOp(t *Thread) { t.pollPing() }
 
-func (a *hePOPAlgo) poll(t *Thread) { t.checkPing((*Thread).publishEras) }
+func (a *hePOPAlgo) poll(t *Thread) { t.pollPing() }
 
 // reclaim is HE's — era advance included — with the ping broadcast in
 // front of the gather, as HazardPtrPOP's is HP's.

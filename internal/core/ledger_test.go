@@ -41,7 +41,7 @@ func TestPassLedger(t *testing.T) {
 			if parked {
 				mode = "parked"
 			}
-			fmt.Fprintf(&got, "%s/%s %s\n", p, mode, passLedger(t, p, parked))
+			fmt.Fprintf(&got, "%s/%s %s\n", p, mode, passLedger(t, p, parked, false))
 		}
 	}
 	const path = "testdata/pass_ledger.golden"
@@ -70,8 +70,14 @@ func TestPassLedger(t *testing.T) {
 	}
 }
 
-func passLedger(t *testing.T, p core.Policy, parked bool) string {
+// passLedger runs the script and returns the policy's ledger line. ref
+// runs it on the reference bodies (core.UseReferenceBodies) instead of
+// Thread's switch; the line must not depend on which.
+func passLedger(t *testing.T, p core.Policy, parked, ref bool) string {
 	e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 8, BatchSize: 4})
+	if ref {
+		core.UseReferenceBodies(e.d)
+	}
 	peer := e.d.RegisterThread()
 	var cell core.Atomic
 	ready, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})

@@ -32,7 +32,7 @@ func nbrAck(t *Thread) {
 	t.ping.Store(0)
 	t.pubCount.Add(1)
 	// Yield so the waiting reclaimer resumes promptly (see
-	// Thread.checkPing for why this models signal-handler return).
+	// Thread.answerPing for why this models signal-handler return).
 	runtime.Gosched()
 }
 

@@ -1,16 +1,10 @@
 package core
 
-import "unsafe"
-
 // nrAlgo is the leaky baseline ("NR" in the paper's plots): reads are
-// plain loads, retired nodes are dropped on the floor and never freed.
-// It bounds the best possible read-path performance and the worst
-// possible memory behaviour.
+// plain loads (hotNR in Thread.Protect), retired nodes are dropped on
+// the floor and never freed. It bounds the best possible read-path
+// performance and the worst possible memory behaviour.
 type nrAlgo struct{ baseAlgo }
-
-func (a *nrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	return cell.Load(), true
-}
 
 // retireHook leaks: account the nodes and forget them. The retire list
 // is drained immediately so its length stays ~0 in the memory plots (NR

@@ -129,7 +129,6 @@ func newDomain(p core.Policy, threads int) *core.Domain {
 		ReclaimThreshold: 32,
 		EpochFreq:        8,
 		BatchSize:        8,
-		Debug:            true,
 	})
 }
 

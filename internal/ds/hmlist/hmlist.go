@@ -110,11 +110,16 @@ const (
 // val are immutable once the node is published (see the package comment
 // for why values are never stored in place). state is the
 // LINKING/RETIREREQ retire-handoff word.
+//
+// Field order is pinned by TestNodeLayout: next and key, the two words
+// every hop of a walk reads, are adjacent, and the node is 56 bytes — with
+// the pool's 8-byte slot sequence word a slab slot is exactly one
+// 64-byte cache line.
 type Node struct {
 	core.Header
+	next  core.Atomic
 	key   int64
 	val   uint64
-	next  core.Atomic
 	state atomic.Uint32
 }
 
@@ -247,14 +252,14 @@ const (
 )
 
 // position is the state of a walk at its stopping point: the
-// predecessor cell and both nodes, with pred protected in sPred and
-// curr in sCurr.
+// predecessor's next cell and the two nodes after it, with the
+// predecessor (the head sentinel, the caller's hint or a walked node)
+// protected in sPred and curr in sCurr.
 type position struct {
 	predCell *core.Atomic
-	pred     *Node // protected; may be head sentinel or the caller's hint
 	curr     *Node // protected; tail sentinel if key > all
 	next     *Node // protected; successor of curr (nil iff curr==tail)
-	sPred    int   // slot currently protecting pred
+	sPred    int   // slot currently protecting predCell's node
 	sCurr    int   // slot currently protecting curr
 	sNext    int   // slot currently protecting next
 }
@@ -271,18 +276,20 @@ type position struct {
 // the index that produced it — can pick a fresh one. A head walk never
 // returns valid=false with ok=true.
 func (l *List) find(t *core.Thread, key int64, start *Node, sStart int) (pos position, ok, valid bool) {
+	// The walk runs over locals and assembles a position only where it
+	// returns: a six-word struct is too wide for the compiler to keep
+	// in registers (locals are, spilled only around the Protect call),
+	// and a list-read operation makes ~500 hops.
+	tail := l.tail
 retry:
-	pos = position{
-		predCell: &l.head.next,
-		pred:     l.head,
-		sPred:    slotC, sCurr: slotA, sNext: slotB,
-	}
+	predCell := &l.head.next
+	sPred, sCurr, sNext := slotC, slotA, slotB
 	if start != nil {
-		pos.predCell, pos.pred, pos.sPred = &start.next, start, sStart
+		predCell, sPred = &start.next, sStart
 	}
-	craw, okp := t.Protect(pos.sCurr, pos.predCell)
+	craw, okp := t.Protect(sCurr, predCell)
 	if !okp {
-		return pos, false, false
+		return position{}, false, false
 	}
 	if core.Marked(craw) {
 		if start == nil {
@@ -291,25 +298,24 @@ retry:
 		}
 		// The hint itself was deleted under us: its links are no longer
 		// a valid walk origin.
-		return pos, true, false
+		return position{}, true, false
 	}
-	pos.curr = (*Node)(craw)
+	curr := (*Node)(craw)
 	for {
-		if pos.curr == l.tail {
-			pos.next = nil
-			return pos, true, true
+		if curr == tail {
+			return position{predCell, curr, nil, sPred, sCurr, sNext}, true, true
 		}
-		nraw, okp := t.Protect(pos.sNext, &pos.curr.next)
+		nraw, okp := t.Protect(sNext, &curr.next)
 		if !okp {
-			return pos, false, false
+			return position{}, false, false
 		}
 		// Validate the edge: pred must still point at curr (and pred must
 		// not have been logically deleted, which would mark this cell).
-		if pos.predCell.Load() != unsafe.Pointer(pos.curr) {
+		if predCell.Load() != unsafe.Pointer(curr) {
 			if start == nil {
 				goto retry
 			}
-			return pos, true, false
+			return position{}, true, false
 		}
 		if core.Marked(nraw) {
 			// curr is logically deleted (or replaced): help unlink it. For
@@ -317,33 +323,30 @@ retry:
 			// replacement, so the walk lands on the key's live node.
 			next := (*Node)(core.Mask(nraw))
 			if !t.EnterWritePhase() {
-				return pos, false, false
+				return position{}, false, false
 			}
-			helped := pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(next))
+			helped := predCell.CompareAndSwap(unsafe.Pointer(curr), unsafe.Pointer(next))
 			t.ExitWritePhase()
 			if !helped {
 				if start == nil {
 					goto retry
 				}
-				return pos, true, false
+				return position{}, true, false
 			}
-			l.retire(t, pos.curr)
+			l.retire(t, curr)
 			// next keeps its protection and becomes curr.
-			pos.curr = next
-			pos.sCurr, pos.sNext = pos.sNext, pos.sCurr
+			curr = next
+			sCurr, sNext = sNext, sCurr
 			continue
 		}
 		next := (*Node)(nraw)
-		if pos.curr.key >= key {
-			pos.next = next
-			return pos, true, true
+		if curr.key >= key {
+			return position{predCell, curr, next, sPred, sCurr, sNext}, true, true
 		}
 		// Advance: curr becomes pred, next becomes curr; the old pred
 		// slot is recycled for the next protection.
-		pos.pred = pos.curr
-		pos.predCell = &pos.curr.next
-		pos.curr = next
-		pos.sPred, pos.sCurr, pos.sNext = pos.sCurr, pos.sNext, pos.sPred
+		predCell, curr = &curr.next, next
+		sPred, sCurr, sNext = sCurr, sNext, sPred
 	}
 }
 

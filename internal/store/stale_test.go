@@ -27,7 +27,6 @@ func stormGroup(p core.Policy, members, slots int) *core.DomainGroup {
 		ReclaimThreshold: 32,
 		EpochFreq:        8,
 		BatchSize:        8,
-		Debug:            true,
 	})
 }
 

@@ -20,7 +20,6 @@ func newGroup(p core.Policy, members, slots int) *core.DomainGroup {
 		ReclaimThreshold: 32,
 		EpochFreq:        8,
 		BatchSize:        8,
-		Debug:            true,
 	})
 }
 
