@@ -82,8 +82,9 @@ func (iv Invariants) CheckLeaked(unreclaimed int64) []Violation {
 	return violate(nil, "drain", "%d nodes retired but unreclaimed after quiescent flush (want 0)", unreclaimed)
 }
 
-// CheckDrained is CheckLeaked against a live counter — a *core.Domain
-// or a *core.DomainGroup (which sums its members).
+// CheckDrained is CheckLeaked against a live counter — a
+// *core.DomainGroup (the sum over its members; a flat domain is a group
+// of one) or a single *core.Domain.
 func (iv Invariants) CheckDrained(d interface{ Unreclaimed() int64 }) []Violation {
 	return iv.CheckLeaked(d.Unreclaimed())
 }

@@ -70,20 +70,20 @@ func TestSeededChecksumCorruption(t *testing.T) {
 // TestSeededLeaseLeak: a handle acquired and never released must trip
 // "lifecycle"; releasing it clears the violation.
 func TestSeededLeaseLeak(t *testing.T) {
-	d := core.NewDomain(core.HP, 4, nil)
-	pool := core.NewHandles(d)
+	pool := core.NewDomainGroup(core.HP, 1, 4, nil)
 	iv := Invariants{Policy: core.HP}
 
 	leaked, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := iv.CheckLifecycle(d.Lifecycle(), 0)
+	leaked.Member(0) // a group slot alone holds no thread slot
+	vs := iv.CheckLifecycle(pool.Lifecycle(), 0)
 	if !hasInvariant(vs, "lifecycle") {
 		t.Fatalf("leaked lease not detected: %v", vs)
 	}
 	pool.Release(leaked)
-	if vs := iv.CheckLifecycle(d.Lifecycle(), 0); len(vs) != 0 {
+	if vs := iv.CheckLifecycle(pool.Lifecycle(), 0); len(vs) != 0 {
 		t.Fatalf("control: balanced lifecycle reported %v", vs)
 	}
 }

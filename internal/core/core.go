@@ -58,9 +58,10 @@ import (
 
 // ErrNoSlots is the typed exhaustion error: every one of a domain's
 // thread slots is currently leased. Domain.TryRegisterThread and
-// Handles.Acquire return errors wrapping it (test with errors.Is), and
-// Handles.AcquireWait turns it into queueing — the admission-control
-// path serving layers block on instead of failing the client.
+// DomainGroup.Acquire return errors wrapping it (test with errors.Is),
+// and DomainGroup.AcquireWait turns it into queueing — the
+// admission-control path serving layers block on instead of failing the
+// client.
 var ErrNoSlots = errors.New("thread capacity exhausted (all slots leased)")
 
 // MaxSlots is the number of reservation slots per thread (the paper's
@@ -430,6 +431,20 @@ type LifecycleStats struct {
 	// the dense tid space — per-tenant accounting's ground truth, since
 	// tenant k of slot i is exactly (slot i, incarnation k).
 	SlotLeases []uint64
+}
+
+// Add folds o into l: every counter sums (Peak becomes a sum of peaks,
+// an upper bound on the true concurrent peak). SlotLeases is left to
+// the caller — slots of different domains do not line up. The one
+// aggregation rule behind DomainGroup.Lifecycle.
+func (l *LifecycleStats) Add(o LifecycleStats) {
+	l.Slots += o.Slots
+	l.Leased += o.Leased
+	l.Peak += o.Peak
+	l.Releases += o.Releases
+	l.OrphanNodes += o.OrphanNodes
+	l.OrphansDonated += o.OrphansDonated
+	l.OrphansAdopted += o.OrphansAdopted
 }
 
 // Lifecycle snapshots the domain's thread-lifecycle counters.

@@ -38,10 +38,14 @@ func (e *env) cacheFor(t *core.Thread) *arena.ThreadCache[tnode] {
 
 func newEnv(t *testing.T, policy core.Policy, maxThreads int, opts *core.Options) *env {
 	t.Helper()
-	e := &env{pool: arena.NewPool[tnode](nil, nil)}
-	e.d = core.NewDomain(policy, maxThreads, opts)
-	e.caches = make([]*arena.ThreadCache[tnode], maxThreads)
-	e.typ = e.d.RegisterType(func(t *core.Thread, h *core.Header) {
+	return newEnvOn(core.NewDomain(policy, maxThreads, opts))
+}
+
+// newEnvOn builds the env over an existing domain (a group's member).
+func newEnvOn(d *core.Domain) *env {
+	e := &env{d: d, pool: arena.NewPool[tnode](nil, nil)}
+	e.caches = make([]*arena.ThreadCache[tnode], d.MaxThreads())
+	e.typ = d.RegisterType(func(t *core.Thread, h *core.Header) {
 		e.cacheFor(t).Put((*tnode)(unsafe.Pointer(h)))
 	})
 	return e

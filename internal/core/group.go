@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 )
 
 // DomainGroup partitions one logical reclamation domain into member
@@ -14,9 +16,12 @@ import (
 // the multiplier that flattens POP's 64+-thread curves when one domain
 // backs many shards.
 //
-// The group presents a single Handles-style lease facade: Acquire
-// claims one *group slot* and returns a GroupHandle; the handle leases
-// a real Thread in a member domain lazily, on first use of that member
+// Leasing is two layers. A Domain owns thread slots and a non-blocking
+// lease (TryRegisterThread / Thread.Release); the group owns blocking
+// admission on top of it, and is the one lease facade serving code
+// uses: Acquire claims one *group slot* and returns a GroupHandle,
+// AcquireWait queues for one, and the handle leases a real Thread in a
+// member domain lazily, on first use of that member
 // (GroupHandle.Member). A worker that only ever touches one shard
 // therefore occupies exactly one member's thread list, and every other
 // member's reclaimers never see it at all. Release returns every
@@ -45,18 +50,26 @@ type DomainGroup struct {
 	members []*Domain
 	slots   int
 
-	admission                // lease counters + wait queue; its mu also guards the fields below
-	handles   []*GroupHandle // one per group slot ever created, reused across leases
-	free      []int          // LIFO of released group slots
-	releases  uint64
+	// mu guards the slot table, the lease counters and the admission
+	// queue, so an uncontended Acquire or Release takes one mutex.
+	mu       sync.Mutex
+	handles  []*GroupHandle // one per group slot ever created, reused across leases
+	free     []int          // LIFO of released group slots
+	inUse    int
+	peak     int
+	acquires uint64
+	releases uint64
+	waits    uint64          // AcquireWait rounds that had to queue
+	waiters  []chan struct{} // FIFO admission queue (buffered-1 wakeup tokens)
 }
 
 // NewDomainGroup creates a group of `members` member domains under one
 // lease facade with `slots` group slots. members must be a positive
 // power of two (the store's shard→member mapping is a shift); a group
-// of 1 is the degenerate, ungrouped case and behaves exactly like a
-// lone Domain behind a Handles pool. opts may be nil for defaults and
-// applies to every member.
+// of 1 is the degenerate, ungrouped case: one flat Domain (Member(0),
+// which structures are built on) behind the blocking lease facade, with
+// every read-side method reporting that domain's own numbers. opts may
+// be nil for defaults and applies to every member.
 func NewDomainGroup(policy Policy, members, slots int, opts *Options) *DomainGroup {
 	if members <= 0 || members&(members-1) != 0 {
 		panic(fmt.Sprintf("core: group members must be a positive power of two, got %d", members))
@@ -110,9 +123,6 @@ func (h *GroupHandle) Slot() int { return h.slot }
 // Incarnation) names this tenancy uniquely, mirroring
 // Thread.Incarnation.
 func (h *GroupHandle) Incarnation() uint64 { return h.leases }
-
-// Group returns the handle's group.
-func (h *GroupHandle) Group() *DomainGroup { return h.g }
 
 // Member returns the handle's thread in member domain i, leasing it on
 // first use. Lazy leasing is what keeps member thread lists short: a
@@ -191,22 +201,83 @@ func (g *DomainGroup) Acquire() (*GroupHandle, error) {
 	}
 	h.leased = true
 	h.leases++
-	g.admitLocked()
+	g.inUse++
+	g.acquires++
+	if g.inUse > g.peak {
+		g.peak = g.inUse
+	}
 	return h, nil
 }
 
 // AcquireWait leases a group slot, blocking while the group is
 // saturated: callers queue FIFO and are woken as handles are released.
-// It returns ctx.Err() if ctx expires first — the admission-control
-// path, identical in discipline to Handles.AcquireWait (eventually
-// fair under queued load, not strictly FIFO against line-jumpers).
+// It returns ctx.Err() if ctx expires first. This is the
+// admission-control primitive — a caller population larger than the
+// slot population queues for slots instead of erroring — so the only
+// error a healthy (deadline-free) caller can see is its own context's.
+//
+// Wakeups are handed to waiters in queue order, but a woken waiter
+// re-runs Acquire and can lose the slot to a concurrent non-waiting
+// Acquire; it then re-queues at the tail. Admission is therefore
+// eventually fair under queued load, not strictly FIFO against
+// line-jumpers.
 func (g *DomainGroup) AcquireWait(ctx context.Context) (*GroupHandle, error) {
-	var h *GroupHandle
-	err := g.acquireWait(ctx, func() (err error) {
-		h, err = g.Acquire()
-		return err
-	})
-	return h, err
+	for {
+		if h, err := g.Acquire(); !errors.Is(err, ErrNoSlots) {
+			return h, err
+		}
+		w := make(chan struct{}, 1)
+		g.mu.Lock()
+		g.waiters = append(g.waiters, w)
+		g.waits++
+		g.mu.Unlock()
+		// Re-try after enqueueing: a Release between the failed Acquire
+		// above and the enqueue would have seen an empty queue and woken
+		// nobody; this second look closes that window.
+		if h, err := g.Acquire(); !errors.Is(err, ErrNoSlots) {
+			g.abandonWait(w)
+			return h, err
+		}
+		select {
+		case <-w:
+			// Woken by a Release: loop and contend for the freed slot.
+		case <-ctx.Done():
+			g.abandonWait(w)
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// abandonWait removes w from the admission queue. If w was already
+// popped and signalled, the wakeup token is forwarded to the next
+// waiter so a cancelled waiter never swallows an admission.
+func (g *DomainGroup) abandonWait(w chan struct{}) {
+	g.mu.Lock()
+	for i, x := range g.waiters {
+		if x == w {
+			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
+			g.mu.Unlock()
+			return
+		}
+	}
+	g.mu.Unlock()
+	// Not queued ⇒ signalLocked already sent w its token (the send
+	// happens under the lock we just held), so this receive cannot block.
+	<-w
+	g.mu.Lock()
+	g.signalLocked()
+	g.mu.Unlock()
+}
+
+// signalLocked pops the head waiter and hands it a wakeup token (mu
+// held; the channels are buffered so the send never blocks).
+func (g *DomainGroup) signalLocked() {
+	if len(g.waiters) == 0 {
+		return
+	}
+	w := g.waiters[0]
+	g.waiters = g.waiters[1:]
+	w <- struct{}{}
 }
 
 // Release returns h's group slot. Every member thread the handle
@@ -223,9 +294,11 @@ func (g *DomainGroup) Release(h *GroupHandle) {
 		panic("core: Release of a group handle that is not leased (double release?)")
 	}
 	h.leased = false
-	// Bookkeeping before the slot is actually freed, mirroring
-	// Handles.Release: the brief under-count is the safe direction for
-	// the peak statistic.
+	// Bookkeeping before the slot is actually freed: once the slot is
+	// on the free list a concurrent Acquire can succeed, and counting
+	// ourselves out afterwards would let InUse/Peak overshoot the true
+	// concurrency. The brief under-count in this order is the safe
+	// direction for a peak statistic.
 	g.inUse--
 	g.mu.Unlock()
 	for i, t := range h.threads {
@@ -234,6 +307,8 @@ func (g *DomainGroup) Release(h *GroupHandle) {
 			h.threads[i] = nil
 		}
 	}
+	// Wake after the slot is genuinely free, so the woken waiter's
+	// Acquire can succeed immediately.
 	g.mu.Lock()
 	g.free = append(g.free, h.slot)
 	g.releases++
@@ -251,11 +326,48 @@ func (g *DomainGroup) Do(fn func(*GroupHandle) error) error {
 	return fn(h)
 }
 
+// InUse returns the number of leases currently held.
+func (g *DomainGroup) InUse() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.inUse
+}
+
+// Peak returns the maximum concurrently held leases seen.
+func (g *DomainGroup) Peak() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.peak
+}
+
+// Acquires returns the cumulative lease count (lease churn).
+func (g *DomainGroup) Acquires() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.acquires
+}
+
 // Releases returns the cumulative group-slot release count.
 func (g *DomainGroup) Releases() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.releases
+}
+
+// Waits returns how many AcquireWait calls found every slot leased and
+// queued (each re-queue after losing a woken race counts again): the
+// admission-queue pressure statistic.
+func (g *DomainGroup) Waits() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waits
+}
+
+// Waiting returns the current admission-queue length.
+func (g *DomainGroup) Waiting() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.waiters)
 }
 
 // Stats aggregates reclamation statistics across all member domains.
@@ -283,23 +395,14 @@ func (g *DomainGroup) Unreclaimed() int64 {
 	return total
 }
 
-// Lifecycle aggregates member thread-slot lifecycle counters. Slots,
-// Leased, Peak, Releases and the orphanage counters are sums over
-// members (Peak is a sum of per-member peaks, an upper bound on the
-// true concurrent peak); SlotLeases is the *group-slot* lease vector —
-// tenant k of group slot i is (slot i, incarnation k), matching
-// GroupHandle.Incarnation.
+// Lifecycle aggregates member thread-slot lifecycle counters
+// (LifecycleStats.Add over members); SlotLeases is the *group-slot*
+// lease vector — tenant k of group slot i is (slot i, incarnation k),
+// matching GroupHandle.Incarnation.
 func (g *DomainGroup) Lifecycle() LifecycleStats {
 	var agg LifecycleStats
 	for _, d := range g.members {
-		l := d.Lifecycle()
-		agg.Slots += l.Slots
-		agg.Leased += l.Leased
-		agg.Peak += l.Peak
-		agg.Releases += l.Releases
-		agg.OrphanNodes += l.OrphanNodes
-		agg.OrphansDonated += l.OrphansDonated
-		agg.OrphansAdopted += l.OrphansAdopted
+		agg.Add(d.Lifecycle())
 	}
 	g.mu.Lock()
 	leases := make([]uint64, len(g.handles))

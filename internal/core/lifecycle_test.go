@@ -245,13 +245,13 @@ func TestReleasedSlotInvisibleToScanners(t *testing.T) {
 	}
 }
 
-// TestHandlesPool exercises the acquire/release facade: growth to cap,
-// exhaustion error, reuse after release, Do, and the counters.
+// TestHandlesPool exercises the acquire/release facade over a flat
+// domain (a group of one): growth to cap, exhaustion error, reuse after
+// release, Do, and the counters.
 func TestHandlesPool(t *testing.T) {
-	d := core.NewDomain(core.EpochPOP, 3, nil)
-	pool := core.NewHandles(d)
-	if pool.Cap() != 3 || pool.Domain() != d {
-		t.Fatalf("Cap/Domain wiring: cap=%d", pool.Cap())
+	pool := core.NewDomainGroup(core.EpochPOP, 1, 3, nil)
+	if pool.Cap() != 3 || pool.Members() != 1 || pool.Member(0).MaxThreads() != 3 {
+		t.Fatalf("Cap/Member wiring: cap=%d members=%d", pool.Cap(), pool.Members())
 	}
 	a, err := pool.Acquire()
 	if err != nil {
@@ -273,15 +273,17 @@ func TestHandlesPool(t *testing.T) {
 	if pool.InUse() != 3 || pool.Peak() != 3 {
 		t.Fatalf("InUse=%d Peak=%d, want 3, 3", pool.InUse(), pool.Peak())
 	}
+	bslot, btid := b.Slot(), b.Member(0).ID()
 	pool.Release(b)
 	if pool.InUse() != 2 {
 		t.Fatalf("InUse after release = %d", pool.InUse())
 	}
-	if err := pool.Do(func(th *core.Thread) error {
+	if err := pool.Do(func(h *core.GroupHandle) error {
+		th := h.Member(0)
 		th.StartOp()
 		th.EndOp()
-		if th.ID() != b.ID() {
-			t.Fatalf("Do leased slot %d, want released slot %d", th.ID(), b.ID())
+		if h.Slot() != bslot || th.ID() != btid {
+			t.Fatalf("Do leased slot %d (thread %d), want released slot %d (thread %d)", h.Slot(), th.ID(), bslot, btid)
 		}
 		return nil
 	}); err != nil {
@@ -309,8 +311,8 @@ func TestLeaseChurnAllPolicies(t *testing.T) {
 				legs     = 16
 				opsPer   = 32
 			)
-			e := newEnv(t, p, churners+1, &core.Options{ReclaimThreshold: 64, EpochFreq: 8, BatchSize: 8})
-			pool := core.NewHandles(e.d)
+			pool := core.NewDomainGroup(p, 1, churners+1, &core.Options{ReclaimThreshold: 64, EpochFreq: 8, BatchSize: 8})
+			e := newEnvOn(pool.Member(0))
 			var wg sync.WaitGroup
 			var retires int64
 			var mu sync.Mutex
@@ -320,11 +322,12 @@ func TestLeaseChurnAllPolicies(t *testing.T) {
 					defer wg.Done()
 					local := int64(0)
 					for leg := 0; leg < legs; leg++ {
-						th, err := pool.Acquire()
+						h, err := pool.Acquire()
 						if err != nil {
 							t.Error(err)
 							return
 						}
+						th := h.Member(0)
 						cache := e.cacheFor(th)
 						var cell core.Atomic
 						for i := 0; i < opsPer; i++ {
@@ -340,7 +343,7 @@ func TestLeaseChurnAllPolicies(t *testing.T) {
 							local++
 							th.EndOp()
 						}
-						pool.Release(th)
+						pool.Release(h)
 					}
 					mu.Lock()
 					retires += local
@@ -352,21 +355,21 @@ func TestLeaseChurnAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			collector.Flush()
+			collector.Member(0).Flush()
 			pool.Release(collector)
 			want := int64(0)
 			if p == core.NR {
 				want = retires // the accounted leak
 			}
-			if got := e.d.Unreclaimed(); got != want {
-				t.Fatalf("Unreclaimed = %d after churn flush, want %d (lifecycle %+v)", got, want, e.d.Lifecycle())
+			if got := pool.Unreclaimed(); got != want {
+				t.Fatalf("Unreclaimed = %d after churn flush, want %d (lifecycle %+v)", got, want, pool.Lifecycle())
 			}
 			if p != core.NR {
 				if got := e.pool.Outstanding(); got != 0 {
 					t.Fatalf("pool outstanding = %d after churn flush", got)
 				}
 			}
-			lc := e.d.Lifecycle()
+			lc := pool.Lifecycle()
 			if lc.Releases != churners*legs+1 {
 				t.Fatalf("releases = %d, want %d", lc.Releases, churners*legs+1)
 			}
@@ -406,13 +409,13 @@ func TestSlotLeaseCounts(t *testing.T) {
 // AcquireWait behind it, and checks the waiter is admitted exactly when
 // the holder releases.
 func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
-	d := core.NewDomain(core.HazardPtrPOP, 1, nil)
-	pool := core.NewHandles(d)
+	pool := core.NewDomainGroup(core.HazardPtrPOP, 1, 1, nil)
 	holder, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted := make(chan *core.Thread)
+	slot, tid := holder.Slot(), holder.Member(0).ID()
+	admitted := make(chan *core.GroupHandle)
 	go func() {
 		th, err := pool.AcquireWait(context.Background())
 		if err != nil {
@@ -425,7 +428,7 @@ func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
 	// The waiter must be parked, not admitted: give it time to enqueue.
 	select {
 	case <-admitted:
-		t.Fatal("AcquireWait admitted past a saturated domain")
+		t.Fatal("AcquireWait admitted past a saturated group")
 	case <-time.After(20 * time.Millisecond):
 	}
 	if pool.Waiting() != 1 {
@@ -437,8 +440,8 @@ func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
 		if th == nil {
 			t.Fatal("AcquireWait errored after release")
 		}
-		if th.ID() != holder.ID() {
-			t.Fatalf("waiter admitted to slot %d, want released slot %d", th.ID(), holder.ID())
+		if th.Slot() != slot || th.Member(0).ID() != tid {
+			t.Fatalf("waiter admitted to slot %d (thread %d), want released slot %d (thread %d)", th.Slot(), th.Member(0).ID(), slot, tid)
 		}
 		pool.Release(th)
 	case <-time.After(5 * time.Second):
@@ -452,8 +455,7 @@ func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
 // TestAcquireWaitContextTimeout checks a parked waiter is unparked with
 // its context's error, leaves the queue, and does not leak a wakeup.
 func TestAcquireWaitContextTimeout(t *testing.T) {
-	d := core.NewDomain(core.EBR, 1, nil)
-	pool := core.NewHandles(d)
+	pool := core.NewDomainGroup(core.EBR, 1, 1, nil)
 	holder, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -484,8 +486,7 @@ func TestAcquireWaitStorm(t *testing.T) {
 		workers = 16
 		legs    = 25
 	)
-	d := core.NewDomain(core.EpochPOP, slots, nil)
-	pool := core.NewHandles(d)
+	pool := core.NewDomainGroup(core.EpochPOP, 1, slots, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -494,14 +495,15 @@ func TestAcquireWaitStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < legs; i++ {
-				th, err := pool.AcquireWait(ctx)
+				h, err := pool.AcquireWait(ctx)
 				if err != nil {
 					t.Errorf("AcquireWait: %v", err)
 					return
 				}
+				th := h.Member(0)
 				th.StartOp()
 				th.EndOp()
-				pool.Release(th)
+				pool.Release(h)
 			}
 		}()
 	}
@@ -509,7 +511,7 @@ func TestAcquireWaitStorm(t *testing.T) {
 	if pool.InUse() != 0 || pool.Waiting() != 0 {
 		t.Fatalf("after storm: InUse=%d Waiting=%d, want 0, 0", pool.InUse(), pool.Waiting())
 	}
-	lc := d.Lifecycle()
+	lc := pool.Lifecycle()
 	if lc.Leased != 0 {
 		t.Fatalf("leaked leases: %+v", lc)
 	}

@@ -64,3 +64,48 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 		t.Errorf("MaxRetire = %d after reversed Sub, want the receiver's 5", got)
 	}
 }
+
+// TestLifecycleStatsAddFoldsEveryField is the same guard for
+// LifecycleStats.Add, the fold behind DomainGroup.Lifecycle: every
+// integer counter comes out as the sum, SlotLeases is left alone (the
+// caller supplies the group-slot vector), and a field of any other kind
+// fails until its rule is written down here.
+func TestLifecycleStatsAddFoldsEveryField(t *testing.T) {
+	var a, b LifecycleStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		switch av.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			av.Field(i).SetInt(int64(100 + i))
+			bv.Field(i).SetInt(int64(1000 + 7*i))
+		case reflect.Uint64:
+			av.Field(i).SetUint(uint64(100 + i))
+			bv.Field(i).SetUint(uint64(1000 + 7*i))
+		default:
+			if name != "SlotLeases" {
+				t.Fatalf("LifecycleStats.%s: no fold rule for kind %v", name, av.Field(i).Kind())
+			}
+			a.SlotLeases, b.SlotLeases = []uint64{1, 2}, []uint64{3}
+		}
+	}
+	sum := a
+	sum.Add(b)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		name, want := sv.Type().Field(i).Name, uint64(100+i)+uint64(1000+7*i)
+		switch sv.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			if got := sv.Field(i).Int(); got != int64(want) {
+				t.Errorf("LifecycleStats.%s = %d after add, want the sum %d", name, got, want)
+			}
+		case reflect.Uint64:
+			if got := sv.Field(i).Uint(); got != want {
+				t.Errorf("LifecycleStats.%s = %d after add, want the sum %d", name, got, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(sum.SlotLeases, []uint64{1, 2}) {
+		t.Errorf("SlotLeases = %v after add, want the receiver's own [1 2]", sum.SlotLeases)
+	}
+}

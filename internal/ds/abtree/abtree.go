@@ -233,12 +233,6 @@ func (tr *Tree) search(t *core.Thread, key int64) (pos, bool) {
 	}
 }
 
-// Contains reports whether key is present.
-func (tr *Tree) Contains(t *core.Thread, key int64) bool {
-	_, ok := tr.Get(t, key)
-	return ok
-}
-
 // Get returns the value mapped to key. The leaf is protected and
 // immutable, so plain reads of its arrays are a consistent snapshot.
 func (tr *Tree) Get(t *core.Thread, key int64) (uint64, bool) {
@@ -282,11 +276,6 @@ func (tr *Tree) newInternal(t *core.Thread, cache *arena.ThreadCache[node], keys
 	}
 	t.OnAlloc(&n.Header, tr.typ)
 	return n
-}
-
-// Insert adds key with the zero value; false if already present.
-func (tr *Tree) Insert(t *core.Thread, key int64) bool {
-	return tr.PutIfAbsent(t, key, 0)
 }
 
 // PutIfAbsent maps key to val only if key is absent.

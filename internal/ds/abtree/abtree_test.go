@@ -27,7 +27,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			k := int64(w % 1024)
 			switch (w / 1024) % 3 {
 			case 0:
-				if tr.Insert(th, k) == ref[k] {
+				if tr.PutIfAbsent(th, k, 0) == ref[k] {
 					return false
 				}
 				ref[k] = true
@@ -37,7 +37,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 				}
 				delete(ref, k)
 			default:
-				if tr.Contains(th, k) != ref[k] {
+				if _, ok := tr.Get(th, k); ok != ref[k] {
 					return false
 				}
 			}
@@ -59,7 +59,7 @@ func TestGrowShrinkCycles(t *testing.T) {
 	const n = 5000
 	for cycle := 0; cycle < 3; cycle++ {
 		for k := int64(0); k < n; k++ {
-			if !tr.Insert(th, k*7%n) {
+			if !tr.PutIfAbsent(th, k*7%n, 0) {
 				t.Fatalf("cycle %d: insert %d failed", cycle, k*7%n)
 			}
 		}
@@ -93,7 +93,7 @@ func TestRangeScanAcrossLeaves(t *testing.T) {
 	// Multiples of 3 in [0, 3000): forces ~80+ leaves at B=12.
 	const n = int64(1000)
 	for k := int64(0); k < n; k++ {
-		tr.Insert(th, k*3)
+		tr.PutIfAbsent(th, k*3, 0)
 	}
 	check := func(lo, hi int64) {
 		t.Helper()
@@ -163,7 +163,7 @@ func TestDescendingAndAscendingOrders(t *testing.T) {
 				start = n - 1
 			}
 			for i, k := int64(0), start; i < n; i, k = i+1, k+step {
-				if !tr.Insert(th, k) {
+				if !tr.PutIfAbsent(th, k, 0) {
 					t.Fatalf("insert %d failed", k)
 				}
 			}
@@ -171,7 +171,7 @@ func TestDescendingAndAscendingOrders(t *testing.T) {
 				t.Fatalf("Size = %d, want %d", got, n)
 			}
 			for k := int64(0); k < n; k++ {
-				if !tr.Contains(th, k) {
+				if _, ok := tr.Get(th, k); !ok {
 					t.Fatalf("missing %d", k)
 				}
 			}

@@ -32,7 +32,7 @@ func TestHammerProbe(t *testing.T) {
 					defer wg.Done()
 					r := rng.New(uint64(id)*7 + uint64(round))
 					for i := 0; i < 20000; i++ {
-						tr.Insert(th, r.Intn(312500))
+						tr.PutIfAbsent(th, r.Intn(312500), 0)
 					}
 				}(w, th)
 			}

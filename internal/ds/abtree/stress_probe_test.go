@@ -24,7 +24,7 @@ func TestInsertOnlyStressProbe(t *testing.T) {
 						defer wg.Done()
 						r := rng.New(uint64(id) + uint64(round)*31)
 						for i := 0; i < 8000; i++ {
-							tr.Insert(th, r.Intn(60000))
+							tr.PutIfAbsent(th, r.Intn(60000), 0)
 						}
 					}(w, th)
 				}

@@ -142,12 +142,6 @@ restart:
 	return ps, true
 }
 
-// Contains reports whether key is present.
-func (tr *Tree) Contains(t *core.Thread, key int64) bool {
-	_, ok := tr.Get(t, key)
-	return ok
-}
-
 // Get returns the value mapped to key. The descent is unsynchronized;
 // the value load is safe because the leaf was reachable at protect time
 // and values are frozen once a leaf dies.
@@ -164,11 +158,6 @@ func (tr *Tree) Get(t *core.Thread, key int64) (uint64, bool) {
 		}
 		return ps.l.val.Load(), true
 	}
-}
-
-// Insert adds key with the zero value; false if already present.
-func (tr *Tree) Insert(t *core.Thread, key int64) bool {
-	return tr.PutIfAbsent(t, key, 0)
 }
 
 // PutIfAbsent maps key to val only if key is absent.

@@ -27,7 +27,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			k := int64(w % 512)
 			switch (w / 512) % 3 {
 			case 0:
-				if tr.Insert(th, k) == ref[k] {
+				if tr.PutIfAbsent(th, k, 0) == ref[k] {
 					return false
 				}
 				ref[k] = true
@@ -37,7 +37,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 				}
 				delete(ref, k)
 			default:
-				if tr.Contains(th, k) != ref[k] {
+				if _, ok := tr.Get(th, k); ok != ref[k] {
 					return false
 				}
 			}
@@ -56,7 +56,7 @@ func TestDeleteRetiresRouterAndLeaf(t *testing.T) {
 	tr := extbst.New(d)
 	th := d.RegisterThread()
 	for k := int64(0); k < 10; k++ {
-		tr.Insert(th, k)
+		tr.PutIfAbsent(th, k, 0)
 	}
 	before := d.Stats().Retires
 	tr.Delete(th, 5)
@@ -73,7 +73,7 @@ func TestSortedDegenerateShape(t *testing.T) {
 	th := d.RegisterThread()
 	const n = 2000
 	for k := int64(0); k < n; k++ {
-		if !tr.Insert(th, k) {
+		if !tr.PutIfAbsent(th, k, 0) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}

@@ -38,11 +38,11 @@ func TestHammerProbe(t *testing.T) {
 						k := r.Intn(4096)
 						switch i % 3 {
 						case 0:
-							tr.Insert(th, k)
+							tr.PutIfAbsent(th, k, 0)
 						case 1:
 							tr.Delete(th, k)
 						default:
-							tr.Contains(th, k)
+							tr.Get(th, k)
 						}
 					}
 				}(w, th)

@@ -58,11 +58,6 @@ func (t *Table) bucket(key int64) *hmlist.List {
 	return t.buckets[x&t.mask]
 }
 
-// Insert adds key with the zero value; false if already present.
-func (t *Table) Insert(th *core.Thread, key int64) bool {
-	return t.bucket(key).Insert(th, key)
-}
-
 // PutIfAbsent maps key to val only if key is absent.
 func (t *Table) PutIfAbsent(th *core.Thread, key int64, val uint64) bool {
 	return t.bucket(key).PutIfAbsent(th, key, val)
@@ -105,11 +100,6 @@ func (t *Table) PutBatch(th *core.Thread, keys []int64, vals []uint64, old []uin
 	for i, key := range keys {
 		old[i], replaced[i] = t.bucket(key).PutInOp(th, key, vals[i])
 	}
-}
-
-// Contains reports whether key is present.
-func (t *Table) Contains(th *core.Thread, key int64) bool {
-	return t.bucket(key).Contains(th, key)
 }
 
 // Size sums bucket sizes. Quiescent use only.

@@ -22,7 +22,7 @@ func TestSingleBucketDegenerate(t *testing.T) {
 	tab := hashtable.New(d, 1, 6)
 	th := d.RegisterThread()
 	for k := int64(0); k < 200; k++ {
-		if !tab.Insert(th, k) {
+		if !tab.PutIfAbsent(th, k, 0) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}
@@ -47,7 +47,7 @@ func TestBucketDistribution(t *testing.T) {
 	tab := hashtable.New(d, 64*6, 6)
 	th := d.RegisterThread()
 	for k := int64(0); k < 640; k++ {
-		tab.Insert(th, k)
+		tab.PutIfAbsent(th, k, 0)
 	}
 	if got := tab.Size(th); got != 640 {
 		t.Fatalf("Size = %d, want 640", got)

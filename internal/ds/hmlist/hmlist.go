@@ -350,12 +350,6 @@ retry:
 	}
 }
 
-// Contains reports whether key is in the map.
-func (l *List) Contains(t *core.Thread, key int64) bool {
-	_, ok := l.Get(t, key)
-	return ok
-}
-
 // Get returns the value mapped to key.
 func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
@@ -405,11 +399,6 @@ func (l *List) GetBatch(t *core.Thread, keys []int64, vals []uint64, present []b
 	for i, key := range keys {
 		vals[i], present[i] = l.GetInOp(t, key)
 	}
-}
-
-// Insert adds key with the zero value; false if already present.
-func (l *List) Insert(t *core.Thread, key int64) bool {
-	return l.PutIfAbsent(t, key, 0)
 }
 
 // PutIfAbsent maps key to val only if key is absent.

@@ -28,7 +28,7 @@ func TestSentinelKeyPanics(t *testing.T) {
 					t.Errorf("Insert(%d) did not panic", k)
 				}
 			}()
-			l.Insert(th, k)
+			l.PutIfAbsent(th, k, 0)
 		}()
 	}
 }
@@ -45,7 +45,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			k := int64(w % 64)
 			switch (w / 64) % 3 {
 			case 0:
-				if l.Insert(th, k) == ref[k] {
+				if l.PutIfAbsent(th, k, 0) == ref[k] {
 					return false
 				}
 				ref[k] = true
@@ -55,7 +55,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 				}
 				delete(ref, k)
 			default:
-				if l.Contains(th, k) != ref[k] {
+				if _, ok := l.Get(th, k); ok != ref[k] {
 					return false
 				}
 			}
@@ -75,14 +75,14 @@ func TestHelpingUnlink(t *testing.T) {
 	l := hmlist.New(d)
 	th := d.RegisterThread()
 	for k := int64(0); k < 100; k++ {
-		l.Insert(th, k)
+		l.PutIfAbsent(th, k, 0)
 	}
 	for k := int64(0); k < 100; k += 3 {
 		l.Delete(th, k)
 	}
 	for k := int64(0); k < 100; k++ {
 		want := k%3 != 0
-		if got := l.Contains(th, k); got != want {
+		if _, got := l.Get(th, k); got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", k, got, want)
 		}
 	}

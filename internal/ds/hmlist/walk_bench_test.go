@@ -25,11 +25,11 @@ func BenchmarkListWalk(b *testing.B) {
 			l := hmlist.New(d)
 			r := rng.New(42)
 			for k := int64(0); k < keys; k += 2 {
-				l.Insert(th, k)
+				l.PutIfAbsent(th, k, 0)
 			}
 			for i := 0; i < 200_000; i++ {
 				if k := r.Intn(keys); r.Pct() < 50 {
-					l.Insert(th, k)
+					l.PutIfAbsent(th, k, 0)
 				} else {
 					l.Delete(th, k)
 				}

@@ -38,11 +38,11 @@ func TestHammerProbe(t *testing.T) {
 						k := r.Intn(512)
 						switch i % 3 {
 						case 0:
-							l.Insert(th, k)
+							l.PutIfAbsent(th, k, 0)
 						case 1:
 							l.Delete(th, k)
 						default:
-							l.Contains(th, k)
+							l.Get(th, k)
 						}
 					}
 				}(w, th)

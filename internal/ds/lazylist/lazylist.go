@@ -123,13 +123,6 @@ restart:
 	return pred, curr, sPred, sCurr, true
 }
 
-// Contains is the lazy list's wait-free membership test: walk, then check
-// the final node's key and mark.
-func (l *List) Contains(t *core.Thread, key int64) bool {
-	_, ok := l.Get(t, key)
-	return ok
-}
-
 // Get returns the value mapped to key. The read is wait-free: the value
 // load happens after the unmarked check, and values are frozen once a
 // node is marked (see the package comment).
@@ -156,11 +149,6 @@ func (l *List) validate(pred, curr *node) bool {
 }
 
 func (l *List) nextOf(n *node) *node { return (*node)(n.next.Load()) }
-
-// Insert adds key with the zero value; false if already present.
-func (l *List) Insert(t *core.Thread, key int64) bool {
-	return l.PutIfAbsent(t, key, 0)
-}
 
 // PutIfAbsent maps key to val only if key is absent.
 func (l *List) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {

@@ -28,7 +28,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			k := int64(w % 64)
 			switch (w / 64) % 3 {
 			case 0:
-				if l.Insert(th, k) == ref[k] {
+				if l.PutIfAbsent(th, k, 0) == ref[k] {
 					return false
 				}
 				ref[k] = true
@@ -38,7 +38,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 				}
 				delete(ref, k)
 			default:
-				if l.Contains(th, k) != ref[k] {
+				if _, ok := l.Get(th, k); ok != ref[k] {
 					return false
 				}
 			}

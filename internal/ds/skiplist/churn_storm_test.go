@@ -12,7 +12,7 @@ import (
 )
 
 // TestChurnStorm is the thread-lifecycle acceptance storm: goroutines
-// continuously lease a handle from the domain's pool, perform protected
+// continuously lease a handle from a one-member group, perform protected
 // map operations that retire nodes (overwrites and deletes), and
 // release the handle mid-stream — donating their unreclaimed retire
 // lists — while long-lived scanner threads run range scans over the
@@ -39,19 +39,20 @@ func TestChurnStorm(t *testing.T) {
 // doing ops mixed operations, against scanners running range scans.
 func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) {
 	const keyRange = 512
-	d := core.NewDomain(p, churners+scanners+1, &core.Options{
+	pool := core.NewDomainGroup(p, 1, churners+scanners+1, &core.Options{
 		ReclaimThreshold: 64,
 		EpochFreq:        16,
 		BatchSize:        16,
 	})
-	pool := core.NewHandles(d)
+	d := pool.Member(0)
 	l := skiplist.New(d)
 
 	// Prefill so scans see a populated structure from the start.
-	seed, err := pool.Acquire()
+	seedH, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed := seedH.Member(0)
 	for k := int64(0); k < keyRange; k += 2 {
 		l.PutIfAbsent(seed, k, uint64(k))
 	}
@@ -62,26 +63,27 @@ func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) 
 		stop    = make(chan struct{})
 	)
 	for s := 0; s < scanners; s++ {
-		th, err := pool.Acquire()
+		h, err := pool.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
 		scanWG.Add(1)
-		go func(id int, th *core.Thread) {
+		go func(id int, h *core.GroupHandle) {
 			defer scanWG.Done()
+			th := h.Member(0)
 			r := rng.New(uint64(id)*0x9e3779b97f4a7c15 + 0x5ca9)
 			for {
 				select {
 				case <-stop:
 					th.Flush()
-					pool.Release(th)
+					pool.Release(h)
 					return
 				default:
 				}
 				lo := r.Intn(keyRange)
 				l.RangeCount(th, lo, lo+64)
 			}
-		}(s, th)
+		}(s, h)
 	}
 
 	for c := 0; c < churners; c++ {
@@ -90,11 +92,12 @@ func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) 
 			defer churnWG.Done()
 			r := rng.New(uint64(id)*0xff51afd7ed558ccd + 0xc0a1)
 			for leg := 0; leg < legs; leg++ {
-				th, err := pool.Acquire()
+				h, err := pool.Acquire()
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				th := h.Member(0)
 				for i := 0; i < ops; i++ {
 					k := r.Intn(keyRange)
 					switch r.Intn(4) {
@@ -110,7 +113,7 @@ func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) 
 				}
 				// Depart mid-stream: the retire list this leg accumulated
 				// is donated for adoption, the slot becomes re-leasable.
-				pool.Release(th)
+				pool.Release(h)
 			}
 		}(c)
 	}
@@ -136,5 +139,5 @@ func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) 
 	for _, v := range vs {
 		t.Errorf("invariant violated: %s", v)
 	}
-	pool.Release(seed)
+	pool.Release(seedH)
 }

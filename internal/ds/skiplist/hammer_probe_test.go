@@ -68,11 +68,11 @@ func hammerRound(t *testing.T, p core.Policy, round, workers, ops int) {
 				k := r.Intn(512)
 				switch i % 5 {
 				case 0, 1:
-					l.Insert(th, k)
+					l.PutIfAbsent(th, k, 0)
 				case 2:
 					l.Delete(th, k)
 				case 3:
-					l.Contains(th, k)
+					l.Get(th, k)
 				default:
 					hi := k + r.Intn(96)
 					buf = l.RangeCollect(th, k, hi, buf)

@@ -432,12 +432,6 @@ func (l *List) unlinkIndexLevel(c *column, lvl int, hops *int) {
 	}
 }
 
-// Contains reports whether key is in the map.
-func (l *List) Contains(t *core.Thread, key int64) bool {
-	_, ok := l.Get(t, key)
-	return ok
-}
-
 // Get returns the value mapped to key. The index descent costs no
 // protections; only the final hint hop publishes a reservation, and the
 // bottom-layer walk revalidates from there.
@@ -455,11 +449,6 @@ func (l *List) getInOp(t *core.Thread, key int64) (uint64, bool) {
 			return v, present
 		}
 	}
-}
-
-// Insert adds key with the zero value; false if already present.
-func (l *List) Insert(t *core.Thread, key int64) bool {
-	return l.PutIfAbsent(t, key, 0)
 }
 
 // PutIfAbsent maps key to val only if key is absent.

@@ -26,7 +26,7 @@ func TestRangeEdges(t *testing.T) {
 	l := New(d)
 	th := d.RegisterThread()
 	for _, k := range []int64{-5, 0, 3, 7, 100} {
-		l.Insert(th, k)
+		l.PutIfAbsent(th, k, 0)
 	}
 	if got := l.RangeCount(th, 10, 5); got != 0 {
 		t.Fatalf("inverted range counted %d", got)
@@ -53,7 +53,7 @@ func TestTowerHeightsReasonable(t *testing.T) {
 	l := New(d)
 	th := d.RegisterThread()
 	for k := int64(0); k < 4096; k++ {
-		l.Insert(th, k)
+		l.PutIfAbsent(th, k, 0)
 	}
 	if got := l.Size(th); got != 4096 {
 		t.Fatalf("Size = %d, want 4096", got)

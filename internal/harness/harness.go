@@ -346,13 +346,15 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	d := core.NewDomain(cfg.Policy, cfg.Threads, &core.Options{
+	// A flat domain is a group of one: the structure lives on member 0
+	// and handles are leased the way RunStore leases them.
+	g := core.NewDomainGroup(cfg.Policy, 1, cfg.Threads, &core.Options{
 		ReclaimThreshold: cfg.ReclaimThreshold,
 		EpochFreq:        cfg.EpochFreq,
 		CMult:            cfg.CMult,
 		BatchSize:        cfg.BatchSize,
 	})
-	m, err := build(cfg, d)
+	m, err := build(cfg, g.Member(0))
 	if err != nil {
 		return Result{}, err
 	}
@@ -361,18 +363,18 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("harness: mix has RangePct=%d but %q does not support range queries", cfg.Mix.RangePct, cfg.DS)
 		}
 	}
-	// All handles flow through the domain's pool: workers lease their
-	// slot (error-returning path, so a misconfigured sweep fails with a
-	// message instead of a stack trace) and, in churn mode, release and
-	// re-lease it mid-measurement.
-	pool := core.NewHandles(d)
-	threads := make([]*core.Thread, cfg.Threads)
-	for i := range threads {
-		th, err := pool.Acquire()
+	// All handles flow through the group's lease facade: workers lease
+	// their slot (error-returning path, so a misconfigured sweep fails
+	// with a message instead of a stack trace) and, in churn mode,
+	// release and re-lease it mid-measurement.
+	handles := make([]*core.GroupHandle, cfg.Threads)
+	for i := range handles {
+		h, err := g.Acquire()
 		if err != nil {
 			return Result{}, fmt.Errorf("harness: worker %d: %w", i, err)
 		}
-		threads[i] = th
+		h.Member(0) // leased here, in worker order, so thread ids follow worker ids
+		handles[i] = h
 	}
 
 	// Per-worker generators go through the error-returning constructor
@@ -404,7 +406,7 @@ func Run(cfg Config) (Result, error) {
 	})
 
 	if !cfg.NoPrefil {
-		if err := prefill(cfg, m, threads); err != nil {
+		if err := prefill(cfg, m, handles); err != nil {
 			return Result{}, err
 		}
 	}
@@ -414,26 +416,26 @@ func Run(cfg Config) (Result, error) {
 		workers:  cfg.Threads,
 		duration: cfg.Duration,
 		// A leg ends at stop or, in churn mode, after Churn.AfterOps
-		// operations; the churned handle goes back through the pool.
+		// operations; the churned handle goes back through the group.
 		leg: func(t *trial, id int) bool {
-			runWorker(cfg, m, threads[id], gens[id], id, t, &workers[id])
+			runWorker(cfg, m, handles[id].Member(0), gens[id], id, t, &workers[id])
 			return cfg.Churn.Enabled() && !t.stop.Load()
 		},
 		rotate: func(id int) {
-			pool.Release(threads[id])
-			th, err := pool.Acquire()
+			g.Release(handles[id])
+			h, err := g.Acquire()
 			if err != nil {
 				// Unreachable: every chain holds at most one handle, so a
 				// slot is always free for the successor.
 				panic(fmt.Sprintf("harness: churn re-lease: %v", err))
 			}
-			threads[id] = th
+			handles[id] = h
 		},
-		drain:        func(id int) { threads[id].Flush() },
-		settle:       func() error { unreclaimed = d.Unreclaimed(); return nil },
+		drain:        func(id int) { handles[id].Drain() },
+		settle:       func() error { unreclaimed = g.Unreclaimed(); return nil },
 		outstanding:  m.Outstanding,
 		samplePeriod: cfg.SamplePeriod,
-		source:       d,
+		source:       g,
 		sampleEvery:  cfg.SampleEvery,
 	}
 	ph, _ := t.run()
@@ -447,9 +449,9 @@ func Run(cfg Config) (Result, error) {
 		Elapsed:      ph.elapsed,
 		PeakResident: ph.peak,
 		Unreclaimed:  unreclaimed,
-		LeakedAfter:  d.Unreclaimed(),
-		Reclaim:      d.Stats(),
-		Lifecycle:    d.Lifecycle(),
+		LeakedAfter:  g.Unreclaimed(),
+		Reclaim:      g.Stats(),
+		Lifecycle:    g.Lifecycle(),
 		Timeline:     ph.timeline,
 	}
 	copy(res.OpCounts[:], sum.byClass)
@@ -547,12 +549,12 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 // (§5.0.2), splitting the work across all threads. Runs on the worker
 // threads'"own" goroutines to respect handle ownership. Prefilled keys
 // carry encoded values so execution-phase Gets verify from the start.
-func prefill(cfg Config, m ds.MemMap, threads []*core.Thread) error {
+func prefill(cfg Config, m ds.MemMap, handles []*core.GroupHandle) error {
 	target := cfg.KeyRange / 2
-	per := target / int64(len(threads))
-	extra := target - per*int64(len(threads))
+	per := target / int64(len(handles))
+	extra := target - per*int64(len(handles))
 	var wg sync.WaitGroup
-	for i, th := range threads {
+	for i, h := range handles {
 		quota := per
 		if i == 0 {
 			quota += extra
@@ -578,7 +580,7 @@ func prefill(cfg Config, m ds.MemMap, threads []*core.Thread) error {
 					return
 				}
 			}
-		}(th, gen, quota)
+		}(h.Member(0), gen, quota)
 	}
 	wg.Wait()
 	return nil

@@ -5,8 +5,8 @@
 //
 //   - Admission control. The domain is sized for a bounded number of
 //     serving slots; every connection is a goroutine, and a connection
-//     leases a core.Thread only while it has buffered commands to
-//     execute (a "burst"), through the blocking Handles.AcquireWait.
+//     leases a core.GroupHandle only while it has buffered commands to
+//     execute (a "burst"), through the blocking DomainGroup.AcquireWait.
 //     Connections ≫ slots therefore queue for admission instead of
 //     being refused, and an idle connection holds no reclamation
 //     resources at all.

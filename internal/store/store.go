@@ -29,7 +29,7 @@
 // high-thread-count curves when one domain backs every shard.
 //
 // Serving goroutines hold one core.GroupHandle each (Store.Acquire /
-// Release, the group's Handles-style facade); the handle leases a
+// Release, the group's lease facade); the handle leases a
 // member Thread lazily on the first operation that touches that
 // member's shards. The membership invariant the group's safety
 // argument needs — a thread's protected operation only touches

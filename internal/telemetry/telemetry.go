@@ -21,8 +21,10 @@ import (
 	"pop/internal/report"
 )
 
-// CoreSource is the sampled surface the reclamation core exposes. Both
-// *core.Domain and *core.DomainGroup satisfy it.
+// CoreSource is the sampled surface the reclamation core exposes. A
+// *core.DomainGroup satisfies it by folding its members — what every
+// runner and the server hand in, a flat domain being a group of one —
+// and a *core.Domain satisfies it for itself (one member's view).
 type CoreSource interface {
 	StatsSampled() core.Stats
 	Lifecycle() core.LifecycleStats

@@ -41,15 +41,17 @@
 // any unreclaimed retires are donated to the domain and adopted by
 // live threads, and a different goroutine may then lease the same
 // slot. Domain.TryRegisterThread is the error-returning lease (the
-// panicking RegisterThread remains for compatibility), and Handles
-// wraps the lifecycle in a concurrency-safe acquire/release pool for
-// elastic worker sets:
+// panicking RegisterThread remains for compatibility), and a
+// DomainGroup of one member wraps the lifecycle in a concurrency-safe
+// acquire/release pool with blocking admission for elastic worker
+// sets (structures are built on g.Member(0)):
 //
-//	pool := pop.NewHandles(d)
+//	g := pop.NewDomainGroup(pop.EpochPOP, 1, 8, nil)
 //	go func() {                          // a short-lived worker
-//		t, err := pool.Acquire()
+//		h, err := g.AcquireWait(ctx)     // queues while all 8 are leased
+//		t := h.Member(0)
 //		...
-//		pool.Release(t)
+//		g.Release(h)
 //	}()
 //
 // Overwrites are a first-class reclamation event: on the lock-free
@@ -74,6 +76,7 @@ package pop
 
 import (
 	"pop/internal/core"
+	"pop/internal/ds"
 	"pop/internal/ds/abtree"
 	"pop/internal/ds/extbst"
 	"pop/internal/ds/hashtable"
@@ -123,11 +126,6 @@ type Domain = core.Domain
 // on one of the domain's slots, returned with Release.
 type Thread = core.Thread
 
-// Handles is a goroutine-affine acquire/release pool of Thread handles
-// over a Domain — the lifecycle facade elastic serving pools use
-// (Store exposes one per store as Store.Handles).
-type Handles = core.Handles
-
 // Options tunes a domain (retire-list threshold, epoch frequency, ...).
 type Options = core.Options
 
@@ -144,9 +142,6 @@ type LifecycleStats = core.LifecycleStats
 func NewDomain(p Policy, maxThreads int, opts *Options) *Domain {
 	return core.NewDomain(p, maxThreads, opts)
 }
-
-// NewHandles creates a handle pool over d (see Handles).
-func NewHandles(d *Domain) *Handles { return core.NewHandles(d) }
 
 // DomainGroup partitions one logical reclamation domain into several
 // member Domains sharing a single lease facade. A goroutine leases one
@@ -264,35 +259,35 @@ type Set interface {
 	Outstanding() int64
 }
 
-// setView adapts a Map to the key-only Set interface.
-type setView struct{ m Map }
-
-func (s setView) Insert(t *Thread, key int64) bool { return s.m.PutIfAbsent(t, key, 0) }
-func (s setView) Delete(t *Thread, key int64) bool { _, ok := s.m.Delete(t, key); return ok }
-func (s setView) Contains(t *Thread, key int64) bool {
-	_, ok := s.m.Get(t, key)
-	return ok
+// setView is ds.AsSet over a Map plus the map's own Size and
+// Outstanding.
+type setView struct {
+	ds.Set
+	m Map
 }
+
+func newSet(m Map) setView { return setView{ds.AsSet(m), m} }
+
 func (s setView) Size(t *Thread) int { return s.m.Size(t) }
 func (s setView) Outstanding() int64 { return s.m.Outstanding() }
 
 // NewHarrisMichaelList creates a lock-free sorted linked-list set
 // (Michael 2004; "HML" in the paper).
-func NewHarrisMichaelList(d *Domain) Set { return setView{hmlist.New(d)} }
+func NewHarrisMichaelList(d *Domain) Set { return newSet(hmlist.New(d)) }
 
 // NewLazyList creates a lazy-list set (Heller et al. 2005; "LL").
-func NewLazyList(d *Domain) Set { return setView{lazylist.New(d)} }
+func NewLazyList(d *Domain) Set { return newSet(lazylist.New(d)) }
 
 // NewHashTable creates a fixed-size hash set with Harris-Michael-list
 // buckets ("HMHT"), sized for expectedKeys at the given load factor
 // (keys per bucket; the paper uses 6).
 func NewHashTable(d *Domain, expectedKeys int64, loadFactor int) Set {
-	return setView{hashtable.New(d, expectedKeys, loadFactor)}
+	return newSet(hashtable.New(d, expectedKeys, loadFactor))
 }
 
 // NewExternalBST creates a lock-based external binary search tree
 // (David, Guerraoui & Trigonakis 2015; "DGT").
-func NewExternalBST(d *Domain) Set { return setView{extbst.New(d)} }
+func NewExternalBST(d *Domain) Set { return newSet(extbst.New(d)) }
 
 // RangeSet is a Set that additionally supports ordered range scans.
 // Scans run concurrently with updates: results are sorted and
@@ -327,7 +322,7 @@ func (r rangeSetView) RangeCollect(t *Thread, lo, hi int64, buf []int64) []int64
 
 // newRangeSet wraps an OrderedMap in the key-only RangeSet view.
 func newRangeSet(om OrderedMap) RangeSet {
-	return rangeSetView{setView: setView{om}, om: om}
+	return rangeSetView{setView: newSet(om), om: om}
 }
 
 // NewSkipList creates a lock-free skiplist set ("SKL") with range

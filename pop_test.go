@@ -235,11 +235,11 @@ func TestStoreFacade(t *testing.T) {
 
 // TestHandlePoolFacade exercises the exported thread-lifecycle surface:
 // an elastic worker set over one map, handles leased and released
-// through pop.Handles, with orphan adoption draining everything.
+// through a one-member pop.DomainGroup, with orphan adoption draining
+// everything.
 func TestHandlePoolFacade(t *testing.T) {
-	d := pop.NewDomain(pop.EpochPOP, 4, &pop.Options{ReclaimThreshold: 64})
-	kv := pop.NewSkipListMap(d)
-	pool := pop.NewHandles(d)
+	pool := pop.NewDomainGroup(pop.EpochPOP, 1, 4, &pop.Options{ReclaimThreshold: 64})
+	kv := pop.NewSkipListMap(pool.Member(0))
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ { // 8 workers over 4 slots, in two batches
@@ -249,7 +249,8 @@ func TestHandlePoolFacade(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := pool.Do(func(th *pop.Thread) error {
+			if err := pool.Do(func(h *pop.GroupHandle) error {
+				th := h.Member(0)
 				base := int64(id * 1000)
 				for k := base; k < base+200; k++ {
 					kv.Put(th, k, uint64(k))
@@ -265,12 +266,13 @@ func TestHandlePoolFacade(t *testing.T) {
 	}
 	wg.Wait()
 
-	collector, err := d.TryRegisterThread()
+	ch, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
+	collector := ch.Member(0)
 	collector.Flush()
-	lc := d.Lifecycle()
+	lc := pool.Lifecycle()
 	if lc.Releases != 8 {
 		t.Fatalf("releases = %d, want 8", lc.Releases)
 	}
@@ -283,5 +285,5 @@ func TestHandlePoolFacade(t *testing.T) {
 	if got, want := kv.Outstanding(), int64(kv.Size(collector)); got != want {
 		t.Fatalf("outstanding %d != live keys %d after elastic run", got, want)
 	}
-	collector.Release()
+	pool.Release(ch)
 }
