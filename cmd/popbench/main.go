@@ -877,6 +877,8 @@ func parseValSize(spec string) (vmin, vmax, smallPct int, err error) {
 	return 0, 0, 0, usage
 }
 
+// parseInts parses a comma-separated list of positive integers (every
+// list flag; callers prefix the flag's name to the error).
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -885,7 +887,7 @@ func parseInts(s string) ([]int, error) {
 			return nil, err
 		}
 		if n <= 0 {
-			return nil, fmt.Errorf("thread count must be positive, got %d", n)
+			return nil, fmt.Errorf("values must be positive, got %d", n)
 		}
 		out = append(out, n)
 	}

@@ -77,3 +77,74 @@ func TestSweepLabels(t *testing.T) {
 		t.Errorf("sweep labels differ from %s (-update only if the change is intended)\n--- got\n%s", golden, got.String())
 	}
 }
+
+// TestParseInts pins the list-flag parser: positive integers only, and
+// an error that names no particular flag (callers prefix it).
+func TestParseInts(t *testing.T) {
+	for _, c := range []struct {
+		in      string
+		want    []int
+		wantErr string
+	}{
+		{in: "4", want: []int{4}},
+		{in: "1,2, 8 ,64", want: []int{1, 2, 8, 64}},
+		{in: "0", wantErr: "values must be positive, got 0"},
+		{in: "2,-1", wantErr: "values must be positive, got -1"},
+		{in: "2,x", wantErr: "invalid syntax"},
+		{in: "", wantErr: "invalid syntax"},
+		{in: "3,", wantErr: "invalid syntax"},
+	} {
+		got, err := parseInts(c.in)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("parseInts(%q) = %v, %v; want an error containing %q", c.in, got, err, c.wantErr)
+			}
+			if err != nil && strings.Contains(err.Error(), "thread") {
+				t.Errorf("parseInts(%q) error %q names threads; every list flag shares it", c.in, err)
+			}
+			continue
+		}
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("parseInts(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestParseValSize pins the -valsize forms: fixed:N, uniform:MIN,MAX
+// (MIN ≤ MAX) and mixed:PCT,SMALL,LARGE (PCT ≤ 100, SMALL ≤ LARGE);
+// the empty spec keeps the defaults.
+func TestParseValSize(t *testing.T) {
+	for _, c := range []struct {
+		spec            string
+		vmin, vmax, pct int
+		ok              bool
+	}{
+		{spec: "", ok: true},
+		{spec: "fixed:6", vmin: 6, vmax: 6, ok: true},
+		{spec: "uniform:8,64", vmin: 8, vmax: 64, ok: true},
+		{spec: "uniform:32,32", vmin: 32, vmax: 32, ok: true},
+		{spec: "mixed:80,6,256", vmin: 6, vmax: 256, pct: 80, ok: true},
+		{spec: "mixed:100,6,6", vmin: 6, vmax: 6, pct: 100, ok: true},
+		{spec: "uniform:64,8"},    // MIN > MAX
+		{spec: "mixed:101,6,256"}, // PCT > 100
+		{spec: "mixed:80,256,6"},  // SMALL > LARGE
+		{spec: "fixed:0"},
+		{spec: "fixed:6,7"},   // too many counts
+		{spec: "uniform:8"},   // too few
+		{spec: "mixed:80,6"},  // too few
+		{spec: "normal:8,64"}, // unknown kind
+		{spec: "fixed"},       // no colon
+		{spec: "fixed:x"},
+	} {
+		vmin, vmax, pct, err := parseValSize(c.spec)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "bad -valsize") {
+				t.Errorf("parseValSize(%q) = %d, %d, %d, %v; want a -valsize usage error", c.spec, vmin, vmax, pct, err)
+			}
+			continue
+		}
+		if err != nil || vmin != c.vmin || vmax != c.vmax || pct != c.pct {
+			t.Errorf("parseValSize(%q) = %d, %d, %d, %v; want %d, %d, %d", c.spec, vmin, vmax, pct, err, c.vmin, c.vmax, c.pct)
+		}
+	}
+}

@@ -406,9 +406,6 @@ func (d *Domain) finishRelease(t *Thread) {
 	}
 	t.retiredLen.Store(0)
 	t.batchedLen.Store(0)
-	// Departing tenants leave an exact stats mirror behind: sampled
-	// aggregates never under-count a slot between tenancies.
-	t.publishStats()
 	d.freeSlots = append(d.freeSlots, t.tid)
 	d.leasedCount--
 	d.releases++
@@ -515,7 +512,8 @@ func (d *Domain) Unreclaimed() int64 {
 	return total
 }
 
-// Stats aggregates per-thread statistics.
+// Stats aggregates per-thread statistics. Any goroutine may call it,
+// mid-run included: it loads the words the threads add to.
 func (d *Domain) Stats() Stats {
 	var agg Stats
 	for _, t := range d.threadList() {
@@ -561,8 +559,7 @@ type ReclaimStats struct {
 
 // Add folds o into s: every counter sums, MaxRetire (a high-water mark)
 // takes the larger. The one aggregation rule behind Domain.Stats,
-// Domain.StatsSampled, their DomainGroup counterparts and the telemetry
-// sampler's ring overflow.
+// DomainGroup.Stats and the telemetry sampler's ring overflow.
 func (s *Stats) Add(o Stats) {
 	s.Retires += o.Retires
 	s.Frees += o.Frees

@@ -87,7 +87,7 @@ func (a *crystAlgo) reclaim(t *Thread, final bool) {
 		for _, h := range b.nodes {
 			a.d.free(t, h)
 		}
-		t.stats.Frees += uint64(len(b.nodes))
+		t.stats.frees.Add(uint64(len(b.nodes)))
 		bs.pending -= len(b.nodes)
 	}
 	bs.full = kept

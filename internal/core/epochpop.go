@@ -25,14 +25,14 @@ func (a *epochPOPAlgo) poll(t *Thread) { t.pollPing() }
 // everyone and free around the published reservations instead. A final
 // pass escalates if anything at all is left.
 func (a *epochPOPAlgo) reclaim(t *Thread, final bool) {
-	t.stats.EpochReclaims++
+	t.stats.epochReclaims.Add(1)
 	a.ebr.reclaim(t, final)
 	limit := a.d.opts.CMult * a.d.opts.ReclaimThreshold
 	if final {
 		limit = 1
 	}
 	if len(t.retired) >= limit {
-		t.stats.POPReclaims++
+		t.stats.popReclaims.Add(1)
 		a.pop.reclaim(t, final)
 	}
 }

@@ -60,7 +60,7 @@ func (a *nbrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bo
 		// Neutralized: discard all read-phase pointers and restart.
 		t.neutral = false
 		nbrAck(t)
-		t.stats.Restarts++
+		t.stats.restarts.Add(1)
 		return nil, false
 	}
 	p := cell.Load()
@@ -83,7 +83,7 @@ func (a *nbrAlgo) enterWrite(t *Thread) bool {
 	if t.neutral || t.ping.Load() != 0 {
 		t.neutral = false
 		nbrAck(t)
-		t.stats.Restarts++
+		t.stats.restarts.Add(1)
 		return false
 	}
 	// Publish the read-phase reservations (the one fence NBR pays per

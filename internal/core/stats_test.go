@@ -2,7 +2,10 @@ package core
 
 import (
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestStatsAddFoldsEveryField fails when a field is added to Stats and
@@ -62,6 +65,41 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 	}
 	if got := a.Sub(b).MaxRetire; got != 5 {
 		t.Errorf("MaxRetire = %d after reversed Sub, want the receiver's 5", got)
+	}
+}
+
+// TestCountersBackEveryStatsField fails when a field is added to Stats
+// without a per-thread counter behind it: counters must hold one atomic
+// word per Stats field, in the same order under the same name, and load
+// must copy each word, set to a distinct value, into its own field.
+func TestCountersBackEveryStatsField(t *testing.T) {
+	st, ct := reflect.TypeFor[Stats](), reflect.TypeFor[counters]()
+	if st.NumField() != ct.NumField() {
+		t.Fatalf("Stats has %d fields, counters %d words", st.NumField(), ct.NumField())
+	}
+	var c counters
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if !strings.EqualFold(f.Name, st.Field(i).Name) || f.Type != reflect.TypeFor[atomic.Uint64]() {
+			t.Fatalf("counters field %d is %s %v, want an atomic.Uint64 named %s", i, f.Name, f.Type, st.Field(i).Name)
+		}
+		(*atomic.Uint64)(unsafe.Pointer(cv.Field(i).UnsafeAddr())).Store(uint64(100 + i))
+	}
+	sv := reflect.ValueOf(c.load())
+	for i := 0; i < sv.NumField(); i++ {
+		var got uint64
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Uint64:
+			got = f.Uint()
+		case reflect.Int:
+			got = uint64(f.Int())
+		default:
+			t.Fatalf("Stats.%s: no load rule for kind %v", st.Field(i).Name, f.Kind())
+		}
+		if got != uint64(100+i) {
+			t.Errorf("Stats.%s = %d after load, want its word's %d", st.Field(i).Name, got, 100+i)
+		}
 	}
 }
 

@@ -94,7 +94,6 @@ type Thread struct {
 	hot hotTag
 
 	retired      []*Header
-	maxRetire    int
 	sinceReclaim int // retires since the last reclamation attempt
 
 	// crystalline-lite batching state
@@ -113,15 +112,7 @@ type Thread struct {
 	scPtrs   map[unsafe.Pointer]struct{}
 	scEras   []uint64
 
-	stats Stats
-
-	// statsPub is the atomic mirror of stats (indexed by the m* consts
-	// in trace.go), republished by the owner every statsPubEvery
-	// operations and at Flush/Release — what StatsSampled aggregates so
-	// live samplers never race the owner-only counters above. sincePub
-	// is the owner-only cadence counter.
-	statsPub [statsMirrorLen]atomic.Uint64
-	sincePub uint32
+	stats counters // owner adds, any goroutine loads (trace.go)
 }
 
 // ID returns the thread's dense index within its domain. IDs are slot
@@ -230,10 +221,7 @@ func (t *Thread) adoptOrphans() {
 	d.mu.Unlock()
 	if len(nodes) > 0 {
 		t.retired = append(t.retired, nodes...)
-		if len(t.retired) > t.maxRetire {
-			t.maxRetire = len(t.retired)
-		}
-		t.retiredLen.Store(uint32(len(t.retired)))
+		t.retiredGrew()
 	}
 	if len(batches) > 0 {
 		// Sealed batches adopt wholesale; only a Crystalline domain
@@ -247,13 +235,9 @@ func (t *Thread) adoptOrphans() {
 	}
 }
 
-// StatsSnapshot returns the thread's counters. Only meaningful from the
-// owner goroutine or after the owner has stopped.
-func (t *Thread) StatsSnapshot() Stats {
-	s := t.stats
-	s.MaxRetire = t.maxRetire
-	return s
-}
+// StatsSnapshot returns the thread's counters. Any goroutine may call
+// it at any moment: each field is exact as of its load.
+func (t *Thread) StatsSnapshot() Stats { return t.stats.load() }
 
 // hotTag names the body a thread's StartOp, EndOp and Protect run. The
 // five policies the repository's workloads and the paper's headline
@@ -333,10 +317,6 @@ func (t *Thread) EndOp() {
 	}
 	t.hiSlot = -1
 	t.opSeq.Add(1) // -> even: quiescent (fences the clears above)
-	if t.sincePub++; t.sincePub >= statsPubEvery {
-		t.sincePub = 0
-		t.publishStats()
-	}
 }
 
 // Protect reads the shared link a into reservation slot `slot` and
@@ -406,14 +386,22 @@ func (t *Thread) Retire(h *Header) {
 	}
 	h.RetireEra = t.d.epoch.Load()
 	t.retired = append(t.retired, h)
-	if len(t.retired) > t.maxRetire {
-		t.maxRetire = len(t.retired)
-	}
-	t.retiredLen.Store(uint32(len(t.retired)))
-	t.stats.Retires++
+	t.retiredGrew()
+	t.stats.retires.Add(1)
 	t.sinceReclaim++
 	t.d.algo.retireHook(t)
 	t.retiredLen.Store(uint32(len(t.retired)))
+}
+
+// retiredGrew republishes the retire list's length after an append and
+// raises the MaxRetire word if the list outgrew it; nothing else stores
+// that word.
+func (t *Thread) retiredGrew() {
+	n := uint64(len(t.retired))
+	if n > t.stats.maxRetire.Load() {
+		t.stats.maxRetire.Store(n)
+	}
+	t.retiredLen.Store(uint32(n))
 }
 
 // RetireListLen returns the current retire-list length (owner only).
@@ -440,10 +428,7 @@ func (t *Thread) ExitWritePhase() { t.d.algo.exitWrite(t) }
 // Flush attempts a final reclamation pass. Call it once per thread after
 // the workload has stopped (all other threads quiescent) to drain retire
 // lists for the end-of-run accounting.
-func (t *Thread) Flush() {
-	t.pass(true)
-	t.publishStats() // flushed threads report exact sampled stats
-}
+func (t *Thread) Flush() { t.pass(true) }
 
 // pass runs one reclamation pass, and is the only place one begins and
 // ends: the threshold gate (baseAlgo.retireHook), Release's debt pass
@@ -467,7 +452,7 @@ func (t *Thread) pass(final bool) {
 		return
 	}
 	start := time.Now()
-	t.stats.Reclaims++
+	t.stats.reclaims.Add(1)
 	t.adoptOrphans()
 	t.d.algo.reclaim(t, final)
 	t.retiredLen.Store(uint32(len(t.retired)))
@@ -489,7 +474,7 @@ func (t *Thread) publishPtrs() {
 		atomic.StorePointer(&t.sharedPtrs[i], t.localPtrs[i])
 	}
 	t.pubCount.Add(1)
-	t.stats.Publishes++
+	t.stats.publishes.Add(1)
 }
 
 // publishEras is the era-reservation handler (HazardEraPOP).
@@ -498,7 +483,7 @@ func (t *Thread) publishEras() {
 		atomic.StoreUint64(&t.sharedEras[i], t.localEras[i])
 	}
 	t.pubCount.Add(1)
-	t.stats.Publishes++
+	t.stats.publishes.Add(1)
 }
 
 // pollPing is the simulated signal delivery: a load of the owned ping
@@ -589,7 +574,7 @@ func (t *Thread) pingAndWait(rule pingRule) []bool {
 	n := len(ts)
 	t.scCounts, t.scSeqs, t.scSkip = grow(t.scCounts, n), grow(t.scSeqs, n), grow(t.scSkip, n)
 	counts, seqs, skip := t.scCounts, t.scSeqs, t.scSkip
-	t.stats.ThreadsScanned += uint64(n)
+	t.stats.threadsScanned.Add(uint64(n))
 
 	for i, o := range ts {
 		counts[i], seqs[i] = o.pubCount.Load(), o.opSeq.Load()
@@ -597,14 +582,14 @@ func (t *Thread) pingAndWait(rule pingRule) []bool {
 	}
 
 	pingStart := time.Now()
-	pinged := false
+	var pings uint64
 	for i, o := range ts {
 		if !skip[i] {
 			o.ping.Store(1)
-			t.stats.PingsSent++
-			pinged = true
+			pings++
 		}
 	}
+	t.stats.pingsSent.Add(pings)
 
 	deadline := pingStart.Add(publishWaitLimit)
 	for i, o := range ts {
@@ -623,7 +608,7 @@ func (t *Thread) pingAndWait(rule pingRule) []bool {
 			}
 		}
 	}
-	if pinged {
+	if pings > 0 {
 		// Broadcast → last answer: one ping-ack observation per pass
 		// that actually pinged (an all-quiescent pass has no ack wait).
 		t.d.recordPingAck(pingStart)
@@ -655,7 +640,7 @@ func (t *Thread) pingAndWait(rule pingRule) []bool {
 // whatever a re-leased slot shows was published by its current tenant.
 func (t *Thread) eachSlot(skip []bool, visit func(o *Thread, own bool)) {
 	ts := t.d.threadList()
-	t.stats.ThreadsScanned += uint64(len(ts))
+	t.stats.threadsScanned.Add(uint64(len(ts)))
 	for i, o := range ts {
 		switch {
 		case skip == nil:
@@ -741,7 +726,7 @@ func (t *Thread) sweep(keep func(*Header) bool) {
 	for _, h := range dead {
 		t.d.free(t, h)
 	}
-	t.stats.Frees += uint64(len(dead))
+	t.stats.frees.Add(uint64(len(dead)))
 	t.retired = t.retired[:k]
 }
 

@@ -1,107 +1,45 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"pop/internal/report"
 )
 
 // This file is the live-telemetry surface of the reclamation core: the
-// race-safe mirrors and histograms that internal/telemetry samples
-// mid-run. Everything here is off the read hot path — the only cost a
-// data-structure operation ever pays is one branch per EndOp (the
-// mirror cadence check) and, every statsPubEvery operations, ten plain
-// atomic stores to owned cache lines.
+// counters and histograms that internal/telemetry samples mid-run.
+// Nothing here is written by StartOp, Protect or EndOp.
 
-// statsPubEvery is the operation cadence at which a thread republishes
-// its stats mirror. Mid-run sampled stats therefore lag the owner-only
-// truth by at most statsPubEvery operations per thread; Flush and
-// Release republish unconditionally, so sampled stats are exact once a
-// thread has flushed or departed.
-const statsPubEvery = 256
-
-// Indices into Thread.statsPub, one per Stats field.
-const (
-	mRetires = iota
-	mFrees
-	mReclaims
-	mEpochReclaims
-	mPOPReclaims
-	mPingsSent
-	mThreadsScanned
-	mPublishes
-	mRestarts
-	mMaxRetire
-	statsMirrorLen
-)
-
-// publishStats copies the owner-only stats counters into the thread's
-// atomic mirror. Owner goroutine only. Fields are stored independently
-// (no seqlock): each mirror word is individually monotone, which is the
-// property interval deltas need; cross-field consistency is only
-// claimed at quiescence.
-func (t *Thread) publishStats() {
-	m := &t.statsPub
-	m[mRetires].Store(t.stats.Retires)
-	m[mFrees].Store(t.stats.Frees)
-	m[mReclaims].Store(t.stats.Reclaims)
-	m[mEpochReclaims].Store(t.stats.EpochReclaims)
-	m[mPOPReclaims].Store(t.stats.POPReclaims)
-	m[mPingsSent].Store(t.stats.PingsSent)
-	m[mThreadsScanned].Store(t.stats.ThreadsScanned)
-	m[mPublishes].Store(t.stats.Publishes)
-	m[mRestarts].Store(t.stats.Restarts)
-	m[mMaxRetire].Store(uint64(t.maxRetire))
+// counters is a thread's Stats as single-writer atomic words, one per
+// field: the owner adds where the event happens — a retire, a pass and
+// its EpochPOP mode, a ping broadcast, a slot walk, a publish, an NBR
+// restart, a free — and any goroutine loads them, so Domain.Stats is
+// exact and race-free mid-run. A Retire pays one uncontended add on a
+// line only its owner writes; a pass pays a handful; maxRetire is
+// stored only when the list outgrows it. Each word is monotone on its
+// own, which is what interval deltas need; a snapshot of several words
+// taken mid-run is not a cut across them.
+type counters struct {
+	retires, frees, reclaims, epochReclaims, popReclaims, pingsSent,
+	threadsScanned, publishes, restarts, maxRetire atomic.Uint64
 }
 
-// sampledStats reads the thread's mirror back into a Stats value (the
-// inverse of publishStats; any goroutine).
-func (t *Thread) sampledStats() Stats {
-	m := &t.statsPub
+// load reads every word into a Stats value.
+func (c *counters) load() Stats {
 	return Stats{
-		Retires:        m[mRetires].Load(),
-		Frees:          m[mFrees].Load(),
-		Reclaims:       m[mReclaims].Load(),
-		EpochReclaims:  m[mEpochReclaims].Load(),
-		POPReclaims:    m[mPOPReclaims].Load(),
-		PingsSent:      m[mPingsSent].Load(),
-		ThreadsScanned: m[mThreadsScanned].Load(),
-		Publishes:      m[mPublishes].Load(),
-		Restarts:       m[mRestarts].Load(),
-		MaxRetire:      int(m[mMaxRetire].Load()),
+		Retires:        c.retires.Load(),
+		Frees:          c.frees.Load(),
+		Reclaims:       c.reclaims.Load(),
+		EpochReclaims:  c.epochReclaims.Load(),
+		POPReclaims:    c.popReclaims.Load(),
+		PingsSent:      c.pingsSent.Load(),
+		ThreadsScanned: c.threadsScanned.Load(),
+		Publishes:      c.publishes.Load(),
+		Restarts:       c.restarts.Load(),
+		MaxRetire:      int(c.maxRetire.Load()),
 	}
 }
-
-// StatsSampled aggregates the per-thread stats mirrors: the race-safe,
-// any-goroutine counterpart of Stats. Mid-run it lags each live thread
-// by at most statsPubEvery operations; after every thread has flushed
-// or released it equals Stats exactly. Every mirror word is monotone,
-// so successive StatsSampled snapshots delta cleanly per field.
-func (d *Domain) StatsSampled() Stats {
-	var agg Stats
-	for _, t := range d.threadList() {
-		agg.Add(t.sampledStats())
-	}
-	return agg
-}
-
-// ReclaimStatsSampled is the race-safe counterpart of ReclaimStats,
-// derived from the stats mirrors.
-func (d *Domain) ReclaimStatsSampled() ReclaimStats { return d.StatsSampled().reclaim() }
-
-// StatsSampled aggregates the sampled stats across member domains (the
-// group-level counterpart of Stats, race-safe mid-run).
-func (g *DomainGroup) StatsSampled() Stats {
-	var agg Stats
-	for _, d := range g.members {
-		agg.Add(d.StatsSampled())
-	}
-	return agg
-}
-
-// ReclaimStatsSampled is the race-safe group counterpart of
-// ReclaimStats.
-func (g *DomainGroup) ReclaimStatsSampled() ReclaimStats { return g.StatsSampled().reclaim() }
 
 // ---------------------------------------------------------------------
 // Ping-ack and pass-duration tracing

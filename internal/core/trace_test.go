@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -8,57 +9,90 @@ import (
 	"pop/internal/core"
 )
 
-// TestStatsSampledExactAfterFlush: mid-run the mirror may lag, but after
-// Flush (unconditional republish) and Release the sampled view must
-// equal the owner-only truth field for field.
+// churn runs ops operations on h in every member envs covers, each
+// retiring one fresh node, and never flushes.
+func churn(envs []*env, h *core.GroupHandle, ops int) {
+	var cell core.Atomic
+	for i := 0; i < ops; i++ {
+		for m, e := range envs {
+			th := h.Member(m)
+			th.StartOp()
+			n := e.alloc(th, e.cacheFor(th), int64(i))
+			cell.Store(unsafe.Pointer(n))
+			cell.Store(nil)
+			th.Retire(&n.Header)
+			th.EndOp()
+		}
+	}
+}
+
+// groupEnvs builds one env per member of g.
+func groupEnvs(g *core.DomainGroup) []*env {
+	envs := make([]*env, g.Members())
+	for m := range envs {
+		envs[m] = newEnvOn(g.Member(m))
+	}
+	return envs
+}
+
+// TestStatsSampledExactAfterFlush: no flush is needed for exact stats.
+// A second goroutine reading Domain.Stats, and DomainGroup.Stats over
+// two members, right after the owner's last EndOp sees exactly what the
+// stopped owner's StatsSnapshot reports — 300 operations, so a
+// republish cadence of any power of two would show a lag.
 func TestStatsSampledExactAfterFlush(t *testing.T) {
 	for _, p := range core.Policies() {
-		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			opts := &core.Options{ReclaimThreshold: 8, EpochFreq: 2, BatchSize: 4}
-			e := newEnv(t, p, 2, opts)
-			th := e.d.RegisterThread()
-			cache := e.pool.NewCache()
+			g := core.NewDomainGroup(p, 2, 2, opts)
+			envs := groupEnvs(g)
+			h, err := g.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lastEndOp := make(chan struct{})
+			seen := make(chan [2]core.Stats)
+			go func() {
+				<-lastEndOp
+				seen <- [2]core.Stats{g.Member(0).Stats(), g.Stats()}
+			}()
+			churn(envs, h, 300)
+			close(lastEndOp)
+			got := <-seen
 
-			var cell core.Atomic
-			for i := 0; i < 300; i++ {
-				th.StartOp()
-				n := e.alloc(th, cache, int64(i))
-				cell.Store(unsafe.Pointer(n))
-				cell.Store(nil)
-				th.Retire(&n.Header)
-				th.EndOp()
+			own := h.Member(0).StatsSnapshot()
+			both := own
+			both.Add(h.Member(1).StatsSnapshot())
+			if p != core.NR && own.Reclaims == 0 {
+				t.Fatalf("%v: no pass ran in 300 retires at threshold 8", p)
 			}
-			th.Flush()
-			if got, want := e.d.StatsSampled(), e.d.Stats(); got != want {
-				t.Fatalf("post-flush StatsSampled = %+v, want %+v", got, want)
+			for _, c := range []struct {
+				name      string
+				got, want core.Stats
+			}{{"Domain.Stats", got[0], own}, {"DomainGroup.Stats", got[1], both}} {
+				if c.got != c.want {
+					t.Errorf("%s read by another goroutine = %+v, owner reports %+v", c.name, c.got, c.want)
+				}
 			}
-			th.Release()
-			if got, want := e.d.StatsSampled(), e.d.Stats(); got != want {
-				t.Fatalf("post-release StatsSampled = %+v, want %+v", got, want)
-			}
-			rs, rw := e.d.ReclaimStatsSampled(), e.d.ReclaimStats()
-			if rs != rw {
-				t.Fatalf("ReclaimStatsSampled = %+v, want %+v", rs, rw)
-			}
+			g.Release(h)
 		})
 	}
 }
 
-// TestStatsSampledMonotoneMidRun: every sampled field must be
-// non-decreasing across concurrent snapshots (the property interval
-// deltas rely on), even while a worker is mutating.
+// TestStatsSampledMonotoneMidRun: DomainGroup.Stats read in a loop while
+// threads in both members retire and reclaim never goes backwards in
+// any field (the property the sampler's interval deltas rely on), and
+// the race detector sees every read as an atomic load.
 func TestStatsSampledMonotoneMidRun(t *testing.T) {
 	opts := &core.Options{ReclaimThreshold: 8, EpochFreq: 2, BatchSize: 4}
-	e := newEnv(t, core.HazardPtrPOP, 2, opts)
-	th := e.d.RegisterThread()
-	cache := e.pool.NewCache()
+	g := core.NewDomainGroup(core.HazardPtrPOP, 2, 2, opts)
+	envs := groupEnvs(g)
 
 	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	var reader sync.WaitGroup
+	reader.Add(1)
 	go func() {
-		defer wg.Done()
+		defer reader.Done()
 		var prev core.Stats
 		for {
 			select {
@@ -66,30 +100,46 @@ func TestStatsSampledMonotoneMidRun(t *testing.T) {
 				return
 			default:
 			}
-			s := e.d.StatsSampled()
-			if s.Retires < prev.Retires || s.Frees < prev.Frees ||
-				s.Reclaims < prev.Reclaims || s.PingsSent < prev.PingsSent ||
-				s.MaxRetire < prev.MaxRetire {
-				t.Errorf("sampled stats regressed: %+v -> %+v", prev, s)
+			s := g.Stats()
+			if f := regressed(prev, s); f != "" {
+				t.Errorf("Stats.%s regressed: %+v -> %+v", f, prev, s)
 				return
 			}
 			prev = s
 		}
 	}()
 
-	var cell core.Atomic
-	for i := 0; i < 4000; i++ {
-		th.StartOp()
-		n := e.alloc(th, cache, int64(i))
-		cell.Store(unsafe.Pointer(n))
-		cell.Store(nil)
-		th.Retire(&n.Header)
-		th.EndOp()
+	var workers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		h, err := g.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			churn(envs, h, 2000)
+			g.Release(h)
+		}()
 	}
+	workers.Wait()
 	close(done)
-	wg.Wait()
-	th.Flush()
-	th.Release()
+	reader.Wait()
+	if s := g.Stats(); s.Retires != 2*2*2000 || s.Reclaims == 0 {
+		t.Fatalf("after the run: %+v, want 8000 retires and some passes", s)
+	}
+}
+
+// regressed names the first field of cur below its value in prev.
+func regressed(prev, cur core.Stats) string {
+	pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
+	for i := 0; i < pv.NumField(); i++ {
+		p, c := pv.Field(i), cv.Field(i)
+		if (p.CanUint() && c.Uint() < p.Uint()) || (p.CanInt() && c.Int() < p.Int()) {
+			return pv.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 // TestProbesShape: Probes reports one entry per created slot with the

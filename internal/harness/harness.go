@@ -185,10 +185,11 @@ type Config struct {
 	SamplePeriod time.Duration
 
 	// SampleEvery enables live telemetry: an interval sampler snapshots
-	// the domain's stats mirrors every SampleEvery and Result.Timeline
+	// the domain's counters every SampleEvery and Result.Timeline
 	// carries the per-window deltas, stall episodes, and whole-run
-	// latency histograms. Zero (the default) disables sampling — and
-	// with it every per-op cost except the stats mirror's EndOp branch.
+	// latency histograms. Zero (the default) disables sampling and with
+	// it its one per-op cost, the workers' op-count publish; the
+	// counters it reads are kept either way (a read writes none).
 	SampleEvery time.Duration
 }
 

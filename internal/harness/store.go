@@ -11,6 +11,7 @@ package harness
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -602,13 +603,17 @@ func keyTable(keys int64) (keyTab []string, hkTab []int64) {
 
 // scanWidth returns the hashed-key window width whose expected pair
 // count (keys uniform over the hash space, half the population live) is
-// about span.
+// about span. A span beyond the live population saturates at the whole
+// space.
 func scanWidth(keys int64, span int) uint64 {
 	live := uint64(keys) / 2
 	if live == 0 {
 		live = 1
 	}
-	w := (^uint64(0) / live) * uint64(span)
+	over, w := bits.Mul64(^uint64(0)/live, uint64(span))
+	if over != 0 {
+		return ^uint64(0)
+	}
 	if w == 0 {
 		w = 1
 	}

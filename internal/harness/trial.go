@@ -40,9 +40,9 @@ import (
 //     every member and would re-average scanned-per-pass toward the
 //     flat number);
 //  5. the drain barrier: every terminal leg drains on its own goroutine;
-//  6. telemetry Stop — after the barrier, when every handle has
-//     republished its stats mirror, so Timeline.Final equals the
-//     owner-only Stats exactly.
+//  6. telemetry Stop — after the barrier, so Timeline.Final counts the
+//     drain's passes too; it and the Stats the runner reports load the
+//     same counter words, so the two are equal.
 type trial struct {
 	workers  int
 	duration time.Duration // 0 = until every leg has returned

@@ -656,9 +656,9 @@ func (c *conn) doStats(arg string) bool {
 		st := s.Stats()
 		lc := s.g.Lifecycle()
 		ss := s.st.Stats()
-		// The sampled mirrors, not the owner-only counters: connections
-		// are mid-burst while stats runs, so the plain reads would race.
-		rs := s.g.ReclaimStatsSampled()
+		// The same counter words /metrics and the sampler load: exact
+		// and race-free while connections are mid-burst.
+		rs := s.g.ReclaimStats()
 		adm := s.AdmissionWait()
 		emit("uptime_s", "%.1f", time.Since(s.started).Seconds())
 		emit("curr_connections", "%d", st.Conns)

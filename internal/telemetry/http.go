@@ -69,7 +69,7 @@ func (s *Sampler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	st := src.StatsSampled()
+	st := src.Stats()
 	lc := src.Lifecycle()
 	ack := src.PingAckHist()
 	pass := src.PassDurHist()

@@ -1,16 +1,19 @@
 // Package telemetry is the live observability layer over the
 // reclamation core: an interval sampler that turns the core's race-safe
-// mirrors (core.StatsSampled, Unreclaimed, the ping-ack / pass-duration
-// histograms, and SlotProbe progress words) into a Timeline of per-window
-// deltas, plus a stalled-reader detector that surfaces the paper's
-// §5.1.2 scenario — a reader parked inside an operation, or one sitting
-// on an unanswered ping — as it happens rather than post-mortem.
+// words (the per-thread counters behind Stats, Unreclaimed, the ping-ack
+// / pass-duration histograms, and SlotProbe progress words) into a
+// Timeline of per-window deltas, plus a stalled-reader detector that
+// surfaces the paper's §5.1.2 scenario — a reader parked inside an
+// operation, or one sitting on an unanswered ping — as it happens rather
+// than post-mortem. Stats is the same fold the harness reports after a
+// run and the server's stats reply and /metrics print.
 //
-// The sampler owns one goroutine and allocates only at Start and on
-// stall onset; the per-tick work is a fixed number of atomic loads plus
-// ring-buffer stores, so sampling at 100ms is invisible next to the
-// workload it watches (the acceptance bound is ≤2% at 10ms-class
-// intervals).
+// The sampler owns one goroutine. A tick is a fixed number of atomic
+// loads and ring-buffer stores plus a few small allocations: the
+// Sample's Extras slice (when an ExtrasSource is attached), the
+// SlotLeases vectors every Lifecycle call builds, and a StallEvent on
+// stall onset. Sampling at 100ms is invisible next to the workload it
+// watches (the acceptance bound is ≤2% at 10ms-class intervals).
 package telemetry
 
 import (
@@ -21,12 +24,12 @@ import (
 	"pop/internal/report"
 )
 
-// CoreSource is the sampled surface the reclamation core exposes. A
+// CoreSource is the read side the reclamation core exposes. A
 // *core.DomainGroup satisfies it by folding its members — what every
 // runner and the server hand in, a flat domain being a group of one —
 // and a *core.Domain satisfies it for itself (one member's view).
 type CoreSource interface {
-	StatsSampled() core.Stats
+	Stats() core.Stats
 	Lifecycle() core.LifecycleStats
 	Unreclaimed() int64
 	PingAckHist() report.Histogram
@@ -122,9 +125,12 @@ type StallEvent struct {
 
 // Timeline is a completed (or in-flight, via Snapshot) sampling run.
 // Invariant: Base + the per-field sum of every Sample's Stats deltas
-// == Final, exactly — regardless of mirror staleness, ring folds, or
-// when ticks landed — because base, samples, and final all derive from
-// the same monotone mirrors. chaos.Invariants.CheckTimeline asserts it.
+// == Final, exactly — regardless of ring folds or when ticks landed —
+// because base, samples, and final are all CoreSource.Stats loads of
+// the same monotone counter words. Final is that load at Stop, so it
+// equals CoreSource.Stats whenever nothing has retired or reclaimed
+// since — no flush or release has to come first.
+// chaos.Invariants.CheckTimeline asserts it.
 type Timeline struct {
 	Every      time.Duration `json:"every_ns"`
 	Base       core.Stats    `json:"base"` // cumulative snapshot at Start (plus any folded samples)
@@ -170,7 +176,7 @@ type slotState struct {
 // Sampler drives interval sampling over one CoreSource. All methods
 // are safe for concurrent use; the hot path belongs to the tick
 // goroutine and touches only the sampler's own state plus the source's
-// atomic mirrors.
+// atomic words.
 type Sampler struct {
 	src CoreSource
 	cfg Config
@@ -238,7 +244,7 @@ func (s *Sampler) Start() {
 
 // rebaseLocked re-reads the cumulative snapshots as the new base.
 func (s *Sampler) rebaseLocked() {
-	s.base = s.src.StatsSampled()
+	s.base = s.src.Stats()
 	s.prevStats = s.base
 	if s.cfg.Ops != nil {
 		s.baseOps = s.cfg.Ops()
@@ -275,7 +281,7 @@ func (s *Sampler) Tick() {
 		return
 	}
 	now := time.Now()
-	cur := s.src.StatsSampled()
+	cur := s.src.Stats()
 	ack := s.src.PingAckHist()
 	pass := s.src.PassDurHist()
 	lc := s.src.Lifecycle()
@@ -405,7 +411,7 @@ func (s *Sampler) snapshotLocked() Timeline {
 		BaseOps:    s.baseOps,
 		ExtraNames: append([]string(nil), s.extraNames...),
 		BaseExtras: append([]uint64(nil), s.baseExtras...),
-		Final:      s.src.StatsSampled(),
+		Final:      s.src.Stats(),
 		FinalUnrec: s.src.Unreclaimed(),
 		Dropped:    s.dropped,
 		Stalls:     append([]StallEvent(nil), s.stalls...),

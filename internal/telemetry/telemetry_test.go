@@ -26,7 +26,7 @@ type fakeSource struct {
 	probes []core.SlotProbe
 }
 
-func (f *fakeSource) StatsSampled() core.Stats       { return f.stats }
+func (f *fakeSource) Stats() core.Stats              { return f.stats }
 func (f *fakeSource) Lifecycle() core.LifecycleStats { return f.lc }
 func (f *fakeSource) Unreclaimed() int64             { return f.unrec }
 func (f *fakeSource) PingAckHist() report.Histogram  { return f.ack }
