@@ -202,8 +202,6 @@ func (o *Options) withDefaults() Options {
 type Domain struct {
 	policy Policy
 	opts   Options
-	algo   algorithm
-	hot    hotTag // what every thread of the domain leases with
 
 	// epoch is the global era for HE/EBR/IBR/EpochPOP. Starts at 1 so 0
 	// can mean "no reservation".
@@ -248,8 +246,13 @@ type Domain struct {
 }
 
 // NewDomain creates a domain for at most maxThreads threads. opts may be
-// nil for defaults.
+// nil for defaults. An unknown policy panics here, not at a thread's
+// first operation: every switch on Thread.policy assumes one of the
+// eleven.
 func NewDomain(policy Policy, maxThreads int, opts *Options) *Domain {
+	if policy >= numPolicies {
+		panic("core: unknown policy " + policy.String())
+	}
 	if maxThreads <= 0 {
 		panic("core: maxThreads must be positive")
 	}
@@ -264,7 +267,6 @@ func NewDomain(policy Policy, maxThreads int, opts *Options) *Domain {
 		maxThreads: maxThreads,
 	}
 	d.epoch.Store(1)
-	d.algo, d.hot = newAlgorithm(d, policy)
 	return d
 }
 
@@ -324,6 +326,7 @@ func (d *Domain) TryRegisterThread() (*Thread, error) {
 	t := &Thread{
 		d:      d,
 		tid:    len(d.threads),
+		policy: d.policy,
 		hiSlot: -1,
 	}
 	t.resEpoch.Store(eraMax)
@@ -347,15 +350,20 @@ func (d *Domain) TryRegisterThread() (*Thread, error) {
 // read (opSeq, pubCount) stay monotone across reuse, so reclaimers
 // in-flight during a release+re-lease observe ordinary operation
 // boundaries, never a counter reset.
+//
+// A Crystalline lease starts a fresh batchState. By then finishRelease
+// has moved the previous tenant's sealed batches to the orphan queue, so
+// replacing it discards nothing.
 func (d *Domain) leaseLocked(t *Thread) {
 	t.leased = true
-	t.hot = d.hot
 	t.incarnation.Add(1)
 	d.leasedCount++
 	if d.leasedCount > d.peakLeased {
 		d.peakLeased = d.leasedCount
 	}
-	d.algo.initThread(t)
+	if t.policy == Crystalline {
+		t.batches = &batchState{}
+	}
 }
 
 // beginRelease claims the end of t's lease: a double Release panics

@@ -1,7 +1,7 @@
 package core
 
-// crystAlgo is the appendix-E comparator: a simplified Crystalline-style
-// reclaimer (Nikolaev & Ravindran [50]).
+// Crystalline is the appendix-E comparator: a simplified
+// Crystalline-style reclaimer (Nikolaev & Ravindran [50]).
 //
 // Substitution: full Crystalline is a wait-free scheme
 // built on batch reference counting with per-slot handshakes. We keep its
@@ -13,8 +13,10 @@ package core
 // Batch granularity gives Crystalline-lite its signature behaviour in the
 // plots: cheaper reclamation passes but a coarser memory floor.
 //
-// The read path is IBR's, by embedding (see ibr.go).
-type crystAlgo struct{ ibrAlgo }
+// The read path and the allocation cadence are IBR's (Crystalline shares
+// IBR's cases of Thread.StartOp/EndOp/Protect and OnAlloc); a lease
+// starts a fresh batchState (Domain.leaseLocked), and Thread.Retire seals
+// a full batch ahead of the threshold gate.
 
 // batchState is a thread's batch bookkeeping.
 type batchState struct {
@@ -28,11 +30,9 @@ type cbatch struct {
 	hi    uint64 // max retire era
 }
 
-func (a *crystAlgo) initThread(t *Thread) { t.batches = &batchState{} }
-
 // seal moves the open retire list into a sealed batch once it holds at
 // least min nodes.
-func (a *crystAlgo) seal(t *Thread, min int) {
+func (t *Thread) seal(min int) {
 	if len(t.retired) < min {
 		return
 	}
@@ -53,28 +53,22 @@ func (a *crystAlgo) seal(t *Thread, min int) {
 	t.retired = t.retired[:0]
 }
 
-// retireHook seals a full batch ahead of the shared gate.
-func (a *crystAlgo) retireHook(t *Thread) {
-	a.seal(t, a.d.opts.BatchSize)
-	a.baseAlgo.retireHook(t)
-}
-
-// reclaim frees whole batches whose aggregate lifespan intersects no
-// reserved interval. A departing thread donates its sealed batches and
-// its open tail to the orphan queue, and adoption moves sealed batches
-// wholesale into the adopter's batch list (lo/hi eras travel with the
-// batch, so the free test is unchanged by the handoff). Adopted open
-// tails land in t.retired and are sealed here once they add up to a
-// batch: tenants that each leave before filling a batch of their own
-// must not keep one from ever forming. A final pass seals whatever is
-// open, so everything is batch-resident (or it would strand the tail),
-// and advances the epoch.
-func (a *crystAlgo) reclaim(t *Thread, final bool) {
+// reclaimCrystalline frees whole batches whose aggregate lifespan
+// intersects no reserved interval. A departing thread donates its sealed
+// batches and its open tail to the orphan queue, and adoption moves
+// sealed batches wholesale into the adopter's batch list (lo/hi eras
+// travel with the batch, so the free test is unchanged by the handoff).
+// Adopted open tails land in t.retired and are sealed here once they add
+// up to a batch: tenants that each leave before filling a batch of their
+// own must not keep one from ever forming. A final pass seals whatever
+// is open, so everything is batch-resident (or it would strand the
+// tail), and advances the epoch.
+func (t *Thread) reclaimCrystalline(final bool) {
 	if final {
-		a.seal(t, 1)
-		a.d.epoch.Add(1)
+		t.seal(1)
+		t.d.epoch.Add(1)
 	} else {
-		a.seal(t, a.d.opts.BatchSize)
+		t.seal(t.d.opts.BatchSize)
 	}
 	los, his := t.gatherIntervals()
 	bs := t.batches
@@ -85,7 +79,7 @@ func (a *crystAlgo) reclaim(t *Thread, final bool) {
 			continue
 		}
 		for _, h := range b.nodes {
-			a.d.free(t, h)
+			t.d.free(t, h)
 		}
 		t.stats.frees.Add(uint64(len(b.nodes)))
 		bs.pending -= len(b.nodes)

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -10,44 +13,68 @@ import (
 	"pop/internal/rng"
 )
 
-// TestHotPathDifferential runs every tagged policy twice — on the bodies
-// written out in Thread.StartOp/EndOp/Protect, and on the reference
-// bodies behind the algorithm interface (refalgo_test.go) — and requires
-// the two to be indistinguishable: the same pass-ledger line, and over a
-// seeded tape of operations the same Stats, the same nodes read in the
-// same order, nothing left unreclaimed and no read of a freed node. The
-// tape runs once on a single thread and once with a reclaimer on a second
-// one whose every retire is a pass (ReclaimThreshold 1), so that under
-// the POP policies a ping is pending at nearly every poll the reader
-// makes.
+// TestHotPathDifferential plays a seeded tape of operations under every
+// policy and compares what the reader saw with testdata/hot_tape.golden:
+// one line per policy and mode holding every Stats field, a running hash
+// of the nodes read in order (restarts included) and what is left
+// unreclaimed once both threads have flushed. Whatever the golden says,
+// no read may return a freed node. The tape runs once on a single thread
+// ("alone") and once with a reclaimer on a second one whose every retire
+// is a pass (ReclaimThreshold 1, "pinged"), so that under the POP
+// policies and NBR a ping is pending at nearly every poll the reader
+// makes. Regenerate (-update) only for an intended change to what a read
+// does, and review the diff.
 func TestHotPathDifferential(t *testing.T) {
-	for _, p := range core.Policies() {
-		if !core.Tagged(p) {
-			continue
+	const path = "testdata/hot_tape.golden"
+	want := map[string]string{} // "policy/mode" -> its golden line
+	if !*update {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			key, _, _ := strings.Cut(line, " ")
+			want[key] = line
+		}
+	}
+	var got strings.Builder
+	for _, p := range core.Policies() {
 		t.Run(p.String(), func(t *testing.T) {
-			for _, parked := range []bool{false, true} {
-				hot, ref := passLedger(t, p, parked, false), passLedger(t, p, parked, true)
-				if hot != ref {
-					t.Errorf("pass ledger (parked=%v):\n switch    %s\n interface %s", parked, hot, ref)
-				}
-			}
 			for _, pinged := range []bool{false, true} {
-				hot, ref := runHotTape(t, p, pinged, false), runHotTape(t, p, pinged, true)
-				if hot != ref {
-					t.Errorf("tape (pinged=%v):\n switch    %+v\n interface %+v", pinged, hot, ref)
+				key := p.String() + "/alone"
+				if pinged {
+					key = p.String() + "/pinged"
 				}
-				if hot.poisoned != 0 || ref.poisoned != 0 {
-					t.Errorf("tape (pinged=%v): %d/%d reads of a freed node", pinged, hot.poisoned, ref.poisoned)
+				res := runHotTape(t, p, pinged)
+				line := fmt.Sprintf("%s %+v reads=%#x unreclaimed=%d", key, res.stats, res.reads, res.unreclaimed)
+				fmt.Fprintln(&got, line)
+				if !*update && line != want[key] {
+					t.Errorf("tape:\n got  %s\n want %s", line, want[key])
 				}
-				if p != core.NR && hot.unreclaimed != 0 {
-					t.Errorf("tape (pinged=%v): %d nodes unreclaimed after the flush", pinged, hot.unreclaimed)
+				if res.poisoned != 0 {
+					t.Errorf("%s: %d reads of a freed node", key, res.poisoned)
 				}
-				if pops := p == core.HazardPtrPOP || p == core.EpochPOP; pinged && pops && hot.stats.Publishes == 0 {
-					t.Errorf("tape (pinged): no ping was ever answered, the publish path did not run")
+				if p != core.NR && res.unreclaimed != 0 {
+					t.Errorf("%s: %d nodes unreclaimed after the flush", key, res.unreclaimed)
+				}
+				if !pinged {
+					continue
+				}
+				switch p {
+				case core.HazardPtrPOP, core.HazardEraPOP, core.EpochPOP:
+					if res.stats.Publishes == 0 {
+						t.Errorf("%s: no ping was ever answered, the publish path did not run", key)
+					}
+				case core.NBR:
+					if res.stats.Restarts == 0 {
+						t.Errorf("%s: no read was ever neutralized", key)
+					}
 				}
 			}
 		})
+	}
+	if *update {
+		writeGolden(t, path, got.String())
 	}
 }
 
@@ -67,16 +94,17 @@ type tapeResult struct {
 // the pass finish (it was not pinged) or sees its ping word set and takes
 // its step with the ping pending — the pass cannot finish before that
 // step's poll answers it — so the interleaving, and with it every
-// counter, is the same on every run.
-func runHotTape(t *testing.T, p core.Policy, pinged, ref bool) tapeResult {
+// counter, is the same on every run. A Protect that returns ok=false
+// (NBR's neutralization) folds a restart into the hash and drops every
+// node the operation held, which is NBR's restart contract; the tape then
+// goes on reading.
+func runHotTape(t *testing.T, p core.Policy, pinged bool) tapeResult {
 	const cells, ops = 8, 300
+	const restart = 0 // hashed for a neutralized read; stamps start at 1
 	e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 1, EpochFreq: 1})
 	// Freed nodes are poisoned (caches are drawn from e.pool lazily, so
 	// swapping it here is in time).
 	e.pool = arena.NewPool[tnode](nil, func(n *tnode) { n.val = -1 })
-	if ref {
-		core.UseReferenceBodies(e.d)
-	}
 	reader := e.d.RegisterThread()
 	churner := reader
 	if pinged {
@@ -167,7 +195,12 @@ func runHotTape(t *testing.T, p core.Policy, pinged, ref bool) tapeResult {
 		for hops := 1 + int(r.Intn(6)); hops > 0; hops-- {
 			slot, c := int(r.Intn(core.MaxSlots)), int(r.Intn(cells))
 			step(func() {
-				raw, _ := reader.Protect(slot, &cell[c])
+				raw, ok := reader.Protect(slot, &cell[c])
+				if !ok {
+					res.reads = res.reads*31 + restart
+					clear(held[:])
+					return
+				}
 				n := (*tnode)(raw)
 				held[slot].n, held[slot].stamp = n, n.val
 				res.reads = res.reads*31 + uint64(n.val)

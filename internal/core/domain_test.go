@@ -28,6 +28,17 @@ func TestNewDomainValidation(t *testing.T) {
 	core.NewDomain(core.EBR, 0, nil)
 }
 
+// TestNewDomainRejectsUnknownPolicy: a policy outside the eleven panics
+// in NewDomain itself, before any thread can reach a switch on it.
+func TestNewDomainRejectsUnknownPolicy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewDomain(unknown policy) did not panic")
+		}
+	}()
+	core.NewDomain(core.Policy(len(core.Policies())), 1, nil)
+}
+
 func TestThreadsSnapshot(t *testing.T) {
 	d := core.NewDomain(core.HP, 3, nil)
 	a := d.RegisterThread()

@@ -1,21 +1,20 @@
 package core
 
-// ebrAlgo is RCU-style epoch-based reclamation (paper Alg. 6): reads are
+// EBR is RCU-style epoch-based reclamation (paper Alg. 6): reads are
 // free; each operation announces the global epoch on entry and eraMax on
 // exit; a reclaimer frees everything retired before the minimum announced
 // epoch. Fast — and not robust: one delayed thread pins the minimum epoch
 // and stalls reclamation everywhere (the failure mode EpochPOP fixes).
-// The per-operation side is the hotEBR body of Thread.StartOp/EndOp/
-// Protect; what is left here is the pass.
-type ebrAlgo struct{ baseAlgo }
+// The per-operation side is EBR's cases of Thread.StartOp/EndOp/Protect;
+// what is left here is the pass.
 
-// reclaim frees everything retired before the minimum announced epoch
+// reclaimEBR frees everything retired before the minimum announced epoch
 // (eraMax when quiescent). A final pass advances the epoch first, so
 // nodes retired in the current one become eligible once every thread is
 // quiescent.
-func (a *ebrAlgo) reclaim(t *Thread, final bool) {
+func (t *Thread) reclaimEBR(final bool) {
 	if final {
-		a.d.epoch.Add(1)
+		t.d.epoch.Add(1)
 	}
 	min := uint64(eraMax)
 	t.eachSlot(nil, func(o *Thread, _ bool) {

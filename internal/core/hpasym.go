@@ -3,11 +3,10 @@ package core
 import (
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// hpAsymAlgo is the paper's HPAsym baseline: hazard pointers with
-// asymmetric fences, modelled on Folly's implementation. Readers publish
+// HPAsym is the paper's baseline of hazard pointers with asymmetric
+// fences, modelled on Folly's implementation. Readers publish
 // reservations with a *plain* store (a MOV — no fence); the ordering cost
 // moves to the reclaimer, which in the original executes sys_membarrier
 // to force a barrier on every CPU before scanning.
@@ -20,34 +19,18 @@ import (
 // anyway is caught by the validation step for newly created reservations,
 // and the type-stable arena turns the residual theoretical risk into a
 // detectable (not memory-unsafe) event. Under `go test -race` the reader
-// store is atomic and the scheme is unconditionally sound.
-type hpAsymAlgo struct{ baseAlgo }
+// store is atomic and the scheme is unconditionally sound. The read and
+// the clear at operation end are HPAsym's cases of Thread.Protect/EndOp.
 
 // asymFence is the dummy word the reclaimer RMWs to order itself.
 var asymFence atomic.Uint64
 
-func (a *hpAsymAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	for {
-		p := cell.Load()
-		storeRelaxed(&t.sharedPtrs[slot], Mask(p)) // no fence: the HPAsym fast path
-		if cell.Load() == p {
-			return p, true
-		}
-	}
-}
-
-func (a *hpAsymAlgo) endOp(t *Thread) {
-	for i := 0; i <= t.hiSlot; i++ {
-		storeRelaxed(&t.sharedPtrs[i], nil)
-	}
-}
-
-// reclaim is HP's behind the membarrier substitution: fence ourselves,
-// then give every other CPU's store buffer time to drain so the readers'
-// plain stores are visible to the scan.
-func (a *hpAsymAlgo) reclaim(t *Thread, _ bool) {
+// reclaimHPAsym is HP's behind the membarrier substitution: fence
+// ourselves, then give every other CPU's store buffer time to drain so
+// the readers' plain stores are visible to the scan.
+func (t *Thread) reclaimHPAsym() {
 	asymFence.Add(1)
-	sleepFor(a.d.opts.AsymDrain)
+	sleepFor(t.d.opts.AsymDrain)
 	t.sweepPtrs(nil)
 }
 

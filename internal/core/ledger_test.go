@@ -12,7 +12,7 @@ import (
 	"pop/internal/core"
 )
 
-var updateLedger = flag.Bool("update", false, "rewrite testdata/pass_ledger.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // TestPassLedger pins what every policy's reclamation passes count, free
 // and leave behind under one fixed script, against a table generated
@@ -41,17 +41,12 @@ func TestPassLedger(t *testing.T) {
 			if parked {
 				mode = "parked"
 			}
-			fmt.Fprintf(&got, "%s/%s %s\n", p, mode, passLedger(t, p, parked, false))
+			fmt.Fprintf(&got, "%s/%s %s\n", p, mode, passLedger(t, p, parked))
 		}
 	}
 	const path = "testdata/pass_ledger.golden"
-	if *updateLedger {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if *update {
+		writeGolden(t, path, got.String())
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -70,14 +65,20 @@ func TestPassLedger(t *testing.T) {
 	}
 }
 
-// passLedger runs the script and returns the policy's ledger line. ref
-// runs it on the reference bodies (core.UseReferenceBodies) instead of
-// Thread's switch; the line must not depend on which.
-func passLedger(t *testing.T, p core.Policy, parked, ref bool) string {
-	e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 8, BatchSize: 4})
-	if ref {
-		core.UseReferenceBodies(e.d)
+// writeGolden replaces the golden file at path with got.
+func writeGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// passLedger runs the script and returns the policy's ledger line.
+func passLedger(t *testing.T, p core.Policy, parked bool) string {
+	e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 8, BatchSize: 4})
 	peer := e.d.RegisterThread()
 	var cell core.Atomic
 	ready, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})

@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"pop/internal/arena"
 	"pop/internal/core"
 )
 
@@ -127,6 +128,56 @@ func TestOrphanAdoption(t *testing.T) {
 			}
 			if got := e.pool.Outstanding(); got != 0 {
 				t.Fatalf("pool outstanding = %d after adoption flush", got)
+			}
+		})
+	}
+}
+
+// TestOrphanHeldByReclaimer: a pass must not free a node that the
+// reclaiming thread itself still holds inside its operation, when the
+// node reaches its retire list by orphan adoption rather than by its own
+// retire. The reader protects X; a second tenant unlinks X, retires it
+// and releases, so X waits in the orphanage; two retires of the reader's
+// own then run a pass (threshold 2) that adopts X. Under NBR the reader
+// is in its read phase, so X is named only by its private reservations —
+// hmlist.find retires after ExitWritePhase and keeps walking from what
+// it holds.
+func TestOrphanHeldByReclaimer(t *testing.T) {
+	for _, p := range core.Policies() {
+		t.Run(p.String(), func(t *testing.T) {
+			e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 2})
+			// Freed nodes are poisoned (caches are drawn from e.pool
+			// lazily, so swapping it here is in time).
+			e.pool = arena.NewPool[tnode](nil, func(n *tnode) { n.val = -1 })
+			reader := e.d.RegisterThread()
+			cache := e.cacheFor(reader)
+			var cell core.Atomic
+			cell.Store(unsafe.Pointer(e.alloc(reader, cache, 42)))
+
+			reader.StartOp()
+			raw, ok := reader.Protect(0, &cell)
+			if !ok {
+				t.Fatal("Protect restarted with no reclaimer running")
+			}
+			x := (*tnode)(raw)
+
+			other := e.d.RegisterThread()
+			other.StartOp()
+			cell.Store(nil)
+			other.Retire(&x.Header)
+			other.EndOp()
+			other.Release()
+
+			for i := 0; i < 2; i++ {
+				reader.Retire(&e.alloc(reader, cache, int64(i)).Header)
+			}
+			if x.val != 42 {
+				t.Fatalf("the reader's own pass freed the adopted node it holds (Frees=%d)", e.d.Stats().Frees)
+			}
+			reader.EndOp()
+			reader.Flush()
+			if got := e.d.Unreclaimed(); p != core.NR && got != 0 {
+				t.Fatalf("%d nodes unreclaimed after the reader's flush", got)
 			}
 		})
 	}

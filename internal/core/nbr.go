@@ -3,10 +3,9 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
-// nbrAlgo is NBR+ (Singh, Brown & Mashtizadeh [54,57]), the strongest
+// NBR is NBR+ (Singh, Brown & Mashtizadeh [54,57]), the strongest
 // baseline in the paper's plots. Operations are structured into a read
 // phase and a write phase:
 //
@@ -23,12 +22,11 @@ import (
 // This is what makes NBR+ the fastest scheme on short operations and the
 // slowest on long-running reads (paper Fig. 4): every reclamation event
 // throws away all concurrent read-phase progress.
-type nbrAlgo struct{ baseAlgo }
 
-// ack acknowledges a pending neutralization: advance the counter the
+// ackNBR acknowledges a pending neutralization: advance the counter the
 // reclaimer is waiting on. Every ack path either restarts the operation
 // or has already published its reservations.
-func nbrAck(t *Thread) {
+func (t *Thread) ackNBR() {
 	t.ping.Store(0)
 	t.pubCount.Add(1)
 	// Yield so the waiting reclaimer resumes promptly (see
@@ -36,53 +34,52 @@ func nbrAck(t *Thread) {
 	runtime.Gosched()
 }
 
-func (a *nbrAlgo) startOp(t *Thread) {
+func (t *Thread) startNBR() {
 	if t.ping.Load() != 0 {
-		nbrAck(t) // nothing read yet; ack is free
+		t.ackNBR() // nothing read yet; ack is free
 	}
 	t.neutral = false
 	t.inWrite = false
 	t.phase.Store(1)
 }
 
-func (a *nbrAlgo) endOp(t *Thread) {
+func (t *Thread) endNBR() {
 	if t.inWrite {
-		a.exitWrite(t)
+		t.ExitWritePhase()
 	}
 	t.phase.Store(0)
 	if t.ping.Load() != 0 {
-		nbrAck(t) // operation is over; nothing to discard
+		t.ackNBR() // operation is over; nothing to discard
 	}
 }
 
-func (a *nbrAlgo) protect(t *Thread, slot int, cell *Atomic) (unsafe.Pointer, bool) {
-	if t.neutral || t.ping.Load() != 0 {
-		// Neutralized: discard all read-phase pointers and restart.
-		t.neutral = false
-		nbrAck(t)
-		t.stats.restarts.Add(1)
-		return nil, false
-	}
-	p := cell.Load()
-	// Track privately so EnterWritePhase knows what to publish. Plain
-	// store, same cost as the POP algorithms' private reservation.
-	t.localPtrs[slot] = Mask(p)
-	return p, true
-}
-
-func (a *nbrAlgo) poll(t *Thread) {
+func (t *Thread) pollNBR() {
 	// A busy (delayed) thread hit by a neutralization signal: ack now so
 	// the reclaimer can proceed, restart when the operation resumes.
 	if t.ping.Load() != 0 {
-		nbrAck(t)
+		t.ackNBR()
 		t.neutral = true
 	}
 }
 
-func (a *nbrAlgo) enterWrite(t *Thread) bool {
+// EnterWritePhase begins an NBR write phase: the reservations currently
+// held in the thread's slots are published with one fence and the thread
+// becomes immune to neutralization until ExitWritePhase. It returns false
+// if the operation was neutralized before the reservations could be
+// published, in which case the caller must restart. For every other
+// policy it is a no-op returning true.
+//
+// The write-phase pair holds NBR's bodies rather than calling them: a
+// guard and a call would inline into every traversal that brackets a
+// write, and move the registers of its hop loop (hmlist.find's grows by
+// two moves per hop).
+func (t *Thread) EnterWritePhase() bool {
+	if t.policy != NBR {
+		return true
+	}
 	if t.neutral || t.ping.Load() != 0 {
 		t.neutral = false
-		nbrAck(t)
+		t.ackNBR()
 		t.stats.restarts.Add(1)
 		return false
 	}
@@ -96,12 +93,18 @@ func (a *nbrAlgo) enterWrite(t *Thread) bool {
 	// A ping that raced with the publish: our reservations are visible,
 	// so ack without restarting (the reclaimer scans them).
 	if t.ping.Load() != 0 {
-		nbrAck(t)
+		t.ackNBR()
 	}
 	return true
 }
 
-func (a *nbrAlgo) exitWrite(t *Thread) {
+// ExitWritePhase ends an NBR write phase (no-op for other policies). It
+// must be called before the operation performs further unprotected reads
+// (i.e., before retrying a failed attempt or continuing a traversal).
+func (t *Thread) ExitWritePhase() {
+	if t.policy != NBR {
+		return
+	}
 	for i := 0; i < MaxSlots; i++ {
 		atomic.StorePointer(&t.sharedPtrs[i], nil)
 	}
@@ -110,7 +113,7 @@ func (a *nbrAlgo) exitWrite(t *Thread) {
 }
 
 // nbrPing is the neutralization broadcast: ping everyone (the signal
-// goes to quiescent threads too; their next startOp acks it for free),
+// goes to quiescent threads too; their next StartOp acks it for free),
 // and stop waiting for a thread that is quiescent or in a write phase —
 // never wait on phase 2: its reservations are published, and it may be
 // blocked on a lock we hold.
@@ -122,11 +125,13 @@ var nbrPing = pingRule{
 	},
 }
 
-// reclaim neutralizes everyone, then frees around the published
-// reservations: only write-phase threads have non-empty shared slots
-// (our own included, published at EnterWrite), so the scan is HP's and
-// the broadcast's skip mask is not needed.
-func (a *nbrAlgo) reclaim(t *Thread, _ bool) {
+// reclaimNBR neutralizes everyone, then frees around the published
+// reservations and its own private ones: only write-phase threads have
+// non-empty shared slots (ours included, published at EnterWritePhase),
+// and a pass run in our read phase must spare what we still hold
+// (collectPtrSet). So the scan is HP's and the broadcast's skip mask is
+// not needed.
+func (t *Thread) reclaimNBR() {
 	t.pingAndWait(nbrPing)
 	t.sweepPtrs(nil)
 }

@@ -1,16 +1,15 @@
 package core
 
-// nrAlgo is the leaky baseline ("NR" in the paper's plots): reads are
-// plain loads (hotNR in Thread.Protect), retired nodes are dropped on
-// the floor and never freed. It bounds the best possible read-path
+// NR is the leaky baseline ("NR" in the paper's plots): reads are plain
+// loads (NR's case of Thread.Protect), retired nodes are dropped on the
+// floor and never freed. It bounds the best possible read-path
 // performance and the worst possible memory behaviour.
-type nrAlgo struct{ baseAlgo }
 
-// retireHook leaks: account the nodes and forget them. The retire list
+// leak is NR's retire: account the nodes and forget them. The retire list
 // is drained immediately so its length stays ~0 in the memory plots (NR
 // has no deferred-reclamation backlog — the leak shows up in outstanding
 // nodes instead), which is also why NR has no pass (see Thread.pass).
-func (a *nrAlgo) retireHook(t *Thread) {
-	a.d.leaked.Add(int64(len(t.retired)))
+func (t *Thread) leak() {
+	t.d.leaked.Add(int64(len(t.retired)))
 	t.retired = t.retired[:0]
 }

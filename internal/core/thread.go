@@ -88,10 +88,11 @@ type Thread struct {
 	heCache    [MaxSlots]uint64         // HE: private mirror of sharedEras
 	inWrite    bool                     // NBR: inside a write phase
 	neutral    bool                     // NBR: neutralization seen by Poll
-	// hot selects the body StartOp/EndOp/Protect run (see hotTag). Set at
-	// every lease, never written in between; it sits in the padding after
-	// the two flags, so no other field's offset depends on it.
-	hot hotTag
+	// policy is the domain's, copied when the slot is created and never
+	// written again: every step that differs between policies is a switch
+	// on it (see StartOp). It sits in the padding after the two flags, so
+	// no other field's offset depends on it.
+	policy Policy
 
 	retired      []*Header
 	sinceReclaim int // retires since the last reclamation attempt
@@ -165,7 +166,7 @@ func (t *Thread) Domain() *Domain { return t.d }
 // publish count — to the new tenant. A ping word left set by such a
 // reclaimer is inert: the next tenant's poll answers it with a publish
 // of its own (empty or current) reservations, which is always safe, and
-// under NBR with a restart-free ack (startOp acks before anything is
+// under NBR with a restart-free ack (StartOp acks before anything is
 // read).
 func (t *Thread) Release() {
 	if t.opSeq.Load()%2 == 1 {
@@ -239,42 +240,33 @@ func (t *Thread) adoptOrphans() {
 // it at any moment: each field is exact as of its load.
 func (t *Thread) StatsSnapshot() Stats { return t.stats.load() }
 
-// hotTag names the body a thread's StartOp, EndOp and Protect run. The
-// five policies the repository's workloads and the paper's headline
-// ratios run on have their per-read side written out in those three
-// methods, behind one switch on a byte of the handle — no interface
-// call, no func value, nothing between a traversal and the handful of
-// loads and stores the paper counts (Alg. 1 line 12, Alg. 3). The other
-// six keep theirs behind the algorithm interface (hotGeneric). A policy
-// earns a tag when a benchmark cell runs on it and its protect is short
-// enough that the dispatch shows; docs/ARCHITECTURE.md has the numbers.
-type hotTag uint8
-
-const (
-	hotGeneric  hotTag = iota // algorithm.startOp/endOp/protect
-	hotNR                     // plain load; nothing at the boundaries
-	hotEBR                    // plain load; epoch announced per operation
-	hotHP                     // seq-cst reservation, validate; cleared at EndOp
-	hotHPPOP                  // ping poll, private reservation, validate
-	hotEpochPOP               // hotHPPOP's read under hotEBR's announcement
-)
-
 // StartOp marks the beginning of a data-structure operation. Every
 // public operation of every data structure calls StartOp/EndOp exactly
 // once (retries happen inside the pair).
+//
+// A policy is its cases in the switches on Thread.policy — StartOp,
+// EndOp, Protect, OnAlloc, Retire, Poll, pass, answerPing and
+// Domain.leaseLocked, plus NBR's guard on the write-phase pair — with
+// nothing between a traversal and the loads and stores the paper counts
+// (Alg. 1 line 12, Alg. 3). Its pass body and NBR's phase protocol live
+// in the policy's own file.
 func (t *Thread) StartOp() {
 	t.opSeq.Add(1) // -> odd: active
-	switch t.hot {
-	case hotGeneric:
-		t.d.algo.startOp(t)
-	case hotNR, hotHP:
-	case hotEBR:
+	switch t.policy {
+	case EBR:
 		t.announceEpoch()
-	case hotHPPOP:
+	case HazardPtrPOP, HazardEraPOP:
 		t.pollPing()
-	case hotEpochPOP:
+	case EpochPOP:
 		t.pollPing()
 		t.announceEpoch() // Alg. 3 lines 10-13
+	case IBR, Crystalline:
+		e := t.d.epoch.Load()
+		t.ibrLo.Store(e)
+		t.ibrHi.Store(e)
+		t.ibrHiCache = e
+	case NBR:
+		t.startNBR()
 	}
 }
 
@@ -293,22 +285,35 @@ func (t *Thread) announceEpoch() {
 // thread becomes quiescent. The policy's part runs first, before the
 // private slots are cleared and opSeq goes even.
 func (t *Thread) EndOp() {
-	switch t.hot {
-	case hotGeneric:
-		t.d.algo.endOp(t)
-	case hotNR:
-	case hotEBR:
+	switch t.policy {
+	case EBR:
 		t.resEpoch.Store(eraMax)
-	case hotHPPOP:
+	case HazardPtrPOP, HazardEraPOP:
 		t.pollPing()
-	case hotEpochPOP:
+	case EpochPOP:
 		t.resEpoch.Store(eraMax)
 		t.pollPing()
-	case hotHP:
+	case HP:
 		// clear(): drop published reservations so reserved nodes can be freed.
 		for i := 0; i <= t.hiSlot; i++ {
 			atomic.StorePointer(&t.sharedPtrs[i], nil)
 		}
+	case HPAsym:
+		for i := 0; i <= t.hiSlot; i++ {
+			storeRelaxed(&t.sharedPtrs[i], nil)
+		}
+	case HE:
+		for i := 0; i <= t.hiSlot; i++ {
+			if t.heCache[i] != eraNone {
+				atomic.StoreUint64(&t.sharedEras[i], eraNone)
+				t.heCache[i] = eraNone
+			}
+		}
+	case IBR, Crystalline:
+		t.ibrLo.Store(eraMax)
+		t.ibrHi.Store(eraMax)
+	case NBR:
+		t.endNBR()
 	}
 	// Drop private reservations. Plain stores: the array is owner-only.
 	for i := 0; i <= t.hiSlot; i++ {
@@ -327,7 +332,9 @@ func (t *Thread) EndOp() {
 // flow).
 //
 // Every body keeps its protocol's step order — poll, load, reserve,
-// validate — whichever side of the switch it is written on.
+// validate. The five policies the benchmark's workloads and the paper's
+// headline ratios run on are cases here; the other six are one call
+// away, in protectOther.
 func (t *Thread) Protect(slot int, a *Atomic) (unsafe.Pointer, bool) {
 	if uint(slot) >= MaxSlots {
 		panic(fmt.Sprintf("core: Protect slot %d out of range", slot))
@@ -335,14 +342,12 @@ func (t *Thread) Protect(slot int, a *Atomic) (unsafe.Pointer, bool) {
 	if slot > t.hiSlot {
 		t.hiSlot = slot
 	}
-	switch t.hot {
-	case hotGeneric:
-		return t.d.algo.protect(t, slot, a)
-	case hotNR, hotEBR:
+	switch t.policy {
+	case NR, EBR:
 		// Reads are free: NR never frees, EBR's announced epoch covers
 		// everything the operation can reach.
 		return a.Load(), true
-	case hotHPPOP, hotEpochPOP:
+	case HazardPtrPOP, EpochPOP:
 		// The simulated signal: poll our ping word (an owned cache line;
 		// the load is the delivery cost) and run the handler if pinged.
 		t.pollPing()
@@ -353,7 +358,7 @@ func (t *Thread) Protect(slot int, a *Atomic) (unsafe.Pointer, bool) {
 				return p, true
 			}
 		}
-	case hotHP:
+	case HP:
 		for {
 			p := a.Load()
 			// Publish + fence (seq_cst store), then validate: the
@@ -365,7 +370,76 @@ func (t *Thread) Protect(slot int, a *Atomic) (unsafe.Pointer, bool) {
 			}
 		}
 	}
-	panic("core: unknown hot-path tag")
+	return t.protectOther(slot, a)
+}
+
+// protectOther is Protect for the six policies no benchmark workload runs
+// on. It is a call of its own because an eleven-case switch in Protect
+// compiles to a jump table, and Protect then spills its arguments ahead
+// of it on every hop (docs/ARCHITECTURE.md, "What a hop costs").
+func (t *Thread) protectOther(slot int, a *Atomic) (unsafe.Pointer, bool) {
+	switch t.policy {
+	case HPAsym:
+		for {
+			p := a.Load()
+			storeRelaxed(&t.sharedPtrs[slot], Mask(p)) // no fence: the HPAsym fast path
+			if a.Load() == p {
+				return p, true
+			}
+		}
+	case HE:
+		oldEra := t.heCache[slot]
+		for {
+			p := a.Load()
+			newEra := t.d.epoch.Load()
+			if newEra == oldEra {
+				return p, true
+			}
+			// Era moved: publish the new reservation (seq_cst store =
+			// fence) and re-read the pointer under it.
+			atomic.StoreUint64(&t.sharedEras[slot], newEra)
+			t.heCache[slot] = newEra
+			oldEra = newEra
+		}
+	case IBR, Crystalline:
+		for {
+			p := a.Load()
+			e := t.d.epoch.Load()
+			if e == t.ibrHiCache {
+				return p, true
+			}
+			// Epoch moved since our last reservation: extend the interval
+			// (seq_cst store = fence) and retry the read under it.
+			t.ibrHi.Store(e)
+			t.ibrHiCache = e
+		}
+	case NBR:
+		if t.neutral || t.ping.Load() != 0 {
+			// Neutralized: discard all read-phase pointers and restart.
+			t.neutral = false
+			t.ackNBR()
+			t.stats.restarts.Add(1)
+			return nil, false
+		}
+		p := a.Load()
+		// Track privately so EnterWritePhase knows what to publish. Plain
+		// store, same cost as the POP algorithms' private reservation.
+		t.localPtrs[slot] = Mask(p)
+		return p, true
+	case HazardEraPOP:
+		t.pollPing()
+		oldEra := t.localEras[slot]
+		for {
+			p := a.Load()
+			newEra := t.d.epoch.Load()
+			if newEra == oldEra {
+				return p, true
+			}
+			t.localEras[slot] = newEra // private: no fence (Alg. 5 line 16)
+			oldEra = newEra
+		}
+	}
+	panic("core: unknown policy " + t.policy.String())
 }
 
 // OnAlloc stamps a freshly allocated node. typ is the id returned by
@@ -375,11 +449,19 @@ func (t *Thread) OnAlloc(h *Header, typ uint8) {
 	h.BirthEra = t.d.epoch.Load()
 	h.RetireEra = 0
 	t.allocCount++
-	t.d.algo.allocHook(t)
+	// IBR (and Crystalline, on IBR's read side) advances the global epoch
+	// on an allocation cadence.
+	if (t.policy == IBR || t.policy == Crystalline) && t.allocCount%uint64(t.d.opts.EpochFreq) == 0 {
+		t.d.epoch.Add(1)
+	}
 }
 
 // Retire hands an unlinked node to the reclamation layer. The node must
 // already be unreachable from the data structure's roots.
+//
+// Every policy but NR then reaches the one threshold gate: a pass per
+// ReclaimThreshold retires. NR leaks instead, and Crystalline seals a
+// full batch ahead of the gate.
 func (t *Thread) Retire(h *Header) {
 	if !h.retiredFlag.CompareAndSwap(0, 1) {
 		panic("core: double retire")
@@ -389,7 +471,17 @@ func (t *Thread) Retire(h *Header) {
 	t.retiredGrew()
 	t.stats.retires.Add(1)
 	t.sinceReclaim++
-	t.d.algo.retireHook(t)
+	switch t.policy {
+	case NR:
+		t.leak()
+	case Crystalline:
+		t.seal(t.d.opts.BatchSize)
+		fallthrough
+	default:
+		if t.sinceReclaim >= t.d.opts.ReclaimThreshold {
+			t.pass(false)
+		}
+	}
 	t.retiredLen.Store(uint32(len(t.retired)))
 }
 
@@ -410,20 +502,14 @@ func (t *Thread) RetireListLen() int { return len(t.retired) }
 // Poll is a reclamation safepoint for threads that are busy outside
 // Protect calls (the harness's "delayed but running" workers). It models
 // the fact that a POSIX signal interrupts arbitrary user code.
-func (t *Thread) Poll() { t.d.algo.poll(t) }
-
-// EnterWritePhase begins an NBR write phase: the reservations currently
-// held in the thread's slots are published with one fence and the thread
-// becomes immune to neutralization until ExitWritePhase. It returns false
-// if the operation was neutralized before the reservations could be
-// published, in which case the caller must restart. For every other
-// policy it is a no-op returning true.
-func (t *Thread) EnterWritePhase() bool { return t.d.algo.enterWrite(t) }
-
-// ExitWritePhase ends an NBR write phase (no-op for other policies). It
-// must be called before the operation performs further unprotected reads
-// (i.e., before retrying a failed attempt or continuing a traversal).
-func (t *Thread) ExitWritePhase() { t.d.algo.exitWrite(t) }
+func (t *Thread) Poll() {
+	switch t.policy {
+	case HazardPtrPOP, HazardEraPOP, EpochPOP:
+		t.pollPing()
+	case NBR:
+		t.pollNBR()
+	}
+}
 
 // Flush attempts a final reclamation pass. Call it once per thread after
 // the workload has stopped (all other threads quiescent) to drain retire
@@ -431,11 +517,11 @@ func (t *Thread) ExitWritePhase() { t.d.algo.exitWrite(t) }
 func (t *Thread) Flush() { t.pass(true) }
 
 // pass runs one reclamation pass, and is the only place one begins and
-// ends: the threshold gate (baseAlgo.retireHook), Release's debt pass
-// and Flush all come through here. It restarts the retire count the
-// gate and the release debt are measured from, times the pass, counts
-// it, adopts the orphanage, runs the policy's body (algorithm.reclaim)
-// and republishes the retire-list length.
+// ends: the threshold gate (Thread.Retire), Release's debt pass and
+// Flush all come through here. It restarts the retire count the gate and
+// the release debt are measured from, times the pass, counts it, adopts
+// the orphanage, runs the policy's body (its reclaim method, in the
+// policy's file) and republishes the retire-list length.
 //
 // final marks Flush's end-of-run pass, after the workload has stopped:
 // the policies whose keep rule compares against the global epoch first
@@ -443,18 +529,39 @@ func (t *Thread) Flush() { t.pass(true) }
 // Crystalline seals its open tail, and EpochPOP escalates if anything
 // at all is left.
 //
-// NR has no pass: it leaks at every retire (nrAlgo.retireHook), so its
-// list is empty at quiescence, its Release never donates orphans, and
-// there is nothing to adopt, count or time.
+// NR has no pass: it leaks at every retire (Thread.leak), so its list
+// is empty at quiescence, its Release never donates orphans, and there
+// is nothing to adopt, count or time.
 func (t *Thread) pass(final bool) {
 	t.sinceReclaim = 0
-	if t.d.policy == NR {
+	if t.policy == NR {
 		return
 	}
 	start := time.Now()
 	t.stats.reclaims.Add(1)
 	t.adoptOrphans()
-	t.d.algo.reclaim(t, final)
+	switch t.policy {
+	case HP:
+		t.reclaimHP()
+	case HPAsym:
+		t.reclaimHPAsym()
+	case HE:
+		t.reclaimHE()
+	case EBR:
+		t.reclaimEBR(final)
+	case IBR:
+		t.reclaimIBR(final)
+	case NBR:
+		t.reclaimNBR()
+	case HazardPtrPOP:
+		t.reclaimHPPOP()
+	case HazardEraPOP:
+		t.reclaimHEPOP()
+	case EpochPOP:
+		t.reclaimEpochPOP(final)
+	case Crystalline:
+		t.reclaimCrystalline(final)
+	}
 	t.retiredLen.Store(uint32(len(t.retired)))
 	t.d.recordPass(start)
 }
@@ -508,7 +615,7 @@ func (t *Thread) pollPing() {
 // scheduler call on the (rare) publish path.
 func (t *Thread) answerPing() {
 	t.ping.Store(0)
-	if t.d.policy == HazardEraPOP {
+	if t.policy == HazardEraPOP {
 		t.publishEras()
 	} else {
 		t.publishPtrs()
@@ -566,7 +673,7 @@ var popPing = pingRule{
 // slot rather than reading the new tenant's publishes as the old
 // tenant's. A ping word left set on a slot whose tenant departed is
 // inert: the next tenant's first poll answers it with a publish of its
-// own reservations (always safe), and under NBR startOp acks it before
+// own reservations (always safe), and under NBR StartOp acks it before
 // anything has been read, so the ack can neither discard progress nor
 // charge a restart to the wrong tenant.
 func (t *Thread) pingAndWait(rule pingRule) []bool {
@@ -654,22 +761,28 @@ func (t *Thread) eachSlot(skip []bool, visit func(o *Thread, own bool)) {
 }
 
 // collectPtrSet gathers the pointer reservations eachSlot(skip) visits.
+// A nil-mask walk adds the caller's private slots to its shared ones:
+// NBR's read phase reserves only there, and a pass it runs mid-operation
+// (hmlist.find retires after ExitWritePhase and keeps walking) may adopt
+// an orphan it still holds. HP and HPAsym never write them.
 func (t *Thread) collectPtrSet(skip []bool) map[unsafe.Pointer]struct{} {
 	if t.scPtrs == nil {
 		t.scPtrs = make(map[unsafe.Pointer]struct{}, MaxSlots*8)
 	}
 	set := t.scPtrs
 	clear(set)
+	add := func(p unsafe.Pointer) {
+		if p = Mask(p); p != nil {
+			set[p] = struct{}{}
+		}
+	}
 	t.eachSlot(skip, func(o *Thread, own bool) {
 		for s := 0; s < MaxSlots; s++ {
-			var p unsafe.Pointer
-			if own {
-				p = o.localPtrs[s]
-			} else {
-				p = atomic.LoadPointer(&o.sharedPtrs[s])
+			if o == t {
+				add(o.localPtrs[s])
 			}
-			if p = Mask(p); p != nil {
-				set[p] = struct{}{}
+			if !own {
+				add(atomic.LoadPointer(&o.sharedPtrs[s]))
 			}
 		}
 	})
