@@ -36,13 +36,28 @@
 // The asymmetry the paper exploits is preserved on amd64:
 //
 //   - HP publishes with a sequentially-consistent store (Go's
-//     atomic.StorePointer compiles to XCHG — a full fence, the same
-//     instruction C++ seq_cst stores compile to);
+//     atomic.StoreUintptr compiles to XCHG — a full fence, the same
+//     instruction C++ seq_cst stores compile to — and carries no write
+//     barrier);
 //   - HPAsym publishes with a plain store (MOV) and shifts ordering cost
 //     to the reclaimer (see hpasym.go for the membarrier substitution);
-//   - the POP algorithms store to a *private* array (MOV to an owned
-//     cache line) plus one load of an owned ping word, and fence only in
-//     the rare publish handler.
+//   - the POP algorithms store to a *private* array — one MOV to an owned
+//     cache line, with no write barrier — plus one load of an owned ping
+//     word, and fence only in the rare publish handler. Under
+//     HazardPtrPOP and EpochPOP that read is Thread.TryProtect, which
+//     inlines into a traversal's hop loop, so the hop calls nothing.
+//
+// The reservation words (Thread.localPtrs, Thread.sharedPtrs) are uintptr,
+// not unsafe.Pointer, and that is what makes the private store a plain
+// MOV: a store of a pointer-typed word checks the collector's write
+// barrier first, a cost the C++ original never pays. Untraced words are
+// sound because a reservation is only ever compared — collectPtrSet puts
+// it in a set, sweepPtrs looks retired nodes up in it — and never
+// dereferenced. The node it names stays alive without it: through its
+// arena slab (a pool never releases a slab), through a retire list, or
+// through the reader's own local, which is where the reserved address came
+// from. Go's heap does not move objects, so the address stays that node's
+// for as long as any of them holds it.
 package core
 
 import (

@@ -22,8 +22,10 @@ import (
 // ("alone") and once with a reclaimer on a second one whose every retire
 // is a pass (ReclaimThreshold 1, "pinged"), so that under the POP
 // policies and NBR a ping is pending at nearly every poll the reader
-// makes. Regenerate (-update) only for an intended change to what a read
-// does, and review the diff.
+// makes. Each tape is also read through TryProtect, falling back to
+// Protect where it returns false, and must give the same line. Regenerate
+// (-update) only for an intended change to what a read does, and review
+// the diff.
 func TestHotPathDifferential(t *testing.T) {
 	const path = "testdata/hot_tape.golden"
 	want := map[string]string{} // "policy/mode" -> its golden line
@@ -45,11 +47,21 @@ func TestHotPathDifferential(t *testing.T) {
 				if pinged {
 					key = p.String() + "/pinged"
 				}
-				res := runHotTape(t, p, pinged)
+				// The tape read through Protect writes the golden; read
+				// through TryProtect, then Protect where it decides
+				// nothing (a traversal's hop loop), it must match it.
+				res := runHotTape(t, p, pinged, false)
 				line := fmt.Sprintf("%s %+v reads=%#x unreclaimed=%d", key, res.stats, res.reads, res.unreclaimed)
 				fmt.Fprintln(&got, line)
 				if !*update && line != want[key] {
 					t.Errorf("tape:\n got  %s\n want %s", line, want[key])
+				}
+				tried := runHotTape(t, p, pinged, true)
+				if triedLine := fmt.Sprintf("%s %+v reads=%#x unreclaimed=%d", key, tried.stats, tried.reads, tried.unreclaimed); triedLine != line {
+					t.Errorf("tape read through TryProtect:\n got  %s\n want %s", triedLine, line)
+				}
+				if tried.poisoned != 0 {
+					t.Errorf("%s through TryProtect: %d reads of a freed node", key, tried.poisoned)
 				}
 				if res.poisoned != 0 {
 					t.Errorf("%s: %d reads of a freed node", key, res.poisoned)
@@ -97,8 +109,9 @@ type tapeResult struct {
 // counter, is the same on every run. A Protect that returns ok=false
 // (NBR's neutralization) folds a restart into the hash and drops every
 // node the operation held, which is NBR's restart contract; the tape then
-// goes on reading.
-func runHotTape(t *testing.T, p core.Policy, pinged bool) tapeResult {
+// goes on reading. With try, each read is TryProtect first and Protect
+// only where TryProtect decided nothing.
+func runHotTape(t *testing.T, p core.Policy, pinged, try bool) tapeResult {
 	const cells, ops = 8, 300
 	const restart = 0 // hashed for a neutralized read; stamps start at 1
 	e := newEnv(t, p, 2, &core.Options{ReclaimThreshold: 1, EpochFreq: 1})
@@ -195,7 +208,14 @@ func runHotTape(t *testing.T, p core.Policy, pinged bool) tapeResult {
 		for hops := 1 + int(r.Intn(6)); hops > 0; hops-- {
 			slot, c := int(r.Intn(core.MaxSlots)), int(r.Intn(cells))
 			step(func() {
-				raw, ok := reader.Protect(slot, &cell[c])
+				var raw unsafe.Pointer
+				ok := false
+				if try {
+					raw, ok = reader.TryProtect(slot, &cell[c])
+				}
+				if !ok {
+					raw, ok = reader.Protect(slot, &cell[c])
+				}
 				if !ok {
 					res.reads = res.reads*31 + restart
 					clear(held[:])

@@ -91,14 +91,26 @@ func TestRobustClassification(t *testing.T) {
 
 // TestProtectSlotBoundsDebug: an out-of-range slot panics in Protect
 // itself, under every policy and with no option to ask for it (the name
-// is from when the check was Options.Debug's).
+// is from when the check was Options.Debug's). TryProtect answers the
+// same slot with (nil, false) instead, and outside the four policies it
+// decides (the ones TryProtects reports) it leaves every counter where it
+// was.
 func TestProtectSlotBoundsDebug(t *testing.T) {
 	for _, p := range core.Policies() {
+		fast := false
+		switch p {
+		case core.NR, core.EBR, core.HazardPtrPOP, core.EpochPOP:
+			fast = true
+		}
 		for _, slot := range []int{core.MaxSlots, -1} {
 			d := core.NewDomain(p, 1, nil)
 			th := d.RegisterThread()
 			var cell core.Atomic
+			cell.Store(unsafe.Pointer(new(tnode)))
 			th.StartOp()
+			if got, ok := th.TryProtect(slot, &cell); got != nil || ok {
+				t.Errorf("%v: TryProtect(slot %d) = (%p, %v), want (nil, false)", p, slot, got, ok)
+			}
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -109,6 +121,27 @@ func TestProtectSlotBoundsDebug(t *testing.T) {
 			}()
 			th.EndOp()
 		}
+		d := core.NewDomain(p, 1, nil)
+		th := d.RegisterThread()
+		if got := th.TryProtects(); got != fast {
+			t.Errorf("%v: TryProtects() = %v, want %v", p, got, fast)
+		}
+		if fast {
+			continue
+		}
+		var cell core.Atomic
+		cell.Store(unsafe.Pointer(new(tnode)))
+		th.StartOp()
+		before := d.Stats()
+		for slot := 0; slot < core.MaxSlots; slot++ {
+			if _, ok := th.TryProtect(slot, &cell); ok {
+				t.Errorf("%v: TryProtect(slot %d) decided a read; only NR, EBR, HazardPtrPOP and EpochPOP do", p, slot)
+			}
+		}
+		if after := d.Stats(); after != before {
+			t.Errorf("%v: TryProtect moved the counters:\n before %+v\n after  %+v", p, before, after)
+		}
+		th.EndOp()
 	}
 }
 

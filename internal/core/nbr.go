@@ -86,7 +86,7 @@ func (t *Thread) EnterWritePhase() bool {
 	// Publish the read-phase reservations (the one fence NBR pays per
 	// update), then mask neutralization by entering phase 2.
 	for i := 0; i <= t.hiSlot; i++ {
-		atomic.StorePointer(&t.sharedPtrs[i], t.localPtrs[i])
+		atomic.StoreUintptr(&t.sharedPtrs[i], t.localPtrs[i])
 	}
 	t.phase.Store(2)
 	t.inWrite = true
@@ -106,7 +106,7 @@ func (t *Thread) ExitWritePhase() {
 		return
 	}
 	for i := 0; i < MaxSlots; i++ {
-		atomic.StorePointer(&t.sharedPtrs[i], nil)
+		atomic.StoreUintptr(&t.sharedPtrs[i], 0)
 	}
 	t.inWrite = false
 	t.phase.Store(1)

@@ -19,3 +19,10 @@ import "unsafe"
 func storeRelaxed(addr *unsafe.Pointer, p unsafe.Pointer) {
 	*addr = p
 }
+
+// storeRelaxedWord is storeRelaxed for a reservation word (HPAsym's
+// publish and clear): the same plain store, to a word the collector does
+// not trace.
+func storeRelaxedWord(addr *uintptr, v uintptr) {
+	*addr = v
+}

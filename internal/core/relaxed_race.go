@@ -15,3 +15,8 @@ import (
 func storeRelaxed(addr *unsafe.Pointer, p unsafe.Pointer) {
 	atomic.StorePointer(addr, p)
 }
+
+// storeRelaxedWord is storeRelaxed for a reservation word.
+func storeRelaxedWord(addr *uintptr, v uintptr) {
+	atomic.StoreUintptr(addr, v)
+}

@@ -72,22 +72,26 @@ type Thread struct {
 	// distinguishable from tenant k even though tid is identical.
 	incarnation padded.Uint64
 
+	// The pointer reservations, shared and private, are node addresses
+	// held as uintptr: the garbage collector does not trace them, so
+	// storing one is a plain MOV with no write barrier (core.go, "Cost
+	// fidelity", says why that is sound).
 	_          [padded.CacheLine]byte
-	sharedPtrs [MaxSlots]unsafe.Pointer // published pointer reservations
-	sharedEras [MaxSlots]uint64         // published era reservations
+	sharedPtrs [MaxSlots]uintptr // published pointer reservations
+	sharedEras [MaxSlots]uint64  // published era reservations
 	_          [padded.CacheLine]byte
 
 	// --- private state (owner goroutine only) ---
 
-	localPtrs  [MaxSlots]unsafe.Pointer // private pointer reservations
-	localEras  [MaxSlots]uint64         // private era reservations
-	hiSlot     int                      // highest slot used since last clear
-	opCount    uint64                   // operations started (epoch cadence)
-	allocCount uint64                   // allocations (IBR epoch cadence)
-	ibrHiCache uint64                   // private mirror of ibrHi
-	heCache    [MaxSlots]uint64         // HE: private mirror of sharedEras
-	inWrite    bool                     // NBR: inside a write phase
-	neutral    bool                     // NBR: neutralization seen by Poll
+	localPtrs  [MaxSlots]uintptr // private pointer reservations
+	localEras  [MaxSlots]uint64  // private era reservations
+	hiSlot     int               // highest slot used since last clear
+	opCount    uint64            // operations started (epoch cadence)
+	allocCount uint64            // allocations (IBR epoch cadence)
+	ibrHiCache uint64            // private mirror of ibrHi
+	heCache    [MaxSlots]uint64  // HE: private mirror of sharedEras
+	inWrite    bool              // NBR: inside a write phase
+	neutral    bool              // NBR: neutralization seen by Poll
 	// policy is the domain's, copied when the slot is created and never
 	// written again: every step that differs between policies is a switch
 	// on it (see StartOp). It sits in the padding after the two flags, so
@@ -110,7 +114,7 @@ type Thread struct {
 	scCounts []uint64
 	scSeqs   []uint64
 	scSkip   []bool
-	scPtrs   map[unsafe.Pointer]struct{}
+	scPtrs   map[uintptr]struct{}
 	scEras   []uint64
 
 	stats counters // owner adds, any goroutine loads (trace.go)
@@ -183,9 +187,9 @@ func (t *Thread) Release() {
 		t.pass(false)
 	}
 	for i := 0; i < MaxSlots; i++ {
-		atomic.StorePointer(&t.sharedPtrs[i], nil)
+		atomic.StoreUintptr(&t.sharedPtrs[i], 0)
 		atomic.StoreUint64(&t.sharedEras[i], eraNone)
-		t.localPtrs[i] = nil
+		t.localPtrs[i] = 0
 		t.localEras[i] = eraNone
 		t.heCache[i] = eraNone
 	}
@@ -296,11 +300,11 @@ func (t *Thread) EndOp() {
 	case HP:
 		// clear(): drop published reservations so reserved nodes can be freed.
 		for i := 0; i <= t.hiSlot; i++ {
-			atomic.StorePointer(&t.sharedPtrs[i], nil)
+			atomic.StoreUintptr(&t.sharedPtrs[i], 0)
 		}
 	case HPAsym:
 		for i := 0; i <= t.hiSlot; i++ {
-			storeRelaxed(&t.sharedPtrs[i], nil)
+			storeRelaxedWord(&t.sharedPtrs[i], 0)
 		}
 	case HE:
 		for i := 0; i <= t.hiSlot; i++ {
@@ -317,7 +321,7 @@ func (t *Thread) EndOp() {
 	}
 	// Drop private reservations. Plain stores: the array is owner-only.
 	for i := 0; i <= t.hiSlot; i++ {
-		t.localPtrs[i] = nil
+		t.localPtrs[i] = 0
 		t.localEras[i] = eraNone
 	}
 	t.hiSlot = -1
@@ -332,46 +336,108 @@ func (t *Thread) EndOp() {
 // flow).
 //
 // Every body keeps its protocol's step order — poll, load, reserve,
-// validate. The five policies the benchmark's workloads and the paper's
-// headline ratios run on are cases here; the other six are one call
-// away, in protectOther.
+// validate. Under the four policies TryProtect decides, Protect is
+// TryProtect, and protectPolled where it decides nothing. HP, whose
+// publish fences, is a case of its own, and the other six policies are
+// one call away, in protectOther. No value lives across a call, so
+// Protect spills nothing.
 func (t *Thread) Protect(slot int, a *Atomic) (unsafe.Pointer, bool) {
+	if t.TryProtects() {
+		if p, ok := t.TryProtect(slot, a); ok {
+			return p, true
+		}
+		return t.protectPolled(slot, a)
+	}
 	if uint(slot) >= MaxSlots {
-		panic(fmt.Sprintf("core: Protect slot %d out of range", slot))
+		badSlot(slot)
 	}
 	if slot > t.hiSlot {
 		t.hiSlot = slot
 	}
-	switch t.policy {
-	case NR, EBR:
-		// Reads are free: NR never frees, EBR's announced epoch covers
-		// everything the operation can reach.
-		return a.Load(), true
-	case HazardPtrPOP, EpochPOP:
-		// The simulated signal: poll our ping word (an owned cache line;
-		// the load is the delivery cost) and run the handler if pinged.
-		t.pollPing()
-		for {
-			p := a.Load()
-			t.localPtrs[slot] = Mask(p) // private reservation: no fence (Alg. 1 line 12)
-			if a.Load() == p {
-				return p, true
-			}
+	if t.policy != HP {
+		return t.protectOther(slot, a)
+	}
+	for {
+		p := a.Load()
+		// Publish + fence (seq_cst store), then validate: the
+		// reservation must have been globally visible while the
+		// pointer was still reachable (§2.1.1 steps 1-3).
+		atomic.StoreUintptr(&t.sharedPtrs[slot], uintptr(p)&^3)
+		if a.Load() == p {
+			return p, true
 		}
-	case HP:
-		for {
-			p := a.Load()
-			// Publish + fence (seq_cst store), then validate: the
-			// reservation must have been globally visible while the
-			// pointer was still reachable (§2.1.1 steps 1-3).
-			atomic.StorePointer(&t.sharedPtrs[slot], Mask(p))
-			if a.Load() == p {
-				return p, true
+	}
+}
+
+// protectPolled is Protect's retry shell around TryProtect: poll, which
+// answers the ping that stopped it (the simulated signal), and try
+// again; a moved cell is simply tried again.
+func (t *Thread) protectPolled(slot int, a *Atomic) (unsafe.Pointer, bool) {
+	if uint(slot) >= MaxSlots {
+		badSlot(slot)
+	}
+	for {
+		t.pollPing()
+		if p, ok := t.TryProtect(slot, a); ok {
+			return p, true
+		}
+	}
+}
+
+// badSlot is Protect's panic on a slot outside [0, MaxSlots).
+func badSlot(slot int) {
+	panic(fmt.Sprintf("core: Protect slot %d out of range", slot))
+}
+
+// TryProtect is Protect's common case, small enough for the compiler to
+// inline into a traversal's hop loop so the hop calls nothing. Under NR
+// and EBR it is a plain load: NR never frees, and EBR's announced epoch
+// covers everything the operation can reach. Under HazardPtrPOP and
+// EpochPOP it is the paper's read (Alg. 1 line 12): load, store the
+// reservation to the thread's private slot — a MOV, no fence — and
+// re-load to validate.
+//
+// ok=false means TryProtect decided nothing, and p means nothing: another
+// policy, a ping waiting to be answered, a cell that moved between the
+// two loads, or a slot outside [0, MaxSlots) (where Protect panics; p is
+// nil there and under a ping or another policy). The caller then calls
+// Protect, which polls, reserves and panics exactly as it does alone. A
+// reservation TryProtect stores is always at or below hiSlot, so EndOp
+// clears it whichever way the call ends.
+//
+// The body is written for Go's inliner, whose budget is 80: it costs 76,
+// and the range check wrapping the switch and the single exit through
+// named results are what bring it under. CI fails if building hmlist
+// stops reporting the inlined call.
+func (t *Thread) TryProtect(slot int, a *Atomic) (p unsafe.Pointer, ok bool) {
+	if uint(slot) < MaxSlots {
+		switch t.policy {
+		case NR, EBR:
+			return a.Load(), true
+		case HazardPtrPOP, EpochPOP:
+			if t.ping.Load() == 0 {
+				if slot > t.hiSlot {
+					t.hiSlot = slot
+				}
+				p = a.Load()
+				t.localPtrs[slot] = uintptr(p) &^ 3 // private reservation: no fence (Alg. 1 line 12)
+				ok = a.Load() == p
 			}
 		}
 	}
-	return t.protectOther(slot, a)
+	return p, ok
 }
+
+// tryProtected is the set of policies TryProtect decides reads for, one
+// bit per Policy, so that asking costs one bit test (TryProtects masks
+// the shift only to show the compiler it is under 64).
+const tryProtected = 1<<NR | 1<<EBR | 1<<HazardPtrPOP | 1<<EpochPOP
+
+// TryProtects reports whether TryProtect decides any read on t: under NR,
+// EBR, HazardPtrPOP and EpochPOP. Under the other seven it decides none,
+// so a traversal checks this once and skips its TryProtect hop loop
+// rather than failing out of it on every hop; Protect checks it first.
+func (t *Thread) TryProtects() bool { return tryProtected&(1<<(t.policy&63)) != 0 }
 
 // protectOther is Protect for the six policies no benchmark workload runs
 // on. It is a call of its own because an eleven-case switch in Protect
@@ -382,7 +448,7 @@ func (t *Thread) protectOther(slot int, a *Atomic) (unsafe.Pointer, bool) {
 	case HPAsym:
 		for {
 			p := a.Load()
-			storeRelaxed(&t.sharedPtrs[slot], Mask(p)) // no fence: the HPAsym fast path
+			storeRelaxedWord(&t.sharedPtrs[slot], uintptr(p)&^3) // no fence: the HPAsym fast path
 			if a.Load() == p {
 				return p, true
 			}
@@ -424,7 +490,7 @@ func (t *Thread) protectOther(slot int, a *Atomic) (unsafe.Pointer, bool) {
 		p := a.Load()
 		// Track privately so EnterWritePhase knows what to publish. Plain
 		// store, same cost as the POP algorithms' private reservation.
-		t.localPtrs[slot] = Mask(p)
+		t.localPtrs[slot] = uintptr(p) &^ 3
 		return p, true
 	case HazardEraPOP:
 		t.pollPing()
@@ -578,7 +644,7 @@ func (t *Thread) pass(final bool) {
 // lines 40-43).
 func (t *Thread) publishPtrs() {
 	for i := 0; i < MaxSlots; i++ {
-		atomic.StorePointer(&t.sharedPtrs[i], t.localPtrs[i])
+		atomic.StoreUintptr(&t.sharedPtrs[i], t.localPtrs[i])
 	}
 	t.pubCount.Add(1)
 	t.stats.publishes.Add(1)
@@ -765,14 +831,14 @@ func (t *Thread) eachSlot(skip []bool, visit func(o *Thread, own bool)) {
 // NBR's read phase reserves only there, and a pass it runs mid-operation
 // (hmlist.find retires after ExitWritePhase and keeps walking) may adopt
 // an orphan it still holds. HP and HPAsym never write them.
-func (t *Thread) collectPtrSet(skip []bool) map[unsafe.Pointer]struct{} {
+func (t *Thread) collectPtrSet(skip []bool) map[uintptr]struct{} {
 	if t.scPtrs == nil {
-		t.scPtrs = make(map[unsafe.Pointer]struct{}, MaxSlots*8)
+		t.scPtrs = make(map[uintptr]struct{}, MaxSlots*8)
 	}
 	set := t.scPtrs
 	clear(set)
-	add := func(p unsafe.Pointer) {
-		if p = Mask(p); p != nil {
+	add := func(p uintptr) {
+		if p != 0 {
 			set[p] = struct{}{}
 		}
 	}
@@ -782,7 +848,7 @@ func (t *Thread) collectPtrSet(skip []bool) map[unsafe.Pointer]struct{} {
 				add(o.localPtrs[s])
 			}
 			if !own {
-				add(atomic.LoadPointer(&o.sharedPtrs[s]))
+				add(atomic.LoadUintptr(&o.sharedPtrs[s]))
 			}
 		}
 	})
@@ -896,7 +962,7 @@ func groupByAddress(hs []*Header) {
 func (t *Thread) sweepPtrs(skip []bool) {
 	set := t.collectPtrSet(skip)
 	t.sweep(func(h *Header) bool {
-		_, reserved := set[unsafe.Pointer(h)]
+		_, reserved := set[uintptr(unsafe.Pointer(h))]
 		return reserved
 	})
 }

@@ -278,8 +278,9 @@ type position struct {
 func (l *List) find(t *core.Thread, key int64, start *Node, sStart int) (pos position, ok, valid bool) {
 	// The walk runs over locals and assembles a position only where it
 	// returns: a six-word struct is too wide for the compiler to keep
-	// in registers (locals are, spilled only around the Protect call),
-	// and a list-read operation makes ~500 hops.
+	// in registers (locals are, spilled only around the full hop's
+	// calls), and a list-read operation makes ~500 hops, nearly all of
+	// them in hops, which calls nothing.
 	tail := l.tail
 retry:
 	predCell := &l.head.next
@@ -301,53 +302,96 @@ retry:
 		return position{}, true, false
 	}
 	curr := (*Node)(craw)
+	try := t.TryProtects()
 	for {
-		if curr == tail {
-			return position{predCell, curr, nil, sPred, sCurr, sNext}, true, true
-		}
-		nraw, okp := t.Protect(sNext, &curr.next)
-		if !okp {
-			return position{}, false, false
-		}
-		// Validate the edge: pred must still point at curr (and pred must
-		// not have been logically deleted, which would mark this cell).
-		if predCell.Load() != unsafe.Pointer(curr) {
-			if start == nil {
-				goto retry
+		if try {
+			var next *Node
+			predCell, curr, next, sPred, sCurr, sNext = l.hops(t, key, predCell, curr, sPred, sCurr, sNext)
+			if next != nil {
+				return position{predCell, curr, next, sPred, sCurr, sNext}, true, true
 			}
-			return position{}, true, false
 		}
-		if core.Marked(nraw) {
-			// curr is logically deleted (or replaced): help unlink it. For
-			// a replaced node the masked successor is the same-key
-			// replacement, so the walk lands on the key's live node.
-			next := (*Node)(core.Mask(nraw))
-			if !t.EnterWritePhase() {
+		// The full hop: the one hops could not decide, or every hop under
+		// a policy TryProtect decides nothing for, which never leaves this
+		// loop. It is the inner loop so that such a walk keeps its
+		// registers here and pays for hops only the test of try.
+		for {
+			if curr == tail {
+				return position{predCell, curr, nil, sPred, sCurr, sNext}, true, true
+			}
+			nraw, okp := t.Protect(sNext, &curr.next)
+			if !okp {
 				return position{}, false, false
 			}
-			helped := predCell.CompareAndSwap(unsafe.Pointer(curr), unsafe.Pointer(next))
-			t.ExitWritePhase()
-			if !helped {
+			// Validate the edge: pred must still point at curr (and pred
+			// must not have been logically deleted, which would mark this
+			// cell).
+			if predCell.Load() != unsafe.Pointer(curr) {
 				if start == nil {
 					goto retry
 				}
 				return position{}, true, false
 			}
-			l.retire(t, curr)
-			// next keeps its protection and becomes curr.
-			curr = next
-			sCurr, sNext = sNext, sCurr
-			continue
+			if core.Marked(nraw) {
+				// curr is logically deleted (or replaced): help unlink it.
+				// For a replaced node the masked successor is the same-key
+				// replacement, so the walk lands on the key's live node.
+				next := (*Node)(core.Mask(nraw))
+				if !t.EnterWritePhase() {
+					return position{}, false, false
+				}
+				helped := predCell.CompareAndSwap(unsafe.Pointer(curr), unsafe.Pointer(next))
+				t.ExitWritePhase()
+				if !helped {
+					if start == nil {
+						goto retry
+					}
+					return position{}, true, false
+				}
+				l.retire(t, curr)
+				// next keeps its protection and becomes curr.
+				curr = next
+				sCurr, sNext = sNext, sCurr
+				continue
+			}
+			next := (*Node)(nraw)
+			if curr.key >= key {
+				return position{predCell, curr, next, sPred, sCurr, sNext}, true, true
+			}
+			// Advance: curr becomes pred, next becomes curr; the old pred
+			// slot is recycled for the next protection.
+			predCell, curr = &curr.next, next
+			sPred, sCurr, sNext = sCurr, sNext, sPred
+			if try {
+				break // back to hops
+			}
 		}
-		next := (*Node)(nraw)
+	}
+}
+
+// hops is find's common hop as a loop that calls nothing: protect curr's
+// successor through the inlined TryProtect, validate the edge, check
+// curr's mark, compare the key and advance. It stops at curr, with next
+// nil, at the first hop it cannot decide — TryProtect decided nothing,
+// the edge failed, curr is marked, or curr is the tail — for find's full
+// hop to take. At the first node with key >= key it returns that node's
+// protected successor as next. It is a function of its own, called once
+// per full hop, so that the loop's registers are its own: written inside
+// find, the loop's state was reshuffled around the full hop's call on
+// every hop of the policies TryProtect decides nothing for.
+func (l *List) hops(t *core.Thread, key int64, predCell *core.Atomic, curr *Node, sPred, sCurr, sNext int) (*core.Atomic, *Node, *Node, int, int, int) {
+	for curr != l.tail {
+		nraw, ok := t.TryProtect(sNext, &curr.next)
+		if !ok || predCell.Load() != unsafe.Pointer(curr) || core.Marked(nraw) {
+			break
+		}
 		if curr.key >= key {
-			return position{predCell, curr, next, sPred, sCurr, sNext}, true, true
+			return predCell, curr, (*Node)(nraw), sPred, sCurr, sNext
 		}
-		// Advance: curr becomes pred, next becomes curr; the old pred
-		// slot is recycled for the next protection.
-		predCell, curr = &curr.next, next
+		predCell, curr = &curr.next, (*Node)(nraw)
 		sPred, sCurr, sNext = sCurr, sNext, sPred
 	}
+	return predCell, curr, nil, sPred, sCurr, sNext
 }
 
 // Get returns the value mapped to key.
