@@ -230,9 +230,7 @@ func main() {
 		die(2, "bad -threads: %v", err)
 	}
 	common := sweepCommon{
-		duration: *duration, seed: *seed, policies: ps, threads: threadCounts,
-		keys: *keyRange, dist: dist, backing: *backing, ycsb: *ycsbName, chaos: chaosCfg,
-		churn: workload.Churn{AfterOps: *churnOps}, rthresh: *rthresh,
+		policies: ps, threads: threadCounts, ycsb: *ycsbName,
 		jsonPath: *jsonOut, render: render, log: func(string, ...any) {},
 	}
 	if common.policies == nil {
@@ -243,26 +241,35 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
+	// Each sweep's trial config carries every flag that applies to it;
+	// a grid cell copies it and sets only the axes the sweep varies.
+	reclaim := core.Options{ReclaimThreshold: *rthresh}
+	churn := workload.Churn{AfterOps: *churnOps}
 	var sweep func() error
 	switch {
 	case *serveMode:
-		sweep = serveSweepOpts{
-			sweepCommon: common,
-			conns:       *connsCSV, slots: *slots, openRate: *openRate, getPct: *getPct,
-		}.run
+		sweep = serveSweepOpts{sweepCommon: common, conns: *connsCSV, cfg: harness.ServeConfig{
+			Slots: *slots, Duration: *duration, Keys: *keyRange, Backing: *backing, Seed: *seed,
+			GetPct: *getPct, OpenRate: *openRate, Dist: dist, Chaos: chaosCfg,
+		}}.run
 	case *storeMode:
 		sweep = storeSweepOpts{
 			sweepCommon: common,
 			shards:      *shardsCSV, batches: *batchCSV, groups: *groupsCSV, mputPct: *mputPct,
-			chaosStart: *chaosFrom, chaosStop: *chaosTo, sample: *sampleDur,
-			trace: trace, traceName: *traceFile, tracePaced: *tracePaced,
-			valSpec: *valSize, valMin: valMin, valMax: valMax, valSmallPct: valSmallPct,
+			traceName: *traceFile, valSpec: *valSize,
+			cfg: harness.StoreConfig{
+				Threads: threadCounts[len(threadCounts)-1], Duration: *duration, Keys: *keyRange,
+				Backing: *backing, Seed: *seed, Dist: dist, Churn: churn, Reclaim: reclaim,
+				Trace: trace, TracePaced: *tracePaced,
+				Chaos: chaosCfg, ChaosStart: *chaosFrom, ChaosStop: *chaosTo, SampleEvery: *sampleDur,
+				ValueMin: valMin, ValueMax: valMax, ValueSmallPct: valSmallPct, OpLatency: true,
+			},
 		}.run
 	case *dsName != "":
-		sweep = sweepOpts{
-			sweepCommon: common,
-			ds:          *dsName, mix: *mixName, rangePct: *rangePct, rangeSpan: *rangeSpan,
-		}.run
+		sweep = sweepOpts{sweepCommon: common, mix: *mixName, rangePct: *rangePct, cfg: harness.Config{
+			DS: *dsName, Duration: *duration, KeyRange: *keyRange, RangeSpan: *rangeSpan, Seed: *seed,
+			Dist: dist, Churn: churn, Reclaim: reclaim, OpLatency: true,
+		}}.run
 	}
 	if sweep != nil {
 		if err := sweep(); err != nil {
@@ -315,21 +322,14 @@ func die(status int, format string, args ...any) {
 	os.Exit(status)
 }
 
-// sweepCommon is what the direct sweeps take from the flags they share
-// (a sweep ignores the ones that do not apply to it, as the flags do).
+// sweepCommon is what the direct sweeps share besides their trial
+// config: the swept policies and thread counts, the YCSB workload, and
+// where the tables go.
 type sweepCommon struct {
-	duration time.Duration
-	seed     uint64
 	policies []core.Policy // -policies, or every policy
 	threads  []int         // -threads
-	keys     int64         // -keyrange: key range (-ds) or key population
-	dist     workload.Dist
-	backing  string // -store, -serve
-	ycsb     string // YCSB workload name ("" = the sweep's own mix)
-	chaos    chaos.Config
-	churn    workload.Churn
-	rthresh  int    // per-slot reclamation threshold (0 = paper default)
-	jsonPath string // JSON-lines sink ("" = none)
+	ycsb     string        // YCSB workload name ("" = the sweep's own mix)
+	jsonPath string        // JSON-lines sink ("" = none)
 	render   func(*report.Series) error
 	log      func(string, ...any) // progress lines (a no-op under -quiet)
 }
@@ -366,40 +366,34 @@ func parsePolicies(csv string) ([]core.Policy, error) {
 	return ps, nil
 }
 
-// sweepOpts carries the -ds direct-sweep flag values.
+// sweepOpts is the -ds direct sweep: cfg is every cell's trial, less
+// its policy, thread count and (set in run) mix.
 type sweepOpts struct {
 	sweepCommon
-	ds, mix   string
-	rangePct  int // -1 = auto
-	rangeSpan int64
+	cfg      harness.Config
+	mix      string // -mix name
+	rangePct int    // -1 = auto
 }
 
-// storeSweepOpts carries the -store sweep flag values.
+// storeSweepOpts is the -store sweep: cfg is every cell's trial, less
+// its policy, shards, groups and batch width, and (set in run) its mix.
 type storeSweepOpts struct {
 	sweepCommon
-	shards      string // csv shard counts
-	batches     string // csv batch sizes
-	groups      string // csv domain-group member counts
-	mputPct     int    // PutBatch share carved from the put share
-	trace       []workload.TraceOp
-	traceName   string
-	tracePaced  bool
-	chaosStart  time.Duration // burst window start (0 = immediate)
-	chaosStop   time.Duration // burst window end (0 = run end)
-	sample      time.Duration // telemetry sampling interval (0 = off)
-	valSpec     string        // the raw -valsize spec (title/labels; "" = defaults)
-	valMin      int           // payload size bounds (0 = harness defaults)
-	valMax      int
-	valSmallPct int // bimodal small-share percent (0 = uniform draw)
+	cfg       harness.StoreConfig
+	shards    string // csv shard counts
+	batches   string // csv batch sizes
+	groups    string // csv domain-group member counts
+	mputPct   int    // PutBatch share carved from the put share
+	traceName string // -trace file (title)
+	valSpec   string // the raw -valsize spec (title; "" = defaults)
 }
 
-// serveSweepOpts carries the -serve sweep flag values.
+// serveSweepOpts is the -serve sweep: cfg is every cell's trial, less
+// its policy and connection count.
 type serveSweepOpts struct {
 	sweepCommon
-	conns    string // csv connection counts
-	slots    int
-	openRate float64
-	getPct   int
+	cfg   harness.ServeConfig
+	conns string // csv connection counts
 }
 
 // chaosMetrics are the injector-activity columns -store and -serve add
@@ -435,44 +429,34 @@ func (o serveSweepOpts) run() error {
 		if w.Mix.ScanPct > 0 || w.Mix.RMWPct > 0 {
 			return fmt.Errorf("YCSB %s needs scan/rmw; the serving front supports A-D", w.Name)
 		}
-		o.getPct = w.Mix.GetPct
-		o.dist = w.Dist
+		o.cfg.GetPct = w.Mix.GetPct
+		o.cfg.Dist = w.Dist
 		label = fmt.Sprintf("YCSB %s, ", w.Name)
 	}
 	loop := "closed loop"
-	if o.openRate > 0 {
-		loop = fmt.Sprintf("open loop %.0f op/s", o.openRate)
+	if o.cfg.OpenRate > 0 {
+		loop = fmt.Sprintf("open loop %.0f op/s", o.cfg.OpenRate)
 	}
 	metrics := figures.ServeMetrics()
-	if o.chaos.Enabled() {
+	if o.cfg.Chaos.Enabled() {
 		loop += ", chaos"
 		metrics = append(metrics, chaosMetrics(func(r harness.ServeResult) chaos.Stats { return r.Chaos })...)
 	}
 	series, err := figures.Grid[harness.ServeResult]{
 		Title: fmt.Sprintf("serve %s (%s%d slots, %d keys, %v dist, %d%% gets, %s)",
-			o.backing, label, o.slots, o.keys, o.dist, o.getPct, loop),
+			o.cfg.Backing, label, o.cfg.Slots, o.cfg.Keys, o.cfg.Dist, o.cfg.GetPct, loop),
 		XLabel: "conns",
 		Rows:   figures.Labels(connList), Cols: figures.PolicyNames(o.policies), Metrics: metrics,
 		Run: func(r, c int) (harness.ServeResult, error) {
-			return harness.RunServe(harness.ServeConfig{
-				Policy:   o.policies[c],
-				Slots:    o.slots,
-				Conns:    connList[r],
-				Duration: o.duration,
-				Keys:     o.keys,
-				Backing:  o.backing,
-				GetPct:   o.getPct,
-				OpenRate: o.openRate,
-				Dist:     o.dist,
-				Chaos:    o.chaos,
-				Seed:     o.seed,
-			})
+			cfg := o.cfg
+			cfg.Policy, cfg.Conns = o.policies[c], connList[r]
+			return harness.RunServe(cfg)
 		},
 	}.Series(o.log)
 	if err != nil {
 		return err
 	}
-	return o.emit(series, seriesRecords("serve", o.backing, metrics, series))
+	return o.emit(series, seriesRecords("serve", o.cfg.Backing, metrics, series))
 }
 
 // run sweeps the KV front across shards × groups × batch sizes × policies
@@ -493,17 +477,16 @@ func (o storeSweepOpts) run() error {
 	if err != nil {
 		return fmt.Errorf("bad -groups: %w", err)
 	}
-	threads := o.threads[len(o.threads)-1]
 	type R = harness.StoreResult
 
 	metrics := []figures.Metric[R]{
 		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
 		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
-		figures.StoreLat("get latency p50 (µs)", harness.SOpGet, 0.50),
-		figures.StoreLat("get latency p99 (µs)", harness.SOpGet, 0.99),
-		figures.StoreLat("mget latency p99 (µs)", harness.SOpMGet, 0.99),
-		figures.StoreLat("put latency p99 (µs)", harness.SOpPut, 0.99),
-		{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Stale) }},
+		figures.StoreLat("get latency p50 (µs)", workload.StoreGet, 0.50),
+		figures.StoreLat("get latency p99 (µs)", workload.StoreGet, 0.99),
+		figures.StoreLat("mget latency p99 (µs)", workload.StoreMGet, 0.99),
+		figures.StoreLat("put latency p99 (µs)", workload.StorePut, 0.99),
+		{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Store.StaleReads) }},
 		{Name: "value checksum failures", Get: func(r R) float64 { return float64(r.ValueErrors) }},
 		// Allocation accounting: whole-process heap-allocation rate over
 		// the measured phase — the sweep-level view of the hot-path
@@ -518,7 +501,7 @@ func (o storeSweepOpts) run() error {
 		{Name: "reclaim pings per pass", Get: func(r R) float64 { return r.ReclaimDetail.PingsPerPass }},
 		{Name: "reclaim threads scanned per pass", Get: func(r R) float64 { return r.ReclaimDetail.ScannedPerPass }},
 	}
-	if o.churn.Enabled() {
+	if o.cfg.Churn.Enabled() {
 		// Elastic sweeps report the turnover they generated, so tails
 		// and garbage are explainable per lease rate.
 		metrics = append(metrics,
@@ -529,11 +512,11 @@ func (o storeSweepOpts) run() error {
 	// Ask the store layer itself whether the backing scans (a throwaway
 	// probe, the harness.RangeCapable pattern) — this also surfaces an
 	// unknown -backing as an error before the sweep starts.
-	probe, err := store.New(core.NewDomainGroup(core.NR, 1, 1, nil), store.Config{Shards: 1, Backing: o.backing})
+	probe, err := store.New(core.NewDomainGroup(core.NR, 1, 1, nil), store.Config{Shards: 1, Backing: o.cfg.Backing})
 	if err != nil {
 		return err
 	}
-	traceMode := len(o.trace) > 0
+	traceMode := len(o.cfg.Trace) > 0
 	mix := workload.StoreServe
 	mixLabel := "serve mix"
 	if o.ycsb != "" {
@@ -542,22 +525,22 @@ func (o storeSweepOpts) run() error {
 			return err
 		}
 		mix = w.Mix
-		o.dist = w.Dist
+		o.cfg.Dist = w.Dist
 		mixLabel = "YCSB " + w.Name
 	}
 	if traceMode {
-		mixLabel = fmt.Sprintf("trace %s, %d ops", o.traceName, len(o.trace))
-		if o.tracePaced {
+		mixLabel = fmt.Sprintf("trace %s, %d ops", o.traceName, len(o.cfg.Trace))
+		if o.cfg.TracePaced {
 			mixLabel += ", paced"
 		}
 	}
 	switch {
 	case probe.Ordered():
-		metrics = append(metrics, figures.StoreLat("scan latency p99 (µs)", harness.SOpScan, 0.99))
+		metrics = append(metrics, figures.StoreLat("scan latency p99 (µs)", workload.StoreScan, 0.99))
 	case o.ycsb != "" && mix.ScanPct > 0:
 		// A scanning YCSB workload on an unordered backing would not be
 		// that workload anymore; scan traces are rejected by the harness.
-		return fmt.Errorf("YCSB %s scans but backing %q is unordered (pick skl, abt, hml, ll or dgt)", o.ycsb, o.backing)
+		return fmt.Errorf("YCSB %s scans but backing %q is unordered (pick skl, abt, hml, ll or dgt)", o.ycsb, o.cfg.Backing)
 	default:
 		// Unordered backings cannot scan: fold the scan share into gets.
 		mix.GetPct += mix.ScanPct
@@ -576,23 +559,24 @@ func (o storeSweepOpts) run() error {
 		mix.MPutPct += o.mputPct
 	}
 	if mix.RMWPct > 0 || traceMode {
-		metrics = append(metrics, figures.StoreLat("rmw latency p99 (µs)", harness.SOpRMW, 0.99))
+		metrics = append(metrics, figures.StoreLat("rmw latency p99 (µs)", workload.StoreRMW, 0.99))
 	}
 	if mix.MPutPct > 0 {
-		metrics = append(metrics, figures.StoreLat("mput latency p99 (µs)", harness.SOpMPut, 0.99))
+		metrics = append(metrics, figures.StoreLat("mput latency p99 (µs)", workload.StoreMPut, 0.99))
 	}
-	if o.chaos.Enabled() {
+	if o.cfg.Chaos.Enabled() {
 		metrics = append(metrics, chaosMetrics(func(r R) chaos.Stats { return r.Chaos })...)
 	}
+	o.cfg.Mix = mix
 
-	title := fmt.Sprintf("store %s (%s, %d keys, %v dist, %d threads)", o.backing, mixLabel, o.keys, o.dist, threads)
+	title := fmt.Sprintf("store %s (%s, %d keys, %v dist, %d threads)", o.cfg.Backing, mixLabel, o.cfg.Keys, o.cfg.Dist, o.cfg.Threads)
 	if o.valSpec != "" {
 		title += " valsize=" + o.valSpec
 	}
-	if o.churn.Enabled() {
-		title += fmt.Sprintf(" churn=%d", o.churn.AfterOps)
+	if o.cfg.Churn.Enabled() {
+		title += fmt.Sprintf(" churn=%d", o.cfg.Churn.AfterOps)
 	}
-	if o.chaos.Enabled() {
+	if o.cfg.Chaos.Enabled() {
 		title += " chaos"
 	}
 
@@ -619,31 +603,9 @@ func (o storeSweepOpts) run() error {
 		Title: title, XLabel: "shards×batch",
 		Rows: labels, Cols: figures.PolicyNames(o.policies), Metrics: metrics,
 		Run: func(r, c int) (R, error) {
-			res, err := harness.RunStore(harness.StoreConfig{
-				Policy:           o.policies[c],
-				Threads:          threads,
-				Duration:         o.duration,
-				Keys:             o.keys,
-				Shards:           rows[r].shards,
-				Groups:           rows[r].groups,
-				Backing:          o.backing,
-				Mix:              mix,
-				Dist:             o.dist,
-				Churn:            o.churn,
-				Trace:            o.trace,
-				TracePaced:       o.tracePaced,
-				Chaos:            o.chaos,
-				ChaosStart:       o.chaosStart,
-				ChaosStop:        o.chaosStop,
-				SampleEvery:      o.sample,
-				BatchSize:        rows[r].batch,
-				ValueMin:         o.valMin,
-				ValueMax:         o.valMax,
-				ValueSmallPct:    o.valSmallPct,
-				OpLatency:        true,
-				ReclaimThreshold: o.rthresh,
-				Seed:             o.seed,
-			})
+			cfg := o.cfg
+			cfg.Policy, cfg.Shards, cfg.Groups, cfg.BatchSize = o.policies[c], rows[r].shards, rows[r].groups, rows[r].batch
+			res, err := harness.RunStore(cfg)
 			cellTimelines[r*len(o.policies)+c] = res.Timeline
 			return res, err
 		},
@@ -651,15 +613,15 @@ func (o storeSweepOpts) run() error {
 	if err != nil {
 		return err
 	}
-	recs := seriesRecords("store", o.backing, metrics, series)
+	recs := seriesRecords("store", o.cfg.Backing, metrics, series)
 	for i := range recs {
 		row := rows[i/len(o.policies)]
-		recs[i].Shards, recs[i].Groups, recs[i].Batch, recs[i].Threads = row.shards, row.groups, row.batch, threads
+		recs[i].Shards, recs[i].Groups, recs[i].Batch, recs[i].Threads = row.shards, row.groups, row.batch, o.cfg.Threads
 		recs[i].Timeline = cellTimelines[i]
 		if tl := cellTimelines[i]; tl != nil {
 			series = append(series, figures.TimelineSeries(
 				fmt.Sprintf("%s — timeline [shards=%d groups=%d batch=%d policy=%s, sample %v]",
-					title, row.shards, row.groups, row.batch, recs[i].Policy, o.sample), tl))
+					title, row.shards, row.groups, row.batch, recs[i].Policy, o.cfg.SampleEvery), tl))
 		}
 	}
 	return o.emit(series, recs)
@@ -747,7 +709,7 @@ func (o sweepOpts) run() error {
 		// stay comparable across structures. Pass -rangepct explicitly to
 		// add scans to a kv sweep.
 		o.rangePct = 0
-		if harness.RangeCapable(o.ds) && mix.RangePct == 0 && mix.OverwritePct == 0 && mix.ContainsPct >= 10 {
+		if harness.RangeCapable(o.cfg.DS) && mix.RangePct == 0 && mix.OverwritePct == 0 && mix.ContainsPct >= 10 {
 			o.rangePct = 10
 		}
 	}
@@ -760,32 +722,33 @@ func (o sweepOpts) run() error {
 		mix.ContainsPct -= o.rangePct
 		mix.RangePct += o.rangePct
 	}
-	if o.rangeSpan <= 0 {
-		return fmt.Errorf("-rangespan must be positive, got %d", o.rangeSpan)
+	if o.cfg.RangeSpan <= 0 {
+		return fmt.Errorf("-rangespan must be positive, got %d", o.cfg.RangeSpan)
 	}
+	o.cfg.Mix = mix
 
-	title := fmt.Sprintf("%s %s (keyrange %d", o.ds, o.mix, o.keys)
+	title := fmt.Sprintf("%s %s (keyrange %d", o.cfg.DS, o.mix, o.cfg.KeyRange)
 	if mix.RangePct > 0 {
-		title += fmt.Sprintf(", %d%% range queries, span %d", mix.RangePct, o.rangeSpan)
+		title += fmt.Sprintf(", %d%% range queries, span %d", mix.RangePct, o.cfg.RangeSpan)
 	}
-	if o.churn.Enabled() {
-		title += fmt.Sprintf(", churn %d ops/lease", o.churn.AfterOps)
+	if o.cfg.Churn.Enabled() {
+		title += fmt.Sprintf(", churn %d ops/lease", o.cfg.Churn.AfterOps)
 	}
 	title += ")"
 	type R = harness.Result
 	metrics := []figures.Metric[R]{
 		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
 	}
-	// Per-op-class tail latencies: direct sweeps always profile
-	// (harness.Config.OpLatency below), so the read/write split is
+	// Per-op tail latencies: direct sweeps always profile
+	// (harness.Config.OpLatency, set in main), so the read/write split is
 	// visible per policy, not just the blended mean.
-	for _, cl := range []harness.OpClass{harness.OpGet, harness.OpPut, harness.OpOverwrite, harness.OpDelete} {
-		if cl.MixShare(mix) == 0 {
+	for _, op := range []workload.Op{workload.Get, workload.Put, workload.Overwrite, workload.Delete} {
+		if mix.Share(op) == 0 {
 			continue
 		}
 		metrics = append(metrics,
-			figures.OpLat(fmt.Sprintf("%v latency p50 (µs)", cl), cl, 0.50),
-			figures.OpLat(fmt.Sprintf("%v latency p99 (µs)", cl), cl, 0.99),
+			figures.OpLat(fmt.Sprintf("%v latency p50 (µs)", op), op, 0.50),
+			figures.OpLat(fmt.Sprintf("%v latency p99 (µs)", op), op, 0.99),
 		)
 	}
 	metrics = append(metrics,
@@ -797,25 +760,25 @@ func (o sweepOpts) run() error {
 		metrics = append(metrics,
 			figures.Metric[R]{Name: "range throughput (scans/s)", Get: func(r R) float64 { return r.RangeTput }},
 			figures.Metric[R]{Name: "keys per scan", Get: func(r R) float64 {
-				if r.RangeOps == 0 {
+				if r.OpCounts[workload.RangeQuery] == 0 {
 					return 0
 				}
-				return float64(r.RangeKeys) / float64(r.RangeOps)
+				return float64(r.RangeKeys) / float64(r.OpCounts[workload.RangeQuery])
 			}},
 			// The scan-latency tail per policy — the histogram popbench
 			// exists to expose: long reads hurt different schemes very
 			// differently (cf. the paper's §5.1.2).
-			figures.OpLat("scan latency p50 (µs)", harness.OpScan, 0.50),
-			figures.OpLat("scan latency p90 (µs)", harness.OpScan, 0.90),
-			figures.OpLat("scan latency p99 (µs)", harness.OpScan, 0.99),
-			figures.OpLat("scan latency max (µs)", harness.OpScan, 1),
+			figures.OpLat("scan latency p50 (µs)", workload.RangeQuery, 0.50),
+			figures.OpLat("scan latency p90 (µs)", workload.RangeQuery, 0.90),
+			figures.OpLat("scan latency p99 (µs)", workload.RangeQuery, 0.99),
+			figures.OpLat("scan latency max (µs)", workload.RangeQuery, 1),
 		)
 	}
 	metrics = append(metrics,
 		figures.Metric[R]{Name: "unreclaimed at run end (nodes)", Get: func(r R) float64 { return float64(r.Unreclaimed) }},
 		figures.Metric[R]{Name: "leaked after flush (nodes)", Get: func(r R) float64 { return float64(r.LeakedAfter) }},
 	)
-	if o.churn.Enabled() {
+	if o.cfg.Churn.Enabled() {
 		metrics = append(metrics,
 			figures.Metric[R]{Name: "thread releases", Get: func(r R) float64 { return float64(r.Lifecycle.Releases) }},
 			figures.Metric[R]{Name: "orphan nodes adopted", Get: func(r R) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
@@ -826,26 +789,15 @@ func (o sweepOpts) run() error {
 		Title: title, XLabel: "threads",
 		Rows: figures.Labels(o.threads), Cols: figures.PolicyNames(o.policies), Metrics: metrics,
 		Run: func(r, c int) (R, error) {
-			return harness.Run(harness.Config{
-				DS:               o.ds,
-				Policy:           o.policies[c],
-				Threads:          o.threads[r],
-				Duration:         o.duration,
-				KeyRange:         o.keys,
-				Mix:              mix,
-				RangeSpan:        o.rangeSpan,
-				Dist:             o.dist,
-				Churn:            o.churn,
-				ReclaimThreshold: o.rthresh,
-				OpLatency:        true,
-				Seed:             o.seed,
-			})
+			cfg := o.cfg
+			cfg.Policy, cfg.Threads = o.policies[c], o.threads[r]
+			return harness.Run(cfg)
 		},
 	}.Series(o.log)
 	if err != nil {
 		return err
 	}
-	return o.emit(series, seriesRecords("ds", o.ds, metrics, series))
+	return o.emit(series, seriesRecords("ds", o.cfg.DS, metrics, series))
 }
 
 // parseValSize parses the -valsize spec into harness StoreConfig value

@@ -81,6 +81,11 @@ func main() {
 	fmt.Println("popstress: all trials passed")
 }
 
+// tuning is both modes' reclamation setting: a tiny retire threshold
+// and epoch cadence (constant reclamation pressure) and a small
+// Crystalline batch.
+var tuning = core.Options{ReclaimThreshold: 48, EpochFreq: 8, BatchSize: 8}
+
 // matrix runs every structure × policy under the update-heavy mix with
 // tiny thresholds and checks the shared invariants.
 func matrix(structures []string, policies []core.Policy, threads int, duration time.Duration, keyRange int64, stall bool, seed uint64) int {
@@ -88,16 +93,14 @@ func matrix(structures []string, policies []core.Policy, threads int, duration t
 	for _, dsName := range structures {
 		for _, p := range policies {
 			cfg := harness.Config{
-				DS:               dsName,
-				Policy:           p,
-				Threads:          threads,
-				Duration:         duration,
-				KeyRange:         keyRange,
-				Mix:              workload.UpdateHeavy,
-				ReclaimThreshold: 48, // tiny: constant reclamation pressure
-				EpochFreq:        8,
-				BatchSize:        8,
-				Seed:             seed,
+				DS:       dsName,
+				Policy:   p,
+				Threads:  threads,
+				Duration: duration,
+				KeyRange: keyRange,
+				Mix:      workload.UpdateHeavy,
+				Reclaim:  tuning,
+				Seed:     seed,
 			}
 			if stall {
 				cfg.StallEvery = 2 * time.Millisecond
@@ -116,7 +119,7 @@ func matrix(structures []string, policies []core.Policy, threads int, duration t
 			}
 			fmt.Printf("ok   %-5s %-13v ops=%-9d retires=%-8d frees=%-8d pings=%-6d maxRetire=%d\n",
 				dsName, p, res.Ops, res.Reclaim.Retires, res.Reclaim.Frees,
-				res.Reclaim.PingsSent, res.MaxRetire)
+				res.Reclaim.PingsSent, res.Reclaim.MaxRetire)
 		}
 	}
 	return failures
@@ -129,16 +132,14 @@ func storeChaos(policies []core.Policy, threads int, duration time.Duration, key
 	failures := 0
 	for _, p := range policies {
 		res, err := harness.RunStore(harness.StoreConfig{
-			Policy:           p,
-			Threads:          threads,
-			Duration:         duration,
-			Keys:             keyRange,
-			Shards:           4,
-			Seed:             seed,
-			ReclaimThreshold: 48,
-			EpochFreq:        8,
-			BatchSize:        8,
-			Chaos:            chaos.Default(),
+			Policy:   p,
+			Threads:  threads,
+			Duration: duration,
+			Keys:     keyRange,
+			Shards:   4,
+			Seed:     seed,
+			Reclaim:  tuning,
+			Chaos:    chaos.Default(),
 		})
 		if err != nil {
 			fmt.Printf("FAIL store %-13v run error: %v\n", p, err)

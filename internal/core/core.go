@@ -64,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 	"unsafe"
 
 	"pop/internal/padded"
@@ -172,9 +171,6 @@ type Options struct {
 	// reaches CMult*ReclaimThreshold despite epoch reclamation, the
 	// publish-on-ping path is engaged (paper Alg. 3 line 26).
 	CMult int
-	// AsymDrain is the reclaimer-side wait that stands in for
-	// sys_membarrier in HPAsym (the substitution hpasym.go describes).
-	AsymDrain time.Duration
 	// BatchSize is the Crystalline-lite batch size.
 	BatchSize int
 }
@@ -189,9 +185,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.CMult <= 1 {
 		out.CMult = 2
-	}
-	if out.AsymDrain <= 0 {
-		out.AsymDrain = 10 * time.Microsecond
 	}
 	if out.BatchSize <= 0 {
 		out.BatchSize = 64

@@ -12,7 +12,7 @@ import (
 // to force a barrier on every CPU before scanning.
 //
 // Substitution: Go has no process-wide membarrier, so the
-// reclaimer issues a full fence of its own and then waits AsymDrain
+// reclaimer issues a full fence of its own and then waits asymDrain
 // before scanning, relying on the temporally-bounded-TSO property
 // (Morrison & Afek [46]) that a store buffer drains within a bounded,
 // sub-microsecond window on real hardware. A reservation that is missed
@@ -25,12 +25,15 @@ import (
 // asymFence is the dummy word the reclaimer RMWs to order itself.
 var asymFence atomic.Uint64
 
+// asymDrain is the reclaimer-side wait that stands in for sys_membarrier.
+const asymDrain = 10 * time.Microsecond
+
 // reclaimHPAsym is HP's behind the membarrier substitution: fence
 // ourselves, then give every other CPU's store buffer time to drain so
 // the readers' plain stores are visible to the scan.
 func (t *Thread) reclaimHPAsym() {
 	asymFence.Add(1)
-	sleepFor(t.d.opts.AsymDrain)
+	sleepFor(asymDrain)
 	t.sweepPtrs(nil)
 }
 

@@ -177,26 +177,25 @@ func Labels[T int | uint64](xs []T) []string {
 var (
 	mThroughput  = Metric[harness.Result]{"throughput (ops/s)", func(r harness.Result) float64 { return r.Throughput }}
 	mRangeTput   = Metric[harness.Result]{"range throughput (scans/s)", func(r harness.Result) float64 { return r.RangeTput }}
-	mMaxRetire   = Metric[harness.Result]{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.MaxRetire) }}
+	mMaxRetire   = Metric[harness.Result]{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.Reclaim.MaxRetire) }}
 	mPeakRes     = Metric[harness.Result]{"peak resident nodes", func(r harness.Result) float64 { return float64(r.PeakResident) }}
 	mUnreclaimed = Metric[harness.Result]{"total unreclaimed nodes", func(r harness.Result) float64 { return float64(r.Unreclaimed) }}
 
 	sThroughput  = Metric[harness.StoreResult]{"throughput (ops/s)", func(r harness.StoreResult) float64 { return r.Throughput }}
-	sStale       = Metric[harness.StoreResult]{"stale value reads", func(r harness.StoreResult) float64 { return float64(r.Stale) }}
+	sStale       = Metric[harness.StoreResult]{"stale value reads", func(r harness.StoreResult) float64 { return float64(r.Store.StaleReads) }}
 	sValueErrs   = Metric[harness.StoreResult]{"value checksum failures", func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }}
 	sUnreclaimed = Metric[harness.StoreResult]{"unreclaimed at run end (nodes)", func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }}
 )
 
-// OpLat is LatencyMetric over one op class of a map trial (the scan
-// class is timed whenever the mix scans, the others under
-// harness.Config.OpLatency).
-func OpLat(name string, class harness.OpClass, q float64) Metric[harness.Result] {
-	return LatencyMetric(name, func(r harness.Result) *report.Histogram { return r.OpLat[class] }, q)
+// OpLat is LatencyMetric over one op of a map trial (scans are timed
+// whenever the mix scans, the other ops under harness.Config.OpLatency).
+func OpLat(name string, op workload.Op, q float64) Metric[harness.Result] {
+	return LatencyMetric(name, func(r harness.Result) *report.Histogram { return r.OpLat[op] }, q)
 }
 
-// StoreLat is LatencyMetric over one op class of a store trial.
-func StoreLat(name string, class harness.StoreOpClass, q float64) Metric[harness.StoreResult] {
-	return LatencyMetric(name, func(r harness.StoreResult) *report.Histogram { return r.OpLat[class] }, q)
+// StoreLat is LatencyMetric over one op of a store trial.
+func StoreLat(name string, op workload.StoreOp, q float64) Metric[harness.StoreResult] {
+	return LatencyMetric(name, func(r harness.StoreResult) *report.Histogram { return r.OpLat[op] }, q)
 }
 
 // scaleSize divides a paper size by the context scale with a floor.
@@ -255,9 +254,9 @@ func threadSweep(c Ctx, title string, cfgBase harness.Config, policies []core.Po
 // unless fixed (the 2K lists are already laptop-scale and their size is
 // the point).
 func paperConfig(c Ctx, dsName string, paperSize int64, fixed bool, mix workload.Mix) harness.Config {
-	cfg := harness.Config{DS: dsName, KeyRange: paperSize, Mix: mix, ReclaimThreshold: 24576}
+	cfg := harness.Config{DS: dsName, KeyRange: paperSize, Mix: mix, Reclaim: core.Options{ReclaimThreshold: 24576}}
 	if !fixed {
-		cfg.KeyRange, cfg.ReclaimThreshold = scaleSize(c, paperSize), scaleThreshold(c, 24576)
+		cfg.KeyRange, cfg.Reclaim.ReclaimThreshold = scaleSize(c, paperSize), scaleThreshold(c, 24576)
 	}
 	return cfg
 }
@@ -349,14 +348,14 @@ func longReadsFigure() Figure {
 				var nrTput float64
 				run := func(p core.Policy) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSHarrisMichaelList,
-						Policy:           p,
-						Threads:          threads,
-						Duration:         c.Duration,
-						KeyRange:         size,
-						LongReads:        true,
-						Seed:             c.Seed,
-						ReclaimThreshold: scaleThreshold(c, 2048),
+						DS:        harness.DSHarrisMichaelList,
+						Policy:    p,
+						Threads:   threads,
+						Duration:  c.Duration,
+						KeyRange:  size,
+						LongReads: true,
+						Seed:      c.Seed,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 2048)},
 					})
 				}
 				c.Log("  fig4: size=%d policy=NR (baseline)", size)
@@ -379,7 +378,7 @@ func longReadsFigure() Figure {
 					if nrTput > 0 {
 						cells[pi] = res.ReadTput / nrTput
 					}
-					mems[pi] = float64(res.MaxRetire)
+					mems[pi] = float64(res.Reclaim.MaxRetire)
 				}
 				label := fmt.Sprintf("%d", size)
 				ratio.AddRow(label, cells)
@@ -442,15 +441,15 @@ func stallFigure() Figure {
 				},
 				Run: func(_, col int) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSHarrisMichaelList,
-						Policy:           policies[col],
-						Threads:          topThreads(c, 2),
-						Duration:         c.Duration,
-						KeyRange:         2048,
-						ReclaimThreshold: 128,
-						StallEvery:       2 * time.Millisecond,
-						StallLength:      c.Duration / 4,
-						Seed:             c.Seed,
+						DS:          harness.DSHarrisMichaelList,
+						Policy:      policies[col],
+						Threads:     topThreads(c, 2),
+						Duration:    c.Duration,
+						KeyRange:    2048,
+						Reclaim:     core.Options{ReclaimThreshold: 128},
+						StallEvery:  2 * time.Millisecond,
+						StallLength: c.Duration / 4,
+						Seed:        c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -474,13 +473,13 @@ func ablateThreshold() Figure {
 				Metrics: []Metric[harness.Result]{mThroughput, mPeakRes},
 				Run: func(r, col int) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSHarrisMichaelList,
-						Policy:           policies[col],
-						Threads:          topThreads(c, 1),
-						Duration:         c.Duration,
-						KeyRange:         2048,
-						ReclaimThreshold: thresholds[r],
-						Seed:             c.Seed,
+						DS:       harness.DSHarrisMichaelList,
+						Policy:   policies[col],
+						Threads:  topThreads(c, 1),
+						Duration: c.Duration,
+						KeyRange: 2048,
+						Reclaim:  core.Options{ReclaimThreshold: thresholds[r]},
+						Seed:     c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -504,14 +503,13 @@ func ablateEpochFreq() Figure {
 				Metrics: []Metric[harness.Result]{mThroughput, mPeakRes},
 				Run: func(r, col int) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSExternalBST,
-						Policy:           policies[col],
-						Threads:          topThreads(c, 1),
-						Duration:         c.Duration,
-						KeyRange:         scaleSize(c, 200_000),
-						EpochFreq:        freqs[r],
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						DS:       harness.DSExternalBST,
+						Policy:   policies[col],
+						Threads:  topThreads(c, 1),
+						Duration: c.Duration,
+						KeyRange: scaleSize(c, 200_000),
+						Reclaim:  core.Options{ReclaimThreshold: scaleThreshold(c, 24576), EpochFreq: freqs[r]},
+						Seed:     c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -533,16 +531,15 @@ func ablateCMult() Figure {
 			for _, cm := range []int{2, 4, 8, 16} {
 				c.Log("  ablate-c: C=%d", cm)
 				res, err := harness.Run(harness.Config{
-					DS:               harness.DSHarrisMichaelList,
-					Policy:           core.EpochPOP,
-					Threads:          threads,
-					Duration:         c.Duration,
-					KeyRange:         2048,
-					ReclaimThreshold: 128,
-					CMult:            cm,
-					StallEvery:       2 * time.Millisecond,
-					StallLength:      c.Duration / 4,
-					Seed:             c.Seed,
+					DS:          harness.DSHarrisMichaelList,
+					Policy:      core.EpochPOP,
+					Threads:     threads,
+					Duration:    c.Duration,
+					KeyRange:    2048,
+					Reclaim:     core.Options{ReclaimThreshold: 128, CMult: cm},
+					StallEvery:  2 * time.Millisecond,
+					StallLength: c.Duration / 4,
+					Seed:        c.Seed,
 				})
 				if err != nil {
 					return nil, err
@@ -573,12 +570,12 @@ func scanHeavyFigure(id, what, dsName string, paperSize int64) Figure {
 	return sweepFigure(id, what, func(c Ctx) harness.Config {
 		cfg := paperConfig(c, dsName, paperSize, false, workload.ScanHeavy)
 		cfg.RangeSpan = 100
-		cfg.ReclaimThreshold = scaleThreshold(c, 2048)
+		cfg.Reclaim.ReclaimThreshold = scaleThreshold(c, 2048)
 		return cfg
 	},
 		mThroughput, mRangeTput,
-		OpLat("scan p50 (µs)", harness.OpScan, 0.50),
-		OpLat("scan p99 (µs)", harness.OpScan, 0.99),
+		OpLat("scan p50 (µs)", workload.RangeQuery, 0.50),
+		OpLat("scan p99 (µs)", workload.RangeQuery, 0.99),
 		mMaxRetire, mUnreclaimed,
 	)
 }
@@ -597,11 +594,11 @@ func kvFigure(id, what, dsName string, paperSize int64) Figure {
 		return cfg
 	},
 		mThroughput,
-		OpLat("get p50 (µs)", harness.OpGet, 0.50),
-		OpLat("get p99 (µs)", harness.OpGet, 0.99),
-		OpLat("put p99 (µs)", harness.OpPut, 0.99),
-		OpLat("overwrite p99 (µs)", harness.OpOverwrite, 0.99),
-		OpLat("delete p99 (µs)", harness.OpDelete, 0.99),
+		OpLat("get p50 (µs)", workload.Get, 0.50),
+		OpLat("get p99 (µs)", workload.Get, 0.99),
+		OpLat("put p99 (µs)", workload.Put, 0.99),
+		OpLat("overwrite p99 (µs)", workload.Overwrite, 0.99),
+		OpLat("delete p99 (µs)", workload.Delete, 0.99),
 		mMaxRetire,
 	)
 }
@@ -627,24 +624,24 @@ func storeServeFigure() Figure {
 				Metrics: []Metric[harness.StoreResult]{
 					sThroughput,
 					{"served keys/s", func(r harness.StoreResult) float64 { return r.KeyTput }},
-					StoreLat("get p50 (µs)", harness.SOpGet, 0.50),
-					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
-					StoreLat("mget p99 (µs)", harness.SOpMGet, 0.99),
-					StoreLat("scan p99 (µs)", harness.SOpScan, 0.99),
-					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					StoreLat("get p50 (µs)", workload.StoreGet, 0.50),
+					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
+					StoreLat("mget p99 (µs)", workload.StoreMGet, 0.99),
+					StoreLat("scan p99 (µs)", workload.StoreScan, 0.99),
+					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
 					sStale, sValueErrs, sUnreclaimed,
 				},
 				Run: func(r, col int) (harness.StoreResult, error) {
 					return harness.RunStore(harness.StoreConfig{
-						Policy:           policies[col],
-						Threads:          c.Threads[r],
-						Duration:         c.Duration,
-						Keys:             scaleSize(c, 4_000_000),
-						Shards:           8,
-						Dist:             workload.Zipf,
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						Policy:    policies[col],
+						Threads:   c.Threads[r],
+						Duration:  c.Duration,
+						Keys:      scaleSize(c, 4_000_000),
+						Shards:    8,
+						Dist:      workload.Zipf,
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -693,8 +690,8 @@ func pingFanoutFigure() Figure {
 				Rows:   Labels(threads), Cols: names,
 				Metrics: []Metric[harness.StoreResult]{
 					sThroughput,
-					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
-					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
+					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
 					{"reclaim pings per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
 					{"reclaim threads scanned per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
 					sUnreclaimed,
@@ -712,11 +709,11 @@ func pingFanoutFigure() Figure {
 						// flatten the per-member fan-out this figure measures.
 						// The batched-put share exercises PutBatch's
 						// one-protected-op-per-shard-group write path.
-						Mix:              workload.StoreMix{GetPct: 60, PutPct: 15, MGetPct: 10, MPutPct: 10, DeletePct: 5},
-						Dist:             workload.Zipf,
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						Mix:       workload.StoreMix{GetPct: 60, PutPct: 15, MGetPct: 10, MPutPct: 10, DeletePct: 5},
+						Dist:      workload.Zipf,
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -751,24 +748,24 @@ func ycsbFigure() Figure {
 				Rows:   rows, Cols: PolicyNames(policies),
 				Metrics: []Metric[harness.StoreResult]{
 					sThroughput,
-					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
-					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
-					StoreLat("rmw p99 (µs)", harness.SOpRMW, 0.99),
-					StoreLat("scan p99 (µs)", harness.SOpScan, 0.99),
+					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
+					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
+					StoreLat("rmw p99 (µs)", workload.StoreRMW, 0.99),
+					StoreLat("scan p99 (µs)", workload.StoreScan, 0.99),
 					sValueErrs, sUnreclaimed,
 				},
 				Run: func(r, col int) (harness.StoreResult, error) {
 					return harness.RunStore(harness.StoreConfig{
-						Policy:           policies[col],
-						Threads:          threads,
-						Duration:         c.Duration,
-						Keys:             scaleSize(c, 4_000_000),
-						Shards:           8,
-						Mix:              ws[r].Mix,
-						Dist:             ws[r].Dist,
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						Policy:    policies[col],
+						Threads:   threads,
+						Duration:  c.Duration,
+						Keys:      scaleSize(c, 4_000_000),
+						Shards:    8,
+						Mix:       ws[r].Mix,
+						Dist:      ws[r].Dist,
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -816,28 +813,28 @@ func hotpathFigure() Figure {
 				Rows:   PolicyNames(policies), Cols: names,
 				Metrics: []Metric[harness.StoreResult]{
 					sThroughput,
-					StoreLat("get p50 (µs)", harness.SOpGet, 0.50),
-					StoreLat("get p99 (µs)", harness.SOpGet, 0.99),
-					StoreLat("put p99 (µs)", harness.SOpPut, 0.99),
+					StoreLat("get p50 (µs)", workload.StoreGet, 0.50),
+					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
+					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
 					{"allocs/op", func(r harness.StoreResult) float64 { return r.AllocsPerOp }},
 					{"alloc bytes/op", func(r harness.StoreResult) float64 { return r.AllocBytesPerOp }},
 					sStale, sValueErrs,
 				},
 				Run: func(r, col int) (harness.StoreResult, error) {
 					return harness.RunStore(harness.StoreConfig{
-						Policy:           policies[r],
-						Threads:          threads,
-						Duration:         c.Duration,
-						Keys:             scaleSize(c, 4_000_000),
-						Shards:           8,
-						Backing:          vs[col].backing,
-						Mix:              w.Mix,
-						Dist:             w.Dist,
-						ValueMin:         vs[col].valLen,
-						ValueMax:         vs[col].valLen,
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						Policy:    policies[r],
+						Threads:   threads,
+						Duration:  c.Duration,
+						Keys:      scaleSize(c, 4_000_000),
+						Shards:    8,
+						Backing:   vs[col].backing,
+						Mix:       w.Mix,
+						Dist:      w.Dist,
+						ValueMin:  vs[col].valLen,
+						ValueMax:  vs[col].valLen,
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -932,21 +929,21 @@ func nbrOverwriteFigure() Figure {
 				Rows:   Labels(pcts), Cols: PolicyNames(policies),
 				Metrics: []Metric[harness.Result]{
 					mThroughput,
-					OpLat("overwrite p99 (µs)", harness.OpOverwrite, 0.99),
+					OpLat("overwrite p99 (µs)", workload.Overwrite, 0.99),
 					{"NBR restarts", func(r harness.Result) float64 { return float64(r.Reclaim.Restarts) }},
 					{"publish-handler runs", func(r harness.Result) float64 { return float64(r.Reclaim.Publishes) }},
 				},
 				Run: func(r, col int) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSHarrisMichaelList,
-						Policy:           policies[col],
-						Threads:          threads,
-						Duration:         c.Duration,
-						KeyRange:         2048,
-						Mix:              workload.Mix{ContainsPct: 100 - pcts[r], OverwritePct: pcts[r]},
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 2048),
-						Seed:             c.Seed,
+						DS:        harness.DSHarrisMichaelList,
+						Policy:    policies[col],
+						Threads:   threads,
+						Duration:  c.Duration,
+						KeyRange:  2048,
+						Mix:       workload.Mix{ContainsPct: 100 - pcts[r], OverwritePct: pcts[r]},
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 2048)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -980,24 +977,24 @@ func churnFigure() Figure {
 				Rows:   rows, Cols: PolicyNames(policies),
 				Metrics: []Metric[harness.Result]{
 					mThroughput,
-					OpLat("get latency p99 (µs)", harness.OpGet, 0.99),
-					OpLat("overwrite latency p99 (µs)", harness.OpOverwrite, 0.99),
+					OpLat("get latency p99 (µs)", workload.Get, 0.99),
+					OpLat("overwrite latency p99 (µs)", workload.Overwrite, 0.99),
 					{"unreclaimed at run end (nodes)", mUnreclaimed.Get},
 					{"thread releases", func(r harness.Result) float64 { return float64(r.Lifecycle.Releases) }},
 					{"orphan nodes adopted", func(r harness.Result) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
 				},
 				Run: func(r, col int) (harness.Result, error) {
 					return harness.Run(harness.Config{
-						DS:               harness.DSSkipList,
-						Policy:           policies[col],
-						Threads:          threads,
-						Duration:         c.Duration,
-						KeyRange:         scaleSize(c, 1_000_000),
-						Mix:              workload.KVStore,
-						Churn:            workload.Churn{AfterOps: leases[r]},
-						OpLatency:        true,
-						ReclaimThreshold: scaleThreshold(c, 24576),
-						Seed:             c.Seed,
+						DS:        harness.DSSkipList,
+						Policy:    policies[col],
+						Threads:   threads,
+						Duration:  c.Duration,
+						KeyRange:  scaleSize(c, 1_000_000),
+						Mix:       workload.KVStore,
+						Churn:     workload.Churn{AfterOps: leases[r]},
+						OpLatency: true,
+						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+						Seed:      c.Seed,
 					})
 				},
 			}.Series(c.Log)
@@ -1119,12 +1116,12 @@ func timelineFigure() Figure {
 					Dist:     w.Dist,
 					// Stalled readers only: the burst must be attributable to
 					// pinned read windows, not GC or lease churn.
-					Chaos:            chaos.Config{Stalls: 2},
-					ChaosStart:       c.Duration / 4,
-					ChaosStop:        c.Duration / 2,
-					SampleEvery:      every,
-					ReclaimThreshold: scaleThreshold(c, 24576),
-					Seed:             c.Seed,
+					Chaos:       chaos.Config{Stalls: 2},
+					ChaosStart:  c.Duration / 4,
+					ChaosStop:   c.Duration / 2,
+					SampleEvery: every,
+					Reclaim:     core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
+					Seed:        c.Seed,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("timeline [policy=%v]: %w", p, err)

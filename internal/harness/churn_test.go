@@ -17,14 +17,14 @@ func TestChurnTrial(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			res, err := Run(Config{
-				DS:               DSSkipList,
-				Policy:           p,
-				Threads:          4,
-				Duration:         150 * time.Millisecond,
-				KeyRange:         4096,
-				Mix:              workload.KVStore,
-				Churn:            workload.Churn{AfterOps: 500},
-				ReclaimThreshold: 256,
+				DS:       DSSkipList,
+				Policy:   p,
+				Threads:  4,
+				Duration: 150 * time.Millisecond,
+				KeyRange: 4096,
+				Mix:      workload.KVStore,
+				Churn:    workload.Churn{AfterOps: 500},
+				Reclaim:  core.Options{ReclaimThreshold: 256},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -59,13 +59,13 @@ func TestChurnTrial(t *testing.T) {
 // resize through the store's handle pool mid-measurement.
 func TestStoreChurnTrial(t *testing.T) {
 	res, err := RunStore(StoreConfig{
-		Policy:           core.EpochPOP,
-		Threads:          4,
-		Duration:         150 * time.Millisecond,
-		Keys:             4096,
-		Shards:           4,
-		Churn:            workload.Churn{AfterOps: 300},
-		ReclaimThreshold: 256,
+		Policy:   core.EpochPOP,
+		Threads:  4,
+		Duration: 150 * time.Millisecond,
+		Keys:     4096,
+		Shards:   4,
+		Churn:    workload.Churn{AfterOps: 300},
+		Reclaim:  core.Options{ReclaimThreshold: 256},
 	})
 	if err != nil {
 		t.Fatal(err)

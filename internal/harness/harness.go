@@ -12,22 +12,22 @@
 // is the value-plane symptom of a use-after-free), inserts carry
 // encoded payloads, and mixes with an OverwritePct component issue
 // upsert Puts that replace values on present keys (retiring nodes on
-// the replace-node structures). Counters split per operation class
-// (get/put/overwrite/delete/scan), and with Config.OpLatency set each
-// worker records every operation's wall-clock latency into a per-class
+// the replace-node structures). Counters and latency histograms are
+// indexed by workload.Op, whose String is the reporting name
+// (get/put/delete/scan/overwrite), and with Config.OpLatency set each
+// worker records every operation's wall-clock latency into a per-op
 // report.Histogram (merged across workers into Result.OpLat via one
 // shared helper), so p50/p99 read and write tails are comparable across
 // policies — the update-path tails where NBR restart storms and HP
 // fence costs live.
 //
 // Mixes with a RangePct component additionally account range queries
-// (ops, keys returned, throughput) and always record every scan's
-// latency (Result.ScanLat, an alias of the scan class in OpLat), the
-// long-read tail metric the figures and popbench sweeps compare across
-// policies. Range-bearing mixes require a structure implementing
-// ds.RangeScanner — DSSkipList or DSABTree, whose scans stress
-// reservations in opposite ways (per-node chains vs whole leaves); use
-// RangeCapable to test by name.
+// (keys returned, throughput) and always record every scan's latency
+// (Result.OpLat[workload.RangeQuery]), the long-read tail metric the
+// figures and popbench sweeps compare across policies. Range-bearing
+// mixes require a structure implementing ds.RangeScanner — DSSkipList
+// or DSABTree, whose scans stress reservations in opposite ways
+// (per-node chains vs whole leaves); use RangeCapable to test by name.
 //
 // Worker "threads" are goroutines; sweeping the thread count past
 // runtime.GOMAXPROCS reproduces the paper's oversubscription regime
@@ -69,63 +69,6 @@ func DSNames() []string {
 	return []string{DSExternalBST, DSHashTable, DSABTree, DSHarrisMichaelList, DSLazyList, DSSkipList}
 }
 
-// OpClass is one operation class for counters and latency histograms.
-type OpClass int
-
-// The operation classes, in reporting order.
-const (
-	OpGet OpClass = iota
-	OpPut
-	OpOverwrite
-	OpDelete
-	OpScan
-	NumOpClasses
-)
-
-var opClassNames = [NumOpClasses]string{"get", "put", "overwrite", "delete", "scan"}
-
-// String returns the class's reporting name.
-func (c OpClass) String() string {
-	if c >= 0 && c < NumOpClasses {
-		return opClassNames[c]
-	}
-	return fmt.Sprintf("OpClass(%d)", int(c))
-}
-
-// MixShare returns the class's percentage share of a mix — the one
-// OpClass↔Mix mapping, used by reporting layers to decide which
-// latency columns a mix can populate.
-func (c OpClass) MixShare(m workload.Mix) int {
-	switch c {
-	case OpGet:
-		return m.ContainsPct
-	case OpPut:
-		return m.InsertPct
-	case OpOverwrite:
-		return m.OverwritePct
-	case OpDelete:
-		return m.DeletePct
-	default:
-		return m.RangePct
-	}
-}
-
-// classOf maps a workload operation to its reporting class.
-func classOf(op workload.Op) OpClass {
-	switch op {
-	case workload.Contains:
-		return OpGet
-	case workload.Insert:
-		return OpPut
-	case workload.Overwrite:
-		return OpOverwrite
-	case workload.Delete:
-		return OpDelete
-	default:
-		return OpScan
-	}
-}
-
 // Config describes one trial.
 type Config struct {
 	DS       string        // data structure (DS* constants)
@@ -135,7 +78,6 @@ type Config struct {
 	KeyRange int64         // keys drawn from [0, KeyRange)
 	Mix      workload.Mix  // operation mixture
 	Seed     uint64        // trial seed (reproducible)
-	NoPrefil bool          // skip prefilling to KeyRange/2
 
 	// RangeSpan is the width of RangeQuery scans (keys per scan;
 	// default workload.DefaultRangeSpan). Only used when Mix.RangePct
@@ -143,10 +85,10 @@ type Config struct {
 	RangeSpan int64
 
 	// Dist selects the key-popularity distribution (uniform by
-	// default; workload.Zipf with ZipfS skew models skewed serving
-	// traffic). LongReads role mixes keep their uniform draws.
-	Dist  workload.Dist
-	ZipfS float64
+	// default; workload.Zipf, at workload.DefaultZipfS skew, models
+	// skewed serving traffic). LongReads role mixes keep their uniform
+	// draws.
+	Dist workload.Dist
 
 	// Churn enables the elastic mode: each worker releases its thread
 	// handle after Churn.AfterOps operations (donating unreclaimed
@@ -162,11 +104,9 @@ type Config struct {
 	// Scan latency is always recorded when the mix scans.
 	OpLatency bool
 
-	// Reclamation tuning (0 = paper defaults; see core.Options).
-	ReclaimThreshold int
-	EpochFreq        int
-	CMult            int
-	BatchSize        int
+	// Reclaim tunes every member domain (zero fields take the paper's
+	// defaults; see core.Options).
+	Reclaim core.Options
 
 	// LongReads enables the §5.1.2 asymmetric workload: the first half of
 	// the threads run contains-only over the whole key range; the second
@@ -180,9 +120,6 @@ type Config struct {
 	// reclaiming for the stall's duration.
 	StallEvery  time.Duration
 	StallLength time.Duration
-
-	// SamplePeriod is the memory-sampling interval (default 2ms).
-	SamplePeriod time.Duration
 
 	// SampleEvery enables live telemetry: an interval sampler snapshots
 	// the domain's counters every SampleEvery and Result.Timeline
@@ -215,9 +152,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RangeSpan <= 0 {
 		c.RangeSpan = workload.DefaultRangeSpan
 	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 2 * time.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed_cafe
 	}
@@ -229,28 +163,25 @@ type Result struct {
 	Config Config
 
 	Ops        uint64  // operations completed in the execution phase
-	ReadOps    uint64  // get/contains operations completed (== OpCounts[OpGet])
-	RangeOps   uint64  // range queries completed (== OpCounts[OpScan])
 	RangeKeys  uint64  // keys returned across all range queries
 	Throughput float64 // Ops per second of Elapsed
-	ReadTput   float64 // ReadOps per second (Fig. 4's metric)
-	RangeTput  float64 // RangeOps per second
+	ReadTput   float64 // gets (OpCounts[workload.Get]) per second (Fig. 4's metric)
+	RangeTput  float64 // range queries (OpCounts[workload.RangeQuery]) per second
 
 	// Elapsed is the measured execution-phase length, release to
 	// quiescence: Config.Duration plus however long the workers' in-flight
 	// operations took to finish after stop. Every rate divides by it.
 	Elapsed time.Duration
 
-	// OpCounts splits Ops by operation class (get/put/overwrite/
-	// delete/scan) — the KV serving view of the trial.
-	OpCounts [NumOpClasses]uint64
+	// OpCounts splits Ops by operation kind — the KV serving view of
+	// the trial.
+	OpCounts [workload.NumOps]uint64
 
 	// ValueErrors counts Get results whose value failed the workload
 	// checksum. Nonzero means a stale or corrupt value was served —
 	// the value-plane symptom of a reclamation bug.
 	ValueErrors uint64
 
-	MaxRetire    int   // max retire-list length across threads (paper's memory plots)
 	PeakResident int64 // peak outstanding nodes (max resident memory analogue)
 	Unreclaimed  int64 // retired-but-unfreed nodes at measurement end (pre-flush)
 	LeakedAfter  int64 // unreclaimed after a quiescent flush (0 except NR)
@@ -264,18 +195,16 @@ type Result struct {
 	AllocsPerOp     float64 // heap allocations per operation
 	AllocBytesPerOp float64 // heap bytes per operation
 
-	// OpLat holds per-class latency histograms (ns), merged across
-	// workers. The scan class is populated whenever the mix scans; the
-	// other classes only when Config.OpLatency is set. Absent classes
-	// are nil.
-	OpLat [NumOpClasses]*report.Histogram
+	// OpLat holds per-op latency histograms (ns), merged across
+	// workers. OpLat[workload.RangeQuery] is populated whenever the mix
+	// scans — every scan's wall-clock latency, the long-read tail metric
+	// per policy; the other ops only when Config.OpLatency is set.
+	// Absent ops are nil.
+	OpLat [workload.NumOps]*report.Histogram
 
-	// ScanLat aliases OpLat[OpScan]: every range scan's wall-clock
-	// latency, the long-read tail metric (p50/p99) per policy. Nil when
-	// the mix has no RangePct component.
-	ScanLat *report.Histogram
-
-	Reclaim core.Stats // aggregated reclamation counters
+	// Reclaim aggregates the reclamation counters; Reclaim.MaxRetire is
+	// the paper's memory plots' max retire-list length.
+	Reclaim core.Stats
 
 	// Lifecycle reports thread-slot turnover: releases, peak leases and
 	// orphan donation/adoption volumes — the explainability counters
@@ -349,12 +278,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	// A flat domain is a group of one: the structure lives on member 0
 	// and handles are leased the way RunStore leases them.
-	g := core.NewDomainGroup(cfg.Policy, 1, cfg.Threads, &core.Options{
-		ReclaimThreshold: cfg.ReclaimThreshold,
-		EpochFreq:        cfg.EpochFreq,
-		CMult:            cfg.CMult,
-		BatchSize:        cfg.BatchSize,
-	})
+	g := core.NewDomainGroup(cfg.Policy, 1, cfg.Threads, &cfg.Reclaim)
 	m, err := build(cfg, g.Member(0))
 	if err != nil {
 		return Result{}, err
@@ -390,7 +314,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		gen.SetRangeSpan(cfg.RangeSpan)
 		if cfg.Dist != workload.Uniform && !cfg.LongReads {
-			if err := gen.SetDist(cfg.Dist, cfg.ZipfS); err != nil {
+			if err := gen.SetDist(cfg.Dist, workload.DefaultZipfS); err != nil {
 				return Result{}, fmt.Errorf("harness: worker %d: %w", i, err)
 			}
 		}
@@ -399,17 +323,15 @@ func Run(cfg Config) (Result, error) {
 
 	// Scans are always timed when the mix scans; the other classes only
 	// under OpLatency, so figure reproductions don't pay the clock reads.
-	workers := newTallies(cfg.Threads, int(NumOpClasses), func(c int) bool {
-		if OpClass(c) == OpScan {
+	workers := newTallies(cfg.Threads, workload.NumOps, func(op int) bool {
+		if workload.Op(op) == workload.RangeQuery {
 			return cfg.Mix.RangePct > 0
 		}
 		return cfg.OpLatency
 	})
 
-	if !cfg.NoPrefil {
-		if err := prefill(cfg, m, handles); err != nil {
-			return Result{}, err
-		}
+	if err := prefill(cfg, m, handles); err != nil {
+		return Result{}, err
 	}
 
 	var unreclaimed int64
@@ -432,12 +354,11 @@ func Run(cfg Config) (Result, error) {
 			}
 			handles[id] = h
 		},
-		drain:        func(id int) { handles[id].Drain() },
-		settle:       func() error { unreclaimed = g.Unreclaimed(); return nil },
-		outstanding:  m.Outstanding,
-		samplePeriod: cfg.SamplePeriod,
-		source:       g,
-		sampleEvery:  cfg.SampleEvery,
+		drain:       func(id int) { handles[id].Drain() },
+		settle:      func() error { unreclaimed = g.Unreclaimed(); return nil },
+		outstanding: m.Outstanding,
+		source:      g,
+		sampleEvery: cfg.SampleEvery,
 	}
 	ph, _ := t.run()
 
@@ -457,15 +378,11 @@ func Run(cfg Config) (Result, error) {
 	}
 	copy(res.OpCounts[:], sum.byClass)
 	copy(res.OpLat[:], sum.lats)
-	res.ReadOps = res.OpCounts[OpGet]
-	res.RangeOps = res.OpCounts[OpScan]
-	res.ScanLat = res.OpLat[OpScan]
 	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
 	secs := ph.elapsed.Seconds()
 	res.Throughput = float64(res.Ops) / secs
-	res.ReadTput = float64(res.ReadOps) / secs
-	res.RangeTput = float64(res.RangeOps) / secs
-	res.MaxRetire = res.Reclaim.MaxRetire
+	res.ReadTput = float64(res.OpCounts[workload.Get]) / secs
+	res.RangeTput = float64(res.OpCounts[workload.RangeQuery]) / secs
 	return res, nil
 }
 
@@ -490,7 +407,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 	quota := cfg.Churn.AfterOps // 0 = no churn: run until stop
 	var (
 		ops       uint64
-		byClass   [NumOpClasses]uint64
+		byClass   [workload.NumOps]uint64
 		rangeKeys uint64
 		valueErrs uint64
 	)
@@ -508,8 +425,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 			nextStall = time.Now().Add(cfg.StallEvery)
 		}
 		op, key := gen.Next()
-		class := classOf(op)
-		hist := c.lats[class]
+		hist := c.lats[op]
 		var start time.Time
 		if hist != nil {
 			start = time.Now()
@@ -531,7 +447,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		if hist != nil {
 			hist.Record(time.Since(start).Nanoseconds())
 		}
-		byClass[class]++
+		byClass[op]++
 		ops++
 		live.tick(ops)
 	}

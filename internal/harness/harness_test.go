@@ -13,13 +13,13 @@ func TestRunAllPoliciesAllStructures(t *testing.T) {
 	for _, dsName := range harness.DSNames() {
 		for _, p := range core.Policies() {
 			res, err := harness.Run(harness.Config{
-				DS:               dsName,
-				Policy:           p,
-				Threads:          3,
-				Duration:         30 * time.Millisecond,
-				KeyRange:         512,
-				Mix:              workload.UpdateHeavy,
-				ReclaimThreshold: 64,
+				DS:       dsName,
+				Policy:   p,
+				Threads:  3,
+				Duration: 30 * time.Millisecond,
+				KeyRange: 512,
+				Mix:      workload.UpdateHeavy,
+				Reclaim:  core.Options{ReclaimThreshold: 64},
 			})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", dsName, p, err)
@@ -58,21 +58,20 @@ func TestPrefillHitsTarget(t *testing.T) {
 
 func TestLongReadsRolesCount(t *testing.T) {
 	res, err := harness.Run(harness.Config{
-		DS:               harness.DSHarrisMichaelList,
-		Policy:           core.HazardPtrPOP,
-		Threads:          4,
-		Duration:         40 * time.Millisecond,
-		KeyRange:         2000,
-		LongReads:        true,
-		ReclaimThreshold: 128,
+		DS:        harness.DSHarrisMichaelList,
+		Policy:    core.HazardPtrPOP,
+		Threads:   4,
+		Duration:  40 * time.Millisecond,
+		KeyRange:  2000,
+		LongReads: true,
+		Reclaim:   core.Options{ReclaimThreshold: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReadOps == 0 {
+	if reads := res.OpCounts[workload.Get]; reads == 0 {
 		t.Fatal("long-reads run recorded no reads")
-	}
-	if res.ReadOps == res.Ops {
+	} else if reads == res.Ops {
 		t.Fatal("long-reads run recorded no updates")
 	}
 }
@@ -83,14 +82,14 @@ func TestStallInjection(t *testing.T) {
 	// unreclaimed counts.
 	run := func(p core.Policy) int64 {
 		res, err := harness.Run(harness.Config{
-			DS:               harness.DSHarrisMichaelList,
-			Policy:           p,
-			Threads:          3,
-			Duration:         120 * time.Millisecond,
-			KeyRange:         256,
-			ReclaimThreshold: 32,
-			StallEvery:       time.Millisecond,
-			StallLength:      50 * time.Millisecond,
+			DS:          harness.DSHarrisMichaelList,
+			Policy:      p,
+			Threads:     3,
+			Duration:    120 * time.Millisecond,
+			KeyRange:    256,
+			Reclaim:     core.Options{ReclaimThreshold: 32},
+			StallEvery:  time.Millisecond,
+			StallLength: 50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -131,8 +130,8 @@ func TestThroughputOverMeasuredElapsed(t *testing.T) {
 	if want := float64(res.Ops) / res.Elapsed.Seconds(); res.Throughput != want {
 		t.Fatalf("Throughput %v, want Ops/Elapsed = %v", res.Throughput, want)
 	}
-	if want := float64(res.ReadOps) / res.Elapsed.Seconds(); res.ReadTput != want {
-		t.Fatalf("ReadTput %v, want ReadOps/Elapsed = %v", res.ReadTput, want)
+	if want := float64(res.OpCounts[workload.Get]) / res.Elapsed.Seconds(); res.ReadTput != want {
+		t.Fatalf("ReadTput %v, want gets/Elapsed = %v", res.ReadTput, want)
 	}
 }
 
@@ -145,36 +144,37 @@ func TestRangeSweepBothScanners(t *testing.T) {
 	for _, dsName := range []string{harness.DSSkipList, harness.DSABTree} {
 		for _, p := range core.Policies() {
 			res, err := harness.Run(harness.Config{
-				DS:               dsName,
-				Policy:           p,
-				Threads:          3,
-				Duration:         40 * time.Millisecond,
-				KeyRange:         2048,
-				Mix:              workload.Mix{ContainsPct: 80, InsertPct: 5, DeletePct: 5, RangePct: 10},
-				RangeSpan:        64,
-				ReclaimThreshold: 128,
+				DS:        dsName,
+				Policy:    p,
+				Threads:   3,
+				Duration:  40 * time.Millisecond,
+				KeyRange:  2048,
+				Mix:       workload.Mix{ContainsPct: 80, InsertPct: 5, DeletePct: 5, RangePct: 10},
+				RangeSpan: 64,
+				Reclaim:   core.Options{ReclaimThreshold: 128},
 			})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", dsName, p, err)
 			}
-			if res.RangeOps == 0 || res.RangeTput == 0 {
-				t.Fatalf("%s/%v: no range queries recorded (ops=%d)", dsName, p, res.RangeOps)
+			rangeOps, scanLat := res.OpCounts[workload.RangeQuery], res.OpLat[workload.RangeQuery]
+			if rangeOps == 0 || res.RangeTput == 0 {
+				t.Fatalf("%s/%v: no range queries recorded (ops=%d)", dsName, p, rangeOps)
 			}
 			if res.RangeKeys == 0 {
 				t.Fatalf("%s/%v: scans returned no keys over a prefilled structure", dsName, p)
 			}
-			if res.Ops <= res.RangeOps {
-				t.Fatalf("%s/%v: range ops %d not a subset of total %d", dsName, p, res.RangeOps, res.Ops)
+			if res.Ops <= rangeOps {
+				t.Fatalf("%s/%v: range ops %d not a subset of total %d", dsName, p, rangeOps, res.Ops)
 			}
-			if res.ScanLat == nil {
+			if scanLat == nil {
 				t.Fatalf("%s/%v: no scan-latency histogram for a range-bearing mix", dsName, p)
 			}
-			if res.ScanLat.Count() != res.RangeOps {
-				t.Fatalf("%s/%v: histogram holds %d scans, RangeOps = %d", dsName, p, res.ScanLat.Count(), res.RangeOps)
+			if scanLat.Count() != rangeOps {
+				t.Fatalf("%s/%v: histogram holds %d scans, range ops = %d", dsName, p, scanLat.Count(), rangeOps)
 			}
-			p50, p99 := res.ScanLat.Quantile(0.50), res.ScanLat.Quantile(0.99)
-			if p50 <= 0 || p99 < p50 || float64(res.ScanLat.Max()) < p99 {
-				t.Fatalf("%s/%v: implausible latency quantiles p50=%v p99=%v max=%d", dsName, p, p50, p99, res.ScanLat.Max())
+			p50, p99 := scanLat.Quantile(0.50), scanLat.Quantile(0.99)
+			if p50 <= 0 || p99 < p50 || float64(scanLat.Max()) < p99 {
+				t.Fatalf("%s/%v: implausible latency quantiles p50=%v p99=%v max=%d", dsName, p, p50, p99, scanLat.Max())
 			}
 			if p != core.NR && res.LeakedAfter != 0 {
 				t.Fatalf("%s/%v: %d nodes leaked after flush", dsName, p, res.LeakedAfter)
@@ -197,7 +197,7 @@ func TestScanLatAbsentWithoutRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ScanLat != nil {
+	if res.OpLat[workload.RangeQuery] != nil {
 		t.Fatal("scan-latency histogram present for a mix without range queries")
 	}
 }
@@ -260,14 +260,14 @@ func TestKVMixAllStructures(t *testing.T) {
 	for _, dsName := range harness.DSNames() {
 		for _, p := range []core.Policy{core.EBR, core.HP, core.NBR, core.EpochPOP} {
 			res, err := harness.Run(harness.Config{
-				DS:               dsName,
-				Policy:           p,
-				Threads:          3,
-				Duration:         40 * time.Millisecond,
-				KeyRange:         1024,
-				Mix:              workload.KVStore,
-				OpLatency:        true,
-				ReclaimThreshold: 64,
+				DS:        dsName,
+				Policy:    p,
+				Threads:   3,
+				Duration:  40 * time.Millisecond,
+				KeyRange:  1024,
+				Mix:       workload.KVStore,
+				OpLatency: true,
+				Reclaim:   core.Options{ReclaimThreshold: 64},
 			})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", dsName, p, err)
@@ -276,16 +276,16 @@ func TestKVMixAllStructures(t *testing.T) {
 				t.Fatalf("%s/%v: %d value checksum failures (stale values served)", dsName, p, res.ValueErrors)
 			}
 			var sum uint64
-			for c := harness.OpClass(0); c < harness.NumOpClasses; c++ {
+			for c := workload.Op(0); int(c) < workload.NumOps; c++ {
 				sum += res.OpCounts[c]
 			}
 			if sum != res.Ops {
 				t.Fatalf("%s/%v: per-class counts sum to %d, Ops = %d", dsName, p, sum, res.Ops)
 			}
-			if res.OpCounts[harness.OpScan] != 0 {
+			if res.OpCounts[workload.RangeQuery] != 0 {
 				t.Fatalf("%s/%v: kv mix recorded scans", dsName, p)
 			}
-			for _, c := range []harness.OpClass{harness.OpGet, harness.OpPut, harness.OpOverwrite, harness.OpDelete} {
+			for _, c := range []workload.Op{workload.Get, workload.Put, workload.Overwrite, workload.Delete} {
 				if res.OpCounts[c] == 0 {
 					t.Fatalf("%s/%v: no %v operations in a kv run", dsName, p, c)
 				}
@@ -314,13 +314,13 @@ func TestKVMixAllStructures(t *testing.T) {
 func TestOverwritesRetireOnReplaceNodeStructures(t *testing.T) {
 	run := func(dsName string) harness.Result {
 		res, err := harness.Run(harness.Config{
-			DS:               dsName,
-			Policy:           core.EBR,
-			Threads:          2,
-			Duration:         30 * time.Millisecond,
-			KeyRange:         64, // saturated after prefill: almost every Put overwrites
-			Mix:              workload.Mix{ContainsPct: 0, OverwritePct: 100},
-			ReclaimThreshold: 64,
+			DS:       dsName,
+			Policy:   core.EBR,
+			Threads:  2,
+			Duration: 30 * time.Millisecond,
+			KeyRange: 64, // saturated after prefill: almost every Put overwrites
+			Mix:      workload.Mix{ContainsPct: 0, OverwritePct: 100},
+			Reclaim:  core.Options{ReclaimThreshold: 64},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", dsName, err)
@@ -329,13 +329,13 @@ func TestOverwritesRetireOnReplaceNodeStructures(t *testing.T) {
 	}
 	for _, dsName := range []string{harness.DSHarrisMichaelList, harness.DSSkipList, harness.DSABTree, harness.DSHashTable} {
 		res := run(dsName)
-		if ow := res.OpCounts[harness.OpOverwrite]; res.Reclaim.Retires < uint64(ow/2) {
+		if ow := res.OpCounts[workload.Overwrite]; res.Reclaim.Retires < uint64(ow/2) {
 			t.Fatalf("%s: %d retires for %d overwrites — replace-node strategy not retiring", dsName, res.Reclaim.Retires, ow)
 		}
 	}
 	for _, dsName := range []string{harness.DSLazyList, harness.DSExternalBST} {
 		res := run(dsName)
-		if ow := res.OpCounts[harness.OpOverwrite]; res.Reclaim.Retires > uint64(ow/10) {
+		if ow := res.OpCounts[workload.Overwrite]; res.Reclaim.Retires > uint64(ow/10) {
 			t.Fatalf("%s: %d retires for %d overwrites — in-place strategy should retire ~none", dsName, res.Reclaim.Retires, ow)
 		}
 	}
@@ -355,7 +355,7 @@ func TestOpLatAbsentByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := harness.OpClass(0); c < harness.NumOpClasses; c++ {
+	for c := workload.Op(0); int(c) < workload.NumOps; c++ {
 		if res.OpLat[c] != nil {
 			t.Fatalf("%v histogram present without OpLatency", c)
 		}

@@ -41,11 +41,11 @@ func TestYCSBWorkloadsEndToEnd(t *testing.T) {
 				t.Errorf("%s", v)
 			}
 			// Each named class must actually have been drawn.
-			for c := StoreOpClass(0); c < NumStoreOpClasses; c++ {
-				if c.MixShare(w.Mix) > 0 && res.OpCounts[c] == 0 {
-					t.Errorf("class %v has %d%% share but 0 ops", c, c.MixShare(w.Mix))
+			for c := workload.StoreOp(0); int(c) < workload.NumStoreOps; c++ {
+				if w.Mix.Share(c) > 0 && res.OpCounts[c] == 0 {
+					t.Errorf("class %v has %d%% share but 0 ops", c, w.Mix.Share(c))
 				}
-				if c.MixShare(w.Mix) == 0 && res.OpCounts[c] != 0 {
+				if w.Mix.Share(c) == 0 && res.OpCounts[c] != 0 {
 					t.Errorf("class %v has no share but %d ops", c, res.OpCounts[c])
 				}
 			}
@@ -67,7 +67,7 @@ func TestYCSBMixSharesObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmwFrac := float64(res.OpCounts[SOpRMW]) / float64(res.Ops)
+	rmwFrac := float64(res.OpCounts[workload.StoreRMW]) / float64(res.Ops)
 	if rmwFrac < 0.4 || rmwFrac > 0.6 {
 		t.Errorf("workload F rmw fraction %.3f, want ~0.5", rmwFrac)
 	}

@@ -38,9 +38,6 @@ type ServeConfig struct {
 	Backing  string        // per-shard structure (default skl)
 	Seed     uint64        // trial seed
 
-	// MaxBatch caps a coalesced batch (default 64).
-	MaxBatch int
-
 	// GetPct is the get share of the op mix (default 90); the rest are
 	// sets. Gets are single-key — the coalesced path; sets lease the
 	// connection's burst thread, so admission contention is real.
@@ -53,9 +50,9 @@ type ServeConfig struct {
 	// omission). 0 = closed loop.
 	OpenRate float64
 
-	// Dist is the key-popularity distribution with ZipfS skew.
-	Dist  workload.Dist
-	ZipfS float64
+	// Dist is the key-popularity distribution (zipf at
+	// workload.DefaultZipfS skew).
+	Dist workload.Dist
 
 	// ValueMin/ValueMax bound set payload sizes (defaults 16, 256).
 	ValueMin, ValueMax int
@@ -85,9 +82,6 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	}
 	if c.Backing == "" {
 		c.Backing = store.BackingSkipList
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.GetPct == 0 {
 		c.GetPct = 90
@@ -238,7 +232,6 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 			Backing:              cfg.Backing,
 			ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
 		},
-		MaxBatch:   cfg.MaxBatch,
 		ExtraSlots: cfg.Chaos.Slots(),
 	})
 	if err != nil {
@@ -274,7 +267,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}
 	samplers := make([]*workload.Sampler, cfg.Conns)
 	for i := range samplers {
-		sm, err := workload.NewSampler(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1, cfg.Keys, cfg.Dist, cfg.ZipfS)
+		sm, err := workload.NewSampler(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1, cfg.Keys, cfg.Dist, workload.DefaultZipfS)
 		if err != nil {
 			chaosRun.Stop()
 			srv.Close()

@@ -26,72 +26,6 @@ import (
 	"pop/internal/workload"
 )
 
-// StoreOpClass is one store operation class for counters and latency
-// histograms.
-type StoreOpClass int
-
-// The store operation classes, in reporting order.
-const (
-	SOpGet StoreOpClass = iota
-	SOpPut
-	SOpMGet
-	SOpScan
-	SOpDelete
-	SOpRMW
-	SOpMPut
-	NumStoreOpClasses
-)
-
-var storeOpClassNames = [NumStoreOpClasses]string{"get", "put", "mget", "scan", "delete", "rmw", "mput"}
-
-// String returns the class's reporting name.
-func (c StoreOpClass) String() string {
-	if c >= 0 && c < NumStoreOpClasses {
-		return storeOpClassNames[c]
-	}
-	return fmt.Sprintf("StoreOpClass(%d)", int(c))
-}
-
-// MixShare returns the class's percentage share of a store mix.
-func (c StoreOpClass) MixShare(m workload.StoreMix) int {
-	switch c {
-	case SOpGet:
-		return m.GetPct
-	case SOpPut:
-		return m.PutPct
-	case SOpMGet:
-		return m.MGetPct
-	case SOpScan:
-		return m.ScanPct
-	case SOpRMW:
-		return m.RMWPct
-	case SOpMPut:
-		return m.MPutPct
-	default:
-		return m.DeletePct
-	}
-}
-
-// classOfStore maps a store op to its reporting class.
-func classOfStore(op workload.StoreOp) StoreOpClass {
-	switch op {
-	case workload.StoreGet:
-		return SOpGet
-	case workload.StorePut:
-		return SOpPut
-	case workload.StoreMGet:
-		return SOpMGet
-	case workload.StoreScan:
-		return SOpScan
-	case workload.StoreRMW:
-		return SOpRMW
-	case workload.StoreMPut:
-		return SOpMPut
-	default:
-		return SOpDelete
-	}
-}
-
 // StoreConfig describes one store trial.
 type StoreConfig struct {
 	Policy   core.Policy   // reclamation scheme
@@ -106,11 +40,10 @@ type StoreConfig struct {
 	Mix workload.StoreMix // op mixture (default workload.StoreServe)
 
 	// Dist is the key-popularity distribution (uniform, zipf or
-	// latest) with ZipfS skew (<= 0 = workload.DefaultZipfS). Under
-	// latest, puts land on the advancing insert frontier (YCSB D's
+	// latest; the skewed two at workload.DefaultZipfS). Under latest,
+	// puts land on the advancing insert frontier (YCSB D's
 	// read-the-records-just-inserted shape).
-	Dist  workload.Dist
-	ZipfS float64
+	Dist workload.Dist
 
 	// Trace replaces the synthetic mix with a recorded op stream
 	// (workload.ParseTrace): workers drain the trace exactly once
@@ -146,12 +79,8 @@ type StoreConfig struct {
 	// turnover.
 	Churn workload.Churn
 
-	// BatchSize is the multi-get batch width (default 16).
+	// BatchSize is the multi-get and multi-put batch width (default 16).
 	BatchSize int
-	// ScanSpan is the expected number of pairs per scan (default 32);
-	// the hashed-key window width is derived from it and the key
-	// population.
-	ScanSpan int
 	// ValueMin/ValueMax bound the (uniformly drawn) payload sizes
 	// (defaults 16 and 256; the serving shape is 16–1024 B). ValueMin
 	// is clamped up to workload.MinCompactLen (4), the smallest
@@ -169,14 +98,10 @@ type StoreConfig struct {
 	// OpLatency enables per-class latency histograms (on in sweeps).
 	OpLatency bool
 
-	// Reclamation tuning (0 = paper defaults; see core.Options).
-	ReclaimThreshold int
-	EpochFreq        int
-	CMult            int
-	BatchNodes       int // Crystalline batch size (core.Options.BatchSize)
-
-	// SamplePeriod is the memory-sampling interval (default 2ms).
-	SamplePeriod time.Duration
+	// Reclaim tunes every member domain (zero fields take the paper's
+	// defaults; see core.Options). Its BatchSize is Crystalline's batch,
+	// not the multi-get width above.
+	Reclaim core.Options
 
 	// SampleEvery enables live telemetry (see Config.SampleEvery):
 	// StoreResult.Timeline carries interval deltas of the group's
@@ -241,18 +166,12 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}
-	if c.ScanSpan <= 0 {
-		c.ScanSpan = 32
-	}
 	if c.ValueSmallPct < 0 || c.ValueSmallPct > 100 {
 		return c, fmt.Errorf("harness: ValueSmallPct %d out of [0, 100]", c.ValueSmallPct)
 	}
 	var err error
 	if c.ValueMin, c.ValueMax, err = valueBounds(c.ValueMin, c.ValueMax); err != nil {
 		return c, err
-	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 2 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5707e_cafe
@@ -293,20 +212,14 @@ type StoreResult struct {
 	ServedKeys uint64  // keys served: gets + batch keys + scan pairs
 	KeyTput    float64 // ServedKeys per second
 
-	// OpCounts splits Ops by class (get/put/mget/scan/delete).
-	OpCounts [NumStoreOpClasses]uint64
+	// OpCounts splits Ops by operation kind.
+	OpCounts [workload.NumStoreOps]uint64
 
 	// ValueErrors counts served values that failed the workload
 	// checksum — the value-plane symptom of a reclamation bug; must be
 	// zero.
 	ValueErrors uint64
 
-	// Stale counts value reads that lost to a concurrent overwrite's
-	// reclamation and retried (store.Stats.StaleReads): the read-side
-	// cost of eager value reclamation, a per-policy signature.
-	Stale uint64
-
-	MaxRetire    int   // max retire-list length across threads
 	PeakResident int64 // peak outstanding nodes+values+tickets
 	Unreclaimed  int64 // retired-but-unfreed at measurement end
 	LeakedAfter  int64 // unreclaimed after a quiescent flush
@@ -319,12 +232,16 @@ type StoreResult struct {
 	AllocsPerOp     float64 // heap allocations per operation
 	AllocBytesPerOp float64 // heap bytes per operation
 
-	// OpLat holds per-class latency histograms (ns), merged across
+	// OpLat holds per-op latency histograms (ns), merged across
 	// workers; nil unless Config.OpLatency.
-	OpLat [NumStoreOpClasses]*report.Histogram
+	OpLat [workload.NumStoreOps]*report.Histogram
 
-	Store   store.Stats // store-level counters (shard-aggregated)
-	Reclaim core.Stats  // reclamation counters (summed across member domains)
+	// Store holds the store-level counters (shard-aggregated).
+	// Store.StaleReads counts value reads that lost to a concurrent
+	// overwrite's reclamation and retried: the read-side cost of eager
+	// value reclamation, a per-policy signature.
+	Store   store.Stats
+	Reclaim core.Stats // reclamation counters (summed across member domains)
 
 	// ReclaimDetail is the per-pass fan-out view (pings sent and
 	// threads scanned per reclaim pass, averaged across the whole
@@ -379,12 +296,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	if cfg.Chaos.Enabled() {
 		chaosSlots = cfg.Chaos.Slots()
 	}
-	g := core.NewDomainGroup(cfg.Policy, cfg.Groups, cfg.Threads+chaosSlots, &core.Options{
-		ReclaimThreshold: cfg.ReclaimThreshold,
-		EpochFreq:        cfg.EpochFreq,
-		CMult:            cfg.CMult,
-		BatchSize:        cfg.BatchNodes,
-	})
+	g := core.NewDomainGroup(cfg.Policy, cfg.Groups, cfg.Threads+chaosSlots, &cfg.Reclaim)
 	s, err := store.New(g, store.Config{
 		Shards:               cfg.Shards,
 		Backing:              cfg.Backing,
@@ -457,7 +369,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 			if t := workerRanks(i); t != nil {
 				n = int64(len(t))
 			}
-			sm, err := workload.NewSampler(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1, n, cfg.Dist, cfg.ZipfS)
+			sm, err := workload.NewSampler(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1, n, cfg.Dist, workload.DefaultZipfS)
 			if err != nil {
 				return StoreResult{}, fmt.Errorf("harness: worker %d: %w", i, err)
 			}
@@ -465,7 +377,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		}
 	}
 
-	workers := newTallies(cfg.Threads, int(NumStoreOpClasses), func(int) bool { return cfg.OpLatency })
+	workers := newTallies(cfg.Threads, workload.NumStoreOps, func(int) bool { return cfg.OpLatency })
 
 	// Prefill: mix runs load half the rank population (the §5.0.2
 	// shape, transplanted to the store); trace runs load every distinct
@@ -554,11 +466,10 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 			res.ReclaimDetail = g.ReclaimStats()
 			return err
 		},
-		outstanding:  s.Outstanding,
-		samplePeriod: cfg.SamplePeriod,
-		source:       g,
-		extras:       storeExtras{s},
-		sampleEvery:  cfg.SampleEvery,
+		outstanding: s.Outstanding,
+		source:      g,
+		extras:      storeExtras{s},
+		sampleEvery: cfg.SampleEvery,
 	}
 	if traceMode {
 		// The trace drains exactly once; the trial is over when the last
@@ -584,8 +495,6 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
 	res.Throughput = float64(res.Ops) / ph.elapsed.Seconds()
 	res.KeyTput = float64(res.ServedKeys) / ph.elapsed.Seconds()
-	res.MaxRetire = res.Reclaim.MaxRetire
-	res.Stale = res.Store.StaleReads
 	return res, nil
 }
 
@@ -600,6 +509,10 @@ func keyTable(keys int64) (keyTab []string, hkTab []int64) {
 	}
 	return keyTab, hkTab
 }
+
+// scanSpan is the expected number of pairs per synthetic scan (a trace
+// scan may give its own).
+const scanSpan = 32
 
 // scanWidth returns the hashed-key window width whose expected pair
 // count (keys uniform over the hash space, half the population live) is
@@ -708,16 +621,15 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		pvals [][]byte // StoreMPut payloads (lazily sized)
 		tag   = uint32(id)<<24 ^ uint32(h.Incarnation())<<12
 	)
-	width := scanWidth(cfg.Keys, cfg.ScanSpan)
+	width := scanWidth(cfg.Keys, scanSpan)
 	quota := cfg.Churn.AfterOps // 0 = no churn: run until stop
 	var (
 		ops     uint64
-		byClass [NumStoreOpClasses]uint64
+		byClass [workload.NumStoreOps]uint64
 	)
 	for !stop.Load() && (quota == 0 || ops < quota) {
 		op := cfg.Mix.NextStore(r)
-		class := classOfStore(op)
-		hist := c.lats[class]
+		hist := c.lats[op]
 		var start time.Time
 		if hist != nil {
 			start = time.Now()
@@ -776,7 +688,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		if hist != nil {
 			hist.Record(time.Since(start).Nanoseconds())
 		}
-		byClass[class]++
+		byClass[op]++
 		ops++
 		live.tick(ops)
 	}
@@ -797,7 +709,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 	id int, t *trial, traceHK []int64, cursor *atomic.Int64, c *tally) {
 	x := storeExec{s: s, h: h}
-	width := scanWidth(cfg.Keys, cfg.ScanSpan)
+	width := scanWidth(cfg.Keys, scanSpan)
 	start := t.start
 	live := t.livePub(id)
 	for {
@@ -814,8 +726,7 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 				time.Sleep(wait)
 			}
 		}
-		class := classOfStore(op.Op)
-		hist := c.lats[class]
+		hist := c.lats[op.Op]
 		var t0 time.Time
 		if hist != nil {
 			t0 = time.Now()
@@ -840,7 +751,7 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 		if hist != nil {
 			hist.Record(time.Since(t0).Nanoseconds())
 		}
-		c.byClass[class]++
+		c.byClass[op.Op]++
 		c.ops++
 		live.tick(c.ops)
 	}

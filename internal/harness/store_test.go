@@ -37,13 +37,13 @@ func TestRunStoreAllPolicies(t *testing.T) {
 				t.Fatalf("%d value checksum failures", res.ValueErrors)
 			}
 			var sum uint64
-			for c := harness.StoreOpClass(0); c < harness.NumStoreOpClasses; c++ {
+			for c := workload.StoreOp(0); int(c) < workload.NumStoreOps; c++ {
 				sum += res.OpCounts[c]
 			}
 			if sum != res.Ops {
 				t.Fatalf("class counts sum to %d, Ops = %d", sum, res.Ops)
 			}
-			if res.OpCounts[harness.SOpMGet] > 0 && res.Store.Batches == 0 {
+			if res.OpCounts[workload.StoreMGet] > 0 && res.Store.Batches == 0 {
 				t.Fatal("mget ops ran but the store counted no batches")
 			}
 			if p != core.NR && res.LeakedAfter != 0 {
@@ -125,19 +125,19 @@ func TestRunStoreUnorderedBacking(t *testing.T) {
 // perturb the run's value correctness.
 func TestRunStoreSampledBurst(t *testing.T) {
 	res, err := harness.RunStore(harness.StoreConfig{
-		Policy:           core.EpochPOP,
-		Threads:          4,
-		Duration:         300 * time.Millisecond,
-		Keys:             2048,
-		Shards:           4,
-		Groups:           4,
-		Dist:             workload.Zipf,
-		Chaos:            chaos.Config{Stalls: 2},
-		ChaosStart:       75 * time.Millisecond,
-		ChaosStop:        150 * time.Millisecond,
-		SampleEvery:      20 * time.Millisecond,
-		ReclaimThreshold: 256,
-		Seed:             7,
+		Policy:      core.EpochPOP,
+		Threads:     4,
+		Duration:    300 * time.Millisecond,
+		Keys:        2048,
+		Shards:      4,
+		Groups:      4,
+		Dist:        workload.Zipf,
+		Chaos:       chaos.Config{Stalls: 2},
+		ChaosStart:  75 * time.Millisecond,
+		ChaosStop:   150 * time.Millisecond,
+		SampleEvery: 20 * time.Millisecond,
+		Reclaim:     core.Options{ReclaimThreshold: 256},
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)

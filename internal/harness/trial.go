@@ -58,10 +58,9 @@ type trial struct {
 	// to snapshot. Its error is returned by run after the barrier.
 	settle func() error
 
-	// outstanding is polled every samplePeriod for the peak-resident
+	// outstanding is polled every peakPeriod for the peak-resident
 	// figure; nil = not tracked.
-	outstanding  func() int64
-	samplePeriod time.Duration
+	outstanding func() int64
 
 	// source, with sampleEvery > 0, attaches a live telemetry sampler
 	// (extras optional) fed by the workers' published op counts.
@@ -73,6 +72,9 @@ type trial struct {
 	start time.Time       // set just before release; legs read it after
 	live  []padded.Uint64 // per-worker published ops; nil without a sampler
 }
+
+// peakPeriod is how often run polls trial.outstanding.
+const peakPeriod = 2 * time.Millisecond
 
 // measured is what run observed of the phase.
 type measured struct {
@@ -150,7 +152,7 @@ func (t *trial) run() (measured, error) {
 		defer close(peakDone)
 		for t.outstanding != nil && !t.stop.Load() {
 			notePeak()
-			time.Sleep(t.samplePeriod)
+			time.Sleep(peakPeriod)
 		}
 	}()
 

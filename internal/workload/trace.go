@@ -12,7 +12,8 @@ import (
 // TraceOp is one recorded store operation in a replayable trace.
 type TraceOp struct {
 	// Op is the operation kind: StoreGet, StorePut, StoreDelete,
-	// StoreScan or StoreRMW (StoreMGet has no single-key line form).
+	// StoreScan or StoreRMW (StoreMGet and StoreMPut have no single-key
+	// line form).
 	Op StoreOp
 	// Key is the store key.
 	Key string
@@ -86,21 +87,12 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 }
 
 // AppendTrace renders ops back into the ParseTrace line format —
-// useful for generating sample traces and for round-trip tests.
+// useful for generating sample traces and for round-trip tests. An op
+// with no trace form (StoreMGet, StoreMPut) is written under its own
+// name, which ParseTrace rejects.
 func AppendTrace(buf []byte, ops []TraceOp) []byte {
 	for _, op := range ops {
-		name := "get"
-		switch op.Op {
-		case StorePut:
-			name = "put"
-		case StoreDelete:
-			name = "delete"
-		case StoreScan:
-			name = "scan"
-		case StoreRMW:
-			name = "rmw"
-		}
-		buf = append(buf, name...)
+		buf = append(buf, op.Op.String()...)
 		buf = append(buf, ',')
 		buf = append(buf, op.Key...)
 		buf = append(buf, ',')

@@ -52,6 +52,12 @@ func TestParseTraceErrors(t *testing.T) {
 		{"bad offset", "get,user1,0,soon"},
 		{"negative offset", "get,user1,0,-5"},
 	}
+	// The batched ops have no single-key trace form: AppendTrace writes
+	// them under their own names, and ParseTrace must reject those.
+	for _, op := range []StoreOp{StoreMGet, StoreMPut} {
+		line := strings.TrimSuffix(string(AppendTrace(nil, []TraceOp{{Op: op, Key: "user1"}})), "\n")
+		cases = append(cases, struct{ name, line string }{op.String() + " op", line})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			input := "put,ok,16,0\n" + c.line + "\n"
@@ -92,6 +98,22 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ops, back) {
 		t.Fatalf("round trip drifted:\n%+v\nwant\n%+v", back, ops)
+	}
+	// Every op kind: the five with a trace form come back as themselves;
+	// the batched two must not come back as some other op.
+	for op := StoreOp(0); int(op) < NumStoreOps; op++ {
+		one := []TraceOp{{Op: op, Key: "k", Size: 8, Offset: 3 * time.Microsecond}}
+		back, err := ParseTrace(strings.NewReader(string(AppendTrace(nil, one))))
+		switch op {
+		case StoreMGet, StoreMPut:
+			if err == nil {
+				t.Errorf("%v: AppendTrace wrote a line ParseTrace accepts as %+v", op, back)
+			}
+		default:
+			if err != nil || !reflect.DeepEqual(back, one) {
+				t.Errorf("%v: round trip = %+v, %v; want %+v", op, back, err, one)
+			}
+		}
 	}
 }
 

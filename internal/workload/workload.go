@@ -71,6 +71,22 @@ const (
 	Put = Insert
 )
 
+// NumOps is the number of Op kinds: arrays indexed by Op (the harness's
+// per-class counters and histograms) have this length.
+const NumOps = int(Overwrite) + 1
+
+// opNames are the reporting names, in the KV naming.
+var opNames = [NumOps]string{Contains: "get", Insert: "put", Delete: "delete", RangeQuery: "scan", Overwrite: "overwrite"}
+
+// String returns the op's reporting name (get, put, delete, scan,
+// overwrite).
+func (o Op) String() string {
+	if int(o) < NumOps {
+		return opNames[o]
+	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
+}
+
 // Mix is an operation mixture in percent. Fields must sum to 100.
 type Mix struct {
 	ContainsPct  int
@@ -99,6 +115,23 @@ var (
 	// mostly stable key population.
 	KVStore = Mix{ContainsPct: 70, InsertPct: 10, DeletePct: 5, OverwritePct: 15}
 )
+
+// Share returns op's percentage of the mix (0 for an unknown op).
+func (m Mix) Share(op Op) int {
+	switch op {
+	case Contains:
+		return m.ContainsPct
+	case Insert:
+		return m.InsertPct
+	case Delete:
+		return m.DeletePct
+	case RangeQuery:
+		return m.RangePct
+	case Overwrite:
+		return m.OverwritePct
+	}
+	return 0
+}
 
 // Valid reports whether the mix sums to 100 with no negatives.
 func (m Mix) Valid() bool {
@@ -470,6 +503,23 @@ const (
 	StoreMPut
 )
 
+// NumStoreOps is the number of StoreOp kinds: arrays indexed by StoreOp
+// have this length.
+const NumStoreOps = int(StoreMPut) + 1
+
+// storeOpNames are the reporting names; the five single-key ones are
+// also the trace spellings ParseTrace accepts.
+var storeOpNames = [NumStoreOps]string{"get", "put", "mget", "scan", "delete", "rmw", "mput"}
+
+// String returns the op's reporting name (get, put, mget, scan, delete,
+// rmw, mput).
+func (o StoreOp) String() string {
+	if int(o) < NumStoreOps {
+		return storeOpNames[o]
+	}
+	return fmt.Sprintf("StoreOp(%d)", uint8(o))
+}
+
 // StoreMix is a store operation mixture in percent; fields must sum to
 // 100.
 type StoreMix struct {
@@ -487,6 +537,27 @@ type StoreMix struct {
 // cache front, with enough writes that value retirement runs
 // continuously.
 var StoreServe = StoreMix{GetPct: 65, PutPct: 15, MGetPct: 10, ScanPct: 5, DeletePct: 5}
+
+// Share returns op's percentage of the mix (0 for an unknown op).
+func (m StoreMix) Share(op StoreOp) int {
+	switch op {
+	case StoreGet:
+		return m.GetPct
+	case StorePut:
+		return m.PutPct
+	case StoreMGet:
+		return m.MGetPct
+	case StoreScan:
+		return m.ScanPct
+	case StoreDelete:
+		return m.DeletePct
+	case StoreRMW:
+		return m.RMWPct
+	case StoreMPut:
+		return m.MPutPct
+	}
+	return 0
+}
 
 // Valid reports whether the mix sums to 100 with no negatives.
 func (m StoreMix) Valid() bool {
