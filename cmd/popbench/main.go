@@ -61,8 +61,15 @@
 // retire list to the domain's orphan queue) and respawns as a fresh
 // goroutine re-leasing a slot. Churned sweeps add the lifecycle
 // columns — thread releases and orphan nodes adopted — so reclamation
-// tails under thread turnover are explainable; the `churn` figure runs
-// the canonical turnover sweep.
+// tails under thread turnover are explainable; one run per N is the
+// turnover sweep.
+//
+// Each sweep reads only its own flags: -mix, -rangepct and -rangespan
+// are -ds flags; -shards, -batch, -groups, -mputpct, -valsize, -trace,
+// -sample, -chaosstart and -chaosstop are -store flags; -conns, -slots,
+// -openrate and -getpct are -serve flags; -scale is a -figure flag. A
+// flag set on the command line that the chosen sweep does not read is a
+// usage error (exit status 2), not a silent no-op.
 //
 // Examples:
 //
@@ -71,12 +78,11 @@
 //	popbench -figure all -scale 128 -duration 500ms -tsv > results.tsv
 //	popbench -figure fig4 -policies NR,EBR,NBR,HazardPtrPOP,EpochPOP
 //	popbench -ds skl -rangepct 10 -rangespan 200
-//	popbench -ds abt -csv > abt-scan-latency.csv
+//	popbench -ds abt -csv > abt.csv
 //	popbench -ds abt -mix scan-heavy -keyrange 100000
-//	popbench -ds skl -mix kv -duration 1s -csv > skl-kv.csv
+//	popbench -ds skl -mix kv -duration 1s -csv > kv.csv
 //	popbench -ds hmht -mix kv -keyrange 1000000 -dist zipf
 //	popbench -ds skl -mix kv -churn 5000
-//	popbench -figure churn -duration 1s
 //	popbench -store -shards 1,4,16 -batch 8,64 -dist zipf
 //	popbench -store -churn 2000 -shards 8
 //	popbench -store -backing hmht -keyrange 1000000 -csv > store.csv
@@ -85,7 +91,6 @@
 //	popbench -ycsb D -serve -conns 32
 //	popbench -trace ops.trace -tracepaced
 //	popbench -ycsb A -chaos
-//	popbench -figure ycsb -duration 1s
 //
 // The -scale flag divides the paper's structure sizes (defaults to 64 so
 // a laptop run finishes); -scale 1 runs the full-size structures.
@@ -96,6 +101,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -171,18 +177,28 @@ func main() {
 		}
 		return
 	}
+	// The sweep: -serve, else -store, else -ds; -ycsb and -trace without
+	// -ds imply -store. A flag the sweep does not read is a usage error.
+	mode := "-figure"
+	switch {
+	case *serveMode:
+		mode = "-serve"
+	case *storeMode, *dsName == "" && (*ycsbName != "" || *traceFile != ""):
+		mode = "-store"
+	case *dsName != "":
+		mode = "-ds"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if modes, ok := sweepFlags[f.Name]; ok && !slices.Contains(modes, mode) {
+			die(2, "-%s applies to %s, not to the %s sweep", f.Name, strings.Join(modes, ", "), mode)
+		}
+	})
+	if *traceFile != "" && *ycsbName != "" {
+		die(2, "-trace and -ycsb are mutually exclusive (a trace is the workload)")
+	}
 	dist, err := workload.ParseDist(*distName)
 	if err != nil {
 		die(2, "%v", err)
-	}
-	if *ycsbName != "" && *dsName != "" {
-		die(2, "-ycsb applies to the -store and -serve paths, not -ds")
-	}
-	if *traceFile != "" && (*serveMode || *dsName != "") {
-		die(2, "-trace replays through the store path only")
-	}
-	if *traceFile != "" && *ycsbName != "" {
-		die(2, "-trace and -ycsb are mutually exclusive (a trace is the workload)")
 	}
 	var trace []workload.TraceOp
 	if *traceFile != "" {
@@ -196,26 +212,9 @@ func main() {
 			die(2, "%v", err)
 		}
 	}
-	// -ycsb and -trace imply the store sweep unless -serve picked the
-	// wire-protocol front.
-	if (*ycsbName != "" || *traceFile != "") && !*serveMode {
-		*storeMode = true
-	}
 	var chaosCfg chaos.Config
 	if *chaosOn {
-		if !*storeMode && !*serveMode {
-			die(2, "-chaos applies to the -store and -serve paths")
-		}
 		chaosCfg = chaos.Default()
-	}
-	if (*chaosFrom > 0 || *chaosTo > 0) && !*storeMode {
-		die(2, "-chaosstart/-chaosstop window the -store path's injectors")
-	}
-	if *sampleDur > 0 && !*storeMode {
-		die(2, "-sample applies to the -store path (-figure timeline samples the canonical run)")
-	}
-	if *valSize != "" && !*storeMode {
-		die(2, "-valsize applies to the -store path")
 	}
 	valMin, valMax, valSmallPct, err := parseValSize(*valSize)
 	if err != nil {
@@ -246,13 +245,13 @@ func main() {
 	reclaim := core.Options{ReclaimThreshold: *rthresh}
 	churn := workload.Churn{AfterOps: *churnOps}
 	var sweep func() error
-	switch {
-	case *serveMode:
+	switch mode {
+	case "-serve":
 		sweep = serveSweepOpts{sweepCommon: common, conns: *connsCSV, cfg: harness.ServeConfig{
 			Slots: *slots, Duration: *duration, Keys: *keyRange, Backing: *backing, Seed: *seed,
 			GetPct: *getPct, OpenRate: *openRate, Dist: dist, Chaos: chaosCfg,
 		}}.run
-	case *storeMode:
+	case "-store":
 		sweep = storeSweepOpts{
 			sweepCommon: common,
 			shards:      *shardsCSV, batches: *batchCSV, groups: *groupsCSV, mputPct: *mputPct,
@@ -265,7 +264,7 @@ func main() {
 				ValueMin: valMin, ValueMax: valMax, ValueSmallPct: valSmallPct, OpLatency: true,
 			},
 		}.run
-	case *dsName != "":
+	case "-ds":
 		sweep = sweepOpts{sweepCommon: common, mix: *mixName, rangePct: *rangePct, cfg: harness.Config{
 			DS: *dsName, Duration: *duration, KeyRange: *keyRange, RangeSpan: *rangeSpan, Seed: *seed,
 			Dist: dist, Churn: churn, Reclaim: reclaim, OpLatency: true,
@@ -313,6 +312,41 @@ func main() {
 			die(1, "%v", err)
 		}
 	}
+}
+
+// sweepFlags names each flag that only some sweeps read, with the
+// sweeps that read it; a flag absent here applies to every sweep.
+var sweepFlags = map[string][]string{
+	"figure":     {"-figure"},
+	"scale":      {"-figure"},
+	"threads":    {"-figure", "-ds", "-store"},
+	"ds":         {"-ds"},
+	"mix":        {"-ds"},
+	"rangepct":   {"-ds"},
+	"rangespan":  {"-ds"},
+	"keyrange":   {"-ds", "-store", "-serve"},
+	"dist":       {"-ds", "-store", "-serve"},
+	"json":       {"-ds", "-store", "-serve"},
+	"churn":      {"-ds", "-store"},
+	"rthresh":    {"-ds", "-store"},
+	"ycsb":       {"-store", "-serve"},
+	"chaos":      {"-store", "-serve"},
+	"backing":    {"-store", "-serve"},
+	"store":      {"-store"},
+	"trace":      {"-store"},
+	"tracepaced": {"-store"},
+	"chaosstart": {"-store"},
+	"chaosstop":  {"-store"},
+	"sample":     {"-store"},
+	"valsize":    {"-store"},
+	"shards":     {"-store"},
+	"batch":      {"-store"},
+	"groups":     {"-store"},
+	"mputpct":    {"-store"},
+	"conns":      {"-serve"},
+	"slots":      {"-serve"},
+	"openrate":   {"-serve"},
+	"getpct":     {"-serve"},
 }
 
 // die reports a fatal error and exits: status 2 for a usage error, 1

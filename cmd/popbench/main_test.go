@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,10 +36,33 @@ func labels(out string) string {
 	return b.String()
 }
 
-// TestSweepLabels builds popbench and runs one tiny sweep per mode (-ds,
-// -store, -serve, -trace), comparing each run's titles, headers and row
-// labels with testdata/labels.golden (-update rewrites it).
-func TestSweepLabels(t *testing.T) {
+// sweepArgs is one tiny sweep per mode (-ds, -store, -serve, -trace).
+var sweepArgs = []string{
+	"-ds skl -mix kv -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
+	"-store -shards 4,8 -batch 8 -groups 1,4 -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
+	"-serve -conns 2,4 -slots 2 -duration 20ms -policies EBR -keyrange 2048",
+	"-trace testdata/sample.trace -policies EBR,EpochPOP",
+}
+
+var (
+	buildOnce sync.Once
+	binDir    string // removed by TestMain
+	binPath   string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// popbench builds the binary once per test process and returns its
+// path; it skips in -short mode and without a go toolchain.
+func popbench(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the popbench binary")
 	}
@@ -45,17 +70,28 @@ func TestSweepLabels(t *testing.T) {
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	bin := filepath.Join(t.TempDir(), "popbench")
-	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "popbench-test"); buildErr != nil {
+			return
+		}
+		binPath = filepath.Join(binDir, "popbench")
+		if out, err := exec.Command(goBin, "build", "-o", binPath, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
+	return binPath
+}
+
+// TestSweepLabels runs each of sweepArgs, comparing each run's titles,
+// headers and row labels with testdata/labels.golden (-update rewrites
+// it).
+func TestSweepLabels(t *testing.T) {
+	bin := popbench(t)
 	var got strings.Builder
-	for _, args := range []string{
-		"-ds skl -mix kv -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
-		"-store -shards 4,8 -batch 8 -groups 1,4 -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
-		"-serve -conns 2,4 -slots 2 -duration 20ms -policies EBR -keyrange 2048",
-		"-trace testdata/sample.trace -policies EBR,EpochPOP",
-	} {
+	for _, args := range sweepArgs {
 		out, err := exec.Command(bin, append(strings.Fields(args), "-csv", "-quiet")...).Output()
 		if err != nil {
 			t.Fatalf("popbench %s: %v", args, err)
@@ -75,6 +111,30 @@ func TestSweepLabels(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("sweep labels differ from %s (-update only if the change is intended)\n--- got\n%s", golden, got.String())
+	}
+}
+
+// TestSweepRejectsUnreadFlags: a flag the chosen sweep does not read is
+// a usage error (exit 2) that names the flag, and every sweepArgs line
+// still runs.
+func TestSweepRejectsUnreadFlags(t *testing.T) {
+	bin := popbench(t)
+	for _, c := range []struct{ args, flag string }{
+		{"-serve -shards 4", "-shards"},
+		{"-ds skl -groups 2", "-groups"},
+		{"-store -conns 4", "-conns"},
+	} {
+		out, err := exec.Command(bin, append(strings.Fields(c.args), "-duration", "20ms", "-quiet")...).CombinedOutput()
+		msg, _, _ := strings.Cut(string(out), "\n")
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(msg, c.flag) {
+			t.Errorf("popbench %s: %v, %q; want exit status 2 naming %s", c.args, err, msg, c.flag)
+		}
+	}
+	for _, args := range sweepArgs {
+		if out, err := exec.Command(bin, append(strings.Fields(args), "-quiet")...).CombinedOutput(); err != nil {
+			t.Errorf("popbench %s: %v\n%s", args, err, out)
+		}
 	}
 }
 

@@ -7,11 +7,16 @@
 // reclamation (SMR) to mean anything: Pool hands out nodes from large
 // type-stable slabs and recycles them on Put. Because slabs are never
 // returned to the Go heap while the pool lives, a node pointer held past
-// its free does not crash — instead the pool's allocation-sequence
-// discipline makes the error *detectable*: every node slot carries a
-// sequence number that is bumped on each free, so a stale reader can be
-// caught deterministically (see Check) where C++ would segfault
-// non-deterministically.
+// its free does not crash. Every slot carries a sequence number that is
+// bumped on each free (Seq, Check), and NewPool takes an optional poison
+// function applied on free, so a stale reader could be caught
+// deterministically where C++ would segfault non-deterministically. No
+// structure wires either in: every node pool is built with
+// NewPool(nil, nil), and Check has no caller outside this package's
+// tests. What catches a stale read today sits above the arena: the value
+// checksums the harness verifies on every read, the dstest invariants
+// and reference-model checks, and core's seeded tape
+// (differential_test.go), which poisons the nodes it frees itself.
 //
 // Design points that matter for the benchmarks:
 //
@@ -176,9 +181,9 @@ func (c *ThreadCache[T]) Put(v *T) {
 // thread is inherently racy and intended only for debug checks.
 func Seq[T any](v *T) uint64 { return slotOf(v).Seq }
 
-// Check panics if v is not currently allocated. It is the pool-level
-// use-after-free detector: data-structure debug modes call it after
-// protecting a node.
+// Check panics if v is not currently allocated: a pool-level
+// use-after-free assertion. No data structure calls it; only this
+// package's tests do (see the package comment).
 func Check[T any](v *T) {
 	if s := slotOf(v); s.Seq%2 == 0 {
 		panic(fmt.Sprintf("arena: use after free detected (seq=%d)", s.Seq))

@@ -31,9 +31,12 @@
 //     no never-inserted key ever reported) and value-returning scans
 //     (RangeCollectKV) checked pair-exactly, limits included.
 //
-// Any use-after-free surfaces as a poisoned key, a failed invariant, or
-// an arena panic — the Go analogue of the segfault the paper's C++
-// benchmark would produce.
+// A use-after-free is caught here only when it changes what an operation
+// returns: a failed invariant, a mismatch against the reference model,
+// or a broken overwrite chain. Node pools are built without a poison
+// function (arena.NewPool(nil, nil)) and nothing calls arena.Check, so a
+// stale read that still returns the right answer passes; core's seeded
+// tape (differential_test.go) is the check that poisons freed nodes.
 package dstest
 
 import (

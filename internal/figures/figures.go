@@ -1,17 +1,17 @@
-// Package figures encodes every experiment in the paper's evaluation —
-// Figures 1-11 plus the §2.1.2 read-cost analysis, the robustness
-// scenario, and ablations over the design parameters core.Options exposes
-// — and this repository's extension experiments: the skiplist sweeps,
-// the scan-heavy range-query workloads on both ordered structures
-// (skl-scan, abt-scan), whose series include per-scan latency quantiles
-// (p50/p99 from the harness's HDR histogram) alongside throughput and
-// memory, and the KV-serving sweeps (skl-kv, hmht-kv) that run the
-// get/put/overwrite/delete map workload with per-op-class tail
-// latencies.
+// Package figures encodes the paper's evaluation — Figures 1-11 plus
+// the §2.1.2 read-cost analysis, the robustness scenario, and ablations
+// over the design parameters core.Options exposes — and three
+// serving-stack experiments whose swept axis no popbench flag has:
+// pingfanout (domain-group factor × thread count), nbr-overwrite (the
+// overwrite share of the op mix) and timeline (one sampled store run
+// through a stalls-only chaos burst). Every other serving-stack sweep is
+// a popbench flag sweep (-ds, -store, -serve, -ycsb, -churn), not a
+// figure.
 // Each figure knows its workload, data structure, sizes and thresholds,
 // runs the sweep through the harness, and returns the same series the
 // paper plots. cmd/popbench renders them (-figure), and builds its
-// direct sweeps on the same Grid.
+// direct sweeps on the same Grid, Metric, OpLat, StoreLat and
+// ServeMetrics.
 //
 // Sizes are the paper's divided by Ctx.Scale so laptop-scale runs finish;
 // pass Scale=1 for full-size structures. The retire-list threshold
@@ -27,7 +27,6 @@ import (
 	"pop/internal/core"
 	"pop/internal/harness"
 	"pop/internal/report"
-	"pop/internal/store"
 	"pop/internal/telemetry"
 	"pop/internal/workload"
 )
@@ -173,18 +172,12 @@ func Labels[T int | uint64](xs []T) []string {
 	return out
 }
 
-// The metrics several figures share.
+// The metrics several paper figures share.
 var (
 	mThroughput  = Metric[harness.Result]{"throughput (ops/s)", func(r harness.Result) float64 { return r.Throughput }}
-	mRangeTput   = Metric[harness.Result]{"range throughput (scans/s)", func(r harness.Result) float64 { return r.RangeTput }}
 	mMaxRetire   = Metric[harness.Result]{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.Reclaim.MaxRetire) }}
 	mPeakRes     = Metric[harness.Result]{"peak resident nodes", func(r harness.Result) float64 { return float64(r.PeakResident) }}
 	mUnreclaimed = Metric[harness.Result]{"total unreclaimed nodes", func(r harness.Result) float64 { return float64(r.Unreclaimed) }}
-
-	sThroughput  = Metric[harness.StoreResult]{"throughput (ops/s)", func(r harness.StoreResult) float64 { return r.Throughput }}
-	sStale       = Metric[harness.StoreResult]{"stale value reads", func(r harness.StoreResult) float64 { return float64(r.Store.StaleReads) }}
-	sValueErrs   = Metric[harness.StoreResult]{"value checksum failures", func(r harness.StoreResult) float64 { return float64(r.ValueErrors) }}
-	sUnreclaimed = Metric[harness.StoreResult]{"unreclaimed at run end (nodes)", func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }}
 )
 
 // OpLat is LatencyMetric over one op of a map trial (scans are timed
@@ -556,99 +549,6 @@ func ablateCMult() Figure {
 	}
 }
 
-// scanHeavyFigure sweeps one range-capable structure under the
-// scan-heavy mix: half the operations are multi-key ordered scans, each
-// one long operation whose reservations stay pinned across every hop.
-// This is the structural extreme of the paper's long-running-reads
-// argument — the regime where cheap reservation publication (POP)
-// should matter most. Running it on both the skiplist (per-node
-// reservation chains) and the (a,b)-tree (whole-leaf reservations)
-// separates reservation count from reservation lifetime; the series
-// include scan-latency quantiles so the per-policy tail is visible, not
-// just the mean.
-func scanHeavyFigure(id, what, dsName string, paperSize int64) Figure {
-	return sweepFigure(id, what, func(c Ctx) harness.Config {
-		cfg := paperConfig(c, dsName, paperSize, false, workload.ScanHeavy)
-		cfg.RangeSpan = 100
-		cfg.Reclaim.ReclaimThreshold = scaleThreshold(c, 2048)
-		return cfg
-	},
-		mThroughput, mRangeTput,
-		OpLat("scan p50 (µs)", workload.RangeQuery, 0.50),
-		OpLat("scan p99 (µs)", workload.RangeQuery, 0.99),
-		mMaxRetire, mUnreclaimed,
-	)
-}
-
-// kvFigure sweeps one structure under the KV-serving mix (70% get /
-// 10% put / 15% overwrite / 5% delete) with per-operation latency
-// profiling on: the series report KV throughput plus the read and
-// write tails (p50/p99 per op class). Overwrites replace values on
-// present keys — a retirement per overwrite on the replace-node
-// structures — so this is the reclamation pressure a value-serving
-// workload adds on top of the paper's key-only churn.
-func kvFigure(id, what, dsName string, paperSize int64) Figure {
-	return sweepFigure(id, what, func(c Ctx) harness.Config {
-		cfg := paperConfig(c, dsName, paperSize, false, workload.KVStore)
-		cfg.OpLatency = true
-		return cfg
-	},
-		mThroughput,
-		OpLat("get p50 (µs)", workload.Get, 0.50),
-		OpLat("get p99 (µs)", workload.Get, 0.99),
-		OpLat("put p99 (µs)", workload.Put, 0.99),
-		OpLat("overwrite p99 (µs)", workload.Overwrite, 0.99),
-		OpLat("delete p99 (µs)", workload.Delete, 0.99),
-		mMaxRetire,
-	)
-}
-
-// storeServeFigure sweeps the KV-serving front: an 8-shard skiplist
-// store under the StoreServe mix with Zipfian key popularity — single
-// gets, batched multi-gets (one protected operation per shard per
-// batch), value-returning scans, and 16–256 B payload writes whose
-// replaced values retire through the core reclamation path. The series
-// report the serving tails per policy plus the stale-read count: how
-// often a value read lost to an overwrite's reclamation and retried,
-// the read-side signature of each policy's retire-to-free latency.
-func storeServeFigure() Figure {
-	return Figure{
-		ID:   "store-serve",
-		Desc: "Store: 8-shard skiplist KV front, zipf(0.99) serving mix; throughput, per-class tails, stale reads",
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			policies := c.policySet(false)
-			return Grid[harness.StoreResult]{
-				Title: "Store serve (skl ×8 shards, zipf)", XLabel: "threads",
-				Rows: Labels(c.Threads), Cols: PolicyNames(policies),
-				Metrics: []Metric[harness.StoreResult]{
-					sThroughput,
-					{"served keys/s", func(r harness.StoreResult) float64 { return r.KeyTput }},
-					StoreLat("get p50 (µs)", workload.StoreGet, 0.50),
-					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
-					StoreLat("mget p99 (µs)", workload.StoreMGet, 0.99),
-					StoreLat("scan p99 (µs)", workload.StoreScan, 0.99),
-					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
-					sStale, sValueErrs, sUnreclaimed,
-				},
-				Run: func(r, col int) (harness.StoreResult, error) {
-					return harness.RunStore(harness.StoreConfig{
-						Policy:    policies[col],
-						Threads:   c.Threads[r],
-						Duration:  c.Duration,
-						Keys:      scaleSize(c, 4_000_000),
-						Shards:    8,
-						Dist:      workload.Zipf,
-						OpLatency: true,
-						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
-						Seed:      c.Seed,
-					})
-				},
-			}.Series(c.Log)
-		},
-	}
-}
-
 // pingFanoutFigure is the domain-group scaling experiment: the same
 // 32-shard store swept over grouping factors g ∈ {1, shards/4, shards}
 // at thread counts up to 64+, under the POP policies whose reclaimers
@@ -658,7 +558,12 @@ func storeServeFigure() Figure {
 // O(total threads). The series plot throughput, the write tail (puts
 // absorb reclamation pauses), and the measured per-pass ping/scan
 // fan-out, so the claimed reduction is read directly off the figure
-// rather than inferred.
+// rather than inferred. It backs README's group-factor paragraph
+// (threads scanned per pass shrink by the group factor at 64 threads,
+// with higher throughput and a lower put p99). popbench -store -groups
+// runs one thread count on the serve mix or a YCSB mix, so this grid —
+// groups × threads on a scan-free mix with batched puts — is the
+// figure's own.
 func pingFanoutFigure() Figure {
 	return Figure{
 		ID:   "pingfanout",
@@ -689,12 +594,12 @@ func pingFanoutFigure() Figure {
 				XLabel: "threads",
 				Rows:   Labels(threads), Cols: names,
 				Metrics: []Metric[harness.StoreResult]{
-					sThroughput,
+					{"throughput (ops/s)", func(r harness.StoreResult) float64 { return r.Throughput }},
 					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
 					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
 					{"reclaim pings per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
 					{"reclaim threads scanned per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
-					sUnreclaimed,
+					{"unreclaimed at run end (nodes)", func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
 				},
 				Run: func(r, col int) (harness.StoreResult, error) {
 					return harness.RunStore(harness.StoreConfig{
@@ -721,131 +626,10 @@ func pingFanoutFigure() Figure {
 	}
 }
 
-// ycsbFigure runs the six YCSB core workloads (Cooper et al., SoCC'10)
-// against the KV front at the sweep's top thread count: one row per
-// workload A–F, one column per policy. The mixes move the reclamation
-// pressure around — A/F are overwrite- and RMW-heavy (a retirement per
-// hit), B/C/D nearly read-only, D shifts popularity to the insert
-// frontier (latest), E holds scans open across churn — so the figure
-// shows which schedules separate the policies, not just how hard one
-// mix can be pushed.
-func ycsbFigure() Figure {
-	return Figure{
-		ID:   "ycsb",
-		Desc: "YCSB A–F on the 8-shard skiplist store: throughput and per-class tails per policy across the six core mixes",
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			threads := topThreads(c, 1)
-			policies := c.policySet(false)
-			ws := workload.YCSBWorkloads()
-			rows := make([]string, len(ws))
-			for i, w := range ws {
-				rows[i] = w.Name
-			}
-			return Grid[harness.StoreResult]{
-				Title:  fmt.Sprintf("YCSB A–F (skl ×8 shards, %d threads)", threads),
-				XLabel: "workload",
-				Rows:   rows, Cols: PolicyNames(policies),
-				Metrics: []Metric[harness.StoreResult]{
-					sThroughput,
-					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
-					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
-					StoreLat("rmw p99 (µs)", workload.StoreRMW, 0.99),
-					StoreLat("scan p99 (µs)", workload.StoreScan, 0.99),
-					sValueErrs, sUnreclaimed,
-				},
-				Run: func(r, col int) (harness.StoreResult, error) {
-					return harness.RunStore(harness.StoreConfig{
-						Policy:    policies[col],
-						Threads:   threads,
-						Duration:  c.Duration,
-						Keys:      scaleSize(c, 4_000_000),
-						Shards:    8,
-						Mix:       ws[r].Mix,
-						Dist:      ws[r].Dist,
-						OpLatency: true,
-						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
-						Seed:      c.Seed,
-					})
-				},
-			}.Series(c.Log)
-		},
-	}
-}
-
-// hotpathFigure isolates the value-encoding fast path: the same YCSB-B
-// serving run (95% get / 5% overwrite, zipf) at 64 threads on the
-// skiplist and hash-table backings, once with 6-byte values — every one
-// inline-encoded into the map word, no arena traffic, no stale-read
-// window — and once with 64-byte values through the arena path. Rows
-// are policies, columns the backing × encoding variants, so the
-// inline-vs-arena read win (get p50) and the allocation diet
-// (allocs/op, alloc bytes/op) are read directly off each row.
-func hotpathFigure() Figure {
-	return Figure{
-		ID:   "hotpath",
-		Desc: "Hot path: YCSB-B at 64 threads, inline 6 B vs arena 64 B values on skl and hmht — get p50/p99, allocs/op",
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			threads := topThreads(c, 64)
-			w, err := workload.ParseYCSB("B")
-			if err != nil {
-				return nil, err
-			}
-			vs := []struct {
-				backing string
-				valLen  int
-				label   string
-			}{
-				{store.BackingSkipList, 6, "skl inline 6B"},
-				{store.BackingSkipList, 64, "skl arena 64B"},
-				{store.BackingHashTable, 6, "hmht inline 6B"},
-				{store.BackingHashTable, 64, "hmht arena 64B"},
-			}
-			names := make([]string, len(vs))
-			for i, v := range vs {
-				names[i] = v.label
-			}
-			policies := c.policySet(false)
-			return Grid[harness.StoreResult]{
-				Title:  fmt.Sprintf("Hot path (YCSB B, %d threads, 8 shards)", threads),
-				XLabel: "policy",
-				Rows:   PolicyNames(policies), Cols: names,
-				Metrics: []Metric[harness.StoreResult]{
-					sThroughput,
-					StoreLat("get p50 (µs)", workload.StoreGet, 0.50),
-					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
-					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
-					{"allocs/op", func(r harness.StoreResult) float64 { return r.AllocsPerOp }},
-					{"alloc bytes/op", func(r harness.StoreResult) float64 { return r.AllocBytesPerOp }},
-					sStale, sValueErrs,
-				},
-				Run: func(r, col int) (harness.StoreResult, error) {
-					return harness.RunStore(harness.StoreConfig{
-						Policy:    policies[r],
-						Threads:   threads,
-						Duration:  c.Duration,
-						Keys:      scaleSize(c, 4_000_000),
-						Shards:    8,
-						Backing:   vs[col].backing,
-						Mix:       w.Mix,
-						Dist:      w.Dist,
-						ValueMin:  vs[col].valLen,
-						ValueMax:  vs[col].valLen,
-						OpLatency: true,
-						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
-						Seed:      c.Seed,
-					})
-				},
-			}.Series(c.Log)
-		},
-	}
-}
-
-// ServeMetrics is the canonical serve-trial metric set: throughput,
-// client-observed get/set tails, the admission-queue wait distribution,
-// the coalescing counters, and the correctness columns (checksum
-// failures and leaked leases, both of which must be zero).
+// ServeMetrics is the serve-trial metric set popbench -serve prints:
+// throughput, client-observed get/set tails, the admission-queue wait
+// distribution, the coalescing counters, and the correctness columns
+// (checksum failures and leaked leases, both of which must be zero).
 func ServeMetrics() []Metric[harness.ServeResult] {
 	type R = harness.ServeResult
 	getH := func(r R) *report.Histogram { return r.GetLat }
@@ -868,43 +652,6 @@ func ServeMetrics() []Metric[harness.ServeResult] {
 	}
 }
 
-// serveFigure sweeps the wire-protocol serving front: a live popserve
-// instance with 4 admission slots, swept from slot-parity up to 8×
-// overcommitted connections under a zipf get/set mix. Client-observed
-// tails include protocol framing, burst admission queueing, and the
-// per-shard get combiner — the end-to-end serving cost of each
-// reclamation policy, not just its in-process op latency.
-func serveFigure() Figure {
-	return Figure{
-		ID:   "serve",
-		Desc: "Serving front: live TCP memcached-text server, conns ≫ slots; client tails, admission waits, coalescing",
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			const slots = 4
-			conns := []int{slots, 4 * slots, 8 * slots}
-			policies := c.policySet(false)
-			return Grid[harness.ServeResult]{
-				Title:  fmt.Sprintf("Serve (skl ×4 shards, %d slots, zipf)", slots),
-				XLabel: "conns",
-				Rows:   Labels(conns), Cols: PolicyNames(policies),
-				Metrics: ServeMetrics(),
-				Run: func(r, col int) (harness.ServeResult, error) {
-					return harness.RunServe(harness.ServeConfig{
-						Policy:   policies[col],
-						Slots:    slots,
-						Conns:    conns[r],
-						Duration: c.Duration,
-						Keys:     scaleSize(c, 1_000_000),
-						Shards:   4,
-						Dist:     workload.Zipf,
-						Seed:     c.Seed,
-					})
-				},
-			}.Series(c.Log)
-		},
-	}
-}
-
 // nbrOverwriteFigure is the NBR overwrite-tail ablation the per-op
 // histograms motivated: overwrites are where NBR restart storms live,
 // because an overwrite's write phase (mark + link CAS) can be
@@ -913,7 +660,10 @@ func serveFigure() Figure {
 // dials only OverwritePct: each row reports throughput, the overwrite
 // p99, NBR's neutralization-induced restarts, and publish-handler runs
 // (the ack side of neutralization), so the restart storm's onset and
-// cost are directly comparable against the restart-free schemes.
+// cost are directly comparable against the restart-free schemes. It
+// backs the claim that NBR's restarts grow with the overwrite share
+// while the restart-free policies read zero. popbench -mix picks one of
+// four fixed mixes, so no flag sweep dials the overwrite share.
 func nbrOverwriteFigure() Figure {
 	return Figure{
 		ID:   "nbr-overwrite",
@@ -951,57 +701,6 @@ func nbrOverwriteFigure() Figure {
 	}
 }
 
-// churnFigure sweeps worker turnover: the KV-serving mix on the
-// skiplist with the elastic harness mode, dialing how many operations
-// each thread incarnation performs before releasing its slot (and
-// donating its retire list) — from no churn down to a lease every 1K
-// ops. The series show what thread turnover costs each policy: the
-// read and overwrite tails (a release wipes no published work, but
-// orphan adoption batches garbage onto whichever thread reclaims
-// next), end-of-run garbage, and the lifecycle counters (releases,
-// orphan nodes donated/adopted) that make the churn explainable.
-func churnFigure() Figure {
-	return Figure{
-		ID:   "churn",
-		Desc: "Elastic serving: worker churn (release/respawn) on SKL KV mix — tails, orphan adoption, memory under turnover",
-		Run: func(c Ctx) ([]report.Series, error) {
-			c = c.withDefaults()
-			threads := topThreads(c, 2)
-			policies := c.policySet(false)
-			leases := []uint64{0, 20000, 5000, 1000}
-			rows := Labels(leases)
-			rows[0] = "none"
-			return Grid[harness.Result]{
-				Title:  fmt.Sprintf("Worker churn (SKL kv, %d threads)", threads),
-				XLabel: "opsPerLease",
-				Rows:   rows, Cols: PolicyNames(policies),
-				Metrics: []Metric[harness.Result]{
-					mThroughput,
-					OpLat("get latency p99 (µs)", workload.Get, 0.99),
-					OpLat("overwrite latency p99 (µs)", workload.Overwrite, 0.99),
-					{"unreclaimed at run end (nodes)", mUnreclaimed.Get},
-					{"thread releases", func(r harness.Result) float64 { return float64(r.Lifecycle.Releases) }},
-					{"orphan nodes adopted", func(r harness.Result) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
-				},
-				Run: func(r, col int) (harness.Result, error) {
-					return harness.Run(harness.Config{
-						DS:        harness.DSSkipList,
-						Policy:    policies[col],
-						Threads:   threads,
-						Duration:  c.Duration,
-						KeyRange:  scaleSize(c, 1_000_000),
-						Mix:       workload.KVStore,
-						Churn:     workload.Churn{AfterOps: leases[r]},
-						OpLatency: true,
-						Reclaim:   core.Options{ReclaimThreshold: scaleThreshold(c, 24576)},
-						Seed:      c.Seed,
-					})
-				},
-			}.Series(c.Log)
-		},
-	}
-}
-
 // All returns every figure in presentation order.
 func All() []Figure {
 	return []Figure{
@@ -1020,18 +719,8 @@ func All() []Figure {
 		appendixFigure("fig9", "Fig 9: LL 2K (appendix D)", harness.DSLazyList, 2_000, true, false),
 		appendixFigure("fig10", "Fig 10: HML 2K + Crystalline (appendix E)", harness.DSHarrisMichaelList, 2_000, true, true),
 		appendixFigure("fig11", "Fig 11: HT 6M + Crystalline (appendix E)", harness.DSHashTable, 6_000_000, false, true),
-		throughputAndMemory("skl-update", "SKL (skiplist) 1M update-heavy", harness.DSSkipList, 1_000_000, false, workload.UpdateHeavy),
-		scanHeavyFigure("skl-scan", "SKL (skiplist) 1M scan-heavy: range queries under churn, throughput + scan tail latency + memory", harness.DSSkipList, 1_000_000),
-		scanHeavyFigure("abt-scan", "ABT ((a,b)-tree) 1M scan-heavy: whole-leaf range scans under churn, throughput + scan tail latency + memory", harness.DSABTree, 1_000_000),
-		kvFigure("skl-kv", "SKL (skiplist) 1M KV-serving mix: get/put/overwrite/delete with per-op-class tail latency", harness.DSSkipList, 1_000_000),
-		kvFigure("hmht-kv", "HMHT (hash table) 6M KV-serving mix: get/put/overwrite/delete with per-op-class tail latency", harness.DSHashTable, 6_000_000),
-		storeServeFigure(),
 		pingFanoutFigure(),
-		ycsbFigure(),
-		hotpathFigure(),
-		serveFigure(),
 		nbrOverwriteFigure(),
-		churnFigure(),
 		timelineFigure(),
 		readCostFigure(),
 		stallFigure(),
@@ -1084,7 +773,9 @@ func TimelineSeries(title string, tl *telemetry.Timeline) report.Series {
 // the §5.1.2 story as a live trace: garbage climbs while the stalled
 // readers pin their windows, pings flush it back down after the burst
 // lifts (epoch-style schemes recover late; POP schemes recover on the
-// next pass).
+// next pass). It backs the recovery story of README's and
+// ARCHITECTURE's telemetry sections. popbench -chaos runs the whole
+// injector bundle, so only this figure windows stalled readers alone.
 func timelineFigure() Figure {
 	return Figure{
 		ID:   "timeline",

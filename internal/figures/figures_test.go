@@ -3,15 +3,19 @@ package figures_test
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"pop/internal/core"
 	"pop/internal/figures"
+	"pop/internal/harness"
 	"pop/internal/report"
+	"pop/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/skeletons.golden from this run")
@@ -39,8 +43,9 @@ func TestAllFiguresHaveUniqueIDs(t *testing.T) {
 		}
 		seen[f.ID] = true
 	}
-	if len(seen) < 19 {
-		t.Fatalf("only %d figures registered", len(seen))
+	// The paper's 20 entries plus pingfanout, nbr-overwrite and timeline.
+	if len(seen) != 23 {
+		t.Fatalf("%d figures registered, want 23", len(seen))
 	}
 }
 
@@ -78,7 +83,9 @@ func skeleton(id string, series []report.Series) string {
 
 // TestEveryFigureRuns executes each figure once at minimal scale,
 // sanity-checks the emitted series, and compares every figure's
-// skeleton with testdata/skeletons.golden (-update rewrites it).
+// skeleton with testdata/skeletons.golden (-update rewrites it). When
+// the whole set runs, a golden section that no registered figure
+// produces fails too: it is a deleted figure's leftover.
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps are slow in -short mode")
@@ -142,6 +149,13 @@ func TestEveryFigureRuns(t *testing.T) {
 			}
 		})
 	}
+	if !*update && len(got) == len(figures.All()) {
+		for _, id := range slices.Sorted(maps.Keys(want)) {
+			if _, ok := figures.Get(id); !ok {
+				t.Errorf("%s has a section for %q, which no registered figure produces (delete it, or -update)", golden, id)
+			}
+		}
+	}
 }
 
 // TestThroughputFigureShape checks that a throughput figure produces one
@@ -170,38 +184,43 @@ func TestThroughputFigureShape(t *testing.T) {
 	}
 }
 
-// TestScanFiguresEmitLatencyQuantiles: both scan-heavy figures (one per
-// RangeScanner) must exist and carry positive p50/p99 scan-latency
-// series — the tail metric this repo adds on top of the paper's plots.
+// TestScanFiguresEmitLatencyQuantiles: the scan-heavy trial that
+// popbench -ds skl|abt -mix scan-heavy runs, built on Grid and OpLat as
+// popbench builds it, must carry positive p50/p99 scan-latency series on
+// both RangeScanners — the tail metric this repo adds on top of the
+// paper's plots.
 func TestScanFiguresEmitLatencyQuantiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps are slow in -short mode")
 	}
-	for _, id := range []string{"skl-scan", "abt-scan"} {
-		f, ok := figures.Get(id)
-		if !ok {
-			t.Fatalf("figure %q not registered", id)
-		}
-		series, err := f.Run(fastCtx())
+	ctx := fastCtx()
+	for _, ds := range []string{harness.DSSkipList, harness.DSABTree} {
+		series, err := figures.Grid[harness.Result]{
+			Title: ds, XLabel: "threads",
+			Rows: figures.Labels(ctx.Threads), Cols: figures.PolicyNames(ctx.Policies),
+			Metrics: []figures.Metric[harness.Result]{
+				figures.OpLat("scan p50 (µs)", workload.RangeQuery, 0.50),
+				figures.OpLat("scan p99 (µs)", workload.RangeQuery, 0.99),
+			},
+			Run: func(r, c int) (harness.Result, error) {
+				return harness.Run(harness.Config{
+					DS: ds, Policy: ctx.Policies[c], Threads: ctx.Threads[r], Duration: ctx.Duration,
+					KeyRange: 512, Mix: workload.ScanHeavy, RangeSpan: 100, Seed: ctx.Seed,
+					Reclaim: core.Options{ReclaimThreshold: 64},
+				})
+			},
+		}.Series(func(string, ...any) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := 0
 		for _, s := range series {
-			if !strings.Contains(s.Title, "scan p50") && !strings.Contains(s.Title, "scan p99") {
-				continue
-			}
-			found++
 			for _, r := range s.Rows {
 				for i, v := range r.Cells {
 					if v <= 0 {
-						t.Fatalf("%s: %q: non-positive latency for %s at threads=%s", id, s.Title, s.Names[i], r.X)
+						t.Fatalf("%q: non-positive latency for %s at threads=%s", s.Title, s.Names[i], r.X)
 					}
 				}
 			}
-		}
-		if found != 2 {
-			t.Fatalf("%s emitted %d latency series, want p50 and p99", id, found)
 		}
 	}
 }

@@ -23,8 +23,8 @@
 //
 // Mixes with a RangePct component additionally account range queries
 // (keys returned, throughput) and always record every scan's latency
-// (Result.OpLat[workload.RangeQuery]), the long-read tail metric the
-// figures and popbench sweeps compare across policies. Range-bearing
+// (Result.OpLat[workload.RangeQuery]), the long-read tail metric
+// popbench sweeps compare across policies. Range-bearing
 // mixes require a structure implementing ds.RangeScanner — DSSkipList
 // or DSABTree, whose scans stress reservations in opposite ways
 // (per-node chains vs whole leaves); use RangeCapable to test by name.
@@ -100,7 +100,8 @@ type Config struct {
 	// OpLatency enables per-operation latency histograms for the
 	// get/put/overwrite/delete classes (two clock reads per operation —
 	// measurable on sub-100ns operations, so figure reproductions leave
-	// it off; popbench direct sweeps and the KV figures turn it on).
+	// it off; popbench direct sweeps and the nbr-overwrite figure turn
+	// it on).
 	// Scan latency is always recorded when the mix scans.
 	OpLatency bool
 
