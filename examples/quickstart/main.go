@@ -1,9 +1,9 @@
 // Quickstart: the smallest complete publish-on-ping program.
 //
-// It builds a hash table reclaimed by EpochPOP (the paper's recommended
-// default: epoch-based speed with hazard-pointer robustness), runs a few
-// concurrent workers, and prints the reclamation counters that show the
-// scheme at work.
+// It builds a hash-table map reclaimed by EpochPOP (the paper's
+// recommended default: epoch-based speed with hazard-pointer
+// robustness), runs a few concurrent workers, and prints the
+// reclamation counters that show the scheme at work.
 //
 //	go run ./examples/quickstart
 package main
@@ -23,7 +23,7 @@ func main() {
 	domain := pop.NewDomain(pop.EpochPOP, workers, &pop.Options{
 		ReclaimThreshold: 1024, // retire-list length that triggers reclamation
 	})
-	set := pop.NewHashTable(domain, 100_000, 6)
+	kv := pop.NewHashTableMap(domain, 100_000, 6)
 
 	// Register one Thread per goroutine up front; a Thread must only be
 	// used by the goroutine that owns it.
@@ -38,19 +38,25 @@ func main() {
 		go func(w int, t *pop.Thread) {
 			defer wg.Done()
 			base := int64(w) * 1_000_000
-			// Insert, query and delete a private key range; the deletes
-			// feed retired nodes to the reclamation scheme.
+			// Insert, overwrite, query and delete a private key range;
+			// the overwrites replace nodes and the deletes unlink them,
+			// so both feed retired nodes to the reclamation scheme.
 			for k := base; k < base+25_000; k++ {
-				set.Insert(t, k)
+				kv.Put(t, k, uint64(k))
+			}
+			for k := base; k < base+25_000; k += 5 {
+				if old, _ := kv.Put(t, k, uint64(k)+1); old != uint64(k) {
+					panic(fmt.Sprintf("Put(%d) replaced %d, want %d", k, old, k))
+				}
 			}
 			hits := 0
 			for k := base; k < base+25_000; k++ {
-				if set.Contains(t, k) {
+				if _, ok := kv.Get(t, k); ok {
 					hits++
 				}
 			}
 			for k := base; k < base+25_000; k++ {
-				set.Delete(t, k)
+				kv.Delete(t, k)
 			}
 			fmt.Printf("worker %d: %d/25000 lookups hit\n", w, hits)
 		}(w, threads[w])
@@ -62,8 +68,8 @@ func main() {
 		t.Flush()
 	}
 
-	fmt.Printf("\nfinal size:        %d keys\n", set.Size(threads[0]))
-	fmt.Printf("outstanding nodes: %d (allocs - frees)\n", set.Outstanding())
+	fmt.Printf("\nfinal size:        %d keys\n", kv.Size(threads[0]))
+	fmt.Printf("outstanding nodes: %d (allocs - frees)\n", kv.Outstanding())
 	st := domain.Stats()
 	fmt.Printf("retired: %d  freed: %d  epoch reclaims: %d  pop escalations: %d  pings: %d\n",
 		st.Retires, st.Frees, st.EpochReclaims, st.POPReclaims, st.PingsSent)

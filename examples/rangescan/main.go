@@ -3,7 +3,7 @@
 // structures underneath them.
 //
 // Three writers per structure insert and delete odd keys; the main
-// goroutine keeps scanning a window with pop.RangeSet. Every scan is
+// goroutine keeps scanning a window with pop.OrderedMap. Every scan is
 // one long operation — its reservations stay live across every hop —
 // so this is the smallest demonstration of the workload regime the
 // paper's §5.1.2 long-running-reads experiment probes: cheap
@@ -31,19 +31,19 @@ func main() {
 	)
 	structures := []struct {
 		name string
-		mk   func(d *pop.Domain) pop.RangeSet
+		mk   func(d *pop.Domain) pop.OrderedMap
 	}{
-		{"skiplist (per-node reservations)", pop.NewSkipList},
-		{"abtree   (whole-leaf reservations)", pop.NewABTree},
+		{"skiplist (per-node reservations)", pop.NewSkipListMap},
+		{"abtree   (whole-leaf reservations)", pop.NewABTreeMap},
 	}
 	for _, s := range structures {
 		domain := pop.NewDomain(pop.EpochPOP, writers+1, &pop.Options{ReclaimThreshold: 1024})
-		set := s.mk(domain)
+		kv := s.mk(domain)
 
 		scanThread := domain.RegisterThread()
 		// Even keys are permanent; the writers churn odd keys around them.
 		for k := int64(0); k < keySpace; k += 2 {
-			set.Insert(scanThread, k)
+			kv.PutIfAbsent(scanThread, k, 0)
 		}
 
 		var stop atomic.Bool
@@ -58,9 +58,9 @@ func main() {
 					// delete that same key — every pair retires nodes.
 					k := int64(((i/2)*2654435761+w*997)%(keySpace/2))*2 + 1
 					if i%2 == 0 {
-						set.Insert(th, k)
+						kv.PutIfAbsent(th, k, 0)
 					} else {
-						set.Delete(th, k)
+						kv.Delete(th, k)
 					}
 				}
 			}(w, th)
@@ -70,7 +70,7 @@ func main() {
 		var buf []int64
 		for scans = 0; scans < 2000; scans++ {
 			lo := int64(scans*61) % (keySpace - 1000)
-			buf = set.RangeCollect(scanThread, lo, lo+999, buf)
+			buf = kv.RangeCollect(scanThread, lo, lo+999, buf)
 			keys += len(buf)
 			// Every scan must see all 500 permanent even keys in its
 			// window, in order, whatever the writers are doing.

@@ -8,8 +8,9 @@
 // and every overwrite retires the replaced payload through the
 // domain's reclamation policy, so cache churn is reclamation churn.
 // Page loads that need several assets fetch them with one batched
-// multi-get (one protected operation per shard), and a background
-// "warmer" iterates the whole cache with a value-returning scan.
+// multi-get (one protected operation per shard) and fill the missing
+// ones with one batched multi-put, and a background "warmer" iterates
+// the whole cache with a value-returning scan.
 //
 // The pool scales while the cache stays loaded: traffic arrives in
 // three waves (2 → 6 → 2 workers), and every worker leases its group
@@ -73,6 +74,8 @@ func serve(cache *pop.Store, id int, hits, misses, invalidations *atomic.Uint64)
 	var buf []byte
 	var batch pop.StoreBatch
 	keys := make([]string, assets)
+	var missed []string
+	var fills [][]byte
 	for i := 0; i < requests; i++ {
 		switch next() % 16 {
 		case 0: // invalidation: overwrite a hot page (value retires)
@@ -84,13 +87,18 @@ func serve(cache *pop.Store, id int, hits, misses, invalidations *atomic.Uint64)
 				keys[a] = pageKey(skewed() + uint64(a))
 			}
 			cache.GetBatch(h, keys, &batch)
+			missed, fills = missed[:0], fills[:0]
 			for a := range keys {
 				if batch.OK[a] {
 					hits.Add(1)
 				} else {
 					misses.Add(1)
-					cache.Put(h, keys[a], render(keys[a], 0))
+					missed = append(missed, keys[a])
+					fills = append(fills, render(keys[a], 0))
 				}
+			}
+			if len(missed) > 0 {
+				cache.PutBatch(h, missed, fills, &batch)
 			}
 		default: // plain page hit
 			k := pageKey(skewed())
@@ -186,8 +194,8 @@ func main() {
 	total := hits.Load() + misses.Load()
 	fmt.Printf("served %d lookups: %.1f%% hit rate (%d invalidation overwrites)\n",
 		total, 100*float64(hits.Load())/float64(total), invalidations.Load())
-	fmt.Printf("store: %d entries, %d batches, %d scans (%d pairs, %d bytes warmed), %d stale-read retries\n",
-		cache.Size(collector), st.Batches, st.Scans, st.ScanPairs, warmed.Load(), st.StaleReads)
+	fmt.Printf("store: %d entries, %d batches, %d batched puts, %d scans (%d pairs, %d bytes warmed), %d stale-read retries\n",
+		cache.Size(collector), st.Batches, st.PutBatches, st.Scans, st.ScanPairs, warmed.Load(), st.StaleReads)
 	fmt.Printf("values: %d allocated, %d freed, %d live\n",
 		st.Values.Allocs, st.Values.Frees, st.Values.Outstanding)
 	fmt.Printf("reclamation: %d retires (nodes+values), %d frees, %d pings (%.1f threads scanned per pass across %d members)\n",

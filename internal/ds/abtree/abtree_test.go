@@ -11,7 +11,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.Map { return abtree.New(d) }, dstest.Config{
+	dstest.Run(t, func(d *core.Domain) ds.MemMap { return abtree.New(d) }, dstest.Config{
 		KeyRange: 4096, // force real tree depth and split/excise traffic
 	})
 }

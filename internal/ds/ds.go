@@ -4,9 +4,10 @@
 // domain — implemented by the five data structures of the paper's
 // evaluation (Harris-Michael list, lazy list, hash table, external BST,
 // (a,b)-tree) plus the lock-free skiplist. The paper benchmarks key-only
-// sets; the map contract is this repository's extension toward the
-// KV-serving layer the ROADMAP names, and Set remains as a thin adapter
-// over Map so key-only call sites keep working unchanged.
+// sets; this repository runs those workloads as map calls (contains is
+// Get, insert is PutIfAbsent with a zero value, delete is Delete), so
+// the map is the only collection contract and the value plane is what
+// the KV-serving layer above builds on.
 //
 // The two ordered structures — skiplist and (a,b)-tree — additionally
 // support ordered range scans via RangeScanner, with deliberately
@@ -62,7 +63,7 @@ type Map interface {
 	Put(t *core.Thread, key int64, val uint64) (old uint64, replaced bool)
 	// PutIfAbsent maps key to val only if key is absent and reports
 	// whether it did. A present key keeps its value — this is the
-	// set-flavoured insert, and what the Set adapter uses.
+	// set-flavoured insert the paper's workloads use.
 	PutIfAbsent(t *core.Thread, key int64, val uint64) bool
 	// Get returns the value mapped to key.
 	Get(t *core.Thread, key int64) (uint64, bool)
@@ -70,52 +71,16 @@ type Map interface {
 	Delete(t *core.Thread, key int64) (uint64, bool)
 }
 
-// Set is the key-only view of a concurrent map: the contract the
-// paper's benchmarks use. Structures implement Map natively; AsSet
-// adapts any Map to this interface.
-type Set interface {
-	// Insert adds key and reports whether it was absent.
-	Insert(t *core.Thread, key int64) bool
-	// Delete removes key and reports whether it was present.
-	Delete(t *core.Thread, key int64) bool
-	// Contains reports whether key is present.
-	Contains(t *core.Thread, key int64) bool
-}
-
-// setAdapter is the thin Set-over-Map adapter. Inserted keys carry the
-// zero value; the value plane is simply unused.
-type setAdapter struct{ m Map }
-
-// AsSet adapts a Map to the key-only Set interface.
-func AsSet(m Map) Set { return setAdapter{m} }
-
-func (s setAdapter) Insert(t *core.Thread, key int64) bool {
-	return s.m.PutIfAbsent(t, key, 0)
-}
-
-func (s setAdapter) Delete(t *core.Thread, key int64) bool {
-	_, ok := s.m.Delete(t, key)
-	return ok
-}
-
-func (s setAdapter) Contains(t *core.Thread, key int64) bool {
-	_, ok := s.m.Get(t, key)
-	return ok
-}
-
-// Sized is implemented by structures that can report their cardinality
-// with a full traversal. Only meaningful while no operations are in
-// flight; used by tests and prefill accounting.
-type Sized interface {
-	// Size counts the keys currently present.
-	Size(t *core.Thread) int
-}
-
-// MemMap is a Map that can report its node pool's occupancy — what the
-// harness and the store hold their structures as. Every structure in
-// this repository implements it.
+// MemMap is a Map that can also count its keys and report its node
+// pool's occupancy — what the harness, the store and the conformance
+// suite hold their structures as. Every structure in this repository
+// implements it.
 type MemMap interface {
 	Map
+	// Size counts the keys currently present with a full traversal.
+	// Only meaningful while no operations are in flight; used by tests
+	// and prefill accounting.
+	Size(t *core.Thread) int
 	// Outstanding reports pool-level live+retired nodes (memory metric).
 	Outstanding() int64
 }

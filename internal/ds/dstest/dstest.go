@@ -3,7 +3,8 @@
 // structure packages call Run from their tests; the suite exercises:
 //
 //   - sequential set semantics (insert/delete/contains truth table,
-//     ordering, duplicates, sentinels) through the ds.Set adapter;
+//     ordering, duplicates, sentinels) as the paper's workloads run
+//     them: PutIfAbsent with a zero value, Delete and Get;
 //   - sequential map semantics (get-after-put, put-if-absent,
 //     last-writer-wins overwrite, delete returning the removed value);
 //   - randomized sequential equivalence against reference maps;
@@ -53,7 +54,7 @@ import (
 )
 
 // Factory builds a fresh map instance over the given domain.
-type Factory func(d *core.Domain) ds.Map
+type Factory func(d *core.Domain) ds.MemMap
 
 // Config tunes the suite for a data structure's cost profile.
 type Config struct {
@@ -90,8 +91,8 @@ func (c Config) skip(p core.Policy) bool {
 }
 
 // Run executes the full conformance suite: the set-contract suites
-// (via the ds.Set adapter), the map-contract suites, and — for
-// structures implementing ds.RangeScanner — the range-query suites.
+// (the map driven with key-only calls), the map-contract suites, and —
+// for structures implementing ds.RangeScanner — the range-query suites.
 func Run(t *testing.T, f Factory, cfg Config) {
 	cfg = cfg.withDefaults()
 	probe := f(newDomain(core.NR, 1))
@@ -138,70 +139,67 @@ func newDomain(p core.Policy, threads int) *core.Domain {
 func sequential(t *testing.T, f Factory, p core.Policy) {
 	d := newDomain(p, 1)
 	m := f(d)
-	s := ds.AsSet(m)
 	th := d.RegisterThread()
 
-	if s.Contains(th, 10) {
+	if _, ok := m.Get(th, 10); ok {
 		t.Fatal("empty set contains 10")
 	}
-	if s.Delete(th, 10) {
+	if _, ok := m.Delete(th, 10); ok {
 		t.Fatal("delete from empty set succeeded")
 	}
-	if !s.Insert(th, 10) {
+	if !m.PutIfAbsent(th, 10, 0) {
 		t.Fatal("insert 10 failed")
 	}
-	if s.Insert(th, 10) {
+	if m.PutIfAbsent(th, 10, 0) {
 		t.Fatal("duplicate insert 10 succeeded")
 	}
-	if !s.Contains(th, 10) {
+	if _, ok := m.Get(th, 10); !ok {
 		t.Fatal("set lost 10")
 	}
 	// Neighbours must not be confused with 10.
 	for _, k := range []int64{9, 11, 0, 1 << 40} {
-		if s.Contains(th, k) {
+		if _, ok := m.Get(th, k); ok {
 			t.Fatalf("phantom key %d", k)
 		}
 	}
-	if !s.Delete(th, 10) {
+	if _, ok := m.Delete(th, 10); !ok {
 		t.Fatal("delete 10 failed")
 	}
-	if s.Contains(th, 10) {
+	if _, ok := m.Get(th, 10); ok {
 		t.Fatal("10 survived delete")
 	}
-	if s.Delete(th, 10) {
+	if _, ok := m.Delete(th, 10); ok {
 		t.Fatal("double delete succeeded")
 	}
 
 	// Ascending, descending, interleaved batches.
 	for i := int64(0); i < 64; i++ {
-		if !s.Insert(th, i) {
+		if !m.PutIfAbsent(th, i, 0) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
 	for i := int64(127); i >= 64; i-- {
-		if !s.Insert(th, i) {
+		if !m.PutIfAbsent(th, i, 0) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
 	for i := int64(0); i < 128; i++ {
-		if !s.Contains(th, i) {
+		if _, ok := m.Get(th, i); !ok {
 			t.Fatalf("missing %d", i)
 		}
 	}
-	if sized, ok := m.(ds.Sized); ok {
-		if got := sized.Size(th); got != 128 {
-			t.Fatalf("Size = %d, want 128", got)
-		}
+	if got := m.Size(th); got != 128 {
+		t.Fatalf("Size = %d, want 128", got)
 	}
 	// Delete evens, verify odds.
 	for i := int64(0); i < 128; i += 2 {
-		if !s.Delete(th, i) {
+		if _, ok := m.Delete(th, i); !ok {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
 	for i := int64(0); i < 128; i++ {
 		want := i%2 == 1
-		if got := s.Contains(th, i); got != want {
+		if _, got := m.Get(th, i); got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", i, got, want)
 		}
 	}
@@ -322,10 +320,8 @@ func mapRandomizedVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 			}
 		}
 	}
-	if sized, ok := m.(ds.Sized); ok {
-		if got := sized.Size(th); got != len(ref) {
-			t.Fatalf("Size = %d, want %d", got, len(ref))
-		}
+	if got := m.Size(th); got != len(ref) {
+		t.Fatalf("Size = %d, want %d", got, len(ref))
 	}
 	th.Flush()
 }
@@ -526,7 +522,6 @@ func mapOwnedStripes(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func randomizedVsMap(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, 1)
 	m := f(d)
-	s := ds.AsSet(m)
 	th := d.RegisterThread()
 	ref := make(map[int64]bool)
 	r := rng.New(uint64(0xC0FFEE) ^ uint64(p))
@@ -536,26 +531,24 @@ func randomizedVsMap(t *testing.T, f Factory, p core.Policy, cfg Config) {
 		switch r.Intn(3) {
 		case 0:
 			want := !ref[k]
-			if got := s.Insert(th, k); got != want {
+			if got := m.PutIfAbsent(th, k, 0); got != want {
 				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
 			}
 			ref[k] = true
 		case 1:
 			want := ref[k]
-			if got := s.Delete(th, k); got != want {
+			if _, got := m.Delete(th, k); got != want {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
 			}
 			delete(ref, k)
 		default:
-			if got := s.Contains(th, k); got != ref[k] {
+			if _, got := m.Get(th, k); got != ref[k] {
 				t.Fatalf("op %d: Contains(%d) = %v, want %v", i, k, got, ref[k])
 			}
 		}
 	}
-	if sized, ok := m.(ds.Sized); ok {
-		if got := sized.Size(th); got != len(ref) {
-			t.Fatalf("Size = %d, want %d", got, len(ref))
-		}
+	if got := m.Size(th); got != len(ref) {
+		t.Fatalf("Size = %d, want %d", got, len(ref))
 	}
 	th.Flush()
 }
@@ -565,7 +558,6 @@ func randomizedVsMap(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func concurrentInvariant(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads)
 	m := f(d)
-	s := ds.AsSet(m)
 	var net atomic.Int64
 	var wg sync.WaitGroup
 	threads := make([]*core.Thread, cfg.Threads)
@@ -583,15 +575,15 @@ func concurrentInvariant(t *testing.T, f Factory, p core.Policy, cfg Config) {
 				k := r.Intn(cfg.KeyRange)
 				switch r.Intn(10) {
 				case 0, 1, 2, 3:
-					if s.Insert(th, k) {
+					if m.PutIfAbsent(th, k, 0) {
 						local++
 					}
 				case 4, 5, 6, 7:
-					if s.Delete(th, k) {
+					if _, ok := m.Delete(th, k); ok {
 						local--
 					}
 				default:
-					s.Contains(th, k)
+					m.Get(th, k)
 				}
 			}
 			net.Add(local)
@@ -599,10 +591,8 @@ func concurrentInvariant(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	}
 	wg.Wait()
 
-	if sized, ok := m.(ds.Sized); ok {
-		if got := sized.Size(threads[0]); int64(got) != net.Load() {
-			t.Fatalf("net inserts %d != final size %d", net.Load(), got)
-		}
+	if got := m.Size(threads[0]); int64(got) != net.Load() {
+		t.Fatalf("net inserts %d != final size %d", net.Load(), got)
 	}
 	for _, th := range threads {
 		th.Flush()
@@ -621,7 +611,6 @@ func concurrentInvariant(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func concurrentDistinctKeys(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads)
 	m := f(d)
-	s := ds.AsSet(m)
 	var wg sync.WaitGroup
 	threads := make([]*core.Thread, cfg.Threads)
 	for i := range threads {
@@ -635,26 +624,26 @@ func concurrentDistinctKeys(t *testing.T, f Factory, p core.Policy, cfg Config) 
 			th := threads[id]
 			base := int64(id) * 1_000_000
 			for k := base; k < base+200; k++ {
-				if !s.Insert(th, k) {
+				if !m.PutIfAbsent(th, k, 0) {
 					errs <- fmt.Errorf("thread %d: insert %d failed", id, k)
 					return
 				}
 			}
 			for k := base; k < base+200; k++ {
-				if !s.Contains(th, k) {
+				if _, ok := m.Get(th, k); !ok {
 					errs <- fmt.Errorf("thread %d: lost key %d", id, k)
 					return
 				}
 			}
 			for k := base; k < base+200; k += 2 {
-				if !s.Delete(th, k) {
+				if _, ok := m.Delete(th, k); !ok {
 					errs <- fmt.Errorf("thread %d: delete %d failed", id, k)
 					return
 				}
 			}
 			for k := base; k < base+200; k++ {
 				want := k%2 == 1
-				if got := s.Contains(th, k); got != want {
+				if _, got := m.Get(th, k); got != want {
 					errs <- fmt.Errorf("thread %d: Contains(%d)=%v want %v", id, k, got, want)
 					return
 				}
@@ -677,14 +666,13 @@ func concurrentDistinctKeys(t *testing.T, f Factory, p core.Policy, cfg Config) 
 func delayedReader(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, 3)
 	m := f(d)
-	s := ds.AsSet(m)
 	reader := d.RegisterThread()
 	w1 := d.RegisterThread()
 	w2 := d.RegisterThread()
 
 	// Seed some keys so the reader has something to look at.
 	for k := int64(0); k < 32; k++ {
-		s.Insert(w1, k)
+		m.PutIfAbsent(w1, k, 0)
 	}
 
 	stop := make(chan struct{})
@@ -693,7 +681,7 @@ func delayedReader(t *testing.T, f Factory, p core.Policy, cfg Config) {
 		defer close(done)
 		// The reader performs one op, then stalls inside a fresh op
 		// polling (busy-delayed), then resumes.
-		s.Contains(reader, 1)
+		m.Get(reader, 1)
 		reader.StartOp()
 		for {
 			select {
@@ -716,9 +704,9 @@ func delayedReader(t *testing.T, f Factory, p core.Policy, cfg Config) {
 			for n := 0; n < cfg.ConcOps; n++ {
 				k := r.Intn(cfg.KeyRange)
 				if r.Intn(2) == 0 {
-					s.Insert(th, k)
+					m.PutIfAbsent(th, k, 0)
 				} else {
-					s.Delete(th, k)
+					m.Delete(th, k)
 				}
 			}
 		}(th)
@@ -804,7 +792,6 @@ func checkScanShape(t *testing.T, got []int64, lo, hi int64) {
 func rangeSequentialVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, 1)
 	m := f(d)
-	s := ds.AsSet(m)
 	rs := m.(ds.RangeScanner)
 	th := d.RegisterThread()
 	ref := newRefSet()
@@ -815,11 +802,12 @@ func rangeSequentialVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 		k := r.Intn(cfg.KeyRange)
 		switch r.Intn(4) {
 		case 0:
-			if got, want := s.Insert(th, k), ref.insert(k); got != want {
+			if got, want := m.PutIfAbsent(th, k, 0), ref.insert(k); got != want {
 				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
 			}
 		case 1:
-			if got, want := s.Delete(th, k), ref.delete(k); got != want {
+			_, got := m.Delete(th, k)
+			if want := ref.delete(k); got != want {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
 			}
 		default:
@@ -854,7 +842,6 @@ func rangeSequentialVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func rangeOwnedStripes(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads)
 	m := f(d)
-	s := ds.AsSet(m)
 	rs := m.(ds.RangeScanner)
 	const stripe = 256
 	threads := make([]*core.Thread, cfg.Threads)
@@ -877,12 +864,13 @@ func rangeOwnedStripes(t *testing.T, f Factory, p core.Policy, cfg Config) {
 				k := lo + r.Intn(stripe)
 				switch r.Intn(8) {
 				case 0, 1, 2:
-					if got, want := s.Insert(th, k), ref.insert(k); got != want {
+					if got, want := m.PutIfAbsent(th, k, 0), ref.insert(k); got != want {
 						errs <- fmt.Errorf("thread %d: Insert(%d) = %v, want %v", id, k, got, want)
 						return
 					}
 				case 3, 4:
-					if got, want := s.Delete(th, k), ref.delete(k); got != want {
+					_, got := m.Delete(th, k)
+					if want := ref.delete(k); got != want {
 						errs <- fmt.Errorf("thread %d: Delete(%d) = %v, want %v", id, k, got, want)
 						return
 					}
@@ -932,7 +920,6 @@ func rangeOwnedStripes(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads+1)
 	m := f(d)
-	s := ds.AsSet(m)
 	rs := m.(ds.RangeScanner)
 	scanner := d.RegisterThread()
 	writers := make([]*core.Thread, cfg.Threads)
@@ -942,7 +929,7 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 
 	permanent := make(map[int64]bool)
 	for k := int64(0); k < cfg.KeyRange; k += 3 {
-		s.Insert(scanner, k)
+		m.PutIfAbsent(scanner, k, 0)
 		permanent[k] = true
 	}
 
@@ -958,9 +945,9 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 				k := r.Intn(cfg.KeyRange/3)*3 + 1 // residue-1 stripe only
 				switch r.Intn(3) {
 				case 0:
-					s.Insert(th, k)
+					m.PutIfAbsent(th, k, 0)
 				case 1:
-					s.Delete(th, k)
+					m.Delete(th, k)
 				default:
 					m.Put(th, k, n) // overwrite (or insert): churns nodes, not keys
 				}

@@ -15,7 +15,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.Map { return New(d) }, dstest.Config{})
+	dstest.Run(t, func(d *core.Domain) ds.MemMap { return New(d) }, dstest.Config{})
 }
 
 // TestRangeEdges exercises degenerate bounds. (Randomized range

@@ -93,8 +93,7 @@ type Server struct {
 	conns  map[uint64]*conn
 	nextID uint64
 
-	admMu   sync.Mutex
-	admWait report.Histogram // admission-queue wait per burst (ns)
+	admWait report.AtomicHistogram // admission-queue wait per burst (ns)
 
 	sampler atomic.Pointer[telemetry.Sampler] // attached via SetTelemetry
 
@@ -273,19 +272,9 @@ func (s *Server) releaseCoalescers() {
 	}
 }
 
-// recordAdmission folds one burst's admission wait into the server
-// histogram.
-func (s *Server) recordAdmission(d time.Duration) {
-	s.admMu.Lock()
-	s.admWait.Record(d.Nanoseconds())
-	s.admMu.Unlock()
-}
-
 // AdmissionWait snapshots the admission-queue wait histogram (ns).
 func (s *Server) AdmissionWait() *report.Histogram {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
-	h := s.admWait
+	h := s.admWait.Snapshot()
 	return &h
 }
 
@@ -512,7 +501,7 @@ func (c *conn) needThread() (*core.GroupHandle, bool) {
 		cancel()
 	}
 	wait := time.Since(start)
-	s.recordAdmission(wait)
+	s.admWait.Record(wait.Nanoseconds())
 	c.admNanos.Add(uint64(wait.Nanoseconds()))
 	if err != nil {
 		s.admTimeos.Add(1)

@@ -13,10 +13,15 @@
 // A string key is hashed once to 64 bits: the low bits select the shard
 // and the whole hash is the int64 key stored in the shard's map
 // ("string-key layer hashing to int64"). Keys are therefore identified
-// by their hash — two strings colliding in all 64 bits alias one entry,
-// a once-per-two-billion-billion event accepted by this layer's serving
-// semantics. Shard statistics are cache-line padded so per-shard
-// counters never false-share.
+// by their hash: two strings colliding in all 64 bits alias one entry,
+// so a Get, Put or Delete of one reads, overwrites or removes the
+// other's value. With random keys that is a birthday risk (about 3e-8
+// at a million keys). It is not a safeguard against a client that
+// chooses its keys: hash64 is unkeyed FNV-1a plus a bijective finisher,
+// so colliding keys — and keys that all land on one shard — can be
+// computed offline. ROADMAP item 2 is the plan to close this (a
+// per-store seed and exact key comparison). Shard statistics are
+// cache-line padded so per-shard counters never false-share.
 //
 // # Domain groups: reclamation fan-out bounded per shard
 //
@@ -410,8 +415,8 @@ func (s *Store) localFor(m int, t *core.Thread) *storeLocal {
 func KeyHash(key string) int64 { return ikeyOf(hash64(key)) }
 
 // ShardIndex returns the shard key routes to — the partition a serving
-// layer's per-shard machinery (e.g. a get-coalescing window) must queue
-// it on.
+// layer's per-shard machinery (e.g. the server's per-shard get
+// combiner) must queue it on.
 func (s *Store) ShardIndex(key string) int { return int(hash64(key) & s.mask) }
 
 // MaxValueLen returns the store's configured payload cap.
@@ -489,13 +494,6 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 		}
 		sh.stale.Add(1) // lost to an overwrite's reclamation: retry
 	}
-}
-
-// Contains reports whether key is present, without touching its value.
-func (s *Store) Contains(h *core.GroupHandle, key string) bool {
-	si, ik := s.locate(key)
-	_, ok := s.shards[si].m.Get(s.threadFor(h, si), ik)
-	return ok
 }
 
 // Put upserts key to a private copy of val (len(val) bounded by
@@ -923,9 +921,7 @@ func resize[T any](s []T, n int) []T {
 func (s *Store) Size(h *core.GroupHandle) int {
 	n := 0
 	for i := range s.shards {
-		if sized, ok := s.shards[i].m.(ds.Sized); ok {
-			n += sized.Size(s.threadFor(h, i))
-		}
+		n += s.shards[i].m.Size(s.threadFor(h, i))
 	}
 	return n
 }

@@ -66,8 +66,11 @@ func TestStoreSequential(t *testing.T) {
 			if !s.PutIfAbsent(h, "beta", []byte("beta-value")) {
 				t.Fatal("PutIfAbsent failed on an absent key")
 			}
-			if !s.Contains(h, "beta") || s.Contains(h, "gamma") {
-				t.Fatal("Contains wrong")
+			if _, ok := s.Get(h, "beta", nil); !ok {
+				t.Fatal("Get(beta) missed a present key")
+			}
+			if _, ok := s.Get(h, "gamma", nil); ok {
+				t.Fatal("Get(gamma) hit an absent key")
 			}
 			if got := s.Size(h); got != 2 {
 				t.Fatalf("Size = %d, want 2", got)

@@ -497,10 +497,3 @@ func (s *Sampler) Reset() {
 	s.slots = make(map[slotKey]slotState)
 	s.stalls = nil
 }
-
-// Running reports whether the sampler is between Start and Stop.
-func (s *Sampler) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}

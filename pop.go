@@ -13,10 +13,10 @@
 // ordered structures — a lock-free skiplist and an (a,b)-tree — are
 // OrderedMaps with range scans. Above the maps sits Store, a sharded
 // string-key KV-serving front with arena-backed byte values, batched
-// multi-get and value-returning scans. Key-only Set views of the same
-// structures remain available for the paper's benchmarks. All of it is
-// integrated with type-stable arenas so that "freeing" memory is
-// meaningful inside a garbage-collected runtime.
+// multi-get and value-returning scans.
+//
+// All of it is integrated with type-stable arenas so that "freeing"
+// memory is meaningful inside a garbage-collected runtime.
 //
 // # KV quickstart
 //
@@ -62,13 +62,6 @@
 // See internal/ds's package doc for each structure's overwrite
 // strategy.
 //
-// The key-only view is unchanged:
-//
-//	set := pop.NewHashTable(d, 1_000_000, 6)
-//	set.Insert(t, 42)
-//	set.Contains(t, 42)
-//	set.Delete(t, 42)
-//
 // A Thread must only ever be used by the goroutine currently holding
 // its lease. Domains are cheap; use one per data structure (or share
 // one domain across structures that should reclaim together).
@@ -76,7 +69,6 @@ package pop
 
 import (
 	"pop/internal/core"
-	"pop/internal/ds"
 	"pop/internal/ds/abtree"
 	"pop/internal/ds/extbst"
 	"pop/internal/ds/hashtable"
@@ -198,8 +190,15 @@ type Map interface {
 }
 
 // OrderedMap is a Map over ordered keys that additionally supports
-// range scans (see RangeSet for the scan semantics; scans report keys —
-// use Get for the values).
+// range scans (scans report keys — use Get for the values). Scans run
+// concurrently with updates: results are sorted and duplicate-free, and
+// every reported key was observed present at some point during the
+// scan. A scan is one long operation — the calling thread's reservations
+// stay live across every hop — so scan-heavy workloads are the strongest
+// read-path pressure a reclamation policy can face in this library. Two
+// structures implement it with opposite reservation shapes: the skiplist
+// (NewSkipListMap) pins one reservation per node hopped, the (a,b)-tree
+// (NewABTreeMap) pins whole leaves.
 type OrderedMap interface {
 	Map
 	// RangeCount counts the keys in [lo, hi].
@@ -240,102 +239,6 @@ func NewSkipListMap(d *Domain) OrderedMap { return skiplist.New(d) }
 // map (after Brown 2017; "ABT") with range scans. Overwrites
 // copy-on-write the leaf and retire the old one.
 func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
-
-// Set is the key-only view of a concurrent map: the contract the
-// paper's benchmarks use. Every Set constructor below is a thin adapter
-// over the corresponding Map constructor (inserted keys carry the zero
-// value).
-type Set interface {
-	// Insert adds key and reports whether it was absent.
-	Insert(t *Thread, key int64) bool
-	// Delete removes key and reports whether it was present.
-	Delete(t *Thread, key int64) bool
-	// Contains reports whether key is present.
-	Contains(t *Thread, key int64) bool
-	// Size counts the keys (quiescent use only: no concurrent updates).
-	Size(t *Thread) int
-	// Outstanding reports live+retired node-pool occupancy (a memory
-	// metric: allocations minus frees).
-	Outstanding() int64
-}
-
-// setView is ds.AsSet over a Map plus the map's own Size and
-// Outstanding.
-type setView struct {
-	ds.Set
-	m Map
-}
-
-func newSet(m Map) setView { return setView{ds.AsSet(m), m} }
-
-func (s setView) Size(t *Thread) int { return s.m.Size(t) }
-func (s setView) Outstanding() int64 { return s.m.Outstanding() }
-
-// NewHarrisMichaelList creates a lock-free sorted linked-list set
-// (Michael 2004; "HML" in the paper).
-func NewHarrisMichaelList(d *Domain) Set { return newSet(hmlist.New(d)) }
-
-// NewLazyList creates a lazy-list set (Heller et al. 2005; "LL").
-func NewLazyList(d *Domain) Set { return newSet(lazylist.New(d)) }
-
-// NewHashTable creates a fixed-size hash set with Harris-Michael-list
-// buckets ("HMHT"), sized for expectedKeys at the given load factor
-// (keys per bucket; the paper uses 6).
-func NewHashTable(d *Domain, expectedKeys int64, loadFactor int) Set {
-	return newSet(hashtable.New(d, expectedKeys, loadFactor))
-}
-
-// NewExternalBST creates a lock-based external binary search tree
-// (David, Guerraoui & Trigonakis 2015; "DGT").
-func NewExternalBST(d *Domain) Set { return newSet(extbst.New(d)) }
-
-// RangeSet is a Set that additionally supports ordered range scans.
-// Scans run concurrently with updates: results are sorted and
-// duplicate-free, and every reported key was observed present at some
-// point during the scan. A scan is one long operation — the calling
-// thread's reservations stay live across every hop — so scan-heavy
-// workloads are the strongest read-path pressure a reclamation policy
-// can face in this library. Two structures implement it with opposite
-// reservation shapes: the skiplist (NewSkipList) pins one reservation
-// per node hopped, the (a,b)-tree (NewABTree) pins whole leaves.
-type RangeSet interface {
-	Set
-	// RangeCount counts the keys in [lo, hi].
-	RangeCount(t *Thread, lo, hi int64) int
-	// RangeCollect appends the keys in [lo, hi], ascending, to buf[:0]
-	// and returns the filled slice.
-	RangeCollect(t *Thread, lo, hi int64, buf []int64) []int64
-}
-
-// rangeSetView adapts an OrderedMap to RangeSet.
-type rangeSetView struct {
-	setView
-	om OrderedMap
-}
-
-func (r rangeSetView) RangeCount(t *Thread, lo, hi int64) int {
-	return r.om.RangeCount(t, lo, hi)
-}
-func (r rangeSetView) RangeCollect(t *Thread, lo, hi int64, buf []int64) []int64 {
-	return r.om.RangeCollect(t, lo, hi, buf)
-}
-
-// newRangeSet wraps an OrderedMap in the key-only RangeSet view.
-func newRangeSet(om OrderedMap) RangeSet {
-	return rangeSetView{setView: newSet(om), om: om}
-}
-
-// NewSkipList creates a lock-free skiplist set ("SKL") with range
-// queries. Updates are Fraser/Herlihy style (per-level CAS marking);
-// see internal/ds/skiplist for the reclamation protocol that keeps
-// tower nodes safe under every policy.
-func NewSkipList(d *Domain) RangeSet { return newRangeSet(skiplist.New(d)) }
-
-// NewABTree creates a concurrent leaf-oriented (a,b)-tree (after Brown
-// 2017; "ABT"). The tree is ordered and supports range scans: each scan
-// hop protects a whole leaf (up to B keys per reservation set) rather
-// than chaining per-node reservations the way the skiplist does.
-func NewABTree(d *Domain) RangeSet { return newRangeSet(abtree.New(d)) }
 
 // Store is the KV-serving front: a sharded map from string keys to
 // byte-slice values, layered on the Map structures above. Keys hash to

@@ -10,20 +10,20 @@ import (
 // TestFacadeAllStructuresAllPolicies exercises the public API surface:
 // every constructor under every policy, with a small concurrent workload.
 func TestFacadeAllStructuresAllPolicies(t *testing.T) {
-	constructors := map[string]func(d *pop.Domain) pop.Set{
-		"HarrisMichaelList": pop.NewHarrisMichaelList,
-		"LazyList":          pop.NewLazyList,
-		"HashTable":         func(d *pop.Domain) pop.Set { return pop.NewHashTable(d, 1024, 6) },
-		"ExternalBST":       pop.NewExternalBST,
-		"ABTree":            func(d *pop.Domain) pop.Set { return pop.NewABTree(d) },
-		"SkipList":          func(d *pop.Domain) pop.Set { return pop.NewSkipList(d) },
+	constructors := map[string]func(d *pop.Domain) pop.Map{
+		"HarrisMichaelList": pop.NewHarrisMichaelListMap,
+		"LazyList":          pop.NewLazyListMap,
+		"HashTable":         func(d *pop.Domain) pop.Map { return pop.NewHashTableMap(d, 1024, 6) },
+		"ExternalBST":       pop.NewExternalBSTMap,
+		"ABTree":            func(d *pop.Domain) pop.Map { return pop.NewABTreeMap(d) },
+		"SkipList":          func(d *pop.Domain) pop.Map { return pop.NewSkipListMap(d) },
 	}
 	for name, mk := range constructors {
 		for _, p := range pop.Policies() {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				const workers = 3
 				d := pop.NewDomain(p, workers, &pop.Options{ReclaimThreshold: 64})
-				set := mk(d)
+				kv := mk(d)
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
 					th := d.RegisterThread()
@@ -32,21 +32,21 @@ func TestFacadeAllStructuresAllPolicies(t *testing.T) {
 						defer wg.Done()
 						base := int64(w * 10_000)
 						for k := base; k < base+300; k++ {
-							if !set.Insert(th, k) {
+							if !kv.PutIfAbsent(th, k, uint64(k)) {
 								t.Errorf("insert %d failed", k)
 								return
 							}
 						}
 						for k := base; k < base+300; k += 2 {
-							if !set.Delete(th, k) {
-								t.Errorf("delete %d failed", k)
+							if v, ok := kv.Delete(th, k); !ok || v != uint64(k) {
+								t.Errorf("Delete(%d) = (%d, %v), want (%d, true)", k, v, ok, k)
 								return
 							}
 						}
 						for k := base; k < base+300; k++ {
 							want := k%2 == 1
-							if got := set.Contains(th, k); got != want {
-								t.Errorf("Contains(%d) = %v, want %v", k, got, want)
+							if _, got := kv.Get(th, k); got != want {
+								t.Errorf("Get(%d) present = %v, want %v", k, got, want)
 								return
 							}
 						}
@@ -58,25 +58,25 @@ func TestFacadeAllStructuresAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRangeSetFacade exercises the public RangeSet surface on both
+// TestRangeSetFacade exercises the public OrderedMap scans on both
 // range-capable structures: scans concurrent with updates must stay
-// sorted, unique and in-bounds, and a quiescent scan must match the set
+// sorted, unique and in-bounds, and a quiescent scan must match the map
 // exactly.
 func TestRangeSetFacade(t *testing.T) {
-	rangeSets := map[string]func(d *pop.Domain) pop.RangeSet{
-		"SkipList": pop.NewSkipList,
-		"ABTree":   pop.NewABTree,
+	ordered := map[string]func(d *pop.Domain) pop.OrderedMap{
+		"SkipList": pop.NewSkipListMap,
+		"ABTree":   pop.NewABTreeMap,
 	}
-	for name, mk := range rangeSets {
+	for name, mk := range ordered {
 		for _, p := range []pop.Policy{pop.HazardPtrPOP, pop.EpochPOP, pop.EBR, pop.NBR} {
 			mk, p := mk, p
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				const workers = 3
 				d := pop.NewDomain(p, workers+1, &pop.Options{ReclaimThreshold: 64})
-				set := mk(d)
+				kv := mk(d)
 				scanTh := d.RegisterThread()
 				for k := int64(0); k < 1000; k += 2 {
-					set.Insert(scanTh, k)
+					kv.PutIfAbsent(scanTh, k, 0)
 				}
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
@@ -87,16 +87,16 @@ func TestRangeSetFacade(t *testing.T) {
 						for i := 0; i < 4000; i++ {
 							k := int64((i*31+w*7)%1000)*2 + 1 // odd keys only
 							if i%2 == 0 {
-								set.Insert(th, k)
+								kv.PutIfAbsent(th, k, 0)
 							} else {
-								set.Delete(th, k)
+								kv.Delete(th, k)
 							}
 						}
 					}(w, th)
 				}
 				var buf []int64
 				for i := 0; i < 50; i++ {
-					buf = set.RangeCollect(scanTh, 100, 900, buf)
+					buf = kv.RangeCollect(scanTh, 100, 900, buf)
 					even := 0
 					for j, k := range buf {
 						if k < 100 || k > 900 || (j > 0 && buf[j-1] >= k) {
@@ -111,7 +111,7 @@ func TestRangeSetFacade(t *testing.T) {
 					}
 				}
 				wg.Wait()
-				if got, want := set.RangeCount(scanTh, 0, 2000), set.Size(scanTh); got != want {
+				if got, want := kv.RangeCount(scanTh, 0, 2000), kv.Size(scanTh); got != want {
 					t.Fatalf("quiescent RangeCount = %d, Size = %d", got, want)
 				}
 			})
@@ -128,15 +128,15 @@ func TestParsePolicyFacade(t *testing.T) {
 
 func TestOutstandingTracksLiveKeys(t *testing.T) {
 	d := pop.NewDomain(pop.EBR, 1, &pop.Options{ReclaimThreshold: 16})
-	set := pop.NewHarrisMichaelList(d)
+	list := pop.NewHarrisMichaelListMap(d)
 	th := d.RegisterThread()
 	for k := int64(0); k < 100; k++ {
-		set.Insert(th, k)
+		list.PutIfAbsent(th, k, 0)
 	}
-	if got := set.Outstanding(); got < 100 {
+	if got := list.Outstanding(); got < 100 {
 		t.Fatalf("Outstanding = %d, want >= 100", got)
 	}
-	if got := set.Size(th); got != 100 {
+	if got := list.Size(th); got != 100 {
 		t.Fatalf("Size = %d, want 100", got)
 	}
 }
@@ -151,8 +151,8 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			const workers = 3
 			d := pop.NewDomain(p, workers, &pop.Options{ReclaimThreshold: 64})
-			set := pop.NewHarrisMichaelList(d)
-			tree := pop.NewExternalBST(d)
+			list := pop.NewHarrisMichaelListMap(d)
+			tree := pop.NewExternalBSTMap(d)
 			var wg sync.WaitGroup
 			threads := make([]*pop.Thread, workers)
 			for i := range threads {
@@ -165,9 +165,9 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 					base := int64(w) * 100_000
 					for i := int64(0); i < 2000; i++ {
 						k := base + i%97
-						set.Insert(th, k)
-						tree.Insert(th, k)
-						set.Delete(th, k)
+						list.PutIfAbsent(th, k, 0)
+						tree.PutIfAbsent(th, k, 0)
+						list.Delete(th, k)
 						tree.Delete(th, k)
 					}
 				}(w, threads[w])
@@ -176,7 +176,7 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 			for _, th := range threads {
 				th.Flush()
 			}
-			if got := set.Outstanding() + tree.Outstanding(); got > 100 {
+			if got := list.Outstanding() + tree.Outstanding(); got > 100 {
 				// Only currently-linked nodes (both structures' sentinels)
 				// may remain outstanding.
 				t.Fatalf("outstanding after flush = %d", got)
