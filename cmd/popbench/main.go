@@ -69,7 +69,9 @@
 // -sample, -chaosstart and -chaosstop are -store flags; -conns, -slots,
 // -openrate and -getpct are -serve flags; -scale is a -figure flag. A
 // flag set on the command line that the chosen sweep does not read is a
-// usage error (exit status 2), not a silent no-op.
+// usage error (exit status 2), not a silent no-op — and so is one that
+// another set flag leaves unread: -ycsb names its own -dist and
+// -getpct, and -trace is the whole workload (no -ycsb, no -dist).
 //
 // Examples:
 //
@@ -188,13 +190,17 @@ func main() {
 	case *dsName != "":
 		mode = "-ds"
 	}
+	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) {
 		if modes, ok := sweepFlags[f.Name]; ok && !slices.Contains(modes, mode) {
 			die(2, "-%s applies to %s, not to the %s sweep", f.Name, strings.Join(modes, ", "), mode)
 		}
+		set[f.Name] = true
 	})
-	if *traceFile != "" && *ycsbName != "" {
-		die(2, "-trace and -ycsb are mutually exclusive (a trace is the workload)")
+	for _, o := range overrides {
+		if set[o.flag] && set[o.by] {
+			die(2, "-%s does not apply with -%s: %s", o.flag, o.by, o.why)
+		}
 	}
 	dist, err := workload.ParseDist(*distName)
 	if err != nil {
@@ -347,6 +353,14 @@ var sweepFlags = map[string][]string{
 	"slots":      {"-serve"},
 	"openrate":   {"-serve"},
 	"getpct":     {"-serve"},
+}
+
+// overrides names each flag that another set flag leaves unread.
+var overrides = []struct{ flag, by, why string }{
+	{"ycsb", "trace", "a trace is the workload"},
+	{"dist", "trace", "trace replay draws no keys"},
+	{"dist", "ycsb", "the YCSB workload names its own key distribution"},
+	{"getpct", "ycsb", "the YCSB workload names its own get share"},
 }
 
 // die reports a fatal error and exits: status 2 for a usage error, 1
@@ -513,35 +527,25 @@ func (o storeSweepOpts) run() error {
 	}
 	type R = harness.StoreResult
 
+	cm := figures.Shared[R]()
 	metrics := []figures.Metric[R]{
-		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
+		cm.Throughput,
 		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
 		figures.StoreLat("get latency p50 (µs)", workload.StoreGet, 0.50),
 		figures.StoreLat("get latency p99 (µs)", workload.StoreGet, 0.99),
 		figures.StoreLat("mget latency p99 (µs)", workload.StoreMGet, 0.99),
 		figures.StoreLat("put latency p99 (µs)", workload.StorePut, 0.99),
 		{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Store.StaleReads) }},
-		{Name: "value checksum failures", Get: func(r R) float64 { return float64(r.ValueErrors) }},
-		// Allocation accounting: whole-process heap-allocation rate over
-		// the measured phase — the sweep-level view of the hot-path
-		// memory diet (inline values and pooled nodes cost zero here).
-		{Name: "allocs/op", Get: func(r R) float64 { return r.AllocsPerOp }},
-		{Name: "alloc bytes/op", Get: func(r R) float64 { return r.AllocBytesPerOp }},
-		{Name: "unreclaimed at run end (nodes)", Get: func(r R) float64 { return float64(r.Unreclaimed) }},
-		{Name: "leaked after flush (nodes)", Get: func(r R) float64 { return float64(r.LeakedAfter) }},
-		// The fan-out view (satellite of the domain-group work): how many
-		// thread-list entries a reclamation pass walks, and how many pings
-		// it sends — the quantity grouping divides by the member count.
-		{Name: "reclaim pings per pass", Get: func(r R) float64 { return r.ReclaimDetail.PingsPerPass }},
-		{Name: "reclaim threads scanned per pass", Get: func(r R) float64 { return r.ReclaimDetail.ScannedPerPass }},
+		cm.ValueErrors, cm.AllocsPerOp, cm.AllocBytesPerOp, cm.Unreclaimed, cm.Leaked,
+		// The fan-out view: how many thread-list entries a reclamation
+		// pass walks, and how many pings it sends — the quantity grouping
+		// divides by the member count.
+		cm.PingsPerPass, cm.ScannedPerPass,
 	}
 	if o.cfg.Churn.Enabled() {
 		// Elastic sweeps report the turnover they generated, so tails
 		// and garbage are explainable per lease rate.
-		metrics = append(metrics,
-			figures.Metric[R]{Name: "thread releases", Get: func(r R) float64 { return float64(r.Lifecycle.Releases) }},
-			figures.Metric[R]{Name: "orphan nodes adopted", Get: func(r R) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
-		)
+		metrics = append(metrics, cm.Releases, cm.OrphansAdopted)
 	}
 	// Ask the store layer itself whether the backing scans (a throwaway
 	// probe, the harness.RangeCapable pattern) — this also surfaces an
@@ -770,9 +774,8 @@ func (o sweepOpts) run() error {
 	}
 	title += ")"
 	type R = harness.Result
-	metrics := []figures.Metric[R]{
-		{Name: "throughput (ops/s)", Get: func(r R) float64 { return r.Throughput }},
-	}
+	cm := figures.Shared[R]()
+	metrics := []figures.Metric[R]{cm.Throughput}
 	// Per-op tail latencies: direct sweeps always profile
 	// (harness.Config.OpLatency, set in main), so the read/write split is
 	// visible per policy, not just the blended mean.
@@ -785,11 +788,7 @@ func (o sweepOpts) run() error {
 			figures.OpLat(fmt.Sprintf("%v latency p99 (µs)", op), op, 0.99),
 		)
 	}
-	metrics = append(metrics,
-		figures.Metric[R]{Name: "value checksum failures", Get: func(r R) float64 { return float64(r.ValueErrors) }},
-		figures.Metric[R]{Name: "allocs/op", Get: func(r R) float64 { return r.AllocsPerOp }},
-		figures.Metric[R]{Name: "alloc bytes/op", Get: func(r R) float64 { return r.AllocBytesPerOp }},
-	)
+	metrics = append(metrics, cm.ValueErrors, cm.AllocsPerOp, cm.AllocBytesPerOp)
 	if mix.RangePct > 0 {
 		metrics = append(metrics,
 			figures.Metric[R]{Name: "range throughput (scans/s)", Get: func(r R) float64 { return r.RangeTput }},
@@ -808,15 +807,9 @@ func (o sweepOpts) run() error {
 			figures.OpLat("scan latency max (µs)", workload.RangeQuery, 1),
 		)
 	}
-	metrics = append(metrics,
-		figures.Metric[R]{Name: "unreclaimed at run end (nodes)", Get: func(r R) float64 { return float64(r.Unreclaimed) }},
-		figures.Metric[R]{Name: "leaked after flush (nodes)", Get: func(r R) float64 { return float64(r.LeakedAfter) }},
-	)
+	metrics = append(metrics, cm.Unreclaimed, cm.Leaked)
 	if o.cfg.Churn.Enabled() {
-		metrics = append(metrics,
-			figures.Metric[R]{Name: "thread releases", Get: func(r R) float64 { return float64(r.Lifecycle.Releases) }},
-			figures.Metric[R]{Name: "orphan nodes adopted", Get: func(r R) float64 { return float64(r.Lifecycle.OrphansAdopted) }},
-		)
+		metrics = append(metrics, cm.Releases, cm.OrphansAdopted)
 	}
 
 	series, err := figures.Grid[R]{

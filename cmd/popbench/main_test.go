@@ -123,6 +123,9 @@ func TestSweepRejectsUnreadFlags(t *testing.T) {
 		{"-serve -shards 4", "-shards"},
 		{"-ds skl -groups 2", "-groups"},
 		{"-store -conns 4", "-conns"},
+		{"-ycsb A -dist uniform", "-dist"},
+		{"-serve -ycsb B -getpct 50", "-getpct"},
+		{"-trace testdata/sample.trace -dist zipf", "-dist"},
 	} {
 		out, err := exec.Command(bin, append(strings.Fields(c.args), "-duration", "20ms", "-quiet")...).CombinedOutput()
 		msg, _, _ := strings.Cut(string(out), "\n")

@@ -8,8 +8,8 @@
 //     by design);
 //   - reclamation counters stay sane: frees never exceed retires, and a
 //     run that retired plenty made progress;
-//   - under -store, served values pass their checksums and the
-//     thread-slot lease ledger balances.
+//   - served values pass their checksums;
+//   - under -store, the thread-slot lease ledger balances.
 //
 // A use-after-free in any scheme surfaces here as a double-free panic,
 // an arena sequence panic, or an invariant failure. Exit status 0 means
@@ -112,7 +112,7 @@ func matrix(structures []string, policies []core.Policy, threads int, duration t
 				failures++
 				continue
 			}
-			if err := check(res); err != nil {
+			if err := check(p, res.Core); err != nil {
 				fmt.Printf("FAIL %-5s %-13v %v\n", dsName, p, err)
 				failures++
 				continue
@@ -146,15 +146,10 @@ func storeChaos(policies []core.Policy, threads int, duration time.Duration, key
 			failures++
 			continue
 		}
-		iv := chaos.Invariants{Policy: p}
-		var vs []chaos.Violation
-		vs = append(vs, iv.CheckValueErrors(res.ValueErrors)...)
-		vs = append(vs, iv.CheckLeaked(res.LeakedAfter)...)
-		vs = append(vs, iv.CheckCounters(res.Reclaim)...)
 		// The trial's workers still hold their handles at snapshot time;
 		// the injectors must have released theirs.
-		vs = append(vs, iv.CheckLifecycle(res.Lifecycle, threads)...)
-		if err := chaos.Errs(vs); err != nil {
+		leases := chaos.Invariants{Policy: p}.CheckLifecycle(res.Lifecycle, threads)
+		if err := check(p, res.Core, leases...); err != nil {
 			fmt.Printf("FAIL store %-13v %v\n", p, err)
 			failures++
 			continue
@@ -171,14 +166,16 @@ func storeChaos(policies []core.Policy, threads int, duration time.Duration, key
 	return failures
 }
 
-// check validates post-trial invariants through the shared checker.
-func check(res harness.Result) error {
-	if res.Ops == 0 {
+// check validates the invariants every trial shares — it did work,
+// served values pass their checksums, a quiescent drain emptied every
+// retire list (except under NR), the reclamation counters are sane —
+// plus the mode's own violations, extra.
+func check(p core.Policy, c harness.Core, extra ...chaos.Violation) error {
+	if c.Ops == 0 {
 		return fmt.Errorf("zero operations completed")
 	}
-	iv := chaos.Invariants{Policy: res.Config.Policy}
-	var vs []chaos.Violation
-	vs = append(vs, iv.CheckLeaked(res.LeakedAfter)...)
-	vs = append(vs, iv.CheckCounters(res.Reclaim)...)
-	return chaos.Errs(vs)
+	iv := chaos.Invariants{Policy: p}
+	vs := append(iv.CheckValueErrors(c.ValueErrors), iv.CheckLeaked(c.LeakedAfter)...)
+	vs = append(vs, iv.CheckCounters(c.Reclaim)...)
+	return chaos.Errs(append(vs, extra...))
 }

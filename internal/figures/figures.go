@@ -10,7 +10,7 @@
 // Each figure knows its workload, data structure, sizes and thresholds,
 // runs the sweep through the harness, and returns the same series the
 // paper plots. cmd/popbench renders them (-figure), and builds its
-// direct sweeps on the same Grid, Metric, OpLat, StoreLat and
+// direct sweeps on the same Grid, Metric, Shared, OpLat, StoreLat and
 // ServeMetrics.
 //
 // Sizes are the paper's divided by Ctx.Scale so laptop-scale runs finish;
@@ -172,9 +172,39 @@ func Labels[T int | uint64](xs []T) []string {
 	return out
 }
 
+// Trial is any harness trial result: each embeds harness.Core.
+type Trial interface{ Shared() harness.Core }
+
+// CoreMetrics are the metrics every trial result can report, each
+// defined once over harness.Core.
+type CoreMetrics[R Trial] struct {
+	Throughput, ValueErrors, AllocsPerOp, AllocBytesPerOp Metric[R]
+	Unreclaimed, Leaked, PingsPerPass, ScannedPerPass     Metric[R]
+	Releases, OrphansAdopted                              Metric[R] // churn's lifecycle columns
+}
+
+// Shared returns the core metrics over results of type R.
+func Shared[R Trial]() CoreMetrics[R] {
+	m := func(name string, get func(harness.Core) float64) Metric[R] {
+		return Metric[R]{name, func(r R) float64 { return get(r.Shared()) }}
+	}
+	return CoreMetrics[R]{
+		Throughput:      m("throughput (ops/s)", func(c harness.Core) float64 { return c.Throughput }),
+		ValueErrors:     m("value checksum failures", func(c harness.Core) float64 { return float64(c.ValueErrors) }),
+		AllocsPerOp:     m("allocs/op", func(c harness.Core) float64 { return c.AllocsPerOp }),
+		AllocBytesPerOp: m("alloc bytes/op", func(c harness.Core) float64 { return c.AllocBytesPerOp }),
+		Unreclaimed:     m("unreclaimed at run end (nodes)", func(c harness.Core) float64 { return float64(c.Unreclaimed) }),
+		Leaked:          m("leaked after flush (nodes)", func(c harness.Core) float64 { return float64(c.LeakedAfter) }),
+		PingsPerPass:    m("reclaim pings per pass", func(c harness.Core) float64 { return c.ReclaimDetail.PingsPerPass }),
+		ScannedPerPass:  m("reclaim threads scanned per pass", func(c harness.Core) float64 { return c.ReclaimDetail.ScannedPerPass }),
+		Releases:        m("thread releases", func(c harness.Core) float64 { return float64(c.Lifecycle.Releases) }),
+		OrphansAdopted:  m("orphan nodes adopted", func(c harness.Core) float64 { return float64(c.Lifecycle.OrphansAdopted) }),
+	}
+}
+
 // The metrics several paper figures share.
 var (
-	mThroughput  = Metric[harness.Result]{"throughput (ops/s)", func(r harness.Result) float64 { return r.Throughput }}
+	mThroughput  = Shared[harness.Result]().Throughput
 	mMaxRetire   = Metric[harness.Result]{"max retireList size (nodes)", func(r harness.Result) float64 { return float64(r.Reclaim.MaxRetire) }}
 	mPeakRes     = Metric[harness.Result]{"peak resident nodes", func(r harness.Result) float64 { return float64(r.PeakResident) }}
 	mUnreclaimed = Metric[harness.Result]{"total unreclaimed nodes", func(r harness.Result) float64 { return float64(r.Unreclaimed) }}
@@ -589,17 +619,16 @@ func pingFanoutFigure() Figure {
 					names = append(names, fmt.Sprintf("%v g=%d", p, g))
 				}
 			}
+			cm := Shared[harness.StoreResult]()
 			return Grid[harness.StoreResult]{
 				Title:  fmt.Sprintf("Ping fan-out (skl ×%d shards, zipf)", shards),
 				XLabel: "threads",
 				Rows:   Labels(threads), Cols: names,
 				Metrics: []Metric[harness.StoreResult]{
-					{"throughput (ops/s)", func(r harness.StoreResult) float64 { return r.Throughput }},
+					cm.Throughput,
 					StoreLat("get p99 (µs)", workload.StoreGet, 0.99),
 					StoreLat("put p99 (µs)", workload.StorePut, 0.99),
-					{"reclaim pings per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.PingsPerPass }},
-					{"reclaim threads scanned per pass", func(r harness.StoreResult) float64 { return r.ReclaimDetail.ScannedPerPass }},
-					{"unreclaimed at run end (nodes)", func(r harness.StoreResult) float64 { return float64(r.Unreclaimed) }},
+					cm.PingsPerPass, cm.ScannedPerPass, cm.Unreclaimed,
 				},
 				Run: func(r, col int) (harness.StoreResult, error) {
 					return harness.RunStore(harness.StoreConfig{
@@ -635,8 +664,9 @@ func ServeMetrics() []Metric[harness.ServeResult] {
 	getH := func(r R) *report.Histogram { return r.GetLat }
 	setH := func(r R) *report.Histogram { return r.SetLat }
 	admH := func(r R) *report.Histogram { return r.AdmWait }
+	cm := Shared[R]()
 	return []Metric[R]{
-		{"throughput (ops/s)", func(r R) float64 { return r.Throughput }},
+		cm.Throughput,
 		LatencyMetric("get latency p50 (µs)", getH, 0.50),
 		LatencyMetric("get latency p99 (µs)", getH, 0.99),
 		LatencyMetric("get latency max (µs)", getH, 1),
@@ -647,7 +677,7 @@ func ServeMetrics() []Metric[harness.ServeResult] {
 		{"admission waits (queued bursts)", func(r R) float64 { return float64(r.Server.AdmissionWaits) }},
 		{"coalesced gets", func(r R) float64 { return float64(r.Server.CoalescedGets) }},
 		{"coalesced batches", func(r R) float64 { return float64(r.Server.CoalescedBatches) }},
-		{"value checksum failures", func(r R) float64 { return float64(r.ValueErrors) }},
+		cm.ValueErrors,
 		{"leaked leases after shutdown", func(r R) float64 { return float64(r.Lifecycle.Leased) }},
 	}
 }

@@ -36,7 +36,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pop/internal/core"
@@ -48,7 +47,6 @@ import (
 	"pop/internal/ds/lazylist"
 	"pop/internal/ds/skiplist"
 	"pop/internal/report"
-	"pop/internal/telemetry"
 	"pop/internal/workload"
 )
 
@@ -121,14 +119,6 @@ type Config struct {
 	// reclaiming for the stall's duration.
 	StallEvery  time.Duration
 	StallLength time.Duration
-
-	// SampleEvery enables live telemetry: an interval sampler snapshots
-	// the domain's counters every SampleEvery and Result.Timeline
-	// carries the per-window deltas, stall episodes, and whole-run
-	// latency histograms. Zero (the default) disables sampling and with
-	// it its one per-op cost, the workers' op-count publish; the
-	// counters it reads are kept either way (a read writes none).
-	SampleEvery time.Duration
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -159,42 +149,20 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Result is the outcome of one trial.
+// Result is the outcome of one trial: the shared Core (ValueErrors
+// counts Gets whose value failed the checksum) plus the map trial's
+// per-op view.
 type Result struct {
 	Config Config
+	Core
 
-	Ops        uint64  // operations completed in the execution phase
-	RangeKeys  uint64  // keys returned across all range queries
-	Throughput float64 // Ops per second of Elapsed
-	ReadTput   float64 // gets (OpCounts[workload.Get]) per second (Fig. 4's metric)
-	RangeTput  float64 // range queries (OpCounts[workload.RangeQuery]) per second
-
-	// Elapsed is the measured execution-phase length, release to
-	// quiescence: Config.Duration plus however long the workers' in-flight
-	// operations took to finish after stop. Every rate divides by it.
-	Elapsed time.Duration
+	RangeKeys uint64  // keys returned across all range queries
+	ReadTput  float64 // gets (OpCounts[workload.Get]) per second (Fig. 4's metric)
+	RangeTput float64 // range queries (OpCounts[workload.RangeQuery]) per second
 
 	// OpCounts splits Ops by operation kind — the KV serving view of
 	// the trial.
 	OpCounts [workload.NumOps]uint64
-
-	// ValueErrors counts Get results whose value failed the workload
-	// checksum. Nonzero means a stale or corrupt value was served —
-	// the value-plane symptom of a reclamation bug.
-	ValueErrors uint64
-
-	PeakResident int64 // peak outstanding nodes (max resident memory analogue)
-	Unreclaimed  int64 // retired-but-unfreed nodes at measurement end (pre-flush)
-	LeakedAfter  int64 // unreclaimed after a quiescent flush (0 except NR)
-
-	// Allocation accounting: Go-heap allocation rate over the measured
-	// phase (runtime.MemStats deltas between release and worker
-	// quiescence, divided by Ops) — the whole-process view that makes a
-	// hot-path memory diet visible in every sweep, not just in
-	// microbenches. Pool-recycled nodes and arena slots cost zero here;
-	// what shows up is whatever the hot loops still ask the Go heap for.
-	AllocsPerOp     float64 // heap allocations per operation
-	AllocBytesPerOp float64 // heap bytes per operation
 
 	// OpLat holds per-op latency histograms (ns), merged across
 	// workers. OpLat[workload.RangeQuery] is populated whenever the mix
@@ -202,21 +170,6 @@ type Result struct {
 	// per policy; the other ops only when Config.OpLatency is set.
 	// Absent ops are nil.
 	OpLat [workload.NumOps]*report.Histogram
-
-	// Reclaim aggregates the reclamation counters; Reclaim.MaxRetire is
-	// the paper's memory plots' max retire-list length.
-	Reclaim core.Stats
-
-	// Lifecycle reports thread-slot turnover: releases, peak leases and
-	// orphan donation/adoption volumes — the explainability counters
-	// for churn (elastic-mode) trials.
-	Lifecycle core.LifecycleStats
-
-	// Timeline is the live-telemetry record of the run (nil unless
-	// Config.SampleEvery is set): interval deltas of the reclamation
-	// counters, unreclaimed watermarks, per-window ping-ack/pass p99s,
-	// and stalled-reader episodes.
-	Timeline *telemetry.Timeline
 }
 
 // build instantiates the data structure named in cfg.
@@ -289,18 +242,12 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("harness: mix has RangePct=%d but %q does not support range queries", cfg.Mix.RangePct, cfg.DS)
 		}
 	}
-	// All handles flow through the group's lease facade: workers lease
-	// their slot (error-returning path, so a misconfigured sweep fails
-	// with a message instead of a stack trace) and, in churn mode,
-	// release and re-lease it mid-measurement.
-	handles := make([]*core.GroupHandle, cfg.Threads)
-	for i := range handles {
-		h, err := g.Acquire()
-		if err != nil {
-			return Result{}, fmt.Errorf("harness: worker %d: %w", i, err)
-		}
+	t := &trial{g: g, workers: cfg.Threads, duration: cfg.Duration, outstanding: m.Outstanding}
+	if t.handles, err = lease(g, cfg.Threads); err != nil {
+		return Result{}, err
+	}
+	for _, h := range t.handles {
 		h.Member(0) // leased here, in worker order, so thread ids follow worker ids
-		handles[i] = h
 	}
 
 	// Per-worker generators go through the error-returning constructor
@@ -324,66 +271,39 @@ func Run(cfg Config) (Result, error) {
 
 	// Scans are always timed when the mix scans; the other classes only
 	// under OpLatency, so figure reproductions don't pay the clock reads.
-	workers := newTallies(cfg.Threads, workload.NumOps, func(op int) bool {
+	t.tallies = newTallies(cfg.Threads, workload.NumOps, func(op int) bool {
 		if workload.Op(op) == workload.RangeQuery {
 			return cfg.Mix.RangePct > 0
 		}
 		return cfg.OpLatency
 	})
 
-	if err := prefill(cfg, m, handles); err != nil {
-		return Result{}, err
-	}
+	// Prefill to about KeyRange/2 keys (§5.0.2), carrying encoded values
+	// so execution-phase Gets verify from the start.
+	prefill(t.handles, func(i int) int64 {
+		return share(cfg.KeyRange/2, int64(cfg.Threads), i == 0)
+	}, func(i int, h *core.GroupHandle, _ int64) func() bool {
+		gen := workload.NewGenerator(cfg.Seed^0xfeed+uint64(i), workload.UpdateHeavy, cfg.KeyRange)
+		th := h.Member(0)
+		return func() bool {
+			k := gen.Key()
+			return m.PutIfAbsent(th, k, gen.Value(k))
+		}
+	})
 
-	var unreclaimed int64
-	t := &trial{
-		workers:  cfg.Threads,
-		duration: cfg.Duration,
-		// A leg ends at stop or, in churn mode, after Churn.AfterOps
-		// operations; the churned handle goes back through the group.
-		leg: func(t *trial, id int) bool {
-			runWorker(cfg, m, handles[id].Member(0), gens[id], id, t, &workers[id])
-			return cfg.Churn.Enabled() && !t.stop.Load()
-		},
-		rotate: func(id int) {
-			g.Release(handles[id])
-			h, err := g.Acquire()
-			if err != nil {
-				// Unreachable: every chain holds at most one handle, so a
-				// slot is always free for the successor.
-				panic(fmt.Sprintf("harness: churn re-lease: %v", err))
-			}
-			handles[id] = h
-		},
-		drain:       func(id int) { handles[id].Drain() },
-		settle:      func() error { unreclaimed = g.Unreclaimed(); return nil },
-		outstanding: m.Outstanding,
-		source:      g,
-		sampleEvery: cfg.SampleEvery,
+	// A leg ends at stop or, in churn mode, after Churn.AfterOps
+	// operations; the churned handle goes back through the group.
+	t.leg = func(t *trial, id int) bool {
+		runWorker(cfg, m, t.handles[id].Member(0), gens[id], id, t, &t.tallies[id])
+		return cfg.Churn.Enabled() && !t.stop.Load()
 	}
-	ph, _ := t.run()
+	c, sum, _ := t.run()
 
-	sum := sumTallies(workers)
-	res := Result{
-		Config:       cfg,
-		Ops:          sum.ops,
-		RangeKeys:    sum.keys,
-		ValueErrors:  sum.valueErrs,
-		Elapsed:      ph.elapsed,
-		PeakResident: ph.peak,
-		Unreclaimed:  unreclaimed,
-		LeakedAfter:  g.Unreclaimed(),
-		Reclaim:      g.Stats(),
-		Lifecycle:    g.Lifecycle(),
-		Timeline:     ph.timeline,
-	}
+	res := Result{Config: cfg, Core: c, RangeKeys: sum.keys}
 	copy(res.OpCounts[:], sum.byClass)
 	copy(res.OpLat[:], sum.lats)
-	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
-	secs := ph.elapsed.Seconds()
-	res.Throughput = float64(res.Ops) / secs
-	res.ReadTput = float64(res.OpCounts[workload.Get]) / secs
-	res.RangeTput = float64(res.OpCounts[workload.RangeQuery]) / secs
+	res.ReadTput = float64(res.OpCounts[workload.Get]) / c.Elapsed.Seconds()
+	res.RangeTput = float64(res.OpCounts[workload.RangeQuery]) / c.Elapsed.Seconds()
 	return res, nil
 }
 
@@ -400,7 +320,6 @@ func Run(cfg Config) (Result, error) {
 func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator, id int, t *trial, c *tally) {
 	scanner, _ := m.(ds.RangeScanner) // non-nil whenever mix.RangePct > 0
 	stop := &t.stop
-	live := t.livePub(id)
 
 	staller := cfg.StallEvery > 0 && cfg.StallLength > 0 && id == 0
 	nextStall := time.Now().Add(cfg.StallEvery)
@@ -450,9 +369,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		}
 		byClass[op]++
 		ops++
-		live.tick(ops)
 	}
-	live.flush(ops)
 	// Accumulate (don't overwrite): a churned worker's counters span
 	// many legs.
 	c.ops += ops
@@ -461,45 +378,4 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 	for i := range byClass {
 		c.byClass[i] += byClass[i]
 	}
-}
-
-// prefill inserts until the structure holds about KeyRange/2 keys
-// (§5.0.2), splitting the work across all threads. Runs on the worker
-// threads'"own" goroutines to respect handle ownership. Prefilled keys
-// carry encoded values so execution-phase Gets verify from the start.
-func prefill(cfg Config, m ds.MemMap, handles []*core.GroupHandle) error {
-	target := cfg.KeyRange / 2
-	per := target / int64(len(handles))
-	extra := target - per*int64(len(handles))
-	var wg sync.WaitGroup
-	for i, h := range handles {
-		quota := per
-		if i == 0 {
-			quota += extra
-		}
-		gen, err := workload.NewGeneratorErr(cfg.Seed^0xfeed+uint64(i), workload.UpdateHeavy, cfg.KeyRange)
-		if err != nil {
-			return fmt.Errorf("harness: prefill: %w", err)
-		}
-		wg.Add(1)
-		go func(th *core.Thread, gen *workload.Generator, quota int64) {
-			defer wg.Done()
-			done := int64(0)
-			attempts := int64(0)
-			for done < quota {
-				k := gen.Key()
-				if m.PutIfAbsent(th, k, gen.Value(k)) {
-					done++
-				}
-				attempts++
-				if attempts > 50*quota+1000 {
-					// The range is saturated (heavily duplicated draws);
-					// good enough for a prefill.
-					return
-				}
-			}
-		}(h.Member(0), gen, quota)
-	}
-	wg.Wait()
-	return nil
 }

@@ -37,22 +37,58 @@ func TestRunAllPoliciesAllStructures(t *testing.T) {
 	}
 }
 
+// TestPrefillHitsTarget: every runner prefills half its key
+// population, so a read-only mix over uniform keys finds about half of
+// what it asks for — per scanned key (Run, whose peak resident count
+// must reach the prefill too), per get (RunStore, flat and with member
+// affinity) and per wire get (RunServe).
 func TestPrefillHitsTarget(t *testing.T) {
-	res, err := harness.Run(harness.Config{
-		DS:       harness.DSHashTable,
-		Policy:   core.EBR,
-		Threads:  2,
-		Duration: 10 * time.Millisecond,
-		KeyRange: 10000,
-		Mix:      workload.ReadHeavy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prefill targets KeyRange/2 keys; peak outstanding must be at least
-	// that (minus reclaim noise, plus churn).
-	if res.PeakResident < 4000 {
-		t.Fatalf("peak resident %d, want >= 4000 (prefill missed)", res.PeakResident)
+	const keys, span = 10000, 64
+	for _, c := range []struct {
+		name string
+		hits func() (float64, error) // fraction of the keys read that were present
+	}{
+		{"Run", func() (float64, error) {
+			res, err := harness.Run(harness.Config{
+				DS: harness.DSSkipList, Policy: core.EBR, Threads: 3, Duration: 20 * time.Millisecond,
+				KeyRange: keys, Mix: workload.Mix{RangePct: 100}, RangeSpan: span,
+			})
+			if err == nil && res.PeakResident < keys*4/10 {
+				t.Errorf("peak resident %d, want >= %d", res.PeakResident, keys*4/10)
+			}
+			return float64(res.RangeKeys) / float64(res.OpCounts[workload.RangeQuery]*span), err
+		}},
+		{"RunStore", func() (float64, error) {
+			res, err := harness.RunStore(harness.StoreConfig{
+				Policy: core.EBR, Threads: 3, Duration: 20 * time.Millisecond,
+				Keys: keys, Shards: 4, Mix: workload.StoreMix{GetPct: 100},
+			})
+			return float64(res.ServedKeys) / float64(res.Ops), err
+		}},
+		{"RunStore/groups", func() (float64, error) {
+			res, err := harness.RunStore(harness.StoreConfig{
+				Policy: core.EBR, Threads: 6, Duration: 20 * time.Millisecond,
+				Keys: keys, Shards: 4, Groups: 4, Mix: workload.StoreMix{GetPct: 100},
+			})
+			return float64(res.ServedKeys) / float64(res.Ops), err
+		}},
+		{"RunServe", func() (float64, error) {
+			res, err := harness.RunServe(harness.ServeConfig{
+				Policy: core.EBR, Slots: 3, Conns: 2, Duration: 60 * time.Millisecond,
+				Keys: keys, Shards: 4, GetPct: 100,
+			})
+			return float64(res.Hits) / float64(res.Gets), err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hits, err := c.hits()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits < 0.42 || hits > 0.58 {
+				t.Fatalf("reads hit %.3f of the keys they asked for, want about 0.5 (prefill missed its target)", hits)
+			}
+		})
 	}
 }
 
@@ -106,32 +142,62 @@ func TestStallInjection(t *testing.T) {
 	}
 }
 
-// TestThroughputOverMeasuredElapsed: rates divide by the measured phase,
-// not the configured one. The staller is mid-stall when stop fires (a
-// stall every millisecond, each ten times the run's length), so the
-// phase outlasts Duration by at least the time it takes to notice.
+// TestThroughputOverMeasuredElapsed: every runner's rates divide by the
+// measured phase, not the configured one. In the map trial the staller
+// is mid-stall when stop fires (a stall every millisecond, each ten
+// times the run's length), so the phase outlasts Duration by at least
+// the time it takes to notice.
 func TestThroughputOverMeasuredElapsed(t *testing.T) {
 	const dur = 30 * time.Millisecond
-	res, err := harness.Run(harness.Config{
-		DS:          harness.DSHarrisMichaelList,
-		Policy:      core.EpochPOP,
-		Threads:     2,
-		Duration:    dur,
-		KeyRange:    256,
-		StallEvery:  time.Millisecond,
-		StallLength: 10 * dur,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elapsed <= dur {
-		t.Fatalf("Elapsed %v, want more than the configured %v", res.Elapsed, dur)
-	}
-	if want := float64(res.Ops) / res.Elapsed.Seconds(); res.Throughput != want {
-		t.Fatalf("Throughput %v, want Ops/Elapsed = %v", res.Throughput, want)
-	}
-	if want := float64(res.OpCounts[workload.Get]) / res.Elapsed.Seconds(); res.ReadTput != want {
-		t.Fatalf("ReadTput %v, want gets/Elapsed = %v", res.ReadTput, want)
+	for _, c := range []struct {
+		name string
+		run  func() (harness.Core, error)
+	}{
+		{"Run", func() (harness.Core, error) {
+			res, err := harness.Run(harness.Config{
+				DS:          harness.DSHarrisMichaelList,
+				Policy:      core.EpochPOP,
+				Threads:     2,
+				Duration:    dur,
+				KeyRange:    256,
+				StallEvery:  time.Millisecond,
+				StallLength: 10 * dur,
+			})
+			if err == nil && res.Elapsed == dur {
+				t.Errorf("Elapsed %v, want more than the configured %v", res.Elapsed, dur)
+			}
+			if want := float64(res.OpCounts[workload.Get]) / res.Elapsed.Seconds(); err == nil && res.ReadTput != want {
+				t.Errorf("ReadTput %v, want gets/Elapsed = %v", res.ReadTput, want)
+			}
+			return res.Core, err
+		}},
+		{"RunStore", func() (harness.Core, error) {
+			res, err := harness.RunStore(harness.StoreConfig{Policy: core.EpochPOP, Threads: 2, Duration: dur, Keys: 1024, Shards: 2})
+			if want := float64(res.ServedKeys) / res.Elapsed.Seconds(); err == nil && res.KeyTput != want {
+				t.Errorf("KeyTput %v, want served keys/Elapsed = %v", res.KeyTput, want)
+			}
+			return res.Core, err
+		}},
+		{"RunServe", func() (harness.Core, error) {
+			res, err := harness.RunServe(harness.ServeConfig{Policy: core.EpochPOP, Slots: 2, Conns: 2, Duration: dur, Keys: 1024, Shards: 2})
+			return res.Core, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed < dur {
+				t.Fatalf("Elapsed %v, want at least the configured %v", res.Elapsed, dur)
+			}
+			if res.Ops == 0 {
+				t.Fatal("no operations completed")
+			}
+			if want := float64(res.Ops) / res.Elapsed.Seconds(); res.Throughput != want {
+				t.Fatalf("Throughput %v, want Ops/Elapsed = %v", res.Throughput, want)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,10 @@
 // a serve trial measures the production shape end to end: protocol
 // framing, burst-scoped thread leases queueing for admission, and
 // cross-connection get coalescing, with client-observed latency tails
-// per op class and the admission-queue wait distribution.
+// per op class and the admission-queue wait distribution. Only the
+// measured phase crosses the wire: the prefill loads the server's store
+// in-process, the way every trial prefills, on handles leased from the
+// server's group and released before any client dials.
 package harness
 
 import (
@@ -99,22 +102,16 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	return c, nil
 }
 
-// ServeResult is the outcome of one serve trial.
+// ServeResult is the outcome of one serve trial: the shared Core (an op
+// is one client get or set, ValueErrors counts values that crossed the
+// wire stale or torn, and Lifecycle is read after shutdown, so its
+// Leased counts leaks and must be 0) plus the serving front's view.
 type ServeResult struct {
 	Config ServeConfig
+	Core
 
-	Ops        uint64  // client ops completed (one get or set)
-	Gets, Sets uint64  // split by class
-	Hits       uint64  // gets that returned a value
-	Throughput float64 // Ops per second of Elapsed
-
-	// Elapsed is the measured phase: release until every client has
-	// finished its in-flight request after stop (see Result.Elapsed).
-	Elapsed time.Duration
-
-	// ValueErrors counts served values failing the workload checksum —
-	// a stale or torn value crossing the wire; must be zero.
-	ValueErrors uint64
+	Gets, Sets uint64 // Ops split by class
+	Hits       uint64 // gets that returned a value
 
 	// GetLat/SetLat are client-observed latencies (ns): closed-loop
 	// from send, open-loop from the intended send time.
@@ -124,9 +121,8 @@ type ServeResult struct {
 	// per burst that needed a thread lease.
 	AdmWait *report.Histogram
 
-	Server    server.Stats        // serving-front counters (coalescing, admissions)
-	Lifecycle core.LifecycleStats // after shutdown: Leased counts leaks (must be 0)
-	Chaos     chaos.Stats         // what the injectors did (zero when Chaos disabled)
+	Server server.Stats // serving-front counters (coalescing, admissions)
+	Chaos  chaos.Stats  // what the injectors did (zero when Chaos disabled)
 }
 
 // serveClient is one load-generating connection.
@@ -240,23 +236,43 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	if err := srv.Start(); err != nil {
 		return ServeResult{}, err
 	}
-	addr := srv.Addr().String()
+	g, s := srv.Group(), srv.Store()
 
 	keyTab, hkTab := keyTable(cfg.Keys)
 
-	if err := servePrefill(cfg, addr, keyTab, hkTab); err != nil {
+	// Prefill ranks [0, Keys/2) in-process, on Slots handles leased from
+	// the server's group and released before any client dials.
+	loaders, err := lease(g, cfg.Slots)
+	if err != nil {
 		srv.Close()
 		return ServeResult{}, err
+	}
+	prefill(loaders, func(i int) int64 {
+		return share(cfg.Keys/2, int64(cfg.Slots), i == 0)
+	}, func(i int, h *core.GroupHandle, rank int64) func() bool {
+		r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
+		var vbuf []byte
+		return func() bool {
+			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
+			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], 0x800001+uint32(rank), size)
+			s.Put(h, keyTab[rank], vbuf)
+			rank++
+			return true
+		}
+	})
+	for _, h := range loaders {
+		g.Release(h)
 	}
 
 	// The injectors lease their ExtraSlots now, before any client
 	// connects, so the admission budget the clients see stays Slots.
-	chaosRun, err := chaos.Start(cfg.Chaos, srv.Store(), keyTab)
+	chaosRun, err := chaos.Start(cfg.Chaos, s, keyTab)
 	if err != nil {
 		srv.Close()
 		return ServeResult{}, err
 	}
 
+	addr := srv.Addr().String()
 	clients := make([]*serveClient, cfg.Conns)
 	for i := range clients {
 		if clients[i], err = dialServe(addr); err != nil {
@@ -276,41 +292,40 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		samplers[i] = sm
 	}
 
-	counters := newTallies(cfg.Conns, numServeClasses, func(int) bool { return true })
 	errs := make([]error, cfg.Conns)
 	perConnRate := cfg.OpenRate / float64(cfg.Conns)
-	// Clients hold no thread handle — the server leases per burst — so
-	// the trial has no rotation and no drain.
-	ph, _ := (&trial{
-		workers:  cfg.Conns,
-		duration: cfg.Duration,
+	var chaosStats chaos.Stats
+	t := &trial{
+		g: g, workers: cfg.Conns, duration: cfg.Duration, outstanding: s.Outstanding,
+		tallies: newTallies(cfg.Conns, numServeClasses, func(int) bool { return true }),
 		leg: func(t *trial, id int) bool {
-			errs[id] = runServeClient(cfg, clients[id], samplers[id], id, keyTab, hkTab, perConnRate, &t.stop, &counters[id])
+			errs[id] = runServeClient(cfg, clients[id], samplers[id], id, keyTab, hkTab, perConnRate, &t.stop, &t.tallies[id])
 			return false
 		},
-	}).run()
-	for _, c := range clients {
-		c.close()
+		// Injectors stop (flush + release their leases) before Close, so
+		// the post-shutdown lifecycle check below counts only real leaks.
+		settle: func() error { chaosStats = chaosRun.Stop(); return nil },
+	}
+	c, sum, _ := t.run()
+	for _, cl := range clients {
+		cl.close()
 	}
 
-	res := ServeResult{Config: cfg, Server: srv.Stats(), AdmWait: srv.AdmissionWait(), Elapsed: ph.elapsed}
-	// Injectors stop (flush + release their leases) before Close, so the
-	// post-shutdown lifecycle check below counts only real leaks.
-	res.Chaos = chaosRun.Stop()
+	res := ServeResult{
+		Config: cfg, Core: c, Hits: sum.keys,
+		Gets: sum.byClass[serveGet], Sets: sum.byClass[serveSet],
+		GetLat: sum.lats[serveGet], SetLat: sum.lats[serveSet],
+		AdmWait: srv.AdmissionWait(), Server: srv.Stats(), Chaos: chaosStats,
+	}
 	if err := srv.Close(); err != nil {
 		return res, err
 	}
-	res.Lifecycle = srv.Group().Lifecycle()
+	res.Lifecycle = g.Lifecycle()
 	for i, err := range errs {
 		if err != nil {
 			return res, fmt.Errorf("harness: client %d: %w", i, err)
 		}
 	}
-	sum := sumTallies(counters)
-	res.Ops, res.Hits, res.ValueErrors = sum.ops, sum.keys, sum.valueErrs
-	res.Gets, res.Sets = sum.byClass[serveGet], sum.byClass[serveSet]
-	res.GetLat, res.SetLat = sum.lats[serveGet], sum.lats[serveSet]
-	res.Throughput = float64(res.Ops) / ph.elapsed.Seconds()
 	if res.Lifecycle.Leased != 0 {
 		return res, fmt.Errorf("harness: %d thread leases leaked after shutdown", res.Lifecycle.Leased)
 	}
@@ -374,39 +389,6 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			out.byClass[serveSet]++
 		}
 		out.ops++
-	}
-	return nil
-}
-
-// servePrefill loads half the key population through one pipelined
-// connection (sets with noreply, a trailing version to sync).
-func servePrefill(cfg ServeConfig, addr string, keyTab []string, hkTab []int64) error {
-	c, err := dialServe(addr)
-	if err != nil {
-		return fmt.Errorf("harness: prefill dial: %w", err)
-	}
-	defer c.close()
-	var vbuf []byte
-	r := rng.New(cfg.Seed ^ 0xfeed)
-	tag := uint32(0x800000)
-	for rank := int64(0); rank < cfg.Keys/2; rank++ {
-		tag++
-		size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
-		vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-		fmt.Fprintf(c.w, "set %s 0 0 %d noreply\r\n", keyTab[rank], len(vbuf))
-		c.w.Write(vbuf)
-		c.w.WriteString("\r\n")
-	}
-	c.w.WriteString("version\r\n")
-	if err := c.w.Flush(); err != nil {
-		return fmt.Errorf("harness: prefill flush: %w", err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("harness: prefill sync: %w", err)
-	}
-	if !strings.HasPrefix(line, "VERSION") {
-		return fmt.Errorf("harness: prefill sync reply %q", line)
 	}
 	return nil
 }

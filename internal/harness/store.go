@@ -12,7 +12,6 @@ package harness
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"pop/internal/report"
 	"pop/internal/rng"
 	"pop/internal/store"
-	"pop/internal/telemetry"
 	"pop/internal/workload"
 )
 
@@ -103,10 +101,14 @@ type StoreConfig struct {
 	// not the multi-get width above.
 	Reclaim core.Options
 
-	// SampleEvery enables live telemetry (see Config.SampleEvery):
-	// StoreResult.Timeline carries interval deltas of the group's
-	// reclamation counters, store-level extras (gets/puts/overwrites/
-	// deletes/scan pairs/stale reads), and stalled-reader episodes.
+	// SampleEvery enables live telemetry: an interval sampler snapshots
+	// the group's counters every SampleEvery, and StoreResult.Timeline
+	// carries the per-window deltas of the reclamation counters and of
+	// the store's own (gets/puts/overwrites/deletes/scan pairs/stale
+	// reads), so value-plane behaviour lines up against reclamation
+	// sample by sample, plus stalled-reader episodes. Zero (the default)
+	// disables sampling and with it its one per-op cost, the workers'
+	// op-count publish.
 	SampleEvery time.Duration
 }
 
@@ -143,22 +145,11 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if c.Shards <= 0 {
 		c.Shards = 8
 	}
-	if c.Groups <= 0 {
-		c.Groups = 1
-	}
-	// Round the group count up to a power of two and cap it at the
-	// (equally rounded) shard count — the store's members<=shards rule.
-	n := 1
-	for n < c.Groups {
-		n <<= 1
-	}
-	c.Groups = n
-	n = 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	if c.Groups > n {
-		c.Groups = n
+	// The store's layout rule caps the group count; the shard count
+	// itself stays as given (store.New rounds it).
+	var err error
+	if _, c.Groups, err = store.Layout(c.Shards, c.Groups); err != nil {
+		return c, err
 	}
 	if c.Backing == "" {
 		c.Backing = store.BackingSkipList
@@ -169,7 +160,6 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if c.ValueSmallPct < 0 || c.ValueSmallPct > 100 {
 		return c, fmt.Errorf("harness: ValueSmallPct %d out of [0, 100]", c.ValueSmallPct)
 	}
-	var err error
 	if c.ValueMin, c.ValueMax, err = valueBounds(c.ValueMin, c.ValueMax); err != nil {
 		return c, err
 	}
@@ -203,34 +193,18 @@ func valueBounds(vmin, vmax int) (int, int, error) {
 	return vmin, vmax, nil
 }
 
-// StoreResult is the outcome of one store trial.
+// StoreResult is the outcome of one store trial: the shared Core (an
+// op is one get, put, batch or scan; PeakResident counts nodes, values
+// and tickets) plus the store's own view.
 type StoreResult struct {
 	Config StoreConfig
+	Core
 
-	Ops        uint64  // operations completed (a batch or scan counts once)
-	Throughput float64 // Ops per second
 	ServedKeys uint64  // keys served: gets + batch keys + scan pairs
 	KeyTput    float64 // ServedKeys per second
 
 	// OpCounts splits Ops by operation kind.
 	OpCounts [workload.NumStoreOps]uint64
-
-	// ValueErrors counts served values that failed the workload
-	// checksum — the value-plane symptom of a reclamation bug; must be
-	// zero.
-	ValueErrors uint64
-
-	PeakResident int64 // peak outstanding nodes+values+tickets
-	Unreclaimed  int64 // retired-but-unfreed at measurement end
-	LeakedAfter  int64 // unreclaimed after a quiescent flush
-
-	// Allocation accounting: Go-heap allocation rate over the measured
-	// phase (runtime.MemStats deltas between release and worker
-	// quiescence, divided by Ops) — see Result.AllocsPerOp. Inline
-	// values and pooled nodes cost zero here, so this is the sweep-level
-	// witness of the hot-path memory diet.
-	AllocsPerOp     float64 // heap allocations per operation
-	AllocBytesPerOp float64 // heap bytes per operation
 
 	// OpLat holds per-op latency histograms (ns), merged across
 	// workers; nil unless Config.OpLatency.
@@ -240,33 +214,12 @@ type StoreResult struct {
 	// Store.StaleReads counts value reads that lost to a concurrent
 	// overwrite's reclamation and retried: the read-side cost of eager
 	// value reclamation, a per-policy signature.
-	Store   store.Stats
-	Reclaim core.Stats // reclamation counters (summed across member domains)
-
-	// ReclaimDetail is the per-pass fan-out view (pings sent and
-	// threads scanned per reclaim pass, averaged across the whole
-	// group) — the quantity domain groups shrink.
-	ReclaimDetail core.ReclaimStats
-
-	// Lifecycle reports thread-slot turnover (releases, peak leases,
-	// orphan donation/adoption) — the churn-mode explainability view.
-	Lifecycle core.LifecycleStats
+	Store store.Stats
 
 	// Chaos reports injector activity when Config.Chaos was enabled
 	// (zero otherwise); storms assert these are nonzero so an idle
 	// injector fails instead of silently weakening the run.
 	Chaos chaos.Stats
-
-	// Elapsed is the measured execution-phase length: Config.Duration
-	// for mix runs, the actual replay time for trace runs.
-	Elapsed time.Duration
-
-	// Timeline is the live-telemetry record of the run (nil unless
-	// Config.SampleEvery is set). Its extras columns are the store's
-	// counters (gets, puts, overwrites, deletes, scan pairs, stale
-	// reads), so value-plane behaviour lines up against reclamation
-	// deltas sample by sample.
-	Timeline *telemetry.Timeline
 }
 
 // storeExtras adapts the store's shard-aggregated counters to
@@ -315,16 +268,12 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 			}
 		}
 	}
-	// Serving handles come from the store's group facade (the error
-	// path, so capacity misconfigurations fail with a message); churn
-	// legs rotate them through the same group.
-	threads := make([]*core.GroupHandle, cfg.Threads)
-	for i := range threads {
-		h, err := s.Acquire()
-		if err != nil {
-			return StoreResult{}, fmt.Errorf("harness: store worker %d: %w", i, err)
-		}
-		threads[i] = h
+	t := &trial{
+		g: g, workers: cfg.Threads, duration: cfg.Duration,
+		outstanding: s.Outstanding, sampleEvery: cfg.SampleEvery, extras: storeExtras{s},
+	}
+	if t.handles, err = lease(g, cfg.Threads); err != nil {
+		return StoreResult{}, err
 	}
 
 	keyTab, hkTab := keyTable(cfg.Keys)
@@ -338,7 +287,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	// Scans are the exception — Store.Scan visits every shard, so one
 	// scan leases the scanning worker into every member; mixes with a
 	// scan share therefore report flat (ungrouped) fan-out.
-	members := s.Group().Members()
+	members := g.Members()
 	var memberRanks [][]int64
 	if !traceMode && members > 1 {
 		memberRanks = make([][]int64, members)
@@ -377,53 +326,93 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		}
 	}
 
-	workers := newTallies(cfg.Threads, workload.NumStoreOps, func(int) bool { return cfg.OpLatency })
+	t.tallies = newTallies(cfg.Threads, workload.NumStoreOps, func(int) bool { return cfg.OpLatency })
 
-	// Prefill: mix runs load half the rank population (the §5.0.2
-	// shape, transplanted to the store); trace runs load every distinct
-	// trace key so reads hit.
 	if traceMode {
-		tracePrefill(cfg, s, threads)
-	} else if err := storePrefill(cfg, s, threads, keyTab, hkTab, workerRanks); err != nil {
-		return StoreResult{}, err
+		// Every distinct trace key, with a verifiable value, so replayed
+		// reads hit like they did against the traced system.
+		keys := workload.TraceKeys(cfg.Trace)
+		prefill(t.handles, func(i int) int64 {
+			return share(int64(len(keys)), int64(cfg.Threads), i == 0)
+		}, func(_ int, h *core.GroupHandle, j int64) func() bool {
+			var vbuf []byte
+			return func() bool {
+				k := keys[j]
+				vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(k), uint32(j)|0x01000000, cfg.ValueMin)
+				s.Put(h, k, vbuf)
+				j++
+				return true
+			}
+		})
+	} else {
+		// Half the rank population (the §5.0.2 shape, transplanted to the
+		// store). Affinity handles prefill only ranks their own member
+		// owns, so the load phase doesn't lease every handle into every
+		// member before the measured phase starts: each member's
+		// half-full target is split among the handles pinned to it.
+		prefill(t.handles, func(i int) int64 {
+			if tab := workerRanks(i); tab != nil {
+				peers := (cfg.Threads-1-i%members)/members + 1
+				return share(int64(len(tab))/2, int64(peers), i < members)
+			}
+			return share(cfg.Keys/2, int64(cfg.Threads), i == 0)
+		}, func(i int, h *core.GroupHandle, _ int64) func() bool {
+			tab := workerRanks(i)
+			pop := cfg.Keys
+			if tab != nil {
+				pop = int64(len(tab))
+			}
+			r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
+			var vbuf []byte
+			tag := uint32(i)<<24 | 0x800000
+			return func() bool {
+				rank := r.Intn(pop)
+				if tab != nil {
+					rank = tab[rank]
+				}
+				size := drawValueSize(cfg, r)
+				tag++
+				vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
+				return s.PutIfAbsent(h, keyTab[rank], vbuf)
+			}
+		})
 	}
 
 	// Fault injectors launch after the prefill so they perturb the
-	// measured phase, not the load phase: for the whole phase, or — in
-	// burst mode — from a timer goroutine that starts them ChaosStart in
-	// and stops them at ChaosStop. Either way stopChaos returns once every
-	// injector thread has flushed and released, donating its leftover
-	// retires for the terminal drains to adopt.
-	stopChaos := func() (chaos.Stats, error) { return chaos.Stats{}, nil }
-	switch {
-	case !cfg.Chaos.Enabled():
-	case cfg.ChaosStart == 0 && cfg.ChaosStop == 0:
-		run, err := chaos.Start(cfg.Chaos, s, keyTab)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		stopChaos = func() (chaos.Stats, error) { return run.Stop(), nil }
-	default:
-		type outcome struct {
-			stats chaos.Stats
-			err   error
-		}
-		burst := make(chan outcome, 1)
+	// measured phase, not the load phase: ChaosStart into the phase, from
+	// a goroutine that stops them at ChaosStop or when the phase ends
+	// (settle), whichever is first. Whole-run chaos is the window [0, end
+	// of phase]. The stop returns once every injector thread has flushed
+	// and released, donating its leftover retires for the terminal
+	// drains to adopt.
+	var chaosStats chaos.Stats
+	if cfg.Chaos.Enabled() {
+		phaseEnd := make(chan struct{})
+		burst := make(chan error, 1)
 		go func() {
-			time.Sleep(cfg.ChaosStart)
-			run, err := chaos.Start(cfg.Chaos, s, keyTab)
-			if err != nil {
-				burst <- outcome{err: fmt.Errorf("harness: chaos burst: %w", err)}
+			select {
+			case <-time.After(cfg.ChaosStart):
+			case <-phaseEnd:
+				burst <- nil
 				return
 			}
-			stopAt := cfg.ChaosStop
-			if stopAt == 0 {
-				stopAt = cfg.Duration
+			run, err := chaos.Start(cfg.Chaos, s, keyTab)
+			if err != nil {
+				burst <- fmt.Errorf("harness: chaos: %w", err)
+				return
 			}
-			time.Sleep(stopAt - cfg.ChaosStart)
-			burst <- outcome{stats: run.Stop()}
+			var stopAt <-chan time.Time // nil: only the phase's end stops them
+			if cfg.ChaosStop > 0 {
+				stopAt = time.After(cfg.ChaosStop - cfg.ChaosStart)
+			}
+			select {
+			case <-stopAt:
+			case <-phaseEnd:
+			}
+			chaosStats = run.Stop()
+			burst <- nil
 		}()
-		stopChaos = func() (chaos.Stats, error) { o := <-burst; return o.stats, o.err }
+		t.settle = func() error { close(phaseEnd); return <-burst }
 	}
 
 	var traceHK []int64 // trace[i].Key prehashed (checksum verification)
@@ -433,68 +422,26 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		for i := range cfg.Trace {
 			traceHK[i] = store.KeyHash(cfg.Trace[i].Key)
 		}
-	}
-
-	res := StoreResult{Config: cfg}
-	t := &trial{
-		workers:  cfg.Threads,
-		duration: cfg.Duration,
-		leg: func(t *trial, id int) bool {
-			if traceMode {
-				runStoreTraceWorker(cfg, s, threads[id], id, t, traceHK, &cursor, &workers[id])
-				return false
-			}
-			runStoreWorker(cfg, s, threads[id], samplers[id], id, keyTab, hkTab, workerRanks(id), t, &workers[id])
-			return cfg.Churn.Enabled() && !t.stop.Load()
-		},
-		// A churned leg returns its handle to the store's group (donating
-		// its unreclaimed retires member by member) and re-leases a slot.
-		rotate: func(id int) {
-			s.Release(threads[id])
-			h, err := s.Acquire()
-			if err != nil {
-				panic(fmt.Sprintf("harness: store churn re-lease: %v", err))
-			}
-			threads[id] = h
-		},
-		// Drain, not Flush: churned predecessors may have donated orphans
-		// to members this terminal leg never touched.
-		drain: func(id int) { threads[id].Drain() },
-		settle: func() (err error) {
-			res.Chaos, err = stopChaos()
-			res.Unreclaimed = g.Unreclaimed()
-			res.ReclaimDetail = g.ReclaimStats()
-			return err
-		},
-		outstanding: s.Outstanding,
-		source:      g,
-		extras:      storeExtras{s},
-		sampleEvery: cfg.SampleEvery,
-	}
-	if traceMode {
 		// The trace drains exactly once; the trial is over when the last
 		// op completes, however long that takes.
 		t.duration = 0
 	}
-	ph, err := t.run()
+	t.leg = func(t *trial, id int) bool {
+		if traceMode {
+			runStoreTraceWorker(cfg, s, t.handles[id], id, t, traceHK, &cursor, &t.tallies[id])
+			return false
+		}
+		runStoreWorker(cfg, s, t.handles[id], samplers[id], id, keyTab, hkTab, workerRanks(id), t, &t.tallies[id])
+		return cfg.Churn.Enabled() && !t.stop.Load()
+	}
+	c, sum, err := t.run()
 	if err != nil {
 		return StoreResult{}, err
 	}
-
-	sum := sumTallies(workers)
-	res.Ops, res.ServedKeys, res.ValueErrors = sum.ops, sum.keys, sum.valueErrs
+	res := StoreResult{Config: cfg, Core: c, ServedKeys: sum.keys, Store: s.Stats(), Chaos: chaosStats}
 	copy(res.OpCounts[:], sum.byClass)
 	copy(res.OpLat[:], sum.lats)
-	res.PeakResident = ph.peak
-	res.LeakedAfter = g.Unreclaimed()
-	res.Store = s.Stats()
-	res.Reclaim = g.Stats()
-	res.Lifecycle = g.Lifecycle()
-	res.Elapsed = ph.elapsed
-	res.Timeline = ph.timeline
-	res.AllocsPerOp, res.AllocBytesPerOp = ph.perOp(res.Ops)
-	res.Throughput = float64(res.Ops) / ph.elapsed.Seconds()
-	res.KeyTput = float64(res.ServedKeys) / ph.elapsed.Seconds()
+	res.KeyTput = float64(res.ServedKeys) / c.Elapsed.Seconds()
 	return res, nil
 }
 
@@ -777,87 +724,4 @@ func traceSize(cfg StoreConfig, op workload.TraceOp, i int64) int {
 	}
 	span := int64(cfg.ValueMax - cfg.ValueMin + 1)
 	return cfg.ValueMin + int((uint64(i)*0x9e3779b97f4a7c15>>33)%uint64(span))
-}
-
-// tracePrefill loads every distinct trace key with a verifiable value,
-// split across threads, so replayed reads hit like they did against
-// the traced system.
-func tracePrefill(cfg StoreConfig, s *store.Store, handles []*core.GroupHandle) {
-	keys := workload.TraceKeys(cfg.Trace)
-	var wg sync.WaitGroup
-	per := (len(keys) + len(handles) - 1) / len(handles)
-	for i, h := range handles {
-		lo := i * per
-		if lo >= len(keys) {
-			break
-		}
-		hi := lo + per
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(h *core.GroupHandle, chunk []string, base int) {
-			defer wg.Done()
-			var vbuf []byte
-			for j, k := range chunk {
-				hk := store.KeyHash(k)
-				vbuf = workload.AppendValueBytes(vbuf[:0], hk, uint32(base+j)|0x01000000, cfg.ValueMin)
-				s.Put(h, k, vbuf)
-			}
-		}(h, keys[lo:hi], lo)
-	}
-	wg.Wait()
-}
-
-// storePrefill inserts ranks until the store holds about Keys/2
-// entries, split across all threads on their own goroutines.
-func storePrefill(cfg StoreConfig, s *store.Store, handles []*core.GroupHandle, keyTab []string, hkTab []int64, workerRanks func(int) []int64) error {
-	members := s.Group().Members()
-	var wg sync.WaitGroup
-	for i, h := range handles {
-		// Affinity handles prefill only ranks their own member owns, so
-		// the load phase doesn't lease every handle into every member
-		// before the measured phase starts. Each member's half-full
-		// target is split among the handles pinned to it.
-		tab := workerRanks(i)
-		pop := cfg.Keys
-		peers := int64(len(handles))
-		first := i == 0
-		if tab != nil {
-			pop = int64(len(tab))
-			peers = int64((len(handles)-1-i%members)/members + 1)
-			first = i < members
-		}
-		target := pop / 2
-		quota := target / peers
-		if first {
-			quota += target - quota*peers
-		}
-		wg.Add(1)
-		go func(id int, h *core.GroupHandle, tab []int64, pop, quota int64) {
-			defer wg.Done()
-			r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(id))
-			var vbuf []byte
-			done, attempts := int64(0), int64(0)
-			tag := uint32(id)<<24 | 0x800000
-			for done < quota {
-				rank := r.Intn(pop)
-				if tab != nil {
-					rank = tab[rank]
-				}
-				size := drawValueSize(cfg, r)
-				tag++
-				vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-				if s.PutIfAbsent(h, keyTab[rank], vbuf) {
-					done++
-				}
-				attempts++
-				if attempts > 50*quota+1000 {
-					return // saturated; good enough for a prefill
-				}
-			}
-		}(i, h, tab, pop, quota)
-	}
-	wg.Wait()
-	return nil
 }

@@ -1,29 +1,97 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pop/internal/core"
 	"pop/internal/padded"
 	"pop/internal/report"
 	"pop/internal/telemetry"
 )
 
-// trial is the measured phase every runner shares. Run, RunStore and
-// RunServe build their target, prefill it, fill in the hooks below and
-// call run; what differs between them is set-up, the per-op body of a
-// leg, and which result fields they assemble.
+// Core is what every trial reports, whatever its target. Result,
+// StoreResult and ServeResult embed it, so each reads these fields by
+// name, and code generic over the three reads them through Shared.
+type Core struct {
+	Ops        uint64  // operations completed in the execution phase
+	Throughput float64 // Ops per second of Elapsed
+
+	// Elapsed is the measured execution-phase length, release to
+	// quiescence: the configured Duration plus however long the workers'
+	// in-flight operations took to finish after stop (for a trace, the
+	// replay's length). Every rate divides by it.
+	Elapsed time.Duration
+
+	// ValueErrors counts served values that failed the workload
+	// checksum. Nonzero means a stale or corrupt value was served — the
+	// value-plane symptom of a reclamation bug.
+	ValueErrors uint64
+
+	PeakResident int64 // peak outstanding nodes (max resident memory analogue)
+	Unreclaimed  int64 // retired-but-unfreed nodes at measurement end (pre-drain)
+
+	// ReclaimDetail is the per-pass fan-out view (pings sent and
+	// threads scanned per reclaim pass, averaged across the whole
+	// group), taken with Unreclaimed — the quantity domain groups shrink.
+	ReclaimDetail core.ReclaimStats
+
+	// LeakedAfter is what stays unreclaimed once every worker drained
+	// its handle (0 except NR). Serve clients hold no handle, so for a
+	// serve trial it is what the server's own handles still hold.
+	LeakedAfter int64
+
+	// Allocation accounting: Go-heap allocation rate over the measured
+	// phase (runtime.MemStats deltas between release and worker
+	// quiescence, divided by Ops) — the whole-process view that makes a
+	// hot-path memory diet visible in every sweep, not just in
+	// microbenches. Pool-recycled nodes, arena slots and inline values
+	// cost zero here; what shows up is whatever the hot loops still ask
+	// the Go heap for.
+	AllocsPerOp     float64 // heap allocations per operation
+	AllocBytesPerOp float64 // heap bytes per operation
+
+	// Reclaim aggregates the reclamation counters across member
+	// domains; Reclaim.MaxRetire is the paper's memory plots' max
+	// retire-list length.
+	Reclaim core.Stats
+
+	// Lifecycle reports thread-slot turnover: releases, peak leases and
+	// orphan donation/adoption volumes — the explainability counters
+	// for churn (elastic-mode) trials.
+	Lifecycle core.LifecycleStats
+
+	// Timeline is the live-telemetry record of the run (nil unless
+	// StoreConfig.SampleEvery is set): interval deltas of the
+	// reclamation counters, unreclaimed watermarks, per-window
+	// ping-ack/pass p99s, and stalled-reader episodes.
+	Timeline *telemetry.Timeline
+}
+
+// Shared returns the result core; Result, StoreResult and ServeResult
+// promote it.
+func (c Core) Shared() Core { return c }
+
+// trial is the set-up and measured phase every runner shares. A runner
+// builds its target on the group g, leases the workers' handles
+// (lease), prefills (prefill), sets leg and calls run, which returns
+// the result core and the workers' summed tallies. What differs between
+// runners is the target, how one prefill key is drawn and put, the
+// per-op body of a leg, and the fields their results add to Core.
 //
 // Each worker is a chain of legs. A leg runs the op loop on the
-// goroutine that owns the worker's handle and reports whether to rotate:
-// a rotating leg's goroutine releases the handle and leases a fresh one
-// (rotate), then hands the worker to a new goroutine — worker identity
-// survives, thread identity does not. The terminal leg keeps its handle,
-// parks until every worker is quiescent, and drains from that same
-// goroutine (a leased handle has one owner; its flush adopts whatever
-// its departed predecessors donated).
+// goroutine that owns the worker's handle and reports whether to
+// rotate: a rotating leg's goroutine releases the handle, leases a
+// fresh one and hands the worker to a new goroutine — worker identity
+// survives, thread identity does not. The terminal leg keeps its
+// handle, parks until every worker is quiescent, and drains from that
+// same goroutine (a leased handle has one owner; its drain adopts
+// whatever its departed predecessors donated). Workers without handles
+// (serve clients: the server leases per burst) neither rotate nor
+// drain.
 //
 // run keeps one order, and each step sits where it does for a reason:
 //
@@ -34,39 +102,40 @@ import (
 //  3. quiesce: every worker is out of its op loop; elapsed and the
 //     MemStats bracket close here, so in-flight ops that finished after
 //     stop are counted with the time they took;
-//  4. settle — the caller's snapshot of unreclaimed nodes and per-pass
-//     fan-out, and the stop of its fault injectors, taken before any
-//     flush reclaims the backlog (a drain also leases every handle into
-//     every member and would re-average scanned-per-pass toward the
-//     flat number);
+//  4. settle — the caller's settle hook (its fault injectors stop), then
+//     the snapshot of unreclaimed nodes and per-pass fan-out, before any
+//     drain reclaims the backlog (a drain also leases every handle into
+//     every member and would re-average scanned-per-pass toward the flat
+//     number);
 //  5. the drain barrier: every terminal leg drains on its own goroutine;
 //  6. telemetry Stop — after the barrier, so Timeline.Final counts the
-//     drain's passes too; it and the Stats the runner reports load the
-//     same counter words, so the two are equal.
+//     drain's passes too; it and Core.Reclaim load the same counter
+//     words, so the two are equal.
 type trial struct {
+	g        *core.DomainGroup
 	workers  int
 	duration time.Duration // 0 = until every leg has returned
 
+	// handles holds each worker's leased handle; nil when workers hold
+	// none.
+	handles []*core.GroupHandle
+	tallies []tally // one per worker (newTallies)
+
 	// leg runs worker id's op loop; true asks for a rotation and another
-	// leg. rotate is only called after a leg returned true.
-	leg    func(t *trial, id int) (rotate bool)
-	rotate func(id int)
-	// drain flushes worker id's handle; nil when workers hold none
-	// (serve clients), in which case there is no drain barrier either.
-	drain func(id int)
-	// settle runs between quiescence and the drain barrier; nil = nothing
-	// to snapshot. Its error is returned by run after the barrier.
+	// leg.
+	leg func(t *trial, id int) (rotate bool)
+	// settle, when set, opens the settle step; run returns its error
+	// after the barrier.
 	settle func() error
 
 	// outstanding is polled every peakPeriod for the peak-resident
-	// figure; nil = not tracked.
+	// figure.
 	outstanding func() int64
 
-	// source, with sampleEvery > 0, attaches a live telemetry sampler
-	// (extras optional) fed by the workers' published op counts.
-	source      telemetry.CoreSource
-	extras      telemetry.ExtrasSource
+	// sampleEvery > 0 attaches a live telemetry sampler over g (extras
+	// optional) fed by the workers' published op counts.
 	sampleEvery time.Duration
+	extras      telemetry.ExtrasSource
 
 	stop  atomic.Bool
 	start time.Time       // set just before release; legs read it after
@@ -76,29 +145,67 @@ type trial struct {
 // peakPeriod is how often run polls trial.outstanding.
 const peakPeriod = 2 * time.Millisecond
 
-// measured is what run observed of the phase.
-type measured struct {
-	elapsed    time.Duration // release → quiescence
-	peak       int64         // peak outstanding, end-of-phase state included
-	mallocs    uint64        // runtime.MemStats deltas across the phase
-	allocBytes uint64
-	timeline   *telemetry.Timeline // nil unless sampled
-}
-
-// perOp divides the allocation deltas by the op count.
-func (m measured) perOp(ops uint64) (allocs, bytes float64) {
-	if ops == 0 {
-		return 0, 0
+// lease acquires n handles from g, in worker order, on the error path:
+// a capacity misconfiguration fails the trial with a message instead of
+// a stack trace.
+func lease(g *core.DomainGroup, n int) ([]*core.GroupHandle, error) {
+	hs := make([]*core.GroupHandle, n)
+	for i := range hs {
+		h, err := g.Acquire()
+		if err != nil {
+			return nil, fmt.Errorf("harness: worker %d: %w", i, err)
+		}
+		hs[i] = h
 	}
-	return float64(m.mallocs) / float64(ops), float64(m.allocBytes) / float64(ops)
+	return hs, nil
 }
 
-func (t *trial) run() (measured, error) {
+// prefill loads a target before the measured phase, one goroutine per
+// handle (a leased handle has one owner). Handle i inserts quota(i)
+// keys through the loader load builds for it; first is the sum of the
+// quotas before i, for loaders that walk one shared key list. Each call
+// of a loader draws and puts one key and reports whether it inserted
+// one. A loader gives up after 50×quota+1000 calls: the range is
+// saturated (heavily duplicated draws), which is good enough for a
+// prefill.
+func prefill(handles []*core.GroupHandle, quota func(i int) int64,
+	load func(i int, h *core.GroupHandle, first int64) (put func() bool)) {
+	var wg sync.WaitGroup
+	first := int64(0)
+	for i, h := range handles {
+		q, put := quota(i), load(i, h, first)
+		first += q
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done, calls := int64(0), int64(0); done < q && calls <= 50*q+1000; calls++ {
+				if put() {
+					done++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// share is one of peers' shares of total: an even split, with the
+// remainder on the first peer.
+func share(total, peers int64, first bool) int64 {
+	q := total / peers
+	if first {
+		q += total - q*peers
+	}
+	return q
+}
+
+// run executes the measured phase and returns the result core and the
+// workers' tallies, summed.
+func (t *trial) run() (Core, tally, error) {
 	var sampler *telemetry.Sampler
-	if t.source != nil && t.sampleEvery > 0 {
+	if t.sampleEvery > 0 {
 		// Padded: workers publish on owned lines, the sampler sums them.
 		t.live = make([]padded.Uint64, t.workers)
-		sampler = telemetry.NewSampler(t.source, telemetry.Config{
+		sampler = telemetry.NewSampler(t.g, telemetry.Config{
 			Every:  t.sampleEvery,
 			Extras: t.extras,
 			Ops: func() uint64 {
@@ -120,14 +227,25 @@ func (t *trial) run() (measured, error) {
 	var runLeg func(id int)
 	runLeg = func(id int) {
 		if t.leg(t, id) {
-			t.rotate(id)
+			// A churned leg returns its handle to the group (donating its
+			// unreclaimed retires member by member) and re-leases a slot.
+			t.g.Release(t.handles[id])
+			h, err := t.g.Acquire()
+			if err != nil {
+				// Unreachable: every chain holds at most one handle, so a
+				// slot is always free for the successor.
+				panic(fmt.Sprintf("harness: churn re-lease: %v", err))
+			}
+			t.handles[id] = h
 			go runLeg(id)
 			return
 		}
 		quiesced.Done()
-		if t.drain != nil {
+		if t.handles != nil {
+			// Drain, not Flush: churned predecessors may have donated
+			// orphans to members this terminal leg never touched.
 			<-drainGo
-			t.drain(id)
+			t.handles[id].Drain()
 		}
 		drained.Done()
 	}
@@ -140,17 +258,17 @@ func (t *trial) run() (measured, error) {
 		}(i)
 	}
 
-	// The peak sampler owns m.peak until peakDone closes.
-	var m measured
+	// The peak sampler owns c.PeakResident until peakDone closes.
+	var c Core
 	notePeak := func() {
-		if v := t.outstanding(); v > m.peak {
-			m.peak = v
+		if v := t.outstanding(); v > c.PeakResident {
+			c.PeakResident = v
 		}
 	}
 	peakDone := make(chan struct{})
 	go func() {
 		defer close(peakDone)
-		for t.outstanding != nil && !t.stop.Load() {
+		for !t.stop.Load() {
 			notePeak()
 			time.Sleep(peakPeriod)
 		}
@@ -168,29 +286,38 @@ func (t *trial) run() (measured, error) {
 		t.stop.Store(true)
 	}
 	quiesced.Wait()
-	m.elapsed = time.Since(t.start)
+	c.Elapsed = time.Since(t.start)
 	t.stop.Store(true) // duration 0: the last leg's return was the end
 	runtime.ReadMemStats(&after)
-	if m.elapsed <= 0 {
-		m.elapsed = time.Nanosecond
+	if c.Elapsed <= 0 {
+		c.Elapsed = time.Nanosecond
 	}
-	m.mallocs = after.Mallocs - before.Mallocs
-	m.allocBytes = after.TotalAlloc - before.TotalAlloc
 	<-peakDone
-	if t.outstanding != nil {
-		notePeak() // end-of-phase state, before any flush reclaims the backlog
-	}
+	notePeak() // end-of-phase state, before any drain reclaims the backlog
 
 	var err error
 	if t.settle != nil {
 		err = t.settle()
 	}
+	c.Unreclaimed = t.g.Unreclaimed()
+	c.ReclaimDetail = t.g.ReclaimStats()
 	close(drainGo)
 	drained.Wait()
 	if sampler != nil {
-		m.timeline = sampler.Stop()
+		c.Timeline = sampler.Stop()
 	}
-	return m, err
+	c.LeakedAfter = t.g.Unreclaimed()
+	c.Reclaim = t.g.Stats()
+	c.Lifecycle = t.g.Lifecycle()
+
+	sum := sumTallies(t.tallies)
+	c.Ops, c.ValueErrors = sum.ops, sum.valueErrs
+	c.Throughput = float64(c.Ops) / c.Elapsed.Seconds()
+	if c.Ops > 0 {
+		c.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(c.Ops)
+		c.AllocBytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(c.Ops)
+	}
+	return c, sum, err
 }
 
 // livePub publishes one worker's op count to the telemetry sampler on a

@@ -112,33 +112,13 @@ type Server struct {
 // connection exists, so the admission budget is exactly cfg.Slots.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	// Resolve the shard count the way the store will (power of two,
-	// default 8): the group must hold Slots + shards slots.
-	shards := cfg.Store.Shards
-	if shards <= 0 {
-		shards = 8
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	shards = n
-	if shards > store.MaxShards {
-		return nil, fmt.Errorf("server: %d shards exceeds store.MaxShards (%d)", shards, store.MaxShards)
+	// Resolve the layout the way the store will: the group must hold
+	// Slots + shards slots.
+	shards, groups, err := store.Layout(cfg.Store.Shards, cfg.Groups)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	cfg.Store.Shards = shards
-	groups := cfg.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	n = 1
-	for n < groups {
-		n <<= 1
-	}
-	groups = n
-	if groups > shards {
-		groups = shards
-	}
 
 	g := core.NewDomainGroup(cfg.Policy, groups, cfg.Slots+shards+cfg.ExtraSlots, cfg.Opts)
 	st, err := store.New(g, cfg.Store)

@@ -206,18 +206,36 @@ type Config struct {
 	MaxValueLen int
 }
 
+// Layout resolves a shard count and a member-domain count the way a
+// Store lays them out: shards default to 8 and members to 1, both round
+// up to powers of two, and members are capped at shards (members
+// partition the shards into contiguous blocks). More than MaxShards
+// shards is an error.
+func Layout(shards, members int) (int, int, error) {
+	if shards <= 0 {
+		shards = 8
+	}
+	if shards > MaxShards {
+		return 0, 0, fmt.Errorf("store: %d shards exceeds MaxShards (%d)", shards, MaxShards)
+	}
+	shards, members = pow2(shards), pow2(members)
+	return shards, min(members, shards), nil
+}
+
+// pow2 rounds n up to a power of two (1 for n <= 1).
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 func (c Config) withDefaults() (Config, error) {
-	if c.Shards <= 0 {
-		c.Shards = 8
+	var err error
+	if c.Shards, _, err = Layout(c.Shards, 1); err != nil {
+		return c, err
 	}
-	if c.Shards > MaxShards {
-		return c, fmt.Errorf("store: %d shards exceeds MaxShards (%d)", c.Shards, MaxShards)
-	}
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
 	if c.Backing == "" {
 		c.Backing = BackingSkipList
 	}
