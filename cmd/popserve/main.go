@@ -1,10 +1,10 @@
 // Command popserve runs the wire-protocol serving front: a TCP server
 // speaking a memcached-text subset (get/gets multi-key, set, add,
 // delete, stats, quit, version) over the sharded POP-reclaimed KV
-// store. Connections are admission-controlled — at most -slots of them
-// execute at once, the rest queue on the blocking handle pool — and
-// concurrent single-key gets coalesce per shard into batched protected
-// operations.
+// store. Connections are admission-controlled — at most -slots bursts
+// execute at once, the rest queue FIFO on the server's admission
+// semaphore for up to -timeout — and concurrent single-key gets
+// coalesce per shard into batched protected operations.
 //
 // Examples:
 //
@@ -34,7 +34,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:11311", "TCP listen address")
 		policy   = flag.String("policy", "EpochPOP", "reclamation policy (see popbench -list for names)")
-		slots    = flag.Int("slots", 8, "admission slots: connections executing at once")
+		slots    = flag.Int("slots", 8, "admission slots: connection bursts executing at once")
 		shards   = flag.Int("shards", 8, "store shard count (power of two)")
 		groups   = flag.Int("groups", 1, "reclamation domain members the shards split across (power of two, <= shards)")
 		backing  = flag.String("backing", "skl", "per-shard structure (skl, hmht, hml, abt, ll, dgt)")

@@ -30,7 +30,6 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -133,10 +132,8 @@ type Runner struct {
 	keys  []string
 	hkeys []int64
 
-	stop   atomic.Bool
-	cancel context.CancelFunc
-	ctx    context.Context
-	wg     sync.WaitGroup
+	stop atomic.Bool
+	wg   sync.WaitGroup
 
 	stalls, gcCycles, leases, flips, ops atomic.Uint64
 }
@@ -153,7 +150,6 @@ func Start(cfg Config, s *store.Store, keys []string) (*Runner, error) {
 		return nil, fmt.Errorf("chaos: empty key population")
 	}
 	r := &Runner{cfg: cfg, s: s, keys: keys}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.hkeys = make([]int64, len(keys))
 	for i, k := range keys {
 		r.hkeys[i] = store.KeyHash(k)
@@ -217,7 +213,6 @@ func Start(cfg Config, s *store.Store, keys []string) (*Runner, error) {
 // and drain invariants can be checked against worker state alone.
 func (r *Runner) Stop() Stats {
 	r.stop.Store(true)
-	r.cancel()
 	r.wg.Wait()
 	return Stats{
 		Stalls:   r.stalls.Load(),
@@ -279,19 +274,20 @@ func (r *Runner) gcLoop() {
 	}
 }
 
-// churner oscillates the live thread count: lease a slot from the
-// store's pool, run a burst of ops, release — every cycle donates any
-// unreclaimed retires to the orphan queue for some later thread to
-// adopt.
+// churner oscillates the live thread count: lease its reserved slot
+// (one of Config.Slots) from the store's pool, run a burst of ops,
+// release — every cycle donates any unreclaimed retires to the orphan
+// queue for some later thread to adopt.
 func (r *Runner) churner(seed uint64) {
 	defer r.wg.Done()
 	rg := rng.New(seed)
 	var vbuf, gbuf []byte
 	tag := uint32(seed) | 0x40000000
 	for !r.stop.Load() {
-		h, err := r.s.AcquireWait(r.ctx)
+		h, err := r.s.Acquire()
 		if err != nil {
-			return // context cancelled by Stop
+			// The group was sized without the injectors' Config.Slots.
+			panic(fmt.Sprintf("chaos: churner lease: %v", err))
 		}
 		r.leases.Add(1)
 		for i := 0; i < r.cfg.ChurnOps && !r.stop.Load(); i++ {

@@ -72,10 +72,9 @@ import (
 
 // ErrNoSlots is the typed exhaustion error: every one of a domain's
 // thread slots is currently leased. Domain.TryRegisterThread and
-// DomainGroup.Acquire return errors wrapping it (test with errors.Is),
-// and DomainGroup.AcquireWait turns it into queueing — the
-// admission-control path serving layers block on instead of failing the
-// client.
+// DomainGroup.Acquire return errors wrapping it (test with errors.Is).
+// Neither blocks: a caller that must wait for a slot bounds its own
+// concurrency first, as the serving front's admission semaphore does.
 var ErrNoSlots = errors.New("thread capacity exhausted (all slots leased)")
 
 // MaxSlots is the number of reservation slots per thread (the paper's

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -16,18 +14,18 @@ import (
 // the multiplier that flattens POP's 64+-thread curves when one domain
 // backs many shards.
 //
-// Leasing is two layers. A Domain owns thread slots and a non-blocking
-// lease (TryRegisterThread / Thread.Release); the group owns blocking
-// admission on top of it, and is the one lease facade serving code
-// uses: Acquire claims one *group slot* and returns a GroupHandle,
-// AcquireWait queues for one, and the handle leases a real Thread in a
-// member domain lazily, on first use of that member
+// The group is a non-blocking slot pool and the one lease facade
+// serving code uses: Acquire claims one *group slot* (or fails with
+// ErrNoSlots) and returns a GroupHandle, and the handle leases a real
+// Thread in a member domain lazily, on first use of that member
 // (GroupHandle.Member). A worker that only ever touches one shard
 // therefore occupies exactly one member's thread list, and every other
 // member's reclaimers never see it at all. Release returns every
 // member thread the handle leased (each member donates its unreclaimed
 // retires to its own orphanage, so the per-member Unreclaimed bounds
-// are preserved) and frees the group slot.
+// are preserved) and frees the group slot. Callers that outnumber the
+// slots bound themselves before they Acquire (the serving front queues
+// bursts on a semaphore of its admission budget).
 //
 // Membership invariant (safety): a thread's protected operation only
 // touches structures registered in the member domain whose Thread
@@ -50,24 +48,16 @@ type DomainGroup struct {
 	members []*Domain
 	slots   int
 
-	// mu guards the slot table, the lease counters and the admission
-	// queue, so an uncontended Acquire or Release takes one mutex.
-	mu       sync.Mutex
-	handles  []*GroupHandle // one per group slot ever created, reused across leases
-	free     []int          // LIFO of released group slots
-	inUse    int
-	peak     int
-	acquires uint64
-	releases uint64
-	waits    uint64          // AcquireWait rounds that had to queue
-	waiters  []chan struct{} // FIFO admission queue (buffered-1 wakeup tokens)
+	mu      sync.Mutex     // guards the slot table: handles, free and each handle's leases
+	handles []*GroupHandle // one per group slot ever created, reused across leases
+	free    []int          // LIFO of released group slots
 }
 
 // NewDomainGroup creates a group of `members` member domains under one
 // lease facade with `slots` group slots. members must be a positive
 // power of two (the store's shard→member mapping is a shift); a group
 // of 1 is the degenerate, ungrouped case: one flat Domain (Member(0),
-// which structures are built on) behind the blocking lease facade, with
+// which structures are built on) behind the lease facade, with
 // every read-side method reporting that domain's own numbers. opts may
 // be nil for defaults and applies to every member.
 func NewDomainGroup(policy Policy, members, slots int, opts *Options) *DomainGroup {
@@ -97,9 +87,6 @@ func (g *DomainGroup) Member(i int) *Domain { return g.members[i] }
 
 // Policy returns the group's reclamation policy.
 func (g *DomainGroup) Policy() Policy { return g.members[0].Policy() }
-
-// Cap returns the group-slot capacity.
-func (g *DomainGroup) Cap() int { return g.slots }
 
 // GroupHandle is one leased group slot: the group-level analogue of a
 // Thread handle. Between Acquire and Release it has one exclusive
@@ -201,173 +188,38 @@ func (g *DomainGroup) Acquire() (*GroupHandle, error) {
 	}
 	h.leased = true
 	h.leases++
-	g.inUse++
-	g.acquires++
-	if g.inUse > g.peak {
-		g.peak = g.inUse
-	}
 	return h, nil
-}
-
-// AcquireWait leases a group slot, blocking while the group is
-// saturated: callers queue FIFO and are woken as handles are released.
-// It returns ctx.Err() if ctx expires first. This is the
-// admission-control primitive — a caller population larger than the
-// slot population queues for slots instead of erroring — so the only
-// error a healthy (deadline-free) caller can see is its own context's.
-//
-// Wakeups are handed to waiters in queue order, but a woken waiter
-// re-runs Acquire and can lose the slot to a concurrent non-waiting
-// Acquire; it then re-queues at the tail. Admission is therefore
-// eventually fair under queued load, not strictly FIFO against
-// line-jumpers.
-func (g *DomainGroup) AcquireWait(ctx context.Context) (*GroupHandle, error) {
-	for {
-		if h, err := g.Acquire(); !errors.Is(err, ErrNoSlots) {
-			return h, err
-		}
-		w := make(chan struct{}, 1)
-		g.mu.Lock()
-		g.waiters = append(g.waiters, w)
-		g.waits++
-		g.mu.Unlock()
-		// Re-try after enqueueing: a Release between the failed Acquire
-		// above and the enqueue would have seen an empty queue and woken
-		// nobody; this second look closes that window.
-		if h, err := g.Acquire(); !errors.Is(err, ErrNoSlots) {
-			g.abandonWait(w)
-			return h, err
-		}
-		select {
-		case <-w:
-			// Woken by a Release: loop and contend for the freed slot.
-		case <-ctx.Done():
-			g.abandonWait(w)
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// abandonWait removes w from the admission queue. If w was already
-// popped and signalled, the wakeup token is forwarded to the next
-// waiter so a cancelled waiter never swallows an admission.
-func (g *DomainGroup) abandonWait(w chan struct{}) {
-	g.mu.Lock()
-	for i, x := range g.waiters {
-		if x == w {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			g.mu.Unlock()
-			return
-		}
-	}
-	g.mu.Unlock()
-	// Not queued ⇒ signalLocked already sent w its token (the send
-	// happens under the lock we just held), so this receive cannot block.
-	<-w
-	g.mu.Lock()
-	g.signalLocked()
-	g.mu.Unlock()
-}
-
-// signalLocked pops the head waiter and hands it a wakeup token (mu
-// held; the channels are buffered so the send never blocks).
-func (g *DomainGroup) signalLocked() {
-	if len(g.waiters) == 0 {
-		return
-	}
-	w := g.waiters[0]
-	g.waiters = g.waiters[1:]
-	w <- struct{}{}
 }
 
 // Release returns h's group slot. Every member thread the handle
 // leased is released first — each member's Thread.Release donates that
 // member's unreclaimed retires to that member's orphanage, so orphan
 // adoption stays member-local — and only then does the slot become
-// re-leasable (keeping the ≤-1-thread-per-member-per-slot invariant),
-// after which the head AcquireWait waiter, if any, is woken. Must be
-// called by h's owner; h must not be used afterwards.
+// re-leasable (keeping the ≤-1-thread-per-member-per-slot invariant).
+// Must be called by h's owner; h must not be used afterwards.
 func (g *DomainGroup) Release(h *GroupHandle) {
-	g.mu.Lock()
+	// leased is owner state: Acquire set it before handing h over, and
+	// no one else touches h until the slot is back on the free list.
 	if !h.leased {
-		g.mu.Unlock()
 		panic("core: Release of a group handle that is not leased (double release?)")
 	}
 	h.leased = false
-	// Bookkeeping before the slot is actually freed: once the slot is
-	// on the free list a concurrent Acquire can succeed, and counting
-	// ourselves out afterwards would let InUse/Peak overshoot the true
-	// concurrency. The brief under-count in this order is the safe
-	// direction for a peak statistic.
-	g.inUse--
-	g.mu.Unlock()
 	for i, t := range h.threads {
 		if t != nil {
 			t.Release()
 			h.threads[i] = nil
 		}
 	}
-	// Wake after the slot is genuinely free, so the woken waiter's
-	// Acquire can succeed immediately.
 	g.mu.Lock()
 	g.free = append(g.free, h.slot)
-	g.releases++
-	g.signalLocked()
 	g.mu.Unlock()
 }
 
-// Do acquires a handle, runs fn with it, and releases it.
-func (g *DomainGroup) Do(fn func(*GroupHandle) error) error {
-	h, err := g.Acquire()
-	if err != nil {
-		return err
-	}
-	defer g.Release(h)
-	return fn(h)
-}
-
-// InUse returns the number of leases currently held.
+// InUse returns the number of group slots currently leased.
 func (g *DomainGroup) InUse() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inUse
-}
-
-// Peak returns the maximum concurrently held leases seen.
-func (g *DomainGroup) Peak() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
-
-// Acquires returns the cumulative lease count (lease churn).
-func (g *DomainGroup) Acquires() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.acquires
-}
-
-// Releases returns the cumulative group-slot release count.
-func (g *DomainGroup) Releases() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.releases
-}
-
-// Waits returns how many AcquireWait calls found every slot leased and
-// queued (each re-queue after losing a woken race counts again): the
-// admission-queue pressure statistic.
-func (g *DomainGroup) Waits() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waits
-}
-
-// Waiting returns the current admission-queue length.
-func (g *DomainGroup) Waiting() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.waiters)
+	return len(g.handles) - len(g.free)
 }
 
 // Stats aggregates reclamation statistics across all member domains.

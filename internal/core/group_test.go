@@ -1,21 +1,19 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"pop/internal/core"
 )
 
 // TestGroupFacadeSemantics pins the lease facade: slot identity, LIFO
-// reuse, incarnation counting, and the usage counters.
+// reuse, incarnation counting, and the slot-table counts.
 func TestGroupFacadeSemantics(t *testing.T) {
 	g := core.NewDomainGroup(core.EBR, 2, 3, nil)
-	if g.Members() != 2 || g.Cap() != 3 || g.Policy() != core.EBR {
-		t.Fatalf("group shape: members=%d cap=%d policy=%v", g.Members(), g.Cap(), g.Policy())
+	if g.Members() != 2 || g.Member(1).MaxThreads() != 3 || g.Policy() != core.EBR {
+		t.Fatalf("group shape: members=%d capacity=%d policy=%v", g.Members(), g.Member(1).MaxThreads(), g.Policy())
 	}
 	h1, err := g.Acquire()
 	if err != nil {
@@ -32,8 +30,8 @@ func TestGroupFacadeSemantics(t *testing.T) {
 	if _, err := g.Acquire(); !errors.Is(err, core.ErrNoSlots) {
 		t.Fatalf("4th acquire on a 3-slot group: %v, want ErrNoSlots", err)
 	}
-	if g.InUse() != 3 || g.Peak() != 3 {
-		t.Fatalf("InUse=%d Peak=%d, want 3/3", g.InUse(), g.Peak())
+	if g.InUse() != 3 {
+		t.Fatalf("InUse=%d, want 3", g.InUse())
 	}
 	slots := map[int]bool{h1.Slot(): true, h2.Slot(): true, h3.Slot(): true}
 	if len(slots) != 3 {
@@ -59,18 +57,12 @@ func TestGroupFacadeSemantics(t *testing.T) {
 	if g.InUse() != 0 {
 		t.Fatalf("InUse=%d after releasing everything", g.InUse())
 	}
-	if g.Acquires() != 4 || g.Releases() != 4 {
-		t.Fatalf("acquires=%d releases=%d, want 4/4", g.Acquires(), g.Releases())
+	var acquires uint64
+	for _, n := range g.Lifecycle().SlotLeases {
+		acquires += n
 	}
-	// Do wraps an acquire/release pair.
-	if err := g.Do(func(h *core.GroupHandle) error {
-		_ = h.Member(0)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if g.InUse() != 0 {
-		t.Fatalf("Do leaked a slot: InUse=%d", g.InUse())
+	if acquires != 4 {
+		t.Fatalf("SlotLeases sum = %d, want 4 acquires", acquires)
 	}
 }
 
@@ -180,59 +172,6 @@ func TestGroupFanoutReduction(t *testing.T) {
 		t.Fatalf("fan-out reduction %.2fx < group factor %d (flat %.1f/pass, grouped %.1f/pass)",
 			factor, members, flat.ScannedPerPass, grouped.ScannedPerPass)
 	}
-}
-
-// TestGroupAcquireWait covers the blocking admission path: a saturated
-// group queues waiters FIFO, a release admits the head, and context
-// cancellation dequeues cleanly.
-func TestGroupAcquireWait(t *testing.T) {
-	g := core.NewDomainGroup(core.HP, 1, 1, nil)
-	h, err := g.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := make(chan *core.GroupHandle)
-	go func() {
-		h2, err := g.AcquireWait(context.Background())
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- h2
-	}()
-	// The waiter must be queued, not admitted, while h is held.
-	deadline := time.After(time.Second)
-	for g.Waiting() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("AcquireWait never queued")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	select {
-	case <-admitted:
-		t.Fatal("waiter admitted while the only slot was held")
-	default:
-	}
-	g.Release(h)
-	h2 := <-admitted
-	if h2 == nil {
-		t.Fatal("woken waiter got nil handle")
-	}
-	if g.Waits() == 0 {
-		t.Fatal("Waits counter did not record the queued acquire")
-	}
-
-	// Cancellation: a second waiter gives up when its context expires.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := g.AcquireWait(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled AcquireWait: %v, want DeadlineExceeded", err)
-	}
-	if g.Waiting() != 0 {
-		t.Fatalf("cancelled waiter still queued (%d)", g.Waiting())
-	}
-	g.Release(h2)
 }
 
 // TestGroupDrainAdoptsForeignOrphans: Drain must adopt orphans donated

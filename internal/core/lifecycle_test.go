@@ -1,13 +1,11 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"pop/internal/arena"
@@ -297,12 +295,12 @@ func TestReleasedSlotInvisibleToScanners(t *testing.T) {
 }
 
 // TestHandlesPool exercises the acquire/release facade over a flat
-// domain (a group of one): growth to cap, exhaustion error, reuse after
-// release, Do, and the counters.
+// domain (a group of one): growth to capacity, exhaustion error, reuse
+// after release, and the slot-table counts.
 func TestHandlesPool(t *testing.T) {
 	pool := core.NewDomainGroup(core.EpochPOP, 1, 3, nil)
-	if pool.Cap() != 3 || pool.Members() != 1 || pool.Member(0).MaxThreads() != 3 {
-		t.Fatalf("Cap/Member wiring: cap=%d members=%d", pool.Cap(), pool.Members())
+	if pool.Members() != 1 || pool.Member(0).MaxThreads() != 3 {
+		t.Fatalf("member wiring: members=%d capacity=%d", pool.Members(), pool.Member(0).MaxThreads())
 	}
 	a, err := pool.Acquire()
 	if err != nil {
@@ -317,31 +315,32 @@ func TestHandlesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := pool.Acquire(); err == nil {
-		t.Fatal("Acquire past cap did not error")
+		t.Fatal("Acquire past capacity did not error")
 	} else if !errors.Is(err, core.ErrNoSlots) {
 		t.Fatalf("Acquire exhaustion error is not ErrNoSlots: %v", err)
 	}
-	if pool.InUse() != 3 || pool.Peak() != 3 {
-		t.Fatalf("InUse=%d Peak=%d, want 3, 3", pool.InUse(), pool.Peak())
+	if pool.InUse() != 3 {
+		t.Fatalf("InUse=%d, want 3", pool.InUse())
 	}
 	bslot, btid := b.Slot(), b.Member(0).ID()
 	pool.Release(b)
 	if pool.InUse() != 2 {
 		t.Fatalf("InUse after release = %d", pool.InUse())
 	}
-	if err := pool.Do(func(h *core.GroupHandle) error {
-		th := h.Member(0)
-		th.StartOp()
-		th.EndOp()
-		if h.Slot() != bslot || th.ID() != btid {
-			t.Fatalf("Do leased slot %d (thread %d), want released slot %d (thread %d)", h.Slot(), th.ID(), bslot, btid)
-		}
-		return nil
-	}); err != nil {
+	h, err := pool.Acquire()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.InUse() != 2 || pool.Acquires() != 4 {
-		t.Fatalf("InUse=%d Acquires=%d after Do", pool.InUse(), pool.Acquires())
+	th := h.Member(0)
+	th.StartOp()
+	th.EndOp()
+	if h.Slot() != bslot || th.ID() != btid {
+		t.Fatalf("re-lease got slot %d (thread %d), want released slot %d (thread %d)", h.Slot(), th.ID(), bslot, btid)
+	}
+	pool.Release(h)
+	leases := pool.Lifecycle().SlotLeases
+	if pool.InUse() != 2 || len(leases) != 3 || leases[bslot] != 2 || leases[a.Slot()] != 1 {
+		t.Fatalf("InUse=%d SlotLeases=%v after re-lease, want 2 and slot %d leased twice", pool.InUse(), leases, bslot)
 	}
 	pool.Release(a)
 	pool.Release(c)
@@ -453,123 +452,5 @@ func TestSlotLeaseCounts(t *testing.T) {
 	}
 	if want := lc.Releases + uint64(lc.Leased); total != want {
 		t.Fatalf("SlotLeases sum = %d, want releases+leased = %d", total, want)
-	}
-}
-
-// TestAcquireWaitBlocksUntilRelease saturates a one-slot pool, parks an
-// AcquireWait behind it, and checks the waiter is admitted exactly when
-// the holder releases.
-func TestAcquireWaitBlocksUntilRelease(t *testing.T) {
-	pool := core.NewDomainGroup(core.HazardPtrPOP, 1, 1, nil)
-	holder, err := pool.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot, tid := holder.Slot(), holder.Member(0).ID()
-	admitted := make(chan *core.GroupHandle)
-	go func() {
-		th, err := pool.AcquireWait(context.Background())
-		if err != nil {
-			t.Errorf("AcquireWait: %v", err)
-			close(admitted)
-			return
-		}
-		admitted <- th
-	}()
-	// The waiter must be parked, not admitted: give it time to enqueue.
-	select {
-	case <-admitted:
-		t.Fatal("AcquireWait admitted past a saturated group")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if pool.Waiting() != 1 {
-		t.Fatalf("Waiting = %d, want 1", pool.Waiting())
-	}
-	pool.Release(holder)
-	select {
-	case th := <-admitted:
-		if th == nil {
-			t.Fatal("AcquireWait errored after release")
-		}
-		if th.Slot() != slot || th.Member(0).ID() != tid {
-			t.Fatalf("waiter admitted to slot %d (thread %d), want released slot %d (thread %d)", th.Slot(), th.Member(0).ID(), slot, tid)
-		}
-		pool.Release(th)
-	case <-time.After(5 * time.Second):
-		t.Fatal("AcquireWait still parked after Release")
-	}
-	if pool.Waits() == 0 {
-		t.Fatal("Waits counter did not record the queued acquire")
-	}
-}
-
-// TestAcquireWaitContextTimeout checks a parked waiter is unparked with
-// its context's error, leaves the queue, and does not leak a wakeup.
-func TestAcquireWaitContextTimeout(t *testing.T) {
-	pool := core.NewDomainGroup(core.EBR, 1, 1, nil)
-	holder, err := pool.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := pool.AcquireWait(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AcquireWait under saturation = %v, want DeadlineExceeded", err)
-	}
-	if pool.Waiting() != 0 {
-		t.Fatalf("timed-out waiter still queued (Waiting = %d)", pool.Waiting())
-	}
-	// The slot must still be cleanly admittable afterwards.
-	pool.Release(holder)
-	th, err := pool.AcquireWait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Release(th)
-}
-
-// TestAcquireWaitStorm floods a tiny pool with far more waiters than
-// slots and checks every one is eventually admitted, does work, and
-// that the pool drains to zero without leaking leases.
-func TestAcquireWaitStorm(t *testing.T) {
-	const (
-		slots   = 2
-		workers = 16
-		legs    = 25
-	)
-	pool := core.NewDomainGroup(core.EpochPOP, 1, slots, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < legs; i++ {
-				h, err := pool.AcquireWait(ctx)
-				if err != nil {
-					t.Errorf("AcquireWait: %v", err)
-					return
-				}
-				th := h.Member(0)
-				th.StartOp()
-				th.EndOp()
-				pool.Release(h)
-			}
-		}()
-	}
-	wg.Wait()
-	if pool.InUse() != 0 || pool.Waiting() != 0 {
-		t.Fatalf("after storm: InUse=%d Waiting=%d, want 0, 0", pool.InUse(), pool.Waiting())
-	}
-	lc := pool.Lifecycle()
-	if lc.Leased != 0 {
-		t.Fatalf("leaked leases: %+v", lc)
-	}
-	if lc.Slots > slots {
-		t.Fatalf("slots grew to %d past the cap %d", lc.Slots, slots)
-	}
-	if lc.Releases != workers*legs {
-		t.Fatalf("releases = %d, want %d", lc.Releases, workers*legs)
 	}
 }

@@ -61,9 +61,9 @@ type ServeConfig struct {
 	ValueMin, ValueMax int
 
 	// Chaos runs the fault-injector bundle against the server's store
-	// (not over the wire) for the trial's length: the server's domain is
-	// sized with Chaos.Slots() extra thread slots and the injectors
-	// lease them before any client connects.
+	// (not over the wire) for the trial's length: the server's group is
+	// sized with Chaos.Slots() extra slots (server.Config.ExtraSlots),
+	// which the injectors lease outside the admission budget.
 	Chaos chaos.Config
 }
 
@@ -264,8 +264,9 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		g.Release(h)
 	}
 
-	// The injectors lease their ExtraSlots now, before any client
-	// connects, so the admission budget the clients see stays Slots.
+	// The injectors lease their ExtraSlots now and hold or cycle them
+	// for the whole measured phase. They do not touch the admission
+	// budget: the clients' bursts queue on the server's Slots tokens.
 	chaosRun, err := chaos.Start(cfg.Chaos, s, keyTab)
 	if err != nil {
 		srv.Close()

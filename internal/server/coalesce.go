@@ -47,9 +47,10 @@ type getResult struct {
 // TryLock and the TryLock lost to a later holder that owes the same
 // re-check.
 //
-// The handle is leased once at server start, outside the
-// connection-admission budget (get service can never deadlock against
-// admission), and used by whichever goroutine holds mu: the mutex is
+// The handle is leased once at server start and takes no admission
+// token (get service can never deadlock against admission, and the
+// coalescers never show in slots_inuse); it is used by whichever
+// goroutine holds mu: the mutex is
 // the happens-before edge that hands the handle's owner-only state from
 // one combiner to the next. Serving one shard only, the handle lazily
 // leases exactly that shard's member domain thread.

@@ -3,10 +3,11 @@
 // delete, stats, quit) over the sharded KV store, with two
 // production-shaped mechanisms layered on the thread-lifecycle work:
 //
-//   - Admission control. The domain is sized for a bounded number of
-//     serving slots; every connection is a goroutine, and a connection
-//     leases a core.GroupHandle only while it has buffered commands to
-//     execute (a "burst"), through the blocking DomainGroup.AcquireWait.
+//   - Admission control. Every connection is a goroutine, and a
+//     connection leases a core.GroupHandle only while it executes the
+//     commands one socket read delivered (a "burst"). A burst first
+//     takes one of Config.Slots tokens from the server's admission
+//     semaphore, a buffered channel whose blocked senders queue FIFO.
 //     Connections ≫ slots therefore queue for admission instead of
 //     being refused, and an idle connection holds no reclamation
 //     resources at all.
@@ -108,12 +109,6 @@ func NewReader(r io.Reader, maxValue int) *Reader {
 	}
 	return &Reader{r: bufio.NewReaderSize(r, maxLineLen), maxValue: maxValue}
 }
-
-// Buffered returns how many decoded-but-unconsumed bytes are pending —
-// nonzero exactly when the client has pipelined further commands that
-// can be served without blocking on the socket (the connection's
-// thread-lease burst boundary).
-func (rd *Reader) Buffered() int { return rd.r.Buffered() }
 
 // ReadCommand reads one command, blocking for the request line. For
 // set/add the payload is read into vbuf (grown as needed) and returned;

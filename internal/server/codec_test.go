@@ -132,6 +132,17 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// readCounter counts the reads the codec makes of its source.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 // TestReadCommandFraming drives the full framing path: payload reads,
 // CRLF and bare-LF terminators, pipelining, split reads, and the
 // recoverable-error taxonomy.
@@ -206,19 +217,22 @@ func TestReadCommandFraming(t *testing.T) {
 	})
 
 	t.Run("pipelined commands", func(t *testing.T) {
-		rd := NewReader(strings.NewReader("set a 0 0 1\r\nA\r\nget a b\r\ndelete a noreply\r\nquit\r\n"), 0)
+		src := &readCounter{r: strings.NewReader("set a 0 0 1\r\nA\r\nget a b\r\ndelete a noreply\r\nquit\r\n")}
+		rd := NewReader(src, 0)
 		ops := []Op{OpSet, OpGet, OpDelete, OpQuit}
 		for i, wantOp := range ops {
 			cmd, _, err := read(t, rd)
 			if err != nil || cmd.Op != wantOp {
 				t.Fatalf("pipelined cmd %d: op=%v err=%v want %v", i, cmd.Op, err, wantOp)
 			}
-			if i < len(ops)-1 && rd.Buffered() == 0 {
-				t.Fatalf("cmd %d: Buffered() = 0 with commands pending", i)
+			// Pipelined commands decode from the one buffered read: the
+			// source read is the connection's burst boundary.
+			if src.reads != 1 {
+				t.Fatalf("cmd %d: %d source reads, want 1", i, src.reads)
 			}
 		}
-		if rd.Buffered() != 0 {
-			t.Fatalf("Buffered() = %d after last command", rd.Buffered())
+		if _, _, err := read(t, rd); err != io.EOF || src.reads != 2 {
+			t.Fatalf("after last command: err=%v after %d source reads, want EOF from a second read", err, src.reads)
 		}
 	})
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -27,10 +26,11 @@ type Config struct {
 	// Policy is the reclamation scheme (default core.EpochPOP: the
 	// paper's headline serving policy).
 	Policy core.Policy
-	// Slots is the connection-admission budget: how many connections
-	// may hold a thread lease at once (default 8). The domain group is
-	// sized at Slots plus one dedicated slot per shard for the get
-	// coalescers, so get service never competes with admission.
+	// Slots is the connection-admission budget: how many bursts may
+	// hold a thread lease at once (default 8). Bursts beyond it queue,
+	// FIFO, for at most AcquireTimeout. The domain group is sized at
+	// Slots plus one dedicated slot per shard for the get coalescers,
+	// so get service never competes with admission.
 	Slots int
 	// Groups is the number of member reclamation domains the store's
 	// shards are partitioned into (default 1 = the classic single
@@ -48,13 +48,10 @@ type Config struct {
 	// (default 10s); a timed-out command answers SERVER_ERROR and the
 	// connection stays up.
 	AcquireTimeout time.Duration
-	// ExtraSlots reserves additional domain thread slots for tenants
-	// outside the serving path — fault injectors running against
-	// Store() directly. The extra capacity is visible to the admission
-	// pool too (pools share the domain's slot space), so the Slots
-	// budget is only exact while the out-of-band tenants hold their
-	// leases; harnesses that use this start injectors before admitting
-	// clients.
+	// ExtraSlots reserves additional group slots for tenants outside
+	// the serving path — fault injectors running against Store()
+	// directly. It only sizes the group; the admission budget stays
+	// exactly Slots.
 	ExtraSlots int
 	// Opts tunes reclamation (nil = paper defaults).
 	Opts *core.Options
@@ -93,7 +90,14 @@ type Server struct {
 	conns  map[uint64]*conn
 	nextID uint64
 
-	admWait report.AtomicHistogram // admission-queue wait per burst (ns)
+	// adm is the admission semaphore: a running burst holds one of its
+	// Slots tokens. Blocked senders are served in arrival order, so
+	// queued bursts are admitted FIFO and a newcomer cannot jump them.
+	adm      chan struct{}
+	admPeak  atomic.Int64 // most tokens held at once
+	admQueue atomic.Int64 // bursts blocked on adm now
+	admWaits atomic.Uint64
+	admWait  report.AtomicHistogram // admission-queue wait per burst (ns)
 
 	sampler atomic.Pointer[telemetry.Sampler] // attached via SetTelemetry
 
@@ -108,8 +112,8 @@ type Server struct {
 }
 
 // New builds the domain group, the store, and one get coalescer per
-// shard. The coalescers' group-slot leases are taken here, before any
-// connection exists, so the admission budget is exactly cfg.Slots.
+// shard. The coalescers' group-slot leases are taken here and held
+// outside the admission budget.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	// Resolve the layout the way the store will: the group must hold
@@ -131,6 +135,7 @@ func New(cfg Config) (*Server, error) {
 		st:    st,
 		coal:  make([]*coalescer, shards),
 		conns: make(map[uint64]*conn),
+		adm:   make(chan struct{}, cfg.Slots),
 	}
 	// One dedicated handle per shard, held until Close. Serving only its
 	// shard, a handle only ever leases that shard's member domain thread,
@@ -292,7 +297,7 @@ func (s *Server) Stats() Stats {
 		CmdDelete:         s.cmdDelete.Load(),
 		GetKeys:           s.getKeys.Load(),
 		GetHits:           s.getHits.Load(),
-		AdmissionWaits:    s.g.Waits(),
+		AdmissionWaits:    s.admWaits.Load(),
 		AdmissionTimeouts: s.admTimeos.Load(),
 		ProtocolErrors:    s.protoErrs.Load(),
 	}
@@ -321,7 +326,7 @@ type conn struct {
 	nc  net.Conn
 	cr  *Reader
 	w   *bufio.Writer
-	in  *countingReader
+	in  *socketReader
 	out *countingWriter
 
 	cmd  Command
@@ -342,14 +347,24 @@ type conn struct {
 	coalesced atomic.Uint64 // single-key gets served via the coalescers
 }
 
-type countingReader struct {
-	r io.Reader
+// socketReader is the codec's only way to the socket, and so the
+// burst boundary: before any socket read — the codec has decoded every
+// whole command it buffered, and may hold a fragment of the next — the
+// connection returns its lease and flushes the replies it owes. A
+// connection never blocks on its client holding a slot or withholding
+// an answer.
+type socketReader struct {
+	c *conn
 	n atomic.Uint64
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
+func (r *socketReader) Read(p []byte) (int, error) {
+	r.c.dropThread()
+	if err := r.c.w.Flush(); err != nil {
+		return 0, err
+	}
+	n, err := r.c.nc.Read(p)
+	r.n.Add(uint64(n))
 	return n, err
 }
 
@@ -365,27 +380,27 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	in := &countingReader{r: nc}
 	out := &countingWriter{w: nc}
-	return &conn{
+	c := &conn{
 		srv: s,
 		nc:  nc,
-		cr:  NewReader(in, s.st.MaxValueLen()),
 		w:   bufio.NewWriterSize(out, 16<<10),
-		in:  in,
 		out: out,
 		res: make(chan getResult, 1),
 	}
+	c.in = &socketReader{c: c}
+	c.cr = NewReader(c.in, s.st.MaxValueLen())
+	return c
 }
 
 // serve is the connection loop. The thread-lease discipline is the
-// serving front's admission story: the goroutine blocks on the socket
-// holding nothing; when a command arrives it processes every buffered
-// command as one burst, leasing a thread on first need (blocking in the
-// admission queue if the domain is saturated) and releasing it before
-// blocking on the socket again. Idle connections are free; the live
-// set of leases is capped at Config.Slots no matter how many
-// connections exist.
+// serving front's admission story: the goroutine reads from the socket
+// holding nothing; the commands one read delivers run as one burst,
+// leasing a thread on first need (queueing for an admission token if
+// Config.Slots bursts are running) and releasing it, with the replies
+// flushed, before the next socket read (socketReader). Idle connections
+// are free; the live set of burst leases is capped at Config.Slots no
+// matter how many connections exist.
 func (c *conn) serve() {
 	s := c.srv
 	defer func() {
@@ -405,14 +420,6 @@ func (c *conn) serve() {
 			}
 		} else if !c.dispatch() {
 			return
-		}
-		// Burst boundary: nothing more is buffered, so flush replies and
-		// return the thread lease before blocking on the socket.
-		if c.cr.Buffered() == 0 {
-			c.dropThread()
-			if c.w.Flush() != nil {
-				return
-			}
 		}
 	}
 }
@@ -463,40 +470,69 @@ func (c *conn) dispatch() bool {
 	}
 }
 
-// needThread leases the burst's group handle, queueing for admission
-// if the group is saturated. nil with ok=true only on timeout (the
-// command answers SERVER_ERROR and the connection lives on).
-func (c *conn) needThread() (*core.GroupHandle, bool) {
+var errAdmissionTimeout = errors.New("admission queue timeout")
+
+// admit takes an admission token for a burst. A free token costs no
+// timer; otherwise the burst queues, counted as a wait, for at most
+// AcquireTimeout. false means it timed out.
+func (s *Server) admit() bool {
+	select {
+	case s.adm <- struct{}{}:
+		return true
+	default:
+	}
+	s.admWaits.Add(1)
+	s.admQueue.Add(1)
+	defer s.admQueue.Add(-1)
+	t := time.NewTimer(s.cfg.AcquireTimeout)
+	defer t.Stop()
+	select {
+	case s.adm <- struct{}{}:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
+// needThread leases the burst's group handle once the burst is
+// admitted; on error the command answers SERVER_ERROR and the
+// connection lives on.
+func (c *conn) needThread() (*core.GroupHandle, error) {
 	if c.th != nil {
-		return c.th, true
+		return c.th, nil
 	}
 	s := c.srv
 	start := time.Now()
-	// A free slot costs no context and no timer; AcquireWait itself
-	// starts with this same Acquire, so queue fairness is unchanged.
-	th, err := s.g.Acquire()
-	if errors.Is(err, core.ErrNoSlots) {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AcquireTimeout)
-		th, err = s.g.AcquireWait(ctx)
-		cancel()
-	}
+	admitted := s.admit()
 	wait := time.Since(start)
 	s.admWait.Record(wait.Nanoseconds())
 	c.admNanos.Add(uint64(wait.Nanoseconds()))
-	if err != nil {
+	if !admitted {
 		s.admTimeos.Add(1)
-		return nil, true
+		return nil, errAdmissionTimeout
+	}
+	held := int64(len(s.adm)) // admPeak = max(admPeak, held)
+	for p := s.admPeak.Load(); held > p && !s.admPeak.CompareAndSwap(p, held); p = s.admPeak.Load() {
+	}
+	// A token guarantees a slot unless out-of-band tenants lease past
+	// ExtraSlots.
+	th, err := s.g.Acquire()
+	if err != nil {
+		<-s.adm
+		return nil, err
 	}
 	c.admWaits.Add(1)
 	c.th = th
-	return th, true
+	return th, nil
 }
 
-// dropThread ends the burst, returning the lease to the admission pool.
+// dropThread ends the burst: the handle goes back to the group, then
+// the token to the head of the admission queue.
 func (c *conn) dropThread() {
 	if c.th != nil {
 		c.srv.g.Release(c.th)
 		c.th = nil
+		<-c.srv.adm
 	}
 }
 
@@ -523,9 +559,9 @@ func (c *conn) doGet(withCas bool) bool {
 		}
 		return c.reply("END" + crlf)
 	}
-	th, _ := c.needThread()
-	if th == nil {
-		return c.reply("SERVER_ERROR admission queue timeout" + crlf)
+	th, err := c.needThread()
+	if err != nil {
+		return c.reply("SERVER_ERROR " + err.Error() + crlf)
 	}
 	var b store.Batch
 	s.st.GetBatch(th, keys, &b)
@@ -559,9 +595,9 @@ func (c *conn) writeValue(key string, val []byte, withCas bool) bool {
 
 func (c *conn) doSet(ifAbsent bool) bool {
 	s := c.srv
-	th, _ := c.needThread()
-	if th == nil {
-		return c.cmd.Noreply || c.reply("SERVER_ERROR admission queue timeout"+crlf)
+	th, err := c.needThread()
+	if err != nil {
+		return c.cmd.Noreply || c.reply("SERVER_ERROR "+err.Error()+crlf)
 	}
 	c.sets.Add(1)
 	key := c.cmd.Keys[0]
@@ -582,9 +618,9 @@ func (c *conn) doSet(ifAbsent bool) bool {
 
 func (c *conn) doDelete() bool {
 	s := c.srv
-	th, _ := c.needThread()
-	if th == nil {
-		return c.cmd.Noreply || c.reply("SERVER_ERROR admission queue timeout"+crlf)
+	th, err := c.needThread()
+	if err != nil {
+		return c.cmd.Noreply || c.reply("SERVER_ERROR "+err.Error()+crlf)
 	}
 	c.deletes.Add(1)
 	ok := s.st.Delete(th, c.cmd.Keys[0])
@@ -644,9 +680,9 @@ func (c *conn) doStats(arg string) bool {
 		emit("coalesce_widest", "%d", st.CoalesceWidest)
 		emit("executor_gets", "%d", st.ExecutorGets)
 		emit("slots", "%d", s.cfg.Slots)
-		emit("slots_inuse", "%d", s.g.InUse())
-		emit("slots_peak", "%d", s.g.Peak())
-		emit("admission_queue", "%d", s.g.Waiting())
+		emit("slots_inuse", "%d", len(s.adm))
+		emit("slots_peak", "%d", s.admPeak.Load())
+		emit("admission_queue", "%d", s.admQueue.Load())
 		emit("admission_waits", "%d", st.AdmissionWaits)
 		emit("admission_timeouts", "%d", st.AdmissionTimeouts)
 		emit("admission_wait_p50_us", "%.1f", adm.Quantile(0.50)/1e3)

@@ -249,6 +249,11 @@ func TestServerProtocolE2E(t *testing.T) {
 		t.Fatalf("version = %q", l)
 	}
 	st := c.stats("")
+	// The coalescers' handles are not admitted bursts, and the stats
+	// burst itself holds no lease.
+	if st["slots_inuse"] != "0" || st["admission_queue"] != "0" {
+		t.Errorf("idle server: slots_inuse = %s, admission_queue = %s, want 0, 0", st["slots_inuse"], st["admission_queue"])
+	}
 	for _, k := range []string{"cmd_get", "cmd_set", "get_hits", "slots",
 		"admission_wait_p99_us", "coalesced_batches", "lifecycle_leased", "policy"} {
 		if _, ok := st[k]; !ok {
@@ -329,6 +334,11 @@ func TestServerAdmissionStorm(t *testing.T) {
 			if st.ExecutorGets == 0 {
 				t.Errorf("no gets flowed through the coalescers")
 			}
+			sc := dialServer(t, s)
+			if peak, _ := strconv.Atoi(sc.stats("")["slots_peak"]); peak > slots {
+				t.Errorf("slots_peak = %d, want <= Slots %d", peak, slots)
+			}
+			sc.close()
 			// Only the per-shard coalescers still hold group slots once
 			// every client burst has released its lease.
 			if got, want := s.Group().InUse(), 2; got != want {
@@ -345,6 +355,131 @@ func TestServerAdmissionStorm(t *testing.T) {
 				t.Errorf("SlotLeases all zero after storm")
 			}
 		})
+	}
+}
+
+// TestServerAdmissionBudgetExact pins the budget to Slots: group slots
+// reserved for out-of-band tenants (ExtraSlots) are not admission
+// capacity. The test holds the one token until all four pipelining
+// connections have queued behind it (under a wider budget they would
+// run instead), then lets them contend; one burst runs at a time.
+func TestServerAdmissionBudgetExact(t *testing.T) {
+	const (
+		conns = 4
+		sets  = 3000
+	)
+	s := startServer(t, Config{
+		Policy:     core.EpochPOP,
+		Slots:      1,
+		ExtraSlots: 3,
+		Store:      store.Config{Shards: 2, MaxValueLen: 64},
+	})
+	defer closeClean(t, s)
+	s.adm <- struct{}{}
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c := dialServer(t, s)
+			defer c.close()
+			var b strings.Builder
+			for j := 0; j < sets; j++ {
+				fmt.Fprintf(&b, "set c%d-%d 0 0 5\r\nvalue\r\n", id, j)
+			}
+			// Write from a second goroutine so neither side can fill
+			// both socket buffers while the other waits.
+			go io.WriteString(c.nc, b.String())
+			for j := 0; j < sets; j++ {
+				if l, err := c.r.ReadString('\n'); err != nil || l != "STORED\r\n" {
+					t.Errorf("conn %d set %d: %q, %v", id, j, l, err)
+					return
+				}
+			}
+		}(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.admQueue.Load() < conns; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d connections queued behind the held token", s.admQueue.Load(), conns)
+		}
+	}
+	<-s.adm
+	wg.Wait()
+	c := dialServer(t, s)
+	defer c.close()
+	st := c.stats("")
+	if peak, _ := strconv.Atoi(st["slots_peak"]); peak > 1 {
+		t.Errorf("slots_peak = %d with Slots 1", peak)
+	}
+	if waits, _ := strconv.Atoi(st["admission_waits"]); waits < conns {
+		t.Errorf("admission_waits = %d, want >= %d", waits, conns)
+	}
+}
+
+// TestServerAdmissionTimeout drives the queue's timeout at the server:
+// with every admission token taken, a set waits AcquireTimeout, answers
+// SERVER_ERROR, and the connection serves the next set once tokens
+// come back.
+func TestServerAdmissionTimeout(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	s := startServer(t, Config{
+		Policy:         core.EpochPOP,
+		Slots:          2,
+		AcquireTimeout: timeout,
+		Store:          store.Config{Shards: 1, MaxValueLen: 64},
+	})
+	defer closeClean(t, s)
+	for i := 0; i < cap(s.adm); i++ {
+		s.adm <- struct{}{}
+	}
+	c := dialServer(t, s)
+	defer c.close()
+	start := time.Now()
+	c.send("set k 0 0 1\r\nv\r\n")
+	if l := c.line(); l != "SERVER_ERROR admission queue timeout" {
+		t.Fatalf("set with every token taken = %q", l)
+	}
+	if waited := time.Since(start); waited < timeout {
+		t.Errorf("timed out after %v, want >= AcquireTimeout %v", waited, timeout)
+	}
+	if st := c.stats(""); st["admission_timeouts"] != "1" || st["admission_waits"] != "1" {
+		t.Errorf("admission_timeouts = %s, admission_waits = %s, want 1, 1", st["admission_timeouts"], st["admission_waits"])
+	}
+	for i := 0; i < cap(s.adm); i++ {
+		<-s.adm
+	}
+	c.set("k", "v")
+}
+
+// TestServerPartialCommandReleasesSlot: a burst ends before the socket
+// read, not when the codec's buffer is empty, so a client whose last
+// write stops inside a command gets the replies it is owed and holds no
+// slot while the rest of the command is in flight.
+func TestServerPartialCommandReleasesSlot(t *testing.T) {
+	s := startServer(t, Config{
+		Policy:         core.EpochPOP,
+		Slots:          1,
+		AcquireTimeout: 200 * time.Millisecond,
+		Store:          store.Config{Shards: 1, MaxValueLen: 64},
+	})
+	defer closeClean(t, s)
+	a := dialServer(t, s)
+	defer a.close()
+	a.send("set a 0 0 1\r\na\r\nset b 0 0 5\r\nab")
+	a.nc.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	if l := a.line(); l != "STORED" {
+		t.Fatalf("conn A's complete set = %q", l)
+	}
+	a.nc.SetReadDeadline(time.Time{})
+	b := dialServer(t, s)
+	defer b.close()
+	b.set("c", "other") // answers SERVER_ERROR if A's fragment kept the slot
+	a.send("cde\r\n")
+	if l := a.line(); l != "STORED" {
+		t.Fatalf("conn A's completed set = %q", l)
+	}
+	if got := a.get("b"); got["b"] != "abcde" {
+		t.Fatalf("get b = %q", got)
 	}
 }
 

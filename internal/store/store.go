@@ -82,9 +82,11 @@
 //
 // # Elastic serving
 //
-// Serving pools resize mid-run: Store.Acquire / AcquireWait / Release
-// lease group slots to serving goroutines and return them, so the live
-// worker set can grow and shrink inside the group's capacity. A
+// Serving pools resize mid-run: Store.Acquire / Release lease group
+// slots to serving goroutines and return them, so the live worker set
+// can grow and shrink inside the group's capacity. Acquire never
+// blocks; a caller that can outnumber the slots bounds itself first
+// (the serving front's admission semaphore). A
 // departing worker's unreclaimed retires — shard nodes and value
 // tickets alike — are donated to each member domain's orphan queue and
 // adopted by that member's live threads; its tid-keyed caches (value
@@ -116,7 +118,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"unsafe"
@@ -397,16 +398,11 @@ func (s *Store) Group() *core.DomainGroup { return s.g }
 // MemberIndex returns the member domain shard belongs to.
 func (s *Store) MemberIndex(shard int) int { return shard >> s.memberShift }
 
-// Acquire leases a serving handle from the store's group. The handle
-// belongs to the calling goroutine until Release.
+// Acquire leases a serving handle from the store's group without
+// blocking: when every slot is leased it fails with an error wrapping
+// core.ErrNoSlots. The handle belongs to the calling goroutine until
+// Release.
 func (s *Store) Acquire() (*core.GroupHandle, error) { return s.g.Acquire() }
-
-// AcquireWait leases a serving handle, queueing (FIFO) while the group
-// is saturated — the admission-control path; see
-// core.DomainGroup.AcquireWait.
-func (s *Store) AcquireWait(ctx context.Context) (*core.GroupHandle, error) {
-	return s.g.AcquireWait(ctx)
-}
 
 // Release returns a serving handle to the group; the worker's
 // unreclaimed retires (nodes and value tickets) are donated to each

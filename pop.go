@@ -42,16 +42,20 @@
 // live threads, and a different goroutine may then lease the same
 // slot. Domain.TryRegisterThread is the error-returning lease (the
 // panicking RegisterThread remains for compatibility), and a
-// DomainGroup of one member wraps the lifecycle in a concurrency-safe
-// acquire/release pool with blocking admission for elastic worker
-// sets (structures are built on g.Member(0)):
+// DomainGroup of one member wraps the lifecycle in a concurrency-safe,
+// non-blocking acquire/release pool for elastic worker sets
+// (structures are built on g.Member(0)). A worker set larger than the
+// pool bounds itself, e.g. with a channel of one token per slot:
 //
 //	g := pop.NewDomainGroup(pop.EpochPOP, 1, 8, nil)
+//	sem := make(chan struct{}, 8)        // one token per slot
 //	go func() {                          // a short-lived worker
-//		h, err := g.AcquireWait(ctx)     // queues while all 8 are leased
+//		sem <- struct{}{}                // queues while all 8 are leased
+//		h, err := g.Acquire()            // a token guarantees a free slot
 //		t := h.Member(0)
 //		...
 //		g.Release(h)
+//		<-sem
 //	}()
 //
 // Overwrites are a first-class reclamation event: on the lock-free

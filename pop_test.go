@@ -234,33 +234,34 @@ func TestStoreFacade(t *testing.T) {
 }
 
 // TestHandlePoolFacade exercises the exported thread-lifecycle surface:
-// an elastic worker set over one map, handles leased and released
-// through a one-member pop.DomainGroup, with orphan adoption draining
-// everything.
+// an elastic worker set over one map, 8 workers capped at 4 concurrent
+// leases by a buffered channel, handles leased and released through a
+// one-member pop.DomainGroup, with orphan adoption draining everything.
 func TestHandlePoolFacade(t *testing.T) {
 	pool := pop.NewDomainGroup(pop.EpochPOP, 1, 4, &pop.Options{ReclaimThreshold: 64})
 	kv := pop.NewSkipListMap(pool.Member(0))
 
+	sem := make(chan struct{}, 4) // one token per slot
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ { // 8 workers over 4 slots, in two batches
-		if w == 4 {
-			wg.Wait() // first batch released its leases
-		}
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := pool.Do(func(h *pop.GroupHandle) error {
-				th := h.Member(0)
-				base := int64(id * 1000)
-				for k := base; k < base+200; k++ {
-					kv.Put(th, k, uint64(k))
-					if k%2 == 0 {
-						kv.Delete(th, k)
-					}
-				}
-				return nil
-			}); err != nil {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			h, err := pool.Acquire()
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			defer pool.Release(h)
+			th := h.Member(0)
+			base := int64(id * 1000)
+			for k := base; k < base+200; k++ {
+				kv.Put(th, k, uint64(k))
+				if k%2 == 0 {
+					kv.Delete(th, k)
+				}
 			}
 		}(w)
 	}
@@ -278,6 +279,13 @@ func TestHandlePoolFacade(t *testing.T) {
 	}
 	if lc.Slots > 4 {
 		t.Fatalf("slots grew to %d despite the 4-slot cap", lc.Slots)
+	}
+	var leases uint64
+	for _, n := range lc.SlotLeases {
+		leases += n
+	}
+	if leases != 9 || pool.InUse() != 1 {
+		t.Fatalf("SlotLeases sum = %d, InUse = %d; want 9 (8 workers + collector) and 1", leases, pool.InUse())
 	}
 	if lc.OrphanNodes != 0 {
 		t.Fatalf("orphans left after flush: %+v", lc)
