@@ -68,14 +68,21 @@ func main() {
 
 		var scans, keys int
 		var buf []int64
+		collect := func(k int64, _ uint64) bool { buf = append(buf, k); return true }
 		for scans = 0; scans < 2000; scans++ {
 			lo := int64(scans*61) % (keySpace - 1000)
-			buf = kv.RangeCollect(scanThread, lo, lo+999, buf)
+			hi := lo + 999
+			buf = buf[:0]
+			kv.Scan(scanThread, lo, hi, collect)
 			keys += len(buf)
 			// Every scan must see all 500 permanent even keys in its
 			// window, in order, whatever the writers are doing.
 			even := 0
-			for _, k := range buf {
+			for i, k := range buf {
+				if k < lo || k > hi || (i > 0 && buf[i-1] >= k) {
+					panic(fmt.Sprintf("%s: scan %d of [%d, %d] emitted %v: out of window or order",
+						s.name, scans, lo, hi, buf[max(i-1, 0):i+1]))
+				}
 				if k%2 == 0 {
 					even++
 				}

@@ -37,7 +37,7 @@
 // snapshot current for its whole interval — at that instant. A failed
 // validation or an NBR neutralization re-descends to the first key not
 // yet emitted, so results stay sorted and duplicate-free without
-// restarting the scan. See scanRange for the safety argument.
+// restarting the scan. See Scan for the safety argument.
 //
 // The min-degree bound a is maintained lazily: leaves shrink until empty
 // and are then excised together with their separator (an (a,b)-tree with
@@ -680,41 +680,10 @@ func (tr *Tree) deleteExcise(t *core.Thread, cache *arena.ThreadCache[node], ps 
 	return true, true
 }
 
-// RangeCount counts the keys in [lo, hi].
-func (tr *Tree) RangeCount(t *core.Thread, lo, hi int64) int {
-	n := 0
-	tr.scanRange(t, lo, hi, func(int64, uint64) bool { n++; return true })
-	return n
-}
-
-// RangeCollect appends the keys in [lo, hi], ascending, to buf[:0] and
-// returns the filled slice. The result is sorted and duplicate-free;
-// each reported key was observed present in a validated live leaf at
-// some point during the scan, and no key absent for the scan's whole
-// duration is reported.
-func (tr *Tree) RangeCollect(t *core.Thread, lo, hi int64, buf []int64) []int64 {
-	buf = buf[:0]
-	tr.scanRange(t, lo, hi, func(k int64, _ uint64) bool { buf = append(buf, k); return true })
-	return buf
-}
-
-// RangeCollectKV appends up to max (key, value) pairs from [lo, hi],
-// ascending, to keys[:0]/vals[:0] (max <= 0 = unlimited). Leaves are
-// immutable once published — an overwrite replaces the whole leaf — so
-// each emitted pair comes from one consistent leaf snapshot.
-func (tr *Tree) RangeCollectKV(t *core.Thread, lo, hi int64, max int, keys []int64, vals []uint64) ([]int64, []uint64) {
-	keys, vals = keys[:0], vals[:0]
-	tr.scanRange(t, lo, hi, func(k int64, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return max <= 0 || len(keys) < max
-	})
-	return keys, vals
-}
-
-// scanRange walks the leaves covering [lo, hi] in key order as one long
-// operation. The tree has no sibling links, so the scan is a sequence of
-// validated descents: each descent protects the whole leaf (plus its
+// Scan walks the leaves covering [lo, hi] in key order as one long
+// operation (the ds.RangeScanner contract). The tree has no sibling
+// links, so the scan is a sequence of validated descents: each descent
+// protects the whole leaf (plus its
 // ancestors, in the same three rotating slots every search uses) and
 // records the minimum right-hand separator on the path — the exclusive
 // upper bound of the leaf's key space and therefore the next descent's
@@ -733,8 +702,8 @@ func (tr *Tree) RangeCollectKV(t *core.Thread, lo, hi int64, max int, keys []int
 // scan re-descends to the first key not yet emitted — emitted keys are
 // never revisited, keeping output sorted and duplicate-free. emit
 // receives each key with the value its (immutable) leaf snapshot holds
-// for it; returning false stops the scan (the KV collector's limit).
-func (tr *Tree) scanRange(t *core.Thread, lo, hi int64, emit func(int64, uint64) bool) {
+// for it; returning false stops the scan.
+func (tr *Tree) Scan(t *core.Thread, lo, hi int64, emit func(int64, uint64) bool) {
 	if lo > hi {
 		return
 	}

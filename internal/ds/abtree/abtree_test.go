@@ -11,7 +11,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.MemMap { return abtree.New(d) }, dstest.Config{
+	dstest.Run(t, func(d *core.Domain) ds.Map { return abtree.New(d) }, dstest.Config{
 		KeyRange: 4096, // force real tree depth and split/excise traffic
 	})
 }
@@ -103,17 +103,17 @@ func TestRangeScanAcrossLeaves(t *testing.T) {
 				want = append(want, k*3)
 			}
 		}
-		got := tr.RangeCollect(th, lo, hi, nil)
+		got := dstest.ScanKeys(tr, th, lo, hi, nil)
 		if len(got) != len(want) {
-			t.Fatalf("RangeCollect(%d,%d) -> %d keys, want %d", lo, hi, len(got), len(want))
+			t.Fatalf("scan(%d,%d) -> %d keys, want %d", lo, hi, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("RangeCollect(%d,%d)[%d] = %d, want %d", lo, hi, i, got[i], want[i])
+				t.Fatalf("scan(%d,%d)[%d] = %d, want %d", lo, hi, i, got[i], want[i])
 			}
 		}
-		if c := tr.RangeCount(th, lo, hi); c != len(want) {
-			t.Fatalf("RangeCount(%d,%d) = %d, want %d", lo, hi, c, len(want))
+		if c := dstest.ScanCount(tr, th, lo, hi); c != len(want) {
+			t.Fatalf("ScanCount(%d,%d) = %d, want %d", lo, hi, c, len(want))
 		}
 	}
 	check(0, 3*n)      // whole structure
@@ -137,7 +137,7 @@ func TestRangeScanAcrossLeaves(t *testing.T) {
 	for k := int64(0); k < n; k += 3 {
 		want = append(want, k*3)
 	}
-	got := tr.RangeCollect(th, 0, 3*n, nil)
+	got := dstest.ScanKeys(tr, th, 0, 3*n, nil)
 	if len(got) != len(want) {
 		t.Fatalf("post-excision scan -> %d keys, want %d", len(got), len(want))
 	}

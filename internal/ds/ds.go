@@ -54,7 +54,9 @@ import "pop/internal/core"
 // Map is a concurrent map from int64 keys to uint64 values integrated
 // with a reclamation domain. Implementations are linearizable;
 // operations may be called concurrently from any number of threads
-// registered with the map's domain.
+// registered with the map's domain. Every structure in this repository
+// implements it, and the harness, the store and the conformance suite
+// hold their structures as it.
 type Map interface {
 	// Put maps key to val (inserting or overwriting) and returns the
 	// previous value, with replaced reporting whether the key was
@@ -69,14 +71,6 @@ type Map interface {
 	Get(t *core.Thread, key int64) (uint64, bool)
 	// Delete removes key and returns the value it removed.
 	Delete(t *core.Thread, key int64) (uint64, bool)
-}
-
-// MemMap is a Map that can also count its keys and report its node
-// pool's occupancy — what the harness, the store and the conformance
-// suite hold their structures as. Every structure in this repository
-// implements it.
-type MemMap interface {
-	Map
 	// Size counts the keys currently present with a full traversal.
 	// Only meaningful while no operations are in flight; used by tests
 	// and prefill accounting.
@@ -95,50 +89,26 @@ type MemMap interface {
 // between them), so comparing policies across both separates the cost
 // of reservation *count* from reservation *lifetime*.
 //
-// All methods are safe under concurrent updates. Results are sorted
-// and duplicate-free; every reported key was observed present at some
-// point during the scan, and a key continuously present (or absent) for
-// the scan's whole duration is always (never) reported.
+// Scan is safe under concurrent updates. Emitted keys ascend strictly;
+// every emitted key was observed present at some point during the
+// scan, and a key continuously present (or absent) for the scan's
+// whole duration is always (never) emitted if the scan runs to hi.
 type RangeScanner interface {
-	// RangeCount counts the keys in [lo, hi].
-	RangeCount(t *core.Thread, lo, hi int64) int
-	// RangeCollect appends the keys in [lo, hi], ascending, to buf[:0]
-	// and returns the filled slice.
-	RangeCollect(t *core.Thread, lo, hi int64, buf []int64) []int64
-	// RangeCollectKV appends up to max (key, value) pairs from [lo, hi],
-	// ascending by key, to keys[:0]/vals[:0] and returns the filled
-	// parallel slices (max <= 0 means no limit). Each value is the one
-	// its key was observed holding when the key was emitted — on the
-	// replace-node and CoW structures values are immutable per node, so
-	// the pair is atomic. This is the value-returning scan the store
-	// layer's iterators are built on; the limit bounds the length of one
-	// protected operation so a large scan can be chunked into several.
-	RangeCollectKV(t *core.Thread, lo, hi int64, max int, keys []int64, vals []uint64) ([]int64, []uint64)
+	// Scan calls emit for each (key, value) pair in [lo, hi], ascending,
+	// inside one protected operation, until emit returns false. Values
+	// are immutable per node or leaf, so each pair is atomic. emit runs
+	// inside the operation: it must not call into the structure or block.
+	Scan(t *core.Thread, lo, hi int64, emit func(key int64, val uint64) bool)
 }
 
-// BatchGetter is implemented by structures with an amortized multi-get:
-// one protected operation (one StartOp/EndOp, one reservation epoch)
-// answers every key in the batch, instead of paying the entry/exit
-// protocol per key. Implementations answer keys in the order given;
-// callers that sort keys ascending additionally get warm upper-level
-// paths on the tree-shaped structures. The store layer's GetBatch
-// groups keys per shard and issues one call per shard.
-type BatchGetter interface {
-	// GetBatch looks every keys[i] up and records the result in vals[i]
-	// and present[i]. The three slices must have equal length.
-	GetBatch(t *core.Thread, keys []int64, vals []uint64, present []bool)
-}
-
-// BatchPutter is the write-side analogue of BatchGetter: one protected
-// operation upserts every key in the batch, amortizing the entry/exit
-// protocol — and, on the replace-node structures, the per-operation
-// retire bookkeeping — across the group. Callers that sort keys
-// ascending get warm descent paths on tree-shaped structures, exactly
-// as with GetBatch. The store layer's PutBatch groups keys per shard
-// and issues one call per shard.
-type BatchPutter interface {
-	// PutBatch upserts every keys[i] to vals[i], recording the value it
-	// replaced in old[i] and whether the key was present in replaced[i].
-	// The four slices must have equal length.
-	PutBatch(t *core.Thread, keys []int64, vals []uint64, old []uint64, replaced []bool)
+// InOp is implemented by structures whose lookup and upsert bodies can
+// run inside an operation the caller already opened with StartOp: many
+// keys then share one protected operation (one StartOp/EndOp, one
+// reservation epoch) instead of paying the entry/exit protocol per key.
+// The store's GetBatch and PutBatch bracket each shard group this way.
+type InOp interface {
+	// GetInOp is Get without the StartOp/EndOp bracket.
+	GetInOp(t *core.Thread, key int64) (uint64, bool)
+	// PutInOp is Put without the StartOp/EndOp bracket.
+	PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool)
 }

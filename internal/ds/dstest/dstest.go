@@ -21,16 +21,17 @@
 //   - reclamation pressure (tiny retire thresholds force constant
 //     reclaim/ping traffic while readers traverse);
 //   - a delayed-thread scenario that must not break safety;
-//   - for structures implementing ds.BatchGetter, batch-vs-loop
-//     equivalence: quiescent exactness (hits, misses, duplicates) and
-//     per-thread owned-stripe validation under concurrent churn;
+//   - for structures implementing ds.InOp, many lookups inside one
+//     caller-opened operation checked against per-key Gets: quiescent
+//     exactness (hits, misses, duplicates) and per-thread owned-stripe
+//     validation under concurrent churn;
 //   - for structures implementing ds.RangeScanner, range-query
 //     validation against a mutex-guarded reference model: exact
 //     equivalence sequentially and over per-thread key stripes under
 //     concurrent churn, plus global-scan invariants (sorted,
 //     duplicate-free, in-bounds, all permanently-present keys reported,
-//     no never-inserted key ever reported) and value-returning scans
-//     (RangeCollectKV) checked pair-exactly, limits included.
+//     no never-inserted key ever reported) and scanned values checked
+//     pair-exactly, early stops included.
 //
 // A use-after-free is caught here only when it changes what an operation
 // returns: a failed invariant, a mismatch against the reference model,
@@ -54,7 +55,7 @@ import (
 )
 
 // Factory builds a fresh map instance over the given domain.
-type Factory func(d *core.Domain) ds.MemMap
+type Factory func(d *core.Domain) ds.Map
 
 // Config tunes the suite for a data structure's cost profile.
 type Config struct {
@@ -97,7 +98,7 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	cfg = cfg.withDefaults()
 	probe := f(newDomain(core.NR, 1))
 	_, ranged := probe.(ds.RangeScanner)
-	_, batched := probe.(ds.BatchGetter)
+	_, inOp := probe.(ds.InOp)
 	for _, p := range core.Policies() {
 		if cfg.skip(p) {
 			continue
@@ -113,7 +114,7 @@ func Run(t *testing.T, f Factory, cfg Config) {
 			t.Run("MapRandomizedVsRef", func(t *testing.T) { mapRandomizedVsRef(t, f, p, cfg) })
 			t.Run("MapOverwriteStorm", func(t *testing.T) { mapOverwriteStorm(t, f, p, cfg) })
 			t.Run("MapOwnedStripes", func(t *testing.T) { mapOwnedStripes(t, f, p, cfg) })
-			if batched {
+			if inOp {
 				t.Run("MapBatchGet", func(t *testing.T) { mapBatchGet(t, f, p, cfg) })
 			}
 			if ranged {
@@ -124,6 +125,21 @@ func Run(t *testing.T, f Factory, cfg Config) {
 			}
 		})
 	}
+}
+
+// ScanKeys appends the keys rs scans in [lo, hi], ascending, to buf[:0]
+// and returns the filled slice.
+func ScanKeys(rs ds.RangeScanner, t *core.Thread, lo, hi int64, buf []int64) []int64 {
+	buf = buf[:0]
+	rs.Scan(t, lo, hi, func(k int64, _ uint64) bool { buf = append(buf, k); return true })
+	return buf
+}
+
+// ScanCount counts the keys rs scans in [lo, hi].
+func ScanCount(rs ds.RangeScanner, t *core.Thread, lo, hi int64) int {
+	n := 0
+	rs.Scan(t, lo, hi, func(int64, uint64) bool { n++; return true })
+	return n
 }
 
 // newDomain builds a domain with a tiny reclaim threshold so reclamation
@@ -786,7 +802,7 @@ func checkScanShape(t *testing.T, got []int64, lo, hi int64) {
 	}
 }
 
-// rangeSequentialVsRef checks both range entry points for exact
+// rangeSequentialVsRef checks collected and counted scans for exact
 // equivalence with the reference model under a random single-threaded
 // history (every scan here is linearizable trivially).
 func rangeSequentialVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
@@ -814,18 +830,18 @@ func rangeSequentialVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 			lo := r.Intn(cfg.KeyRange)
 			hi := lo + r.Intn(cfg.KeyRange/8+1)
 			want := ref.sortedRange(lo, hi)
-			buf = rs.RangeCollect(th, lo, hi, buf)
+			buf = ScanKeys(rs, th, lo, hi, buf)
 			checkScanShape(t, buf, lo, hi)
 			if len(buf) != len(want) {
-				t.Fatalf("op %d: RangeCollect(%d,%d) -> %d keys, want %d", i, lo, hi, len(buf), len(want))
+				t.Fatalf("op %d: scan(%d,%d) -> %d keys, want %d", i, lo, hi, len(buf), len(want))
 			}
 			for j := range want {
 				if buf[j] != want[j] {
-					t.Fatalf("op %d: RangeCollect(%d,%d)[%d] = %d, want %d", i, lo, hi, j, buf[j], want[j])
+					t.Fatalf("op %d: scan(%d,%d)[%d] = %d, want %d", i, lo, hi, j, buf[j], want[j])
 				}
 			}
-			if got := rs.RangeCount(th, lo, hi); got != len(want) {
-				t.Fatalf("op %d: RangeCount(%d,%d) = %d, want %d", i, lo, hi, got, len(want))
+			if got := ScanCount(rs, th, lo, hi); got != len(want) {
+				t.Fatalf("op %d: ScanCount(%d,%d) = %d, want %d", i, lo, hi, got, len(want))
 			}
 		}
 	}
@@ -880,7 +896,7 @@ func rangeOwnedStripes(t *testing.T, f Factory, p core.Policy, cfg Config) {
 					ref.insert(k)
 				default:
 					want := ref.sortedRange(lo, hi)
-					buf = rs.RangeCollect(th, lo, hi, buf)
+					buf = ScanKeys(rs, th, lo, hi, buf)
 					if len(buf) != len(want) {
 						errs <- fmt.Errorf("thread %d: scan [%d,%d] -> %d keys, want %d", id, lo, hi, len(buf), len(want))
 						return
@@ -961,7 +977,7 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	for scan := 0; scan < 40; scan++ {
 		lo := r.Intn(cfg.KeyRange / 2)
 		hi := lo + r.Intn(cfg.KeyRange/2)
-		buf = rs.RangeCollect(scanner, lo, hi, buf)
+		buf = ScanKeys(rs, scanner, lo, hi, buf)
 		checkScanShape(t, buf, lo, hi)
 		seen := make(map[int64]bool, len(buf))
 		for _, k := range buf {
@@ -987,8 +1003,8 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	}
 }
 
-// mapBatchGet exercises the ds.BatchGetter contract: a batch answered
-// inside one protected operation must agree with per-key Gets. The
+// mapBatchGet exercises the ds.InOp contract: a batch of lookups inside
+// one operation the test opens must agree with per-key Gets. The
 // sequential half checks exact equivalence on a quiescent map (hits,
 // misses, duplicate keys, unsorted order). The concurrent half gives
 // each thread an owned stripe it puts and batch-gets — owned keys have
@@ -997,7 +1013,7 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads)
 	m := f(d)
-	bg := m.(ds.BatchGetter)
+	io := m.(ds.InOp)
 	threads := make([]*core.Thread, cfg.Threads)
 	for i := range threads {
 		threads[i] = d.RegisterThread()
@@ -1020,11 +1036,11 @@ func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 		if round == 0 {
 			keys[1] = keys[0] // duplicate keys must both be answered
 		}
-		bg.GetBatch(th, keys, vals, present)
+		getInOp(io, th, keys, vals, present)
 		for i, k := range keys {
 			wv, wok := m.Get(th, k)
 			if present[i] != wok || vals[i] != wv {
-				t.Fatalf("round %d: GetBatch[%d] key %d = (%d, %v), Get = (%d, %v)",
+				t.Fatalf("round %d: batch[%d] key %d = (%d, %v), Get = (%d, %v)",
 					round, i, k, vals[i], present[i], wv, wok)
 			}
 		}
@@ -1063,11 +1079,11 @@ func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 				for j := range keys {
 					keys[j] = base + r.Intn(stripe)
 				}
-				bg.GetBatch(th, keys, vals, present)
+				getInOp(io, th, keys, vals, present)
 				for j, k := range keys {
 					wv, wok := ref[k]
 					if present[j] != wok || (wok && vals[j] != wv) {
-						errs <- fmt.Errorf("thread %d: GetBatch[%d] key %d = (%d, %v), ref = (%d, %v)",
+						errs <- fmt.Errorf("thread %d: batch[%d] key %d = (%d, %v), ref = (%d, %v)",
 							id, j, k, vals[j], present[j], wv, wok)
 						return
 					}
@@ -1085,10 +1101,19 @@ func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	}
 }
 
-// rangeKVVsRef checks the value-returning scan against a reference map
-// under a random single-threaded history: RangeCollectKV must return
-// exactly the reference's (key, value) pairs in order, and the pair
-// limit must truncate to a prefix.
+// getInOp answers keys into vals/present inside one operation on th.
+func getInOp(io ds.InOp, th *core.Thread, keys []int64, vals []uint64, present []bool) {
+	th.StartOp()
+	for i, k := range keys {
+		vals[i], present[i] = io.GetInOp(th, k)
+	}
+	th.EndOp()
+}
+
+// rangeKVVsRef checks scanned pairs against a reference map under a
+// random single-threaded history: Scan must emit exactly the
+// reference's (key, value) pairs in order, and a scan that emit stops
+// after limit pairs must have emitted a prefix.
 func rangeKVVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, 1)
 	m := f(d)
@@ -1098,6 +1123,11 @@ func rangeKVVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	r := rng.New(0x6b76 ^ uint64(p)<<8)
 	var keys []int64
 	var vals []uint64
+	limit := 0 // pairs to collect; 0 = all
+	collect := func(k int64, v uint64) bool {
+		keys, vals = append(keys, k), append(vals, v)
+		return len(keys) != limit
+	}
 
 	for i := 0; i < 3000; i++ {
 		k := r.Intn(cfg.KeyRange)
@@ -1119,23 +1149,24 @@ func rangeKVVsRef(t *testing.T, f Factory, p core.Policy, cfg Config) {
 				}
 			}
 			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-			keys, vals = rs.RangeCollectKV(th, lo, hi, 0, keys, vals)
+			keys, vals, limit = keys[:0], vals[:0], 0
+			rs.Scan(th, lo, hi, collect)
 			if len(keys) != len(vals) || len(keys) != len(want) {
-				t.Fatalf("op %d: RangeCollectKV(%d,%d) -> %d/%d pairs, want %d", i, lo, hi, len(keys), len(vals), len(want))
+				t.Fatalf("op %d: scan(%d,%d) -> %d/%d pairs, want %d", i, lo, hi, len(keys), len(vals), len(want))
 			}
 			for j := range want {
 				if keys[j] != want[j] || vals[j] != ref[want[j]] {
-					t.Fatalf("op %d: RangeCollectKV(%d,%d)[%d] = (%d,%d), want (%d,%d)",
+					t.Fatalf("op %d: scan(%d,%d)[%d] = (%d,%d), want (%d,%d)",
 						i, lo, hi, j, keys[j], vals[j], want[j], ref[want[j]])
 				}
 			}
 			if len(want) > 1 {
-				max := 1 + int(r.Intn(int64(len(want))))
-				keys, vals = rs.RangeCollectKV(th, lo, hi, max, keys, vals)
-				if len(keys) != max {
-					t.Fatalf("op %d: limited RangeCollectKV returned %d pairs, want %d", i, len(keys), max)
+				keys, vals, limit = keys[:0], vals[:0], 1+int(r.Intn(int64(len(want))))
+				rs.Scan(th, lo, hi, collect)
+				if len(keys) != limit {
+					t.Fatalf("op %d: scan limited to %d pairs emitted %d, want %d", i, limit, len(keys), limit)
 				}
-				for j := 0; j < max; j++ {
+				for j := 0; j < limit; j++ {
 					if keys[j] != want[j] || vals[j] != ref[want[j]] {
 						t.Fatalf("op %d: limited scan[%d] = (%d,%d), want (%d,%d)",
 							i, j, keys[j], vals[j], want[j], ref[want[j]])

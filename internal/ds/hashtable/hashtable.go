@@ -78,28 +78,17 @@ func (t *Table) Delete(th *core.Thread, key int64) (uint64, bool) {
 	return t.bucket(key).Delete(th, key)
 }
 
-// GetBatch looks up every keys[i] inside one protected operation —
-// bucket chains are short (load factor ~6), so the per-operation
-// entry/exit protocol is a large share of a single Get's cost here and
-// the batch amortization is proportionally strongest.
-func (t *Table) GetBatch(th *core.Thread, keys []int64, vals []uint64, present []bool) {
-	th.StartOp()
-	defer th.EndOp()
-	for i, key := range keys {
-		vals[i], present[i] = t.bucket(key).GetInOp(th, key)
-	}
+// GetInOp is Get inside an operation the caller already opened (the
+// ds.InOp contract). Bucket chains are short, so sharing one operation
+// across many keys saves a large share of each Get's cost.
+func (t *Table) GetInOp(th *core.Thread, key int64) (uint64, bool) {
+	return t.bucket(key).GetInOp(th, key)
 }
 
-// PutBatch upserts every keys[i] inside one protected operation (the
-// ds.BatchPutter contract). The same short-chain argument as GetBatch
-// applies, and more strongly: an upsert pays entry/exit plus the
-// write-phase bracket per operation, so batching folds both into one.
-func (t *Table) PutBatch(th *core.Thread, keys []int64, vals []uint64, old []uint64, replaced []bool) {
-	th.StartOp()
-	defer th.EndOp()
-	for i, key := range keys {
-		old[i], replaced[i] = t.bucket(key).PutInOp(th, key, vals[i])
-	}
+// PutInOp is Put inside an operation the caller already opened (the
+// ds.InOp contract).
+func (t *Table) PutInOp(th *core.Thread, key int64, val uint64) (uint64, bool) {
+	return t.bucket(key).PutInOp(th, key, val)
 }
 
 // Size sums bucket sizes. Quiescent use only.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.MemMap {
+	dstest.Run(t, func(d *core.Domain) ds.Map {
 		return hashtable.New(d, 256, 6)
 	}, dstest.Config{KeyRange: 2048})
 }

@@ -402,9 +402,9 @@ func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 }
 
 // GetInOp is Get's body without the StartOp/EndOp bracket: the caller
-// must already be inside an operation on t. It exists for batch
-// wrappers (GetBatch here, the hash table's cross-bucket batch) that
-// amortize one protected entry/exit over many lookups.
+// must already be inside an operation on t (the ds.InOp contract). The
+// store runs a batch's lookups through it, and the hash table forwards
+// to it, so many keys share one protected entry/exit.
 func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 	for {
 		v, present, valid := l.GetInOpHinted(t, key, nil, 0)
@@ -434,17 +434,6 @@ func (l *List) GetInOpHinted(t *core.Thread, key int64, start *Node, sStart int)
 	}
 }
 
-// GetBatch looks up every keys[i] inside one protected operation,
-// recording results in vals[i] and present[i] (the ds.BatchGetter
-// contract).
-func (l *List) GetBatch(t *core.Thread, keys []int64, vals []uint64, present []bool) {
-	t.StartOp()
-	defer t.EndOp()
-	for i, key := range keys {
-		vals[i], present[i] = l.GetInOp(t, key)
-	}
-}
-
 // PutIfAbsent maps key to val only if key is absent.
 func (l *List) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {
 	ok, _, _ := l.put(t, key, val, false)
@@ -458,23 +447,11 @@ func (l *List) Put(t *core.Thread, key int64, val uint64) (uint64, bool) {
 }
 
 // PutInOp is Put's body without the StartOp/EndOp bracket: the caller
-// must already be inside an operation on t. It exists for batch
-// wrappers (PutBatch here, the hash table's cross-bucket batch) that
-// amortize one protected entry/exit over many upserts.
+// must already be inside an operation on t (the ds.InOp contract), as
+// for GetInOp.
 func (l *List) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := l.putInOp(t, key, val, true)
 	return old, replaced
-}
-
-// PutBatch upserts every keys[i] inside one protected operation,
-// recording the replaced values in old[i]/replaced[i] (the
-// ds.BatchPutter contract).
-func (l *List) PutBatch(t *core.Thread, keys []int64, vals []uint64, old []uint64, replaced []bool) {
-	t.StartOp()
-	defer t.EndOp()
-	for i, key := range keys {
-		old[i], replaced[i] = l.PutInOp(t, key, vals[i])
-	}
 }
 
 // put is the shared insert/overwrite path. With overwrite=false it

@@ -12,7 +12,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.MemMap { return hmlist.New(d) }, dstest.Config{
+	dstest.Run(t, func(d *core.Domain) ds.Map { return hmlist.New(d) }, dstest.Config{
 		KeyRange: 256, // short lists: maximal traversal contention
 	})
 }

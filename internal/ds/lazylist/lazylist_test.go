@@ -11,7 +11,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.MemMap { return lazylist.New(d) }, dstest.Config{
+	dstest.Run(t, func(d *core.Domain) ds.Map { return lazylist.New(d) }, dstest.Config{
 		KeyRange: 256,
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"pop/internal/chaos"
 	"pop/internal/core"
+	"pop/internal/ds/dstest"
 	"pop/internal/ds/skiplist"
 	"pop/internal/rng"
 )
@@ -81,7 +82,7 @@ func churnStorm(t *testing.T, p core.Policy, churners, scanners, legs, ops int) 
 				default:
 				}
 				lo := r.Intn(keyRange)
-				l.RangeCount(th, lo, lo+64)
+				dstest.ScanCount(l, th, lo, lo+64)
 			}
 		}(s, h)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pop/internal/core"
+	"pop/internal/ds/dstest"
 	"pop/internal/ds/skiplist"
 	"pop/internal/rng"
 )
@@ -75,7 +76,7 @@ func hammerRound(t *testing.T, p core.Policy, round, workers, ops int) {
 					l.Get(th, k)
 				default:
 					hi := k + r.Intn(96)
-					buf = l.RangeCollect(th, k, hi, buf)
+					buf = dstest.ScanKeys(l, th, k, hi, buf)
 					for j := 1; j < len(buf); j++ {
 						if buf[j-1] >= buf[j] || buf[j] < k || buf[j] > hi {
 							t.Errorf("%v round %d: malformed scan [%d,%d]: %v", p, round, k, hi, buf)

@@ -438,10 +438,12 @@ func (l *List) unlinkIndexLevel(c *column, lvl int, hops *int) {
 func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
-	return l.getInOp(t, key)
+	return l.GetInOp(t, key)
 }
 
-func (l *List) getInOp(t *core.Thread, key int64) (uint64, bool) {
+// GetInOp is Get inside an operation the caller already opened (the
+// ds.InOp contract). Each key still descends the index for its own hint.
+func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 	for attempt := 0; ; attempt++ {
 		start, s := l.hintFor(t, key, attempt)
 		v, present, valid := l.b.GetInOpHinted(t, key, start, s)
@@ -487,17 +489,11 @@ func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (i
 	}
 }
 
-// PutBatch upserts every keys[i] inside one protected operation,
-// recording replaced values in old[i]/replaced[i] (the ds.BatchPutter
-// contract). The batch amortizes the entry/exit protocol; each upsert
-// re-descends the index for its own hint, so under NBR a neutralization
-// retries only the key it interrupted.
-func (l *List) PutBatch(t *core.Thread, keys []int64, vals []uint64, old []uint64, replaced []bool) {
-	t.StartOp()
-	defer t.EndOp()
-	for i, key := range keys {
-		_, old[i], replaced[i] = l.putInOp(t, key, vals[i], true)
-	}
+// PutInOp is Put inside an operation the caller already opened (the
+// ds.InOp contract); an NBR neutralization retries only its own key.
+func (l *List) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
+	_, old, replaced := l.putInOp(t, key, val, true)
+	return old, replaced
 }
 
 // Delete removes key and returns the value it removed. The bottom layer
@@ -515,59 +511,16 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 	}
 }
 
-// GetBatch looks up every keys[i] inside one protected operation (one
-// StartOp/EndOp instead of one per key), recording results in vals[i]
-// and present[i]. That is all the batch shares: every key descends the
-// index for its own hint, and ascending key order only helps in that
-// consecutive descents revisit the upper columns while they are cached.
-func (l *List) GetBatch(t *core.Thread, keys []int64, vals []uint64, present []bool) {
-	t.StartOp()
-	defer t.EndOp()
-	for i, key := range keys {
-		vals[i], present[i] = l.getInOp(t, key)
-	}
-}
-
-// RangeCount counts the keys in [lo, hi].
-func (l *List) RangeCount(t *core.Thread, lo, hi int64) int {
-	n := 0
-	l.scanRange(t, lo, hi, func(int64, uint64) bool { n++; return true })
-	return n
-}
-
-// RangeCollect appends the keys in [lo, hi], ascending, to buf[:0] and
-// returns the filled slice. The result is sorted and duplicate-free;
-// each reported key was observed present (unmarked and reachable) at
-// some point during the scan, and no key absent for the scan's whole
-// duration is reported.
-func (l *List) RangeCollect(t *core.Thread, lo, hi int64, buf []int64) []int64 {
-	buf = buf[:0]
-	l.scanRange(t, lo, hi, func(k int64, _ uint64) bool { buf = append(buf, k); return true })
-	return buf
-}
-
-// RangeCollectKV appends up to max (key, value) pairs from [lo, hi],
-// ascending, to keys[:0]/vals[:0] (max <= 0 = unlimited). Values are
-// immutable per node and snapshotted while the node is protected, so
-// each pair is one the map actually held while the scan ran.
-func (l *List) RangeCollectKV(t *core.Thread, lo, hi int64, max int, keys []int64, vals []uint64) ([]int64, []uint64) {
-	keys, vals = keys[:0], vals[:0]
-	l.scanRange(t, lo, hi, func(k int64, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return max <= 0 || len(keys) < max
-	})
-	return keys, vals
-}
-
-// scanRange walks [lo, hi] as one long operation: each leg descends the
-// index for a hint and runs the bottom layer's validated scan from
-// there, resuming at the first unemitted key whenever a hop fails
-// validation — keys already emitted are never revisited, keeping output
-// sorted and unique. Legs that advance reset the hint budget; legs that
-// don't burn it down until the walk degrades to the head (progress
-// never depends on a fresh hint materializing).
-func (l *List) scanRange(t *core.Thread, lo, hi int64, emit func(int64, uint64) bool) {
+// Scan walks [lo, hi] as one long operation (the ds.RangeScanner
+// contract): each leg descends the index for a hint and runs the bottom
+// layer's validated scan from there, resuming at the first unemitted
+// key whenever a hop fails validation — keys already emitted are never
+// revisited, keeping output sorted and unique. Legs that advance reset
+// the hint budget; legs that don't burn it down until the walk degrades
+// to the head (progress never depends on a fresh hint materializing).
+// Values are immutable per node and read while the node is protected,
+// so each emitted pair is one the map actually held while the scan ran.
+func (l *List) Scan(t *core.Thread, lo, hi int64, emit func(int64, uint64) bool) {
 	if lo > hi {
 		return
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.MemMap { return New(d) }, dstest.Config{})
+	dstest.Run(t, func(d *core.Domain) ds.Map { return New(d) }, dstest.Config{})
 }
 
 // TestRangeEdges exercises degenerate bounds. (Randomized range
@@ -28,20 +28,20 @@ func TestRangeEdges(t *testing.T) {
 	for _, k := range []int64{-5, 0, 3, 7, 100} {
 		l.PutIfAbsent(th, k, 0)
 	}
-	if got := l.RangeCount(th, 10, 5); got != 0 {
+	if got := dstest.ScanCount(l, th, 10, 5); got != 0 {
 		t.Fatalf("inverted range counted %d", got)
 	}
-	if got := l.RangeCount(th, -1000, 1000); got != 5 {
+	if got := dstest.ScanCount(l, th, -1000, 1000); got != 5 {
 		t.Fatalf("covering range counted %d, want 5", got)
 	}
-	if got := l.RangeCount(th, 3, 3); got != 1 {
+	if got := dstest.ScanCount(l, th, 3, 3); got != 1 {
 		t.Fatalf("point range counted %d, want 1", got)
 	}
-	if got := l.RangeCount(th, 4, 6); got != 0 {
+	if got := dstest.ScanCount(l, th, 4, 6); got != 0 {
 		t.Fatalf("empty gap counted %d, want 0", got)
 	}
-	if buf := l.RangeCollect(th, 0, 7, nil); len(buf) != 3 || buf[0] != 0 || buf[1] != 3 || buf[2] != 7 {
-		t.Fatalf("RangeCollect(0,7) = %v", buf)
+	if buf := dstest.ScanKeys(l, th, 0, 7, nil); len(buf) != 3 || buf[0] != 0 || buf[1] != 3 || buf[2] != 7 {
+		t.Fatalf("scan(0,7) = %v", buf)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestTowerHeightsReasonable(t *testing.T) {
 	}
 	// A 4096-key skiplist with geometric heights has ~2048 towers of
 	// height >= 2; the range scan must still see every key.
-	if got := l.RangeCount(th, 0, 4095); got != 4096 {
-		t.Fatalf("RangeCount over all = %d, want 4096", got)
+	if got := dstest.ScanCount(l, th, 0, 4095); got != 4096 {
+		t.Fatalf("ScanCount over all = %d, want 4096", got)
 	}
 }
 

@@ -173,7 +173,7 @@ type Result struct {
 }
 
 // build instantiates the data structure named in cfg.
-func build(cfg Config, d *core.Domain) (ds.MemMap, error) {
+func build(cfg Config, d *core.Domain) (ds.Map, error) {
 	switch cfg.DS {
 	case DSHarrisMichaelList:
 		return hmlist.New(d), nil
@@ -317,7 +317,7 @@ func Run(cfg Config) (Result, error) {
 // allocations, so recording into them does not share lines across
 // workers.) In churn mode the loop additionally ends after
 // cfg.Churn.AfterOps operations so the trial can rotate the handle.
-func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator, id int, t *trial, c *tally) {
+func runWorker(cfg Config, m ds.Map, th *core.Thread, gen *workload.Generator, id int, t *trial, c *tally) {
 	scanner, _ := m.(ds.RangeScanner) // non-nil whenever mix.RangePct > 0
 	stop := &t.stop
 
@@ -331,6 +331,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		rangeKeys uint64
 		valueErrs uint64
 	)
+	count := func(int64, uint64) bool { rangeKeys++; return true }
 	for !stop.Load() && (quota == 0 || ops < quota) {
 		if staller && time.Now().After(nextStall) {
 			// Busy delay inside an operation: the thread pins its epoch /
@@ -362,7 +363,7 @@ func runWorker(cfg Config, m ds.MemMap, th *core.Thread, gen *workload.Generator
 		case workload.Delete:
 			m.Delete(th, key)
 		default: // workload.RangeQuery
-			rangeKeys += uint64(scanner.RangeCount(th, key, key+gen.RangeSpan()-1))
+			scanner.Scan(th, key, key+gen.RangeSpan()-1, count)
 		}
 		if hist != nil {
 			hist.Record(time.Since(start).Nanoseconds())

@@ -96,14 +96,15 @@
 // # Batched multi-get and multi-put
 //
 // GetBatch sorts the batch by (shard, hashed key) and answers each
-// shard's group in one protected operation via ds.BatchGetter (one
-// StartOp/EndOp per shard per batch instead of per key), falling back
-// to per-key Gets on backings without batch support. PutBatch is the
-// write-side mirror (ds.BatchPutter): the same counting sort, one
-// protected operation per shard group, one arena reservation pass per
-// group (arena.BytesCache.AllocBatch), and replaced values retired in
-// bulk on the group's member thread. A read-modify-write batch reuses
-// one Batch's scratch across the GetBatch → modify → PutBatch cycle.
+// shard's group in one protected operation it opens itself, running the
+// backing's ds.InOp lookup per key (one StartOp/EndOp per shard per
+// batch instead of per key); ll, dgt and abt have no in-op seam and
+// fall back to per-key Gets. PutBatch is the write-side mirror: the
+// same counting sort, one protected operation per shard group, one
+// arena reservation pass per group (arena.BytesCache.AllocBatch), and
+// replaced values retired in bulk on the group's member thread. A
+// read-modify-write batch reuses one Batch's scratch across the
+// GetBatch → modify → PutBatch cycle.
 // Sorted keys also give tree descents warm upper-level paths. See
 // store.getbatch_ns_per_key against store.get_ns in bench/, and
 // BenchmarkStorePutBatch.
@@ -111,10 +112,10 @@
 // # Scans
 //
 // On ordered backings (skl, abt) Scan walks a hashed-key window and
-// yields (hashed key, value copy) pairs, built on the validated
-// RangeCollectKV scans: each chunk of pairs is one protected scan
-// operation on the shard's member thread, and each value is resolved
-// through the same stale-detecting read path as Get.
+// yields (hashed key, value copy) pairs, built on the backing's
+// validated ds.RangeScanner: each chunk of at most scanChunk pairs is
+// one protected scan operation on the shard's member thread, and each
+// value is resolved through the same stale-detecting read path as Get.
 package store
 
 import (
@@ -259,10 +260,9 @@ func (c Config) withDefaults() (Config, error) {
 // are atomic (several threads serve one shard) but each shard's block
 // is padded, so shard i's stats never false-share with shard j's.
 type shard struct {
-	m        ds.MemMap
-	scanner  ds.RangeScanner // nil when the backing is unordered
-	batch    ds.BatchGetter  // nil when the backing has no multi-get
-	batchPut ds.BatchPutter  // nil when the backing has no multi-put
+	m       ds.Map
+	scanner ds.RangeScanner // nil when the backing is unordered
+	inOp    ds.InOp         // nil when batches fall back to per-key ops
 
 	gets       padded.Uint64 // single-key lookups (GetBatch keys included)
 	misses     padded.Uint64 // lookups that found no entry
@@ -295,8 +295,9 @@ type storeLocal struct {
 	tickets *arena.ThreadCache[vticket]
 
 	// scan scratch (owner-only)
-	keys []int64
-	vals []uint64
+	keys    []int64
+	vals    []uint64
+	collect func(key int64, val uint64) bool // appends; stops at scanChunk pairs
 }
 
 // Store is a sharded string-key KV store. All methods are safe for
@@ -364,7 +365,7 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		d := g.Member(i >> shift)
-		var m ds.MemMap
+		var m ds.Map
 		switch cfg.Backing {
 		case BackingSkipList:
 			m = skiplist.New(d)
@@ -381,8 +382,7 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		}
 		s.shards[i].m = m
 		s.shards[i].scanner, _ = m.(ds.RangeScanner)
-		s.shards[i].batch, _ = m.(ds.BatchGetter)
-		s.shards[i].batchPut, _ = m.(ds.BatchPutter)
+		s.shards[i].inOp, _ = m.(ds.InOp)
 	}
 	return s, nil
 }
@@ -418,6 +418,11 @@ func (s *Store) localFor(m int, t *core.Thread) *storeLocal {
 	tl := s.locals[m][t.ID()]
 	if tl == nil {
 		tl = &storeLocal{vc: s.vals.NewCache(), tickets: s.tickets.NewCache()}
+		tl.collect = func(k int64, v uint64) bool {
+			tl.keys = append(tl.keys, k)
+			tl.vals = append(tl.vals, v)
+			return len(tl.keys) < scanChunk
+		}
 		s.locals[m][t.ID()] = tl
 	}
 	return tl
@@ -612,11 +617,11 @@ func (s *Store) retireValue(t *core.Thread, m int, h arena.Handle) {
 // Scan visits the (hashed key, value) pairs with hashed key in
 // [lo, hi], shard by shard and ascending within each shard, until fn
 // returns false; it returns the number of pairs visited. Each chunk of
-// at most scanChunk pairs is one protected scan operation
-// (RangeCollectKV on the backing) on the shard's member thread, so a
-// store-wide scan is a sequence of member-local operations — the
-// membership invariant holds chunk by chunk — and the fan-out of any
-// reclaimer the scan provokes stays per-member. Each value resolves
+// at most scanChunk pairs is one protected scan operation (the
+// backing's Scan, stopped by the slot's collect) on the shard's member
+// thread, so a store-wide scan is a sequence of member-local operations
+// — the membership invariant holds chunk by chunk — and the fan-out of
+// any reclaimer the scan provokes stays per-member. Each value resolves
 // through the stale-detecting read path: a pair whose value was
 // reclaimed mid-scan is re-fetched from the map (it may have a newer
 // value by then) or skipped if deleted. The val slice passed to fn is
@@ -637,7 +642,8 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 		tl := s.localFor(m, t)
 		from := lo
 		for from <= hi {
-			tl.keys, tl.vals = sh.scanner.RangeCollectKV(t, from, hi, scanChunk, tl.keys, tl.vals)
+			tl.keys, tl.vals = tl.keys[:0], tl.vals[:0]
+			sh.scanner.Scan(t, from, hi, tl.collect)
 			for j, k := range tl.keys {
 				v, ok := s.readWord(tl.vals[j], vbuf)
 				for !ok {
@@ -741,7 +747,7 @@ func (b *Batch) groupByShard(n, shards int, mask uint64) {
 
 // GetBatch answers every keys[i] into b.Vals[i]/b.OK[i]. The batch is
 // sorted by (shard, hashed key) and each shard's group is answered in
-// one protected operation on batch-capable backings — the entry/exit
+// one protected operation on backings with the in-op seam — the entry/exit
 // amortization that makes a 64-key batch measurably cheaper than 64
 // Gets — with values resolved through the same stale-detecting path as
 // Get. Groups run sequentially on each shard's member thread, so the
@@ -778,9 +784,13 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 			b.ikeys[j] = ikeyOf(b.hks[idx])
 		}
 		sh.gets.Add(uint64(len(group)))
-		if sh.batch != nil {
+		if sh.inOp != nil {
 			// One protected operation for the whole group.
-			sh.batch.GetBatch(t, b.ikeys, b.gvals, b.gok)
+			t.StartOp()
+			for j, ik := range b.ikeys {
+				b.gvals[j], b.gok[j] = sh.inOp.GetInOp(t, ik)
+			}
+			t.EndOp()
 		} else {
 			for j, ik := range b.ikeys {
 				b.gvals[j], b.gok[j] = sh.m.Get(t, ik)
@@ -835,8 +845,8 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // encode into their map words and the rest are copied into the value
 // arena in one reservation pass (AllocBatch — the class free
 // lists are locked at most once per group instead of per refill); the
-// group's upserts run in one protected operation on batch-capable
-// backings (ds.BatchPutter); and the replaced handles retire in bulk
+// group's upserts run in one protected operation on backings with the
+// in-op seam (ds.InOp); and the replaced handles retire in bulk
 // on the shard's member thread. b.OK[i] reports whether keys[i]
 // replaced a previous value. A read-modify-write batch can reuse the
 // same Batch from the preceding GetBatch — payload slices passed in
@@ -903,9 +913,13 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 			}
 		}
 		sh.puts.Add(uint64(len(group)))
-		if sh.batchPut != nil {
+		if sh.inOp != nil {
 			// One protected operation for the whole group.
-			sh.batchPut.PutBatch(t, b.ikeys, b.gvals, b.golds, b.gok)
+			t.StartOp()
+			for j, ik := range b.ikeys {
+				b.golds[j], b.gok[j] = sh.inOp.PutInOp(t, ik, b.gvals[j])
+			}
+			t.EndOp()
 		} else {
 			for j, ik := range b.ikeys {
 				b.golds[j], b.gok[j] = sh.m.Put(t, ik, b.gvals[j])

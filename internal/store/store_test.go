@@ -612,6 +612,117 @@ func TestStoreScan(t *testing.T) {
 	}
 }
 
+// opSeq sums the OpSeq words of every slot in s's group, read through
+// its probes. Every protected operation bumps its thread's word by 2,
+// so in a one-slot group the delta across a call counts the call's
+// operations.
+func opSeq(s *Store) uint64 {
+	var sum uint64
+	for _, p := range s.Group().Probes(nil) {
+		sum += p.OpSeq
+	}
+	return sum
+}
+
+// TestStoreScanChunks pins Scan's chunking: a full scan of one shard
+// holding 1000 keys is one protected operation per scanChunk pairs, so
+// a large scan never becomes one enormous operation.
+func TestStoreScanChunks(t *testing.T) {
+	const keys = 1000
+	for _, backing := range []string{BackingSkipList, BackingABTree} {
+		t.Run(backing, func(t *testing.T) {
+			g := newGroup(core.EBR, 1, 1)
+			s, err := New(g, Config{Shards: 1, Backing: backing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := acquire(t, s)
+			var vbuf []byte
+			for i := int64(0); i < keys; i++ {
+				key := workload.KeyString(i)
+				vbuf = valFor(vbuf, key, uint32(i), 32)
+				s.Put(h, key, vbuf)
+			}
+			before := opSeq(s)
+			n := s.Scan(h, math.MinInt64+1, math.MaxInt64-1, func(int64, []byte) bool { return true })
+			if n != keys {
+				t.Fatalf("scan visited %d pairs, want %d", n, keys)
+			}
+			chunks := (keys + scanChunk - 1) / scanChunk
+			if d := opSeq(s) - before; d != uint64(2*chunks) {
+				t.Fatalf("scan of %d pairs moved OpSeq by %d, want %d (%d operations of <= %d pairs)",
+					keys, d, 2*chunks, chunks, scanChunk)
+			}
+			if st := s.Stats(); st.StaleReads != 0 {
+				t.Fatalf("%d stale reads in a single-threaded scan", st.StaleReads)
+			}
+			h.Flush()
+		})
+	}
+}
+
+// TestStoreBatchOneOpPerShard pins the batches' bracketing: on backings
+// with the in-op seam (ds.InOp) GetBatch and PutBatch run each shard
+// group in one protected operation; the others fall back to one
+// operation per key. Values are inline and nothing reclaims, so no
+// stale-read retry adds an operation.
+func TestStoreBatchOneOpPerShard(t *testing.T) {
+	const n = 64
+	for _, tc := range []struct {
+		backing  string
+		perShard bool
+	}{
+		{BackingSkipList, true}, {BackingHashTable, true}, {BackingHarrisMichaelList, true},
+		{BackingABTree, false}, {BackingLazyList, false}, {BackingExternalBST, false},
+	} {
+		t.Run(tc.backing, func(t *testing.T) {
+			g := core.NewDomainGroup(core.EpochPOP, 1, 1, &core.Options{ReclaimThreshold: 1 << 20})
+			s, err := New(g, Config{Shards: 4, Backing: tc.backing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := acquire(t, s)
+			s.Put(h, "warm", []byte("w")) // lease the member thread first
+			keys := make([]string, n)
+			vals := make([][]byte, n)
+			touched := make(map[int]bool)
+			for i := range keys {
+				keys[i] = workload.KeyString(int64(i))
+				vals[i] = []byte(fmt.Sprint(i)) // inline: <= InlineMaxLen
+				touched[s.ShardIndex(keys[i])] = true
+			}
+			want := uint64(2 * n)
+			if tc.perShard {
+				want = uint64(2 * len(touched))
+			}
+			var b Batch
+			for _, call := range []struct {
+				name string
+				run  func()
+			}{
+				{"PutBatch (insert)", func() { s.PutBatch(h, keys, vals, &b) }},
+				{"PutBatch (overwrite)", func() { s.PutBatch(h, keys, vals, &b) }},
+				{"GetBatch", func() { s.GetBatch(h, keys, &b) }},
+			} {
+				before := opSeq(s)
+				call.run()
+				if d := opSeq(s) - before; d != want {
+					t.Fatalf("%s of %d keys over %d shards moved OpSeq by %d, want %d", call.name, n, len(touched), d, want)
+				}
+			}
+			for i, ok := range b.OK {
+				if !ok || !bytes.Equal(b.Vals[i], vals[i]) {
+					t.Fatalf("GetBatch[%d] = %q, %v, want %q", i, b.Vals[i], ok, vals[i])
+				}
+			}
+			if st := s.Stats(); st.StaleReads != 0 {
+				t.Fatalf("%d stale reads with inline values", st.StaleReads)
+			}
+			h.Flush()
+		})
+	}
+}
+
 func TestStoreScanUnorderedPanics(t *testing.T) {
 	g := newGroup(core.NR, 1, 1)
 	s, err := New(g, Config{Backing: BackingHashTable})

@@ -30,7 +30,7 @@
 //	old, _ := kv.Put(t, 42, 2000)        // overwrite: old == 1000
 //	v, ok := kv.Get(t, 42)               // v == 2000
 //	removed, ok := kv.Delete(t, 42)      // removed == 2000
-//	n := kv.RangeCount(t, 0, 99)         // ordered scan
+//	kv.Scan(t, 0, 99, emit)              // ordered scan: emit(key, val) per pair
 //	t.Release()                          // slot becomes re-leasable
 //
 // # Thread lifecycle
@@ -194,22 +194,21 @@ type Map interface {
 }
 
 // OrderedMap is a Map over ordered keys that additionally supports
-// range scans (scans report keys — use Get for the values). Scans run
-// concurrently with updates: results are sorted and duplicate-free, and
-// every reported key was observed present at some point during the
-// scan. A scan is one long operation — the calling thread's reservations
-// stay live across every hop — so scan-heavy workloads are the strongest
-// read-path pressure a reclamation policy can face in this library. Two
-// structures implement it with opposite reservation shapes: the skiplist
-// (NewSkipListMap) pins one reservation per node hopped, the (a,b)-tree
-// (NewABTreeMap) pins whole leaves.
+// range scans. Scans run concurrently with updates: emitted keys ascend
+// strictly, and every emitted (key, value) pair was one the map held at
+// some point during the scan. A scan is one long operation — the
+// calling thread's reservations stay live across every hop — so
+// scan-heavy workloads are the strongest read-path pressure a
+// reclamation policy can face in this library. Two structures implement
+// it with opposite reservation shapes: the skiplist (NewSkipListMap)
+// pins one reservation per node hopped, the (a,b)-tree (NewABTreeMap)
+// pins whole leaves.
 type OrderedMap interface {
 	Map
-	// RangeCount counts the keys in [lo, hi].
-	RangeCount(t *Thread, lo, hi int64) int
-	// RangeCollect appends the keys in [lo, hi], ascending, to buf[:0]
-	// and returns the filled slice.
-	RangeCollect(t *Thread, lo, hi int64, buf []int64) []int64
+	// Scan calls emit for each (key, value) pair in [lo, hi], ascending,
+	// inside one protected operation, until emit returns false. emit
+	// runs inside the operation: it must not call into the map or block.
+	Scan(t *Thread, lo, hi int64, emit func(key int64, val uint64) bool)
 }
 
 // NewHarrisMichaelListMap creates a lock-free sorted linked-list map

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pop"
+	"pop/internal/ds/dstest"
 )
 
 // TestFacadeAllStructuresAllPolicies exercises the public API surface:
@@ -96,7 +97,7 @@ func TestRangeSetFacade(t *testing.T) {
 				}
 				var buf []int64
 				for i := 0; i < 50; i++ {
-					buf = kv.RangeCollect(scanTh, 100, 900, buf)
+					buf = dstest.ScanKeys(kv, scanTh, 100, 900, buf)
 					even := 0
 					for j, k := range buf {
 						if k < 100 || k > 900 || (j > 0 && buf[j-1] >= k) {
@@ -111,8 +112,8 @@ func TestRangeSetFacade(t *testing.T) {
 					}
 				}
 				wg.Wait()
-				if got, want := kv.RangeCount(scanTh, 0, 2000), kv.Size(scanTh); got != want {
-					t.Fatalf("quiescent RangeCount = %d, Size = %d", got, want)
+				if got, want := dstest.ScanCount(kv, scanTh, 0, 2000), kv.Size(scanTh); got != want {
+					t.Fatalf("quiescent ScanCount = %d, Size = %d", got, want)
 				}
 			})
 		}
