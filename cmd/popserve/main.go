@@ -3,8 +3,8 @@
 // delete, stats, quit, version) over the sharded POP-reclaimed KV
 // store. Connections are admission-controlled — at most -slots bursts
 // execute at once, the rest queue FIFO on the server's admission
-// semaphore for up to -timeout — and concurrent single-key gets
-// coalesce per shard into batched protected operations.
+// semaphore for up to -timeout — and a single-key get runs on its
+// shard's own handle, outside the admission budget.
 //
 // Examples:
 //
@@ -38,7 +38,6 @@ func main() {
 		shards   = flag.Int("shards", 8, "store shard count (power of two)")
 		groups   = flag.Int("groups", 1, "reclamation domain members the shards split across (power of two, <= shards)")
 		backing  = flag.String("backing", "skl", "per-shard structure (skl, hmht, hml, abt, ll, dgt)")
-		maxBatch = flag.Int("maxbatch", 64, "coalesced batch cap")
 		timeout  = flag.Duration("timeout", 10*time.Second, "admission-queue wait bound per burst")
 		maxValue = flag.Int("maxvalue", 0, "value size cap in bytes (0 = arena default)")
 		metrics  = flag.String("metrics", "", "telemetry HTTP address serving /metrics, /timeline and /debug/pprof (e.g. 127.0.0.1:9090; empty disables the endpoint)")
@@ -62,7 +61,6 @@ func main() {
 			Backing:     *backing,
 			MaxValueLen: *maxValue,
 		},
-		MaxBatch:       *maxBatch,
 		AcquireTimeout: *timeout,
 	}
 	if *smoke {
@@ -147,8 +145,6 @@ func shutdown(s *server.Server) error {
 	adm := s.AdmissionWait()
 	fmt.Printf("popserve: served %d gets (%d hits), %d sets, %d deletes over %d connections\n",
 		st.CmdGet, st.GetHits, st.CmdSet, st.CmdDelete, st.Accepted)
-	fmt.Printf("popserve: coalescing: %d gets in %d batches (widest %d)\n",
-		st.ExecutorGets, st.CoalescedBatches, st.CoalesceWidest)
 	fmt.Printf("popserve: admission: %d waits, %d timeouts, p99 wait %.1fµs\n",
 		st.AdmissionWaits, st.AdmissionTimeouts, adm.Quantile(0.99)/1e3)
 	if lc.Leased != 0 {

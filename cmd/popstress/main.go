@@ -11,9 +11,14 @@
 //   - served values pass their checksums;
 //   - under -store, the thread-slot lease ledger balances.
 //
-// A use-after-free in any scheme surfaces here as a double-free panic,
-// an arena sequence panic, or an invariant failure. Exit status 0 means
-// every trial passed.
+// No node pool poisons what it frees and nothing calls arena.Check, so
+// a use-after-free is caught only where it breaks something checked: a
+// served value failing its checksum (the chaos invariants under
+// -store; the store's stale-value storm, TestStoreStaleValueDetection,
+// does the same outside this driver), or a drain or counter invariant
+// that does not balance. A stale read on the key-only map matrix can go
+// unseen; ROADMAP item 12(a) is the oracle that would catch it. Exit
+// status 0 means every trial passed.
 //
 // Two modes:
 //

@@ -657,7 +657,7 @@ func pingFanoutFigure() Figure {
 
 // ServeMetrics is the serve-trial metric set popbench -serve prints:
 // throughput, client-observed get/set tails, the admission-queue wait
-// distribution, the coalescing counters, and the correctness columns
+// distribution, the queued-burst count, and the correctness columns
 // (checksum failures and leaked leases, both of which must be zero).
 func ServeMetrics() []Metric[harness.ServeResult] {
 	type R = harness.ServeResult
@@ -675,8 +675,6 @@ func ServeMetrics() []Metric[harness.ServeResult] {
 		LatencyMetric("admission wait p50 (µs)", admH, 0.50),
 		LatencyMetric("admission wait p99 (µs)", admH, 0.99),
 		{"admission waits (queued bursts)", func(r R) float64 { return float64(r.Server.AdmissionWaits) }},
-		{"coalesced gets", func(r R) float64 { return float64(r.Server.CoalescedGets) }},
-		{"coalesced batches", func(r R) float64 { return float64(r.Server.CoalescedBatches) }},
 		cm.ValueErrors,
 		{"leaked leases after shutdown", func(r R) float64 { return float64(r.Lifecycle.Leased) }},
 	}

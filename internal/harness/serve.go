@@ -4,7 +4,7 @@
 // admission slots. Where a store trial measures the KV layer in-process,
 // a serve trial measures the production shape end to end: protocol
 // framing, burst-scoped thread leases queueing for admission, and
-// cross-connection get coalescing, with client-observed latency tails
+// lone gets served on per-shard handles, with client-observed latency tails
 // per op class and the admission-queue wait distribution. Only the
 // measured phase crosses the wire: the prefill loads the server's store
 // in-process, the way every trial prefills, on handles leased from the
@@ -42,7 +42,7 @@ type ServeConfig struct {
 	Seed     uint64        // trial seed
 
 	// GetPct is the get share of the op mix (default 90); the rest are
-	// sets. Gets are single-key — the coalesced path; sets lease the
+	// sets. Gets are single-key — the shard-handle path; sets lease the
 	// connection's burst thread, so admission contention is real.
 	GetPct int
 
@@ -121,7 +121,7 @@ type ServeResult struct {
 	// per burst that needed a thread lease.
 	AdmWait *report.Histogram
 
-	Server server.Stats // serving-front counters (coalescing, admissions)
+	Server server.Stats // serving-front counters (shard-handle gets, admissions)
 	Chaos  chaos.Stats  // what the injectors did (zero when Chaos disabled)
 }
 

@@ -36,7 +36,7 @@ func TestRunServeClosedLoop(t *testing.T) {
 				t.Fatalf("no get hits against a prefilled store")
 			}
 			if res.Server.ExecutorGets == 0 {
-				t.Fatalf("gets bypassed the coalescing executors")
+				t.Fatalf("no gets were served on the shard handles")
 			}
 			if res.GetLat == nil || res.GetLat.Count() == 0 {
 				t.Fatalf("no get latencies recorded")

@@ -12,14 +12,11 @@
 //     being refused, and an idle connection holds no reclamation
 //     resources at all.
 //
-//   - Cross-connection get coalescing. Single-key gets are not executed
-//     on the connection's own thread: they are queued to the key's
-//     shard, and whichever connection takes the shard's combiner lock
-//     answers everything queued with one Store.GetBatch — one protected
-//     operation serving every client that contended for the shard, and
-//     an inline get when nobody did (coalesce.go). This is the batch
-//     amortization store.getbatch_ns_per_key (bench/) measures, harvested across
-//     connections instead of within one.
+//   - Shard handles. A single-key get takes no lease of the
+//     connection's own: it locks its shard's mutex and runs one
+//     Store.Get on the group handle the shard leased at start, outside
+//     the admission budget, so a read-heavy load never queues behind
+//     Slots. Multi-key gets, sets and deletes run on the burst's lease.
 //
 // This file is the protocol codec: request-line parsing and data-chunk
 // framing, kept free of net so it is table-testable and fuzzable.

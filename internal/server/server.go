@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pop/internal/core"
+	"pop/internal/padded"
 	"pop/internal/report"
 	"pop/internal/store"
 	"pop/internal/telemetry"
@@ -29,8 +30,8 @@ type Config struct {
 	// Slots is the connection-admission budget: how many bursts may
 	// hold a thread lease at once (default 8). Bursts beyond it queue,
 	// FIFO, for at most AcquireTimeout. The domain group is sized at
-	// Slots plus one dedicated slot per shard for the get coalescers,
-	// so get service never competes with admission.
+	// Slots plus one dedicated slot per shard handle, so a lone get
+	// never competes with admission.
 	Slots int
 	// Groups is the number of member reclamation domains the store's
 	// shards are partitioned into (default 1 = the classic single
@@ -41,9 +42,6 @@ type Config struct {
 	Groups int
 	// Store configures the sharded KV store underneath.
 	Store store.Config
-	// MaxBatch caps a coalesced batch — the keys one protected
-	// operation may answer (default 64).
-	MaxBatch int
 	// AcquireTimeout bounds one burst's wait in the admission queue
 	// (default 10s); a timed-out command answers SERVER_ERROR and the
 	// connection stays up.
@@ -64,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.Slots <= 0 {
 		c.Slots = 8
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.AcquireTimeout <= 0 {
 		c.AcquireTimeout = 10 * time.Second
 	}
@@ -76,10 +71,10 @@ func (c Config) withDefaults() Config {
 // Server is a memcached-text serving front over one Store. Create with
 // New, start with Start, stop with Close.
 type Server struct {
-	cfg  Config
-	g    *core.DomainGroup
-	st   *store.Store
-	coal []*coalescer
+	cfg    Config
+	g      *core.DomainGroup
+	st     *store.Store
+	shards []shard
 
 	ln      net.Listener
 	started time.Time
@@ -111,8 +106,23 @@ type Server struct {
 	protoErrs atomic.Uint64 // CLIENT_ERROR/ERROR responses
 }
 
-// New builds the domain group, the store, and one get coalescer per
-// shard. The coalescers' group-slot leases are taken here and held
+// shard is one store shard's lone-get path: a group handle leased in
+// New and released in Close, used by whichever connection goroutine
+// holds mu. The mutex is the happens-before edge that hands the
+// handle's owner-only state from one get to the next, and a get holds
+// it only across its Store.Get, so the handle is never mid-operation
+// at a hand-over. The handle takes no admission token: a lone get
+// never queues behind Slots, and the handles never show in
+// slots_inuse.
+type shard struct {
+	mu   sync.Mutex
+	h    *core.GroupHandle
+	gets atomic.Uint64          // lone gets served on h
+	_    [padded.CacheLine]byte // neighbouring shards' locks on other lines
+}
+
+// New builds the domain group, the store, and one get handle per
+// shard. The shard handles' group-slot leases are taken here and held
 // outside the admission budget.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -130,23 +140,23 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		g:     g,
-		st:    st,
-		coal:  make([]*coalescer, shards),
-		conns: make(map[uint64]*conn),
-		adm:   make(chan struct{}, cfg.Slots),
+		cfg:    cfg,
+		g:      g,
+		st:     st,
+		shards: make([]shard, shards),
+		conns:  make(map[uint64]*conn),
+		adm:    make(chan struct{}, cfg.Slots),
 	}
 	// One dedicated handle per shard, held until Close. Serving only its
 	// shard, a handle only ever leases that shard's member domain thread,
-	// so a coalescer never widens another member's ping fan-out.
-	for i := range s.coal {
+	// so a lone get never widens another member's ping fan-out.
+	for i := range s.shards {
 		h, err := g.Acquire()
 		if err != nil {
-			s.releaseCoalescers()
-			return nil, fmt.Errorf("server: coalescer lease: %w", err)
+			s.releaseShards()
+			return nil, fmt.Errorf("server: shard handle lease: %w", err)
 		}
-		s.coal[i] = &coalescer{st: st, h: h, maxBatch: cfg.MaxBatch}
+		s.shards[i].h = h
 	}
 	return s, nil
 }
@@ -224,9 +234,9 @@ func (s *Server) acceptLoop() {
 }
 
 // Close stops accepting, severs every connection, waits for the
-// connection goroutines to finish their in-flight command (a get
-// already queued to a coalescer is always answered: see combine), then
-// returns the coalescers' thread leases. After Close,
+// connection goroutines to finish their in-flight command (a get holds
+// its shard's mutex only across Store.Get, so it always finishes), then
+// returns the shard handles' thread leases. After Close,
 // Group().Lifecycle().Leased counts only leaks — a clean shutdown
 // leaves it at zero.
 func (s *Server) Close() error {
@@ -243,16 +253,16 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	s.releaseCoalescers()
+	s.releaseShards()
 	return err
 }
 
-// releaseCoalescers returns the shard handles. No combiner can be
-// running: connWG.Wait ordered every connection's last use before this.
-func (s *Server) releaseCoalescers() {
-	for _, c := range s.coal {
-		if c != nil {
-			s.g.Release(c.h)
+// releaseShards returns the shard handles. No get can be running:
+// connWG.Wait ordered every connection's last Unlock before this.
+func (s *Server) releaseShards() {
+	for i := range s.shards {
+		if h := s.shards[i].h; h != nil {
+			s.g.Release(h)
 		}
 	}
 }
@@ -274,10 +284,12 @@ type Stats struct {
 	GetHits   uint64
 	GetMisses uint64
 
-	CoalescedGets    uint64 // single-key gets served in a shared batch (>= 2 wide)
-	CoalescedBatches uint64 // batched protected ops issued by the coalescers
-	CoalesceWidest   uint64 // widest batch observed
-	ExecutorGets     uint64 // all gets served through the shard coalescers
+	ExecutorGets uint64 // single-key gets served on the shard handles
+
+	// Deprecated: always 0; nothing batches single-key gets any more.
+	// Kept only because bench/traced.go:188–189 still reads them; they
+	// go with those two rungs (ROADMAP item 1(a)).
+	CoalescedGets, CoalescedBatches uint64
 
 	AdmissionWaits    uint64 // bursts that queued for a slot
 	AdmissionTimeouts uint64 // bursts that gave up (SERVER_ERROR)
@@ -302,13 +314,8 @@ func (s *Server) Stats() Stats {
 		ProtocolErrors:    s.protoErrs.Load(),
 	}
 	st.GetMisses = st.GetKeys - st.GetHits
-	for _, c := range s.coal {
-		st.CoalescedGets += c.coalesced.Load()
-		st.CoalescedBatches += c.batches.Load()
-		st.ExecutorGets += c.gets.Load()
-		if w := c.maxSeen.Load(); w > st.CoalesceWidest {
-			st.CoalesceWidest = w
-		}
+	for i := range s.shards {
+		st.ExecutorGets += s.shards[i].gets.Load()
 	}
 	return st
 }
@@ -317,9 +324,9 @@ func (s *Server) Stats() Stats {
 // Connection handling
 // ---------------------------------------------------------------------
 
-// conn is one client connection: a goroutine, a codec, a result channel
-// for coalesced gets, and per-connection accounting (the per-tenant
-// groundwork: ops and bytes per connection, admission waits per burst).
+// conn is one client connection: a goroutine, a codec, reply scratch,
+// and per-connection accounting (the per-tenant groundwork: ops and
+// bytes per connection, admission waits per burst).
 type conn struct {
 	id  uint64
 	srv *Server
@@ -329,22 +336,21 @@ type conn struct {
 	in  *socketReader
 	out *countingWriter
 
-	cmd  Command
-	vbuf []byte // set/add payload scratch
-	gbuf []byte // coalesced-get value scratch
-	res  chan getResult
+	cmd   Command
+	vbuf  []byte      // set/add payload scratch
+	gbuf  []byte      // lone-get value scratch
+	batch store.Batch // multi-key get scratch
 
 	th *core.GroupHandle // held only inside a burst
 
 	// Counters read by stats from other goroutines.
-	ops       atomic.Uint64
-	gets      atomic.Uint64 // keys requested
-	hits      atomic.Uint64
-	sets      atomic.Uint64
-	deletes   atomic.Uint64
-	admWaits  atomic.Uint64 // bursts that acquired a thread
-	admNanos  atomic.Uint64 // total admission wait
-	coalesced atomic.Uint64 // single-key gets served via the coalescers
+	ops      atomic.Uint64
+	gets     atomic.Uint64 // keys requested
+	hits     atomic.Uint64
+	sets     atomic.Uint64
+	deletes  atomic.Uint64
+	admWaits atomic.Uint64 // bursts that acquired a thread
+	admNanos atomic.Uint64 // total admission wait
 }
 
 // socketReader is the codec's only way to the socket, and so the
@@ -386,7 +392,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 		nc:  nc,
 		w:   bufio.NewWriterSize(out, 16<<10),
 		out: out,
-		res: make(chan getResult, 1),
 	}
 	c.in = &socketReader{c: c}
 	c.cr = NewReader(c.in, s.st.MaxValueLen())
@@ -536,24 +541,22 @@ func (c *conn) dropThread() {
 	}
 }
 
-// doGet answers get/gets. Single-key gets go through the shard's
-// coalescer — no thread lease of the connection's own, and connections
-// contending for a shard share one protected operation. Multi-key gets
-// hold the burst's own lease and go through Store.GetBatch directly
-// (already one protected op per shard).
+// doGet answers get/gets. A single-key get runs on its shard's handle
+// under the shard's mutex — no thread lease of the connection's own, so
+// it never queues for admission. Multi-key gets hold the burst's own
+// lease and go through Store.GetBatch (one protected op per shard).
 func (c *conn) doGet(withCas bool) bool {
 	s := c.srv
 	keys := c.cmd.Keys
 	s.getKeys.Add(uint64(len(keys)))
 	c.gets.Add(uint64(len(keys)))
 	if len(keys) == 1 {
-		c.coalesced.Add(1)
-		r := s.coal[s.st.ShardIndex(keys[0])].get(keys[0], c.gbuf, c.res)
-		c.gbuf = r.val[:0]
-		if r.ok {
+		val, ok := s.get(keys[0], c.gbuf)
+		c.gbuf = val[:0]
+		if ok {
 			s.getHits.Add(1)
 			c.hits.Add(1)
-			if !c.writeValue(keys[0], r.val, withCas) {
+			if !c.writeValue(keys[0], val, withCas) {
 				return false
 			}
 		}
@@ -563,8 +566,8 @@ func (c *conn) doGet(withCas bool) bool {
 	if err != nil {
 		return c.reply("SERVER_ERROR " + err.Error() + crlf)
 	}
-	var b store.Batch
-	s.st.GetBatch(th, keys, &b)
+	b := &c.batch
+	s.st.GetBatch(th, keys, b)
 	for i, k := range keys {
 		if !b.OK[i] {
 			continue
@@ -576,6 +579,16 @@ func (c *conn) doGet(withCas bool) bool {
 		}
 	}
 	return c.reply("END" + crlf)
+}
+
+// get answers a single-key get on the key's shard handle, copying the
+// value into buf[:0] (Store.Get).
+func (s *Server) get(key string, buf []byte) ([]byte, bool) {
+	sh := &s.shards[s.st.ShardIndex(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.gets.Add(1)
+	return s.st.Get(sh.h, key, buf)
 }
 
 // writeValue emits one VALUE block. Flags are always 0 (accepted on
@@ -640,7 +653,7 @@ func (c *conn) reply(s string) bool {
 
 // doStats answers the stats command:
 //
-//	stats            global serving counters, coalescing, admission
+//	stats            global serving counters, shard-handle gets, admission
 //	                 tails, store + reclamation + lifecycle aggregates
 //	stats conns      per-connection op/byte/admission counters
 //	stats slots      per-slot lease counts (Lifecycle.SlotLeases)
@@ -675,9 +688,6 @@ func (c *conn) doStats(arg string) bool {
 		emit("get_hits", "%d", st.GetHits)
 		emit("get_misses", "%d", st.GetMisses)
 		emit("protocol_errors", "%d", st.ProtocolErrors)
-		emit("coalesced_gets", "%d", st.CoalescedGets)
-		emit("coalesced_batches", "%d", st.CoalescedBatches)
-		emit("coalesce_widest", "%d", st.CoalesceWidest)
 		emit("executor_gets", "%d", st.ExecutorGets)
 		emit("slots", "%d", s.cfg.Slots)
 		emit("slots_inuse", "%d", len(s.adm))
@@ -720,7 +730,6 @@ func (c *conn) doStats(arg string) bool {
 			emit(p+"get_hits", "%d", cc.hits.Load())
 			emit(p+"sets", "%d", cc.sets.Load())
 			emit(p+"deletes", "%d", cc.deletes.Load())
-			emit(p+"coalesced_gets", "%d", cc.coalesced.Load())
 			emit(p+"bytes_in", "%d", cc.in.n.Load())
 			emit(p+"bytes_out", "%d", cc.out.n.Load())
 			emit(p+"admissions", "%d", cc.admWaits.Load())

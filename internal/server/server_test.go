@@ -132,7 +132,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 
 // closeClean shuts the server down and asserts, through the shared
 // chaos invariant checker, that shutdown drained cleanly: a checker
-// thread adopts whatever the departing coalescers and connections
+// thread adopts whatever the departing shard handles and connections
 // donated, then the lease ledger and retire lists must balance.
 func closeClean(t *testing.T, s *Server) {
 	t.Helper()
@@ -249,13 +249,13 @@ func TestServerProtocolE2E(t *testing.T) {
 		t.Fatalf("version = %q", l)
 	}
 	st := c.stats("")
-	// The coalescers' handles are not admitted bursts, and the stats
+	// The shard handles are not admitted bursts, and the stats
 	// burst itself holds no lease.
 	if st["slots_inuse"] != "0" || st["admission_queue"] != "0" {
 		t.Errorf("idle server: slots_inuse = %s, admission_queue = %s, want 0, 0", st["slots_inuse"], st["admission_queue"])
 	}
 	for _, k := range []string{"cmd_get", "cmd_set", "get_hits", "slots",
-		"admission_wait_p99_us", "coalesced_batches", "lifecycle_leased", "policy"} {
+		"admission_wait_p99_us", "executor_gets", "lifecycle_leased", "policy"} {
 		if _, ok := st[k]; !ok {
 			t.Errorf("stats missing %q", k)
 		}
@@ -332,17 +332,17 @@ func TestServerAdmissionStorm(t *testing.T) {
 				t.Errorf("AdmissionTimeouts = %d, want 0", st.AdmissionTimeouts)
 			}
 			if st.ExecutorGets == 0 {
-				t.Errorf("no gets flowed through the coalescers")
+				t.Errorf("no gets flowed through the shard handles")
 			}
 			sc := dialServer(t, s)
 			if peak, _ := strconv.Atoi(sc.stats("")["slots_peak"]); peak > slots {
 				t.Errorf("slots_peak = %d, want <= Slots %d", peak, slots)
 			}
 			sc.close()
-			// Only the per-shard coalescers still hold group slots once
-			// every client burst has released its lease.
+			// Only the shard handles still hold group slots once every
+			// client burst has released its lease.
 			if got, want := s.Group().InUse(), 2; got != want {
-				t.Errorf("InUse = %d after clients done, want %d (the coalescers)", got, want)
+				t.Errorf("InUse = %d after clients done, want %d (the shard handles)", got, want)
 			}
 			closeClean(t, s)
 			// Slot leases must account for every burst admission.
@@ -483,79 +483,22 @@ func TestServerPartialCommandReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestServerCoalescedGets pins the cross-connection coalescing claim
-// without a clock: gets that queue while the shard's combiner lock is
-// held are answered, by whoever takes the lock next, with one GetBatch.
-func TestServerCoalescedGets(t *testing.T) {
+// TestShardHandleStorm storms one shard's handle with lone gets. In the
+// lockstep rounds every goroutine issues exactly one get and the round
+// ends only when all are answered; the free-running leg keeps the shard
+// mutex contended. Under -race it is the check that the mutex orders
+// every use of the shard handle.
+func TestShardHandleStorm(t *testing.T) {
 	s := startServer(t, Config{
 		Policy: core.EpochPOP,
 		Slots:  2,
 		Store:  store.Config{Shards: 1, MaxValueLen: 64},
 	})
-	defer closeClean(t, s)
-
 	seed := dialServer(t, s)
 	seed.set("hotkey", "hot")
 	seed.close()
 
-	const gets = 8
-	c := s.coal[0]
-	c.mu.Lock() // the test is the combiner the gets arrive behind
-	var wg sync.WaitGroup
-	for i := 0; i < gets; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if r := c.get("hotkey", nil, make(chan getResult, 1)); !r.ok || string(r.val) != "hot" {
-				t.Errorf("get hotkey = %q, %v", r.val, r.ok)
-			}
-		}()
-	}
-	for c.queued() < gets {
-		runtime.Gosched()
-	}
-	before := s.Stats()
-	c.mu.Unlock()
-	c.combine() // a departing combiner's re-check
-	wg.Wait()
-
-	st := s.Stats()
-	if got := st.CoalescedBatches - before.CoalescedBatches; got != 1 {
-		t.Errorf("%d queued gets took %d batches, want 1", gets, got)
-	}
-	if got := st.CoalescedGets - before.CoalescedGets; got != gets {
-		t.Errorf("CoalescedGets advanced by %d, want %d", got, gets)
-	}
-	if st.CoalesceWidest != gets {
-		t.Errorf("CoalesceWidest = %d, want %d", st.CoalesceWidest, gets)
-	}
-}
-
-// TestCoalescerNoLostWakeup storms one shard's combiner. In the lockstep
-// rounds every goroutine issues exactly one get and the round ends only
-// when all are answered, so a get stranded behind a departing combiner
-// has no later arrival to rescue it and hangs the round; the
-// free-running leg is the same hand-over under sustained contention
-// (and, under -race, the check that the mutex really orders every use
-// of the shard handle).
-func TestCoalescerNoLostWakeup(t *testing.T) {
-	s := startServer(t, Config{
-		Policy:   core.EpochPOP,
-		Slots:    2,
-		MaxBatch: 8, // below the widest round: a pass takes several batches
-		Store:    store.Config{Shards: 1, MaxValueLen: 64},
-	})
-	seed := dialServer(t, s)
-	seed.set("hotkey", "hot")
-	seed.close()
-
-	c := s.coal[0]
 	var answered atomic.Uint64
-	get := func(out chan getResult) {
-		if r := c.get("hotkey", nil, out); r.ok && string(r.val) == "hot" {
-			answered.Add(1)
-		}
-	}
 	var want uint64
 	done := make(chan struct{})
 	go func() {
@@ -570,9 +513,13 @@ func TestCoalescerNoLostWakeup(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						out := make(chan getResult, 1)
+						var buf []byte
 						for i := 0; i < leg.each; i++ {
-							get(out)
+							val, ok := s.get("hotkey", buf)
+							if ok && string(val) == "hot" {
+								answered.Add(1)
+							}
+							buf = val[:0]
 						}
 					}()
 				}
@@ -583,23 +530,58 @@ func TestCoalescerNoLostWakeup(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Minute):
-		t.Fatalf("storm hung with %d gets answered and %d queued: a get was stranded", answered.Load(), c.queued())
+		t.Fatalf("storm hung with %d gets answered", answered.Load())
 	}
 	if got := answered.Load(); got != want {
 		t.Errorf("%d of %d gets answered with the value", got, want)
 	}
-	if st := s.Stats(); st.ExecutorGets < want || st.CoalesceWidest > 8 {
-		t.Errorf("ExecutorGets = %d (want >= %d), CoalesceWidest = %d (want <= MaxBatch 8)", st.ExecutorGets, want, st.CoalesceWidest)
+	if st := s.Stats(); st.ExecutorGets != want {
+		t.Errorf("ExecutorGets = %d, want %d", st.ExecutorGets, want)
 	}
 	if got := s.Group().InUse(); got != 1 {
-		t.Errorf("InUse = %d after the storm, want 1 (the shard's coalescer)", got)
+		t.Errorf("InUse = %d after the storm, want 1 (the shard handle)", got)
+	}
+	closeClean(t, s)
+}
+
+// TestServerLoneGetBypassesAdmission pins the shard handles' admission
+// bypass: with every admission token taken, a lone get still answers
+// from its shard's handle, while a set and a multi-key get, which need
+// the burst's own lease, time out in the admission queue.
+func TestServerLoneGetBypassesAdmission(t *testing.T) {
+	s := startServer(t, Config{
+		Policy:         core.EpochPOP,
+		Slots:          2,
+		AcquireTimeout: 50 * time.Millisecond,
+		Store:          store.Config{Shards: 2, MaxValueLen: 64},
+	})
+	c := dialServer(t, s)
+	defer c.close()
+	c.set("k0", "zero")
+	c.set("k1", "one")
+	for i := 0; i < cap(s.adm); i++ {
+		s.adm <- struct{}{}
+	}
+	if got := c.get("k0"); got["k0"] != "zero" {
+		t.Errorf("lone get with every token taken = %q, want zero", got)
+	}
+	c.send("set k2 0 0 3\r\ntwo\r\n")
+	if l := c.line(); l != "SERVER_ERROR admission queue timeout" {
+		t.Errorf("set with every token taken = %q", l)
+	}
+	c.send("get k0 k1\r\n")
+	if l := c.line(); l != "SERVER_ERROR admission queue timeout" {
+		t.Errorf("two-key get with every token taken = %q", l)
+	}
+	for i := 0; i < cap(s.adm); i++ {
+		<-s.adm
 	}
 	closeClean(t, s)
 }
 
 // TestServerCloseWithGetsInFlight closes the server under a get storm:
 // every connection goroutine must finish its in-flight get and exit,
-// and the coalescers' leases must come back (closeClean's ledger).
+// and the shard handles' leases must come back (closeClean's ledger).
 func TestServerCloseWithGetsInFlight(t *testing.T) {
 	s := startServer(t, Config{
 		Policy: core.EpochPOP,

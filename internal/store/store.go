@@ -434,8 +434,8 @@ func (s *Store) localFor(m int, t *core.Thread) *storeLocal {
 func KeyHash(key string) int64 { return ikeyOf(hash64(key)) }
 
 // ShardIndex returns the shard key routes to — the partition a serving
-// layer's per-shard machinery (e.g. the server's per-shard get
-// combiner) must queue it on.
+// layer's per-shard machinery (e.g. the server's per-shard get handle)
+// must serve it on.
 func (s *Store) ShardIndex(key string) int { return int(hash64(key) & s.mask) }
 
 // MaxValueLen returns the store's configured payload cap.
