@@ -149,7 +149,7 @@ func main() {
 		sampleDur  = flag.Duration("sample", 0, "store sweep: record an interval-sampled telemetry timeline per cell at this resolution and print it after the tables (0 = off); with -json the samples embed in each record")
 
 		storeMode = flag.Bool("store", false, "store sweep: the sharded string-key KV front across shards × policies × batch sizes")
-		backing   = flag.String("backing", "skl", "store backing structure (skl, hmht, hml, abt, ll, dgt)")
+		backing   = flag.String("backing", "skl", "store backing structure (skl, abt, hmht)")
 		valSize   = flag.String("valsize", "", "store sweep payload-size distribution: fixed:N, uniform:MIN,MAX or mixed:PCT,SMALL,LARGE (PCT%% of puts are SMALL bytes, the rest LARGE); sizes <= 7 take the store's inline-value path")
 		shardsCSV = flag.String("shards", "8", "store sweep: comma-separated shard counts")
 		batchCSV  = flag.String("batch", "16", "store sweep: comma-separated multi-get/multi-put batch sizes")
@@ -578,7 +578,7 @@ func (o storeSweepOpts) run() error {
 	case o.ycsb != "" && mix.ScanPct > 0:
 		// A scanning YCSB workload on an unordered backing would not be
 		// that workload anymore; scan traces are rejected by the harness.
-		return fmt.Errorf("YCSB %s scans but backing %q is unordered (pick skl, abt, hml, ll or dgt)", o.ycsb, o.cfg.Backing)
+		return fmt.Errorf("YCSB %s scans but backing %q is unordered (pick skl or abt)", o.ycsb, o.cfg.Backing)
 	default:
 		// Unordered backings cannot scan: fold the scan share into gets.
 		mix.GetPct += mix.ScanPct

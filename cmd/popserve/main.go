@@ -4,7 +4,9 @@
 // store. Connections are admission-controlled — at most -slots bursts
 // execute at once, the rest queue FIFO on the server's admission
 // semaphore for up to -timeout — and a single-key get runs on its
-// shard's own handle, outside the admission budget.
+// shard's own handle, outside the admission budget. -backing picks the
+// per-shard structure: skl (the lock-free skiplist, the default), abt
+// (the (a,b)-tree) or hmht (the hash table).
 //
 // Examples:
 //
@@ -37,7 +39,7 @@ func main() {
 		slots    = flag.Int("slots", 8, "admission slots: connection bursts executing at once")
 		shards   = flag.Int("shards", 8, "store shard count (power of two)")
 		groups   = flag.Int("groups", 1, "reclamation domain members the shards split across (power of two, <= shards)")
-		backing  = flag.String("backing", "skl", "per-shard structure (skl, hmht, hml, abt, ll, dgt)")
+		backing  = flag.String("backing", "skl", "per-shard structure (skl, abt, hmht)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "admission-queue wait bound per burst")
 		maxValue = flag.Int("maxvalue", 0, "value size cap in bytes (0 = arena default)")
 		metrics  = flag.String("metrics", "", "telemetry HTTP address serving /metrics, /timeline and /debug/pprof (e.g. 127.0.0.1:9090; empty disables the endpoint)")

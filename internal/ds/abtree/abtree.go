@@ -238,6 +238,12 @@ func (tr *Tree) search(t *core.Thread, key int64) (pos, bool) {
 func (tr *Tree) Get(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
+	return tr.GetInOp(t, key)
+}
+
+// GetInOp is Get inside an operation the caller already opened (the
+// ds.InOp contract); an NBR neutralization re-descends for this key only.
+func (tr *Tree) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 	for {
 		ps, ok := tr.search(t, key)
 		if !ok {
@@ -280,23 +286,33 @@ func (tr *Tree) newInternal(t *core.Thread, cache *arena.ThreadCache[node], keys
 
 // PutIfAbsent maps key to val only if key is absent.
 func (tr *Tree) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {
+	t.StartOp()
+	defer t.EndOp()
 	ok, _, _ := tr.put(t, key, val, false)
 	return ok
 }
 
 // Put maps key to val, overwriting; returns the previous value.
 func (tr *Tree) Put(t *core.Thread, key int64, val uint64) (uint64, bool) {
+	t.StartOp()
+	defer t.EndOp()
+	return tr.PutInOp(t, key, val)
+}
+
+// PutInOp is Put inside an operation the caller already opened (the
+// ds.InOp contract). Its NBR write phases open and close inside that
+// operation, and a neutralization retries this key only.
+func (tr *Tree) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := tr.put(t, key, val, true)
 	return old, replaced
 }
 
-// put is the shared insert/overwrite path. An overwrite copies the leaf
-// with one value slot changed and retires the original (see the package
-// comment); the old value is read from the immutable old leaf.
+// put is the shared insert/overwrite body, run inside the caller's
+// operation. An overwrite copies the leaf with one value slot changed
+// and retires the original (see the package comment); the old value is
+// read from the immutable old leaf.
 func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inserted bool, old uint64, replaced bool) {
 	checkKey(key)
-	t.StartOp()
-	defer t.EndOp()
 	cache := tr.cacheFor(t)
 	for {
 		ps, ok := tr.search(t, key)
@@ -335,30 +351,20 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 func (tr *Tree) overwriteCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, i int, val uint64) bool {
 	nl := tr.newLeaf(t, cache, ps.l.keys[:ps.l.nkeys], ps.l.vals[:ps.l.nkeys])
 	nl.vals[i] = val
-	if !t.EnterWritePhase() {
-		cache.Put(nl)
-		return false
-	}
-	cell := &ps.p.kids[ps.p.route(key)]
-	ps.p.mu.Lock()
-	if (ps.p != tr.entry && ps.p.dead.Load()) || cell.Load() != unsafe.Pointer(ps.l) {
-		ps.p.mu.Unlock()
-		t.ExitWritePhase()
-		cache.Put(nl)
-		return false
-	}
-	cell.Store(unsafe.Pointer(nl))
-	ps.l.dead.Store(true)
-	ps.p.mu.Unlock()
-	t.Retire(&ps.l.Header)
-	t.ExitWritePhase()
-	return true
+	return tr.swapLeaf(t, cache, ps, key, nl)
 }
 
 // insertCoW replaces the leaf with a copy containing key (no split).
 func (tr *Tree) insertCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, val uint64) bool {
 	mk, mv := mergeKV(ps.l, key, val)
-	nl := tr.newLeaf(t, cache, mk, mv)
+	return tr.swapLeaf(t, cache, ps, key, tr.newLeaf(t, cache, mk, mv))
+}
+
+// swapLeaf swings the unpublished leaf nl into ps.l's place under the
+// parent's lock, with the edge and the parent's liveness validated, and
+// retires ps.l. On a failed validation or an NBR neutralization nl goes
+// back to the cache unpublished and the caller re-descends.
+func (tr *Tree) swapLeaf(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, nl *node) bool {
 	if !t.EnterWritePhase() {
 		cache.Put(nl)
 		return false
@@ -598,25 +604,7 @@ func (tr *Tree) deleteCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos
 			vals = append(vals, ps.l.vals[i])
 		}
 	}
-	nl := tr.newLeaf(t, cache, remaining, vals)
-	if !t.EnterWritePhase() {
-		cache.Put(nl)
-		return false
-	}
-	cell := &ps.p.kids[ps.p.route(key)]
-	ps.p.mu.Lock()
-	if (ps.p != tr.entry && ps.p.dead.Load()) || cell.Load() != unsafe.Pointer(ps.l) {
-		ps.p.mu.Unlock()
-		t.ExitWritePhase()
-		cache.Put(nl)
-		return false
-	}
-	cell.Store(unsafe.Pointer(nl))
-	ps.l.dead.Store(true)
-	ps.p.mu.Unlock()
-	t.Retire(&ps.l.Header)
-	t.ExitWritePhase()
-	return true
+	return tr.swapLeaf(t, cache, ps, key, tr.newLeaf(t, cache, remaining, vals))
 }
 
 // deleteExcise removes a singleton leaf and its separator from the

@@ -105,7 +105,9 @@ type RangeScanner interface {
 // run inside an operation the caller already opened with StartOp: many
 // keys then share one protected operation (one StartOp/EndOp, one
 // reservation epoch) instead of paying the entry/exit protocol per key.
-// The store's GetBatch and PutBatch bracket each shard group this way.
+// The store's GetBatch and PutBatch bracket each shard group this way,
+// so every store backing implements it (hmlist, hashtable, skiplist and
+// abtree do).
 type InOp interface {
 	// GetInOp is Get without the StartOp/EndOp bracket.
 	GetInOp(t *core.Thread, key int64) (uint64, bool)

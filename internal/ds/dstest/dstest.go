@@ -24,7 +24,9 @@
 //   - for structures implementing ds.InOp, many lookups inside one
 //     caller-opened operation checked against per-key Gets: quiescent
 //     exactness (hits, misses, duplicates) and per-thread owned-stripe
-//     validation under concurrent churn;
+//     validation under concurrent churn, where each round's puts are
+//     also one caller-opened operation whose returned old values are
+//     checked against the reference;
 //   - for structures implementing ds.RangeScanner, range-query
 //     validation against a mutex-guarded reference model: exact
 //     equivalence sequentially and over per-thread key stripes under
@@ -1007,9 +1009,12 @@ func rangeChurnInvariants(t *testing.T, f Factory, p core.Policy, cfg Config) {
 // one operation the test opens must agree with per-key Gets. The
 // sequential half checks exact equivalence on a quiescent map (hits,
 // misses, duplicate keys, unsorted order). The concurrent half gives
-// each thread an owned stripe it puts and batch-gets — owned keys have
-// deterministic values even while the other stripes churn, so every
-// batch slot is validated exactly.
+// each thread an owned stripe it mutates and batch-gets — owned keys
+// have deterministic values even while the other stripes churn, so
+// every batch slot is validated exactly. Each round's owned-key puts
+// are one PutInOp batch inside one operation (several write phases in
+// one operation under NBR), and every returned old value and replaced
+// flag is checked against the reference.
 func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 	d := newDomain(p, cfg.Threads)
 	m := f(d)
@@ -1063,18 +1068,36 @@ func mapBatchGet(t *testing.T, f Factory, p core.Policy, cfg Config) {
 			keys := make([]int64, batch)
 			vals := make([]uint64, batch)
 			present := make([]bool, batch)
+			var pkeys []int64
+			var pvals []uint64
 			for n := 0; n < cfg.ConcOps/batch+1; n++ {
-				// Mutate a few owned keys.
+				// Delete a few owned keys one by one, then put a few more
+				// as one in-op batch, in order (duplicates included); the
+				// returned old values land in vals/present.
+				pkeys, pvals = pkeys[:0], pvals[:0]
 				for j := 0; j < 8; j++ {
 					k := base + r.Intn(stripe)
 					if r.Intn(4) == 0 {
 						m.Delete(th, k)
 						delete(ref, k)
 					} else {
-						v := uint64(id)<<32 | uint64(n)<<8 | uint64(j)
-						m.Put(th, k, v)
-						ref[k] = v
+						pkeys = append(pkeys, k)
+						pvals = append(pvals, uint64(id)<<32|uint64(n)<<8|uint64(j))
 					}
+				}
+				th.StartOp()
+				for j, k := range pkeys {
+					vals[j], present[j] = io.PutInOp(th, k, pvals[j])
+				}
+				th.EndOp()
+				for j, k := range pkeys {
+					wv, wok := ref[k]
+					if present[j] != wok || (wok && vals[j] != wv) {
+						errs <- fmt.Errorf("thread %d: put batch[%d] key %d returned (%d, %v), ref = (%d, %v)",
+							id, j, k, vals[j], present[j], wv, wok)
+						return
+					}
+					ref[k] = pvals[j]
 				}
 				for j := range keys {
 					keys[j] = base + r.Intn(stripe)

@@ -98,9 +98,9 @@
 // GetBatch sorts the batch by (shard, hashed key) and answers each
 // shard's group in one protected operation it opens itself, running the
 // backing's ds.InOp lookup per key (one StartOp/EndOp per shard per
-// batch instead of per key); ll, dgt and abt have no in-op seam and
-// fall back to per-key Gets. PutBatch is the write-side mirror: the
-// same counting sort, one protected operation per shard group, one
+// batch instead of per key); every backing has the in-op seam, so there
+// is one batch path. PutBatch is the write-side mirror: the same
+// counting sort, one protected operation per shard group, one
 // arena reservation pass per group (arena.BytesCache.AllocBatch), and
 // replaced values retired in bulk on the group's member thread. A
 // read-modify-write batch reuses one Batch's scratch across the
@@ -127,23 +127,28 @@ import (
 	"pop/internal/core"
 	"pop/internal/ds"
 	"pop/internal/ds/abtree"
-	"pop/internal/ds/extbst"
 	"pop/internal/ds/hashtable"
-	"pop/internal/ds/hmlist"
-	"pop/internal/ds/lazylist"
 	"pop/internal/ds/skiplist"
 	"pop/internal/padded"
 )
 
 // Backing names accepted by Config.Backing (the harness's DS names).
+// The other ds structures serve the paper's figures only: the two lists
+// cost time linear in a shard's population, and the external BST has
+// no Scan and is slower than the hash table.
 const (
-	BackingSkipList          = "skl"  // lock-free skiplist: ordered, batch-capable (default)
-	BackingHashTable         = "hmht" // hash table: shortest lookups, batch-capable
-	BackingHarrisMichaelList = "hml"  // Harris-Michael list: batch-capable
-	BackingABTree            = "abt"  // (a,b)-tree: ordered
-	BackingLazyList          = "ll"   // lazy list
-	BackingExternalBST       = "dgt"  // external BST
+	BackingSkipList  = "skl"  // lock-free skiplist: ordered (default)
+	BackingABTree    = "abt"  // (a,b)-tree: ordered, the fastest ordered backing
+	BackingHashTable = "hmht" // hash table: unordered, the fastest backing
 )
+
+// backing is what a shard's structure must be: a map whose lookup and
+// upsert bodies also run inside an operation the store opened, so a
+// batch is one protected operation per shard group.
+type backing interface {
+	ds.Map
+	ds.InOp
+}
 
 // scanChunk bounds the pairs one protected scan operation collects, so
 // a large Scan is many medium operations instead of one enormous one.
@@ -248,8 +253,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.MaxValueLen = arena.MaxValueLen
 	}
 	switch c.Backing {
-	case BackingSkipList, BackingHashTable, BackingHarrisMichaelList,
-		BackingABTree, BackingLazyList, BackingExternalBST:
+	case BackingSkipList, BackingABTree, BackingHashTable:
 	default:
 		return c, fmt.Errorf("store: unknown backing %q", c.Backing)
 	}
@@ -260,9 +264,8 @@ func (c Config) withDefaults() (Config, error) {
 // are atomic (several threads serve one shard) but each shard's block
 // is padded, so shard i's stats never false-share with shard j's.
 type shard struct {
-	m       ds.Map
+	m       backing
 	scanner ds.RangeScanner // nil when the backing is unordered
-	inOp    ds.InOp         // nil when batches fall back to per-key ops
 
 	gets       padded.Uint64 // single-key lookups (GetBatch keys included)
 	misses     padded.Uint64 // lookups that found no entry
@@ -365,24 +368,17 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		d := g.Member(i >> shift)
-		var m ds.Map
+		var m backing
 		switch cfg.Backing {
 		case BackingSkipList:
 			m = skiplist.New(d)
-		case BackingHashTable:
-			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 6)
-		case BackingHarrisMichaelList:
-			m = hmlist.New(d)
 		case BackingABTree:
 			m = abtree.New(d)
-		case BackingLazyList:
-			m = lazylist.New(d)
-		case BackingExternalBST:
-			m = extbst.New(d)
+		case BackingHashTable:
+			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 6)
 		}
 		s.shards[i].m = m
 		s.shards[i].scanner, _ = m.(ds.RangeScanner)
-		s.shards[i].inOp, _ = m.(ds.InOp)
 	}
 	return s, nil
 }
@@ -747,10 +743,9 @@ func (b *Batch) groupByShard(n, shards int, mask uint64) {
 
 // GetBatch answers every keys[i] into b.Vals[i]/b.OK[i]. The batch is
 // sorted by (shard, hashed key) and each shard's group is answered in
-// one protected operation on backings with the in-op seam — the entry/exit
-// amortization that makes a 64-key batch measurably cheaper than 64
-// Gets — with values resolved through the same stale-detecting path as
-// Get. Groups run sequentially on each shard's member thread, so the
+// one protected operation — the entry/exit amortization that makes a
+// 64-key batch measurably cheaper than 64 Gets — with values resolved
+// through the same stale-detecting path as Get. Groups run sequentially on each shard's member thread, so the
 // handle is mid-operation in at most one member at a time. Results are
 // positional: input order is preserved.
 func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
@@ -784,18 +779,12 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 			b.ikeys[j] = ikeyOf(b.hks[idx])
 		}
 		sh.gets.Add(uint64(len(group)))
-		if sh.inOp != nil {
-			// One protected operation for the whole group.
-			t.StartOp()
-			for j, ik := range b.ikeys {
-				b.gvals[j], b.gok[j] = sh.inOp.GetInOp(t, ik)
-			}
-			t.EndOp()
-		} else {
-			for j, ik := range b.ikeys {
-				b.gvals[j], b.gok[j] = sh.m.Get(t, ik)
-			}
+		// One protected operation for the whole group.
+		t.StartOp()
+		for j, ik := range b.ikeys {
+			b.gvals[j], b.gok[j] = sh.m.GetInOp(t, ik)
 		}
+		t.EndOp()
 		// Resolve values. The buffer may grow (and move) while we append,
 		// so record offsets now and slice at the end.
 		for j, idx := range group {
@@ -845,9 +834,8 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // encode into their map words and the rest are copied into the value
 // arena in one reservation pass (AllocBatch — the class free
 // lists are locked at most once per group instead of per refill); the
-// group's upserts run in one protected operation on backings with the
-// in-op seam (ds.InOp); and the replaced handles retire in bulk
-// on the shard's member thread. b.OK[i] reports whether keys[i]
+// group's upserts run in one protected operation (ds.InOp); and the
+// replaced handles retire in bulk on the shard's member thread. b.OK[i] reports whether keys[i]
 // replaced a previous value. A read-modify-write batch can reuse the
 // same Batch from the preceding GetBatch — payload slices passed in
 // vals may even alias b.Vals, because every payload is copied into the
@@ -913,18 +901,12 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 			}
 		}
 		sh.puts.Add(uint64(len(group)))
-		if sh.inOp != nil {
-			// One protected operation for the whole group.
-			t.StartOp()
-			for j, ik := range b.ikeys {
-				b.golds[j], b.gok[j] = sh.inOp.PutInOp(t, ik, b.gvals[j])
-			}
-			t.EndOp()
-		} else {
-			for j, ik := range b.ikeys {
-				b.golds[j], b.gok[j] = sh.m.Put(t, ik, b.gvals[j])
-			}
+		// One protected operation for the whole group.
+		t.StartOp()
+		for j, ik := range b.ikeys {
+			b.golds[j], b.gok[j] = sh.m.PutInOp(t, ik, b.gvals[j])
 		}
+		t.EndOp()
 		for j, idx := range group {
 			b.OK[idx] = b.gok[j]
 			if b.gok[j] {

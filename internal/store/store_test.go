@@ -39,8 +39,7 @@ func valFor(buf []byte, key string, tag uint32, size int) []byte {
 }
 
 func TestStoreSequential(t *testing.T) {
-	for _, backing := range []string{BackingSkipList, BackingHashTable, BackingABTree,
-		BackingHarrisMichaelList, BackingLazyList, BackingExternalBST} {
+	for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
 		t.Run(backing, func(t *testing.T) {
 			g := newGroup(core.EpochPOP, 2, 1)
 			s, err := New(g, Config{Shards: 4, Backing: backing})
@@ -316,17 +315,16 @@ func TestStoreBatchVsLoop(t *testing.T) {
 
 // TestStorePutBatchVsLoop checks PutBatch's equivalence with per-key
 // Puts: positional replaced-flags, values readable afterwards, replaced
-// values retired (value-slot accounting stays exact), batch-capable and
-// fallback backings, and Batch reuse across a GetBatch → modify →
-// PutBatch read-modify-write cycle.
+// values retired (value-slot accounting stays exact), on every backing,
+// and Batch reuse across a GetBatch → modify → PutBatch
+// read-modify-write cycle.
 func TestStorePutBatchVsLoop(t *testing.T) {
 	const (
 		keys  = 256
 		batch = 64
 	)
 	for _, p := range []core.Policy{core.EBR, core.HP, core.EpochPOP} {
-		for _, backing := range []string{BackingSkipList, BackingHashTable,
-			BackingHarrisMichaelList, BackingABTree} {
+		for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
 			t.Run(fmt.Sprintf("%v/%s", p, backing), func(t *testing.T) {
 				g := newGroup(p, 4, 2)
 				s, err := New(g, Config{Shards: 8, Backing: backing})
@@ -661,23 +659,16 @@ func TestStoreScanChunks(t *testing.T) {
 	}
 }
 
-// TestStoreBatchOneOpPerShard pins the batches' bracketing: on backings
-// with the in-op seam (ds.InOp) GetBatch and PutBatch run each shard
-// group in one protected operation; the others fall back to one
-// operation per key. Values are inline and nothing reclaims, so no
+// TestStoreBatchOneOpPerShard pins the batches' bracketing: on every
+// backing GetBatch and PutBatch run each shard group in one protected
+// operation (ds.InOp). Values are inline and nothing reclaims, so no
 // stale-read retry adds an operation.
 func TestStoreBatchOneOpPerShard(t *testing.T) {
 	const n = 64
-	for _, tc := range []struct {
-		backing  string
-		perShard bool
-	}{
-		{BackingSkipList, true}, {BackingHashTable, true}, {BackingHarrisMichaelList, true},
-		{BackingABTree, false}, {BackingLazyList, false}, {BackingExternalBST, false},
-	} {
-		t.Run(tc.backing, func(t *testing.T) {
+	for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
+		t.Run(backing, func(t *testing.T) {
 			g := core.NewDomainGroup(core.EpochPOP, 1, 1, &core.Options{ReclaimThreshold: 1 << 20})
-			s, err := New(g, Config{Shards: 4, Backing: tc.backing})
+			s, err := New(g, Config{Shards: 4, Backing: backing})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -691,10 +682,7 @@ func TestStoreBatchOneOpPerShard(t *testing.T) {
 				vals[i] = []byte(fmt.Sprint(i)) // inline: <= InlineMaxLen
 				touched[s.ShardIndex(keys[i])] = true
 			}
-			want := uint64(2 * n)
-			if tc.perShard {
-				want = uint64(2 * len(touched))
-			}
+			want := uint64(2 * len(touched))
 			var b Batch
 			for _, call := range []struct {
 				name string
@@ -740,8 +728,10 @@ func TestStoreScanUnorderedPanics(t *testing.T) {
 
 func TestStoreConfigValidation(t *testing.T) {
 	g := newGroup(core.NR, 1, 1)
-	if _, err := New(g, Config{Backing: "btree"}); err == nil {
-		t.Fatal("unknown backing accepted")
+	for _, backing := range []string{"btree", "hml", "ll", "dgt"} {
+		if _, err := New(g, Config{Backing: backing}); err == nil {
+			t.Fatalf("unknown backing %q accepted", backing)
+		}
 	}
 	s, err := New(core.NewDomainGroup(core.NR, 1, 1, nil), Config{Shards: 5})
 	if err != nil {
