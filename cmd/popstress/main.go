@@ -11,8 +11,10 @@
 //   - served values pass their checksums;
 //   - under -store, the thread-slot lease ledger balances.
 //
-// No node pool poisons what it frees and nothing calls arena.Check, so
-// a use-after-free is caught only where it breaks something checked: a
+// No node pool poisons what it frees (core.NewNodes, their one
+// constructor, passes no poison function) and nothing calls
+// arena.Check, so a use-after-free is caught only where it breaks
+// something checked: a
 // served value failing its checksum (the chaos invariants under
 // -store; the store's stale-value storm, TestStoreStaleValueDetection,
 // does the same outside this driver), or a drain or counter invariant

@@ -11,9 +11,9 @@
 // bumped on each free (Seq, Check), and NewPool takes an optional poison
 // function applied on free, so a stale reader could be caught
 // deterministically where C++ would segfault non-deterministically. No
-// structure wires either in: every node pool is built with
-// NewPool(nil, nil), and Check has no caller outside this package's
-// tests. What catches a stale read today sits above the arena: the value
+// structure wires either in: every data-structure node pool is built by
+// the one constructor core.NewNodes, which calls NewPool(nil, nil), and
+// Check has no caller outside this package's tests. What catches a stale read today sits above the arena: the value
 // checksums the harness verifies on every read, the dstest invariants
 // and reference-model checks, and core's seeded tape
 // (differential_test.go), which poisons the nodes it frees itself.
@@ -81,9 +81,9 @@ type Stats struct {
 
 // Pool is a type-stable allocator for nodes of type T.
 //
-// Get and Put are safe for concurrent use by threads that were registered
-// with ThreadCache handles; the zero-handle (nil) path falls back to the
-// shared list and is safe but slower.
+// Allocation goes through ThreadCache handles, one per thread, and is
+// safe for concurrent use that way. Pool.Get is the handle-less path: it
+// draws straight from the shared list, safe but slower (a lock per call).
 type Pool[T any] struct {
 	mu     sync.Mutex
 	free   []*Slot[T] // global overflow free list
@@ -151,6 +151,25 @@ func (c *ThreadCache[T]) Get() *T {
 	c.p.allocs.Add(1)
 	if c.p.reset != nil {
 		c.p.reset(&s.V)
+	}
+	return &s.V
+}
+
+// Get allocates one node without a thread cache, straight from the
+// shared list, so no batch moves into a cache that may never be used
+// again. Any ThreadCache of the pool may Put it.
+func (p *Pool[T]) Get() *T {
+	p.mu.Lock()
+	if len(p.free) == 0 {
+		p.grow()
+	}
+	s := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	p.mu.Unlock()
+	s.Seq++ // even -> odd: now allocated
+	p.allocs.Add(1)
+	if p.reset != nil {
+		p.reset(&s.V)
 	}
 	return &s.V
 }

@@ -67,7 +67,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"pop/internal/arena"
 	"pop/internal/core"
 )
 
@@ -119,10 +118,7 @@ func (n *node) findKey(key int64) (int, bool) {
 
 // Tree is a concurrent (a,b)-tree set.
 type Tree struct {
-	d     *core.Domain
-	typ   uint8
-	pool  *arena.Pool[node]
-	cache []*arena.ThreadCache[node]
+	nodes *core.Nodes[node]
 	// entry is a permanent pseudo-internal node with zero separators and
 	// a single child cell holding the real root. It is never dead, which
 	// uniformizes every structural operation: the root's parent always
@@ -133,41 +129,22 @@ type Tree struct {
 // New creates an empty tree in domain d.
 func New(d *core.Domain) *Tree {
 	tr := &Tree{
-		d:     d,
-		pool:  arena.NewPool[node](nil, nil),
-		cache: make([]*arena.ThreadCache[node], d.MaxThreads()),
+		nodes: core.NewNodes(d, func(_ *core.Thread, n *node) { n.dead.Store(false) }),
+		entry: &node{},
 	}
-	tr.typ = d.RegisterType(func(t *core.Thread, h *core.Header) {
-		n := (*node)(unsafe.Pointer(h))
-		n.dead.Store(false)
-		tr.cacheFor(t).Put(n)
-	})
-	tr.entry = &node{}
 	// The initial root leaf is pool-managed (unlike the permanent entry)
 	// because the first insert will copy-on-write and retire it. No
-	// thread exists yet, so it is stamped directly: BirthEra 0 predates
-	// every possible reservation, which is safe (conservative).
-	c := tr.pool.NewCache()
-	root := c.Get()
+	// thread exists yet, so it is a thread-less draw.
+	root := tr.nodes.AllocDetached()
 	root.leaf = true
 	root.nkeys = 0
 	root.dead.Store(false)
-	root.Header.Type = tr.typ
 	tr.entry.kids[0].Raw(unsafe.Pointer(root))
 	return tr
 }
 
 // Outstanding reports pool-level live+retired nodes (memory metric).
-func (tr *Tree) Outstanding() int64 { return tr.pool.Outstanding() }
-
-func (tr *Tree) cacheFor(t *core.Thread) *arena.ThreadCache[node] {
-	c := tr.cache[t.ID()]
-	if c == nil {
-		c = tr.pool.NewCache()
-		tr.cache[t.ID()] = c
-	}
-	return c
-}
+func (tr *Tree) Outstanding() int64 { return tr.nodes.Outstanding() }
 
 // pos is a completed descent: l is the leaf; p its parent; gp its
 // grandparent (entry when shallow). All protected in rotating slots.
@@ -258,21 +235,20 @@ func (tr *Tree) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 }
 
 // newLeaf builds an unpublished leaf from parallel key/value slices.
-func (tr *Tree) newLeaf(t *core.Thread, cache *arena.ThreadCache[node], keys []int64, vals []uint64) *node {
-	n := cache.Get()
+func (tr *Tree) newLeaf(t *core.Thread, keys []int64, vals []uint64) *node {
+	n := tr.nodes.Alloc(t)
 	n.leaf = true
 	n.dead.Store(false)
 	n.nkeys = len(keys)
 	copy(n.keys[:], keys)
 	copy(n.vals[:], vals)
-	t.OnAlloc(&n.Header, tr.typ)
 	return n
 }
 
 // newInternal builds an unpublished internal node; kids are raw child
 // pointers.
-func (tr *Tree) newInternal(t *core.Thread, cache *arena.ThreadCache[node], keys []int64, kids []unsafe.Pointer) *node {
-	n := cache.Get()
+func (tr *Tree) newInternal(t *core.Thread, keys []int64, kids []unsafe.Pointer) *node {
+	n := tr.nodes.Alloc(t)
 	n.leaf = false
 	n.dead.Store(false)
 	n.nkeys = len(keys)
@@ -280,7 +256,6 @@ func (tr *Tree) newInternal(t *core.Thread, cache *arena.ThreadCache[node], keys
 	for i, k := range kids {
 		n.kids[i].Raw(k)
 	}
-	t.OnAlloc(&n.Header, tr.typ)
 	return n
 }
 
@@ -313,7 +288,6 @@ func (tr *Tree) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
 // read from the immutable old leaf.
 func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inserted bool, old uint64, replaced bool) {
 	checkKey(key)
-	cache := tr.cacheFor(t)
 	for {
 		ps, ok := tr.search(t, key)
 		if !ok {
@@ -326,18 +300,18 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 			if !overwrite {
 				return false, old, true
 			}
-			if tr.overwriteCoW(t, cache, ps, key, i, val) {
+			if tr.overwriteCoW(t, ps, key, i, val) {
 				return false, old, true
 			}
 			continue
 		}
 		if ps.l.nkeys < B {
-			if tr.insertCoW(t, cache, ps, key, val) {
+			if tr.insertCoW(t, ps, key, val) {
 				return true, 0, false
 			}
 			continue
 		}
-		done, ok2 := tr.insertSplit(t, cache, ps, key, val)
+		done, ok2 := tr.insertSplit(t, ps, key, val)
 		if !ok2 {
 			continue // neutralized during write phase entry
 		}
@@ -348,25 +322,25 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 }
 
 // overwriteCoW replaces the leaf with a copy whose i-th value is val.
-func (tr *Tree) overwriteCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, i int, val uint64) bool {
-	nl := tr.newLeaf(t, cache, ps.l.keys[:ps.l.nkeys], ps.l.vals[:ps.l.nkeys])
+func (tr *Tree) overwriteCoW(t *core.Thread, ps pos, key int64, i int, val uint64) bool {
+	nl := tr.newLeaf(t, ps.l.keys[:ps.l.nkeys], ps.l.vals[:ps.l.nkeys])
 	nl.vals[i] = val
-	return tr.swapLeaf(t, cache, ps, key, nl)
+	return tr.swapLeaf(t, ps, key, nl)
 }
 
 // insertCoW replaces the leaf with a copy containing key (no split).
-func (tr *Tree) insertCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, val uint64) bool {
+func (tr *Tree) insertCoW(t *core.Thread, ps pos, key int64, val uint64) bool {
 	mk, mv := mergeKV(ps.l, key, val)
-	return tr.swapLeaf(t, cache, ps, key, tr.newLeaf(t, cache, mk, mv))
+	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, mk, mv))
 }
 
 // swapLeaf swings the unpublished leaf nl into ps.l's place under the
 // parent's lock, with the edge and the parent's liveness validated, and
 // retires ps.l. On a failed validation or an NBR neutralization nl goes
 // back to the cache unpublished and the caller re-descends.
-func (tr *Tree) swapLeaf(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, nl *node) bool {
+func (tr *Tree) swapLeaf(t *core.Thread, ps pos, key int64, nl *node) bool {
 	if !t.EnterWritePhase() {
-		cache.Put(nl)
+		tr.nodes.Unused(t, nl)
 		return false
 	}
 	cell := &ps.p.kids[ps.p.route(key)]
@@ -374,7 +348,7 @@ func (tr *Tree) swapLeaf(t *core.Thread, cache *arena.ThreadCache[node], ps pos,
 	if (ps.p != tr.entry && ps.p.dead.Load()) || cell.Load() != unsafe.Pointer(ps.l) {
 		ps.p.mu.Unlock()
 		t.ExitWritePhase()
-		cache.Put(nl)
+		tr.nodes.Unused(t, nl)
 		return false
 	}
 	cell.Store(unsafe.Pointer(nl))
@@ -388,15 +362,15 @@ func (tr *Tree) swapLeaf(t *core.Thread, cache *arena.ThreadCache[node], ps pos,
 // insertSplit splits a full leaf into two and adds the separator to the
 // parent (rebuilt copy-on-write), or grows a new root when the parent is
 // the entry. Returns (done, !neutralized).
-func (tr *Tree) insertSplit(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64, val uint64) (bool, bool) {
+func (tr *Tree) insertSplit(t *core.Thread, ps pos, key int64, val uint64) (bool, bool) {
 	mk, mv := mergeKV(ps.l, key, val)
 	h := len(mk) / 2
-	l1 := tr.newLeaf(t, cache, mk[:h], mv[:h])
-	l2 := tr.newLeaf(t, cache, mk[h:], mv[h:])
+	l1 := tr.newLeaf(t, mk[:h], mv[:h])
+	l2 := tr.newLeaf(t, mk[h:], mv[h:])
 	sep := mk[h]
 	giveUp := func() {
-		cache.Put(l1)
-		cache.Put(l2)
+		tr.nodes.Unused(t, l1)
+		tr.nodes.Unused(t, l2)
 	}
 	if !t.EnterWritePhase() {
 		giveUp()
@@ -404,14 +378,14 @@ func (tr *Tree) insertSplit(t *core.Thread, cache *arena.ThreadCache[node], ps p
 	}
 	if ps.p == tr.entry {
 		// Root leaf split: new root internal above the two halves.
-		newRoot := tr.newInternal(t, cache, []int64{sep},
+		newRoot := tr.newInternal(t, []int64{sep},
 			[]unsafe.Pointer{unsafe.Pointer(l1), unsafe.Pointer(l2)})
 		cell := &tr.entry.kids[0]
 		tr.entry.mu.Lock()
 		if cell.Load() != unsafe.Pointer(ps.l) {
 			tr.entry.mu.Unlock()
 			t.ExitWritePhase()
-			cache.Put(newRoot)
+			tr.nodes.Unused(t, newRoot)
 			giveUp()
 			return false, true
 		}
@@ -456,7 +430,7 @@ func (tr *Tree) insertSplit(t *core.Thread, cache *arena.ThreadCache[node], ps p
 	if idx == ps.p.nkeys {
 		keys = append(keys, sep)
 	}
-	np := tr.newInternal(t, cache, keys, kids)
+	np := tr.newInternal(t, keys, kids)
 	gpCell.Store(unsafe.Pointer(np))
 	ps.p.dead.Store(true)
 	ps.l.dead.Store(true)
@@ -472,7 +446,6 @@ func (tr *Tree) insertSplit(t *core.Thread, cache *arena.ThreadCache[node], ps p
 // parent (or growing a new root). gp/p/cur are protected by the caller.
 // Returns false only when neutralized.
 func (tr *Tree) repairSplit(t *core.Thread, gp, p, cur *node) bool {
-	cache := tr.cacheFor(t)
 	if !t.EnterWritePhase() {
 		return false
 	}
@@ -507,13 +480,13 @@ func (tr *Tree) repairSplit(t *core.Thread, gp, p, cur *node) bool {
 	for i := 0; i < n; i++ {
 		kidsAll[i] = cur.kids[i].Load()
 	}
-	c1 := tr.newInternal(t, cache, append([]int64(nil), cur.keys[:h-1]...), kidsAll[:h])
-	c2 := tr.newInternal(t, cache, append([]int64(nil), cur.keys[h:cur.nkeys]...), kidsAll[h:])
+	c1 := tr.newInternal(t, append([]int64(nil), cur.keys[:h-1]...), kidsAll[:h])
+	c2 := tr.newInternal(t, append([]int64(nil), cur.keys[h:cur.nkeys]...), kidsAll[h:])
 	sep := cur.keys[h-1]
 
 	if p == tr.entry {
 		// cur is the root: grow a new root.
-		newRoot := tr.newInternal(t, cache, []int64{sep},
+		newRoot := tr.newInternal(t, []int64{sep},
 			[]unsafe.Pointer{unsafe.Pointer(c1), unsafe.Pointer(c2)})
 		pCell.Store(unsafe.Pointer(newRoot))
 		cur.dead.Store(true)
@@ -544,7 +517,7 @@ func (tr *Tree) repairSplit(t *core.Thread, gp, p, cur *node) bool {
 	if idx == p.nkeys {
 		keys = append(keys, sep)
 	}
-	np := tr.newInternal(t, cache, keys, kids)
+	np := tr.newInternal(t, keys, kids)
 	gpCell.Store(unsafe.Pointer(np))
 	p.dead.Store(true)
 	cur.dead.Store(true)
@@ -564,7 +537,6 @@ func (tr *Tree) Delete(t *core.Thread, key int64) (uint64, bool) {
 	checkKey(key)
 	t.StartOp()
 	defer t.EndOp()
-	cache := tr.cacheFor(t)
 	for {
 		ps, ok := tr.search(t, key)
 		if !ok {
@@ -579,12 +551,12 @@ func (tr *Tree) Delete(t *core.Thread, key int64) (uint64, bool) {
 		old := ps.l.vals[i]
 		if ps.l.nkeys > 1 || ps.p == tr.entry {
 			// CoW the leaf without it (the root leaf may become empty).
-			if tr.deleteCoW(t, cache, ps, key) {
+			if tr.deleteCoW(t, ps, key) {
 				return old, true
 			}
 			continue
 		}
-		done, ok2 := tr.deleteExcise(t, cache, ps, key)
+		done, ok2 := tr.deleteExcise(t, ps, key)
 		if !ok2 {
 			continue
 		}
@@ -595,7 +567,7 @@ func (tr *Tree) Delete(t *core.Thread, key int64) (uint64, bool) {
 }
 
 // deleteCoW replaces the leaf with a copy lacking key.
-func (tr *Tree) deleteCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64) bool {
+func (tr *Tree) deleteCoW(t *core.Thread, ps pos, key int64) bool {
 	remaining := make([]int64, 0, ps.l.nkeys-1)
 	vals := make([]uint64, 0, ps.l.nkeys-1)
 	for i := 0; i < ps.l.nkeys; i++ {
@@ -604,12 +576,12 @@ func (tr *Tree) deleteCoW(t *core.Thread, cache *arena.ThreadCache[node], ps pos
 			vals = append(vals, ps.l.vals[i])
 		}
 	}
-	return tr.swapLeaf(t, cache, ps, key, tr.newLeaf(t, cache, remaining, vals))
+	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, remaining, vals))
 }
 
 // deleteExcise removes a singleton leaf and its separator from the
 // parent, collapsing the parent if it would be left with one child.
-func (tr *Tree) deleteExcise(t *core.Thread, cache *arena.ThreadCache[node], ps pos, key int64) (bool, bool) {
+func (tr *Tree) deleteExcise(t *core.Thread, ps pos, key int64) (bool, bool) {
 	if !t.EnterWritePhase() {
 		return false, false
 	}
@@ -656,7 +628,7 @@ func (tr *Tree) deleteExcise(t *core.Thread, cache *arena.ThreadCache[node], ps 
 			keys = append(keys, ps.p.keys[i])
 		}
 	}
-	np := tr.newInternal(t, cache, keys, kids)
+	np := tr.newInternal(t, keys, kids)
 	gpCell.Store(unsafe.Pointer(np))
 	ps.p.dead.Store(true)
 	ps.l.dead.Store(true)

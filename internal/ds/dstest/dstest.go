@@ -37,10 +37,11 @@
 //
 // A use-after-free is caught here only when it changes what an operation
 // returns: a failed invariant, a mismatch against the reference model,
-// or a broken overwrite chain. Node pools are built without a poison
-// function (arena.NewPool(nil, nil)) and nothing calls arena.Check, so a
-// stale read that still returns the right answer passes; core's seeded
-// tape (differential_test.go) is the check that poisons freed nodes.
+// or a broken overwrite chain. Node pools have no poison function
+// (core.NewNodes, their one constructor, passes none to the arena) and
+// nothing calls arena.Check, so a stale read that still returns the
+// right answer passes; core's seeded tape (differential_test.go) is the
+// check that poisons freed nodes.
 package dstest
 
 import (

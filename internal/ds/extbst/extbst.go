@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"pop/internal/arena"
 	"pop/internal/core"
 )
 
@@ -52,10 +51,7 @@ type node struct {
 
 // Tree is an external BST set.
 type Tree struct {
-	d     *core.Domain
-	typ   uint8
-	pool  *arena.Pool[node]
-	cache []*arena.ThreadCache[node]
+	nodes *core.Nodes[node]
 	// rootHolder is a permanent pseudo-router whose left child is the
 	// real tree (initially the permanent sentinel leaf). It is never
 	// locked for deletion and never dies, so every real parent has a
@@ -66,16 +62,7 @@ type Tree struct {
 
 // New creates an empty tree in domain d.
 func New(d *core.Domain) *Tree {
-	tr := &Tree{
-		d:     d,
-		pool:  arena.NewPool[node](nil, nil),
-		cache: make([]*arena.ThreadCache[node], d.MaxThreads()),
-	}
-	tr.typ = d.RegisterType(func(t *core.Thread, h *core.Header) {
-		n := (*node)(unsafe.Pointer(h))
-		n.dead.Store(false)
-		tr.cacheFor(t).Put(n)
-	})
+	tr := &Tree{nodes: core.NewNodes(d, func(_ *core.Thread, n *node) { n.dead.Store(false) })}
 	tr.sentinel = &node{key: math.MaxInt64, isLeaf: true}
 	tr.rootHolder = &node{key: math.MaxInt64}
 	tr.rootHolder.left.Raw(unsafe.Pointer(tr.sentinel))
@@ -84,16 +71,7 @@ func New(d *core.Domain) *Tree {
 }
 
 // Outstanding reports pool-level live+retired nodes (memory metric).
-func (tr *Tree) Outstanding() int64 { return tr.pool.Outstanding() }
-
-func (tr *Tree) cacheFor(t *core.Thread) *arena.ThreadCache[node] {
-	c := tr.cache[t.ID()]
-	if c == nil {
-		c = tr.pool.NewCache()
-		tr.cache[t.ID()] = c
-	}
-	return c
-}
+func (tr *Tree) Outstanding() int64 { return tr.nodes.Outstanding() }
 
 // childCell returns the link of p followed for key.
 func childCell(p *node, key int64) *core.Atomic {
@@ -180,7 +158,6 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 	checkKey(key)
 	t.StartOp()
 	defer t.EndOp()
-	cache := tr.cacheFor(t)
 	var newLeaf, router *node
 	for {
 		ps, ok := tr.search(t, key)
@@ -190,8 +167,8 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 		if ps.l.key == key {
 			if !overwrite {
 				if newLeaf != nil {
-					cache.Put(newLeaf)
-					cache.Put(router)
+					tr.nodes.Unused(t, newLeaf)
+					tr.nodes.Unused(t, router)
 				}
 				return false, ps.l.val.Load(), true
 			}
@@ -210,21 +187,19 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 			ps.p.mu.Unlock()
 			t.ExitWritePhase()
 			if newLeaf != nil {
-				cache.Put(newLeaf)
-				cache.Put(router)
+				tr.nodes.Unused(t, newLeaf)
+				tr.nodes.Unused(t, router)
 			}
 			return false, old, true
 		}
 		if newLeaf == nil {
-			newLeaf = cache.Get()
+			newLeaf = tr.nodes.Alloc(t)
 			newLeaf.isLeaf = true
 			newLeaf.key = key
 			newLeaf.dead.Store(false)
-			t.OnAlloc(&newLeaf.Header, tr.typ)
-			router = cache.Get()
+			router = tr.nodes.Alloc(t)
 			router.isLeaf = false
 			router.dead.Store(false)
-			t.OnAlloc(&router.Header, tr.typ)
 		}
 		newLeaf.val.Store(val)
 		// Order the two leaves under the router: left < router.key ≤ right.

@@ -89,7 +89,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"pop/internal/arena"
 	"pop/internal/core"
 )
 
@@ -131,10 +130,7 @@ func (n *Node) Key() int64 { return n.key }
 // same domain can share — the hash table creates one Shared and thousands
 // of bucket Lists.
 type Shared struct {
-	d      *core.Domain
-	typ    uint8
-	pool   *arena.Pool[Node]
-	caches []*arena.ThreadCache[Node] // indexed by thread id, owner-only
+	nodes *core.Nodes[Node]
 	// Retire-handoff balance counters (see Handoffs).
 	deferred atomic.Int64
 	adopted  atomic.Int64
@@ -142,19 +138,11 @@ type Shared struct {
 
 // NewShared creates the node pool for lists in domain d.
 func NewShared(d *core.Domain) *Shared {
-	s := &Shared{
-		d:      d,
-		pool:   arena.NewPool[Node](nil, nil),
-		caches: make([]*arena.ThreadCache[Node], d.MaxThreads()),
-	}
-	s.typ = d.RegisterType(func(t *core.Thread, h *core.Header) {
-		s.cacheFor(t).Put((*Node)(unsafe.Pointer(h)))
-	})
-	return s
+	return &Shared{nodes: core.NewNodes[Node](d, nil)}
 }
 
 // Outstanding reports pool-level live+retired nodes (memory metric).
-func (s *Shared) Outstanding() int64 { return s.pool.Outstanding() }
+func (s *Shared) Outstanding() int64 { return s.nodes.Outstanding() }
 
 // Handoffs reports the retire-handoff balance: deferred counts unlink
 // winners that found LINKING set and handed the retire to the inserter;
@@ -163,17 +151,6 @@ func (s *Shared) Outstanding() int64 { return s.pool.Outstanding() }
 // every deferred retire was adopted by exactly one inserter.
 func (s *Shared) Handoffs() (deferred, adopted int64) {
 	return s.deferred.Load(), s.adopted.Load()
-}
-
-// cacheFor returns t's allocation cache, creating it on first use. The
-// slot is only ever touched by t's goroutine.
-func (s *Shared) cacheFor(t *core.Thread) *arena.ThreadCache[Node] {
-	c := s.caches[t.ID()]
-	if c == nil {
-		c = s.pool.NewCache()
-		s.caches[t.ID()] = c
-	}
-	return c
 }
 
 // List is a Harris-Michael sorted-list map.
@@ -499,7 +476,6 @@ type PutOutcome struct {
 // retries internally and always returns valid=true.
 func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bool, start *Node, sStart int) (out PutOutcome, valid bool) {
 	checkKey(key)
-	cache := l.s.cacheFor(t)
 	var n *Node
 	for {
 		pos, ok, val2 := l.find(t, key, start, sStart)
@@ -512,7 +488,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 		if pos.curr != l.tail && pos.curr.key == key {
 			if !overwrite {
 				if n != nil {
-					cache.Put(n)
+					l.s.nodes.Unused(t, n)
 				}
 				return PutOutcome{Old: pos.curr.val, Replaced: true}, true
 			}
@@ -520,7 +496,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 			// the replacement behind it, so the key is never absent.
 			victim := pos.curr // protected in pos.sCurr
 			if n == nil {
-				n = l.alloc(t, cache, key, val)
+				n = l.alloc(t, key, val)
 			}
 			n.next.Raw(unsafe.Pointer(pos.next))
 			// Snapshot the replaced value before the CAS: the victim is
@@ -553,7 +529,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 			return PutOutcome{Old: old, Replaced: true, New: n}, true
 		}
 		if n == nil {
-			n = l.alloc(t, cache, key, val)
+			n = l.alloc(t, key, val)
 		}
 		n.next.Raw(unsafe.Pointer(pos.curr))
 		if !t.EnterWritePhase() {
@@ -574,15 +550,15 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 fail:
 	if n != nil {
 		// Never published: return straight to the pool.
-		cache.Put(n)
+		l.s.nodes.Unused(t, n)
 	}
 	return PutOutcome{}, false
 }
 
 // alloc draws and initialises an unpublished node. The state word is
 // always re-stored: a recycled node carries its previous life's bits.
-func (l *List) alloc(t *core.Thread, cache *arena.ThreadCache[Node], key int64, val uint64) *Node {
-	n := cache.Get()
+func (l *List) alloc(t *core.Thread, key int64, val uint64) *Node {
+	n := l.s.nodes.Alloc(t)
 	n.key = key
 	n.val = val
 	st := uint32(0)
@@ -590,7 +566,6 @@ func (l *List) alloc(t *core.Thread, cache *arena.ThreadCache[Node], key int64, 
 		st = stateLinking
 	}
 	n.state.Store(st)
-	t.OnAlloc(&n.Header, l.s.typ)
 	return n
 }
 

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"pop/internal/arena"
 	"pop/internal/core"
 )
 
@@ -47,26 +46,14 @@ type node struct {
 
 // List is a lazy-list map.
 type List struct {
-	d     *core.Domain
-	typ   uint8
-	pool  *arena.Pool[node]
-	cache []*arena.ThreadCache[node]
+	nodes *core.Nodes[node]
 	head  *node
 	tail  *node
 }
 
 // New creates an empty lazy list in domain d.
 func New(d *core.Domain) *List {
-	l := &List{
-		d:     d,
-		pool:  arena.NewPool[node](nil, nil),
-		cache: make([]*arena.ThreadCache[node], d.MaxThreads()),
-	}
-	l.typ = d.RegisterType(func(t *core.Thread, h *core.Header) {
-		n := (*node)(unsafe.Pointer(h))
-		n.marked.Store(false)
-		l.cacheFor(t).Put(n)
-	})
+	l := &List{nodes: core.NewNodes(d, func(_ *core.Thread, n *node) { n.marked.Store(false) })}
 	l.head = &node{key: math.MinInt64}
 	l.tail = &node{key: math.MaxInt64}
 	l.head.next.Raw(unsafe.Pointer(l.tail))
@@ -74,16 +61,7 @@ func New(d *core.Domain) *List {
 }
 
 // Outstanding reports pool-level live+retired nodes (memory metric).
-func (l *List) Outstanding() int64 { return l.pool.Outstanding() }
-
-func (l *List) cacheFor(t *core.Thread) *arena.ThreadCache[node] {
-	c := l.cache[t.ID()]
-	if c == nil {
-		c = l.pool.NewCache()
-		l.cache[t.ID()] = c
-	}
-	return c
-}
+func (l *List) Outstanding() int64 { return l.nodes.Outstanding() }
 
 const (
 	slotPred = 0
@@ -169,7 +147,6 @@ func (l *List) put(t *core.Thread, key int64, val uint64, overwrite bool) (inser
 	checkKey(key)
 	t.StartOp()
 	defer t.EndOp()
-	cache := l.cacheFor(t)
 	var n *node
 	for {
 		pred, curr, _, _, ok := l.search(t, key)
@@ -179,7 +156,7 @@ func (l *List) put(t *core.Thread, key int64, val uint64, overwrite bool) (inser
 		if curr.key == key && !curr.marked.Load() {
 			if !overwrite {
 				if n != nil {
-					cache.Put(n) // never published
+					l.nodes.Unused(t, n) // never published
 				}
 				return false, curr.val.Load(), true
 			}
@@ -197,7 +174,7 @@ func (l *List) put(t *core.Thread, key int64, val uint64, overwrite bool) (inser
 			curr.mu.Unlock()
 			t.ExitWritePhase()
 			if n != nil {
-				cache.Put(n)
+				l.nodes.Unused(t, n)
 			}
 			return false, old, true
 		}
@@ -225,15 +202,14 @@ func (l *List) put(t *core.Thread, key int64, val uint64, overwrite bool) (inser
 			pred.mu.Unlock()
 			t.ExitWritePhase()
 			if n != nil {
-				cache.Put(n)
+				l.nodes.Unused(t, n)
 			}
 			return false, old, true
 		}
 		if n == nil {
-			n = cache.Get()
+			n = l.nodes.Alloc(t)
 			n.key = key
 			n.marked.Store(false)
-			t.OnAlloc(&n.Header, l.typ)
 		}
 		n.val.Store(val)
 		n.next.Raw(unsafe.Pointer(curr))

@@ -206,7 +206,7 @@ type List struct {
 	tailCol *column // terminates every index level (marked cells must
 	// stay non-nil, the core.WithMark contract), key = MaxInt64
 	top    atomic.Int32 // index levels in use; see indexTop
-	locals []*colLocal  // indexed by thread id, owner-only
+	locals core.Local[colLocal]
 }
 
 // New creates an empty skiplist in domain d.
@@ -214,7 +214,9 @@ func New(d *core.Domain) *List {
 	l := &List{
 		headCol: newColumn(math.MinInt64, maxIndexHeight),
 		tailCol: newColumn(math.MaxInt64, 0),
-		locals:  make([]*colLocal, d.MaxThreads()),
+		locals: core.NewLocal(d, func(t *core.Thread) *colLocal {
+			return &colLocal{hrng: rng.New(0x5ee9_11f7<<16 ^ uint64(t.ID())*0x9e3779b97f4a7c15)}
+		}),
 	}
 	for h := 0; h < maxIndexHeight; h++ {
 		l.headCol.cell(h).Raw(unsafe.Pointer(l.tailCol))
@@ -227,17 +229,6 @@ func New(d *core.Domain) *List {
 // Outstanding reports pool-level live+retired nodes (memory metric).
 // Index columns are deliberately absent: they are Go-heap objects.
 func (l *List) Outstanding() int64 { return l.b.Outstanding() }
-
-// localFor returns t's thread-local state, creating it on first use.
-// The slot is only ever touched by t's goroutine.
-func (l *List) localFor(t *core.Thread) *colLocal {
-	tl := l.locals[t.ID()]
-	if tl == nil {
-		tl = &colLocal{hrng: rng.New(0x5ee9_11f7<<16 ^ uint64(t.ID())*0x9e3779b97f4a7c15)}
-		l.locals[t.ID()] = tl
-	}
-	return tl
-}
 
 // indexHeight draws a geometric(1/4) column height in [0, maxIndexHeight]:
 // 0 (no column) with probability 3/4, each further level a 1/4 event.
@@ -325,7 +316,7 @@ func (l *List) hintFor(t *core.Thread, key int64, attempt int) (*hmlist.Node, in
 // FinishLinking, so the node cannot retire (and the column cannot be
 // purged) while it is under construction.
 func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
-	h := indexHeight(l.localFor(t).hrng)
+	h := indexHeight(l.locals.Of(t).hrng)
 	if h == 0 {
 		return
 	}
@@ -359,7 +350,7 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 // hence before the Retire that follows it.
 func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 	key := victim.Key()
-	hops := &l.localFor(t).purgeHops
+	hops := &l.locals.Of(t).purgeHops
 	// Find the victim's column by node identity at index level 0: splices
 	// go bottom-up, so absence there proves the column was never
 	// published (unreachable Go garbage the GC will sweep). The probe

@@ -156,7 +156,7 @@ func TestPurgeStepCount(t *testing.T) {
 		}
 		// Single-threaded, so every overwrite retires its victim on the
 		// spot: exactly one purge per Put, about a quarter owning a column.
-		tl, r := l.localFor(th), rng.New(42)
+		tl, r := l.locals.Of(th), rng.New(42)
 		before := tl.purgeHops
 		for i := 0; i < purges; i++ {
 			l.Put(th, r.Intn(n), 1)

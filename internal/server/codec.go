@@ -1,6 +1,6 @@
 // Package server is the wire-protocol serving front: a TCP server
 // speaking a memcached-text subset (get/gets multi-key, set, add,
-// delete, stats, quit) over the sharded KV store, with two
+// delete, stats, version, quit) over the sharded KV store, with two
 // production-shaped mechanisms layered on the thread-lifecycle work:
 //
 //   - Admission control. Every connection is a goroutine, and a
@@ -53,7 +53,7 @@ const (
 	OpSet               // set <key> <flags> <exptime> <bytes> [noreply]
 	OpAdd               // add <key> <flags> <exptime> <bytes> [noreply]
 	OpDelete            // delete <key> [noreply]
-	OpStats             // stats [conns|slots]
+	OpStats             // stats [conns|slots|telemetry|reset]
 	OpQuit              // quit
 	OpVersion           // version
 )

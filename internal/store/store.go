@@ -89,9 +89,9 @@
 // (the serving front's admission semaphore). A
 // departing worker's unreclaimed retires — shard nodes and value
 // tickets alike — are donated to each member domain's orphan queue and
-// adopted by that member's live threads; its tid-keyed caches (value
-// arena, tickets, scan scratch) transfer to the slot's next tenant
-// through the lease's happens-before edge, per member.
+// adopted by that member's live threads; its per-slot state (value
+// arena and ticket caches, scan scratch) passes to the slot's next
+// tenant through the lease's happens-before edge, per member.
 //
 // # Batched multi-get and multi-put
 //
@@ -121,7 +121,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"pop/internal/arena"
 	"pop/internal/core"
@@ -286,16 +285,14 @@ type vticket struct {
 }
 
 // storeLocal is one member-domain thread slot's allocation state: its
-// value-arena cache, its ticket cache, and reusable scratch for
-// batches and scans. State is keyed by (member, thread ID) — the
-// member's slot index — so when a serving goroutine releases its group
+// value-arena cache and reusable scratch for scans. It is a core.Local
+// of the member domain, so when a serving goroutine releases its group
 // handle and another goroutine re-leases the slot (the elastic-pool
-// lifecycle), the caches transfer with it: the member domain's
+// lifecycle), the state transfers with it: the member domain's
 // lease/release mutex is the happens-before edge, and the new tenant
 // simply continues filling the previous tenant's caches.
 type storeLocal struct {
-	vc      *arena.BytesCache
-	tickets *arena.ThreadCache[vticket]
+	vc *arena.BytesCache
 
 	// scan scratch (owner-only)
 	keys    []int64
@@ -314,9 +311,8 @@ type Store struct {
 	memberShift uint // shard >> memberShift = member domain index
 	shards      []shard
 	vals        *arena.Bytes
-	tickets     *arena.Pool[vticket]
-	ticketTyps  []uint8         // per-member ticket type ids
-	locals      [][]*storeLocal // [member][thread id (slot)], owner-only
+	tickets     []*core.Nodes[vticket]   // per member
+	locals      []core.Local[storeLocal] // per member
 
 	batches    padded.Uint64 // GetBatch calls
 	putBatches padded.Uint64 // PutBatch calls
@@ -348,22 +344,16 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		memberShift: shift,
 		shards:      make([]shard, cfg.Shards),
 		vals:        arena.NewBytes(),
-		tickets:     arena.NewPool[vticket](nil, nil),
-		ticketTyps:  make([]uint8, groups),
-		locals:      make([][]*storeLocal, groups),
+		tickets:     make([]*core.Nodes[vticket], groups),
+		locals:      make([]core.Local[storeLocal], groups),
 	}
 	for m := 0; m < groups; m++ {
-		m := m
 		d := g.Member(m)
-		s.locals[m] = make([]*storeLocal, d.MaxThreads())
-		// One ticket type per member: the free function runs on the
-		// member's reclaiming thread and must resolve that member's
-		// tid-keyed caches.
-		s.ticketTyps[m] = d.RegisterType(func(t *core.Thread, h *core.Header) {
-			tk := (*vticket)(unsafe.Pointer(h))
-			tl := s.localFor(m, t)
-			tl.vc.Free(tk.h) // the payload slot frees with its ticket
-			tl.tickets.Put(tk)
+		s.locals[m] = core.NewLocal(d, s.newLocal)
+		// One ticket pool per member: a ticket frees on the member's
+		// reclaiming thread, into that member's slot state.
+		s.tickets[m] = core.NewNodes(d, func(t *core.Thread, tk *vticket) {
+			s.locals[m].Of(t).vc.Free(tk.h) // the payload slot frees with its ticket
 		})
 	}
 	for i := range s.shards {
@@ -408,18 +398,13 @@ func (s *Store) Release(h *core.GroupHandle) { s.g.Release(h) }
 // Ordered reports whether the backing supports hashed-key Scan.
 func (s *Store) Ordered() bool { return s.shards[0].scanner != nil }
 
-// localFor returns t's thread-local state in member m, creating it on
-// first use.
-func (s *Store) localFor(m int, t *core.Thread) *storeLocal {
-	tl := s.locals[m][t.ID()]
-	if tl == nil {
-		tl = &storeLocal{vc: s.vals.NewCache(), tickets: s.tickets.NewCache()}
-		tl.collect = func(k int64, v uint64) bool {
-			tl.keys = append(tl.keys, k)
-			tl.vals = append(tl.vals, v)
-			return len(tl.keys) < scanChunk
-		}
-		s.locals[m][t.ID()] = tl
+// newLocal builds a member thread slot's state on its first use.
+func (s *Store) newLocal(*core.Thread) *storeLocal {
+	tl := &storeLocal{vc: s.vals.NewCache()}
+	tl.collect = func(k int64, v uint64) bool {
+		tl.keys = append(tl.keys, k)
+		tl.vals = append(tl.vals, v)
+		return len(tl.keys) < scanChunk
 	}
 	return tl
 }
@@ -529,7 +514,7 @@ func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
 	if len(val) <= InlineMaxLen {
 		nw = inlineEncode(val)
 	} else {
-		nw = uint64(s.localFor(m, t).vc.Alloc(val))
+		nw = uint64(s.locals[m].Of(t).vc.Alloc(val))
 	}
 	sh := &s.shards[si]
 	old, replaced := sh.m.Put(t, ik, nw)
@@ -557,7 +542,7 @@ func (s *Store) PutIfAbsent(h *core.GroupHandle, key string, val []byte) bool {
 		}
 		return false
 	}
-	tl := s.localFor(m, t)
+	tl := s.locals[m].Of(t)
 	nh := tl.vc.Alloc(val)
 	if sh.m.PutIfAbsent(t, ik, uint64(nh)) {
 		sh.puts.Add(1)
@@ -603,10 +588,8 @@ func (s *Store) retireWord(t *core.Thread, m int, w uint64) {
 // policy-visible, like node retirement, and member-local, like every
 // other retire.
 func (s *Store) retireValue(t *core.Thread, m int, h arena.Handle) {
-	tl := s.localFor(m, t)
-	tk := tl.tickets.Get()
+	tk := s.tickets[m].Alloc(t)
 	tk.h = h
-	t.OnAlloc(&tk.Header, s.ticketTyps[m])
 	t.Retire(&tk.Header)
 }
 
@@ -635,7 +618,7 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 		sh := &s.shards[i]
 		m := i >> s.memberShift
 		t := h.Member(m)
-		tl := s.localFor(m, t)
+		tl := s.locals[m].Of(t)
 		from := lo
 		for from <= hi {
 			tl.keys, tl.vals = tl.keys[:0], tl.vals[:0]
@@ -869,7 +852,7 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		group := b.order[g:e]
 		m := si >> s.memberShift
 		t := h.Member(m)
-		tl := s.localFor(m, t)
+		tl := s.locals[m].Of(t)
 		b.ikeys = resize(b.ikeys, len(group))
 		b.gvals = resize(b.gvals, len(group))
 		b.golds = resize(b.golds, len(group))
@@ -939,7 +922,10 @@ func (s *Store) Size(h *core.GroupHandle) int {
 // Outstanding reports live+retired occupancy across every pool the
 // store owns: shard nodes, value slots, and retire tickets.
 func (s *Store) Outstanding() int64 {
-	n := s.vals.Outstanding() + s.tickets.Outstanding()
+	n := s.vals.Outstanding()
+	for _, tk := range s.tickets {
+		n += tk.Outstanding()
+	}
 	for i := range s.shards {
 		n += s.shards[i].m.Outstanding()
 	}
