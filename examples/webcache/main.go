@@ -117,7 +117,8 @@ func main() {
 	group := pop.NewDomainGroup(pop.EpochPOP, 2, maxWorkers+1, &pop.Options{
 		ReclaimThreshold: 2048,
 	})
-	cache, err := pop.NewStore(group, &pop.StoreOptions{Shards: 8})
+	// The warmer below scans, so the shards need an ordered backing.
+	cache, err := pop.NewStore(group, &pop.StoreOptions{Shards: 8, Backing: "skl"})
 	if err != nil {
 		panic(err)
 	}

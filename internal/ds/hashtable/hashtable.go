@@ -5,7 +5,12 @@
 // regime where per-read SMR overhead is proportionally largest and cache
 // behaviour dominates.
 //
-// The map contract (values, overwrite) is inherited from the buckets:
+// A bucket is one head word, as in Michael's design (SPAA 2002): every
+// bucket is a chain of one hmlist.List, which holds the node pool and
+// the one tail sentinel all chains end at. A lookup loads the bucket's
+// word and is at its first key; an empty bucket costs eight bytes.
+//
+// The map contract (values, overwrite) is inherited from the list:
 // overwrites are replace-node-and-retire (see hmlist), so value churn on
 // a static key set still produces retirements in every bucket.
 package hashtable
@@ -17,14 +22,14 @@ import (
 
 // Table is a fixed-bucket-count hash map of int64 keys to uint64 values.
 type Table struct {
-	shared  *hmlist.Shared
-	buckets []*hmlist.List
-	mask    uint64
+	l     *hmlist.List
+	heads []core.Atomic
+	mask  uint64
 }
 
 // New creates a table sized for expectedKeys at the given load factor
 // (keys per bucket; the paper uses 6). The bucket count is rounded up to
-// a power of two. All buckets share one node pool.
+// a power of two.
 func New(d *core.Domain, expectedKeys int64, loadFactor int) *Table {
 	if loadFactor <= 0 {
 		loadFactor = 6
@@ -34,68 +39,77 @@ func New(d *core.Domain, expectedKeys int64, loadFactor int) *Table {
 	for int64(n) < want {
 		n <<= 1
 	}
-	t := &Table{
-		shared:  hmlist.NewShared(d),
-		buckets: make([]*hmlist.List, n),
-		mask:    n - 1,
-	}
-	for i := range t.buckets {
-		t.buckets[i] = hmlist.NewWithShared(t.shared)
+	t := &Table{l: hmlist.New(d), heads: make([]core.Atomic, n), mask: n - 1}
+	for i := range t.heads {
+		t.l.InitHead(&t.heads[i])
 	}
 	return t
 }
 
-// Outstanding reports pool-level live+retired nodes (memory metric).
-func (t *Table) Outstanding() int64 { return t.shared.Outstanding() }
+// Buckets returns the bucket count.
+func (t *Table) Buckets() int { return len(t.heads) }
 
-// bucket hashes key with a Fibonacci multiply (SplitMix-style finisher
-// keeps adjacent keys in distinct buckets).
-func (t *Table) bucket(key int64) *hmlist.List {
+// Outstanding reports pool-level live+retired nodes (memory metric).
+func (t *Table) Outstanding() int64 { return t.l.Outstanding() }
+
+// head hashes key to its bucket's head word with a Fibonacci multiply
+// (SplitMix-style finisher keeps adjacent keys in distinct buckets).
+func (t *Table) head(key int64) *core.Atomic {
 	x := uint64(key)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return t.buckets[x&t.mask]
+	return &t.heads[x&t.mask]
 }
 
 // PutIfAbsent maps key to val only if key is absent.
 func (t *Table) PutIfAbsent(th *core.Thread, key int64, val uint64) bool {
-	return t.bucket(key).PutIfAbsent(th, key, val)
+	th.StartOp()
+	defer th.EndOp()
+	inserted, _, _ := t.l.PutInOpAt(th, t.head(key), key, val, false)
+	return inserted
 }
 
 // Put maps key to val, overwriting; returns the previous value.
 func (t *Table) Put(th *core.Thread, key int64, val uint64) (uint64, bool) {
-	return t.bucket(key).Put(th, key, val)
+	th.StartOp()
+	defer th.EndOp()
+	return t.PutInOp(th, key, val)
 }
 
 // Get returns the value mapped to key.
 func (t *Table) Get(th *core.Thread, key int64) (uint64, bool) {
-	return t.bucket(key).Get(th, key)
+	th.StartOp()
+	defer th.EndOp()
+	return t.GetInOp(th, key)
 }
 
 // Delete removes key and returns the value it removed.
 func (t *Table) Delete(th *core.Thread, key int64) (uint64, bool) {
-	return t.bucket(key).Delete(th, key)
+	th.StartOp()
+	defer th.EndOp()
+	return t.l.DeleteInOpAt(th, t.head(key), key)
 }
 
 // GetInOp is Get inside an operation the caller already opened (the
 // ds.InOp contract). Bucket chains are short, so sharing one operation
 // across many keys saves a large share of each Get's cost.
 func (t *Table) GetInOp(th *core.Thread, key int64) (uint64, bool) {
-	return t.bucket(key).GetInOp(th, key)
+	return t.l.GetInOpAt(th, t.head(key), key)
 }
 
 // PutInOp is Put inside an operation the caller already opened (the
 // ds.InOp contract).
 func (t *Table) PutInOp(th *core.Thread, key int64, val uint64) (uint64, bool) {
-	return t.bucket(key).PutInOp(th, key, val)
+	_, old, replaced := t.l.PutInOpAt(th, t.head(key), key, val, true)
+	return old, replaced
 }
 
 // Size sums bucket sizes. Quiescent use only.
 func (t *Table) Size(th *core.Thread) int {
 	n := 0
-	for _, b := range t.buckets {
-		n += b.Size(th)
+	for i := range t.heads {
+		n += t.l.SizeAt(&t.heads[i])
 	}
 	return n
 }

@@ -53,3 +53,25 @@ func TestBucketDistribution(t *testing.T) {
 		t.Fatalf("Size = %d, want 640", got)
 	}
 }
+
+// TestNewAllocsIndependentOfBuckets pins that a bucket is a word of the
+// heads array and owns no heap object: building a table of 2^17
+// expected keys allocates exactly as many objects as one of 2^10.
+func TestNewAllocsIndependentOfBuckets(t *testing.T) {
+	allocs := func(expectedKeys int64) float64 {
+		d := core.NewDomain(core.NR, 1, nil) // each New registers a node type
+		return testing.AllocsPerRun(4, func() { hashtable.New(d, expectedKeys, 6) })
+	}
+	if small, large := allocs(1<<10), allocs(1<<17); small != large {
+		t.Fatalf("New allocates %v objects for 2^10 expected keys but %v for 2^17", small, large)
+	}
+}
+
+// TestFewBucketStorm runs the conformance suite, storms included, on a
+// table of four buckets: chains dozens of nodes long, all ending at the
+// list's one shared tail, under every policy.
+func TestFewBucketStorm(t *testing.T) {
+	dstest.Run(t, func(d *core.Domain) ds.Map {
+		return hashtable.New(d, 4*6, 6)
+	}, dstest.Config{KeyRange: 512})
+}

@@ -17,8 +17,7 @@ import (
 // adopt the deferred retire and run the purge hook exactly once).
 func TestRetireHandoffDeterministic(t *testing.T) {
 	d := core.NewDomain(core.EBR, 1, &core.Options{ReclaimThreshold: 16})
-	s := hmlist.NewShared(d)
-	l := hmlist.NewWithShared(s)
+	l := hmlist.New(d)
 	var purges atomic.Int64
 	l.EnableLinking(func(_ *core.Thread, n *hmlist.Node) {
 		if n.Key() != 7 {
@@ -37,7 +36,7 @@ func TestRetireHandoffDeterministic(t *testing.T) {
 	if _, removed := l.Delete(th, 7); !removed {
 		t.Fatal("delete missed the published key")
 	}
-	if def, ad := s.Handoffs(); def != 1 || ad != 0 {
+	if def, ad := l.Handoffs(); def != 1 || ad != 0 {
 		t.Fatalf("after delete under LINKING: deferred=%d adopted=%d, want 1,0", def, ad)
 	}
 	if n := purges.Load(); n != 0 {
@@ -46,7 +45,7 @@ func TestRetireHandoffDeterministic(t *testing.T) {
 	th.StartOp()
 	l.FinishLinking(th, out.New)
 	th.EndOp()
-	if def, ad := s.Handoffs(); def != 1 || ad != 1 {
+	if def, ad := l.Handoffs(); def != 1 || ad != 1 {
 		t.Fatalf("after FinishLinking: deferred=%d adopted=%d, want 1,1", def, ad)
 	}
 	if n := purges.Load(); n != 1 {
@@ -77,8 +76,7 @@ func TestRetireHandoffStorm(t *testing.T) {
 				ReclaimThreshold: 32,
 				EpochFreq:        8,
 			})
-			s := hmlist.NewShared(d)
-			l := hmlist.NewWithShared(s)
+			l := hmlist.New(d)
 			var purges, published atomic.Int64
 			l.EnableLinking(func(_ *core.Thread, _ *hmlist.Node) {
 				purges.Add(1)
@@ -118,7 +116,7 @@ func TestRetireHandoffStorm(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			def, ad := s.Handoffs()
+			def, ad := l.Handoffs()
 			if def != ad {
 				t.Fatalf("handoff imbalance: deferred=%d adopted=%d", def, ad)
 			}

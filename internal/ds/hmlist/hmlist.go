@@ -5,13 +5,19 @@
 // logic — upsert, replace-node-and-retire overwrite, PutIfAbsent,
 // Delete, batched get/put, and the retire handoff — exists exactly once.
 //
-// Nodes are sorted by key between two sentinels. Deletion is two-phase:
-// a CAS sets the mark bit in the victim's next field (logical delete),
-// then a CAS swings the predecessor's next past it (physical unlink).
-// Traversals help unlink marked nodes they encounter, which is what makes
-// every traversal a potential reclaimer interaction — the property that
-// makes this list the paper's most SMR-sensitive benchmark (per-read
-// protection cost is paid on every hop of every operation).
+// A chain starts at a head word and ends at the list's tail sentinel,
+// with nodes sorted by key between them. A list walks its own head word;
+// the *At entry points walk a head word the caller owns, so the hash
+// table's buckets are one word each, all chains of one list that share
+// its node pool and its one tail (Michael's hash table, SPAA 2002).
+//
+// Deletion is two-phase: a CAS sets the mark bit in the victim's next
+// field (logical delete), then a CAS swings the predecessor's next past
+// it (physical unlink). Traversals help unlink marked nodes they
+// encounter, which is what makes every traversal a potential reclaimer
+// interaction — the property that makes this list the paper's most
+// SMR-sensitive benchmark (per-read protection cost is paid on every hop
+// of every operation).
 //
 // # Overwrite strategy: replace-node-and-retire
 //
@@ -49,7 +55,7 @@
 //     retires instead.
 //
 // Exactly one side sees "my bit cleared last" on the same atomic word,
-// so every node is retired exactly once. Plain lists (hash-table
+// so every node is retired exactly once. Plain lists (and hash-table
 // buckets) run the same code with LINKING never set: retire degenerates
 // to the immediate path, and the hash table and skiplist retire through
 // literally the same function.
@@ -72,8 +78,8 @@
 // when the hint turns out to be stale (start marked, an edge fails
 // validation, or a CAS loses a race) — the caller re-descends its index
 // for a fresh hint rather than falling back to an O(n) head walk. The
-// head walk is the degenerate case: start=nil begins at the head
-// sentinel, which cannot go stale, so the same failures simply restart.
+// head walk is the degenerate case: start=nil begins at a head word,
+// which cannot go stale, so the same failures simply restart.
 //
 // Reservation discipline (Michael's, adapted to the core API): three
 // rotating slots protect pred, curr and next; after protecting curr's
@@ -126,54 +132,46 @@ type Node struct {
 // need it to locate the column a retiring node owns.
 func (n *Node) Key() int64 { return n.key }
 
-// Shared is the allocation state that one or more lists built over the
-// same domain can share — the hash table creates one Shared and thousands
-// of bucket Lists.
-type Shared struct {
-	nodes *core.Nodes[Node]
+// List is a Harris-Michael sorted-list map. It owns the node pool and
+// the tail sentinel every chain of it ends at: its own chain, rooted at
+// head, and any chain rooted at a caller's head word (InitHead).
+type List struct {
+	nodes   *core.Nodes[Node]
+	head    core.Atomic
+	tail    *Node
+	linking bool
+	purge   func(*core.Thread, *Node)
 	// Retire-handoff balance counters (see Handoffs).
 	deferred atomic.Int64
 	adopted  atomic.Int64
 }
 
-// NewShared creates the node pool for lists in domain d.
-func NewShared(d *core.Domain) *Shared {
-	return &Shared{nodes: core.NewNodes[Node](d, nil)}
+// New creates a list, with its own node pool, in domain d.
+func New(d *core.Domain) *List {
+	// The tail comes from the Go heap, not the pool: it is never
+	// retired, and keeping it out of the pool means Outstanding counts
+	// only real keys.
+	l := &List{nodes: core.NewNodes[Node](d, nil), tail: &Node{key: math.MaxInt64}}
+	l.InitHead(&l.head)
+	return l
 }
 
-// Outstanding reports pool-level live+retired nodes (memory metric).
-func (s *Shared) Outstanding() int64 { return s.nodes.Outstanding() }
+// InitHead makes head an empty chain of l: a head word linked to l's
+// tail. Each chain is a map of its own that shares l's pool and tail;
+// head must not be shared with other threads before InitHead returns.
+func (l *List) InitHead(head *core.Atomic) { head.Raw(unsafe.Pointer(l.tail)) }
+
+// Outstanding reports pool-level live+retired nodes (memory metric),
+// over every chain of the list.
+func (l *List) Outstanding() int64 { return l.nodes.Outstanding() }
 
 // Handoffs reports the retire-handoff balance: deferred counts unlink
 // winners that found LINKING set and handed the retire to the inserter;
 // adopted counts FinishLinking calls that observed RETIREREQ and
 // performed the handed-off retire. At quiescence the two must be equal —
 // every deferred retire was adopted by exactly one inserter.
-func (s *Shared) Handoffs() (deferred, adopted int64) {
-	return s.deferred.Load(), s.adopted.Load()
-}
-
-// List is a Harris-Michael sorted-list map.
-type List struct {
-	s       *Shared
-	head    *Node
-	tail    *Node
-	linking bool
-	purge   func(*core.Thread, *Node)
-}
-
-// New creates a standalone list (with its own Shared pool) in domain d.
-func New(d *core.Domain) *List { return NewWithShared(NewShared(d)) }
-
-// NewWithShared creates a list drawing nodes from an existing pool.
-func NewWithShared(s *Shared) *List {
-	// Sentinels come from the Go heap, not the pool: they are never
-	// retired, and keeping them out of the pool means pool.Outstanding
-	// counts only real keys.
-	head := &Node{key: math.MinInt64}
-	tail := &Node{key: math.MaxInt64}
-	head.next.Raw(unsafe.Pointer(tail))
-	return &List{s: s, head: head, tail: tail}
+func (l *List) Handoffs() (deferred, adopted int64) {
+	return l.deferred.Load(), l.adopted.Load()
 }
 
 // EnableLinking switches the list into linking mode: nodes publish with
@@ -195,7 +193,7 @@ func (l *List) retire(t *core.Thread, victim *Node) {
 	if st := victim.state.Or(stateRetireReq); st&stateLinking != 0 {
 		// The inserter is still touching the node (index splice in
 		// flight): hand the retire off to its FinishLinking.
-		l.s.deferred.Add(1)
+		l.deferred.Add(1)
 		return
 	}
 	if l.purge != nil {
@@ -209,7 +207,7 @@ func (l *List) retire(t *core.Thread, victim *Node) {
 // handoff lands here: purge + Retire, exactly once.
 func (l *List) FinishLinking(t *core.Thread, n *Node) {
 	if st := n.state.And(^stateLinking); st&stateRetireReq != 0 {
-		l.s.adopted.Add(1)
+		l.adopted.Add(1)
 		if l.purge != nil {
 			l.purge(t, n)
 		}
@@ -230,8 +228,8 @@ const (
 
 // position is the state of a walk at its stopping point: the
 // predecessor's next cell and the two nodes after it, with the
-// predecessor (the head sentinel, the caller's hint or a walked node)
-// protected in sPred and curr in sCurr.
+// predecessor (the caller's hint or a walked node; a head word needs no
+// protection) protected in sPred and curr in sCurr.
 type position struct {
 	predCell *core.Atomic
 	curr     *Node // protected; tail sentinel if key > all
@@ -244,7 +242,7 @@ type position struct {
 // find is the list's one walk: it locates the first unmarked node with
 // key >= key, unlinking marked nodes on the way. It starts at start — a
 // node with key strictly below the target, protected by the caller in
-// sStart — or, with start == nil, at the head sentinel in slotC.
+// sStart — or, with start == nil, at the chain's head word.
 //
 // ok=false means the operation was neutralized (NBR) and must restart
 // from StartOp level. A failed edge validation or a lost help-CAS
@@ -252,7 +250,7 @@ type position struct {
 // because the origin itself may be stale and only the caller — who owns
 // the index that produced it — can pick a fresh one. A head walk never
 // returns valid=false with ok=true.
-func (l *List) find(t *core.Thread, key int64, start *Node, sStart int) (pos position, ok, valid bool) {
+func (l *List) find(t *core.Thread, key int64, head *core.Atomic, start *Node, sStart int) (pos position, ok, valid bool) {
 	// The walk runs over locals and assembles a position only where it
 	// returns: a six-word struct is too wide for the compiler to keep
 	// in registers (locals are, spilled only around the full hop's
@@ -260,7 +258,7 @@ func (l *List) find(t *core.Thread, key int64, start *Node, sStart int) (pos pos
 	// them in hops, which calls nothing.
 	tail := l.tail
 retry:
-	predCell := &l.head.next
+	predCell := head
 	sPred, sCurr, sNext := slotC, slotA, slotB
 	if start != nil {
 		predCell, sPred = &start.next, sStart
@@ -271,8 +269,8 @@ retry:
 	}
 	if core.Marked(craw) {
 		if start == nil {
-			// Head is never deleted; a marked head.next is impossible.
-			panic("hmlist: head.next marked")
+			// A head word is never marked.
+			panic("hmlist: head word marked")
 		}
 		// The hint itself was deleted under us: its links are no longer
 		// a valid walk origin.
@@ -375,27 +373,34 @@ func (l *List) hops(t *core.Thread, key int64, predCell *core.Atomic, curr *Node
 func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
-	return l.GetInOp(t, key)
+	return l.GetInOpAt(t, &l.head, key)
 }
 
 // GetInOp is Get's body without the StartOp/EndOp bracket: the caller
 // must already be inside an operation on t (the ds.InOp contract). The
-// store runs a batch's lookups through it, and the hash table forwards
-// to it, so many keys share one protected entry/exit.
+// store runs a batch's lookups through it, so many keys share one
+// protected entry/exit.
 func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
-	for {
-		v, present, valid := l.GetInOpHinted(t, key, nil, 0)
-		if valid {
-			return v, present
-		}
-	}
+	return l.GetInOpAt(t, &l.head, key)
+}
+
+// GetInOpAt is GetInOp on the chain rooted at head (see InitHead).
+func (l *List) GetInOpAt(t *core.Thread, head *core.Atomic, key int64) (uint64, bool) {
+	v, present, _ := l.get(t, key, head, nil, 0)
+	return v, present
 }
 
 // GetInOpHinted is GetInOp resuming at a hinted start node (see
 // find). valid=false: the hint was stale, re-descend.
 func (l *List) GetInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (v uint64, present, valid bool) {
+	return l.get(t, key, &l.head, start, sStart)
+}
+
+// get is GetInOpHinted's body, walking from head when start is nil; a
+// head walk retries internally and always returns valid=true.
+func (l *List) get(t *core.Thread, key int64, head *core.Atomic, start *Node, sStart int) (v uint64, present, valid bool) {
 	for {
-		pos, ok, val := l.find(t, key, start, sStart)
+		pos, ok, val := l.find(t, key, head, start, sStart)
 		if !ok || !val {
 			if start != nil {
 				return 0, false, false
@@ -413,50 +418,41 @@ func (l *List) GetInOpHinted(t *core.Thread, key int64, start *Node, sStart int)
 
 // PutIfAbsent maps key to val only if key is absent.
 func (l *List) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {
-	ok, _, _ := l.put(t, key, val, false)
-	return ok
+	t.StartOp()
+	defer t.EndOp()
+	inserted, _, _ := l.PutInOpAt(t, &l.head, key, val, false)
+	return inserted
 }
 
 // Put maps key to val, overwriting; returns the previous value.
 func (l *List) Put(t *core.Thread, key int64, val uint64) (uint64, bool) {
-	_, old, replaced := l.put(t, key, val, true)
-	return old, replaced
+	t.StartOp()
+	defer t.EndOp()
+	return l.PutInOp(t, key, val)
 }
 
 // PutInOp is Put's body without the StartOp/EndOp bracket: the caller
 // must already be inside an operation on t (the ds.InOp contract), as
 // for GetInOp.
 func (l *List) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
-	_, old, replaced := l.putInOp(t, key, val, true)
+	_, old, replaced := l.PutInOpAt(t, &l.head, key, val, true)
 	return old, replaced
 }
 
-// put is the shared insert/overwrite path. With overwrite=false it
-// reports whether it inserted; with overwrite=true it always installs
-// val and reports the value it replaced, using replace-node-and-retire
-// on a present key (see the package comment).
-func (l *List) put(t *core.Thread, key int64, val uint64, overwrite bool) (inserted bool, old uint64, replaced bool) {
-	t.StartOp()
-	defer t.EndOp()
-	return l.putInOp(t, key, val, overwrite)
-}
-
-// putInOp is put inside an already-open operation. An NBR
-// neutralization restarts the find loop within the operation, matching
-// GetInOp's discipline. In linking mode the published node's LINKING
-// bit is released immediately — this path builds no index, so the node
-// is never touched after publication.
-func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (inserted bool, old uint64, replaced bool) {
-	for {
-		out, valid := l.PutInOpHinted(t, key, val, overwrite, nil, 0)
-		if !valid {
-			continue
-		}
-		if out.New != nil && l.linking {
-			l.FinishLinking(t, out.New)
-		}
-		return out.Inserted, out.Old, out.Replaced
+// PutInOpAt is the insert/overwrite path, inside an already-open
+// operation, on the chain rooted at head (see InitHead). With
+// overwrite=false it reports whether it inserted; with overwrite=true it
+// always installs val and reports the value it replaced, using
+// replace-node-and-retire on a present key (see the package comment). An
+// NBR neutralization restarts the walk within the operation. In linking
+// mode the published node's LINKING bit is released immediately — this
+// path builds no index, so the node is never touched after publication.
+func (l *List) PutInOpAt(t *core.Thread, head *core.Atomic, key int64, val uint64, overwrite bool) (inserted bool, old uint64, replaced bool) {
+	out, _ := l.upsert(t, key, val, overwrite, head, nil, 0)
+	if out.New != nil && l.linking {
+		l.FinishLinking(t, out.New)
 	}
+	return out.Inserted, out.Old, out.Replaced
 }
 
 // PutOutcome is the result of PutInOpHinted. New is the node the call
@@ -475,10 +471,16 @@ type PutOutcome struct {
 // nothing was published, re-descend and retry. With start=nil it
 // retries internally and always returns valid=true.
 func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bool, start *Node, sStart int) (out PutOutcome, valid bool) {
+	return l.upsert(t, key, val, overwrite, &l.head, start, sStart)
+}
+
+// upsert is PutInOpHinted's body, walking from head when start is nil.
+// It never returns valid=false from a head walk.
+func (l *List) upsert(t *core.Thread, key int64, val uint64, overwrite bool, head *core.Atomic, start *Node, sStart int) (out PutOutcome, valid bool) {
 	checkKey(key)
 	var n *Node
 	for {
-		pos, ok, val2 := l.find(t, key, start, sStart)
+		pos, ok, val2 := l.find(t, key, head, start, sStart)
 		if !ok || !val2 {
 			if start != nil {
 				goto fail
@@ -488,7 +490,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 		if pos.curr != l.tail && pos.curr.key == key {
 			if !overwrite {
 				if n != nil {
-					l.s.nodes.Unused(t, n)
+					l.nodes.Unused(t, n)
 				}
 				return PutOutcome{Old: pos.curr.val, Replaced: true}, true
 			}
@@ -550,7 +552,7 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 fail:
 	if n != nil {
 		// Never published: return straight to the pool.
-		l.s.nodes.Unused(t, n)
+		l.nodes.Unused(t, n)
 	}
 	return PutOutcome{}, false
 }
@@ -558,7 +560,7 @@ fail:
 // alloc draws and initialises an unpublished node. The state word is
 // always re-stored: a recycled node carries its previous life's bits.
 func (l *List) alloc(t *core.Thread, key int64, val uint64) *Node {
-	n := l.s.nodes.Alloc(t)
+	n := l.nodes.Alloc(t)
 	n.key = key
 	n.val = val
 	st := uint32(0)
@@ -573,21 +575,29 @@ func (l *List) alloc(t *core.Thread, key int64, val uint64) *Node {
 func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
-	for {
-		old, removed, valid := l.DeleteInOpHinted(t, key, nil, 0)
-		if valid {
-			return old, removed
-		}
-	}
+	return l.DeleteInOpAt(t, &l.head, key)
+}
+
+// DeleteInOpAt is Delete's body, inside an already-open operation, on
+// the chain rooted at head (see InitHead).
+func (l *List) DeleteInOpAt(t *core.Thread, head *core.Atomic, key int64) (uint64, bool) {
+	old, removed, _ := l.remove(t, key, head, nil, 0)
+	return old, removed
 }
 
 // DeleteInOpHinted is Delete's body resuming at a hinted start node
 // (see find). valid=false: the hint went stale or the mark CAS lost
 // its race — nothing was removed, re-descend and retry.
 func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (old uint64, removed, valid bool) {
+	return l.remove(t, key, &l.head, start, sStart)
+}
+
+// remove is DeleteInOpHinted's body, walking from head when start is
+// nil; a head walk retries internally and always returns valid=true.
+func (l *List) remove(t *core.Thread, key int64, head *core.Atomic, start *Node, sStart int) (old uint64, removed, valid bool) {
 	checkKey(key)
 	for {
-		pos, ok, val := l.find(t, key, start, sStart)
+		pos, ok, val := l.find(t, key, head, start, sStart)
 		if !ok || !val {
 			if start != nil {
 				return 0, false, false
@@ -636,7 +646,7 @@ func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart i
 // with from=resume; keys below resume were emitted and are never
 // revisited, keeping output sorted and unique.
 func (l *List) ScanInOpHinted(t *core.Thread, from, hi int64, start *Node, sStart int, emit func(int64, uint64) bool) (resume int64, done bool) {
-	pos, ok, valid := l.find(t, from, start, sStart)
+	pos, ok, valid := l.find(t, from, &l.head, start, sStart)
 	if !ok || !valid {
 		return from, false
 	}
@@ -677,9 +687,13 @@ func (l *List) ScanInOpHinted(t *core.Thread, from, hi int64, start *Node, sStar
 }
 
 // Size counts the unmarked nodes. Quiescent use only.
-func (l *List) Size(t *core.Thread) int {
+func (l *List) Size(t *core.Thread) int { return l.SizeAt(&l.head) }
+
+// SizeAt counts the unmarked nodes of the chain rooted at head (see
+// InitHead). Quiescent use only.
+func (l *List) SizeAt(head *core.Atomic) int {
 	n := 0
-	for c := (*Node)(core.Mask(l.head.next.Load())); c != l.tail; {
+	for c := (*Node)(core.Mask(head.Load())); c != l.tail; {
 		nraw := c.next.Load()
 		if !core.Marked(nraw) {
 			n++
@@ -694,6 +708,3 @@ func checkKey(key int64) {
 		panic("hmlist: key collides with sentinel")
 	}
 }
-
-// Outstanding reports pool-level live+retired nodes (memory metric).
-func (l *List) Outstanding() int64 { return l.s.Outstanding() }

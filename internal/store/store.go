@@ -116,6 +116,7 @@
 // validated ds.RangeScanner: each chunk of at most scanChunk pairs is
 // one protected scan operation on the shard's member thread, and each
 // value is resolved through the same stale-detecting read path as Get.
+// The default backing, hmht, is unordered, and Scan panics on it.
 package store
 
 import (
@@ -136,9 +137,9 @@ import (
 // cost time linear in a shard's population, and the external BST has
 // no Scan and is slower than the hash table.
 const (
-	BackingSkipList  = "skl"  // lock-free skiplist: ordered (default)
+	BackingSkipList  = "skl"  // lock-free skiplist: ordered
 	BackingABTree    = "abt"  // (a,b)-tree: ordered, the fastest ordered backing
-	BackingHashTable = "hmht" // hash table: unordered, the fastest backing
+	BackingHashTable = "hmht" // hash table of one-word buckets: unordered, the fastest backing (default)
 )
 
 // backing is what a shard's structure must be: a map whose lookup and
@@ -203,9 +204,12 @@ type Config struct {
 	// members partition the shards into contiguous blocks.
 	Shards int
 	// Backing selects the per-shard structure (Backing* constants;
-	// default BackingSkipList).
+	// default BackingHashTable, which is unordered: Scan needs
+	// BackingSkipList or BackingABTree).
 	Backing string
-	// ExpectedKeysPerShard sizes hash-table shards (default 1<<15).
+	// ExpectedKeysPerShard sizes hash-table shards at six keys per
+	// bucket, rounded up to a power of two (default 1<<17: 2^15 buckets
+	// of one word each, 256 KiB per shard).
 	ExpectedKeysPerShard int64
 	// MaxValueLen caps Put payloads (default and hard cap
 	// arena.MaxValueLen).
@@ -243,10 +247,10 @@ func (c Config) withDefaults() (Config, error) {
 		return c, err
 	}
 	if c.Backing == "" {
-		c.Backing = BackingSkipList
+		c.Backing = BackingHashTable
 	}
 	if c.ExpectedKeysPerShard <= 0 {
-		c.ExpectedKeysPerShard = 1 << 15
+		c.ExpectedKeysPerShard = 1 << 17
 	}
 	if c.MaxValueLen <= 0 || c.MaxValueLen > arena.MaxValueLen {
 		c.MaxValueLen = arena.MaxValueLen

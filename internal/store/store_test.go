@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pop/internal/core"
+	"pop/internal/ds/hashtable"
 	"pop/internal/rng"
 	"pop/internal/workload"
 )
@@ -427,114 +429,125 @@ func TestStorePutBatchVsLoop(t *testing.T) {
 // internally consistent — the checksummed payload of some put to
 // exactly that key. A torn read, a stale slot served as live, or a
 // cross-key value fails the checksum. Runs under every policy on a
-// fully grouped store (one member domain per shard).
+// fully grouped store (one member domain per shard), over every backing;
+// the hash table serves a get where the ordered backings scan.
 func TestStoreOverwriteStorm(t *testing.T) {
+	for _, p := range core.Policies() {
+		t.Run(p.String(), func(t *testing.T) {
+			for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
+				t.Run(backing, func(t *testing.T) { overwriteStorm(t, p, backing) })
+			}
+		})
+	}
+}
+
+func overwriteStorm(t *testing.T, p core.Policy, backing string) {
 	const (
 		threads = 4
 		hotKeys = 32
 		ops     = 1200
 	)
-	for _, p := range core.Policies() {
-		t.Run(p.String(), func(t *testing.T) {
-			g := newGroup(p, 4, threads)
-			s, err := New(g, Config{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs := make([]*core.GroupHandle, threads)
-			for i := range hs {
-				hs[i] = acquire(t, s)
-			}
-			keyTab := make([]string, hotKeys)
-			hkTab := make([]int64, hotKeys)
-			for i := range keyTab {
-				keyTab[i] = workload.KeyString(int64(i))
-				hkTab[i] = KeyHash(keyTab[i])
-			}
-			var vbuf []byte
-			for i, key := range keyTab {
-				vbuf = valFor(vbuf, key, uint32(i), 32)
-				s.Put(hs[0], key, vbuf)
-			}
-			var badValues atomic.Uint64
-			var wg sync.WaitGroup
-			for w := 0; w < threads; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					h := hs[id]
-					r := rng.New(uint64(id)*7919 + uint64(p) + 3)
-					var vb, gb []byte
-					kb := make([]string, 8)
-					pv := make([][]byte, 8)
-					var bb Batch
-					tag := uint32(id) << 24
-					for n := 0; n < ops; n++ {
-						i := int(r.Intn(hotKeys))
-						switch r.Intn(8) {
-						case 0, 1, 2: // overwrite: a retirement per hit
-							tag++
-							vb = valFor(vb, keyTab[i], tag, 16+int(r.Intn(1000)))
-							s.Put(h, keyTab[i], vb)
-						case 3: // batched serve
-							for j := range kb {
-								kb[j] = keyTab[int(r.Intn(hotKeys))]
-							}
-							s.GetBatch(h, kb, &bb)
-							for j := range kb {
-								if bb.OK[j] && !workload.ValueBytesValid(KeyHash(kb[j]), bb.Vals[j]) {
-									badValues.Add(1)
-								}
-							}
-						case 4: // scan serve (ordered backing)
-							s.Scan(h, hkTab[i]-1000, hkTab[i]+1000, func(hk int64, v []byte) bool {
-								if !workload.ValueBytesValid(hk, v) {
-									badValues.Add(1)
-								}
-								return true
-							})
-						case 5: // batched overwrite: 8 retirements per hit set
-							for j := range kb {
-								tag++
-								kb[j] = keyTab[int(r.Intn(hotKeys))]
-								pv[j] = valFor(pv[j][:0], kb[j], tag, 16+int(r.Intn(400)))
-							}
-							s.PutBatch(h, kb, pv, &bb)
-						default: // single serve
-							var ok bool
-							gb, ok = s.Get(h, keyTab[i], gb)
-							if ok && !workload.ValueBytesValid(hkTab[i], gb) {
-								badValues.Add(1)
-							}
+	g := newGroup(p, 4, threads)
+	s, err := New(g, Config{Shards: 4, Backing: backing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := make([]*core.GroupHandle, threads)
+	for i := range hs {
+		hs[i] = acquire(t, s)
+	}
+	keyTab := make([]string, hotKeys)
+	hkTab := make([]int64, hotKeys)
+	for i := range keyTab {
+		keyTab[i] = workload.KeyString(int64(i))
+		hkTab[i] = KeyHash(keyTab[i])
+	}
+	var vbuf []byte
+	for i, key := range keyTab {
+		vbuf = valFor(vbuf, key, uint32(i), 32)
+		s.Put(hs[0], key, vbuf)
+	}
+	var badValues atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < threads; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			h := hs[id]
+			r := rng.New(uint64(id)*7919 + uint64(p) + 3)
+			var vb, gb []byte
+			kb := make([]string, 8)
+			pv := make([][]byte, 8)
+			var bb Batch
+			tag := uint32(id) << 24
+			for n := 0; n < ops; n++ {
+				i := int(r.Intn(hotKeys))
+				op := r.Intn(8)
+				if op == 4 && !s.Ordered() {
+					op = 7 // a single serve in place of the scan
+				}
+				switch op {
+				case 0, 1, 2: // overwrite: a retirement per hit
+					tag++
+					vb = valFor(vb, keyTab[i], tag, 16+int(r.Intn(1000)))
+					s.Put(h, keyTab[i], vb)
+				case 3: // batched serve
+					for j := range kb {
+						kb[j] = keyTab[int(r.Intn(hotKeys))]
+					}
+					s.GetBatch(h, kb, &bb)
+					for j := range kb {
+						if bb.OK[j] && !workload.ValueBytesValid(KeyHash(kb[j]), bb.Vals[j]) {
+							badValues.Add(1)
 						}
 					}
-				}(w)
-			}
-			wg.Wait()
-			if n := badValues.Load(); n != 0 {
-				t.Fatalf("%d checksum-invalid values served under %v", n, p)
-			}
-			for _, h := range hs {
-				h.Flush()
-			}
-			st := s.Stats()
-			if st.Overwrites == 0 {
-				t.Fatal("storm produced no overwrites")
-			}
-			if st.PutBatches == 0 {
-				t.Fatal("storm produced no batched puts")
-			}
-			if p != core.NR {
-				if u := g.Unreclaimed(); u != 0 {
-					t.Fatalf("%d unreclaimed after quiescent flush", u)
-				}
-				// Every live key holds exactly one value slot; everything
-				// retired must have been freed by the flush.
-				if vo, live := s.vals.Outstanding(), int64(s.Size(hs[0])); vo != live {
-					t.Fatalf("value slots outstanding = %d, live keys = %d", vo, live)
+				case 4: // scan serve (ordered backing)
+					s.Scan(h, hkTab[i]-1000, hkTab[i]+1000, func(hk int64, v []byte) bool {
+						if !workload.ValueBytesValid(hk, v) {
+							badValues.Add(1)
+						}
+						return true
+					})
+				case 5: // batched overwrite: 8 retirements per hit set
+					for j := range kb {
+						tag++
+						kb[j] = keyTab[int(r.Intn(hotKeys))]
+						pv[j] = valFor(pv[j][:0], kb[j], tag, 16+int(r.Intn(400)))
+					}
+					s.PutBatch(h, kb, pv, &bb)
+				default: // single serve
+					var ok bool
+					gb, ok = s.Get(h, keyTab[i], gb)
+					if ok && !workload.ValueBytesValid(hkTab[i], gb) {
+						badValues.Add(1)
+					}
 				}
 			}
-		})
+		}(w)
+	}
+	wg.Wait()
+	if n := badValues.Load(); n != 0 {
+		t.Fatalf("%d checksum-invalid values served under %v", n, p)
+	}
+	for _, h := range hs {
+		h.Flush()
+	}
+	st := s.Stats()
+	if st.Overwrites == 0 {
+		t.Fatal("storm produced no overwrites")
+	}
+	if st.PutBatches == 0 {
+		t.Fatal("storm produced no batched puts")
+	}
+	if p != core.NR {
+		if u := g.Unreclaimed(); u != 0 {
+			t.Fatalf("%d unreclaimed after quiescent flush", u)
+		}
+		// Every live key holds exactly one value slot; everything
+		// retired must have been freed by the flush.
+		if vo, live := s.vals.Outstanding(), int64(s.Size(hs[0])); vo != live {
+			t.Fatalf("value slots outstanding = %d, live keys = %d", vo, live)
+		}
 	}
 }
 
@@ -721,6 +734,31 @@ func TestStoreScanUnorderedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Scan on unordered backing did not panic")
+		}
+	}()
+	s.Scan(h, 0, 100, func(int64, []byte) bool { return true })
+}
+
+// TestStoreDefaultBacking pins the zero Config's backing: an unordered
+// hash table of 2^15 one-word buckets per shard, whose Scan panics
+// naming the backing.
+func TestStoreDefaultBacking(t *testing.T) {
+	s, err := New(newGroup(core.NR, 1, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.cfg.Backing != BackingHashTable || s.Ordered() {
+		t.Fatalf("default backing %q (ordered %v), want unordered %q", s.cfg.Backing, s.Ordered(), BackingHashTable)
+	}
+	for i := range s.shards {
+		if n := s.shards[i].m.(*hashtable.Table).Buckets(); n != 1<<15 {
+			t.Fatalf("shard %d has %d buckets, want %d", i, n, 1<<15)
+		}
+	}
+	h := acquire(t, s)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"hmht"`) {
+			t.Fatalf("Scan on the default store panicked with %v, want the backing named", r)
 		}
 	}()
 	s.Scan(h, 0, 100, func(int64, []byte) bool { return true })

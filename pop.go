@@ -255,7 +255,8 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 // discipline) and retries, never observing torn or recycled bytes.
 //
 //	g := pop.NewDomainGroup(pop.EpochPOP, 2, 8, nil) // 2 member domains, 8 slots
-//	s, _ := pop.NewStore(g, nil)            // 8 shards over skiplists, 4 per member
+//	opts := &pop.StoreOptions{Backing: "skl"} // ordered, so Scan works
+//	s, _ := pop.NewStore(g, opts)           // 8 shards, 4 per member
 //	h, _ := s.Acquire()                     // lease one group slot
 //	s.Put(h, "user:42", []byte("payload"))
 //	v, ok := s.Get(h, "user:42", nil)       // v is a private copy
@@ -268,7 +269,9 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 // operation per shard group (sorted by shard and in-shard key), which
 // measurably beats per-key ops — see store.getbatch_ns_per_key in bench/
 // and BenchmarkStorePutBatch in internal/store. Scan yields (hashed key,
-// value copy) pairs over ordered backings.
+// value copy) pairs over the ordered backings ("skl", "abt"); the
+// default hash-table backing ("hmht") is unordered, and Scan panics on
+// it.
 //
 // Serving pools resize live: Store.Acquire / Release lease group
 // handles from the store's domain group, so workers can be scaled up
@@ -279,8 +282,9 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 type Store = store.Store
 
 // StoreOptions tunes a Store (shard count, backing structure, value
-// size cap); see the field docs. The zero value — 8 shards over
-// skiplists — serves scans, batches and single keys.
+// size cap); see the field docs. The zero value — 8 shards over hash
+// tables of one-word buckets — serves batches and single keys; set
+// Backing to "skl" or "abt" for Scan.
 type StoreOptions = store.Config
 
 // StoreStats is a snapshot of store counters, aggregated over shards.
@@ -297,8 +301,8 @@ type StoreBatch = store.Batch
 const StoreInlineMaxLen = store.InlineMaxLen
 
 // NewStore creates a sharded string-key KV store over domain group g.
-// opts may be nil for the defaults (8 shards, skiplist backing —
-// ordered, so Scan works). Shards are split evenly across g's members
+// opts may be nil for the defaults (8 shards, hash-table backing —
+// unordered, so Scan needs Backing "skl" or "abt"). Shards are split evenly across g's members
 // (g.Members() must not exceed the shard count). Shard structures
 // register node types with the member domains, so create the store
 // before the domains' type tables fill up.

@@ -188,7 +188,8 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 
 func TestStoreFacade(t *testing.T) {
 	g := pop.NewDomainGroup(pop.EpochPOP, 2, 2, nil)
-	s, err := pop.NewStore(g, nil)
+	// An ordered backing: the default hash table has no Scan.
+	s, err := pop.NewStore(g, &pop.StoreOptions{Backing: "skl"})
 	if err != nil {
 		t.Fatal(err)
 	}
