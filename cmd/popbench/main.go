@@ -38,8 +38,9 @@
 // workload instead of the default mix: A (50/50 read/update, zipf),
 // B (95/5, zipf), C (read-only, zipf), D (95/5 read/insert, latest),
 // E (95/5 scan/insert, zipf), F (50/50 read/rmw, zipf). The serve path
-// supports A–D (the wire protocol has no scan or rmw command); E needs
-// an ordered -backing.
+// supports A–D (the wire protocol has no scan or rmw command). A store
+// sweep whose mix or trace scans builds (a,b)-tree shards (abt), and
+// any other builds hash-table shards (hmht); the table titles name it.
 //
 // With -trace FILE, the store path replays a recorded trace instead of
 // drawing from a synthetic mix. Traces are text lines of
@@ -87,7 +88,7 @@
 //	popbench -ds skl -mix kv -churn 5000
 //	popbench -store -shards 1,4,16 -batch 8,64 -dist zipf
 //	popbench -store -churn 2000 -shards 8
-//	popbench -store -backing hmht -keyrange 1000000 -csv > store.csv
+//	popbench -store -ycsb B -keyrange 1000000 -csv > store.csv
 //	popbench -store -valsize mixed:80,6,256 -ycsb B
 //	popbench -ycsb B -threads 8
 //	popbench -ycsb D -serve -conns 32
@@ -113,7 +114,6 @@ import (
 	"pop/internal/figures"
 	"pop/internal/harness"
 	"pop/internal/report"
-	"pop/internal/store"
 	"pop/internal/telemetry"
 	"pop/internal/workload"
 )
@@ -149,7 +149,6 @@ func main() {
 		sampleDur  = flag.Duration("sample", 0, "store sweep: record an interval-sampled telemetry timeline per cell at this resolution and print it after the tables (0 = off); with -json the samples embed in each record")
 
 		storeMode = flag.Bool("store", false, "store sweep: the sharded string-key KV front across shards × policies × batch sizes")
-		backing   = flag.String("backing", "skl", "store backing structure (skl, abt, hmht)")
 		valSize   = flag.String("valsize", "", "store sweep payload-size distribution: fixed:N, uniform:MIN,MAX or mixed:PCT,SMALL,LARGE (PCT%% of puts are SMALL bytes, the rest LARGE); sizes <= 7 take the store's inline-value path")
 		shardsCSV = flag.String("shards", "8", "store sweep: comma-separated shard counts")
 		batchCSV  = flag.String("batch", "16", "store sweep: comma-separated multi-get/multi-put batch sizes")
@@ -254,7 +253,7 @@ func main() {
 	switch mode {
 	case "-serve":
 		sweep = serveSweepOpts{sweepCommon: common, conns: *connsCSV, cfg: harness.ServeConfig{
-			Slots: *slots, Duration: *duration, Keys: *keyRange, Backing: *backing, Seed: *seed,
+			Slots: *slots, Duration: *duration, Keys: *keyRange, Seed: *seed,
 			GetPct: *getPct, OpenRate: *openRate, Dist: dist, Chaos: chaosCfg,
 		}}.run
 	case "-store":
@@ -264,7 +263,7 @@ func main() {
 			traceName: *traceFile, valSpec: *valSize,
 			cfg: harness.StoreConfig{
 				Threads: threadCounts[len(threadCounts)-1], Duration: *duration, Keys: *keyRange,
-				Backing: *backing, Seed: *seed, Dist: dist, Churn: churn, Reclaim: reclaim,
+				Seed: *seed, Dist: dist, Churn: churn, Reclaim: reclaim,
 				Trace: trace, TracePaced: *tracePaced,
 				Chaos: chaosCfg, ChaosStart: *chaosFrom, ChaosStop: *chaosTo, SampleEvery: *sampleDur,
 				ValueMin: valMin, ValueMax: valMax, ValueSmallPct: valSmallPct, OpLatency: true,
@@ -337,7 +336,6 @@ var sweepFlags = map[string][]string{
 	"rthresh":    {"-ds", "-store"},
 	"ycsb":       {"-store", "-serve"},
 	"chaos":      {"-store", "-serve"},
-	"backing":    {"-store", "-serve"},
 	"store":      {"-store"},
 	"trace":      {"-store"},
 	"tracepaced": {"-store"},
@@ -492,7 +490,7 @@ func (o serveSweepOpts) run() error {
 	}
 	series, err := figures.Grid[harness.ServeResult]{
 		Title: fmt.Sprintf("serve %s (%s%d slots, %d keys, %v dist, %d%% gets, %s)",
-			o.cfg.Backing, label, o.cfg.Slots, o.cfg.Keys, o.cfg.Dist, o.cfg.GetPct, loop),
+			harness.DSHashTable, label, o.cfg.Slots, o.cfg.Keys, o.cfg.Dist, o.cfg.GetPct, loop),
 		XLabel: "conns",
 		Rows:   figures.Labels(connList), Cols: figures.PolicyNames(o.policies), Metrics: metrics,
 		Run: func(r, c int) (harness.ServeResult, error) {
@@ -504,7 +502,7 @@ func (o serveSweepOpts) run() error {
 	if err != nil {
 		return err
 	}
-	return o.emit(series, seriesRecords("serve", o.cfg.Backing, metrics, series))
+	return o.emit(series, seriesRecords("serve", harness.DSHashTable, metrics, series))
 }
 
 // run sweeps the KV front across shards × groups × batch sizes × policies
@@ -547,22 +545,15 @@ func (o storeSweepOpts) run() error {
 		// and garbage are explainable per lease rate.
 		metrics = append(metrics, cm.Releases, cm.OrphansAdopted)
 	}
-	// Ask the store layer itself whether the backing scans (a throwaway
-	// probe, the harness.RangeCapable pattern) — this also surfaces an
-	// unknown -backing as an error before the sweep starts.
-	probe, err := store.New(core.NewDomainGroup(core.NR, 1, 1, nil), store.Config{Shards: 1, Backing: o.cfg.Backing})
-	if err != nil {
-		return err
-	}
 	traceMode := len(o.cfg.Trace) > 0
-	mix := workload.StoreServe
+	o.cfg.Mix = workload.StoreServe
 	mixLabel := "serve mix"
 	if o.ycsb != "" {
 		w, err := workload.ParseYCSB(o.ycsb)
 		if err != nil {
 			return err
 		}
-		mix = w.Mix
+		o.cfg.Mix = w.Mix
 		o.cfg.Dist = w.Dist
 		mixLabel = "YCSB " + w.Name
 	}
@@ -572,18 +563,10 @@ func (o storeSweepOpts) run() error {
 			mixLabel += ", paced"
 		}
 	}
-	switch {
-	case probe.Ordered():
+	if o.cfg.Ordered() {
 		metrics = append(metrics, figures.StoreLat("scan latency p99 (µs)", workload.StoreScan, 0.99))
-	case o.ycsb != "" && mix.ScanPct > 0:
-		// A scanning YCSB workload on an unordered backing would not be
-		// that workload anymore; scan traces are rejected by the harness.
-		return fmt.Errorf("YCSB %s scans but backing %q is unordered (pick skl or abt)", o.ycsb, o.cfg.Backing)
-	default:
-		// Unordered backings cannot scan: fold the scan share into gets.
-		mix.GetPct += mix.ScanPct
-		mix.ScanPct = 0
 	}
+	mix := &o.cfg.Mix
 	if o.mputPct > 0 {
 		// Carve the batched-put share out of puts so the overall write
 		// rate stays the control variable.
@@ -605,9 +588,8 @@ func (o storeSweepOpts) run() error {
 	if o.cfg.Chaos.Enabled() {
 		metrics = append(metrics, chaosMetrics(func(r R) chaos.Stats { return r.Chaos })...)
 	}
-	o.cfg.Mix = mix
 
-	title := fmt.Sprintf("store %s (%s, %d keys, %v dist, %d threads)", o.cfg.Backing, mixLabel, o.cfg.Keys, o.cfg.Dist, o.cfg.Threads)
+	title := fmt.Sprintf("store %s (%s, %d keys, %v dist, %d threads)", o.cfg.Structure(), mixLabel, o.cfg.Keys, o.cfg.Dist, o.cfg.Threads)
 	if o.valSpec != "" {
 		title += " valsize=" + o.valSpec
 	}
@@ -651,7 +633,7 @@ func (o storeSweepOpts) run() error {
 	if err != nil {
 		return err
 	}
-	recs := seriesRecords("store", o.cfg.Backing, metrics, series)
+	recs := seriesRecords("store", o.cfg.Structure(), metrics, series)
 	for i := range recs {
 		row := rows[i/len(o.policies)]
 		recs[i].Shards, recs[i].Groups, recs[i].Batch, recs[i].Threads = row.shards, row.groups, row.batch, o.cfg.Threads
@@ -672,7 +654,7 @@ func (o storeSweepOpts) run() error {
 // parameters and, with -sample, the cell's timeline.
 type benchJSONRecord struct {
 	Sweep   string             `json:"sweep"`  // "ds", "store" or "serve"
-	Target  string             `json:"target"` // structure (-ds) or backing (-store, -serve)
+	Target  string             `json:"target"` // structure: the -ds one, or the store's per-shard abt or hmht
 	Policy  string             `json:"policy"`
 	X       string             `json:"x"`
 	Metrics map[string]float64 `json:"metrics"`

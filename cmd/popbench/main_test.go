@@ -36,10 +36,12 @@ func labels(out string) string {
 	return b.String()
 }
 
-// sweepArgs is one tiny sweep per mode (-ds, -store, -serve, -trace).
+// sweepArgs is one tiny sweep per mode (-ds, -store, -serve, -trace),
+// plus a scan-free -store sweep, so the labels pin both store structures.
 var sweepArgs = []string{
 	"-ds skl -mix kv -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
 	"-store -shards 4,8 -batch 8 -groups 1,4 -duration 20ms -threads 2 -policies EBR,EpochPOP -keyrange 2048",
+	"-store -ycsb B -duration 20ms -threads 2 -policies EBR -keyrange 2048",
 	"-serve -conns 2,4 -slots 2 -duration 20ms -policies EBR -keyrange 2048",
 	"-trace testdata/sample.trace -policies EBR,EpochPOP",
 }

@@ -4,14 +4,14 @@
 // store. Connections are admission-controlled — at most -slots bursts
 // execute at once, the rest queue FIFO on the server's admission
 // semaphore for up to -timeout — and a single-key get runs on its
-// shard's own handle, outside the admission budget. -backing picks the
-// per-shard structure: hmht (the hash table, the store's default), skl
-// (the lock-free skiplist) or abt (the (a,b)-tree).
+// shard's own handle, outside the admission budget. The shards are hash
+// tables (hmht): the protocol has no scan command, so the store needs no
+// order.
 //
 // Examples:
 //
 //	popserve -addr :11311 -policy EpochPOP -slots 8
-//	popserve -policy HazardPtrPOP -backing skl -shards 16
+//	popserve -policy HazardPtrPOP -shards 16
 //	printf 'set greet 0 0 5\r\nhello\r\nget greet\r\nquit\r\n' | nc 127.0.0.1 11311
 //
 // On SIGINT/SIGTERM the server drains connections, releases every
@@ -39,7 +39,6 @@ func main() {
 		slots    = flag.Int("slots", 8, "admission slots: connection bursts executing at once")
 		shards   = flag.Int("shards", 8, "store shard count (power of two)")
 		groups   = flag.Int("groups", 1, "reclamation domain members the shards split across (power of two, <= shards)")
-		backing  = flag.String("backing", store.BackingHashTable, "per-shard structure (hmht, skl, abt)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "admission-queue wait bound per burst")
 		maxValue = flag.Int("maxvalue", 0, "value size cap in bytes (0 = arena default)")
 		metrics  = flag.String("metrics", "", "telemetry HTTP address serving /metrics, /timeline and /debug/pprof (e.g. 127.0.0.1:9090; empty disables the endpoint)")
@@ -60,7 +59,6 @@ func main() {
 		Groups: *groups,
 		Store: store.Config{
 			Shards:      *shards,
-			Backing:     *backing,
 			MaxValueLen: *maxValue,
 		},
 		AcquireTimeout: *timeout,
@@ -120,8 +118,8 @@ func main() {
 		fmt.Println("popserve: smoke OK")
 		return
 	}
-	fmt.Printf("popserve: %v policy, %d slots, %d×%s shards over %d domain members, listening on %s\n",
-		p, *slots, *shards, *backing, s.Group().Members(), s.Addr())
+	fmt.Printf("popserve: %v policy, %d slots, %d×hmht shards over %d domain members, listening on %s\n",
+		p, *slots, *shards, s.Group().Members(), s.Addr())
 	if maddr != "" {
 		fmt.Printf("popserve: telemetry on http://%s/metrics (timeline: /timeline, pprof: /debug/pprof/)\n", maddr)
 	}

@@ -117,8 +117,8 @@ func main() {
 	group := pop.NewDomainGroup(pop.EpochPOP, 2, maxWorkers+1, &pop.Options{
 		ReclaimThreshold: 2048,
 	})
-	// The warmer below scans, so the shards need an ordered backing.
-	cache, err := pop.NewStore(group, &pop.StoreOptions{Shards: 8, Backing: "skl"})
+	// The warmer below scans, so the store must be ordered.
+	cache, err := pop.NewStore(group, &pop.StoreOptions{Shards: 8, Ordered: true})
 	if err != nil {
 		panic(err)
 	}

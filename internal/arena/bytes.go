@@ -231,49 +231,6 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 	return makeHandle(seq, class, idx)
 }
 
-// reserve tops the cache up to at least need free slots of class, in
-// one lock acquisition — the batched analogue of refill.
-func (c *BytesCache) reserve(class uint32, need int) {
-	cl := &c.b.classes[class]
-	cl.mu.Lock()
-	for len(c.free[class]) < need {
-		if len(cl.free) == 0 {
-			c.b.grow(class)
-		}
-		n := need - len(c.free[class])
-		if n < bytesBatch {
-			n = bytesBatch
-		}
-		if n > len(cl.free) {
-			n = len(cl.free)
-		}
-		c.free[class] = append(c.free[class], cl.free[len(cl.free)-n:]...)
-		cl.free = cl.free[:len(cl.free)-n]
-	}
-	cl.mu.Unlock()
-}
-
-// AllocBatch copies every vs[i] into a fresh slot and records its
-// handle in out[i] (len(out) must be >= len(vs)). Slot reservation is
-// batched: each size class the batch touches takes the global-list
-// lock at most once, up front, instead of once per bytesBatch
-// allocations — so a store-level batched put pays one reservation pass
-// per shard group, mirroring its one protected operation per group.
-func (c *BytesCache) AllocBatch(vs [][]byte, out []Handle) {
-	var need [bytesClasses]int
-	for _, v := range vs {
-		need[classFor(len(v))]++
-	}
-	for class := uint32(0); class < bytesClasses; class++ {
-		if n := need[class]; n > len(c.free[class]) {
-			c.reserve(class, n)
-		}
-	}
-	for i, v := range vs {
-		out[i] = c.Alloc(v)
-	}
-}
-
 // Free returns h's slot to the pool. Freeing a handle that is not the
 // slot's current allocation (stale or double free) panics: frees flow
 // through the reclamation layer exactly once per retirement.

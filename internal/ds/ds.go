@@ -106,8 +106,7 @@ type RangeScanner interface {
 // keys then share one protected operation (one StartOp/EndOp, one
 // reservation epoch) instead of paying the entry/exit protocol per key.
 // The store's GetBatch and PutBatch bracket each shard group this way,
-// so every store backing implements it (hmlist, hashtable, skiplist and
-// abtree do).
+// so both store structures implement it: hashtable and abtree.
 type InOp interface {
 	// GetInOp is Get without the StartOp/EndOp bracket.
 	GetInOp(t *core.Thread, key int64) (uint64, bool)

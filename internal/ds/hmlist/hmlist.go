@@ -3,7 +3,8 @@
 // It is also the repository's unified bottom layer: the hash table's
 // buckets and the skiplist's level 0 are both hmlist chains, so the map
 // logic — upsert, replace-node-and-retire overwrite, PutIfAbsent,
-// Delete, batched get/put, and the retire handoff — exists exactly once.
+// Delete, the in-operation bodies the hash table batches, and the retire
+// handoff — exists exactly once.
 //
 // A chain starts at a head word and ends at the list's tail sentinel,
 // with nodes sorted by key between them. A list walks its own head word;
@@ -376,21 +377,17 @@ func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 	return l.GetInOpAt(t, &l.head, key)
 }
 
-// GetInOp is Get's body without the StartOp/EndOp bracket: the caller
-// must already be inside an operation on t (the ds.InOp contract). The
-// store runs a batch's lookups through it, so many keys share one
-// protected entry/exit.
-func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
-	return l.GetInOpAt(t, &l.head, key)
-}
-
-// GetInOpAt is GetInOp on the chain rooted at head (see InitHead).
+// GetInOpAt is Get's body without the StartOp/EndOp bracket, on the
+// chain rooted at head (see InitHead): the caller must already be inside
+// an operation on t (the ds.InOp contract). The hash table runs a
+// batch's lookups through it, so many keys share one protected
+// entry/exit.
 func (l *List) GetInOpAt(t *core.Thread, head *core.Atomic, key int64) (uint64, bool) {
 	v, present, _ := l.get(t, key, head, nil, 0)
 	return v, present
 }
 
-// GetInOpHinted is GetInOp resuming at a hinted start node (see
+// GetInOpHinted is Get's body resuming at a hinted start node (see
 // find). valid=false: the hint was stale, re-descend.
 func (l *List) GetInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (v uint64, present, valid bool) {
 	return l.get(t, key, &l.head, start, sStart)
@@ -428,13 +425,6 @@ func (l *List) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {
 func (l *List) Put(t *core.Thread, key int64, val uint64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
-	return l.PutInOp(t, key, val)
-}
-
-// PutInOp is Put's body without the StartOp/EndOp bracket: the caller
-// must already be inside an operation on t (the ds.InOp contract), as
-// for GetInOp.
-func (l *List) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := l.PutInOpAt(t, &l.head, key, val, true)
 	return old, replaced
 }

@@ -1,9 +1,9 @@
 // Package skiplist implements a lock-free skiplist map (SKL in the
 // harness) whose bottom layer *is* an hmlist.List: membership, upsert,
-// replace-node-and-retire overwrite, deletion, batched get/put and the
-// LINKING/RETIREREQ retire handoff all live in the shared Harris-Michael
-// bottom layer (see package hmlist), and this package contributes only
-// the probabilistic index above it. It is one of the repository's two
+// replace-node-and-retire overwrite, deletion and the LINKING/RETIREREQ
+// retire handoff all live in the shared Harris-Michael bottom layer
+// (see package hmlist), and this package contributes only the
+// probabilistic index above it. It is one of the repository's two
 // structures with ordered range scans, which makes it the SMR-heaviest
 // workload available: a scan is one long operation that protects every
 // hop, exactly the traversal pressure the paper's §5.1.2
@@ -429,12 +429,6 @@ func (l *List) unlinkIndexLevel(c *column, lvl int, hops *int) {
 func (l *List) Get(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
-	return l.GetInOp(t, key)
-}
-
-// GetInOp is Get inside an operation the caller already opened (the
-// ds.InOp contract). Each key still descends the index for its own hint.
-func (l *List) GetInOp(t *core.Thread, key int64) (uint64, bool) {
 	for attempt := 0; ; attempt++ {
 		start, s := l.hintFor(t, key, attempt)
 		v, present, valid := l.b.GetInOpHinted(t, key, start, s)
@@ -478,13 +472,6 @@ func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (i
 		}
 		return out.Inserted, out.Old, out.Replaced
 	}
-}
-
-// PutInOp is Put inside an operation the caller already opened (the
-// ds.InOp contract); an NBR neutralization retries only its own key.
-func (l *List) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
-	_, old, replaced := l.putInOp(t, key, val, true)
-	return old, replaced
 }
 
 // Delete removes key and returns the value it removed. The bottom layer

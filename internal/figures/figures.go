@@ -621,7 +621,7 @@ func pingFanoutFigure() Figure {
 			}
 			cm := Shared[harness.StoreResult]()
 			return Grid[harness.StoreResult]{
-				Title:  fmt.Sprintf("Ping fan-out (skl ×%d shards, zipf)", shards),
+				Title:  fmt.Sprintf("Ping fan-out (hmht ×%d shards, zipf)", shards),
 				XLabel: "threads",
 				Rows:   Labels(threads), Cols: names,
 				Metrics: []Metric[harness.StoreResult]{
@@ -852,7 +852,7 @@ func timelineFigure() Figure {
 			}
 			mk := func(metric string) report.Series {
 				return report.Series{
-					Title:  fmt.Sprintf("Timeline (YCSB A, skl ×8 shards g8, %d threads, stall burst) — %s", threads, metric),
+					Title:  fmt.Sprintf("Timeline (YCSB A, hmht ×8 shards g8, %d threads, stall burst) — %s", threads, metric),
 					XLabel: "t_ms",
 					Names:  names,
 				}

@@ -134,18 +134,12 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceReplayValidation: churn is incompatible, and scans in a
-// trace demand an ordered backing.
+// TestTraceReplayValidation: churn is incompatible with a trace.
 func TestTraceReplayValidation(t *testing.T) {
 	cfg, _ := traceConfig(1)
 	cfg.Churn = workload.Churn{AfterOps: 100}
 	if _, err := RunStore(cfg); err == nil {
 		t.Error("trace+churn accepted")
-	}
-	cfg, _ = traceConfig(1)
-	cfg.Backing = "hmht"
-	if _, err := RunStore(cfg); err == nil {
-		t.Error("trace with scans accepted on unordered backing")
 	}
 }
 

@@ -38,7 +38,6 @@ type ServeConfig struct {
 	Duration time.Duration // execution-phase length
 	Keys     int64         // key population (ranks 0..Keys-1)
 	Shards   int           // store shard count (power of two; default 8)
-	Backing  string        // per-shard structure (default skl)
 	Seed     uint64        // trial seed
 
 	// GetPct is the get share of the op mix (default 90); the rest are
@@ -82,9 +81,6 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 8
-	}
-	if c.Backing == "" {
-		c.Backing = store.BackingSkipList
 	}
 	if c.GetPct == 0 {
 		c.GetPct = 90
@@ -213,7 +209,8 @@ const (
 
 // RunServe executes one serve trial: a live server on a loopback port,
 // Conns client connections generating the get/set mix, latency measured
-// at the client.
+// at the client. The server's store is the unordered hash table: the
+// wire protocol has no scan command.
 func RunServe(cfg ServeConfig) (ServeResult, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -225,7 +222,6 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		Slots:  cfg.Slots,
 		Store: store.Config{
 			Shards:               cfg.Shards,
-			Backing:              cfg.Backing,
 			ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
 		},
 		ExtraSlots: cfg.Chaos.Slots(),

@@ -32,7 +32,6 @@ type StoreConfig struct {
 	Keys     int64         // key population (ranks 0..Keys-1)
 	Shards   int           // store shard count (power of two; default 8)
 	Groups   int           // member reclamation domains (power of two, <= Shards; default 1)
-	Backing  string        // per-shard structure (store.Backing*; default skl)
 	Seed     uint64        // trial seed (reproducible)
 
 	Mix workload.StoreMix // op mixture (default workload.StoreServe)
@@ -151,9 +150,6 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if _, c.Groups, err = store.Layout(c.Shards, c.Groups); err != nil {
 		return c, err
 	}
-	if c.Backing == "" {
-		c.Backing = store.BackingSkipList
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}
@@ -167,6 +163,31 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 		c.Seed = 0x5707e_cafe
 	}
 	return c, nil
+}
+
+// Ordered reports whether the trial's store is ordered: true when the
+// workload scans (the trace holds a scan, or the mix has a scan share;
+// a zero Mix is workload.StoreServe, which scans), so the store builds
+// the (a,b)-tree, and false otherwise, so it builds the hash table.
+func (c StoreConfig) Ordered() bool {
+	if len(c.Trace) > 0 {
+		for i := range c.Trace {
+			if c.Trace[i].Op == workload.StoreScan {
+				return true
+			}
+		}
+		return false
+	}
+	return c.Mix.ScanPct > 0 || c.Mix == (workload.StoreMix{})
+}
+
+// Structure is the DS name of the per-shard structure the trial's
+// store builds: DSABTree when Ordered, DSHashTable otherwise.
+func (c StoreConfig) Structure() string {
+	if c.Ordered() {
+		return DSABTree
+	}
+	return DSHashTable
 }
 
 // valueBounds resolves a config's payload-size range: ValueMin defaults
@@ -252,21 +273,11 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	g := core.NewDomainGroup(cfg.Policy, cfg.Groups, cfg.Threads+chaosSlots, &cfg.Reclaim)
 	s, err := store.New(g, store.Config{
 		Shards:               cfg.Shards,
-		Backing:              cfg.Backing,
+		Ordered:              cfg.Ordered(),
 		ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
 	})
 	if err != nil {
 		return StoreResult{}, err
-	}
-	if !traceMode && cfg.Mix.ScanPct > 0 && !s.Ordered() {
-		return StoreResult{}, fmt.Errorf("harness: mix has ScanPct=%d but backing %q is unordered", cfg.Mix.ScanPct, cfg.Backing)
-	}
-	if traceMode && !s.Ordered() {
-		for i := range cfg.Trace {
-			if cfg.Trace[i].Op == workload.StoreScan {
-				return StoreResult{}, fmt.Errorf("harness: trace has scans but backing %q is unordered", cfg.Backing)
-			}
-		}
 	}
 	t := &trial{
 		g: g, workers: cfg.Threads, duration: cfg.Duration,

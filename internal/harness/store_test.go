@@ -85,12 +85,6 @@ func TestRunStoreValidation(t *testing.T) {
 		t.Fatal("tiny key population accepted")
 	}
 	if _, err := harness.RunStore(harness.StoreConfig{
-		Threads: 1, Keys: 128, Backing: "hmht",
-		Mix: workload.StoreMix{GetPct: 50, ScanPct: 50},
-	}); err == nil {
-		t.Fatal("scan mix on unordered backing accepted")
-	}
-	if _, err := harness.RunStore(harness.StoreConfig{
 		Threads: 1, Keys: 128,
 		Mix: workload.StoreMix{GetPct: 50},
 	}); err == nil {
@@ -98,15 +92,14 @@ func TestRunStoreValidation(t *testing.T) {
 	}
 }
 
-// TestRunStoreUnorderedBacking runs a scan-free mix on the hash-table
-// backing (batching but no ordered scans).
+// TestRunStoreUnorderedBacking runs a scan-free mix, which gets the
+// hash-table store (batching but no ordered scans).
 func TestRunStoreUnorderedBacking(t *testing.T) {
 	res, err := harness.RunStore(harness.StoreConfig{
 		Policy:   core.EBR,
 		Threads:  2,
 		Duration: 20 * time.Millisecond,
 		Keys:     1024,
-		Backing:  "hmht",
 		Mix:      workload.StoreMix{GetPct: 60, PutPct: 20, MGetPct: 15, DeletePct: 5},
 		Seed:     13,
 	})
@@ -165,5 +158,30 @@ func TestRunStoreSampledBurst(t *testing.T) {
 	// The timeline's op count telescopes to what the workers did.
 	if tl.FinalOps == 0 {
 		t.Error("timeline recorded no worker ops")
+	}
+}
+
+// TestStoreConfigOrdered pins the rule that picks the store's structure
+// from the workload: a mix with a scan share (the zero mix is
+// workload.StoreServe, which scans) or a trace holding a scan gets the
+// ordered (a,b)-tree, and every other workload the hash table.
+func TestStoreConfigOrdered(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  harness.StoreConfig
+		want string
+	}{
+		{"zero mix", harness.StoreConfig{}, harness.DSABTree},
+		{"scan share", harness.StoreConfig{Mix: workload.StoreMix{GetPct: 95, ScanPct: 5}}, harness.DSABTree},
+		{"scan-free mix", harness.StoreConfig{Mix: workload.StoreMix{GetPct: 90, PutPct: 10}}, harness.DSHashTable},
+		{"trace with a scan", harness.StoreConfig{Trace: []workload.TraceOp{{Op: workload.StoreGet}, {Op: workload.StoreScan}}}, harness.DSABTree},
+		{"scan-free trace under a scanning mix", harness.StoreConfig{
+			Mix:   workload.StoreServe,
+			Trace: []workload.TraceOp{{Op: workload.StoreGet}, {Op: workload.StorePut}},
+		}, harness.DSHashTable},
+	} {
+		if got := tc.cfg.Structure(); got != tc.want || tc.cfg.Ordered() != (tc.want == harness.DSABTree) {
+			t.Errorf("%s: Structure %q, Ordered %v; want %q", tc.name, got, tc.cfg.Ordered(), tc.want)
+		}
 	}
 }

@@ -301,6 +301,10 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	open := len(s.conns)
 	s.mu.Unlock()
+	// Hits load before keys: a get adds its keys before (in program
+	// order) any hit it counts, so every hit this load sees has its key
+	// add visible to the later keys load, and GetMisses cannot wrap.
+	hits := s.getHits.Load()
 	st := Stats{
 		Accepted:          s.accepted.Load(),
 		Conns:             open,
@@ -308,7 +312,7 @@ func (s *Server) Stats() Stats {
 		CmdSet:            s.cmdSet.Load(),
 		CmdDelete:         s.cmdDelete.Load(),
 		GetKeys:           s.getKeys.Load(),
-		GetHits:           s.getHits.Load(),
+		GetHits:           hits,
 		AdmissionWaits:    s.admWaits.Load(),
 		AdmissionTimeouts: s.admTimeos.Load(),
 		ProtocolErrors:    s.protoErrs.Load(),

@@ -579,6 +579,78 @@ func TestServerLoneGetBypassesAdmission(t *testing.T) {
 	closeClean(t, s)
 }
 
+// TestServerStatsHitsNeverExceedKeys polls Stats while two connections
+// run pipelined single-key gets that all hit: a poll must never see
+// more hits than keys, or GetMisses (their difference) wraps to nearly
+// 2^64.
+func TestServerStatsHitsNeverExceedKeys(t *testing.T) {
+	const (
+		conns    = 2
+		pipeline = 16 // gets per write
+		minPolls = 10_000
+		minHits  = 20_000
+	)
+	s := startServer(t, Config{
+		Policy: core.EpochPOP,
+		Slots:  2,
+		Store:  store.Config{Shards: 2, MaxValueLen: 64},
+	})
+	seed := dialServer(t, s)
+	seed.set("hot", "value")
+	seed.close()
+
+	burst := strings.Repeat("get hot\r\n", pipeline)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range conns {
+		nc, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer nc.Close()
+			r := bufio.NewReader(nc)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := io.WriteString(nc, burst); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+				for range 3 * pipeline { // VALUE line, payload, END
+					if _, err := r.ReadString('\n'); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(time.Minute)
+	polls := 0
+	var st Stats
+	for polls < minPolls || st.GetHits < minHits {
+		st = s.Stats()
+		polls++
+		if st.GetHits > st.GetKeys {
+			t.Errorf("poll %d: GetHits %d > GetKeys %d (GetMisses %d)", polls, st.GetHits, st.GetKeys, st.GetMisses)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("only %d hits in %d polls within a minute", st.GetHits, polls)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	closeClean(t, s)
+}
+
 // TestServerCloseWithGetsInFlight closes the server under a get storm:
 // every connection goroutine must finish its in-flight get and exit,
 // and the shard handles' leases must come back (closeClean's ledger).

@@ -8,13 +8,13 @@ import (
 	"pop/internal/workload"
 )
 
-// benchStore builds an 8-shard skiplist store under EpochPOP (one
+// benchStore builds the default 8-shard hash-table store under EpochPOP (one
 // member domain, so batch-vs-sequential numbers isolate the batching)
 // prefilled with keys, plus a ready batch of batchKeys keys.
 func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHandle, []string) {
 	b.Helper()
 	g := core.NewDomainGroup(core.EpochPOP, 1, 1, nil)
-	s, err := New(g, Config{Shards: 8, Backing: BackingSkipList})
+	s, err := New(g, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHan
 }
 
 // BenchmarkStorePutBatch upserts 64 keys per iteration through the
-// batched multi-put: one counting sort, one arena reservation pass and
-// ONE protected operation per shard group (ds.InOp), with
+// batched multi-put: one counting sort and ONE protected operation per
+// shard group (ds.InOp), with
 // replaced values retired in bulk. Every key is prefilled, so each
 // iteration does 64 overwrite+retire cycles — compare ns/op with
 // BenchmarkStoreSequentialPut64, the identical work as 64 Puts.

@@ -1,7 +1,7 @@
 // Package store is the KV-serving front of this repository: a sharded,
 // string-keyed key→value store layered on the ds.Map structures, with
 // arena-backed byte-slice values, batched multi-get and multi-put, and
-// value-returning scans over ordered backings. It is the layer the
+// value-returning scans over an ordered store. It is the layer the
 // ROADMAP's north star asks for — the paper's benchmark dialect (int64
 // keys, uint64 values, one protected operation per access) turned into
 // a serving API (string keys, variable-size payloads, batch and
@@ -97,11 +97,12 @@
 //
 // GetBatch sorts the batch by (shard, hashed key) and answers each
 // shard's group in one protected operation it opens itself, running the
-// backing's ds.InOp lookup per key (one StartOp/EndOp per shard per
-// batch instead of per key); every backing has the in-op seam, so there
-// is one batch path. PutBatch is the write-side mirror: the same
-// counting sort, one protected operation per shard group, one
-// arena reservation pass per group (arena.BytesCache.AllocBatch), and
+// shard structure's ds.InOp lookup per key (one StartOp/EndOp per shard
+// per batch instead of per key); both structures have the in-op seam,
+// so there is one batch path. PutBatch is the write-side mirror: the same
+// counting sort, one protected operation per shard group (long payloads
+// are copied into the arena before it opens, each by the slot cache's
+// Alloc, whose refills lock a size class once per 64 slots), and
 // replaced values retired in bulk on the group's member thread. A
 // read-modify-write batch reuses one Batch's scratch across the
 // GetBatch → modify → PutBatch cycle.
@@ -111,12 +112,13 @@
 //
 // # Scans
 //
-// On ordered backings (skl, abt) Scan walks a hashed-key window and
-// yields (hashed key, value copy) pairs, built on the backing's
-// validated ds.RangeScanner: each chunk of at most scanChunk pairs is
-// one protected scan operation on the shard's member thread, and each
-// value is resolved through the same stale-detecting read path as Get.
-// The default backing, hmht, is unordered, and Scan panics on it.
+// A store built with Config.Ordered has (a,b)-tree shards, and Scan
+// walks a hashed-key window and yields (hashed key, value copy) pairs,
+// built on the tree's validated ds.RangeScanner: each chunk of at most
+// scanChunk pairs is one protected scan operation on the shard's member
+// thread, and each value is resolved through the same stale-detecting
+// read path as Get. Any other store has hash-table shards, which are
+// unordered, and Scan panics on it.
 package store
 
 import (
@@ -128,18 +130,7 @@ import (
 	"pop/internal/ds"
 	"pop/internal/ds/abtree"
 	"pop/internal/ds/hashtable"
-	"pop/internal/ds/skiplist"
 	"pop/internal/padded"
-)
-
-// Backing names accepted by Config.Backing (the harness's DS names).
-// The other ds structures serve the paper's figures only: the two lists
-// cost time linear in a shard's population, and the external BST has
-// no Scan and is slower than the hash table.
-const (
-	BackingSkipList  = "skl"  // lock-free skiplist: ordered
-	BackingABTree    = "abt"  // (a,b)-tree: ordered, the fastest ordered backing
-	BackingHashTable = "hmht" // hash table of one-word buckets: unordered, the fastest backing (default)
 )
 
 // backing is what a shard's structure must be: a map whose lookup and
@@ -203,10 +194,10 @@ type Config struct {
 	// (default 8, max MaxShards). Must be >= the group's member count:
 	// members partition the shards into contiguous blocks.
 	Shards int
-	// Backing selects the per-shard structure (Backing* constants;
-	// default BackingHashTable, which is unordered: Scan needs
-	// BackingSkipList or BackingABTree).
-	Backing string
+	// Ordered selects the per-shard structure: true builds (a,b)-tree
+	// shards, which Scan needs; false (the default) builds hash-table
+	// shards, the faster structure for every other operation.
+	Ordered bool
 	// ExpectedKeysPerShard sizes hash-table shards at six keys per
 	// bucket, rounded up to a power of two (default 1<<17: 2^15 buckets
 	// of one word each, 256 KiB per shard).
@@ -246,19 +237,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards, _, err = Layout(c.Shards, 1); err != nil {
 		return c, err
 	}
-	if c.Backing == "" {
-		c.Backing = BackingHashTable
-	}
 	if c.ExpectedKeysPerShard <= 0 {
 		c.ExpectedKeysPerShard = 1 << 17
 	}
 	if c.MaxValueLen <= 0 || c.MaxValueLen > arena.MaxValueLen {
 		c.MaxValueLen = arena.MaxValueLen
-	}
-	switch c.Backing {
-	case BackingSkipList, BackingABTree, BackingHashTable:
-	default:
-		return c, fmt.Errorf("store: unknown backing %q", c.Backing)
 	}
 	return c, nil
 }
@@ -268,7 +251,7 @@ func (c Config) withDefaults() (Config, error) {
 // is padded, so shard i's stats never false-share with shard j's.
 type shard struct {
 	m       backing
-	scanner ds.RangeScanner // nil when the backing is unordered
+	scanner ds.RangeScanner // nil unless Config.Ordered
 
 	gets       padded.Uint64 // single-key lookups (GetBatch keys included)
 	misses     padded.Uint64 // lookups that found no entry
@@ -363,12 +346,9 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 	for i := range s.shards {
 		d := g.Member(i >> shift)
 		var m backing
-		switch cfg.Backing {
-		case BackingSkipList:
-			m = skiplist.New(d)
-		case BackingABTree:
+		if cfg.Ordered {
 			m = abtree.New(d)
-		case BackingHashTable:
+		} else {
 			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 6)
 		}
 		s.shards[i].m = m
@@ -399,8 +379,9 @@ func (s *Store) Acquire() (*core.GroupHandle, error) { return s.g.Acquire() }
 // member domain for adoption, and the slot becomes re-leasable.
 func (s *Store) Release(h *core.GroupHandle) { s.g.Release(h) }
 
-// Ordered reports whether the backing supports hashed-key Scan.
-func (s *Store) Ordered() bool { return s.shards[0].scanner != nil }
+// Ordered reports whether the store was built with Config.Ordered and
+// so supports hashed-key Scan.
+func (s *Store) Ordered() bool { return s.cfg.Ordered }
 
 // newLocal builds a member thread slot's state on its first use.
 func (s *Store) newLocal(*core.Thread) *storeLocal {
@@ -601,7 +582,7 @@ func (s *Store) retireValue(t *core.Thread, m int, h arena.Handle) {
 // [lo, hi], shard by shard and ascending within each shard, until fn
 // returns false; it returns the number of pairs visited. Each chunk of
 // at most scanChunk pairs is one protected scan operation (the
-// backing's Scan, stopped by the slot's collect) on the shard's member
+// tree's Scan, stopped by the slot's collect) on the shard's member
 // thread, so a store-wide scan is a sequence of member-local operations
 // — the membership invariant holds chunk by chunk — and the fan-out of
 // any reclaimer the scan provokes stays per-member. Each value resolves
@@ -610,10 +591,10 @@ func (s *Store) retireValue(t *core.Thread, m int, h arena.Handle) {
 // value by then) or skipped if deleted. The val slice passed to fn is
 // reused across calls — copy it to keep it.
 //
-// Scan requires an ordered backing (Ordered); it panics otherwise.
+// Scan requires an ordered store (Config.Ordered); it panics otherwise.
 func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val []byte) bool) int {
 	if !s.Ordered() {
-		panic(fmt.Sprintf("store: Scan on unordered backing %q", s.cfg.Backing))
+		panic("store: Scan on a store built without Config.Ordered")
 	}
 	s.scans.Add(1)
 	var vbuf []byte
@@ -680,10 +661,8 @@ type Batch struct {
 	ikeys []int64  // per-group scratch
 	gvals []uint64
 	gok   []bool
-	golds []uint64       // PutBatch: replaced handles per group
-	gbuf  [][]byte       // PutBatch: group's value payloads
-	ghs   []arena.Handle // PutBatch: group's fresh arena handles
-	offs  []int          // value offsets into buf (per key; -1 = miss)
+	golds []uint64 // PutBatch: replaced handles per group
+	offs  []int    // value offsets into buf (per key; -1 = miss)
 	lens  []int
 	buf   []byte
 }
@@ -819,11 +798,11 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // write-side mirror of GetBatch: the batch is counting-sorted by
 // (shard, hashed key); each shard group's inline-eligible payloads
 // encode into their map words and the rest are copied into the value
-// arena in one reservation pass (AllocBatch — the class free
-// lists are locked at most once per group instead of per refill); the
-// group's upserts run in one protected operation (ds.InOp); and the
-// replaced handles retire in bulk on the shard's member thread. b.OK[i] reports whether keys[i]
-// replaced a previous value. A read-modify-write batch can reuse the
+// arena (the slot cache's Alloc, which locks a size class once per
+// refill of 64 slots); the group's upserts run in one protected
+// operation (ds.InOp); and the replaced handles retire in bulk on the
+// shard's member thread. b.OK[i] reports whether keys[i] replaced a
+// previous value. A read-modify-write batch can reuse the
 // same Batch from the preceding GetBatch — payload slices passed in
 // vals may even alias b.Vals, because every payload is copied into the
 // arena before any map mutation touches the batch scratch.
@@ -861,30 +840,14 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		b.gvals = resize(b.gvals, len(group))
 		b.golds = resize(b.golds, len(group))
 		b.gok = resize(b.gok, len(group))
-		b.gbuf = resize(b.gbuf, len(group))
-		b.ghs = resize(b.ghs, len(group))
 		// Inline-eligible payloads encode straight into their map words;
-		// only the rest join the arena reservation pass.
-		na := 0
+		// the rest are copied into the arena.
 		for j, idx := range group {
 			b.ikeys[j] = ikeyOf(b.hks[idx])
-			v := vals[idx]
-			if len(v) <= InlineMaxLen {
+			if v := vals[idx]; len(v) <= InlineMaxLen {
 				b.gvals[j] = inlineEncode(v)
 			} else {
-				b.gbuf[na] = v
-				na++
-			}
-		}
-		if na > 0 {
-			// One arena reservation pass for the group's long payloads.
-			tl.vc.AllocBatch(b.gbuf[:na], b.ghs[:na])
-			k := 0
-			for j, idx := range group {
-				if len(vals[idx]) > InlineMaxLen {
-					b.gvals[j] = uint64(b.ghs[k])
-					k++
-				}
+				b.gvals[j] = uint64(tl.vc.Alloc(v))
 			}
 		}
 		sh.puts.Add(uint64(len(group)))

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pop/internal/core"
+	"pop/internal/ds/abtree"
 	"pop/internal/ds/hashtable"
 	"pop/internal/rng"
 	"pop/internal/workload"
@@ -40,11 +42,18 @@ func valFor(buf []byte, key string, tag uint32, size int) []byte {
 	return workload.AppendValueBytes(buf[:0], KeyHash(key), tag, size)
 }
 
+// layouts names both store layouts by the per-shard structure New builds
+// for them.
+var layouts = []struct {
+	name    string
+	ordered bool
+}{{"abt", true}, {"hmht", false}}
+
 func TestStoreSequential(t *testing.T) {
-	for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
-		t.Run(backing, func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			g := newGroup(core.EpochPOP, 2, 1)
-			s, err := New(g, Config{Shards: 4, Backing: backing})
+			s, err := New(g, Config{Shards: 4, Ordered: l.ordered})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,10 +233,10 @@ func TestStoreBatchVsLoop(t *testing.T) {
 		batch   = 64
 	)
 	for _, p := range []core.Policy{core.EBR, core.HP, core.NBR, core.EpochPOP, core.HazardEraPOP} {
-		for _, backing := range []string{BackingSkipList, BackingHashTable, BackingABTree} {
-			t.Run(fmt.Sprintf("%v/%s", p, backing), func(t *testing.T) {
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%v/%s", p, l.name), func(t *testing.T) {
 				g := newGroup(p, 8, threads)
-				s, err := New(g, Config{Shards: 8, Backing: backing})
+				s, err := New(g, Config{Shards: 8, Ordered: l.ordered})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +326,7 @@ func TestStoreBatchVsLoop(t *testing.T) {
 
 // TestStorePutBatchVsLoop checks PutBatch's equivalence with per-key
 // Puts: positional replaced-flags, values readable afterwards, replaced
-// values retired (value-slot accounting stays exact), on every backing,
+// values retired (value-slot accounting stays exact), on both layouts,
 // and Batch reuse across a GetBatch → modify → PutBatch
 // read-modify-write cycle.
 func TestStorePutBatchVsLoop(t *testing.T) {
@@ -326,10 +335,10 @@ func TestStorePutBatchVsLoop(t *testing.T) {
 		batch = 64
 	)
 	for _, p := range []core.Policy{core.EBR, core.HP, core.EpochPOP} {
-		for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
-			t.Run(fmt.Sprintf("%v/%s", p, backing), func(t *testing.T) {
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%v/%s", p, l.name), func(t *testing.T) {
 				g := newGroup(p, 4, 2)
-				s, err := New(g, Config{Shards: 8, Backing: backing})
+				s, err := New(g, Config{Shards: 8, Ordered: l.ordered})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -429,26 +438,26 @@ func TestStorePutBatchVsLoop(t *testing.T) {
 // internally consistent — the checksummed payload of some put to
 // exactly that key. A torn read, a stale slot served as live, or a
 // cross-key value fails the checksum. Runs under every policy on a
-// fully grouped store (one member domain per shard), over every backing;
-// the hash table serves a get where the ordered backings scan.
+// fully grouped store (one member domain per shard), on both layouts;
+// the hash table serves a get where the (a,b)-tree scans.
 func TestStoreOverwriteStorm(t *testing.T) {
 	for _, p := range core.Policies() {
 		t.Run(p.String(), func(t *testing.T) {
-			for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
-				t.Run(backing, func(t *testing.T) { overwriteStorm(t, p, backing) })
+			for _, l := range layouts {
+				t.Run(l.name, func(t *testing.T) { overwriteStorm(t, p, l.ordered) })
 			}
 		})
 	}
 }
 
-func overwriteStorm(t *testing.T, p core.Policy, backing string) {
+func overwriteStorm(t *testing.T, p core.Policy, ordered bool) {
 	const (
 		threads = 4
 		hotKeys = 32
 		ops     = 1200
 	)
 	g := newGroup(p, 4, threads)
-	s, err := New(g, Config{Shards: 4, Backing: backing})
+	s, err := New(g, Config{Shards: 4, Ordered: ordered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +510,7 @@ func overwriteStorm(t *testing.T, p core.Policy, backing string) {
 							badValues.Add(1)
 						}
 					}
-				case 4: // scan serve (ordered backing)
+				case 4: // scan serve (ordered store)
 					s.Scan(h, hkTab[i]-1000, hkTab[i]+1000, func(hk int64, v []byte) bool {
 						if !workload.ValueBytesValid(hk, v) {
 							badValues.Add(1)
@@ -551,76 +560,74 @@ func overwriteStorm(t *testing.T, p core.Policy, backing string) {
 	}
 }
 
-// TestStoreScan checks the value-returning scan on both ordered
-// backings: on a quiescent store a full-space scan yields every pair
+// TestStoreScan checks the value-returning scan on the ordered store:
+// on a quiescent store a full-space scan yields every pair
 // exactly once with exact payload bytes, pairs arrive ascending within
 // each shard, windows restrict correctly, and early termination stops
 // the walk.
 func TestStoreScan(t *testing.T) {
 	const keys = 300
-	for _, backing := range []string{BackingSkipList, BackingABTree} {
-		t.Run(backing, func(t *testing.T) {
-			g := newGroup(core.EBR, 2, 1)
-			s, err := New(g, Config{Shards: 4, Backing: backing})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("abt", func(t *testing.T) {
+		g := newGroup(core.EBR, 2, 1)
+		s, err := New(g, Config{Shards: 4, Ordered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := acquire(t, s)
+		want := make(map[int64][]byte, keys)
+		var vbuf []byte
+		for i := int64(0); i < keys; i++ {
+			key := workload.KeyString(i)
+			vbuf = valFor(vbuf, key, uint32(i), 16+int(i)%64)
+			s.Put(h, key, vbuf)
+			want[KeyHash(key)] = append([]byte(nil), vbuf...)
+		}
+		got := make(map[int64][]byte, keys)
+		// Scan order is shard-major: within one shard keys ascend, and a
+		// drop marks a shard boundary — at most Shards()-1 drops total.
+		drops := 0
+		last := int64(math.MinInt64)
+		n := s.Scan(h, -1<<62, 1<<62, func(hk int64, v []byte) bool {
+			if _, dup := got[hk]; dup {
+				t.Fatalf("pair %d scanned twice", hk)
 			}
-			h := acquire(t, s)
-			want := make(map[int64][]byte, keys)
-			var vbuf []byte
-			for i := int64(0); i < keys; i++ {
-				key := workload.KeyString(i)
-				vbuf = valFor(vbuf, key, uint32(i), 16+int(i)%64)
-				s.Put(h, key, vbuf)
-				want[KeyHash(key)] = append([]byte(nil), vbuf...)
+			if hk < last {
+				drops++
 			}
-			got := make(map[int64][]byte, keys)
-			// Scan order is shard-major: within one shard keys ascend, and a
-			// drop marks a shard boundary — at most Shards()-1 drops total.
-			drops := 0
-			last := int64(math.MinInt64)
-			n := s.Scan(h, -1<<62, 1<<62, func(hk int64, v []byte) bool {
-				if _, dup := got[hk]; dup {
-					t.Fatalf("pair %d scanned twice", hk)
-				}
-				if hk < last {
-					drops++
-				}
-				last = hk
-				got[hk] = append([]byte(nil), v...)
-				return true
-			})
-			if drops > s.Shards()-1 {
-				t.Fatalf("%d order drops, want < shard count %d", drops, s.Shards())
-			}
-			// The window covers most but not all of the hash space, so
-			// compare against the reference filtered the same way.
-			expect := 0
-			for hk, wv := range want {
-				if hk < -1<<62 || hk > 1<<62 {
-					continue
-				}
-				expect++
-				gv, ok := got[hk]
-				if !ok || !bytes.Equal(gv, wv) {
-					t.Fatalf("pair %d: got %d bytes (present=%v), want %d", hk, len(gv), ok, len(wv))
-				}
-			}
-			if n != expect || len(got) != expect {
-				t.Fatalf("scan visited %d pairs (map %d), want %d", n, len(got), expect)
-			}
-			// Early stop.
-			count := 0
-			s.Scan(h, -1<<62, 1<<62, func(int64, []byte) bool {
-				count++
-				return count < 5
-			})
-			if count != 5 {
-				t.Fatalf("early-stopped scan visited %d pairs, want 5", count)
-			}
-			h.Flush()
+			last = hk
+			got[hk] = append([]byte(nil), v...)
+			return true
 		})
-	}
+		if drops > s.Shards()-1 {
+			t.Fatalf("%d order drops, want < shard count %d", drops, s.Shards())
+		}
+		// The window covers most but not all of the hash space, so
+		// compare against the reference filtered the same way.
+		expect := 0
+		for hk, wv := range want {
+			if hk < -1<<62 || hk > 1<<62 {
+				continue
+			}
+			expect++
+			gv, ok := got[hk]
+			if !ok || !bytes.Equal(gv, wv) {
+				t.Fatalf("pair %d: got %d bytes (present=%v), want %d", hk, len(gv), ok, len(wv))
+			}
+		}
+		if n != expect || len(got) != expect {
+			t.Fatalf("scan visited %d pairs (map %d), want %d", n, len(got), expect)
+		}
+		// Early stop.
+		count := 0
+		s.Scan(h, -1<<62, 1<<62, func(int64, []byte) bool {
+			count++
+			return count < 5
+		})
+		if count != 5 {
+			t.Fatalf("early-stopped scan visited %d pairs, want 5", count)
+		}
+		h.Flush()
+	})
 }
 
 // opSeq sums the OpSeq words of every slot in s's group, read through
@@ -640,48 +647,46 @@ func opSeq(s *Store) uint64 {
 // a large scan never becomes one enormous operation.
 func TestStoreScanChunks(t *testing.T) {
 	const keys = 1000
-	for _, backing := range []string{BackingSkipList, BackingABTree} {
-		t.Run(backing, func(t *testing.T) {
-			g := newGroup(core.EBR, 1, 1)
-			s, err := New(g, Config{Shards: 1, Backing: backing})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := acquire(t, s)
-			var vbuf []byte
-			for i := int64(0); i < keys; i++ {
-				key := workload.KeyString(i)
-				vbuf = valFor(vbuf, key, uint32(i), 32)
-				s.Put(h, key, vbuf)
-			}
-			before := opSeq(s)
-			n := s.Scan(h, math.MinInt64+1, math.MaxInt64-1, func(int64, []byte) bool { return true })
-			if n != keys {
-				t.Fatalf("scan visited %d pairs, want %d", n, keys)
-			}
-			chunks := (keys + scanChunk - 1) / scanChunk
-			if d := opSeq(s) - before; d != uint64(2*chunks) {
-				t.Fatalf("scan of %d pairs moved OpSeq by %d, want %d (%d operations of <= %d pairs)",
-					keys, d, 2*chunks, chunks, scanChunk)
-			}
-			if st := s.Stats(); st.StaleReads != 0 {
-				t.Fatalf("%d stale reads in a single-threaded scan", st.StaleReads)
-			}
-			h.Flush()
-		})
-	}
+	t.Run("abt", func(t *testing.T) {
+		g := newGroup(core.EBR, 1, 1)
+		s, err := New(g, Config{Shards: 1, Ordered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := acquire(t, s)
+		var vbuf []byte
+		for i := int64(0); i < keys; i++ {
+			key := workload.KeyString(i)
+			vbuf = valFor(vbuf, key, uint32(i), 32)
+			s.Put(h, key, vbuf)
+		}
+		before := opSeq(s)
+		n := s.Scan(h, math.MinInt64+1, math.MaxInt64-1, func(int64, []byte) bool { return true })
+		if n != keys {
+			t.Fatalf("scan visited %d pairs, want %d", n, keys)
+		}
+		chunks := (keys + scanChunk - 1) / scanChunk
+		if d := opSeq(s) - before; d != uint64(2*chunks) {
+			t.Fatalf("scan of %d pairs moved OpSeq by %d, want %d (%d operations of <= %d pairs)",
+				keys, d, 2*chunks, chunks, scanChunk)
+		}
+		if st := s.Stats(); st.StaleReads != 0 {
+			t.Fatalf("%d stale reads in a single-threaded scan", st.StaleReads)
+		}
+		h.Flush()
+	})
 }
 
-// TestStoreBatchOneOpPerShard pins the batches' bracketing: on every
-// backing GetBatch and PutBatch run each shard group in one protected
+// TestStoreBatchOneOpPerShard pins the batches' bracketing: on both
+// layouts GetBatch and PutBatch run each shard group in one protected
 // operation (ds.InOp). Values are inline and nothing reclaims, so no
 // stale-read retry adds an operation.
 func TestStoreBatchOneOpPerShard(t *testing.T) {
 	const n = 64
-	for _, backing := range []string{BackingSkipList, BackingABTree, BackingHashTable} {
-		t.Run(backing, func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			g := core.NewDomainGroup(core.EpochPOP, 1, 1, &core.Options{ReclaimThreshold: 1 << 20})
-			s, err := New(g, Config{Shards: 4, Backing: backing})
+			s, err := New(g, Config{Shards: 4, Ordered: l.ordered})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -726,51 +731,70 @@ func TestStoreBatchOneOpPerShard(t *testing.T) {
 
 func TestStoreScanUnorderedPanics(t *testing.T) {
 	g := newGroup(core.NR, 1, 1)
-	s, err := New(g, Config{Backing: BackingHashTable})
+	s, err := New(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := acquire(t, s)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Scan on unordered backing did not panic")
+			t.Fatal("Scan on unordered store did not panic")
 		}
 	}()
 	s.Scan(h, 0, 100, func(int64, []byte) bool { return true })
 }
 
-// TestStoreDefaultBacking pins the zero Config's backing: an unordered
-// hash table of 2^15 one-word buckets per shard, whose Scan panics
-// naming the backing.
+// TestStoreDefaultBacking pins what Config.Ordered builds: the zero
+// Config is an unordered hash table of 2^15 one-word buckets per shard,
+// whose Scan panics naming the missing Ordered; Ordered is an (a,b)-tree
+// per shard, whose Scan yields each shard's keys ascending.
 func TestStoreDefaultBacking(t *testing.T) {
 	s, err := New(newGroup(core.NR, 1, 1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.Backing != BackingHashTable || s.Ordered() {
-		t.Fatalf("default backing %q (ordered %v), want unordered %q", s.cfg.Backing, s.Ordered(), BackingHashTable)
+	if s.Ordered() {
+		t.Fatal("the zero Config built an ordered store")
 	}
 	for i := range s.shards {
 		if n := s.shards[i].m.(*hashtable.Table).Buckets(); n != 1<<15 {
 			t.Fatalf("shard %d has %d buckets, want %d", i, n, 1<<15)
 		}
 	}
+	t.Run("Ordered", func(t *testing.T) {
+		s, err := New(newGroup(core.NR, 1, 1), Config{Shards: 1, Ordered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Ordered() {
+			t.Fatal("Config.Ordered built an unordered store")
+		}
+		if _, ok := s.shards[0].m.(*abtree.Tree); !ok {
+			t.Fatalf("ordered shard is %T, want *abtree.Tree", s.shards[0].m)
+		}
+		h := acquire(t, s)
+		for i := range 100 {
+			s.Put(h, workload.KeyString(int64(i)), []byte("v"))
+		}
+		var got []int64
+		s.Scan(h, math.MinInt64+1, math.MaxInt64-1, func(hk int64, _ []byte) bool {
+			got = append(got, hk)
+			return true
+		})
+		if len(got) != 100 || !slices.IsSorted(got) {
+			t.Fatalf("Scan of one shard yielded %d keys, sorted %v; want 100 ascending", len(got), slices.IsSorted(got))
+		}
+	})
 	h := acquire(t, s)
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"hmht"`) {
-			t.Fatalf("Scan on the default store panicked with %v, want the backing named", r)
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Ordered") {
+			t.Fatalf("Scan on the default store panicked with %v, want Ordered named", r)
 		}
 	}()
 	s.Scan(h, 0, 100, func(int64, []byte) bool { return true })
 }
 
 func TestStoreConfigValidation(t *testing.T) {
-	g := newGroup(core.NR, 1, 1)
-	for _, backing := range []string{"btree", "hml", "ll", "dgt"} {
-		if _, err := New(g, Config{Backing: backing}); err == nil {
-			t.Fatalf("unknown backing %q accepted", backing)
-		}
-	}
 	s, err := New(core.NewDomainGroup(core.NR, 1, 1, nil), Config{Shards: 5})
 	if err != nil {
 		t.Fatal(err)

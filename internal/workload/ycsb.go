@@ -21,10 +21,6 @@ type YCSBWorkload struct {
 	Dist Dist
 }
 
-// Ordered reports whether the workload draws scans and therefore needs
-// an ordered store backing (skl or abt).
-func (w YCSBWorkload) Ordered() bool { return w.Mix.ScanPct > 0 }
-
 // The six YCSB core workloads. Inserts are modelled as puts: the store
 // is an upsert KV, so "insert a new record" and "update a record" are
 // the same wire op; under the Latest distribution puts land on the

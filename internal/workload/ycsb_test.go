@@ -62,11 +62,12 @@ func TestParseYCSB(t *testing.T) {
 	if d, _ := ParseYCSB("D"); d.Dist != Latest {
 		t.Errorf("workload D distribution = %v, want latest", d.Dist)
 	}
-	if e, _ := ParseYCSB("E"); !e.Ordered() {
-		t.Error("workload E not marked Ordered despite scans")
+	// E alone scans, so it alone gets an ordered store.
+	if e, _ := ParseYCSB("E"); e.Mix.ScanPct == 0 {
+		t.Error("workload E has no scan share")
 	}
-	if a, _ := ParseYCSB("A"); a.Ordered() {
-		t.Error("workload A marked Ordered without scans")
+	if a, _ := ParseYCSB("A"); a.Mix.ScanPct != 0 {
+		t.Error("workload A has a scan share")
 	}
 }
 

@@ -255,7 +255,7 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 // discipline) and retries, never observing torn or recycled bytes.
 //
 //	g := pop.NewDomainGroup(pop.EpochPOP, 2, 8, nil) // 2 member domains, 8 slots
-//	opts := &pop.StoreOptions{Backing: "skl"} // ordered, so Scan works
+//	opts := &pop.StoreOptions{Ordered: true} // (a,b)-tree shards, so Scan works
 //	s, _ := pop.NewStore(g, opts)           // 8 shards, 4 per member
 //	h, _ := s.Acquire()                     // lease one group slot
 //	s.Put(h, "user:42", []byte("payload"))
@@ -269,9 +269,9 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 // operation per shard group (sorted by shard and in-shard key), which
 // measurably beats per-key ops — see store.getbatch_ns_per_key in bench/
 // and BenchmarkStorePutBatch in internal/store. Scan yields (hashed key,
-// value copy) pairs over the ordered backings ("skl", "abt"); the
-// default hash-table backing ("hmht") is unordered, and Scan panics on
-// it.
+// value copy) pairs on a store built with Ordered, whose shards are
+// (a,b)-trees; the default store's shards are hash tables, which are
+// unordered, and Scan panics on it.
 //
 // Serving pools resize live: Store.Acquire / Release lease group
 // handles from the store's domain group, so workers can be scaled up
@@ -281,10 +281,10 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
 // ping fan-out proportional to the member's reader population.
 type Store = store.Store
 
-// StoreOptions tunes a Store (shard count, backing structure, value
-// size cap); see the field docs. The zero value — 8 shards over hash
-// tables of one-word buckets — serves batches and single keys; set
-// Backing to "skl" or "abt" for Scan.
+// StoreOptions tunes a Store (shard count, ordering, value size cap);
+// see the field docs. The zero value — 8 shards over hash tables of
+// one-word buckets — serves batches and single keys; set Ordered for
+// Scan.
 type StoreOptions = store.Config
 
 // StoreStats is a snapshot of store counters, aggregated over shards.
@@ -301,8 +301,8 @@ type StoreBatch = store.Batch
 const StoreInlineMaxLen = store.InlineMaxLen
 
 // NewStore creates a sharded string-key KV store over domain group g.
-// opts may be nil for the defaults (8 shards, hash-table backing —
-// unordered, so Scan needs Backing "skl" or "abt"). Shards are split evenly across g's members
+// opts may be nil for the defaults (8 hash-table shards — unordered, so
+// Scan needs Ordered). Shards are split evenly across g's members
 // (g.Members() must not exceed the shard count). Shard structures
 // register node types with the member domains, so create the store
 // before the domains' type tables fill up.

@@ -188,8 +188,8 @@ func TestSharedDomainAcrossStructures(t *testing.T) {
 
 func TestStoreFacade(t *testing.T) {
 	g := pop.NewDomainGroup(pop.EpochPOP, 2, 2, nil)
-	// An ordered backing: the default hash table has no Scan.
-	s, err := pop.NewStore(g, &pop.StoreOptions{Backing: "skl"})
+	// An ordered store: the default hash table has no Scan.
+	s, err := pop.NewStore(g, &pop.StoreOptions{Ordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +230,8 @@ func TestStoreFacade(t *testing.T) {
 	s.Release(h)
 
 	// Options plumb through (and invalid ones surface as errors).
-	if _, err := pop.NewStore(g, &pop.StoreOptions{Backing: "nope"}); err == nil {
-		t.Fatal("invalid backing accepted")
+	if _, err := pop.NewStore(g, &pop.StoreOptions{Shards: 1 << 10}); err == nil {
+		t.Fatal("1024 shards accepted (the cap is 32)")
 	}
 }
 
