@@ -525,26 +525,6 @@ func (o storeSweepOpts) run() error {
 	}
 	type R = harness.StoreResult
 
-	cm := figures.Shared[R]()
-	metrics := []figures.Metric[R]{
-		cm.Throughput,
-		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
-		figures.StoreLat("get latency p50 (µs)", workload.StoreGet, 0.50),
-		figures.StoreLat("get latency p99 (µs)", workload.StoreGet, 0.99),
-		figures.StoreLat("mget latency p99 (µs)", workload.StoreMGet, 0.99),
-		figures.StoreLat("put latency p99 (µs)", workload.StorePut, 0.99),
-		{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Store.StaleReads) }},
-		cm.ValueErrors, cm.AllocsPerOp, cm.AllocBytesPerOp, cm.Unreclaimed, cm.Leaked,
-		// The fan-out view: how many thread-list entries a reclamation
-		// pass walks, and how many pings it sends — the quantity grouping
-		// divides by the member count.
-		cm.PingsPerPass, cm.ScannedPerPass,
-	}
-	if o.cfg.Churn.Enabled() {
-		// Elastic sweeps report the turnover they generated, so tails
-		// and garbage are explainable per lease rate.
-		metrics = append(metrics, cm.Releases, cm.OrphansAdopted)
-	}
 	traceMode := len(o.cfg.Trace) > 0
 	o.cfg.Mix = workload.StoreServe
 	mixLabel := "serve mix"
@@ -556,6 +536,31 @@ func (o storeSweepOpts) run() error {
 		o.cfg.Mix = w.Mix
 		o.cfg.Dist = w.Dist
 		mixLabel = "YCSB " + w.Name
+	}
+
+	cm := figures.Shared[R]()
+	metrics := []figures.Metric[R]{
+		cm.Throughput,
+		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
+		figures.StoreLat("get latency p50 (µs)", workload.StoreGet, 0.50),
+		figures.StoreLat("get latency p99 (µs)", workload.StoreGet, 0.99),
+	}
+	if o.cfg.Mix.MGetPct > 0 || traceMode {
+		metrics = append(metrics, figures.StoreLat("mget latency p99 (µs)", workload.StoreMGet, 0.99))
+	}
+	metrics = append(metrics,
+		figures.StoreLat("put latency p99 (µs)", workload.StorePut, 0.99),
+		figures.Metric[R]{Name: "stale value reads", Get: func(r R) float64 { return float64(r.Store.StaleReads) }},
+		cm.ValueErrors, cm.AllocsPerOp, cm.AllocBytesPerOp, cm.Unreclaimed, cm.Leaked,
+		// The fan-out view: how many thread-list entries a reclamation
+		// pass walks, and how many pings it sends — the quantity grouping
+		// divides by the member count.
+		cm.PingsPerPass, cm.ScannedPerPass,
+	)
+	if o.cfg.Churn.Enabled() {
+		// Elastic sweeps report the turnover they generated, so tails
+		// and garbage are explainable per lease rate.
+		metrics = append(metrics, cm.Releases, cm.OrphansAdopted)
 	}
 	if traceMode {
 		mixLabel = fmt.Sprintf("trace %s, %d ops", o.traceName, len(o.cfg.Trace))

@@ -18,6 +18,14 @@
 // and reference-model checks, and core's seeded tape
 // (differential_test.go), which poisons the nodes it frees itself.
 //
+// Bytes is the second arena: the store's variable-size values, named by
+// Handles instead of pointers. Its slots come in 16 size classes, 2 to
+// 256 words wide, in steps of 1.2–1.33× between 4 and 32 words. A
+// slot's first word is its header, len<<32 | seq32. Alloc publishes it
+// after the payload, Free stores the next (even) sequence, and Read
+// checks it before and after its copy, so a stale handle reads as stale
+// rather than as another value's bytes (bytes.go).
+//
 // Design points that matter for the benchmarks:
 //
 //   - Per-thread free lists. Frees performed by a reclaimer go to that

@@ -15,31 +15,44 @@ import (
 //
 // Like Pool, Bytes simulates manual memory in a garbage-collected
 // runtime: slabs are never returned to the Go heap while the arena
-// lives, and every slot carries a lifetime sequence number (even while
-// free, odd while allocated) whose low 32 bits are baked into the
-// Handle. The seqlock discipline makes a stale read *deterministically
-// detectable* instead of a crash:
+// lives. A slot is a run of 8-byte words. Its first word is the header,
+// len<<32 | seq32: the payload length and a lifetime sequence number
+// (even while free, odd while allocated) whose low 31 bits are baked
+// into the Handle. The payload follows in the slot's other words. One
+// load gives a reader both halves of the header, and the length always
+// arrives with the sequence it belongs to. The seqlock discipline makes
+// a stale read *deterministically detectable* instead of a crash:
 //
 //   - Alloc copies the payload into the slot with atomic word stores and
-//     only then publishes the new (odd) sequence number;
-//   - Free bumps the sequence (odd -> even) before the slot can be
+//     only then publishes the length and the new (odd) sequence number
+//     in one atomic header store;
+//   - Free stores the next (even) sequence number before the slot can be
 //     handed out again;
-//   - Read loads the sequence, copies the payload with atomic word
-//     loads, and loads the sequence again — if either load disagrees
-//     with the Handle's sequence the slot was freed (and possibly
-//     recycled) under the reader, and Read reports !ok instead of
-//     returning torn or recycled bytes.
+//   - Read loads the header, copies the payload with atomic word loads,
+//     and loads the header again — if the first load disagrees with the
+//     Handle's sequence, or the second with the first, the slot was
+//     freed (and possibly recycled) under the reader, and Read reports
+//     !ok instead of returning torn or recycled bytes.
 //
 // All slot accesses are atomic at word granularity, so a reader racing a
 // recycler is well-defined under the Go memory model (and clean under
 // -race) — the race is resolved by the sequence validation, exactly the
 // role the node pools' Seq/Check discipline plays for pointers.
 //
-// Payloads are length-prefixed inside the slot; the usable capacity of
-// class c is 16<<c − 8 bytes, up to MaxValueLen.
+// Slot widths (classWords) step by 1.2–1.33× between 4 and 32 words,
+// and by up to 2× above: a 64-byte value takes an 80-byte slot, where
+// power-of-two classes would give it 128.
 
 // bytesClasses is the number of size classes: 16 B .. 2048 B slots.
-const bytesClasses = 8
+// Sixteen fill the Handle's 4-bit class field.
+const bytesClasses = 16
+
+// bytesTopWords is the width of the largest class's slot, in words.
+const bytesTopWords = 256
+
+// classWords is each size class's slot width in 8-byte words, header
+// included. Class c holds payloads of up to 8·(classWords[c]−1) bytes.
+var classWords = [bytesClasses]uint32{2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 128, bytesTopWords}
 
 // bytesSlabSlots is the number of slots allocated per slab (per class).
 const bytesSlabSlots = 1024
@@ -53,8 +66,8 @@ const bytesBatch = 64
 const bytesMaxCache = 4 * bytesBatch
 
 // MaxValueLen is the largest payload Bytes can hold: the top class's
-// slot minus the 8-byte length prefix.
-const MaxValueLen = (16 << (bytesClasses - 1)) - 8
+// slot minus its header word.
+const MaxValueLen = 8 * (bytesTopWords - 1)
 
 // Handle names one allocated value: the slot's class and global index
 // plus the low 31 bits of the slot's (odd) allocation sequence. The
@@ -74,8 +87,8 @@ type Handle uint64
 // handleSeqMask selects the sequence bits a Handle carries.
 const handleSeqMask = 1<<31 - 1
 
-func makeHandle(seq uint64, class, idx uint32) Handle {
-	return Handle((seq&handleSeqMask)<<32 | uint64(class)<<28 | uint64(idx))
+func makeHandle(seq uint32, class, idx uint32) Handle {
+	return Handle(uint64(seq&handleSeqMask)<<32 | uint64(class)<<28 | uint64(idx))
 }
 
 func (h Handle) seq() uint32   { return uint32(uint64(h)>>32) & handleSeqMask }
@@ -89,34 +102,27 @@ func (h Handle) SameSlot(o Handle) bool {
 	return h.class() == o.class() && h.idx() == o.idx()
 }
 
-// bslab is one slab of a size class: the payload words and the parallel
-// per-slot sequence numbers. Both slices are fixed-length once created;
-// all element accesses are atomic.
-type bslab struct {
-	words []uint64 // bytesSlabSlots * wordsPerSlot(class)
-	seqs  []uint64 // bytesSlabSlots lifetime counters
+// names reports whether slot header hdr is the live allocation h names:
+// its sequence is odd and matches the handle's.
+func (h Handle) names(hdr uint64) bool {
+	return hdr&1 == 1 && uint32(hdr)&handleSeqMask == h.seq()
 }
 
 // bclass is one size class: a mutex-protected global free list plus a
-// copy-on-grow slab directory readers can index without the lock.
+// copy-on-grow directory of slabs readers can index without the lock. A
+// slab is bytesSlabSlots slots of classWords[c] words each, fixed-length
+// once created; all element accesses are atomic.
 type bclass struct {
 	mu    sync.Mutex
 	free  []uint32 // free slot indices (global overflow)
-	slabs atomic.Pointer[[]*bslab]
+	slabs atomic.Pointer[[][]uint64]
 }
-
-// wordsPerSlot returns the slot width of class c in 8-byte words
-// (length word included).
-func wordsPerSlot(c uint32) uint32 { return (16 << c) / 8 }
-
-// classCap returns the payload capacity of class c in bytes.
-func classCap(c uint32) int { return (16 << int(c)) - 8 }
 
 // classFor returns the smallest class whose capacity holds n bytes.
 func classFor(n int) uint32 {
-	for c := uint32(0); c < bytesClasses; c++ {
-		if classCap(c) >= n {
-			return c
+	for c, w := range classWords {
+		if 8*int(w-1) >= n {
+			return uint32(c)
 		}
 	}
 	panic(fmt.Sprintf("arena: value of %d bytes exceeds MaxValueLen (%d)", n, MaxValueLen))
@@ -149,16 +155,12 @@ func (b *Bytes) NewCache() *BytesCache { return &BytesCache{b: b} }
 func (b *Bytes) grow(c uint32) {
 	cl := &b.classes[c]
 	old := cl.slabs.Load()
-	var slabs []*bslab
+	var slabs [][]uint64
 	if old != nil {
 		slabs = append(slabs, *old...)
 	}
-	slab := &bslab{
-		words: make([]uint64, bytesSlabSlots*int(wordsPerSlot(c))),
-		seqs:  make([]uint64, bytesSlabSlots),
-	}
 	base := uint32(len(slabs)) * bytesSlabSlots
-	slabs = append(slabs, slab)
+	slabs = append(slabs, make([]uint64, bytesSlabSlots*int(classWords[c])))
 	cl.slabs.Store(&slabs)
 	for i := uint32(0); i < bytesSlabSlots; i++ {
 		cl.free = append(cl.free, base+i)
@@ -182,19 +184,16 @@ func (c *BytesCache) refill(class uint32) {
 	cl.mu.Unlock()
 }
 
-// slotOf resolves a (class, idx) pair to its slab, sequence cell and
-// first payload word. ok=false means idx names a slab that was never
-// allocated — only possible for a corrupted handle.
-func (b *Bytes) slotOf(class, idx uint32) (slab *bslab, slot, base uint32, ok bool) {
+// slotOf resolves a (class, idx) pair to its slab and the index of the
+// slot's header word in it. ok=false means idx names a slab that was
+// never allocated — only possible for a corrupted handle.
+func (b *Bytes) slotOf(class, idx uint32) (slab []uint64, base uint32, ok bool) {
 	slabs := b.classes[class].slabs.Load()
 	si := idx / bytesSlabSlots
 	if slabs == nil || si >= uint32(len(*slabs)) {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
-	slab = (*slabs)[si]
-	slot = idx % bytesSlabSlots
-	base = slot * wordsPerSlot(class)
-	return slab, slot, base, true
+	return (*slabs)[si], idx % bytesSlabSlots * classWords[class], true
 }
 
 // Alloc copies v into a fresh slot and returns its Handle. The returned
@@ -206,27 +205,27 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 	}
 	idx := c.free[class][len(c.free[class])-1]
 	c.free[class] = c.free[class][:len(c.free[class])-1]
-	slab, slot, base, ok := c.b.slotOf(class, idx)
+	slab, base, ok := c.b.slotOf(class, idx)
 	if !ok {
 		panic("arena: cached slot index names no slab")
 	}
-	// The slot is free (even seq) and owned by this thread until the seq
-	// publish below, but readers chasing a stale handle may race these
-	// stores, so they stay atomic.
-	atomic.StoreUint64(&slab.words[base], uint64(len(v)))
+	// The slot is free (even seq) and owned by this thread until the
+	// header publish below, but readers chasing a stale handle may race
+	// these stores, so they stay atomic.
+	n := uint64(len(v))
 	w := base + 1
 	for len(v) >= 8 {
-		atomic.StoreUint64(&slab.words[w], leWord(v))
+		atomic.StoreUint64(&slab[w], leWord(v))
 		v = v[8:]
 		w++
 	}
 	if len(v) > 0 {
 		var last [8]byte
 		copy(last[:], v)
-		atomic.StoreUint64(&slab.words[w], leWord(last[:]))
+		atomic.StoreUint64(&slab[w], leWord(last[:]))
 	}
-	seq := atomic.LoadUint64(&slab.seqs[slot]) + 1 // even -> odd: allocated
-	atomic.StoreUint64(&slab.seqs[slot], seq)
+	seq := uint32(atomic.LoadUint64(&slab[base])) + 1 // even -> odd: allocated
+	atomic.StoreUint64(&slab[base], n<<32|uint64(seq))
 	c.b.allocs.Add(1)
 	return makeHandle(seq, class, idx)
 }
@@ -236,15 +235,15 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 // through the reclamation layer exactly once per retirement.
 func (c *BytesCache) Free(h Handle) {
 	class, idx := h.class(), h.idx()
-	slab, slot, _, ok := c.b.slotOf(class, idx)
+	slab, base, ok := c.b.slotOf(class, idx)
 	if !ok {
 		panic("arena: Free of handle naming no slab")
 	}
-	seq := atomic.LoadUint64(&slab.seqs[slot])
-	if seq%2 == 0 || uint32(seq)&handleSeqMask != h.seq() {
-		panic(fmt.Sprintf("arena: double or stale free of value slot (seq=%d, handle seq=%d)", seq, h.seq()))
+	hdr := atomic.LoadUint64(&slab[base])
+	if !h.names(hdr) {
+		panic(fmt.Sprintf("arena: double or stale free of value slot (seq=%d, handle seq=%d)", uint32(hdr), h.seq()))
 	}
-	atomic.StoreUint64(&slab.seqs[slot], seq+1) // odd -> even: free
+	atomic.StoreUint64(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
 	c.b.frees.Add(1)
 	c.free[class] = append(c.free[class], idx)
 	if len(c.free[class]) >= bytesMaxCache {
@@ -262,41 +261,34 @@ func (c *BytesCache) Free(h Handle) {
 // no bytes are returned: the seqlock validation brackets the copy, so a
 // caller never observes torn or recycled data. Safe from any goroutine.
 func (b *Bytes) Read(h Handle, buf []byte) ([]byte, bool) {
-	class, idx := h.class(), h.idx()
-	if class >= bytesClasses {
-		return buf[:0], false
-	}
-	slab, slot, base, ok := b.slotOf(class, idx)
+	slab, base, ok := b.slotOf(h.class(), h.idx())
 	if !ok {
 		return buf[:0], false
 	}
-	seq := atomic.LoadUint64(&slab.seqs[slot])
-	if seq%2 == 0 || uint32(seq)&handleSeqMask != h.seq() {
+	hdr := atomic.LoadUint64(&slab[base])
+	if !h.names(hdr) {
 		return buf[:0], false
 	}
-	n := atomic.LoadUint64(&slab.words[base])
-	if n > uint64(classCap(class)) {
-		return buf[:0], false // recycled mid-read; the re-check would fail too
-	}
-	if cap(buf) < int(n) {
+	n := int(hdr >> 32)
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	w := base + 1
 	out := buf
 	for len(out) >= 8 {
-		putLeWord(out, atomic.LoadUint64(&slab.words[w]))
+		putLeWord(out, atomic.LoadUint64(&slab[w]))
 		out = out[8:]
 		w++
 	}
 	if len(out) > 0 {
 		var last [8]byte
-		putLeWord(last[:], atomic.LoadUint64(&slab.words[w]))
+		putLeWord(last[:], atomic.LoadUint64(&slab[w]))
 		copy(out, last[:len(out)])
 	}
 	// Validate: if the slot was freed or recycled during the copy the
-	// sequence moved and the bytes above are garbage.
-	if atomic.LoadUint64(&slab.seqs[slot]) != seq {
+	// header moved and the bytes above are garbage.
+	if atomic.LoadUint64(&slab[base]) != hdr {
 		return buf[:0], false
 	}
 	return buf, true
@@ -309,30 +301,22 @@ func (b *Bytes) Read(h Handle, buf []byte) ([]byte, bool) {
 // value handles are an expected event for readers that outlive an
 // overwrite, not a bug).
 func (b *Bytes) CheckHandle(h Handle) bool {
-	slab, slot, _, ok := b.slotOf(h.class(), h.idx())
-	if !ok {
-		return false
-	}
-	seq := atomic.LoadUint64(&slab.seqs[slot])
-	return seq%2 == 1 && uint32(seq)&handleSeqMask == h.seq()
+	slab, base, ok := b.slotOf(h.class(), h.idx())
+	return ok && h.names(atomic.LoadUint64(&slab[base]))
 }
 
 // Len returns the payload length recorded for h, without copying.
 // ok=false under the same conditions as Read.
 func (b *Bytes) Len(h Handle) (int, bool) {
-	slab, slot, base, ok := b.slotOf(h.class(), h.idx())
+	slab, base, ok := b.slotOf(h.class(), h.idx())
 	if !ok {
 		return 0, false
 	}
-	seq := atomic.LoadUint64(&slab.seqs[slot])
-	if seq%2 == 0 || uint32(seq)&handleSeqMask != h.seq() {
+	hdr := atomic.LoadUint64(&slab[base])
+	if !h.names(hdr) {
 		return 0, false
 	}
-	n := atomic.LoadUint64(&slab.words[base])
-	if n > uint64(classCap(h.class())) || atomic.LoadUint64(&slab.seqs[slot]) != seq {
-		return 0, false
-	}
-	return int(n), true
+	return int(hdr >> 32), true
 }
 
 // Outstanding returns Allocs-Frees (live + retired-but-unfreed values).

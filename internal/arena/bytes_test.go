@@ -3,6 +3,9 @@ package arena
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,13 +47,107 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// classCap returns the payload capacity of class c in bytes.
+func classCap(c uint32) int { return 8 * int(classWords[c]-1) }
+
+// TestBytesClassFor checks the class table over every payload size: the
+// chosen class holds n bytes and the class below it does not, and a
+// 64-byte value takes the 80-byte slot.
 func TestBytesClassFor(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		want uint32
-	}{{0, 0}, {8, 0}, {9, 1}, {24, 1}, {25, 2}, {1024, 7}, {MaxValueLen, 7}} {
-		if got := classFor(tc.n); got != tc.want {
-			t.Errorf("classFor(%d) = %d, want %d", tc.n, got, tc.want)
+	for n := 0; n <= MaxValueLen; n++ {
+		c := classFor(n)
+		if classCap(c) < n {
+			t.Fatalf("classFor(%d) = %d, which holds only %d bytes", n, c, classCap(c))
+		}
+		if c > 0 && classCap(c-1) >= n {
+			t.Fatalf("classFor(%d) = %d, but class %d holds %d bytes", n, c, c-1, classCap(c-1))
+		}
+	}
+	if classCap(bytesClasses-1) != MaxValueLen {
+		t.Fatalf("top class holds %d bytes, MaxValueLen is %d", classCap(bytesClasses-1), MaxValueLen)
+	}
+	if w := classWords[classFor(64)]; 8*w != 80 {
+		t.Fatalf("a 64-byte value takes a %d-byte slot, want 80", 8*w)
+	}
+}
+
+// TestBytesHeaderWrap recycles a slot whose sequence is at the top of
+// its 32 bits: Free wraps it to 0 and the next Alloc to 1, and the
+// handle from before the wrap must not read the new value.
+func TestBytesHeaderWrap(t *testing.T) {
+	b := NewBytes()
+	c := b.NewCache()
+	old := b.SetSeq(c.Alloc([]byte("before the wrap")), 1<<32-1)
+	if got, ok := b.Read(old, nil); !ok || string(got) != "before the wrap" {
+		t.Fatalf("handle at sequence 2^32-1 reads %q, %v", got, ok)
+	}
+	c.Free(old)
+	h := c.Alloc([]byte("after the wrap!"))
+	if !h.SameSlot(old) || h.seq() != 1 {
+		t.Fatalf("Free+Alloc gave slot %v seq %d, want the same slot at seq 1", h.SameSlot(old), h.seq())
+	}
+	if _, ok := b.Read(old, nil); ok || b.CheckHandle(old) {
+		t.Fatal("the handle from before the wrap reads the recycled slot")
+	}
+	if got, ok := b.Read(h, nil); !ok || string(got) != "after the wrap!" {
+		t.Fatalf("handle after the wrap reads %q, %v", got, ok)
+	}
+}
+
+// TestBytesStaleSameLength recycles a slot with a payload of the same
+// length: the old handle's sequence is all that tells the two apart, and
+// Read, Len and CheckHandle must each reject it.
+func TestBytesStaleSameLength(t *testing.T) {
+	b := NewBytes()
+	c := b.NewCache()
+	old := c.Alloc([]byte("payload one"))
+	c.Free(old)
+	h := c.Alloc([]byte("payload two"))
+	if !h.SameSlot(old) {
+		t.Fatal("the freed slot was not the next one allocated")
+	}
+	if _, ok := b.Read(old, nil); ok {
+		t.Fatal("Read accepted the stale handle")
+	}
+	if _, ok := b.Len(old); ok {
+		t.Fatal("Len accepted the stale handle")
+	}
+	if b.CheckHandle(old) {
+		t.Fatal("CheckHandle accepted the stale handle")
+	}
+	if got, ok := b.Read(h, nil); !ok || string(got) != "payload two" {
+		t.Fatalf("live handle reads %q, %v", got, ok)
+	}
+}
+
+// TestBytesSlabFootprint pins what one slab costs: growing class c
+// allocates bytesSlabSlots slots of classWords[c] words, headers
+// included, and no per-slot array beside them.
+func TestBytesSlabFootprint(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own allocations are not grow's
+	for c := uint32(0); c < bytesClasses; c++ {
+		want := bytesSlabSlots * int(classWords[c])
+		// The heap counters are process-wide: another goroutine's
+		// allocation can land inside one window, but not inside all.
+		extra := int64(math.MaxInt64)
+		for range 5 {
+			b := NewBytes()
+			cl := &b.classes[c]
+			cl.free = make([]uint32, 0, bytesSlabSlots) // the free list's growth is not the slab's
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cl.mu.Lock()
+			b.grow(c)
+			cl.mu.Unlock()
+			runtime.ReadMemStats(&after)
+			if got := len((*cl.slabs.Load())[0]); got != want {
+				t.Fatalf("class %d: slab of %d words, want %d", c, got, want)
+			}
+			extra = min(extra, int64(after.TotalAlloc-before.TotalAlloc)-8*int64(want))
+		}
+		// Beside the slab, grow allocates only its one-entry directory.
+		if extra < 0 || extra > 64 {
+			t.Fatalf("class %d: grow allocated %d bytes beside its %d-byte slab", c, extra, 8*want)
 		}
 	}
 }

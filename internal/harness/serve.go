@@ -222,7 +222,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		Slots:  cfg.Slots,
 		Store: store.Config{
 			Shards:               cfg.Shards,
-			ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
+			ExpectedKeysPerShard: (cfg.Keys + int64(cfg.Shards) - 1) / int64(cfg.Shards),
 		},
 		ExtraSlots: cfg.Chaos.Slots(),
 	})

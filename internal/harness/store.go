@@ -274,7 +274,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	s, err := store.New(g, store.Config{
 		Shards:               cfg.Shards,
 		Ordered:              cfg.Ordered(),
-		ExpectedKeysPerShard: cfg.Keys/int64(cfg.Shards) + 1,
+		ExpectedKeysPerShard: (cfg.Keys + int64(cfg.Shards) - 1) / int64(cfg.Shards),
 	})
 	if err != nil {
 		return StoreResult{}, err

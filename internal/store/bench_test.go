@@ -74,3 +74,32 @@ func BenchmarkStoreSequentialPut64(b *testing.B) {
 	b.StopTimer()
 	h.Flush()
 }
+
+// get1M is BenchmarkStoreGet1M's store, built once per process: its
+// prefill takes longer than a measured run.
+var get1M struct {
+	s    *Store
+	h    *core.GroupHandle
+	keys []string
+}
+
+// BenchmarkStoreGet1M is one Get of a uniformly drawn key in the
+// default store holding 1M keys with 64-byte values: a working set far
+// beyond cache, where the bucket chain walk and the value slot's cache
+// lines are the cost. The drawn keys are allocated in the order they are
+// read, so walking them adds no misses of its own. Pin it to one CPU
+// and pass -benchtime Nx (e.g. 2000000x) to prefill once per process.
+func BenchmarkStoreGet1M(b *testing.B) {
+	if get1M.s == nil {
+		get1M.s, get1M.h, get1M.keys = benchStore(b, 1<<20, 1<<18)
+	}
+	s, h, kb := get1M.s, get1M.h, get1M.keys
+	var buf []byte
+	var ok bool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, ok = s.Get(h, kb[i&(len(kb)-1)], buf); !ok {
+			b.Fatal("a prefilled key missed")
+		}
+	}
+}

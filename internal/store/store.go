@@ -198,9 +198,9 @@ type Config struct {
 	// shards, which Scan needs; false (the default) builds hash-table
 	// shards, the faster structure for every other operation.
 	Ordered bool
-	// ExpectedKeysPerShard sizes hash-table shards at six keys per
-	// bucket, rounded up to a power of two (default 1<<17: 2^15 buckets
-	// of one word each, 256 KiB per shard).
+	// ExpectedKeysPerShard sizes hash-table shards at one key per
+	// bucket, rounded up to a power of two (default 1<<17: 2^17 buckets
+	// of one word each, 1 MiB per shard).
 	ExpectedKeysPerShard int64
 	// MaxValueLen caps Put payloads (default and hard cap
 	// arena.MaxValueLen).
@@ -349,7 +349,7 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		if cfg.Ordered {
 			m = abtree.New(d)
 		} else {
-			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 6)
+			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 1)
 		}
 		s.shards[i].m = m
 		s.shards[i].scanner, _ = m.(ds.RangeScanner)

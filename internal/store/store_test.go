@@ -745,7 +745,7 @@ func TestStoreScanUnorderedPanics(t *testing.T) {
 }
 
 // TestStoreDefaultBacking pins what Config.Ordered builds: the zero
-// Config is an unordered hash table of 2^15 one-word buckets per shard,
+// Config is an unordered hash table of 2^17 one-word buckets per shard,
 // whose Scan panics naming the missing Ordered; Ordered is an (a,b)-tree
 // per shard, whose Scan yields each shard's keys ascending.
 func TestStoreDefaultBacking(t *testing.T) {
@@ -757,8 +757,8 @@ func TestStoreDefaultBacking(t *testing.T) {
 		t.Fatal("the zero Config built an ordered store")
 	}
 	for i := range s.shards {
-		if n := s.shards[i].m.(*hashtable.Table).Buckets(); n != 1<<15 {
-			t.Fatalf("shard %d has %d buckets, want %d", i, n, 1<<15)
+		if n := s.shards[i].m.(*hashtable.Table).Buckets(); n != 1<<17 {
+			t.Fatalf("shard %d has %d buckets, want %d", i, n, 1<<17)
 		}
 	}
 	t.Run("Ordered", func(t *testing.T) {
