@@ -42,8 +42,13 @@
 //     are neighbours in memory — is the freeing side's job here:
 //     core.Thread.sweep frees a reclamation pass's nodes grouped by
 //     address.
-//   - Padded outstanding counters so memory statistics (the paper's
-//     memory-consumption plots) can be sampled without perturbing the run.
+//   - Per-cache counters. A thread cache counts its own allocs and frees
+//     with single-writer Counters (counter.go): padding alone stops false
+//     sharing, not the read-modify-write every thread would otherwise pay
+//     on one shared word. Stats and Outstanding sum over the pool's
+//     registry of caches, so the memory statistics (the paper's
+//     memory-consumption plots) read exact counts at quiescence, and a
+//     cache's counts survive the hand-over of its thread slot.
 package arena
 
 import (
@@ -99,8 +104,8 @@ type Pool[T any] struct {
 	poison func(*T) // optional: scrambles payload on free (debug)
 	reset  func(*T) // optional: zeroes payload on alloc
 
-	allocs padded.Uint64
-	frees  padded.Uint64
+	caches   []*ThreadCache[T] // every cache, for Stats: counts live in the caches
+	detached uint64            // Pool.Get calls (under mu)
 }
 
 // NewPool returns an empty pool. reset, if non-nil, is applied to every
@@ -113,13 +118,20 @@ func NewPool[T any](reset, poison func(*T)) *Pool[T] {
 // ThreadCache is a per-thread allocation cache. Not safe for concurrent
 // use by multiple goroutines (one per worker thread, by construction).
 type ThreadCache[T any] struct {
-	p     *Pool[T]
-	cache []*Slot[T]
+	p             *Pool[T]
+	cache         []*Slot[T]
+	allocs, frees Counter
+	_             [padded.CacheLine]byte // the next cache's words are not this owner's
 }
 
-// NewCache returns a thread cache bound to the pool.
+// NewCache returns a thread cache bound to the pool. The pool keeps it,
+// so its counts outlive its owner.
 func (p *Pool[T]) NewCache() *ThreadCache[T] {
-	return &ThreadCache[T]{p: p, cache: make([]*Slot[T], 0, maxCache)}
+	c := &ThreadCache[T]{p: p, cache: make([]*Slot[T], 0, maxCache)}
+	p.mu.Lock()
+	p.caches = append(p.caches, c)
+	p.mu.Unlock()
+	return c
 }
 
 // grow allocates a slab and pushes its slots on the global free list.
@@ -156,7 +168,7 @@ func (c *ThreadCache[T]) Get() *T {
 	s := c.cache[len(c.cache)-1]
 	c.cache = c.cache[:len(c.cache)-1]
 	s.Seq++ // even -> odd: now allocated
-	c.p.allocs.Add(1)
+	c.allocs.Add(1)
 	if c.p.reset != nil {
 		c.p.reset(&s.V)
 	}
@@ -173,9 +185,9 @@ func (p *Pool[T]) Get() *T {
 	}
 	s := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
+	p.detached++
 	p.mu.Unlock()
 	s.Seq++ // even -> odd: now allocated
-	p.allocs.Add(1)
 	if p.reset != nil {
 		p.reset(&s.V)
 	}
@@ -192,7 +204,7 @@ func (c *ThreadCache[T]) Put(v *T) {
 		c.p.poison(v)
 	}
 	s.Seq++ // odd -> even: now free
-	c.p.frees.Add(1)
+	c.frees.Add(1)
 	c.cache = append(c.cache, s)
 	if len(c.cache) >= maxCache {
 		p := c.p
@@ -218,19 +230,33 @@ func Check[T any](v *T) {
 }
 
 // Stats returns a snapshot of the pool counters. Outstanding can be
-// momentarily negative in a racing snapshot; callers treat it as an
+// momentarily negative in a racing snapshot (one cache may free a node
+// another's count has not yet shown allocated); callers treat it as an
 // approximation (it is exact once the pool is quiescent).
 func (p *Pool[T]) Stats() Stats {
-	a, f := p.allocs.Load(), p.frees.Load()
 	p.mu.Lock()
-	n := len(p.slabs)
-	p.mu.Unlock()
-	return Stats{Allocs: a, Frees: f, Outstanding: int64(a) - int64(f), Slabs: n}
+	defer p.mu.Unlock()
+	a, f := p.countsLocked()
+	return Stats{Allocs: a, Frees: f, Outstanding: int64(a) - int64(f), Slabs: len(p.slabs)}
 }
 
-// Outstanding returns Allocs-Frees without taking the pool lock.
+// Outstanding returns Allocs-Frees.
 func (p *Pool[T]) Outstanding() int64 {
-	return int64(p.allocs.Load()) - int64(p.frees.Load())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	a, f := p.countsLocked()
+	return int64(a) - int64(f)
+}
+
+// countsLocked sums the caches' counts and the handle-less Gets. Caller
+// holds p.mu.
+func (p *Pool[T]) countsLocked() (allocs, frees uint64) {
+	allocs = p.detached
+	for _, c := range p.caches {
+		allocs += c.allocs.Load()
+		frees += c.frees.Load()
+	}
+	return allocs, frees
 }
 
 // slotOf recovers the Slot header from a payload pointer. V is at a fixed

@@ -23,9 +23,8 @@ import (
 // arrives with the sequence it belongs to. The seqlock discipline makes
 // a stale read *deterministically detectable* instead of a crash:
 //
-//   - Alloc copies the payload into the slot with atomic word stores and
-//     only then publishes the length and the new (odd) sequence number
-//     in one atomic header store;
+//   - Alloc copies the payload into the slot and only then publishes the
+//     length and the new (odd) sequence number in one header store;
 //   - Free stores the next (even) sequence number before the slot can be
 //     handed out again;
 //   - Read loads the header, copies the payload with atomic word loads,
@@ -34,10 +33,21 @@ import (
 //     freed (and possibly recycled) under the reader, and Read reports
 //     !ok instead of returning torn or recycled bytes.
 //
-// All slot accesses are atomic at word granularity, so a reader racing a
-// recycler is well-defined under the Go memory model (and clean under
-// -race) — the race is resolved by the sequence validation, exactly the
-// role the node pools' Seq/Check discipline plays for pointers.
+// The writers' stores are release stores (storeRelease): plain MOVs on
+// amd64 outside race builds (release.go), atomic stores elsewhere and
+// under -race (release_atomic.go), so the race detector sees every
+// pairing. This holds because, under x86-TSO, every store is a release
+// and loads are not reordered with loads, the Go compiler keeps stores
+// in program order, and a handle becomes reachable only through the
+// shard's locked CAS that publishes it. A reader whose first header load
+// matches its handle therefore sees that tenant's payload. A later
+// tenant writes the slot only after Free's even header store, in the
+// one store order TSO gives all processors. So a reader that copied any
+// byte of a later tenant sees a moved header on its second load: a
+// reader whose two header loads agree read no bytes of a later tenant.
+// Read's header loads stay atomic, so the race is resolved by the
+// sequence validation, exactly the role the node pools' Seq/Check
+// discipline plays for pointers.
 //
 // Slot widths (classWords) step by 1.2–1.33× between 4 and 32 words,
 // and by up to 2× above: a 64-byte value takes an 80-byte slot, where
@@ -133,8 +143,8 @@ func classFor(n int) uint32 {
 type Bytes struct {
 	classes [bytesClasses]bclass
 
-	allocs padded.Uint64
-	frees  padded.Uint64
+	mu     sync.Mutex
+	caches []*BytesCache // every cache, for Stats: counts live in the caches
 }
 
 // NewBytes returns an empty value arena.
@@ -143,12 +153,21 @@ func NewBytes() *Bytes { return &Bytes{} }
 // BytesCache is a per-thread allocation cache over a Bytes arena. Not
 // safe for concurrent use (one per worker thread, by construction).
 type BytesCache struct {
-	b    *Bytes
-	free [bytesClasses][]uint32
+	b             *Bytes
+	free          [bytesClasses][]uint32
+	allocs, frees Counter
+	_             [padded.CacheLine]byte // the next cache's words are not this owner's
 }
 
-// NewCache returns a thread cache bound to the arena.
-func (b *Bytes) NewCache() *BytesCache { return &BytesCache{b: b} }
+// NewCache returns a thread cache bound to the arena. The arena keeps
+// it, so its counts outlive its owner.
+func (b *Bytes) NewCache() *BytesCache {
+	c := &BytesCache{b: b}
+	b.mu.Lock()
+	b.caches = append(b.caches, c)
+	b.mu.Unlock()
+	return c
+}
 
 // grow allocates one slab for class c and pushes its slot indices on the
 // class free list. Caller holds the class mutex.
@@ -210,23 +229,24 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 		panic("arena: cached slot index names no slab")
 	}
 	// The slot is free (even seq) and owned by this thread until the
-	// header publish below, but readers chasing a stale handle may race
-	// these stores, so they stay atomic.
+	// header publish below. Readers chasing a stale handle may race
+	// these stores; the release-store rule (package comment) is what
+	// makes their validation sound.
 	n := uint64(len(v))
 	w := base + 1
 	for len(v) >= 8 {
-		atomic.StoreUint64(&slab[w], leWord(v))
+		storeRelease(&slab[w], leWord(v))
 		v = v[8:]
 		w++
 	}
 	if len(v) > 0 {
 		var last [8]byte
 		copy(last[:], v)
-		atomic.StoreUint64(&slab[w], leWord(last[:]))
+		storeRelease(&slab[w], leWord(last[:]))
 	}
 	seq := uint32(atomic.LoadUint64(&slab[base])) + 1 // even -> odd: allocated
-	atomic.StoreUint64(&slab[base], n<<32|uint64(seq))
-	c.b.allocs.Add(1)
+	storeRelease(&slab[base], n<<32|uint64(seq))
+	c.allocs.Add(1)
 	return makeHandle(seq, class, idx)
 }
 
@@ -243,8 +263,8 @@ func (c *BytesCache) Free(h Handle) {
 	if !h.names(hdr) {
 		panic(fmt.Sprintf("arena: double or stale free of value slot (seq=%d, handle seq=%d)", uint32(hdr), h.seq()))
 	}
-	atomic.StoreUint64(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
-	c.b.frees.Add(1)
+	storeRelease(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
+	c.frees.Add(1)
 	c.free[class] = append(c.free[class], idx)
 	if len(c.free[class]) >= bytesMaxCache {
 		cl := &c.b.classes[class]
@@ -321,7 +341,21 @@ func (b *Bytes) Len(h Handle) (int, bool) {
 
 // Outstanding returns Allocs-Frees (live + retired-but-unfreed values).
 func (b *Bytes) Outstanding() int64 {
-	return int64(b.allocs.Load()) - int64(b.frees.Load())
+	a, f := b.counts()
+	return int64(a) - int64(f)
+}
+
+// counts sums the caches' allocs and frees. Exact once the arena is
+// quiescent; mid-run each sum is monotone, but a cache may free a slot
+// another cache's count has not yet shown allocated.
+func (b *Bytes) counts() (allocs, frees uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, c := range b.caches {
+		allocs += c.allocs.Load()
+		frees += c.frees.Load()
+	}
+	return allocs, frees
 }
 
 // BytesStats is a snapshot of value-arena counters.
@@ -334,7 +368,7 @@ type BytesStats struct {
 
 // Stats returns a snapshot of the arena counters.
 func (b *Bytes) Stats() BytesStats {
-	a, f := b.allocs.Load(), b.frees.Load()
+	a, f := b.counts()
 	slabs := 0
 	for c := range b.classes {
 		if s := b.classes[c].slabs.Load(); s != nil {

@@ -12,7 +12,10 @@
 //
 // The map contract (values, overwrite) is inherited from the list:
 // overwrites are replace-node-and-retire (see hmlist), so value churn on
-// a static key set still produces retirements in every bucket.
+// a static key set still produces retirements in every bucket. A value
+// that names memory (the store's arena handles) can be freed with the
+// node that holds it: New's freeVal hook runs on each freed node's
+// value (hmlist.NewOwning), so an overwrite or delete costs one retire.
 package hashtable
 
 import (
@@ -29,8 +32,9 @@ type Table struct {
 
 // New creates a table sized for expectedKeys at the given load factor
 // (keys per bucket; the paper uses 6). The bucket count is rounded up to
-// a power of two.
-func New(d *core.Domain, expectedKeys int64, loadFactor int) *Table {
+// a power of two. freeVal, if non-nil, frees a value when the policy
+// frees the node holding it (see hmlist.NewOwning for the contract).
+func New(d *core.Domain, expectedKeys int64, loadFactor int, freeVal func(*core.Thread, uint64)) *Table {
 	if loadFactor <= 0 {
 		loadFactor = 6
 	}
@@ -39,7 +43,7 @@ func New(d *core.Domain, expectedKeys int64, loadFactor int) *Table {
 	for int64(n) < want {
 		n <<= 1
 	}
-	t := &Table{l: hmlist.New(d), heads: make([]core.Atomic, n), mask: n - 1}
+	t := &Table{l: hmlist.NewOwning(d, freeVal), heads: make([]core.Atomic, n), mask: n - 1}
 	for i := range t.heads {
 		t.l.InitHead(&t.heads[i])
 	}

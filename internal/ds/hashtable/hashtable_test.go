@@ -11,7 +11,7 @@ import (
 
 func TestConformance(t *testing.T) {
 	dstest.Run(t, func(d *core.Domain) ds.Map {
-		return hashtable.New(d, 256, 6)
+		return hashtable.New(d, 256, 6, nil)
 	}, dstest.Config{KeyRange: 2048})
 }
 
@@ -19,7 +19,7 @@ func TestSingleBucketDegenerate(t *testing.T) {
 	// expectedKeys below the load factor yields one bucket: the table
 	// must degrade to a plain list, not break.
 	d := core.NewDomain(core.EpochPOP, 1, &core.Options{ReclaimThreshold: 8})
-	tab := hashtable.New(d, 1, 6)
+	tab := hashtable.New(d, 1, 6, nil)
 	th := d.RegisterThread()
 	for k := int64(0); k < 200; k++ {
 		if !tab.PutIfAbsent(th, k, 0) {
@@ -44,7 +44,7 @@ func TestBucketDistribution(t *testing.T) {
 	// buckets and 640 sequential keys, no bucket should hold > 4x the
 	// mean.
 	d := core.NewDomain(core.NR, 1, nil)
-	tab := hashtable.New(d, 64*6, 6)
+	tab := hashtable.New(d, 64*6, 6, nil)
 	th := d.RegisterThread()
 	for k := int64(0); k < 640; k++ {
 		tab.PutIfAbsent(th, k, 0)
@@ -60,7 +60,7 @@ func TestBucketDistribution(t *testing.T) {
 func TestNewAllocsIndependentOfBuckets(t *testing.T) {
 	allocs := func(expectedKeys int64) float64 {
 		d := core.NewDomain(core.NR, 1, nil) // each New registers a node type
-		return testing.AllocsPerRun(4, func() { hashtable.New(d, expectedKeys, 6) })
+		return testing.AllocsPerRun(4, func() { hashtable.New(d, expectedKeys, 6, nil) })
 	}
 	if small, large := allocs(1<<10), allocs(1<<17); small != large {
 		t.Fatalf("New allocates %v objects for 2^10 expected keys but %v for 2^17", small, large)
@@ -72,6 +72,6 @@ func TestNewAllocsIndependentOfBuckets(t *testing.T) {
 // list's one shared tail, under every policy.
 func TestFewBucketStorm(t *testing.T) {
 	dstest.Run(t, func(d *core.Domain) ds.Map {
-		return hashtable.New(d, 4*6, 6)
+		return hashtable.New(d, 4*6, 6, nil)
 	}, dstest.Config{KeyRange: 512})
 }

@@ -148,11 +148,27 @@ type List struct {
 }
 
 // New creates a list, with its own node pool, in domain d.
-func New(d *core.Domain) *List {
+func New(d *core.Domain) *List { return NewOwning(d, nil) }
+
+// NewOwning is New for a list whose values own memory: freeVal, if
+// non-nil, runs on a node's value on the reclaiming thread each time a
+// policy frees the node. A value lives in exactly one published node
+// from the Put that links it until that node is freed, since values are
+// immutable and an overwrite links a fresh node (replace-node-and-retire),
+// so freeVal frees each published value exactly once, and no earlier than
+// any reader that could have loaded it from the node has ended its
+// operation. A value the list returns as replaced or deleted still
+// belongs to its retired node; a value a call did not publish (a
+// PutIfAbsent on a present key) stays the caller's.
+func NewOwning(d *core.Domain, freeVal func(*core.Thread, uint64)) *List {
+	var onFree func(*core.Thread, *Node)
+	if freeVal != nil {
+		onFree = func(t *core.Thread, n *Node) { freeVal(t, n.val) }
+	}
 	// The tail comes from the Go heap, not the pool: it is never
 	// retired, and keeping it out of the pool means Outstanding counts
 	// only real keys.
-	l := &List{nodes: core.NewNodes[Node](d, nil), tail: &Node{key: math.MaxInt64}}
+	l := &List{nodes: core.NewNodes(d, onFree), tail: &Node{key: math.MaxInt64}}
 	l.InitHead(&l.head)
 	return l
 }

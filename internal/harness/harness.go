@@ -180,7 +180,7 @@ func build(cfg Config, d *core.Domain) (ds.Map, error) {
 	case DSLazyList:
 		return lazylist.New(d), nil
 	case DSHashTable:
-		return hashtable.New(d, cfg.KeyRange, 6), nil
+		return hashtable.New(d, cfg.KeyRange, 6, nil), nil
 	case DSExternalBST:
 		return extbst.New(d), nil
 	case DSABTree:

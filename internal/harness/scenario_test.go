@@ -197,43 +197,61 @@ func TestServeChaosTrial(t *testing.T) {
 }
 
 // TestStoreChaosTrial: RunStore with the injector bundle — every
-// injector must report activity and every invariant must hold.
+// injector must report activity and every invariant must hold. An
+// injector goroutine the scheduler did not run inside a short trial
+// reports 0, so a trial with an idle injector is run again at twice the
+// Duration, from 60 ms up to about 2 s; every trial's invariants are
+// checked, and the last trial must show every injector active.
 func TestStoreChaosTrial(t *testing.T) {
+	const first, last = 60 * time.Millisecond, 1920 * time.Millisecond
 	for _, p := range []core.Policy{core.EBR, core.HazardPtrPOP, core.NBR} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			res, err := RunStore(StoreConfig{
-				Policy:   p,
-				Threads:  2,
-				Duration: 60 * time.Millisecond,
-				Keys:     2048,
-				Shards:   4,
-				Seed:     11,
-				Chaos: chaos.Config{
-					Stalls: 1, StallHold: 500 * time.Microsecond,
-					GCPressure: true, GCEvery: 2 * time.Millisecond,
-					Churners: 1, ChurnOps: 64,
-					Hotspot: true, FlipEvery: time.Millisecond,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Chaos.Stalls == 0 || res.Chaos.GCCycles == 0 ||
-				res.Chaos.Leases == 0 || res.Chaos.Flips == 0 {
-				t.Errorf("idle injectors: %+v", res.Chaos)
-			}
-			iv := chaos.Invariants{Policy: p}
-			var vs []chaos.Violation
-			vs = append(vs, iv.CheckValueErrors(res.ValueErrors)...)
-			vs = append(vs, iv.CheckLeaked(res.LeakedAfter)...)
-			vs = append(vs, iv.CheckCounters(res.Reclaim)...)
-			// The trial's own 2 workers still hold their handles at
-			// snapshot time; the injectors must have released theirs.
-			vs = append(vs, iv.CheckLifecycle(res.Lifecycle, 2)...)
-			for _, v := range vs {
-				t.Errorf("invariant violated: %s", v)
+			for d := first; ; d *= 2 {
+				res, err := RunStore(StoreConfig{
+					Policy:   p,
+					Threads:  2,
+					Duration: d,
+					Keys:     2048,
+					Shards:   4,
+					Seed:     11,
+					Chaos: chaos.Config{
+						Stalls: 1, StallHold: 500 * time.Microsecond,
+						GCPressure: true, GCEvery: 2 * time.Millisecond,
+						Churners: 1, ChurnOps: 64,
+						Hotspot: true, FlipEvery: time.Millisecond,
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkStoreChaosInvariants(t, p, res)
+				idle := res.Chaos.Stalls == 0 || res.Chaos.GCCycles == 0 ||
+					res.Chaos.Leases == 0 || res.Chaos.Flips == 0
+				if !idle {
+					return
+				}
+				if d >= last {
+					t.Fatalf("idle injectors after a %v trial: %+v", d, res.Chaos)
+				}
+				t.Logf("idle injectors after a %v trial, doubling: %+v", d, res.Chaos)
 			}
 		})
+	}
+}
+
+// checkStoreChaosInvariants checks one TestStoreChaosTrial trial.
+func checkStoreChaosInvariants(t *testing.T, p core.Policy, res StoreResult) {
+	t.Helper()
+	iv := chaos.Invariants{Policy: p}
+	var vs []chaos.Violation
+	vs = append(vs, iv.CheckValueErrors(res.ValueErrors)...)
+	vs = append(vs, iv.CheckLeaked(res.LeakedAfter)...)
+	vs = append(vs, iv.CheckCounters(res.Reclaim)...)
+	// The trial's own 2 workers still hold their handles at snapshot
+	// time; the injectors must have released theirs.
+	vs = append(vs, iv.CheckLifecycle(res.Lifecycle, 2)...)
+	for _, v := range vs {
+		t.Errorf("invariant violated: %s", v)
 	}
 }

@@ -216,7 +216,7 @@ func valueBounds(vmin, vmax int) (int, int, error) {
 
 // StoreResult is the outcome of one store trial: the shared Core (an
 // op is one get, put, batch or scan; PeakResident counts nodes, values
-// and tickets) plus the store's own view.
+// and an ordered store's tickets) plus the store's own view.
 type StoreResult struct {
 	Config StoreConfig
 	Core

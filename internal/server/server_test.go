@@ -725,7 +725,7 @@ func TestServerReclaimsUnderBursts(t *testing.T) {
 	if n, _ := strconv.Atoi(st["reclaim_passes"]); n == 0 {
 		t.Errorf("reclaim_passes = %s after %d overwrites at threshold %d", st["reclaim_passes"], 20*threshold, threshold)
 	}
-	// An overwrite retires the old node and its value ticket, so a burst
+	// An overwrite retires the old node (its value slot frees with it), so a burst
 	// adds at most a few nodes to a debt that is settled at threshold.
 	if n, err := strconv.Atoi(st["unreclaimed"]); err != nil || n > 2*threshold {
 		t.Errorf("unreclaimed = %q, want <= %d", st["unreclaimed"], 2*threshold)

@@ -75,12 +75,23 @@ func BenchmarkStoreSequentialPut64(b *testing.B) {
 	h.Flush()
 }
 
-// get1M is BenchmarkStoreGet1M's store, built once per process: its
-// prefill takes longer than a measured run.
-var get1M struct {
+// store1M is the store BenchmarkStoreGet1M and BenchmarkStorePut1M
+// share, built once per process: its prefill takes longer than a
+// measured run. vals holds a 64-byte payload per drawn key, built on
+// the first Put1M.
+var store1M struct {
 	s    *Store
 	h    *core.GroupHandle
 	keys []string
+	vals [][]byte
+}
+
+// open1M builds store1M on first use.
+func open1M(b *testing.B) (*Store, *core.GroupHandle, []string) {
+	if store1M.s == nil {
+		store1M.s, store1M.h, store1M.keys = benchStore(b, 1<<20, 1<<18)
+	}
+	return store1M.s, store1M.h, store1M.keys
 }
 
 // BenchmarkStoreGet1M is one Get of a uniformly drawn key in the
@@ -90,10 +101,7 @@ var get1M struct {
 // read, so walking them adds no misses of its own. Pin it to one CPU
 // and pass -benchtime Nx (e.g. 2000000x) to prefill once per process.
 func BenchmarkStoreGet1M(b *testing.B) {
-	if get1M.s == nil {
-		get1M.s, get1M.h, get1M.keys = benchStore(b, 1<<20, 1<<18)
-	}
-	s, h, kb := get1M.s, get1M.h, get1M.keys
+	s, h, kb := open1M(b)
 	var buf []byte
 	var ok bool
 	b.ResetTimer()
@@ -101,5 +109,26 @@ func BenchmarkStoreGet1M(b *testing.B) {
 		if buf, ok = s.Get(h, kb[i&(len(kb)-1)], buf); !ok {
 			b.Fatal("a prefilled key missed")
 		}
+	}
+}
+
+// BenchmarkStorePut1M is one overwrite of a uniformly drawn key in the
+// store of BenchmarkStoreGet1M with a fresh 64-byte value: an arena
+// slot written and published, a node linked, and the replaced node
+// (with its value slot) retired and, a pass later, freed. Run it like
+// Get1M: pinned, with -benchtime Nx.
+func BenchmarkStorePut1M(b *testing.B) {
+	s, h, kb := open1M(b)
+	if store1M.vals == nil {
+		store1M.vals = make([][]byte, len(kb))
+		for i, key := range kb {
+			store1M.vals[i] = workload.AppendValueBytes(nil, KeyHash(key), uint32(i), 64)
+		}
+	}
+	vals := store1M.vals
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (len(kb) - 1)
+		s.Put(h, kb[j], vals[j])
 	}
 }

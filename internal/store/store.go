@@ -20,8 +20,7 @@
 // chooses its keys: hash64 is unkeyed FNV-1a plus a bijective finisher,
 // so colliding keys — and keys that all land on one shard — can be
 // computed offline. ROADMAP item 2 is the plan to close this (a
-// per-store seed and exact key comparison). Shard statistics are
-// cache-line padded so per-shard counters never false-share.
+// per-store seed and exact key comparison).
 //
 // # Domain groups: reclamation fan-out bounded per shard
 //
@@ -52,21 +51,26 @@
 // the hottest GETs a single protected map read with no second
 // dereference, no seqlock validation, and no possibility of a stale
 // retry. Inline values also have nothing to reclaim: an overwrite or
-// delete of an inline value retires nothing, and overwrites that flip
-// a key between encodings retire exactly the arena side (the inline
-// word dies with the map cell; the arena handle goes through the
-// ticket path below).
+// delete of an inline value frees no value slot, and overwrites that
+// flip a key between encodings free exactly the arena side (the inline
+// word dies with the map cell; the arena handle frees as below).
 //
 // Longer values live out of line in an arena.Bytes value arena; the
-// uint64 a shard's map stores is the value's arena.Handle. An overwrite or
-// delete retires the replaced handle through the *same core retire
-// path as nodes* — a small ticket node carrying the handle flows
-// through Thread.Retire in the shard's member domain, and the policy's
-// reclamation pass frees the payload slot when it frees the ticket —
-// so value lifetime is policy-visible: EBR holds overwritten values
-// until the epoch drains, HP frees them at the next scan, NR leaks
-// them. Orphan donation and adoption stay member-local, so the
-// per-member Unreclaimed bounds the robust policies guarantee are
+// uint64 a shard's map stores is the value's arena.Handle. A replaced
+// value is freed by the *same core retire path as nodes*, so value
+// lifetime is policy-visible: EBR holds overwritten values until the
+// epoch drains, HP frees them at the next scan, NR leaks them. On a
+// hash-table store a value frees with its node: a handle lives in
+// exactly one published map node from its Put until that node is freed
+// (values are immutable and an overwrite links a fresh node), so the
+// shard's node pool frees the node's arena slot when the policy frees
+// the node (hashtable.New's freeVal hook), and an overwrite or delete is
+// one retire. An ordered store cannot do that, since an (a,b)-tree's
+// copy-on-write leaves each hold many values: there an overwrite or
+// delete also retires a small ticket node carrying the replaced handle
+// through Thread.Retire in the shard's member domain, and the slot frees
+// with the ticket. Orphan donation and adoption stay member-local, so
+// the per-member Unreclaimed bounds the robust policies guarantee are
 // preserved under grouping.
 //
 // What makes this safe is the arena's sequence discipline, not reader
@@ -78,7 +82,19 @@
 // retries through a fresh lookup. Staleness is counted per shard
 // (Stats.StaleReads): it is the read-side cost of eager value
 // reclamation, and it varies by policy exactly the way retire-to-free
-// latency does.
+// latency does. Freeing a value with its node can only make stale reads
+// rarer than a ticket would: a node that a reader may still hold
+// protected cannot be freed while a ticket retired at the same point
+// could be.
+//
+// # Statistics
+//
+// Every operation counts itself (Stats) in its own thread slot's state,
+// one block of counts per shard of the slot's member, each count a
+// single-writer arena.Counter: a Get pays no read-modify-write on a line
+// another serving thread writes. Stats sums over every slot the store
+// has built, so the counts survive a slot's hand-over to its next
+// tenant and are exact once the store is quiescent.
 //
 // # Elastic serving
 //
@@ -87,11 +103,12 @@
 // can grow and shrink inside the group's capacity. Acquire never
 // blocks; a caller that can outnumber the slots bounds itself first
 // (the serving front's admission semaphore). A
-// departing worker's unreclaimed retires — shard nodes and value
-// tickets alike — are donated to each member domain's orphan queue and
-// adopted by that member's live threads; its per-slot state (value
-// arena and ticket caches, scan scratch) passes to the slot's next
-// tenant through the lease's happens-before edge, per member.
+// departing worker's unreclaimed retires — shard nodes and an ordered
+// store's value tickets alike — are donated to each member domain's
+// orphan queue and adopted by that member's live threads; its per-slot
+// state (value-arena cache, counts, scan scratch) passes to
+// the slot's next tenant through the lease's happens-before edge, per
+// member.
 //
 // # Batched multi-get and multi-put
 //
@@ -102,8 +119,9 @@
 // so there is one batch path. PutBatch is the write-side mirror: the same
 // counting sort, one protected operation per shard group (long payloads
 // are copied into the arena before it opens, each by the slot cache's
-// Alloc, whose refills lock a size class once per 64 slots), and
-// replaced values retired in bulk on the group's member thread. A
+// Alloc, whose refills lock a size class once per 64 slots), and an
+// ordered store's replaced values retired in bulk on the group's member
+// thread. A
 // read-modify-write batch reuses one Batch's scratch across the
 // GetBatch → modify → PutBatch cycle.
 // Sorted keys also give tree descents warm upper-level paths. See
@@ -124,6 +142,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pop/internal/arena"
 	"pop/internal/core"
@@ -184,8 +203,8 @@ func inlineDecode(w uint64, buf []byte) []byte {
 }
 
 // MaxShards caps Config.Shards: every shard registers one node type
-// with its member domain (plus one per member for value tickets), and
-// the domain type tables are finite.
+// with its member domain (plus one per member for an ordered store's
+// value tickets), and the domain type tables are finite.
 const MaxShards = 32
 
 // Config tunes a Store. The zero value is usable.
@@ -246,40 +265,49 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// shard is one partition: its map plus padded counters. The counters
-// are atomic (several threads serve one shard) but each shard's block
-// is padded, so shard i's stats never false-share with shard j's.
+// shard is one partition: its map, and its scanner on an ordered store.
 type shard struct {
 	m       backing
 	scanner ds.RangeScanner // nil unless Config.Ordered
-
-	gets       padded.Uint64 // single-key lookups (GetBatch keys included)
-	misses     padded.Uint64 // lookups that found no entry
-	puts       padded.Uint64 // upserts (inserts + overwrites; PutBatch keys included)
-	overwrites padded.Uint64 // upserts that replaced (and retired) a value
-	deletes    padded.Uint64 // deletes that removed (and retired) a value
-	stale      padded.Uint64 // value reads that lost to reclamation and retried
-	scanPairs  padded.Uint64 // pairs yielded by scans
 }
 
-// vticket is the retire ticket that routes a value's reclamation
-// through the core retire path. Header must be first (the reclamation
-// contract); h is the arena handle to free when the policy frees the
-// ticket.
+// shardCounts is one thread slot's counts for one shard, written only by
+// the slot's tenant (see Statistics in the package comment).
+type shardCounts struct {
+	gets       arena.Counter // single-key lookups (GetBatch keys included)
+	misses     arena.Counter // lookups that found no entry
+	puts       arena.Counter // upserts (inserts + overwrites; PutBatch keys included)
+	overwrites arena.Counter // upserts that replaced a value
+	deletes    arena.Counter // deletes that removed a value
+	stale      arena.Counter // value reads that lost to reclamation and retried
+	scanPairs  arena.Counter // pairs yielded by scans
+	_          uint64        // one 64-byte line per shard
+}
+
+// countsPad is the number of shardCounts (64 bytes each) either side of
+// a slot's counts: a padded.CacheLine that no other heap object shares.
+const countsPad = padded.CacheLine / 64
+
+// vticket is the retire ticket that routes an ordered store's value
+// reclamation through the core retire path. Header must be first (the
+// reclamation contract); h is the arena handle to free when the policy
+// frees the ticket.
 type vticket struct {
 	core.Header
 	h arena.Handle
 }
 
-// storeLocal is one member-domain thread slot's allocation state: its
-// value-arena cache and reusable scratch for scans. It is a core.Local
+// storeLocal is one member-domain thread slot's state: its value-arena
+// cache, its counts for its member's shards, and reusable scratch for
+// scans. It is a core.Local
 // of the member domain, so when a serving goroutine releases its group
 // handle and another goroutine re-leases the slot (the elastic-pool
 // lifecycle), the state transfers with it: the member domain's
 // lease/release mutex is the happens-before edge, and the new tenant
 // simply continues filling the previous tenant's caches.
 type storeLocal struct {
-	vc *arena.BytesCache
+	vc     *arena.BytesCache
+	counts []shardCounts // indexed by shard & Store.shardMask
 
 	// scan scratch (owner-only)
 	keys    []int64
@@ -296,10 +324,14 @@ type Store struct {
 	cfg         Config
 	mask        uint64
 	memberShift uint // shard >> memberShift = member domain index
+	shardMask   int  // shard & shardMask = index among its member's shards
 	shards      []shard
 	vals        *arena.Bytes
-	tickets     []*core.Nodes[vticket]   // per member
+	tickets     []*core.Nodes[vticket]   // per member; nil unless Config.Ordered
 	locals      []core.Local[storeLocal] // per member
+
+	mu    sync.Mutex
+	slots []*storeLocal // every slot state built, for Stats
 
 	batches    padded.Uint64 // GetBatch calls
 	putBatches padded.Uint64 // PutBatch calls
@@ -329,19 +361,28 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		cfg:         cfg,
 		mask:        uint64(cfg.Shards - 1),
 		memberShift: shift,
+		shardMask:   1<<shift - 1,
 		shards:      make([]shard, cfg.Shards),
 		vals:        arena.NewBytes(),
-		tickets:     make([]*core.Nodes[vticket], groups),
 		locals:      make([]core.Local[storeLocal], groups),
 	}
+	frees := make([]func(*core.Thread, uint64), groups)
 	for m := 0; m < groups; m++ {
 		d := g.Member(m)
 		s.locals[m] = core.NewLocal(d, s.newLocal)
-		// One ticket pool per member: a ticket frees on the member's
-		// reclaiming thread, into that member's slot state.
-		s.tickets[m] = core.NewNodes(d, func(t *core.Thread, tk *vticket) {
-			s.locals[m].Of(t).vc.Free(tk.h) // the payload slot frees with its ticket
-		})
+		// A value frees on the member's reclaiming thread, into that
+		// member's slot state: with its node on a hash-table store,
+		// with its ticket on an ordered one.
+		frees[m] = func(t *core.Thread, w uint64) {
+			if w&inlineBit == 0 {
+				s.locals[m].Of(t).vc.Free(arena.Handle(w))
+			}
+		}
+		if cfg.Ordered {
+			s.tickets = append(s.tickets, core.NewNodes(d, func(t *core.Thread, tk *vticket) {
+				frees[m](t, uint64(tk.h))
+			}))
+		}
 	}
 	for i := range s.shards {
 		d := g.Member(i >> shift)
@@ -349,7 +390,7 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		if cfg.Ordered {
 			m = abtree.New(d)
 		} else {
-			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 1)
+			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 1, frees[i>>shift])
 		}
 		s.shards[i].m = m
 		s.shards[i].scanner, _ = m.(ds.RangeScanner)
@@ -375,7 +416,8 @@ func (s *Store) MemberIndex(shard int) int { return shard >> s.memberShift }
 func (s *Store) Acquire() (*core.GroupHandle, error) { return s.g.Acquire() }
 
 // Release returns a serving handle to the group; the worker's
-// unreclaimed retires (nodes and value tickets) are donated to each
+// unreclaimed retires (nodes, and an ordered store's value tickets) are
+// donated to each
 // member domain for adoption, and the slot becomes re-leasable.
 func (s *Store) Release(h *core.GroupHandle) { s.g.Release(h) }
 
@@ -383,14 +425,22 @@ func (s *Store) Release(h *core.GroupHandle) { s.g.Release(h) }
 // so supports hashed-key Scan.
 func (s *Store) Ordered() bool { return s.cfg.Ordered }
 
-// newLocal builds a member thread slot's state on its first use.
+// newLocal builds a member thread slot's state on its first use and
+// registers it for Stats.
 func (s *Store) newLocal(*core.Thread) *storeLocal {
-	tl := &storeLocal{vc: s.vals.NewCache()}
+	n := s.shardMask + 1
+	tl := &storeLocal{
+		vc:     s.vals.NewCache(),
+		counts: make([]shardCounts, n+2*countsPad)[countsPad : countsPad+n],
+	}
 	tl.collect = func(k int64, v uint64) bool {
 		tl.keys = append(tl.keys, k)
 		tl.vals = append(tl.vals, v)
 		return len(tl.keys) < scanChunk
 	}
+	s.mu.Lock()
+	s.slots = append(s.slots, tl)
+	s.mu.Unlock()
 	return tl
 }
 
@@ -447,6 +497,19 @@ func (s *Store) threadFor(h *core.GroupHandle, si int) *core.Thread {
 	return h.Member(si >> s.memberShift)
 }
 
+// slot resolves shard si on handle h to its member index, the member
+// thread (leased on first touch) and that thread slot's state.
+func (s *Store) slot(h *core.GroupHandle, si int) (int, *core.Thread, *storeLocal) {
+	m := si >> s.memberShift
+	t := h.Member(m)
+	return m, t, s.locals[m].Of(t)
+}
+
+// countsOf returns tl's counts for shard si.
+func (s *Store) countsOf(tl *storeLocal, si int) *shardCounts {
+	return &tl.counts[si&s.shardMask]
+}
+
 // readWord resolves a map word to value bytes: an inline word decodes
 // from the word itself (always succeeds — the payload travels with the
 // map cell), an arena word goes through the stale-detecting arena read.
@@ -466,18 +529,19 @@ func (s *Store) readWord(w uint64, buf []byte) ([]byte, bool) {
 func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) {
 	si, ik := s.locate(key)
 	sh := &s.shards[si]
-	t := s.threadFor(h, si)
-	sh.gets.Add(1)
+	_, t, tl := s.slot(h, si)
+	c := s.countsOf(tl, si)
+	c.gets.Add(1)
 	for {
 		hv, ok := sh.m.Get(t, ik)
 		if !ok {
-			sh.misses.Add(1)
+			c.misses.Add(1)
 			return buf[:0], false
 		}
 		if v, ok := s.readWord(hv, buf); ok {
 			return v, true
 		}
-		sh.stale.Add(1) // lost to an overwrite's reclamation: retry
+		c.stale.Add(1) // lost to an overwrite's reclamation: retry
 	}
 }
 
@@ -485,27 +549,26 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 // Config.MaxValueLen; it panics beyond it, like the ds layer's key
 // checks). Values of at most InlineMaxLen bytes inline-encode into the
 // map word; longer ones take an arena slot. A replaced arena value is
-// retired through the core retire path in the shard's member domain
-// and freed by the policy; a replaced inline value dies with the map
-// cell.
+// freed by the policy in the shard's member domain (with its node, or
+// its ticket on an ordered store); a replaced inline value dies with
+// the map cell.
 func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
 	if len(val) > s.cfg.MaxValueLen {
 		panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(val), s.cfg.MaxValueLen))
 	}
 	si, ik := s.locate(key)
-	m := si >> s.memberShift
-	t := h.Member(m)
+	m, t, tl := s.slot(h, si)
 	var nw uint64
 	if len(val) <= InlineMaxLen {
 		nw = inlineEncode(val)
 	} else {
-		nw = uint64(s.locals[m].Of(t).vc.Alloc(val))
+		nw = uint64(tl.vc.Alloc(val))
 	}
-	sh := &s.shards[si]
-	old, replaced := sh.m.Put(t, ik, nw)
-	sh.puts.Add(1)
+	old, replaced := s.shards[si].m.Put(t, ik, nw)
+	c := s.countsOf(tl, si)
+	c.puts.Add(1)
 	if replaced {
-		sh.overwrites.Add(1)
+		c.overwrites.Add(1)
 		s.retireWord(t, m, old)
 	}
 }
@@ -517,64 +580,50 @@ func (s *Store) PutIfAbsent(h *core.GroupHandle, key string, val []byte) bool {
 		panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(val), s.cfg.MaxValueLen))
 	}
 	si, ik := s.locate(key)
-	m := si >> s.memberShift
-	t := h.Member(m)
+	_, t, tl := s.slot(h, si)
 	sh := &s.shards[si]
 	if len(val) <= InlineMaxLen {
 		if sh.m.PutIfAbsent(t, ik, inlineEncode(val)) {
-			sh.puts.Add(1)
+			s.countsOf(tl, si).puts.Add(1)
 			return true
 		}
 		return false
 	}
-	tl := s.locals[m].Of(t)
 	nh := tl.vc.Alloc(val)
 	if sh.m.PutIfAbsent(t, ik, uint64(nh)) {
-		sh.puts.Add(1)
+		s.countsOf(tl, si).puts.Add(1)
 		return true
 	}
 	tl.vc.Free(nh) // never published: no grace period needed
 	return false
 }
 
-// Delete removes key, retiring its value (if arena-backed), and
-// reports whether it was present.
+// Delete removes key, freeing its value (if arena-backed) through the
+// policy, and reports whether it was present.
 func (s *Store) Delete(h *core.GroupHandle, key string) bool {
 	si, ik := s.locate(key)
-	m := si >> s.memberShift
-	t := h.Member(m)
-	sh := &s.shards[si]
-	old, ok := sh.m.Delete(t, ik)
+	m, t, tl := s.slot(h, si)
+	old, ok := s.shards[si].m.Delete(t, ik)
 	if ok {
-		sh.deletes.Add(1)
+		s.countsOf(tl, si).deletes.Add(1)
 		s.retireWord(t, m, old)
 	}
 	return ok
 }
 
-// retireWord retires whatever a replaced map word owned: nothing for
-// an inline word (the payload lived in the cell the map just
-// replaced), the arena slot for a handle word. This is the single
-// point where encoding-flipping overwrites converge — inline-replaces-
-// arena retires the arena side here, arena-replaces-inline retires
-// nothing, and the policy never sees a ticket for memory that was
-// never allocated.
+// retireWord retires, on an ordered store, whatever a replaced map word
+// owned: nothing for an inline word (the payload lived in the cell the
+// map just replaced), the arena slot for a handle word, through a ticket
+// on member m's thread t. The ticket is a managed node, so the slot
+// frees exactly when m's policy decides the retired generation is safe.
+// On a hash-table store it does nothing: the value frees with the node
+// the map just retired.
 func (s *Store) retireWord(t *core.Thread, m int, w uint64) {
-	if w&inlineBit != 0 {
+	if s.tickets == nil || w&inlineBit != 0 {
 		return
 	}
-	s.retireValue(t, m, arena.Handle(w))
-}
-
-// retireValue hands a replaced value handle to the reclamation layer of
-// member m on thread t (which must be m's member thread): the ticket is
-// a managed node, so the handle's slot frees exactly when m's policy
-// decides the retired generation is safe — value retirement is
-// policy-visible, like node retirement, and member-local, like every
-// other retire.
-func (s *Store) retireValue(t *core.Thread, m int, h arena.Handle) {
 	tk := s.tickets[m].Alloc(t)
-	tk.h = h
+	tk.h = arena.Handle(w)
 	t.Retire(&tk.Header)
 }
 
@@ -601,9 +650,8 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 	visited := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		m := i >> s.memberShift
-		t := h.Member(m)
-		tl := s.locals[m].Of(t)
+		_, t, tl := s.slot(h, i)
+		c := s.countsOf(tl, i)
 		from := lo
 		for from <= hi {
 			tl.keys, tl.vals = tl.keys[:0], tl.vals[:0]
@@ -613,7 +661,7 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 				for !ok {
 					// The pair's value lost to reclamation between the scan
 					// and this read: serve the key's current value instead.
-					sh.stale.Add(1)
+					c.stale.Add(1)
 					hv, present := sh.m.Get(t, k)
 					if !present {
 						break // deleted since the scan observed it: skip
@@ -625,7 +673,7 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 				}
 				vbuf = v[:0]
 				visited++
-				sh.scanPairs.Add(1)
+				c.scanPairs.Add(1)
 				if !fn(k, v) {
 					return visited
 				}
@@ -737,14 +785,15 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 			e++
 		}
 		group := b.order[g:e]
-		t := s.threadFor(h, si)
+		_, t, tl := s.slot(h, si)
+		c := s.countsOf(tl, si)
 		b.ikeys = resize(b.ikeys, len(group))
 		b.gvals = resize(b.gvals, len(group))
 		b.gok = resize(b.gok, len(group))
 		for j, idx := range group {
 			b.ikeys[j] = ikeyOf(b.hks[idx])
 		}
-		sh.gets.Add(uint64(len(group)))
+		c.gets.Add(uint64(len(group)))
 		// One protected operation for the whole group.
 		t.StartOp()
 		for j, ik := range b.ikeys {
@@ -755,7 +804,7 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 		// so record offsets now and slice at the end.
 		for j, idx := range group {
 			if !b.gok[j] {
-				sh.misses.Add(1)
+				c.misses.Add(1)
 				b.offs[idx] = -1
 				continue
 			}
@@ -773,10 +822,10 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 				}
 				// Stale: the batch's handle lost to reclamation. Re-serve
 				// this key through a fresh protected lookup.
-				sh.stale.Add(1)
+				c.stale.Add(1)
 				nhv, present := sh.m.Get(t, b.ikeys[j])
 				if !present {
-					sh.misses.Add(1)
+					c.misses.Add(1)
 					b.offs[idx] = -1
 					break
 				}
@@ -800,8 +849,8 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // encode into their map words and the rest are copied into the value
 // arena (the slot cache's Alloc, which locks a size class once per
 // refill of 64 slots); the group's upserts run in one protected
-// operation (ds.InOp); and the replaced handles retire in bulk on the
-// shard's member thread. b.OK[i] reports whether keys[i] replaced a
+// operation (ds.InOp); and, on an ordered store, the replaced handles
+// retire in bulk on the shard's member thread. b.OK[i] reports whether keys[i] replaced a
 // previous value. A read-modify-write batch can reuse the
 // same Batch from the preceding GetBatch — payload slices passed in
 // vals may even alias b.Vals, because every payload is copied into the
@@ -833,9 +882,8 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 			e++
 		}
 		group := b.order[g:e]
-		m := si >> s.memberShift
-		t := h.Member(m)
-		tl := s.locals[m].Of(t)
+		m, t, tl := s.slot(h, si)
+		c := s.countsOf(tl, si)
 		b.ikeys = resize(b.ikeys, len(group))
 		b.gvals = resize(b.gvals, len(group))
 		b.golds = resize(b.golds, len(group))
@@ -850,7 +898,7 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 				b.gvals[j] = uint64(tl.vc.Alloc(v))
 			}
 		}
-		sh.puts.Add(uint64(len(group)))
+		c.puts.Add(uint64(len(group)))
 		// One protected operation for the whole group.
 		t.StartOp()
 		for j, ik := range b.ikeys {
@@ -860,7 +908,7 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		for j, idx := range group {
 			b.OK[idx] = b.gok[j]
 			if b.gok[j] {
-				sh.overwrites.Add(1)
+				c.overwrites.Add(1)
 				s.retireWord(t, m, b.golds[j])
 			}
 		}
@@ -887,7 +935,8 @@ func (s *Store) Size(h *core.GroupHandle) int {
 }
 
 // Outstanding reports live+retired occupancy across every pool the
-// store owns: shard nodes, value slots, and retire tickets.
+// store owns: shard nodes, value slots, and an ordered store's retire
+// tickets.
 func (s *Store) Outstanding() int64 {
 	n := s.vals.Outstanding()
 	for _, tk := range s.tickets {
@@ -904,8 +953,8 @@ type Stats struct {
 	Gets       uint64 // lookups (batch keys included)
 	GetMisses  uint64 // lookups finding no entry
 	Puts       uint64 // upserts (batch keys included)
-	Overwrites uint64 // upserts that replaced (and retired) a value
-	Deletes    uint64 // deletes that removed (and retired) a value
+	Overwrites uint64 // upserts that replaced a value
+	Deletes    uint64 // deletes that removed a value
 	Batches    uint64 // GetBatch calls
 	PutBatches uint64 // PutBatch calls
 	Scans      uint64 // Scan calls
@@ -915,19 +964,25 @@ type Stats struct {
 	Values arena.BytesStats // value-arena counters
 }
 
-// Stats aggregates the per-shard counters.
+// Stats sums every thread slot's counts. Exact once the store is
+// quiescent; mid-run each field is monotone, but fields are not read at
+// one instant.
 func (s *Store) Stats() Stats {
 	var out Stats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		out.Gets += sh.gets.Load()
-		out.GetMisses += sh.misses.Load()
-		out.Puts += sh.puts.Load()
-		out.Overwrites += sh.overwrites.Load()
-		out.Deletes += sh.deletes.Load()
-		out.ScanPairs += sh.scanPairs.Load()
-		out.StaleReads += sh.stale.Load()
+	s.mu.Lock()
+	for _, tl := range s.slots {
+		for i := range tl.counts {
+			c := &tl.counts[i]
+			out.Gets += c.gets.Load()
+			out.GetMisses += c.misses.Load()
+			out.Puts += c.puts.Load()
+			out.Overwrites += c.overwrites.Load()
+			out.Deletes += c.deletes.Load()
+			out.ScanPairs += c.scanPairs.Load()
+			out.StaleReads += c.stale.Load()
+		}
 	}
+	s.mu.Unlock()
 	out.Batches = s.batches.Load()
 	out.PutBatches = s.putBatches.Load()
 	out.Scans = s.scans.Load()

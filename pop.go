@@ -225,7 +225,7 @@ func NewLazyListMap(d *Domain) Map { return lazylist.New(d) }
 // factor (keys per bucket; the paper uses 6). Overwrites replace the
 // bucket node and retire the old one.
 func NewHashTableMap(d *Domain, expectedKeys int64, loadFactor int) Map {
-	return hashtable.New(d, expectedKeys, loadFactor)
+	return hashtable.New(d, expectedKeys, loadFactor, nil)
 }
 
 // NewExternalBSTMap creates a lock-based external binary search tree
