@@ -199,7 +199,7 @@ func main() {
 		cache.Size(collector), st.Batches, st.PutBatches, st.Scans, st.ScanPairs, warmed.Load(), st.StaleReads)
 	fmt.Printf("values: %d allocated, %d freed, %d live\n",
 		st.Values.Allocs, st.Values.Frees, st.Values.Outstanding)
-	fmt.Printf("reclamation: %d retires (nodes+values), %d frees, %d pings (%.1f threads scanned per pass across %d members)\n",
+	fmt.Printf("reclamation: %d node retires (values free with them), %d frees, %d pings (%.1f threads scanned per pass across %d members)\n",
 		ds.Retires, ds.Frees, ds.PingsSent, rs.ScannedPerPass, group.Members())
 	fmt.Printf("lifecycle: %d slots served %d leases (peak %d concurrent), %d orphan nodes donated, %d adopted\n",
 		lc.Slots, lc.Releases+uint64(lc.Leased), lc.Peak, lc.OrphansDonated, lc.OrphansAdopted)

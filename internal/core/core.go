@@ -84,9 +84,8 @@ const MaxSlots = 8
 
 // maxTypes is the number of distinct node types a domain can free. The
 // store layer registers one type per shard (each shard is its own
-// structure instance) plus, on an ordered store, one for value-retire
-// tickets, so the budget
-// accommodates the store's 32-shard cap with room for side structures.
+// structure instance), so the budget accommodates the store's 32-shard
+// cap with room for side structures.
 const maxTypes = 64
 
 // eraNone is the "no reservation" era value (eras start at 1).

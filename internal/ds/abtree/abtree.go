@@ -59,6 +59,21 @@
 // in-place store, which retires nothing). The returned old value is
 // read from the immutable old leaf, so it is exactly the value the
 // overwrite replaced.
+//
+// # Values that own memory
+//
+// New's freeVal hook, if non-nil, frees a value with the leaf whose
+// copy-on-write dropped it. Every leaf update copies the surviving
+// values into its replacement, so a published value stays in exactly
+// one live leaf until an overwrite or delete of its key leaves it out.
+// That update marks the leaf it retires with the value's index
+// (node.drop), and the pool runs freeVal on the value when the policy
+// frees the leaf, so no earlier than any reader that could have loaded
+// it from a leaf has ended its operation. Inserts and splits mark
+// nothing, and a copy-on-write that loses its validation returns its
+// copy through Nodes.Unused, which runs no hook, so each dropped value
+// is freed exactly once and no live value is freed. A value a call did
+// not publish (a PutIfAbsent on a present key) stays the caller's.
 package abtree
 
 import (
@@ -85,10 +100,14 @@ const (
 // vals (and, for internal nodes, the key/child counts) are immutable
 // once the node is published; only the kids cells are mutated in place
 // (child swings under the node's lock). vals parallels keys on leaves
-// and is unused on internal nodes.
+// and is unused on internal nodes. drop is 1 + the index of the value a
+// retired leaf's copy-on-write dropped, 0 for none; it is set under the
+// parent's lock by the one update that retires the leaf and cleared when
+// the leaf is freed, so a drawn node always reads 0.
 type node struct {
 	core.Header
 	leaf  bool
+	drop  uint8
 	dead  core.Flag
 	mu    sync.Mutex
 	nkeys int
@@ -126,10 +145,18 @@ type Tree struct {
 	entry *node
 }
 
-// New creates an empty tree in domain d.
-func New(d *core.Domain) *Tree {
+// New creates an empty tree in domain d. freeVal, if non-nil, frees a
+// value when the policy frees the leaf whose update dropped it (see
+// "Values that own memory" in the package comment).
+func New(d *core.Domain, freeVal func(*core.Thread, uint64)) *Tree {
 	tr := &Tree{
-		nodes: core.NewNodes(d, func(_ *core.Thread, n *node) { n.dead.Store(false) }),
+		nodes: core.NewNodes(d, func(t *core.Thread, n *node) {
+			n.dead.Store(false)
+			if n.drop != 0 && freeVal != nil {
+				freeVal(t, n.vals[n.drop-1])
+			}
+			n.drop = 0
+		}),
 		entry: &node{},
 	}
 	// The initial root leaf is pool-managed (unlike the permanent entry)
@@ -325,20 +352,21 @@ func (tr *Tree) put(t *core.Thread, key int64, val uint64, overwrite bool) (inse
 func (tr *Tree) overwriteCoW(t *core.Thread, ps pos, key int64, i int, val uint64) bool {
 	nl := tr.newLeaf(t, ps.l.keys[:ps.l.nkeys], ps.l.vals[:ps.l.nkeys])
 	nl.vals[i] = val
-	return tr.swapLeaf(t, ps, key, nl)
+	return tr.swapLeaf(t, ps, key, nl, uint8(i+1))
 }
 
 // insertCoW replaces the leaf with a copy containing key (no split).
 func (tr *Tree) insertCoW(t *core.Thread, ps pos, key int64, val uint64) bool {
 	mk, mv := mergeKV(ps.l, key, val)
-	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, mk, mv))
+	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, mk, mv), 0)
 }
 
 // swapLeaf swings the unpublished leaf nl into ps.l's place under the
 // parent's lock, with the edge and the parent's liveness validated, and
-// retires ps.l. On a failed validation or an NBR neutralization nl goes
-// back to the cache unpublished and the caller re-descends.
-func (tr *Tree) swapLeaf(t *core.Thread, ps pos, key int64, nl *node) bool {
+// retires ps.l marked with drop (node.drop: the value nl left out).
+// On a failed validation or an NBR neutralization nl goes back to the
+// cache unpublished and the caller re-descends.
+func (tr *Tree) swapLeaf(t *core.Thread, ps pos, key int64, nl *node, drop uint8) bool {
 	if !t.EnterWritePhase() {
 		tr.nodes.Unused(t, nl)
 		return false
@@ -352,6 +380,7 @@ func (tr *Tree) swapLeaf(t *core.Thread, ps pos, key int64, nl *node) bool {
 		return false
 	}
 	cell.Store(unsafe.Pointer(nl))
+	ps.l.drop = drop
 	ps.l.dead.Store(true)
 	ps.p.mu.Unlock()
 	t.Retire(&ps.l.Header)
@@ -551,7 +580,7 @@ func (tr *Tree) Delete(t *core.Thread, key int64) (uint64, bool) {
 		old := ps.l.vals[i]
 		if ps.l.nkeys > 1 || ps.p == tr.entry {
 			// CoW the leaf without it (the root leaf may become empty).
-			if tr.deleteCoW(t, ps, key) {
+			if tr.deleteCoW(t, ps, key, i) {
 				return old, true
 			}
 			continue
@@ -566,21 +595,22 @@ func (tr *Tree) Delete(t *core.Thread, key int64) (uint64, bool) {
 	}
 }
 
-// deleteCoW replaces the leaf with a copy lacking key.
-func (tr *Tree) deleteCoW(t *core.Thread, ps pos, key int64) bool {
+// deleteCoW replaces the leaf with a copy lacking key, its i-th key.
+func (tr *Tree) deleteCoW(t *core.Thread, ps pos, key int64, i int) bool {
 	remaining := make([]int64, 0, ps.l.nkeys-1)
 	vals := make([]uint64, 0, ps.l.nkeys-1)
-	for i := 0; i < ps.l.nkeys; i++ {
-		if ps.l.keys[i] != key {
-			remaining = append(remaining, ps.l.keys[i])
-			vals = append(vals, ps.l.vals[i])
+	for j := 0; j < ps.l.nkeys; j++ {
+		if j != i {
+			remaining = append(remaining, ps.l.keys[j])
+			vals = append(vals, ps.l.vals[j])
 		}
 	}
-	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, remaining, vals))
+	return tr.swapLeaf(t, ps, key, tr.newLeaf(t, remaining, vals), uint8(i+1))
 }
 
 // deleteExcise removes a singleton leaf and its separator from the
-// parent, collapsing the parent if it would be left with one child.
+// parent, collapsing the parent if it would be left with one child. The
+// leaf retires marked with its one value dropped.
 func (tr *Tree) deleteExcise(t *core.Thread, ps pos, key int64) (bool, bool) {
 	if !t.EnterWritePhase() {
 		return false, false
@@ -598,6 +628,7 @@ func (tr *Tree) deleteExcise(t *core.Thread, ps pos, key int64) (bool, bool) {
 		return false, true
 	}
 	idx := ps.p.route(key)
+	ps.l.drop = 1
 	if ps.p.nkids() == 2 {
 		// Parent would keep a single child: promote the sibling.
 		sib := ps.p.kids[1-idx].Load()
@@ -619,12 +650,12 @@ func (tr *Tree) deleteExcise(t *core.Thread, ps pos, key int64) (bool, bool) {
 			kids = append(kids, ps.p.kids[i].Load())
 		}
 	}
-	drop := idx
-	if drop == ps.p.nkeys {
-		drop = ps.p.nkeys - 1
+	sep := idx
+	if sep == ps.p.nkeys {
+		sep = ps.p.nkeys - 1
 	}
 	for i := 0; i < ps.p.nkeys; i++ {
-		if i != drop {
+		if i != sep {
 			keys = append(keys, ps.p.keys[i])
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, func(d *core.Domain) ds.Map { return abtree.New(d) }, dstest.Config{
+	dstest.Run(t, func(d *core.Domain) ds.Map { return abtree.New(d, nil) }, dstest.Config{
 		KeyRange: 4096, // force real tree depth and split/excise traffic
 	})
 }
@@ -21,7 +21,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 	prop := func(tape []uint32) bool {
 		d := core.NewDomain(core.HazardPtrPOP, 1, &core.Options{ReclaimThreshold: 16})
 		th := d.RegisterThread()
-		tr := abtree.New(d)
+		tr := abtree.New(d, nil)
 		ref := make(map[int64]bool)
 		for _, w := range tape {
 			k := int64(w % 1024)
@@ -54,7 +54,7 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 // collapse paths.
 func TestGrowShrinkCycles(t *testing.T) {
 	d := core.NewDomain(core.EBR, 1, &core.Options{ReclaimThreshold: 128})
-	tr := abtree.New(d)
+	tr := abtree.New(d, nil)
 	th := d.RegisterThread()
 	const n = 5000
 	for cycle := 0; cycle < 3; cycle++ {
@@ -87,7 +87,7 @@ func TestGrowShrinkCycles(t *testing.T) {
 // splits and excisions reshuffle the separators mid-history).
 func TestRangeScanAcrossLeaves(t *testing.T) {
 	d := core.NewDomain(core.HazardPtrPOP, 1, &core.Options{ReclaimThreshold: 64})
-	tr := abtree.New(d)
+	tr := abtree.New(d, nil)
 	th := d.RegisterThread()
 
 	// Multiples of 3 in [0, 3000): forces ~80+ leaves at B=12.
@@ -155,7 +155,7 @@ func TestDescendingAndAscendingOrders(t *testing.T) {
 	for name, step := range map[string]int64{"Ascending": 1, "Descending": -1} {
 		t.Run(name, func(t *testing.T) {
 			d := core.NewDomain(core.HP, 1, &core.Options{ReclaimThreshold: 64})
-			tr := abtree.New(d)
+			tr := abtree.New(d, nil)
 			th := d.RegisterThread()
 			const n = 3000
 			start := int64(0)

@@ -23,7 +23,7 @@ func TestHammerProbe(t *testing.T) {
 		round++
 		for _, p := range core.Policies() {
 			d := core.NewDomain(p, 8, &core.Options{ReclaimThreshold: 384, EpochFreq: 128})
-			tr := abtree.New(d)
+			tr := abtree.New(d, nil)
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
 				th := d.RegisterThread()

@@ -15,7 +15,7 @@ func TestInsertOnlyStressProbe(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				d := core.NewDomain(p, 8, &core.Options{ReclaimThreshold: 64, EpochFreq: 16})
-				tr := abtree.New(d)
+				tr := abtree.New(d, nil)
 				var wg sync.WaitGroup
 				for w := 0; w < 8; w++ {
 					th := d.RegisterThread()

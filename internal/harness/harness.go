@@ -184,7 +184,7 @@ func build(cfg Config, d *core.Domain) (ds.Map, error) {
 	case DSExternalBST:
 		return extbst.New(d), nil
 	case DSABTree:
-		return abtree.New(d), nil
+		return abtree.New(d, nil), nil
 	case DSSkipList:
 		return skiplist.New(d), nil
 	default:

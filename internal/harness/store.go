@@ -215,8 +215,8 @@ func valueBounds(vmin, vmax int) (int, int, error) {
 }
 
 // StoreResult is the outcome of one store trial: the shared Core (an
-// op is one get, put, batch or scan; PeakResident counts nodes, values
-// and an ordered store's tickets) plus the store's own view.
+// op is one get, put, batch or scan; PeakResident counts nodes and
+// values) plus the store's own view.
 type StoreResult struct {
 	Config StoreConfig
 	Core

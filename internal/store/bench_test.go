@@ -38,8 +38,8 @@ func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHan
 
 // BenchmarkStorePutBatch upserts 64 keys per iteration through the
 // batched multi-put: one counting sort and ONE protected operation per
-// shard group (ds.InOp), with
-// replaced values retired in bulk. Every key is prefilled, so each
+// shard group (ds.InOp), each replaced value freeing with the node its
+// upsert retired. Every key is prefilled, so each
 // iteration does 64 overwrite+retire cycles — compare ns/op with
 // BenchmarkStoreSequentialPut64, the identical work as 64 Puts.
 func BenchmarkStorePutBatch(b *testing.B) {

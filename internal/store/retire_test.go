@@ -8,6 +8,7 @@ import (
 
 	"pop/internal/arena"
 	"pop/internal/core"
+	"pop/internal/ds/abtree"
 )
 
 // replaceRun is what one run of replaceScript did, and the state it left.
@@ -27,7 +28,9 @@ var replaceSizes = []int{5, 40, 64, 7, 4, 9, 8, 6, 100}
 // replaceScript prefills keys with arena values, then, on one handle,
 // overwrites every key through replaceSizes (single puts and batches),
 // deletes and re-inserts every seventh key, tries a PutIfAbsent on every
-// fifth (which must lose: the key is present), and ends with an arena
+// fifth (which must lose: the key is present), deletes and re-inserts
+// every key of the fullest shard (more keys than one leaf holds, so an
+// ordered store excises leaves on the way down), and ends with an arena
 // value in every key. inlineOnly maps every size to an inline one, so
 // the two runs differ only in which replaced values own an arena slot.
 func replaceScript(t *testing.T, p core.Policy, ordered, inlineOnly bool, keys int) replaceRun {
@@ -104,6 +107,34 @@ func replaceScript(t *testing.T, p core.Policy, ordered, inlineOnly bool, keys i
 			t.Fatalf("PutIfAbsent of present %s won", key(k))
 		}
 	}
+	byShard := make([][]int, s.Shards())
+	full := 0
+	for k := 0; k < keys; k++ {
+		si := s.ShardIndex(key(k))
+		byShard[si] = append(byShard[si], k)
+		if len(byShard[si]) > len(byShard[full]) {
+			full = si
+		}
+	}
+	if len(byShard[full]) <= abtree.B {
+		t.Fatalf("fullest shard holds %d keys, no more than one leaf (%d)", len(byShard[full]), abtree.B)
+	}
+	for _, k := range byShard[full] {
+		if !s.Delete(h, key(k)) {
+			t.Fatalf("delete of %s missed", key(k))
+		}
+		run.replaced++
+		if isArena[k] {
+			run.arena++
+		}
+	}
+	for _, k := range byShard[full] {
+		tag++
+		if !s.PutIfAbsent(h, key(k), valFor(vbuf, key(k), tag, size(48))) {
+			t.Fatalf("PutIfAbsent of deleted %s lost", key(k))
+		}
+		isArena[k] = !inlineOnly
+	}
 	for k := 0; k < keys; k++ {
 		put(k, 64)
 		replace(k, 64)
@@ -115,51 +146,39 @@ func replaceScript(t *testing.T, p core.Policy, ordered, inlineOnly bool, keys i
 	return run
 }
 
-// ticketsOutstanding sums an ordered store's ticket pools.
-func (s *Store) ticketsOutstanding() int64 {
-	var n int64
-	for _, tk := range s.tickets {
-		n += tk.Outstanding()
-	}
-	return n
-}
-
 // TestStoreOneRetirePerReplacedValue pins what a replaced value costs
 // the reclamation layer, on both layouts and all 11 policies, with
-// overwrites that flip values between inline and arena encodings. On a
-// hash-table store a value frees with its node, so core Retires grows by
-// exactly one per overwrite or delete. An ordered store's (a,b)-tree
-// leaves hold many values, so an arena value still retires through a
-// ticket: the same script retires exactly one more per replaced arena
-// value than its inline-only twin. After a drain, every robust and
-// epoch policy has freed every replaced value and ticket.
+// overwrites that flip values between inline and arena encodings. A
+// value frees with the node whose update dropped it, so it costs no
+// retire of its own. On a hash-table store core Retires grows by exactly
+// one per overwrite or delete. An ordered store's (a,b)-tree updates
+// retire leaves (and parents, on a split or excision), whatever the
+// values own: the script retires exactly as many as its inline-only
+// twin. After a drain, every robust and epoch policy has freed every
+// replaced value; under NR every replaced arena value is still held.
 func TestStoreOneRetirePerReplacedValue(t *testing.T) {
 	const keys = 48
 	for _, p := range core.Policies() {
 		t.Run(p.String(), func(t *testing.T) {
 			hm := replaceScript(t, p, false, false, keys)
-			if hm.s.tickets != nil {
-				t.Fatal("hash-table store built ticket pools")
-			}
 			if hm.retires != uint64(hm.replaced) {
 				t.Errorf("hmht: %d retires for %d replaced values (%d arena), want one each", hm.retires, hm.replaced, hm.arena)
 			}
 			ab := replaceScript(t, p, true, false, keys)
 			twin := replaceScript(t, p, true, true, keys)
-			if got := int64(ab.retires) - int64(twin.retires); got != int64(ab.arena) {
-				t.Errorf("abt: %d retires beyond the inline-only twin's, want one ticket per replaced arena value (%d)", got, ab.arena)
+			if ab.retires != twin.retires {
+				t.Errorf("abt: %d retires, the inline-only twin %d; a replaced arena value (%d) must cost none", ab.retires, twin.retires, ab.arena)
 			}
 			for _, r := range []replaceRun{hm, ab} {
 				r.h.Flush()
 			}
 			if p == core.NR {
-				// Nothing is freed: the replaced values stay with their
-				// nodes (hmht) or tickets (abt).
-				if vo := hm.s.vals.Outstanding(); vo != int64(keys+hm.arena) {
-					t.Errorf("hmht under NR: %d value slots outstanding, want %d live + %d replaced", vo, keys, hm.arena)
-				}
-				if to := ab.s.ticketsOutstanding(); to != int64(ab.arena) {
-					t.Errorf("abt under NR: %d tickets outstanding, want %d", to, ab.arena)
+				// Nothing is freed: the replaced values stay with the
+				// nodes that dropped them.
+				for name, r := range map[string]replaceRun{"hmht": hm, "abt": ab} {
+					if vo := r.s.vals.Outstanding(); vo != int64(keys+r.arena) {
+						t.Errorf("%s under NR: %d value slots outstanding, want %d live + %d replaced", name, vo, keys, r.arena)
+					}
 				}
 				return
 			}
@@ -171,9 +190,6 @@ func TestStoreOneRetirePerReplacedValue(t *testing.T) {
 			}
 			if vo := ab.s.vals.Outstanding(); vo != keys {
 				t.Errorf("abt: %d value slots outstanding after a drain, want %d", vo, keys)
-			}
-			if to := ab.s.ticketsOutstanding(); to != 0 {
-				t.Errorf("abt: %d tickets outstanding after a drain", to)
 			}
 		})
 	}

@@ -59,19 +59,18 @@
 // uint64 a shard's map stores is the value's arena.Handle. A replaced
 // value is freed by the *same core retire path as nodes*, so value
 // lifetime is policy-visible: EBR holds overwritten values until the
-// epoch drains, HP frees them at the next scan, NR leaks them. On a
-// hash-table store a value frees with its node: a handle lives in
-// exactly one published map node from its Put until that node is freed
-// (values are immutable and an overwrite links a fresh node), so the
-// shard's node pool frees the node's arena slot when the policy frees
-// the node (hashtable.New's freeVal hook), and an overwrite or delete is
-// one retire. An ordered store cannot do that, since an (a,b)-tree's
-// copy-on-write leaves each hold many values: there an overwrite or
-// delete also retires a small ticket node carrying the replaced handle
-// through Thread.Retire in the shard's member domain, and the slot frees
-// with the ticket. Orphan donation and adoption stay member-local, so
-// the per-member Unreclaimed bounds the robust policies guarantee are
-// preserved under grouping.
+// epoch drains, HP frees them at the next scan, NR leaks them. A value
+// frees with the node whose update dropped it. On a hash-table store
+// that is the map node holding it: values are immutable and an
+// overwrite links a fresh node. On an ordered store it is the
+// (a,b)-tree leaf whose copy-on-write left the value out, which carries
+// the value's index. Either way the shard's node pool frees the arena
+// slot when the policy frees that node (the freeVal hook of
+// hashtable.New and abtree.New, run on the member's reclaiming thread),
+// and an overwrite or delete costs no retire beyond the structure's own.
+// Orphan donation and adoption stay member-local, so the per-member
+// Unreclaimed bounds the robust policies guarantee are preserved under
+// grouping.
 //
 // What makes this safe is the arena's sequence discipline, not reader
 // reservations: a value read happens after the map lookup's protected
@@ -82,10 +81,7 @@
 // retries through a fresh lookup. Staleness is counted per shard
 // (Stats.StaleReads): it is the read-side cost of eager value
 // reclamation, and it varies by policy exactly the way retire-to-free
-// latency does. Freeing a value with its node can only make stale reads
-// rarer than a ticket would: a node that a reader may still hold
-// protected cannot be freed while a ticket retired at the same point
-// could be.
+// latency does.
 //
 // # Statistics
 //
@@ -102,10 +98,10 @@
 // slots to serving goroutines and return them, so the live worker set
 // can grow and shrink inside the group's capacity. Acquire never
 // blocks; a caller that can outnumber the slots bounds itself first
-// (the serving front's admission semaphore). A
-// departing worker's unreclaimed retires — shard nodes and an ordered
-// store's value tickets alike — are donated to each member domain's
-// orphan queue and adopted by that member's live threads; its per-slot
+// (the serving front's admission semaphore). A departing worker's
+// unreclaimed retires — shard nodes, with the values they dropped — are
+// donated to each member domain's orphan queue and adopted by that
+// member's live threads; its per-slot
 // state (value-arena cache, counts, scan scratch) passes to
 // the slot's next tenant through the lease's happens-before edge, per
 // member.
@@ -119,9 +115,8 @@
 // so there is one batch path. PutBatch is the write-side mirror: the same
 // counting sort, one protected operation per shard group (long payloads
 // are copied into the arena before it opens, each by the slot cache's
-// Alloc, whose refills lock a size class once per 64 slots), and an
-// ordered store's replaced values retired in bulk on the group's member
-// thread. A
+// Alloc, whose refills lock a size class once per 64 slots); replaced
+// values free with the nodes the group's upserts retired. A
 // read-modify-write batch reuses one Batch's scratch across the
 // GetBatch → modify → PutBatch cycle.
 // Sorted keys also give tree descents warm upper-level paths. See
@@ -203,8 +198,7 @@ func inlineDecode(w uint64, buf []byte) []byte {
 }
 
 // MaxShards caps Config.Shards: every shard registers one node type
-// with its member domain (plus one per member for an ordered store's
-// value tickets), and the domain type tables are finite.
+// with its member domain, and the domain type tables are finite.
 const MaxShards = 32
 
 // Config tunes a Store. The zero value is usable.
@@ -288,15 +282,6 @@ type shardCounts struct {
 // a slot's counts: a padded.CacheLine that no other heap object shares.
 const countsPad = padded.CacheLine / 64
 
-// vticket is the retire ticket that routes an ordered store's value
-// reclamation through the core retire path. Header must be first (the
-// reclamation contract); h is the arena handle to free when the policy
-// frees the ticket.
-type vticket struct {
-	core.Header
-	h arena.Handle
-}
-
 // storeLocal is one member-domain thread slot's state: its value-arena
 // cache, its counts for its member's shards, and reusable scratch for
 // scans. It is a core.Local
@@ -327,7 +312,6 @@ type Store struct {
 	shardMask   int  // shard & shardMask = index among its member's shards
 	shards      []shard
 	vals        *arena.Bytes
-	tickets     []*core.Nodes[vticket]   // per member; nil unless Config.Ordered
 	locals      []core.Local[storeLocal] // per member
 
 	mu    sync.Mutex
@@ -370,27 +354,17 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 	for m := 0; m < groups; m++ {
 		d := g.Member(m)
 		s.locals[m] = core.NewLocal(d, s.newLocal)
-		// A value frees on the member's reclaiming thread, into that
-		// member's slot state: with its node on a hash-table store,
-		// with its ticket on an ordered one.
-		frees[m] = func(t *core.Thread, w uint64) {
-			if w&inlineBit == 0 {
-				s.locals[m].Of(t).vc.Free(arena.Handle(w))
-			}
-		}
-		if cfg.Ordered {
-			s.tickets = append(s.tickets, core.NewNodes(d, func(t *core.Thread, tk *vticket) {
-				frees[m](t, uint64(tk.h))
-			}))
-		}
+		// A value frees with the node that dropped it, on the member's
+		// reclaiming thread, into that member's slot state.
+		frees[m] = func(t *core.Thread, w uint64) { s.locals[m].Of(t).free(w) }
 	}
 	for i := range s.shards {
-		d := g.Member(i >> shift)
+		d, free := g.Member(i>>shift), frees[i>>shift]
 		var m backing
 		if cfg.Ordered {
-			m = abtree.New(d)
+			m = abtree.New(d, free)
 		} else {
-			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 1, frees[i>>shift])
+			m = hashtable.New(d, cfg.ExpectedKeysPerShard, 1, free)
 		}
 		s.shards[i].m = m
 		s.shards[i].scanner, _ = m.(ds.RangeScanner)
@@ -416,9 +390,8 @@ func (s *Store) MemberIndex(shard int) int { return shard >> s.memberShift }
 func (s *Store) Acquire() (*core.GroupHandle, error) { return s.g.Acquire() }
 
 // Release returns a serving handle to the group; the worker's
-// unreclaimed retires (nodes, and an ordered store's value tickets) are
-// donated to each
-// member domain for adoption, and the slot becomes re-leasable.
+// unreclaimed retires (nodes, with the values they dropped) are donated
+// to each member domain for adoption, and the slot becomes re-leasable.
 func (s *Store) Release(h *core.GroupHandle) { s.g.Release(h) }
 
 // Ordered reports whether the store was built with Config.Ordered and
@@ -442,6 +415,30 @@ func (s *Store) newLocal(*core.Thread) *storeLocal {
 	s.slots = append(s.slots, tl)
 	s.mu.Unlock()
 	return tl
+}
+
+// free returns an arena word's value slot to tl's cache; an inline word
+// owns nothing.
+func (tl *storeLocal) free(w uint64) {
+	if w&inlineBit == 0 {
+		tl.vc.Free(arena.Handle(w))
+	}
+}
+
+// encode makes val's map word: the payload itself when it fits inline,
+// else the handle of a fresh arena slot from tl's cache.
+func (tl *storeLocal) encode(val []byte) uint64 {
+	if len(val) <= InlineMaxLen {
+		return inlineEncode(val)
+	}
+	return uint64(tl.vc.Alloc(val))
+}
+
+// checkLen panics on a payload longer than Config.MaxValueLen.
+func (s *Store) checkLen(val []byte) {
+	if len(val) > s.cfg.MaxValueLen {
+		panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(val), s.cfg.MaxValueLen))
+	}
 }
 
 // KeyHash returns the int64 the store files key under — the identity
@@ -497,12 +494,12 @@ func (s *Store) threadFor(h *core.GroupHandle, si int) *core.Thread {
 	return h.Member(si >> s.memberShift)
 }
 
-// slot resolves shard si on handle h to its member index, the member
-// thread (leased on first touch) and that thread slot's state.
-func (s *Store) slot(h *core.GroupHandle, si int) (int, *core.Thread, *storeLocal) {
+// slot resolves shard si on handle h to its member thread (leased on
+// first touch) and that thread slot's state.
+func (s *Store) slot(h *core.GroupHandle, si int) (*core.Thread, *storeLocal) {
 	m := si >> s.memberShift
 	t := h.Member(m)
-	return m, t, s.locals[m].Of(t)
+	return t, s.locals[m].Of(t)
 }
 
 // countsOf returns tl's counts for shard si.
@@ -529,7 +526,7 @@ func (s *Store) readWord(w uint64, buf []byte) ([]byte, bool) {
 func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) {
 	si, ik := s.locate(key)
 	sh := &s.shards[si]
-	_, t, tl := s.slot(h, si)
+	t, tl := s.slot(h, si)
 	c := s.countsOf(tl, si)
 	c.gets.Add(1)
 	for {
@@ -548,83 +545,47 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 // Put upserts key to a private copy of val (len(val) bounded by
 // Config.MaxValueLen; it panics beyond it, like the ds layer's key
 // checks). Values of at most InlineMaxLen bytes inline-encode into the
-// map word; longer ones take an arena slot. A replaced arena value is
-// freed by the policy in the shard's member domain (with its node, or
-// its ticket on an ordered store); a replaced inline value dies with
-// the map cell.
+// map word; longer ones take an arena slot. A replaced arena value frees
+// with the node the shard's map retired for the overwrite, when the
+// policy in the shard's member domain frees that node; a replaced
+// inline value dies with the map cell.
 func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
-	if len(val) > s.cfg.MaxValueLen {
-		panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(val), s.cfg.MaxValueLen))
-	}
+	s.checkLen(val)
 	si, ik := s.locate(key)
-	m, t, tl := s.slot(h, si)
-	var nw uint64
-	if len(val) <= InlineMaxLen {
-		nw = inlineEncode(val)
-	} else {
-		nw = uint64(tl.vc.Alloc(val))
-	}
-	old, replaced := s.shards[si].m.Put(t, ik, nw)
+	t, tl := s.slot(h, si)
+	_, replaced := s.shards[si].m.Put(t, ik, tl.encode(val))
 	c := s.countsOf(tl, si)
 	c.puts.Add(1)
 	if replaced {
 		c.overwrites.Add(1)
-		s.retireWord(t, m, old)
 	}
 }
 
 // PutIfAbsent maps key to a copy of val only if key is absent and
 // reports whether it did.
 func (s *Store) PutIfAbsent(h *core.GroupHandle, key string, val []byte) bool {
-	if len(val) > s.cfg.MaxValueLen {
-		panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(val), s.cfg.MaxValueLen))
-	}
+	s.checkLen(val)
 	si, ik := s.locate(key)
-	_, t, tl := s.slot(h, si)
-	sh := &s.shards[si]
-	if len(val) <= InlineMaxLen {
-		if sh.m.PutIfAbsent(t, ik, inlineEncode(val)) {
-			s.countsOf(tl, si).puts.Add(1)
-			return true
-		}
-		return false
-	}
-	nh := tl.vc.Alloc(val)
-	if sh.m.PutIfAbsent(t, ik, uint64(nh)) {
+	t, tl := s.slot(h, si)
+	w := tl.encode(val)
+	if s.shards[si].m.PutIfAbsent(t, ik, w) {
 		s.countsOf(tl, si).puts.Add(1)
 		return true
 	}
-	tl.vc.Free(nh) // never published: no grace period needed
+	tl.free(w) // never published: no grace period needed
 	return false
 }
 
-// Delete removes key, freeing its value (if arena-backed) through the
-// policy, and reports whether it was present.
+// Delete removes key, its value (if arena-backed) freeing with the node
+// the shard's map retired, and reports whether it was present.
 func (s *Store) Delete(h *core.GroupHandle, key string) bool {
 	si, ik := s.locate(key)
-	m, t, tl := s.slot(h, si)
-	old, ok := s.shards[si].m.Delete(t, ik)
+	t, tl := s.slot(h, si)
+	_, ok := s.shards[si].m.Delete(t, ik)
 	if ok {
 		s.countsOf(tl, si).deletes.Add(1)
-		s.retireWord(t, m, old)
 	}
 	return ok
-}
-
-// retireWord retires, on an ordered store, whatever a replaced map word
-// owned: nothing for an inline word (the payload lived in the cell the
-// map just replaced), the arena slot for a handle word, through a ticket
-// on member m's thread t. The ticket is a managed node, so the slot
-// frees exactly when m's policy decides the retired generation is safe.
-// On a hash-table store it does nothing: the value frees with the node
-// the map just retired.
-func (s *Store) retireWord(t *core.Thread, m int, w uint64) {
-	if s.tickets == nil || w&inlineBit != 0 {
-		return
-	}
-	tk := s.tickets[m].Alloc(t)
-	tk.h = arena.Handle(w)
-	t.Retire(&tk.Header)
 }
 
 // Scan visits the (hashed key, value) pairs with hashed key in
@@ -650,7 +611,7 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 	visited := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		_, t, tl := s.slot(h, i)
+		t, tl := s.slot(h, i)
 		c := s.countsOf(tl, i)
 		from := lo
 		for from <= hi {
@@ -709,8 +670,7 @@ type Batch struct {
 	ikeys []int64  // per-group scratch
 	gvals []uint64
 	gok   []bool
-	golds []uint64 // PutBatch: replaced handles per group
-	offs  []int    // value offsets into buf (per key; -1 = miss)
+	offs  []int // value offsets into buf (per key; -1 = miss)
 	lens  []int
 	buf   []byte
 }
@@ -785,7 +745,7 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 			e++
 		}
 		group := b.order[g:e]
-		_, t, tl := s.slot(h, si)
+		t, tl := s.slot(h, si)
 		c := s.countsOf(tl, si)
 		b.ikeys = resize(b.ikeys, len(group))
 		b.gvals = resize(b.gvals, len(group))
@@ -848,9 +808,9 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // (shard, hashed key); each shard group's inline-eligible payloads
 // encode into their map words and the rest are copied into the value
 // arena (the slot cache's Alloc, which locks a size class once per
-// refill of 64 slots); the group's upserts run in one protected
-// operation (ds.InOp); and, on an ordered store, the replaced handles
-// retire in bulk on the shard's member thread. b.OK[i] reports whether keys[i] replaced a
+// refill of 64 slots); and the group's upserts run in one protected
+// operation (ds.InOp), each replaced value freeing with the node its
+// upsert retired. b.OK[i] reports whether keys[i] replaced a
 // previous value. A read-modify-write batch can reuse the
 // same Batch from the preceding GetBatch — payload slices passed in
 // vals may even alias b.Vals, because every payload is copied into the
@@ -861,9 +821,7 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		panic(fmt.Sprintf("store: PutBatch with %d keys but %d values", n, len(vals)))
 	}
 	for _, v := range vals {
-		if len(v) > s.cfg.MaxValueLen {
-			panic(fmt.Sprintf("store: value of %d bytes exceeds MaxValueLen %d", len(v), s.cfg.MaxValueLen))
-		}
+		s.checkLen(v)
 	}
 	s.putBatches.Add(1)
 	b.OK = resize(b.OK, n)
@@ -882,36 +840,28 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 			e++
 		}
 		group := b.order[g:e]
-		m, t, tl := s.slot(h, si)
+		t, tl := s.slot(h, si)
 		c := s.countsOf(tl, si)
 		b.ikeys = resize(b.ikeys, len(group))
 		b.gvals = resize(b.gvals, len(group))
-		b.golds = resize(b.golds, len(group))
-		b.gok = resize(b.gok, len(group))
 		// Inline-eligible payloads encode straight into their map words;
 		// the rest are copied into the arena.
 		for j, idx := range group {
 			b.ikeys[j] = ikeyOf(b.hks[idx])
-			if v := vals[idx]; len(v) <= InlineMaxLen {
-				b.gvals[j] = inlineEncode(v)
-			} else {
-				b.gvals[j] = uint64(tl.vc.Alloc(v))
-			}
+			b.gvals[j] = tl.encode(vals[idx])
 		}
 		c.puts.Add(uint64(len(group)))
 		// One protected operation for the whole group.
+		overwrites := 0
 		t.StartOp()
-		for j, ik := range b.ikeys {
-			b.golds[j], b.gok[j] = sh.m.PutInOp(t, ik, b.gvals[j])
-		}
-		t.EndOp()
 		for j, idx := range group {
-			b.OK[idx] = b.gok[j]
-			if b.gok[j] {
-				c.overwrites.Add(1)
-				s.retireWord(t, m, b.golds[j])
+			_, b.OK[idx] = sh.m.PutInOp(t, b.ikeys[j], b.gvals[j])
+			if b.OK[idx] {
+				overwrites++
 			}
 		}
+		t.EndOp()
+		c.overwrites.Add(uint64(overwrites))
 		g = e
 	}
 }
@@ -935,13 +885,9 @@ func (s *Store) Size(h *core.GroupHandle) int {
 }
 
 // Outstanding reports live+retired occupancy across every pool the
-// store owns: shard nodes, value slots, and an ordered store's retire
-// tickets.
+// store owns: shard nodes and value slots.
 func (s *Store) Outstanding() int64 {
 	n := s.vals.Outstanding()
-	for _, tk := range s.tickets {
-		n += tk.Outstanding()
-	}
 	for i := range s.shards {
 		n += s.shards[i].m.Outstanding()
 	}

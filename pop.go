@@ -241,7 +241,7 @@ func NewSkipListMap(d *Domain) OrderedMap { return skiplist.New(d) }
 // NewABTreeMap creates a concurrent leaf-oriented (a,b)-tree ordered
 // map (after Brown 2017; "ABT") with range scans. Overwrites
 // copy-on-write the leaf and retire the old one.
-func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d) }
+func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d, nil) }
 
 // Store is the KV-serving front: a sharded map from string keys to
 // byte-slice values, layered on the Map structures above. Keys hash to
