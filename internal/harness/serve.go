@@ -234,8 +234,6 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}
 	g, s := srv.Group(), srv.Store()
 
-	keyTab, hkTab := keyTable(cfg.Keys)
-
 	// Prefill ranks [0, Keys/2) in-process, on Slots handles leased from
 	// the server's group and released before any client dials.
 	loaders, err := lease(g, cfg.Slots)
@@ -247,11 +245,15 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		return share(cfg.Keys/2, int64(cfg.Slots), i == 0)
 	}, func(i int, h *core.GroupHandle, rank int64) func() bool {
 		r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
-		var vbuf []byte
+		var (
+			kb   rankKey
+			vbuf []byte
+		)
 		return func() bool {
 			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
-			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], 0x800001+uint32(rank), size)
-			s.Put(h, keyTab[rank], vbuf)
+			key := kb.key(rank)
+			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), 0x800001+uint32(rank), size)
+			s.Put(h, key, vbuf)
 			rank++
 			return true
 		}
@@ -263,7 +265,11 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	// The injectors lease their ExtraSlots now and hold or cycle them
 	// for the whole measured phase. They do not touch the admission
 	// budget: the clients' bursts queue on the server's Slots tokens.
-	chaosRun, err := chaos.Start(cfg.Chaos, s, keyTab)
+	var chaosKeys []string
+	if cfg.Chaos.Enabled() {
+		chaosKeys = rankKeys(cfg.Keys)
+	}
+	chaosRun, err := chaos.Start(cfg.Chaos, s, chaosKeys)
 	if err != nil {
 		srv.Close()
 		return ServeResult{}, err
@@ -296,7 +302,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		g: g, workers: cfg.Conns, duration: cfg.Duration, outstanding: s.Outstanding,
 		tallies: newTallies(cfg.Conns, numServeClasses, func(int) bool { return true }),
 		leg: func(t *trial, id int) bool {
-			errs[id] = runServeClient(cfg, clients[id], samplers[id], id, keyTab, hkTab, perConnRate, &t.stop, &t.tallies[id])
+			errs[id] = runServeClient(cfg, clients[id], samplers[id], id, perConnRate, &t.stop, &t.tallies[id])
 			return false
 		},
 		// Injectors stop (flush + release their leases) before Close, so
@@ -329,11 +335,14 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	return res, nil
 }
 
-// runServeClient is one connection's load loop.
+// runServeClient is one connection's load loop. It formats each drawn
+// rank's key into its own buffer (rankKey); the client's writer copies
+// the key onto the wire.
 func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id int,
-	keyTab []string, hkTab []int64, rate float64, stop *atomic.Bool, out *tally) error {
+	rate float64, stop *atomic.Bool, out *tally) error {
 	r := rng.New(cfg.Seed ^ (uint64(id)*0xff51afd7ed558ccd + 13))
 	var (
+		kb   rankKey
 		vbuf []byte
 		gbuf []byte
 		tag  = uint32(id)<<24 | 0x400000
@@ -359,11 +368,11 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			}
 		}
 		n++
-		rank := keys.Next()
+		key := kb.key(keys.Next())
 		if int(r.Intn(100)) < cfg.GetPct {
 			var ok bool
 			var err error
-			gbuf, ok, err = c.get(keyTab[rank], gbuf)
+			gbuf, ok, err = c.get(key, gbuf)
 			if err != nil {
 				return err
 			}
@@ -371,15 +380,15 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			out.byClass[serveGet]++
 			if ok {
 				out.keys++
-				if !workload.ValueBytesValid(hkTab[rank], gbuf) {
+				if !workload.ValueBytesValid(store.KeyHash(key), gbuf) {
 					out.valueErrs++
 				}
 			}
 		} else {
 			tag++
 			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
-			vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-			if err := c.set(keyTab[rank], vbuf); err != nil {
+			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, size)
+			if err := c.set(key, vbuf); err != nil {
 				return err
 			}
 			out.lats[serveSet].Record(time.Since(intended).Nanoseconds())

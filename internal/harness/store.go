@@ -14,6 +14,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"pop/internal/arena"
 	"pop/internal/chaos"
@@ -287,8 +288,6 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		return StoreResult{}, err
 	}
 
-	keyTab, hkTab := keyTable(cfg.Keys)
-
 	// Worker→member affinity: with more than one member domain, worker
 	// id is pinned to member (id mod members) and draws keys only from
 	// the ranks whose shard group that member owns. This routing is what
@@ -302,8 +301,9 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	var memberRanks [][]int64
 	if !traceMode && members > 1 {
 		memberRanks = make([][]int64, members)
+		var kb rankKey
 		for rank := int64(0); rank < cfg.Keys; rank++ {
-			m := s.MemberIndex(s.ShardIndex(keyTab[rank]))
+			m := s.MemberIndex(s.ShardIndex(kb.key(rank)))
 			memberRanks[m] = append(memberRanks[m], rank)
 		}
 	}
@@ -314,7 +314,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 		if t := memberRanks[id%members]; len(t) > 1 {
 			return t
 		}
-		return nil // degenerate split (tiny key table): this worker draws globally
+		return nil // degenerate split (tiny key population): this worker draws globally
 	}
 
 	// Per-worker key samplers (zipf state is per-sampler, so build them
@@ -374,7 +374,10 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 				pop = int64(len(tab))
 			}
 			r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
-			var vbuf []byte
+			var (
+				kb   rankKey
+				vbuf []byte
+			)
 			tag := uint32(i)<<24 | 0x800000
 			return func() bool {
 				rank := r.Intn(pop)
@@ -383,8 +386,9 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 				}
 				size := drawValueSize(cfg, r)
 				tag++
-				vbuf = workload.AppendValueBytes(vbuf[:0], hkTab[rank], tag, size)
-				return s.PutIfAbsent(h, keyTab[rank], vbuf)
+				key := kb.key(rank)
+				vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, size)
+				return s.PutIfAbsent(h, key, vbuf)
 			}
 		})
 	}
@@ -407,7 +411,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 				burst <- nil
 				return
 			}
-			run, err := chaos.Start(cfg.Chaos, s, keyTab)
+			run, err := chaos.Start(cfg.Chaos, s, rankKeys(cfg.Keys))
 			if err != nil {
 				burst <- fmt.Errorf("harness: chaos: %w", err)
 				return
@@ -442,7 +446,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 			runStoreTraceWorker(cfg, s, t.handles[id], id, t, traceHK, &cursor, &t.tallies[id])
 			return false
 		}
-		runStoreWorker(cfg, s, t.handles[id], samplers[id], id, keyTab, hkTab, workerRanks(id), t, &t.tallies[id])
+		runStoreWorker(cfg, s, t.handles[id], samplers[id], id, workerRanks(id), t, &t.tallies[id])
 		return cfg.Churn.Enabled() && !t.stop.Load()
 	}
 	c, sum, err := t.run()
@@ -456,16 +460,30 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	return res, nil
 }
 
-// keyTable builds rank -> string key and its store hash (for value
-// checksums). Built once per trial; the hot loops only index it.
-func keyTable(keys int64) (keyTab []string, hkTab []int64) {
-	keyTab = make([]string, keys)
-	hkTab = make([]int64, keys)
-	for i := range keyTab {
-		keyTab[i] = workload.KeyString(int64(i))
-		hkTab[i] = store.KeyHash(keyTab[i])
+// rankKey is one key buffer of a worker: key formats a rank's key into
+// it (workload.PutKey) and returns a string over those bytes, without a
+// copy. The string is valid until the buffer's next key call, which is
+// all one op needs, because the store never retains a key (the store
+// package doc, "Sharding and keys"); every other use of the string
+// copies it. The key is hot in the worker's own buffer, as a real
+// client's is, and a value's checksum identity is its hash,
+// store.KeyHash(key). A rank → key table would put a cache miss in
+// front of every op, and the trial would time that miss as store cost.
+type rankKey [workload.KeyLen]byte
+
+func (b *rankKey) key(rank int64) string {
+	workload.PutKey((*[workload.KeyLen]byte)(b), rank)
+	return unsafe.String(&b[0], len(b))
+}
+
+// rankKeys returns every rank's key, for the chaos injectors, which
+// pick their keys from a slice outside the measured ops.
+func rankKeys(keys int64) []string {
+	tab := make([]string, keys)
+	for i := range tab {
+		tab[i] = workload.KeyString(int64(i))
 	}
-	return keyTab, hkTab
+	return tab
 }
 
 // scanSpan is the expected number of pairs per synthetic scan (a trace
@@ -518,14 +536,22 @@ type storeExec struct {
 	valueErrs  uint64
 }
 
-func (x *storeExec) get(key string, hk int64) {
+// get serves key into x.gbuf and reports a hit, which the caller
+// verifies with the key's hash (so a miss never hashes the key twice).
+func (x *storeExec) get(key string) bool {
 	var ok bool
 	x.gbuf, ok = x.s.Get(x.h, key, x.gbuf)
 	if ok {
 		x.served++
-		if !workload.ValueBytesValid(hk, x.gbuf) {
-			x.valueErrs++
-		}
+	}
+	return ok
+}
+
+// verify counts v as a failure unless it is a payload written for the
+// key whose store hash is hk.
+func (x *storeExec) verify(hk int64, v []byte) {
+	if !workload.ValueBytesValid(hk, v) {
+		x.valueErrs++
 	}
 }
 
@@ -542,9 +568,7 @@ func (x *storeExec) scan(lo int64, width uint64) {
 		hi = 1<<63 - 2
 	}
 	x.served += uint64(x.s.Scan(x.h, lo, hi, func(hk int64, v []byte) bool {
-		if !workload.ValueBytesValid(hk, v) {
-			x.valueErrs++
-		}
+		x.verify(hk, v)
 		return true
 	}))
 }
@@ -557,9 +581,10 @@ func (x *storeExec) foldInto(c *tally) {
 
 // runStoreWorker is one worker's execution phase. rankTab, when
 // non-nil, maps the sampler's dense rank space onto the worker's
-// member-owned ranks (worker→member affinity).
+// member-owned ranks (worker→member affinity). Each op formats its
+// keys from the drawn ranks into the worker's own buffers (rankKey).
 func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *workload.Sampler,
-	id int, keyTab []string, hkTab []int64, rankTab []int64, t *trial, c *tally) {
+	id int, rankTab []int64, t *trial, c *tally) {
 	stop := &t.stop
 	live := t.livePub(id)
 	// The incarnation term keeps churn legs from replaying one leg's op
@@ -574,9 +599,10 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 	var (
 		x     = storeExec{s: s, h: h}
 		batch store.Batch
-		kb    = make([]string, cfg.BatchSize)
-		ranks = make([]int64, cfg.BatchSize)
-		pvals [][]byte // StoreMPut payloads (lazily sized)
+		kbuf  rankKey                          // single-key ops
+		kbufs = make([]rankKey, cfg.BatchSize) // one per batch key
+		kb    = make([]string, cfg.BatchSize)  // views of kbufs
+		pvals [][]byte                         // StoreMPut payloads (lazily sized)
 		tag   = uint32(id)<<24 ^ uint32(h.Incarnation())<<12
 	)
 	width := scanWidth(cfg.Keys, scanSpan)
@@ -594,26 +620,24 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		}
 		switch op {
 		case workload.StoreGet:
-			rank := pick(keys.Next())
-			x.get(keyTab[rank], hkTab[rank])
+			if key := kbuf.key(pick(keys.Next())); x.get(key) {
+				x.verify(store.KeyHash(key), x.gbuf)
+			}
 		case workload.StorePut:
 			// NextInsert == Next for uniform/zipf; under latest it
 			// advances the insert frontier the reads chase.
-			rank := pick(keys.NextInsert())
+			key := kbuf.key(pick(keys.NextInsert()))
 			tag++
-			x.put(keyTab[rank], hkTab[rank], tag, drawValueSize(cfg, r))
+			x.put(key, store.KeyHash(key), tag, drawValueSize(cfg, r))
 		case workload.StoreMGet:
 			for i := range kb {
-				ranks[i] = pick(keys.Next())
-				kb[i] = keyTab[ranks[i]]
+				kb[i] = kbufs[i].key(pick(keys.Next()))
 			}
 			s.GetBatch(h, kb, &batch)
 			for i := range kb {
 				if batch.OK[i] {
 					x.served++
-					if !workload.ValueBytesValid(hkTab[ranks[i]], batch.Vals[i]) {
-						x.valueErrs++
-					}
+					x.verify(store.KeyHash(kb[i]), batch.Vals[i])
 				}
 			}
 		case workload.StoreScan:
@@ -622,10 +646,13 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 			// Read-modify-write (YCSB F): read the key, then put a
 			// fresh payload back — two protected ops, like a cache's
 			// read-update cycle.
-			rank := pick(keys.Next())
-			x.get(keyTab[rank], hkTab[rank])
+			key := kbuf.key(pick(keys.Next()))
+			hk := store.KeyHash(key)
+			if x.get(key) {
+				x.verify(hk, x.gbuf)
+			}
 			tag++
-			x.put(keyTab[rank], hkTab[rank], tag, drawValueSize(cfg, r))
+			x.put(key, hk, tag, drawValueSize(cfg, r))
 		case workload.StoreMPut:
 			// Batched upsert: one protected op per shard group and one
 			// arena publish sequence per group instead of per key.
@@ -633,15 +660,14 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 				pvals = make([][]byte, cfg.BatchSize)
 			}
 			for i := range kb {
-				ranks[i] = pick(keys.NextInsert())
-				kb[i] = keyTab[ranks[i]]
+				kb[i] = kbufs[i].key(pick(keys.NextInsert()))
 				tag++
 				size := drawValueSize(cfg, r)
-				pvals[i] = workload.AppendValueBytes(pvals[i][:0], hkTab[ranks[i]], tag, size)
+				pvals[i] = workload.AppendValueBytes(pvals[i][:0], store.KeyHash(kb[i]), tag, size)
 			}
 			s.PutBatch(h, kb, pvals, &batch)
 		default: // workload.StoreDelete
-			s.Delete(h, keyTab[pick(keys.Next())])
+			s.Delete(h, kbuf.key(pick(keys.Next())))
 		}
 		if hist != nil {
 			hist.Record(time.Since(start).Nanoseconds())
@@ -691,7 +717,9 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 		}
 		switch op.Op {
 		case workload.StoreGet:
-			x.get(op.Key, hk)
+			if x.get(op.Key) {
+				x.verify(hk, x.gbuf)
+			}
 		case workload.StorePut:
 			x.put(op.Key, hk, traceTag(i), traceSize(cfg, op, i))
 		case workload.StoreScan:
@@ -701,7 +729,9 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 			}
 			x.scan(hk, w)
 		case workload.StoreRMW:
-			x.get(op.Key, hk)
+			if x.get(op.Key) {
+				x.verify(hk, x.gbuf)
+			}
 			x.put(op.Key, hk, traceTag(i), traceSize(cfg, op, i))
 		default: // workload.StoreDelete
 			s.Delete(h, op.Key)

@@ -9,11 +9,22 @@
 // interface call is slower than the list operations we measure, so we
 // implement xoshiro256** (Blackman & Vigna) directly: four words of
 // state, three rotations per number.
+//
+// Promise (c) also covers the memory the state lives in. Every draw
+// writes all four state words, so two workers' generators that share a
+// cache line would ping-pong it between cores on every draw: that is
+// shared state in all but name. A State is therefore whole
+// padded.CacheLine units, and a State from New sits alone on its lines
+// (the allocator aligns a power-of-two size class to its size).
 package rng
 
+import "pop/internal/padded"
+
 // State is a xoshiro256** generator. The zero value is invalid; use New.
+// Its 32 bytes of state are padded to a whole padded.CacheLine.
 type State struct {
 	s [4]uint64
+	_ [padded.CacheLine - 32]byte
 }
 
 // splitmix64 is the recommended seeding generator for xoshiro: it

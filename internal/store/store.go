@@ -22,6 +22,14 @@
 // computed offline. ROADMAP item 2 is the plan to close this (a
 // per-store seed and exact key comparison).
 //
+// The store never retains a key. Every method that takes a key string
+// (or a slice of them) reads its bytes once, to hash them, before it
+// returns, and keeps only the hash. A caller may therefore pass a
+// string that views a buffer it rewrites after the call (unsafe.String
+// over a reused byte array): the trial harness formats each drawn
+// rank's key that way. A change that stores, logs or defers a key past
+// the call must copy it first, or that caller breaks.
+//
 // # Domain groups: reclamation fan-out bounded per shard
 //
 // The store is built over a core.DomainGroup rather than a single

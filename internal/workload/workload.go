@@ -36,9 +36,13 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
+	"pop/internal/padded"
 	"pop/internal/rng"
 )
 
@@ -233,8 +237,15 @@ func (d Dist) String() string {
 }
 
 // Sampler draws keys in [0, n) under a distribution. Not safe for
-// concurrent use; create one per thread.
+// concurrent use; create one per thread. A Sampler is whole
+// padded.CacheLine units (so is its rng.State), so two workers'
+// samplers never share a line that either writes per draw.
 type Sampler struct {
+	sampler
+	_ [padded.CacheLine - unsafe.Sizeof(sampler{})%padded.CacheLine]byte
+}
+
+type sampler struct {
 	r        *rng.State
 	n        int64
 	z        *zipfState // nil for Uniform
@@ -255,7 +266,7 @@ func NewSampler(seed uint64, n int64, dist Dist, skew float64) (*Sampler, error)
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: non-positive key range %d", n)
 	}
-	s := &Sampler{r: rng.New(seed), n: n}
+	s := &Sampler{sampler: sampler{r: rng.New(seed), n: n}}
 	if dist == Zipf || dist == Latest {
 		if skew <= 0 {
 			skew = DefaultZipfS
@@ -329,13 +340,13 @@ func (s *Sampler) Rank() int64 {
 // O(n) zeta computation at construction, then O(1) per draw.
 type zipfState struct {
 	n          int64
-	theta      float64
 	zetan      float64
 	alpha, eta float64
+	rank1      float64 // 1 + 0.5^theta: a draw u·zetan below it is rank 1
 }
 
 func newZipfState(n int64, theta float64) *zipfState {
-	z := &zipfState{n: n, theta: theta}
+	z := &zipfState{n: n, rank1: 1 + math.Pow(0.5, theta)}
 	zeta2 := 0.0
 	for i := int64(1); i <= n; i++ {
 		v := 1 / math.Pow(float64(i), theta)
@@ -359,7 +370,7 @@ func (z *zipfState) next(r *rng.State) int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	rank := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -370,8 +381,15 @@ func (z *zipfState) next(r *rng.State) int64 {
 }
 
 // Generator draws (operation, key) pairs for one worker thread. Not safe
-// for concurrent use; create one per thread.
+// for concurrent use; create one per thread. Value writes its tag on
+// every call, so a Generator is whole padded.CacheLine units: two
+// workers' generators never share a line.
 type Generator struct {
+	generator
+	_ [padded.CacheLine - unsafe.Sizeof(generator{})%padded.CacheLine]byte
+}
+
+type generator struct {
 	r         *rng.State
 	seed      uint64 // construction seed (SetDist derives from it)
 	keys      *Sampler
@@ -395,10 +413,10 @@ func NewGeneratorErr(seed uint64, mix Mix, keyRange int64) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Generator{
+	return &Generator{generator: generator{
 		r: rng.New(seed), seed: seed, keys: keys, mix: mix, keyRange: keyRange,
 		rangeSpan: DefaultRangeSpan, vtag: uint32(seed),
-	}, nil
+	}}, nil
 }
 
 // SetDist switches the generator's key distribution (default Uniform).
@@ -591,19 +609,29 @@ func (m StoreMix) NextStore(r *rng.State) StoreOp {
 
 const hexDigits = "0123456789abcdef"
 
+// KeyLen is the length of every canonical store benchmark key.
+const KeyLen = 17
+
 // KeyString renders rank i as the canonical store benchmark key
 // ("k" + 16 hex digits): fixed-length, allocation-exact, and unique per
-// rank. The harness pregenerates a table of these so the hot loop never
-// formats.
+// rank.
 func KeyString(i int64) string {
-	var b [17]byte
+	var b [KeyLen]byte
+	PutKey(&b, i)
+	return string(b[:])
+}
+
+// PutKey writes KeyString(i)'s bytes into b. The harness formats each
+// drawn rank's key into a buffer its worker reuses, so the key a
+// store op reads is as hot as a real client's and no rank → key table
+// sits between the draw and the op.
+func PutKey(b *[KeyLen]byte, i int64) {
 	b[0] = 'k'
 	x := uint64(i)
-	for j := 16; j >= 1; j-- {
+	for j := KeyLen - 1; j >= 1; j-- {
 		b[j] = hexDigits[x&0xf]
 		x >>= 4
 	}
-	return string(b[:])
 }
 
 // MinValueLen is the smallest payload of the full verifiable format:
@@ -631,77 +659,87 @@ const MinCompactLen = 4
 // Sizes below MinCompactLen clamp up to it. Either way, any torn,
 // truncated, cross-key or stale-slot payload fails ValueBytesValid
 // with overwhelming probability.
+//
+// Both formats are little-endian words: the payload is written a whole
+// word at a time (binary.LittleEndian) and the last partial word byte
+// by byte, which gives exactly the bytes a byte-at-a-time encoder
+// would (FuzzValueCodecMatchesBytewise pins this).
 func AppendValueBytes(buf []byte, key int64, tag uint32, size int) []byte {
 	if size < MinCompactLen {
 		size = MinCompactLen
 	}
+	start := len(buf)
+	buf = slices.Grow(buf, size)[:start+size]
+	v := buf[start:]
 	if size < MinValueLen {
-		nb := size - MinCompactLen // tag bytes carried (0..3)
-		tt := tag
-		if nb < 4 {
-			tt &= 1<<(8*nb) - 1
-		}
-		for i := 0; i < nb; i++ {
-			buf = append(buf, byte(tt>>(8*i)))
-		}
-		ck := checksum32(key, tt)
-		for i := 0; i < 4; i++ {
-			buf = append(buf, byte(ck>>(8*i)))
-		}
+		nb := size - MinCompactLen  // tag bytes carried (0..3)
+		tt := tag & (1<<(8*nb) - 1) // the truncated tag
+		w := uint64(tt) | uint64(checksum32(key, tt))<<(8*nb)
+		putTail(v, w)
 		return buf
 	}
 	head := EncodeValue(key, tag)
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(head>>(8*i)))
-	}
+	binary.LittleEndian.PutUint64(v, head)
 	x := head
-	for n := size - 8; n > 0; n -= 8 {
-		w := splitmix(&x)
-		for i := 0; i < 8 && i < n; i++ {
-			buf = append(buf, byte(w>>(8*i)))
-		}
+	off := 8
+	for ; off+8 <= size; off += 8 {
+		binary.LittleEndian.PutUint64(v[off:], splitmix(&x))
+	}
+	if off < size {
+		putTail(v[off:], splitmix(&x))
 	}
 	return buf
+}
+
+// putTail writes the low len(b) bytes of w (len(b) < 8) little-endian.
+func putTail(b []byte, w uint64) {
+	for i := range b {
+		b[i] = byte(w)
+		w >>= 8
+	}
+}
+
+// tail reads len(b) bytes (len(b) < 8) as a little-endian word.
+func tail(b []byte) uint64 {
+	var w uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(b[i])
+	}
+	return w
 }
 
 // ValueBytesValid reports whether v is a payload AppendValueBytes could
 // have produced for key, in whichever format its length selects: the
 // compact tag/checksum pair for lengths in [MinCompactLen, MinValueLen),
 // or the head word passing ValueValid and the body matching the
-// head-seeded stream exactly for full-format lengths.
+// head-seeded stream exactly for full-format lengths. It compares a
+// whole little-endian word at a time and the last partial word as one
+// word of its bytes: every byte is checked, as a byte-at-a-time
+// verifier would, so the verdict is the same for every input.
 func ValueBytesValid(key int64, v []byte) bool {
 	if len(v) < MinCompactLen {
 		return false
 	}
 	if len(v) < MinValueLen {
 		nb := len(v) - MinCompactLen
-		var tt uint32
-		for i := 0; i < nb; i++ {
-			tt |= uint32(v[i]) << (8 * i)
-		}
-		ck := checksum32(key, tt)
-		for i := 0; i < 4; i++ {
-			if v[nb+i] != byte(ck>>(8*i)) {
-				return false
-			}
-		}
-		return true
+		w := tail(v)
+		tt := uint32(w) & (1<<(8*nb) - 1)
+		return uint32(w>>(8*nb)) == checksum32(key, tt)
 	}
-	var head uint64
-	for i := 0; i < 8; i++ {
-		head |= uint64(v[i]) << (8 * i)
-	}
+	head := binary.LittleEndian.Uint64(v)
 	if !ValueValid(key, head) {
 		return false
 	}
 	x := head
-	for off := 8; off < len(v); off += 8 {
-		w := splitmix(&x)
-		for i := 0; i < 8 && off+i < len(v); i++ {
-			if v[off+i] != byte(w>>(8*i)) {
-				return false
-			}
+	off := 8
+	for ; off+8 <= len(v); off += 8 {
+		if binary.LittleEndian.Uint64(v[off:]) != splitmix(&x) {
+			return false
 		}
+	}
+	if off < len(v) {
+		n := len(v) - off
+		return tail(v[off:]) == splitmix(&x)&(1<<(8*n)-1)
 	}
 	return true
 }
