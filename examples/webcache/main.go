@@ -8,9 +8,9 @@
 // and every overwrite retires the replaced payload through the
 // domain's reclamation policy, so cache churn is reclamation churn.
 // Page loads that need several assets fetch them with one batched
-// multi-get (one protected operation per shard) and fill the missing
-// ones with one batched multi-put, and a background "warmer" iterates
-// the whole cache with a value-returning scan.
+// multi-get (one protected operation per member domain) and fill the
+// missing ones with one batched multi-put, and a background "warmer"
+// iterates the whole cache with a value-returning scan.
 //
 // The pool scales while the cache stays loaded: traffic arrives in
 // three waves (2 → 6 → 2 workers), and every worker leases its group

@@ -127,10 +127,9 @@ type Stats struct {
 
 // Runner drives a set of injectors against a store until Stop.
 type Runner struct {
-	cfg   Config
-	s     *store.Store
-	keys  []string
-	hkeys []int64
+	cfg  Config
+	s    *store.Store
+	keys int64 // key population: ranks [0, keys)
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -138,22 +137,19 @@ type Runner struct {
 	stalls, gcCycles, leases, flips, ops atomic.Uint64
 }
 
-// Start launches the configured injectors against s. keys is the
-// key population injectors draw from (typically the harness's key
-// table). Stalled readers and the hotspot flipper lease their group
-// handles from the store's domain group up front — size the group with
+// Start launches the configured injectors against s. keys is the size
+// of the key population injectors draw from: ranks [0, keys), each
+// rank's key workload.KeyString(rank), as the trial harness names them.
+// Stalled readers and the hotspot flipper lease their group handles
+// from the store's domain group up front — size the group with
 // cfg.Slots() spare slots — and churners cycle leases for the run's
 // whole length.
-func Start(cfg Config, s *store.Store, keys []string) (*Runner, error) {
+func Start(cfg Config, s *store.Store, keys int64) (*Runner, error) {
 	cfg = cfg.withDefaults()
-	if len(keys) == 0 && cfg.Enabled() {
+	if keys <= 0 && cfg.Enabled() {
 		return nil, fmt.Errorf("chaos: empty key population")
 	}
 	r := &Runner{cfg: cfg, s: s, keys: keys}
-	r.hkeys = make([]int64, len(keys))
-	for i, k := range keys {
-		r.hkeys[i] = store.KeyHash(k)
-	}
 
 	// Lease every long-lived injector handle before spawning anything,
 	// so capacity misconfiguration fails here — with all partial leases
@@ -233,12 +229,14 @@ func (r *Runner) Stop() Stats {
 func (r *Runner) stalledReader(h *core.GroupHandle, seed uint64) {
 	defer r.wg.Done()
 	rg := rng.New(seed)
-	var buf []byte
+	var (
+		kb  [workload.KeyLen]byte
+		buf []byte
+	)
 	for !r.stop.Load() {
 		// A real read between stalls keeps the injector's reservation
 		// pattern honest.
-		idx := rg.Intn(int64(len(r.keys)))
-		key := r.keys[idx]
+		key := workload.PutKey(&kb, rg.Intn(r.keys))
 		if v, ok := r.s.Get(h, key, buf); ok {
 			buf = v
 		}
@@ -281,7 +279,10 @@ func (r *Runner) gcLoop() {
 func (r *Runner) churner(seed uint64) {
 	defer r.wg.Done()
 	rg := rng.New(seed)
-	var vbuf, gbuf []byte
+	var (
+		kb         [workload.KeyLen]byte
+		vbuf, gbuf []byte
+	)
 	tag := uint32(seed) | 0x40000000
 	for !r.stop.Load() {
 		h, err := r.s.Acquire()
@@ -291,18 +292,18 @@ func (r *Runner) churner(seed uint64) {
 		}
 		r.leases.Add(1)
 		for i := 0; i < r.cfg.ChurnOps && !r.stop.Load(); i++ {
-			idx := rg.Intn(int64(len(r.keys)))
+			key := workload.PutKey(&kb, rg.Intn(r.keys))
 			switch p := rg.Pct(); {
 			case p < 50:
-				if v, ok := r.s.Get(h, r.keys[idx], gbuf); ok {
+				if v, ok := r.s.Get(h, key, gbuf); ok {
 					gbuf = v
 				}
 			case p < 90:
 				tag++
-				vbuf = workload.AppendValueBytes(vbuf[:0], r.hkeys[idx], tag, 32)
-				r.s.Put(h, r.keys[idx], vbuf)
+				vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, 32)
+				r.s.Put(h, key, vbuf)
 			default:
-				r.s.Delete(h, r.keys[idx])
+				r.s.Delete(h, key)
 			}
 			r.ops.Add(1)
 		}
@@ -316,13 +317,16 @@ func (r *Runner) churner(seed uint64) {
 func (r *Runner) hotspotFlipper(h *core.GroupHandle, seed uint64) {
 	defer r.wg.Done()
 	rg := rng.New(seed)
-	// Bucket the key population by shard once.
+	var (
+		kb   [workload.KeyLen]byte
+		vbuf []byte
+	)
+	// Bucket the key population's ranks by shard once.
 	byShard := make([][]int32, r.s.Shards())
-	for i, k := range r.keys {
-		sh := r.s.ShardIndex(k)
-		byShard[sh] = append(byShard[sh], int32(i))
+	for rank := int64(0); rank < r.keys; rank++ {
+		sh := r.s.ShardIndex(workload.PutKey(&kb, rank))
+		byShard[sh] = append(byShard[sh], int32(rank))
 	}
-	var vbuf []byte
 	tag := uint32(seed) | 0x80000000
 	for !r.stop.Load() {
 		sh := int(rg.Intn(int64(len(byShard))))
@@ -332,10 +336,10 @@ func (r *Runner) hotspotFlipper(h *core.GroupHandle, seed uint64) {
 		hot := byShard[sh]
 		deadline := time.Now().Add(r.cfg.FlipEvery)
 		for time.Now().Before(deadline) && !r.stop.Load() {
-			idx := int(hot[rg.Intn(int64(len(hot)))])
+			key := workload.PutKey(&kb, int64(hot[rg.Intn(int64(len(hot)))]))
 			tag++
-			vbuf = workload.AppendValueBytes(vbuf[:0], r.hkeys[idx], tag, 48)
-			r.s.Put(h, r.keys[idx], vbuf)
+			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, 48)
+			r.s.Put(h, key, vbuf)
 			r.ops.Add(1)
 		}
 		r.flips.Add(1)

@@ -61,7 +61,7 @@ func storm(t *testing.T, p core.Policy, members int) {
 	}
 	s.Release(seedH)
 
-	r, err := Start(cfg, s, keyTab)
+	r, err := Start(cfg, s, nKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,7 @@ func TestStartFailsWithoutCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{workload.KeyString(0), workload.KeyString(1)}
-	if _, err := Start(Config{Stalls: 1, Hotspot: true}, s, keys); err == nil {
+	if _, err := Start(Config{Stalls: 1, Hotspot: true}, s, 2); err == nil {
 		t.Fatal("Start succeeded with 1 slot for 2 injectors")
 	}
 	// The partial lease must have been returned.

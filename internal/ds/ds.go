@@ -105,8 +105,8 @@ type RangeScanner interface {
 // run inside an operation the caller already opened with StartOp: many
 // keys then share one protected operation (one StartOp/EndOp, one
 // reservation epoch) instead of paying the entry/exit protocol per key.
-// The store's GetBatch and PutBatch bracket each shard group this way,
-// so both store structures implement it: hashtable and abtree.
+// The store's GetBatch and PutBatch bracket each member domain's keys
+// this way, so both store structures implement it: hashtable and abtree.
 type InOp interface {
 	// GetInOp is Get without the StartOp/EndOp bracket.
 	GetInOp(t *core.Thread, key int64) (uint64, bool)

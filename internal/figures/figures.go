@@ -642,7 +642,7 @@ func pingFanoutFigure() Figure {
 						// leases its worker into every member, which would
 						// flatten the per-member fan-out this figure measures.
 						// The batched-put share exercises PutBatch's
-						// one-protected-op-per-shard-group write path.
+						// one-protected-op-per-member write path.
 						Mix:       workload.StoreMix{GetPct: 60, PutPct: 15, MGetPct: 10, MPutPct: 10, DeletePct: 5},
 						Dist:      workload.Zipf,
 						OpLatency: true,

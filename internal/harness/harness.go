@@ -310,12 +310,8 @@ func Run(cfg Config) (Result, error) {
 // runWorker is one worker leg's execution phase. gen is the worker's
 // private generator (already role-resolved, see workerRole; it rides
 // the whole leg chain, so churn changes thread identity but not the op
-// stream). Counters accumulate in stack locals and fold into c once
-// after the loop: the tallies are contiguous, so per-op stores there
-// would false-share cache lines between adjacent workers on the
-// harness's hottest path. (The histograms are separate heap
-// allocations, so recording into them does not share lines across
-// workers.) In churn mode the loop additionally ends after
+// stream). Counters accumulate in locals and fold into c once after the
+// loop (see tally). In churn mode the loop additionally ends after
 // cfg.Churn.AfterOps operations so the trial can rotate the handle.
 func runWorker(cfg Config, m ds.Map, th *core.Thread, gen *workload.Generator, id int, t *trial, c *tally) {
 	scanner, _ := m.(ds.RangeScanner) // non-nil whenever mix.RangePct > 0
@@ -371,12 +367,5 @@ func runWorker(cfg Config, m ds.Map, th *core.Thread, gen *workload.Generator, i
 		byClass[op]++
 		ops++
 	}
-	// Accumulate (don't overwrite): a churned worker's counters span
-	// many legs.
-	c.ops += ops
-	c.keys += rangeKeys
-	c.valueErrs += valueErrs
-	for i := range byClass {
-		c.byClass[i] += byClass[i]
-	}
+	c.add(ops, rangeKeys, valueErrs, byClass[:])
 }

@@ -246,12 +246,12 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}, func(i int, h *core.GroupHandle, rank int64) func() bool {
 		r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
 		var (
-			kb   rankKey
+			kb   [workload.KeyLen]byte
 			vbuf []byte
 		)
 		return func() bool {
 			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
-			key := kb.key(rank)
+			key := workload.PutKey(&kb, rank)
 			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), 0x800001+uint32(rank), size)
 			s.Put(h, key, vbuf)
 			rank++
@@ -265,11 +265,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	// The injectors lease their ExtraSlots now and hold or cycle them
 	// for the whole measured phase. They do not touch the admission
 	// budget: the clients' bursts queue on the server's Slots tokens.
-	var chaosKeys []string
-	if cfg.Chaos.Enabled() {
-		chaosKeys = rankKeys(cfg.Keys)
-	}
-	chaosRun, err := chaos.Start(cfg.Chaos, s, chaosKeys)
+	chaosRun, err := chaos.Start(cfg.Chaos, s, cfg.Keys)
 	if err != nil {
 		srv.Close()
 		return ServeResult{}, err
@@ -336,17 +332,21 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 }
 
 // runServeClient is one connection's load loop. It formats each drawn
-// rank's key into its own buffer (rankKey); the client's writer copies
-// the key onto the wire.
+// rank's key into its own buffer (workload.PutKey); the client's writer
+// copies the key onto the wire.
 func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id int,
 	rate float64, stop *atomic.Bool, out *tally) error {
 	r := rng.New(cfg.Seed ^ (uint64(id)*0xff51afd7ed558ccd + 13))
 	var (
-		kb   rankKey
+		kb   [workload.KeyLen]byte
 		vbuf []byte
 		gbuf []byte
 		tag  = uint32(id)<<24 | 0x400000
+
+		ops, hits, valueErrs uint64
+		byClass              [numServeClasses]uint64
 	)
+	defer func() { out.add(ops, hits, valueErrs, byClass[:]) }()
 	// Open loop: the intended send times are a fixed grid; latency is
 	// measured from the intended time, so a stalled server accrues the
 	// backlog it caused.
@@ -368,7 +368,7 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			}
 		}
 		n++
-		key := kb.key(keys.Next())
+		key := workload.PutKey(&kb, keys.Next())
 		if int(r.Intn(100)) < cfg.GetPct {
 			var ok bool
 			var err error
@@ -377,11 +377,11 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 				return err
 			}
 			out.lats[serveGet].Record(time.Since(intended).Nanoseconds())
-			out.byClass[serveGet]++
+			byClass[serveGet]++
 			if ok {
-				out.keys++
+				hits++
 				if !workload.ValueBytesValid(store.KeyHash(key), gbuf) {
-					out.valueErrs++
+					valueErrs++
 				}
 			}
 		} else {
@@ -392,9 +392,9 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 				return err
 			}
 			out.lats[serveSet].Record(time.Since(intended).Nanoseconds())
-			out.byClass[serveSet]++
+			byClass[serveSet]++
 		}
-		out.ops++
+		ops++
 	}
 	return nil
 }

@@ -4,7 +4,7 @@
 // machinery the map trials use. Where a map trial measures the paper's
 // dialect (one key, one protected operation), a store trial measures
 // serving shapes: single gets, batched multi-gets (one protected
-// operation per shard per batch), value-returning scans, and
+// operation per member domain per batch), value-returning scans, and
 // variable-size payload writes, under uniform or Zipfian key
 // popularity.
 package harness
@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"pop/internal/arena"
 	"pop/internal/chaos"
@@ -301,9 +300,9 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	var memberRanks [][]int64
 	if !traceMode && members > 1 {
 		memberRanks = make([][]int64, members)
-		var kb rankKey
+		var kb [workload.KeyLen]byte
 		for rank := int64(0); rank < cfg.Keys; rank++ {
-			m := s.MemberIndex(s.ShardIndex(kb.key(rank)))
+			m := s.MemberIndex(s.ShardIndex(workload.PutKey(&kb, rank)))
 			memberRanks[m] = append(memberRanks[m], rank)
 		}
 	}
@@ -375,7 +374,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 			}
 			r := rng.New(cfg.Seed ^ 0xfeed ^ uint64(i))
 			var (
-				kb   rankKey
+				kb   [workload.KeyLen]byte
 				vbuf []byte
 			)
 			tag := uint32(i)<<24 | 0x800000
@@ -386,7 +385,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 				}
 				size := drawValueSize(cfg, r)
 				tag++
-				key := kb.key(rank)
+				key := workload.PutKey(&kb, rank)
 				vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, size)
 				return s.PutIfAbsent(h, key, vbuf)
 			}
@@ -411,7 +410,7 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 				burst <- nil
 				return
 			}
-			run, err := chaos.Start(cfg.Chaos, s, rankKeys(cfg.Keys))
+			run, err := chaos.Start(cfg.Chaos, s, cfg.Keys)
 			if err != nil {
 				burst <- fmt.Errorf("harness: chaos: %w", err)
 				return
@@ -460,32 +459,6 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	return res, nil
 }
 
-// rankKey is one key buffer of a worker: key formats a rank's key into
-// it (workload.PutKey) and returns a string over those bytes, without a
-// copy. The string is valid until the buffer's next key call, which is
-// all one op needs, because the store never retains a key (the store
-// package doc, "Sharding and keys"); every other use of the string
-// copies it. The key is hot in the worker's own buffer, as a real
-// client's is, and a value's checksum identity is its hash,
-// store.KeyHash(key). A rank → key table would put a cache miss in
-// front of every op, and the trial would time that miss as store cost.
-type rankKey [workload.KeyLen]byte
-
-func (b *rankKey) key(rank int64) string {
-	workload.PutKey((*[workload.KeyLen]byte)(b), rank)
-	return unsafe.String(&b[0], len(b))
-}
-
-// rankKeys returns every rank's key, for the chaos injectors, which
-// pick their keys from a slice outside the measured ops.
-func rankKeys(keys int64) []string {
-	tab := make([]string, keys)
-	for i := range tab {
-		tab[i] = workload.KeyString(int64(i))
-	}
-	return tab
-}
-
 // scanSpan is the expected number of pairs per synthetic scan (a trace
 // scan may give its own).
 const scanSpan = 32
@@ -526,7 +499,7 @@ func drawValueSize(cfg StoreConfig, r *rng.State) int {
 
 // storeExec issues single store operations for one worker leg — the
 // part the mix-driven and the trace-driven loops share: every served
-// value is checksum-verified, and served keys and failures are tallied
+// value is checksum-verified, and served keys and failures are counted
 // here and folded into the worker's tally when the leg ends.
 type storeExec struct {
 	s          *store.Store
@@ -573,16 +546,11 @@ func (x *storeExec) scan(lo int64, width uint64) {
 	}))
 }
 
-// foldInto adds the leg's served keys and failures to the worker's tally.
-func (x *storeExec) foldInto(c *tally) {
-	c.keys += x.served
-	c.valueErrs += x.valueErrs
-}
-
 // runStoreWorker is one worker's execution phase. rankTab, when
 // non-nil, maps the sampler's dense rank space onto the worker's
 // member-owned ranks (worker→member affinity). Each op formats its
-// keys from the drawn ranks into the worker's own buffers (rankKey).
+// keys from the drawn ranks into the worker's own buffers
+// (workload.PutKey); a value's checksum identity is store.KeyHash(key).
 func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *workload.Sampler,
 	id int, rankTab []int64, t *trial, c *tally) {
 	stop := &t.stop
@@ -599,10 +567,10 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 	var (
 		x     = storeExec{s: s, h: h}
 		batch store.Batch
-		kbuf  rankKey                          // single-key ops
-		kbufs = make([]rankKey, cfg.BatchSize) // one per batch key
-		kb    = make([]string, cfg.BatchSize)  // views of kbufs
-		pvals [][]byte                         // StoreMPut payloads (lazily sized)
+		kbuf  [workload.KeyLen]byte                          // single-key ops
+		kbufs = make([][workload.KeyLen]byte, cfg.BatchSize) // one per batch key
+		kb    = make([]string, cfg.BatchSize)                // views of kbufs
+		pvals [][]byte                                       // StoreMPut payloads (lazily sized)
 		tag   = uint32(id)<<24 ^ uint32(h.Incarnation())<<12
 	)
 	width := scanWidth(cfg.Keys, scanSpan)
@@ -620,18 +588,18 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		}
 		switch op {
 		case workload.StoreGet:
-			if key := kbuf.key(pick(keys.Next())); x.get(key) {
+			if key := workload.PutKey(&kbuf, pick(keys.Next())); x.get(key) {
 				x.verify(store.KeyHash(key), x.gbuf)
 			}
 		case workload.StorePut:
 			// NextInsert == Next for uniform/zipf; under latest it
 			// advances the insert frontier the reads chase.
-			key := kbuf.key(pick(keys.NextInsert()))
+			key := workload.PutKey(&kbuf, pick(keys.NextInsert()))
 			tag++
 			x.put(key, store.KeyHash(key), tag, drawValueSize(cfg, r))
 		case workload.StoreMGet:
 			for i := range kb {
-				kb[i] = kbufs[i].key(pick(keys.Next()))
+				kb[i] = workload.PutKey(&kbufs[i], pick(keys.Next()))
 			}
 			s.GetBatch(h, kb, &batch)
 			for i := range kb {
@@ -646,7 +614,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 			// Read-modify-write (YCSB F): read the key, then put a
 			// fresh payload back — two protected ops, like a cache's
 			// read-update cycle.
-			key := kbuf.key(pick(keys.Next()))
+			key := workload.PutKey(&kbuf, pick(keys.Next()))
 			hk := store.KeyHash(key)
 			if x.get(key) {
 				x.verify(hk, x.gbuf)
@@ -654,20 +622,20 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 			tag++
 			x.put(key, hk, tag, drawValueSize(cfg, r))
 		case workload.StoreMPut:
-			// Batched upsert: one protected op per shard group and one
-			// arena publish sequence per group instead of per key.
+			// Batched upsert: one protected op per member domain, each
+			// payload encoded before its member's op opens.
 			if pvals == nil {
 				pvals = make([][]byte, cfg.BatchSize)
 			}
 			for i := range kb {
-				kb[i] = kbufs[i].key(pick(keys.NextInsert()))
+				kb[i] = workload.PutKey(&kbufs[i], pick(keys.NextInsert()))
 				tag++
 				size := drawValueSize(cfg, r)
 				pvals[i] = workload.AppendValueBytes(pvals[i][:0], store.KeyHash(kb[i]), tag, size)
 			}
 			s.PutBatch(h, kb, pvals, &batch)
 		default: // workload.StoreDelete
-			s.Delete(h, kbuf.key(pick(keys.Next())))
+			s.Delete(h, workload.PutKey(&kbuf, pick(keys.Next())))
 		}
 		if hist != nil {
 			hist.Record(time.Since(start).Nanoseconds())
@@ -677,12 +645,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 		live.tick(ops)
 	}
 	live.flush(ops)
-	// Accumulate across churn legs.
-	c.ops += ops
-	x.foldInto(c)
-	for i := range byClass {
-		c.byClass[i] += byClass[i]
-	}
+	c.add(ops, x.served, x.valueErrs, byClass[:])
 }
 
 // runStoreTraceWorker replays trace ops pulled from the shared cursor
@@ -696,11 +659,15 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 	width := scanWidth(cfg.Keys, scanSpan)
 	start := t.start
 	live := t.livePub(id)
+	var (
+		ops     uint64
+		byClass [workload.NumStoreOps]uint64
+	)
 	for {
 		i := cursor.Add(1) - 1
 		if i >= int64(len(cfg.Trace)) {
-			live.flush(c.ops)
-			x.foldInto(c)
+			live.flush(ops)
+			c.add(ops, x.served, x.valueErrs, byClass[:])
 			return
 		}
 		op := cfg.Trace[i]
@@ -739,9 +706,9 @@ func runStoreTraceWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle,
 		if hist != nil {
 			hist.Record(time.Since(t0).Nanoseconds())
 		}
-		c.byClass[op.Op]++
-		c.ops++
-		live.tick(c.ops)
+		byClass[op.Op]++
+		ops++
+		live.tick(ops)
 	}
 }
 

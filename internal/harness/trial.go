@@ -355,12 +355,29 @@ func (p *livePub) flush(ops uint64) {
 // keys, served keys or hits, per runner), value-checksum failures, and
 // the per-class latency histograms (nil where a class is not timed).
 // Single-writer during the phase; sumTallies folds them afterwards.
+//
+// A worker counts in locals and folds them in once per leg (add): the
+// tallies lie side by side in one slice, so a per-op count there would
+// write a cache line an adjacent worker writes too. The histograms are
+// separate heap allocations, so recording into them per op shares no
+// line.
 type tally struct {
 	ops       uint64
 	keys      uint64
 	valueErrs uint64
 	byClass   []uint64
 	lats      []*report.Histogram
+}
+
+// add folds one leg's counts into c; a churned worker's counts span
+// many legs.
+func (c *tally) add(ops, keys, valueErrs uint64, byClass []uint64) {
+	c.ops += ops
+	c.keys += keys
+	c.valueErrs += valueErrs
+	for i, n := range byClass {
+		c.byClass[i] += n
+	}
 }
 
 // newTallies makes one tally per worker over `classes` op classes, with

@@ -548,7 +548,7 @@ func (c *conn) dropThread() {
 // doGet answers get/gets. A single-key get runs on its shard's handle
 // under the shard's mutex — no thread lease of the connection's own, so
 // it never queues for admission. Multi-key gets hold the burst's own
-// lease and go through Store.GetBatch (one protected op per shard).
+// lease and go through Store.GetBatch (one protected op per member).
 func (c *conn) doGet(withCas bool) bool {
 	s := c.srv
 	keys := c.cmd.Keys

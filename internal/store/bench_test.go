@@ -37,9 +37,9 @@ func benchStore(b *testing.B, keys int64, batchKeys int) (*Store, *core.GroupHan
 }
 
 // BenchmarkStorePutBatch upserts 64 keys per iteration through the
-// batched multi-put: one counting sort and ONE protected operation per
-// shard group (ds.InOp), each replaced value freeing with the node its
-// upsert retired. Every key is prefilled, so each
+// batched multi-put: one protected operation per member domain (one
+// here, ds.InOp), each replaced value freeing with the node its upsert
+// retired. Every key is prefilled, so each
 // iteration does 64 overwrite+retire cycles — compare ns/op with
 // BenchmarkStoreSequentialPut64, the identical work as 64 Puts.
 func BenchmarkStorePutBatch(b *testing.B) {
@@ -130,5 +130,53 @@ func BenchmarkStorePut1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j := i & (len(kb) - 1)
 		s.Put(h, kb[j], vals[j])
+	}
+}
+
+// batches16 cuts the first 4096×16 of store1M's drawn keys into 16-key
+// batches: uniform draws over the 1M keys, fixed per process.
+func batches16(kb []string) [][]string {
+	bs := make([][]string, 4096)
+	for i := range bs {
+		bs[i] = kb[16*i : 16*(i+1)]
+	}
+	return bs
+}
+
+// BenchmarkStoreGetBatch16 is one GetBatch of 16 uniformly drawn keys
+// in the store of BenchmarkStoreGet1M (one member domain, so the batch
+// is one protected operation): ns/op is per batch. Compare it with
+// BenchmarkStoreGet16, the same keys as 16 Gets. Run it like Get1M:
+// pinned, with -benchtime Nx.
+func BenchmarkStoreGetBatch16(b *testing.B) {
+	s, h, kb := open1M(b)
+	bs := batches16(kb)
+	var batch Batch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keys := bs[i&(len(bs)-1)]
+		s.GetBatch(h, keys, &batch)
+		for j := range keys {
+			if !batch.OK[j] {
+				b.Fatal("a prefilled key missed")
+			}
+		}
+	}
+}
+
+// BenchmarkStoreGet16 is BenchmarkStoreGetBatch16's control: the same
+// 16 keys per iteration, served by 16 Gets.
+func BenchmarkStoreGet16(b *testing.B) {
+	s, h, kb := open1M(b)
+	bs := batches16(kb)
+	var buf []byte
+	var ok bool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, key := range bs[i&(len(bs)-1)] {
+			if buf, ok = s.Get(h, key, buf); !ok {
+				b.Fatal("a prefilled key missed")
+			}
+		}
 	}
 }

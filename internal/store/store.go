@@ -47,8 +47,8 @@
 // argument needs — a thread's protected operation only touches
 // structures of its member domain — holds by construction here: every
 // operation resolves the shard first and runs on that shard's member
-// thread, and the batched operations visit shards sequentially, one
-// member operation at a time.
+// thread, and a batch visits its members one after another, one member
+// operation at a time.
 //
 // # Values: inline words, arena handles, retirement, stale detection
 //
@@ -116,19 +116,18 @@
 //
 // # Batched multi-get and multi-put
 //
-// GetBatch sorts the batch by (shard, hashed key) and answers each
-// shard's group in one protected operation it opens itself, running the
-// shard structure's ds.InOp lookup per key (one StartOp/EndOp per shard
-// per batch instead of per key); both structures have the in-op seam,
-// so there is one batch path. PutBatch is the write-side mirror: the same
-// counting sort, one protected operation per shard group (long payloads
-// are copied into the arena before it opens, each by the slot cache's
-// Alloc, whose refills lock a size class once per 64 slots); replaced
-// values free with the nodes the group's upserts retired. A
-// read-modify-write batch reuses one Batch's scratch across the
-// GetBatch → modify → PutBatch cycle.
-// Sorted keys also give tree descents warm upper-level paths. See
-// store.getbatch_ns_per_key against store.get_ns in bench/, and
+// A batch pays the per-operation costs (the StartOp/EndOp poll, an
+// epoch announce) once per member domain instead of once per key:
+// GetBatch hashes its keys once, groups them by member with a stable
+// counting sort, and answers each member's keys in one protected
+// operation it opens itself, running the shard structures' ds.InOp
+// lookups inside it. With one member, the default, a batch is one
+// operation. PutBatch is the write-side mirror: a member's payloads are
+// encoded (inline words, or arena copies by the slot cache's Alloc)
+// before its operation opens, and its upserts run inside it. Keys keep
+// their batch order within a member, so a key repeated in one batch
+// resolves last-wins. See store.getbatch_ns_per_key against
+// store.get_ns in bench/, BenchmarkStoreGetBatch16 and
 // BenchmarkStorePutBatch.
 //
 // # Scans
@@ -157,7 +156,7 @@ import (
 
 // backing is what a shard's structure must be: a map whose lookup and
 // upsert bodies also run inside an operation the store opened, so a
-// batch is one protected operation per shard group.
+// batch is one protected operation per member domain.
 type backing interface {
 	ds.Map
 	ds.InOp
@@ -537,16 +536,36 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 	t, tl := s.slot(h, si)
 	c := s.countsOf(tl, si)
 	c.gets.Add(1)
+	w, ok := sh.m.Get(t, ik)
+	if !ok {
+		c.misses.Add(1)
+		return buf[:0], false
+	}
+	if v, ok := s.readWord(w, buf); ok {
+		return v, true
+	}
+	v, ok := s.reread(sh, t, c, ik, buf)
+	if !ok {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// reread serves key ik of shard sh after a read of its value lost to
+// the value's reclamation: it counts the stale read, looks the key up
+// again in a fresh protected operation and reads the value it finds,
+// until a read succeeds or the key is gone (ok=false). Every read path
+// calls it only after a first readWord fails, so a hit pays nothing.
+func (s *Store) reread(sh *shard, t *core.Thread, c *shardCounts, ik int64, buf []byte) ([]byte, bool) {
 	for {
-		hv, ok := sh.m.Get(t, ik)
+		c.stale.Add(1)
+		w, ok := sh.m.Get(t, ik)
 		if !ok {
-			c.misses.Add(1)
 			return buf[:0], false
 		}
-		if v, ok := s.readWord(hv, buf); ok {
+		if v, ok := s.readWord(w, buf); ok {
 			return v, true
 		}
-		c.stale.Add(1) // lost to an overwrite's reclamation: retry
 	}
 }
 
@@ -627,18 +646,12 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 			sh.scanner.Scan(t, from, hi, tl.collect)
 			for j, k := range tl.keys {
 				v, ok := s.readWord(tl.vals[j], vbuf)
-				for !ok {
-					// The pair's value lost to reclamation between the scan
-					// and this read: serve the key's current value instead.
-					c.stale.Add(1)
-					hv, present := sh.m.Get(t, k)
-					if !present {
-						break // deleted since the scan observed it: skip
-					}
-					v, ok = s.readWord(hv, vbuf)
-				}
 				if !ok {
-					continue
+					// Lost to reclamation since the scan: serve the key's
+					// current value, or skip it if it was deleted since.
+					if v, ok = s.reread(sh, t, c, k, vbuf); !ok {
+						continue
+					}
 				}
 				vbuf = v[:0]
 				visited++
@@ -662,216 +675,140 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 
 // Batch holds one batched operation's results and reusable scratch.
 // After GetBatch, Vals[i] and OK[i] answer keys[i]; Vals slices point
-// into an internal buffer that is overwritten by the next batched call
-// with this Batch. After PutBatch, OK[i] reports whether keys[i]
-// replaced (and retired) a previous value. One Batch may be reused
-// across a GetBatch → modify → PutBatch read-modify-write cycle: the
-// grouping scratch (hashes, shard order) is simply recomputed per call
+// into an internal buffer that the next batched call with this Batch
+// overwrites. After PutBatch, OK[i] reports whether keys[i] replaced a
+// previous value. One Batch may be reused across a GetBatch → modify →
+// PutBatch read-modify-write cycle: the scratch is recomputed per call
 // while the allocations persist.
 type Batch struct {
 	Vals [][]byte
 	OK   []bool
 
 	hks   []uint64 // hash per key
-	order []int    // key indices grouped by shard, ascending key within
-	cnt   []int    // per-shard bucket counts/offsets
-	ikeys []int64  // per-group scratch
-	gvals []uint64
-	gok   []bool
-	offs  []int // value offsets into buf (per key; -1 = miss)
-	lens  []int
-	buf   []byte
+	order []int    // key indices grouped by member, batch order within
+	words []uint64 // map word per key: found by GetBatch, put by PutBatch
+	buf   []byte   // GetBatch's value bytes
 }
 
-// groupByShard fills b.order with 0..n-1 bucketed by shard (one
-// counting-sort pass — comparison sorting here would cost more than the
-// batching saves) and ascending by in-shard key within each bucket
-// (insertion sort; buckets are small).
-func (b *Batch) groupByShard(n, shards int, mask uint64) {
-	b.cnt = resize(b.cnt, shards+1)
-	for i := range b.cnt {
-		b.cnt[i] = 0
-	}
-	for _, h := range b.hks[:n] {
-		b.cnt[int(h&mask)+1]++
-	}
-	for s := 1; s <= shards; s++ {
-		b.cnt[s] += b.cnt[s-1]
-	}
-	starts := b.cnt // after the scatter, cnt[s] is bucket s's end
-	for i := 0; i < n; i++ {
-		s := int(b.hks[i] & mask)
-		b.order[starts[s]] = i
-		starts[s]++
-	}
-	// starts[s] now holds bucket s's end; bucket s begins at starts[s-1]
-	// (0 for s=0). Order each bucket by in-shard key.
-	lo := 0
-	for s := 0; s < shards; s++ {
-		hi := starts[s]
-		for i := lo + 1; i < hi; i++ {
-			idx := b.order[i]
-			k := ikeyOf(b.hks[idx])
-			j := i
-			for j > lo && ikeyOf(b.hks[b.order[j-1]]) > k {
-				b.order[j] = b.order[j-1]
-				j--
-			}
-			b.order[j] = idx
-		}
-		lo = hi
-	}
-}
-
-// GetBatch answers every keys[i] into b.Vals[i]/b.OK[i]. The batch is
-// sorted by (shard, hashed key) and each shard's group is answered in
-// one protected operation — the entry/exit amortization that makes a
-// 64-key batch measurably cheaper than 64 Gets — with values resolved
-// through the same stale-detecting path as Get. Groups run sequentially on each shard's member thread, so the
-// handle is mid-operation in at most one member at a time. Results are
-// positional: input order is preserved.
-func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
+// byMember hashes keys into b.hks once, groups their indices into
+// b.order by member domain with a stable counting sort, and calls fn
+// once per member the batch touches, with the handle's thread in that
+// member, the thread slot's state and the member's key indices in batch
+// order. fn opens at most one operation, so the handle is mid-operation
+// in at most one member at a time.
+func (s *Store) byMember(h *core.GroupHandle, keys []string, b *Batch, fn func(t *core.Thread, tl *storeLocal, idx []int)) {
 	n := len(keys)
-	s.batches.Add(1)
-	b.Vals = resize(b.Vals, n)
-	b.OK = resize(b.OK, n)
 	b.hks = resize(b.hks, n)
 	b.order = resize(b.order, n)
-	b.offs = resize(b.offs, n)
-	b.lens = resize(b.lens, n)
-	b.buf = b.buf[:0]
+	var next [MaxShards + 1]int // member m's next position in b.order
 	for i, k := range keys {
 		b.hks[i] = hash64(k)
+		next[s.memberOf(b.hks[i])+1]++
 	}
-	b.groupByShard(n, len(s.shards), s.mask)
+	for m := range s.locals {
+		next[m+1] += next[m]
+	}
+	for i, hk := range b.hks {
+		m := s.memberOf(hk)
+		b.order[next[m]] = i
+		next[m]++
+	}
+	lo := 0 // next[m] is now member m's end
+	for m := range s.locals {
+		if hi := next[m]; hi > lo {
+			t := h.Member(m)
+			fn(t, s.locals[m].Of(t), b.order[lo:hi])
+			lo = hi
+		}
+	}
+}
 
-	for g := 0; g < n; {
-		si := int(b.hks[b.order[g]] & s.mask)
-		sh := &s.shards[si]
-		e := g + 1
-		for e < n && int(b.hks[b.order[e]]&s.mask) == si {
-			e++
-		}
-		group := b.order[g:e]
-		t, tl := s.slot(h, si)
-		c := s.countsOf(tl, si)
-		b.ikeys = resize(b.ikeys, len(group))
-		b.gvals = resize(b.gvals, len(group))
-		b.gok = resize(b.gok, len(group))
-		for j, idx := range group {
-			b.ikeys[j] = ikeyOf(b.hks[idx])
-		}
-		c.gets.Add(uint64(len(group)))
-		// One protected operation for the whole group.
+// memberOf returns the member domain a key hash routes to.
+func (s *Store) memberOf(hk uint64) int { return int(hk&s.mask) >> s.memberShift }
+
+// GetBatch answers every keys[i] into b.Vals[i]/b.OK[i]. Each member's
+// keys are looked up in one protected operation — the entry/exit
+// amortization that makes a batch cheaper than its Gets — and their
+// values resolve after it through the same stale-detecting path as Get.
+// Results are positional: input order is preserved.
+func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
+	s.batches.Add(1)
+	b.Vals = resize(b.Vals, len(keys))
+	b.OK = resize(b.OK, len(keys))
+	b.words = resize(b.words, len(keys))
+	b.buf = b.buf[:0]
+	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int) {
 		t.StartOp()
-		for j, ik := range b.ikeys {
-			b.gvals[j], b.gok[j] = sh.m.GetInOp(t, ik)
+		for _, i := range idx {
+			hk := b.hks[i]
+			b.words[i], b.OK[i] = s.shards[hk&s.mask].m.GetInOp(t, ikeyOf(hk))
 		}
 		t.EndOp()
-		// Resolve values. The buffer may grow (and move) while we append,
-		// so record offsets now and slice at the end.
-		for j, idx := range group {
-			if !b.gok[j] {
+		for _, i := range idx {
+			si := int(b.hks[i] & s.mask)
+			c := s.countsOf(tl, si)
+			c.gets.Add(1)
+			off := len(b.buf)
+			var v []byte
+			ok := b.OK[i]
+			if ok {
+				if v, ok = s.readWord(b.words[i], b.buf[off:]); !ok {
+					v, ok = s.reread(&s.shards[si], t, c, ikeyOf(b.hks[i]), b.buf[off:])
+				}
+			}
+			if !ok {
 				c.misses.Add(1)
-				b.offs[idx] = -1
+				b.Vals[i], b.OK[i] = nil, false
 				continue
 			}
-			hv := b.gvals[j]
-			for {
-				off := len(b.buf)
-				v, ok := s.readWord(hv, b.buf[off:])
-				if ok {
-					// v aliases buf's spare capacity unless Read had to
-					// grow; append handles both (and keeps offsets valid —
-					// slices are cut from the final buffer below).
-					b.buf = append(b.buf[:off], v...)
-					b.offs[idx], b.lens[idx] = off, len(v)
-					break
-				}
-				// Stale: the batch's handle lost to reclamation. Re-serve
-				// this key through a fresh protected lookup.
-				c.stale.Add(1)
-				nhv, present := sh.m.Get(t, b.ikeys[j])
-				if !present {
-					c.misses.Add(1)
-					b.offs[idx] = -1
-					break
-				}
-				hv = nhv
-			}
+			// v fills buf's spare capacity unless the read had to grow it;
+			// append handles both. A value cut before a later append grows
+			// buf keeps the old array, which nothing writes again. Its
+			// capacity ends with it, so a caller's append to one value
+			// (a read-modify-write's modify step) cannot overwrite the next.
+			b.buf = append(b.buf[:off], v...)
+			b.Vals[i], b.OK[i] = b.buf[off:len(b.buf):len(b.buf)], true
 		}
-		g = e
-	}
-	for i := 0; i < n; i++ {
-		if b.offs[i] < 0 {
-			b.Vals[i], b.OK[i] = nil, false
-		} else {
-			b.Vals[i], b.OK[i] = b.buf[b.offs[i]:b.offs[i]+b.lens[i]], true
-		}
-	}
+	})
 }
 
 // PutBatch upserts every keys[i] to a private copy of vals[i], the
-// write-side mirror of GetBatch: the batch is counting-sorted by
-// (shard, hashed key); each shard group's inline-eligible payloads
-// encode into their map words and the rest are copied into the value
-// arena (the slot cache's Alloc, which locks a size class once per
-// refill of 64 slots); and the group's upserts run in one protected
-// operation (ds.InOp), each replaced value freeing with the node its
-// upsert retired. b.OK[i] reports whether keys[i] replaced a
-// previous value. A read-modify-write batch can reuse the
-// same Batch from the preceding GetBatch — payload slices passed in
-// vals may even alias b.Vals, because every payload is copied into the
-// arena before any map mutation touches the batch scratch.
+// write-side mirror of GetBatch: each member's payloads are encoded
+// (inline words, or arena copies by the slot cache's Alloc, which locks
+// a size class once per refill of 64 slots) before its one protected
+// operation opens, and its upserts (ds.InOp) run inside it, each
+// replaced value freeing with the node its upsert retired. b.OK[i]
+// reports whether keys[i] replaced a previous value. A key repeated in
+// one batch resolves last-wins. vals may alias b.Vals from a preceding
+// GetBatch: PutBatch never writes the bytes they point into.
 func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *Batch) {
-	n := len(keys)
-	if len(vals) != n {
-		panic(fmt.Sprintf("store: PutBatch with %d keys but %d values", n, len(vals)))
+	if len(vals) != len(keys) {
+		panic(fmt.Sprintf("store: PutBatch with %d keys but %d values", len(keys), len(vals)))
 	}
 	for _, v := range vals {
 		s.checkLen(v)
 	}
 	s.putBatches.Add(1)
-	b.OK = resize(b.OK, n)
-	b.hks = resize(b.hks, n)
-	b.order = resize(b.order, n)
-	for i, k := range keys {
-		b.hks[i] = hash64(k)
-	}
-	b.groupByShard(n, len(s.shards), s.mask)
-
-	for g := 0; g < n; {
-		si := int(b.hks[b.order[g]] & s.mask)
-		sh := &s.shards[si]
-		e := g + 1
-		for e < n && int(b.hks[b.order[e]]&s.mask) == si {
-			e++
+	b.OK = resize(b.OK, len(keys))
+	b.words = resize(b.words, len(keys))
+	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int) {
+		for _, i := range idx {
+			b.words[i] = tl.encode(vals[i])
 		}
-		group := b.order[g:e]
-		t, tl := s.slot(h, si)
-		c := s.countsOf(tl, si)
-		b.ikeys = resize(b.ikeys, len(group))
-		b.gvals = resize(b.gvals, len(group))
-		// Inline-eligible payloads encode straight into their map words;
-		// the rest are copied into the arena.
-		for j, idx := range group {
-			b.ikeys[j] = ikeyOf(b.hks[idx])
-			b.gvals[j] = tl.encode(vals[idx])
-		}
-		c.puts.Add(uint64(len(group)))
-		// One protected operation for the whole group.
-		overwrites := 0
 		t.StartOp()
-		for j, idx := range group {
-			_, b.OK[idx] = sh.m.PutInOp(t, b.ikeys[j], b.gvals[j])
-			if b.OK[idx] {
-				overwrites++
-			}
+		for _, i := range idx {
+			hk := b.hks[i]
+			_, b.OK[i] = s.shards[hk&s.mask].m.PutInOp(t, ikeyOf(hk), b.words[i])
 		}
 		t.EndOp()
-		c.overwrites.Add(uint64(overwrites))
-		g = e
-	}
+		for _, i := range idx {
+			c := s.countsOf(tl, int(b.hks[i]&s.mask))
+			c.puts.Add(1)
+			if b.OK[i] {
+				c.overwrites.Add(1)
+			}
+		}
+	})
 }
 
 // resize returns s with length n, reallocating only when capacity is

@@ -324,6 +324,31 @@ func TestStoreBatchVsLoop(t *testing.T) {
 	}
 }
 
+// TestStoreBatchValsAppendSafe: a read-modify-write may append to one
+// GetBatch value before its PutBatch; that must not overwrite the
+// values after it in the batch's buffer.
+func TestStoreBatchValsAppendSafe(t *testing.T) {
+	s, err := New(newGroup(core.EBR, 1, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := acquire(t, s)
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		s.Put(h, k, []byte(k+"-payload-longer-than-inline"))
+	}
+	var b Batch
+	for round := 0; round < 2; round++ { // the second round reuses a grown buffer
+		s.GetBatch(h, keys, &b)
+		b.Vals[0] = append(b.Vals[0], "-appended"...)
+		for i, k := range keys[1:] {
+			if got, want := string(b.Vals[i+1]), k+"-payload-longer-than-inline"; got != want {
+				t.Fatalf("round %d: after an append to Vals[0], Vals[%d] = %q, want %q", round, i+1, got, want)
+			}
+		}
+	}
+}
+
 // TestStorePutBatchVsLoop checks PutBatch's equivalence with per-key
 // Puts: positional replaced-flags, values readable afterwards, replaced
 // values retired (value-slot accounting stays exact), on both layouts,
@@ -677,54 +702,89 @@ func TestStoreScanChunks(t *testing.T) {
 	})
 }
 
-// TestStoreBatchOneOpPerShard pins the batches' bracketing: on both
-// layouts GetBatch and PutBatch run each shard group in one protected
-// operation (ds.InOp). Values are inline and nothing reclaims, so no
-// stale-read retry adds an operation.
-func TestStoreBatchOneOpPerShard(t *testing.T) {
+// TestStoreBatchOneOpPerMember pins the batches' bracketing: on both
+// layouts, with one member domain and with four, GetBatch and PutBatch
+// run each member's keys in one protected operation (ds.InOp), so a
+// call moves the summed OpSeq by exactly 2 per member it touches. A
+// batch whose keys all route to one member leases no thread in any
+// other. Values are inline and nothing reclaims, so no stale-read retry
+// adds an operation.
+func TestStoreBatchOneOpPerMember(t *testing.T) {
 	const n = 64
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
-			g := core.NewDomainGroup(core.EpochPOP, 1, 1, &core.Options{ReclaimThreshold: 1 << 20})
-			s, err := New(g, Config{Shards: 4, Ordered: l.ordered})
-			if err != nil {
-				t.Fatal(err)
+			for _, members := range []int{1, 4} {
+				t.Run(fmt.Sprintf("groups=%d", members), func(t *testing.T) {
+					g := core.NewDomainGroup(core.EpochPOP, members, 2, &core.Options{ReclaimThreshold: 1 << 20})
+					s, err := New(g, Config{Shards: 8, Ordered: l.ordered})
+					if err != nil {
+						t.Fatal(err)
+					}
+					memberOf := func(key string) int { return s.MemberIndex(s.ShardIndex(key)) }
+					// calls runs PutBatch (insert, then overwrite) and GetBatch
+					// of keys on h, each moving OpSeq by 2 per member touched,
+					// and checks the values read back.
+					calls := func(h *core.GroupHandle, keys []string) {
+						t.Helper()
+						vals := make([][]byte, len(keys))
+						touched := make(map[int]bool)
+						for i, key := range keys {
+							vals[i] = []byte(fmt.Sprint(i)) // inline: <= InlineMaxLen
+							touched[memberOf(key)] = true
+						}
+						want := uint64(2 * len(touched))
+						var b Batch
+						for _, call := range []struct {
+							name string
+							run  func()
+						}{
+							{"PutBatch (insert)", func() { s.PutBatch(h, keys, vals, &b) }},
+							{"PutBatch (overwrite)", func() { s.PutBatch(h, keys, vals, &b) }},
+							{"GetBatch", func() { s.GetBatch(h, keys, &b) }},
+						} {
+							before := opSeq(s)
+							call.run()
+							if d := opSeq(s) - before; d != want {
+								t.Fatalf("%s of %d keys over %d members moved OpSeq by %d, want %d", call.name, len(keys), len(touched), d, want)
+							}
+						}
+						for i, ok := range b.OK {
+							if !ok || !bytes.Equal(b.Vals[i], vals[i]) {
+								t.Fatalf("GetBatch[%d] = %q, %v, want %q", i, b.Vals[i], ok, vals[i])
+							}
+						}
+					}
+
+					h := acquire(t, s)
+					keys := make([]string, n)
+					for i := range keys {
+						keys[i] = workload.KeyString(int64(i))
+					}
+					calls(h, keys)
+
+					// A batch of one member's keys, on a handle that has leased
+					// nothing yet, leases that member's thread only.
+					target := members - 1
+					var mine []string
+					for i := int64(n); len(mine) < n/4; i++ {
+						if key := workload.KeyString(i); memberOf(key) == target {
+							mine = append(mine, key)
+						}
+					}
+					h2 := acquire(t, s)
+					calls(h2, mine)
+					for m := 0; m < members; m++ {
+						if leased := h2.MemberLeased(m) != nil; leased != (m == target) {
+							t.Fatalf("after a batch routed to member %d, member %d leased = %v", target, m, leased)
+						}
+					}
+					if st := s.Stats(); st.StaleReads != 0 {
+						t.Fatalf("%d stale reads with inline values", st.StaleReads)
+					}
+					h.Flush()
+					h2.Flush()
+				})
 			}
-			h := acquire(t, s)
-			s.Put(h, "warm", []byte("w")) // lease the member thread first
-			keys := make([]string, n)
-			vals := make([][]byte, n)
-			touched := make(map[int]bool)
-			for i := range keys {
-				keys[i] = workload.KeyString(int64(i))
-				vals[i] = []byte(fmt.Sprint(i)) // inline: <= InlineMaxLen
-				touched[s.ShardIndex(keys[i])] = true
-			}
-			want := uint64(2 * len(touched))
-			var b Batch
-			for _, call := range []struct {
-				name string
-				run  func()
-			}{
-				{"PutBatch (insert)", func() { s.PutBatch(h, keys, vals, &b) }},
-				{"PutBatch (overwrite)", func() { s.PutBatch(h, keys, vals, &b) }},
-				{"GetBatch", func() { s.GetBatch(h, keys, &b) }},
-			} {
-				before := opSeq(s)
-				call.run()
-				if d := opSeq(s) - before; d != want {
-					t.Fatalf("%s of %d keys over %d shards moved OpSeq by %d, want %d", call.name, n, len(touched), d, want)
-				}
-			}
-			for i, ok := range b.OK {
-				if !ok || !bytes.Equal(b.Vals[i], vals[i]) {
-					t.Fatalf("GetBatch[%d] = %q, %v, want %q", i, b.Vals[i], ok, vals[i])
-				}
-			}
-			if st := s.Stats(); st.StaleReads != 0 {
-				t.Fatalf("%d stale reads with inline values", st.StaleReads)
-			}
-			h.Flush()
 		})
 	}
 }

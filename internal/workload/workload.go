@@ -504,7 +504,7 @@ const (
 	// StorePut upserts one key with a fresh payload.
 	StorePut
 	// StoreMGet serves a batch of keys through the store's batched
-	// multi-get (one protected entry/exit per shard per batch).
+	// multi-get (one protected entry/exit per member domain per batch).
 	StoreMGet
 	// StoreScan walks a hashed-key window, returning value copies.
 	StoreScan
@@ -516,8 +516,8 @@ const (
 	// a cache's read-update cycle.
 	StoreRMW
 	// StoreMPut upserts a batch of keys through the store's batched
-	// multi-put (one protected entry/exit and one arena reservation
-	// pass per shard per batch) — the write-side mirror of StoreMGet.
+	// multi-put (one protected entry/exit per member domain per batch)
+	// — the write-side mirror of StoreMGet.
 	StoreMPut
 )
 
@@ -621,17 +621,22 @@ func KeyString(i int64) string {
 	return string(b[:])
 }
 
-// PutKey writes KeyString(i)'s bytes into b. The harness formats each
-// drawn rank's key into a buffer its worker reuses, so the key a
-// store op reads is as hot as a real client's and no rank → key table
-// sits between the draw and the op.
-func PutKey(b *[KeyLen]byte, i int64) {
+// PutKey writes KeyString(i)'s bytes into b and returns a string over
+// them without a copy, valid until b is next written. The trial harness
+// and the chaos injectors format each drawn rank's key into a buffer
+// their worker reuses and pass that string to one store op, which is
+// sound because the store never retains a key (the store package doc,
+// "Sharding and keys"); any other use must copy it. The key is then as
+// hot as a real client's, and no rank → key table puts a cache miss in
+// front of every op for the trial to time as store cost.
+func PutKey(b *[KeyLen]byte, i int64) string {
 	b[0] = 'k'
 	x := uint64(i)
 	for j := KeyLen - 1; j >= 1; j-- {
 		b[j] = hexDigits[x&0xf]
 		x >>= 4
 	}
+	return unsafe.String(&b[0], KeyLen)
 }
 
 // MinValueLen is the smallest payload of the full verifiable format:

@@ -260,15 +260,16 @@ func NewABTreeMap(d *Domain) OrderedMap { return abtree.New(d, nil) }
 //	h, _ := s.Acquire()                     // lease one group slot
 //	s.Put(h, "user:42", []byte("payload"))
 //	v, ok := s.Get(h, "user:42", nil)       // v is a private copy
-//	s.GetBatch(h, keys, &batch)             // one protected op per shard
+//	s.GetBatch(h, keys, &batch)             // one protected op per member
 //	s.PutBatch(h, keys, vals, &batch)       // batched protected upsert
 //	s.Scan(h, lo, hi, func(hk int64, v []byte) bool { ... })
 //	s.Release(h)
 //
 // GetBatch and PutBatch answer a whole batch with one protected
-// operation per shard group (sorted by shard and in-shard key), which
-// measurably beats per-key ops — see store.getbatch_ns_per_key in bench/
-// and BenchmarkStorePutBatch in internal/store. Scan yields (hashed key,
+// operation per member domain the batch touches (one, with a group of
+// one), which beats per-key ops — see store.getbatch_ns_per_key in
+// bench/, and BenchmarkStoreGetBatch16 and BenchmarkStorePutBatch in
+// internal/store. Scan yields (hashed key,
 // value copy) pairs on a store built with Ordered, whose shards are
 // (a,b)-trees; the default store's shards are hash tables, which are
 // unordered, and Scan panics on it.
