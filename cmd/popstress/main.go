@@ -9,18 +9,20 @@
 //   - reclamation counters stay sane: frees never exceed retires, and a
 //     run that retired plenty made progress;
 //   - served values pass their checksums;
-//   - under -store, the thread-slot lease ledger balances.
+//   - under -store, the thread-slot lease ledger balances;
+//   - under -store, the sampled timeline telescopes: its base plus every
+//     window's deltas reproduces the final counters and op count.
 //
 // No node pool poisons what it frees (core.NewNodes, their one
-// constructor, passes no poison function) and nothing calls
-// arena.Check, so a use-after-free is caught only where it breaks
-// something checked: a
-// served value failing its checksum (the chaos invariants under
-// -store; the store's stale-value storm, TestStoreStaleValueDetection,
-// does the same outside this driver), or a drain or counter invariant
-// that does not balance. A stale read on the key-only map matrix can go
-// unseen; ROADMAP item 12(a) is the oracle that would catch it. Exit
-// status 0 means every trial passed.
+// constructor, passes no poison function) and the node pool checks a
+// slot's sequence only on a double free, so a use-after-free is caught
+// only where it breaks something checked: a served value failing its
+// checksum (the chaos invariants under -store; the store's stale-value
+// storm, TestStoreStaleValueDetection, does the same outside this
+// driver), or a drain or counter invariant that does not balance. A
+// stale read on the key-only map matrix can go unseen; ROADMAP item
+// 12(a) is the oracle that would catch it. Exit status 0 means every
+// trial passed.
 //
 // Two modes:
 //
@@ -147,16 +149,25 @@ func storeChaos(policies []core.Policy, threads int, duration time.Duration, key
 			Seed:     seed,
 			Reclaim:  tuning,
 			Chaos:    chaos.Default(),
+			// Sampling on, so the timeline check below has ten
+			// windows to telescope.
+			SampleEvery: duration / 10,
 		})
 		if err != nil {
 			fmt.Printf("FAIL store %-13v run error: %v\n", p, err)
 			failures++
 			continue
 		}
+		if res.Timeline == nil {
+			fmt.Printf("FAIL store %-13v sampled trial returned no timeline\n", p)
+			failures++
+			continue
+		}
 		// The trial's workers still hold their handles at snapshot time;
 		// the injectors must have released theirs.
-		leases := chaos.Invariants{Policy: p}.CheckLifecycle(res.Lifecycle, threads)
-		if err := check(p, res.Core, leases...); err != nil {
+		iv := chaos.Invariants{Policy: p}
+		extra := append(iv.CheckLifecycle(res.Lifecycle, threads), iv.CheckTimeline(res.Timeline)...)
+		if err := check(p, res.Core, extra...); err != nil {
 			fmt.Printf("FAIL store %-13v %v\n", p, err)
 			failures++
 			continue

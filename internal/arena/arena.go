@@ -8,15 +8,17 @@
 // type-stable slabs and recycles them on Put. Because slabs are never
 // returned to the Go heap while the pool lives, a node pointer held past
 // its free does not crash. Every slot carries a sequence number that is
-// bumped on each free (Seq, Check), and NewPool takes an optional poison
-// function applied on free, so a stale reader could be caught
-// deterministically where C++ would segfault non-deterministically. No
-// structure wires either in: every data-structure node pool is built by
-// the one constructor core.NewNodes, which calls NewPool(nil, nil), and
-// Check has no caller outside this package's tests. What catches a stale read today sits above the arena: the value
-// checksums the harness verifies on every read, the dstest invariants
-// and reference-model checks, and core's seeded tape
-// (differential_test.go), which poisons the nodes it frees itself.
+// bumped on each free (Slot.Seq: odd while allocated, even while free),
+// and NewPool takes an optional poison function applied on free, so a
+// stale reader could be caught deterministically where C++ would
+// segfault non-deterministically. No structure wires either in: every
+// data-structure node pool is built by the one constructor
+// core.NewNodes, which calls NewPool(nil, nil), and Put's double-free
+// panic is the only check the pool makes. What catches a stale read
+// today sits above the arena: the value checksums the harness verifies
+// on every read, the dstest invariants and reference-model checks, and
+// core's seeded tape (differential_test.go), which poisons the nodes it
+// frees itself.
 //
 // Bytes is the second arena: the store's variable-size values, named by
 // Handles instead of pointers. Its slots come in 16 size classes, 2 to
@@ -212,20 +214,6 @@ func (c *ThreadCache[T]) Put(v *T) {
 		p.free = append(p.free, c.cache[len(c.cache)-batchSize:]...)
 		p.mu.Unlock()
 		c.cache = c.cache[:len(c.cache)-batchSize]
-	}
-}
-
-// Seq returns the current lifetime sequence number of the slot holding v.
-// Odd means allocated, even means free. Reading it from a non-owner
-// thread is inherently racy and intended only for debug checks.
-func Seq[T any](v *T) uint64 { return slotOf(v).Seq }
-
-// Check panics if v is not currently allocated: a pool-level
-// use-after-free assertion. No data structure calls it; only this
-// package's tests do (see the package comment).
-func Check[T any](v *T) {
-	if s := slotOf(v); s.Seq%2 == 0 {
-		panic(fmt.Sprintf("arena: use after free detected (seq=%d)", s.Seq))
 	}
 }
 

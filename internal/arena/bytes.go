@@ -46,7 +46,7 @@ import (
 // byte of a later tenant sees a moved header on its second load: a
 // reader whose two header loads agree read no bytes of a later tenant.
 // Read's header loads stay atomic, so the race is resolved by the
-// sequence validation, exactly the role the node pools' Seq/Check
+// sequence validation, exactly the role the node pools' Slot.Seq
 // discipline plays for pointers.
 //
 // Slot widths (classWords) step by 1.2–1.33× between 4 and 32 words,
@@ -89,8 +89,8 @@ const MaxValueLen = 8 * (bytesTopWords - 1)
 // Bit 63 is reserved-zero: the store layer tags values that are encoded
 // inline (not arena-backed at all) with that bit in the same uint64
 // slot, so a Handle must never set it. Dropping the sequence from 32 to
-// 31 bits halves the recycle count needed for a false CheckHandle
-// match, from 2^32 to 2^31 per-slot reuses within one reader's
+// 31 bits halves the recycle count needed for a stale handle to read
+// as live, from 2^32 to 2^31 per-slot reuses within one reader's
 // protected operation — still far beyond any reachable churn.
 type Handle uint64
 
@@ -104,13 +104,6 @@ func makeHandle(seq uint32, class, idx uint32) Handle {
 func (h Handle) seq() uint32   { return uint32(uint64(h)>>32) & handleSeqMask }
 func (h Handle) class() uint32 { return uint32(h) >> 28 }
 func (h Handle) idx() uint32   { return uint32(h) & (1<<28 - 1) }
-
-// SameSlot reports whether two handles name the same arena slot,
-// ignoring the lifetime sequence — true for a handle and the handle of
-// a later value recycled into its slot. Test/debug use.
-func (h Handle) SameSlot(o Handle) bool {
-	return h.class() == o.class() && h.idx() == o.idx()
-}
 
 // names reports whether slot header hdr is the live allocation h names:
 // its sequence is odd and matches the handle's.
@@ -139,7 +132,7 @@ func classFor(n int) uint32 {
 }
 
 // Bytes is the value arena. Alloc/Free go through per-thread
-// BytesCaches; Read and CheckHandle are safe from any goroutine.
+// BytesCaches; Read is safe from any goroutine.
 type Bytes struct {
 	classes [bytesClasses]bclass
 
@@ -312,31 +305,6 @@ func (b *Bytes) Read(h Handle, buf []byte) ([]byte, bool) {
 		return buf[:0], false
 	}
 	return buf, true
-}
-
-// CheckHandle reports whether h still names a live allocation: the
-// slot's sequence is odd and matches the handle. A false result is the
-// deterministic stale-value detection the store's tests assert on —
-// the analogue of Check for pointer arenas, minus the panic (stale
-// value handles are an expected event for readers that outlive an
-// overwrite, not a bug).
-func (b *Bytes) CheckHandle(h Handle) bool {
-	slab, base, ok := b.slotOf(h.class(), h.idx())
-	return ok && h.names(atomic.LoadUint64(&slab[base]))
-}
-
-// Len returns the payload length recorded for h, without copying.
-// ok=false under the same conditions as Read.
-func (b *Bytes) Len(h Handle) (int, bool) {
-	slab, base, ok := b.slotOf(h.class(), h.idx())
-	if !ok {
-		return 0, false
-	}
-	hdr := atomic.LoadUint64(&slab[base])
-	if !h.names(hdr) {
-		return 0, false
-	}
-	return int(hdr >> 32), true
 }
 
 // Outstanding returns Allocs-Frees (live + retired-but-unfreed values).

@@ -147,7 +147,7 @@ func storm(t *testing.T, p core.Policy, members int) {
 			break
 		}
 	}
-	vs = append(vs, iv.CheckDrained(g)...)
+	vs = append(vs, iv.CheckLeaked(g.Unreclaimed())...)
 	vs = append(vs, iv.CheckCounters(g.Stats())...)
 	// Drain leased the checker into every member, so the aggregated
 	// leased count is one thread per member.

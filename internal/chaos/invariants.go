@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"pop/internal/core"
-	"pop/internal/store"
 	"pop/internal/telemetry"
-	"pop/internal/workload"
 )
 
 // A Violation is one failed invariant: a stable invariant name plus a
 // human-readable detail. Storms report every violation, not just the
 // first, so one broken run paints the whole picture.
 type Violation struct {
-	Invariant string // "value-checksum", "value-errors", "drain", "counters", "lifecycle", "balance"
+	Invariant string // "value-errors", "drain", "counters", "lifecycle", "timeline"
 	Detail    string
 }
 
@@ -22,9 +20,9 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
 // Invariants checks the contracts every run must uphold regardless of
 // schedule: values verify, retired memory drains, reclamation counters
-// stay sane, thread-slot leases balance, and allocation balances
-// frees. Policy selects the per-policy exemptions (NR never frees by
-// design). Every check here has a seeded-violation test in this
+// stay sane, thread-slot leases balance, and a sampled timeline
+// telescopes. Policy selects the per-policy exemptions (NR never frees
+// by design). Every check here has a seeded-violation test in this
 // package proving it fires on the fault it claims to detect.
 type Invariants struct {
 	Policy core.Policy
@@ -35,36 +33,9 @@ func violate(vs []Violation, invariant, format string, args ...any) []Violation 
 	return append(vs, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 }
 
-// CheckValues walks keys through the store and verifies every present
-// value against its key's checksum ("value-checksum"): a stale, torn
-// or cross-key value — the value-plane symptom of a use-after-free —
-// fails. The walk runs on h as an ordinary reader.
-func (iv Invariants) CheckValues(h *core.GroupHandle, s *store.Store, keys []string) []Violation {
-	var vs []Violation
-	var buf []byte
-	bad := 0
-	for _, k := range keys {
-		v, ok := s.Get(h, k, buf)
-		if !ok {
-			continue
-		}
-		buf = v
-		if !workload.ValueBytesValid(store.KeyHash(k), v) {
-			bad++
-			if bad <= 3 { // name the first few, count the rest
-				vs = violate(vs, "value-checksum", "key %q served a value failing its checksum (%d bytes)", k, len(v))
-			}
-		}
-	}
-	if bad > 3 {
-		vs = violate(vs, "value-checksum", "%d keys total served checksum-failing values", bad)
-	}
-	return vs
-}
-
 // CheckValueErrors asserts a run's accumulated checksum-failure count
-// is zero ("value-errors") — the counter form of CheckValues, for
-// harnesses that verify inline.
+// is zero ("value-errors"): harnesses verify every served value inline
+// and count the failures.
 func (iv Invariants) CheckValueErrors(n uint64) []Violation {
 	if n == 0 {
 		return nil
@@ -80,13 +51,6 @@ func (iv Invariants) CheckLeaked(unreclaimed int64) []Violation {
 		return nil
 	}
 	return violate(nil, "drain", "%d nodes retired but unreclaimed after quiescent flush (want 0)", unreclaimed)
-}
-
-// CheckDrained is CheckLeaked against a live counter — a
-// *core.DomainGroup (the sum over its members; a flat domain is a group
-// of one) or a single *core.Domain.
-func (iv Invariants) CheckDrained(d interface{ Unreclaimed() int64 }) []Violation {
-	return iv.CheckLeaked(d.Unreclaimed())
 }
 
 // CheckCounters sanity-checks the reclamation counters ("counters"):
@@ -129,19 +93,6 @@ func (iv Invariants) CheckLifecycle(lc core.LifecycleStats, wantLeased int) []Vi
 		vs = violate(vs, "lifecycle", "peak leases %d exceed slot count %d", lc.Peak, lc.Slots)
 	}
 	return vs
-}
-
-// CheckBalance asserts allocation balances reclamation ("balance"):
-// after a quiescent flush, the structure's outstanding allocation
-// count must equal what is still reachable. outstanding is the
-// alloc-minus-free ledger (e.g. skiplist.Outstanding, Store.
-// Outstanding); live is the reachable population (e.g. Size). NR is
-// exempt: it leaks by design.
-func (iv Invariants) CheckBalance(outstanding, live int64) []Violation {
-	if iv.Policy == core.NR || outstanding == live {
-		return nil
-	}
-	return violate(nil, "balance", "%d allocations outstanding after flush, want exactly the %d live (leak or double-free)", outstanding, live)
 }
 
 // CheckTimeline asserts a sampled run's timeline telescopes

@@ -1,6 +1,6 @@
 // Seeded-violation tests: each invariant in Invariants is driven to
 // fire by deliberately injecting the fault it claims to detect — a
-// corrupted checksum, a leaked lease, a skipped retire, a skipped
+// corrupted checksum, a leaked lease, orphaned retires, a skipped
 // flush — plus a clean control proving the check passes when the fault
 // is absent. A checker that cannot fail is worse than no checker.
 package chaos
@@ -15,6 +15,34 @@ import (
 	"pop/internal/telemetry"
 	"pop/internal/workload"
 )
+
+// CheckValues walks keys through the store and verifies every present
+// value against its key's checksum ("value-checksum"): a stale, torn
+// or cross-key value — the value-plane symptom of a use-after-free —
+// fails. The walk runs on h as an ordinary reader; the storms run it
+// after their workers stop.
+func (iv Invariants) CheckValues(h *core.GroupHandle, s *store.Store, keys []string) []Violation {
+	var vs []Violation
+	var buf []byte
+	bad := 0
+	for _, k := range keys {
+		v, ok := s.Get(h, k, buf)
+		if !ok {
+			continue
+		}
+		buf = v
+		if !workload.ValueBytesValid(store.KeyHash(k), v) {
+			bad++
+			if bad <= 3 { // name the first few, count the rest
+				vs = violate(vs, "value-checksum", "key %q served a value failing its checksum (%d bytes)", k, len(v))
+			}
+		}
+	}
+	if bad > 3 {
+		vs = violate(vs, "value-checksum", "%d keys total served checksum-failing values", bad)
+	}
+	return vs
+}
 
 func hasInvariant(vs []Violation, name string) bool {
 	for _, v := range vs {
@@ -123,53 +151,6 @@ func TestSeededOrphanedRetires(t *testing.T) {
 	keeper.Release()
 }
 
-// TestSeededSkippedRetire: a node unlinked but never retired is a leak
-// the drain counter cannot see; "balance" (outstanding vs live) must
-// catch it.
-func TestSeededSkippedRetire(t *testing.T) {
-	d := core.NewDomain(core.EBR, 2, &core.Options{ReclaimThreshold: 4})
-	var outstanding atomic.Int64
-	typ := d.RegisterType(func(_ *core.Thread, _ *core.Header) { outstanding.Add(-1) })
-	th := d.RegisterThread()
-	defer th.Release()
-
-	alloc := func() *core.Header {
-		h := new(core.Header)
-		th.OnAlloc(h, typ)
-		outstanding.Add(1)
-		return h
-	}
-	nodes := make([]*core.Header, 4)
-	th.StartOp()
-	for i := range nodes {
-		nodes[i] = alloc()
-	}
-	// Seed the fault: "unlink" all four but forget to retire one.
-	for _, h := range nodes[:3] {
-		th.Retire(h)
-	}
-	th.EndOp()
-	th.Flush()
-
-	iv := Invariants{Policy: core.EBR}
-	vs := iv.CheckBalance(outstanding.Load(), 0)
-	if !hasInvariant(vs, "balance") {
-		t.Fatalf("skipped retire not detected: outstanding=%d, %v", outstanding.Load(), vs)
-	}
-	// Repair: retire the forgotten node; balance must go clean.
-	th.StartOp()
-	th.Retire(nodes[3])
-	th.EndOp()
-	th.Flush()
-	if vs := iv.CheckBalance(outstanding.Load(), 0); len(vs) != 0 {
-		t.Fatalf("control: balanced ledger reported %v (outstanding=%d)", vs, outstanding.Load())
-	}
-	// NR is exempt: it leaks by design.
-	if vs := (Invariants{Policy: core.NR}).CheckBalance(5, 0); len(vs) != 0 {
-		t.Errorf("NR not exempt from balance: %v", vs)
-	}
-}
-
 // TestSeededSkippedFlush: retires left sitting in a thread's list must
 // trip "drain"; flushing clears it.
 func TestSeededSkippedFlush(t *testing.T) {
@@ -186,12 +167,12 @@ func TestSeededSkippedFlush(t *testing.T) {
 	th.EndOp()
 
 	iv := Invariants{Policy: core.HE}
-	vs := iv.CheckDrained(d)
+	vs := iv.CheckLeaked(d.Unreclaimed())
 	if !hasInvariant(vs, "drain") {
 		t.Fatalf("skipped flush not detected (unreclaimed=%d): %v", d.Unreclaimed(), vs)
 	}
 	th.Flush()
-	if vs := iv.CheckDrained(d); len(vs) != 0 {
+	if vs := iv.CheckLeaked(d.Unreclaimed()); len(vs) != 0 {
 		t.Fatalf("control: drained domain reported %v (unreclaimed=%d)", vs, d.Unreclaimed())
 	}
 	th.Release()

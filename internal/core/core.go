@@ -280,9 +280,6 @@ func NewDomain(policy Policy, maxThreads int, opts *Options) *Domain {
 // Policy returns the domain's reclamation policy.
 func (d *Domain) Policy() Policy { return d.policy }
 
-// Epoch returns the current global era.
-func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
-
 // RegisterType registers the free function for one node type and returns
 // the type id to place in Header.Type at allocation. The free function
 // receives the reclaiming thread so it can return the node to that
@@ -511,9 +508,6 @@ func (d *Domain) free(t *Thread, h *Header) {
 	}
 	fn(t, h)
 }
-
-// MaxThreads returns the domain's thread capacity.
-func (d *Domain) MaxThreads() int { return d.maxThreads }
 
 // Unreclaimed returns the number of retired-but-unfreed nodes across all
 // threads — orphaned retire lists awaiting adoption included — plus

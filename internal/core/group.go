@@ -130,10 +130,6 @@ func (h *GroupHandle) Member(i int) *Thread {
 	return t
 }
 
-// MemberLeased returns the handle's thread in member i if one has been
-// leased, else nil — the non-leasing observer for flush/stat paths.
-func (h *GroupHandle) MemberLeased(i int) *Thread { return h.threads[i] }
-
 // Flush drains the retire lists of every member thread this handle has
 // leased (Thread.Flush per member).
 func (h *GroupHandle) Flush() {

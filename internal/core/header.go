@@ -25,9 +25,6 @@ type Header struct {
 	retiredFlag atomic.Uint32
 }
 
-// Retired reports whether the node is currently in some retire list.
-func (h *Header) Retired() bool { return h.retiredFlag.Load() == 1 }
-
 // Atomic is a CAS-able cell holding a (possibly tag-marked) node pointer.
 // It is the only way data structures read or write shared links, which
 // lets the reclamation layer own the memory-ordering story.

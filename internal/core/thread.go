@@ -562,9 +562,6 @@ func (t *Thread) retiredGrew() {
 	t.retiredLen.Store(uint32(n))
 }
 
-// RetireListLen returns the current retire-list length (owner only).
-func (t *Thread) RetireListLen() int { return len(t.retired) }
-
 // Poll is a reclamation safepoint for threads that are busy outside
 // Protect calls (the harness's "delayed but running" workers). It models
 // the fact that a POSIX signal interrupts arbitrary user code.

@@ -39,8 +39,8 @@
 // returns: a failed invariant, a mismatch against the reference model,
 // or a broken overwrite chain. Node pools have no poison function
 // (core.NewNodes, their one constructor, passes none to the arena) and
-// nothing calls arena.Check, so a stale read that still returns the
-// right answer passes; core's seeded tape (differential_test.go) is the
+// check a slot's sequence only on a double free, so a stale read that
+// still returns the right answer passes; core's seeded tape (differential_test.go) is the
 // check that poisons freed nodes.
 package dstest
 

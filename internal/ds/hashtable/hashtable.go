@@ -50,9 +50,6 @@ func New(d *core.Domain, expectedKeys int64, loadFactor int, freeVal func(*core.
 	return t
 }
 
-// Buckets returns the bucket count.
-func (t *Table) Buckets() int { return len(t.heads) }
-
 // Outstanding reports pool-level live+retired nodes (memory metric).
 func (t *Table) Outstanding() int64 { return t.l.Outstanding() }
 

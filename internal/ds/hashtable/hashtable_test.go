@@ -54,6 +54,21 @@ func TestBucketDistribution(t *testing.T) {
 	}
 }
 
+// TestNewBucketCount pins New's sizing: expectedKeys divided by the load
+// factor, rounded up to a power of two, and at least one bucket. The
+// store's shards are the 2^17-key, one-key-per-bucket case.
+func TestNewBucketCount(t *testing.T) {
+	d := core.NewDomain(core.NR, 1, nil)
+	for _, c := range []struct {
+		keys       int64
+		load, want int
+	}{{1, 6, 1}, {64 * 6, 6, 64}, {65 * 6, 6, 128}, {1 << 17, 1, 1 << 17}} {
+		if got := hashtable.New(d, c.keys, c.load, nil).Buckets(); got != c.want {
+			t.Errorf("New(%d keys, load %d) has %d buckets, want %d", c.keys, c.load, got, c.want)
+		}
+	}
+}
+
 // TestNewAllocsIndependentOfBuckets pins that a bucket is a word of the
 // heads array and owns no heap object: building a table of 2^17
 // expected keys allocates exactly as many objects as one of 2^10.

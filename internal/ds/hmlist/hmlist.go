@@ -182,15 +182,6 @@ func (l *List) InitHead(head *core.Atomic) { head.Raw(unsafe.Pointer(l.tail)) }
 // over every chain of the list.
 func (l *List) Outstanding() int64 { return l.nodes.Outstanding() }
 
-// Handoffs reports the retire-handoff balance: deferred counts unlink
-// winners that found LINKING set and handed the retire to the inserter;
-// adopted counts FinishLinking calls that observed RETIREREQ and
-// performed the handed-off retire. At quiescence the two must be equal —
-// every deferred retire was adopted by exactly one inserter.
-func (l *List) Handoffs() (deferred, adopted int64) {
-	return l.deferred.Load(), l.adopted.Load()
-}
-
 // EnableLinking switches the list into linking mode: nodes publish with
 // LINKING set, PutInOpHinted returns the published node, and the caller
 // must call FinishLinking once it stops touching it. purge, if non-nil,

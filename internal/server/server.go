@@ -167,9 +167,6 @@ func New(cfg Config) (*Server, error) {
 // The caller owns the sampler's Start/Stop lifecycle.
 func (s *Server) SetTelemetry(t *telemetry.Sampler) { s.sampler.Store(t) }
 
-// Telemetry returns the attached sampler (nil if none).
-func (s *Server) Telemetry() *telemetry.Sampler { return s.sampler.Load() }
-
 // ExtraNames lists the serving counters the server contributes to
 // telemetry samples (telemetry.ExtrasSource).
 func (s *Server) ExtraNames() []string {
@@ -696,6 +693,7 @@ func (c *conn) doStats(arg string) bool {
 		emit("slots", "%d", s.cfg.Slots)
 		emit("slots_inuse", "%d", len(s.adm))
 		emit("slots_peak", "%d", s.admPeak.Load())
+		emit("group_slots_inuse", "%d", s.g.InUse())
 		emit("admission_queue", "%d", s.admQueue.Load())
 		emit("admission_waits", "%d", st.AdmissionWaits)
 		emit("admission_timeouts", "%d", st.AdmissionTimeouts)

@@ -150,7 +150,7 @@ func closeClean(t *testing.T, s *Server) {
 	}
 	iv := chaos.Invariants{Policy: s.Group().Policy()}
 	var vs []chaos.Violation
-	vs = append(vs, iv.CheckDrained(s.Group())...)
+	vs = append(vs, iv.CheckLeaked(s.Group().Unreclaimed())...)
 	// The drain leased the checker into every member it flushed; allow
 	// either footprint (no drain needed = zero member leases).
 	lc := s.Group().Lifecycle()
@@ -253,6 +253,10 @@ func TestServerProtocolE2E(t *testing.T) {
 	// burst itself holds no lease.
 	if st["slots_inuse"] != "0" || st["admission_queue"] != "0" {
 		t.Errorf("idle server: slots_inuse = %s, admission_queue = %s, want 0, 0", st["slots_inuse"], st["admission_queue"])
+	}
+	// The group's slots are leased by the two shard handles alone.
+	if st["group_slots_inuse"] != "2" {
+		t.Errorf("idle server: group_slots_inuse = %s, want 2 (the shard handles)", st["group_slots_inuse"])
 	}
 	for _, k := range []string{"cmd_get", "cmd_set", "get_hits", "slots",
 		"admission_wait_p99_us", "executor_gets", "lifecycle_leased", "policy"} {

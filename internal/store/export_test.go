@@ -25,11 +25,6 @@ func (s *Store) ReadRaw(h arena.Handle, buf []byte) ([]byte, bool) {
 	return s.vals.Read(h, buf)
 }
 
-// CheckRawHandle reports whether h still names a live arena slot.
-func (s *Store) CheckRawHandle(h arena.Handle) bool {
-	return s.vals.CheckHandle(h)
-}
-
 // ValueSlotsOutstanding reports live+retired value-arena slots — zero
 // for a store whose every value is inline-encoded.
 func (s *Store) ValueSlotsOutstanding() int64 {

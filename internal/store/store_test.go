@@ -129,8 +129,8 @@ func TestStoreMemberMapping(t *testing.T) {
 	}
 	h := acquire(t, s)
 	for i := range make([]struct{}, 4) {
-		if h.MemberLeased(i) != nil {
-			t.Fatalf("member %d leased before any operation", i)
+		if n := g.Member(i).Lifecycle().Leased; n != 0 {
+			t.Fatalf("member %d has %d threads leased before any operation", i, n)
 		}
 	}
 	// One Put touches exactly one shard, hence one member.
@@ -138,9 +138,8 @@ func TestStoreMemberMapping(t *testing.T) {
 	si := s.ShardIndex(key)
 	s.Put(h, key, []byte("v"))
 	for i := range make([]struct{}, 4) {
-		if want := i == s.MemberIndex(si); (h.MemberLeased(i) != nil) != want {
-			t.Fatalf("after touching shard %d, member %d leased=%v want %v",
-				si, i, h.MemberLeased(i) != nil, want)
+		if leased, want := g.Member(i).Lifecycle().Leased == 1, i == s.MemberIndex(si); leased != want {
+			t.Fatalf("after touching shard %d, member %d leased=%v want %v", si, i, leased, want)
 		}
 	}
 	h.Flush()
@@ -772,9 +771,13 @@ func TestStoreBatchOneOpPerMember(t *testing.T) {
 						}
 					}
 					h2 := acquire(t, s)
+					leasedBefore := make([]int, members)
+					for m := range leasedBefore {
+						leasedBefore[m] = g.Member(m).Lifecycle().Leased
+					}
 					calls(h2, mine)
 					for m := 0; m < members; m++ {
-						if leased := h2.MemberLeased(m) != nil; leased != (m == target) {
+						if leased := g.Member(m).Lifecycle().Leased > leasedBefore[m]; leased != (m == target) {
 							t.Fatalf("after a batch routed to member %d, member %d leased = %v", target, m, leased)
 						}
 					}
@@ -805,7 +808,8 @@ func TestStoreScanUnorderedPanics(t *testing.T) {
 }
 
 // TestStoreDefaultBacking pins what Config.Ordered builds: the zero
-// Config is an unordered hash table of 2^17 one-word buckets per shard,
+// Config is an unordered hash table per shard sized for 2^17 keys (one
+// per bucket: TestNewBucketCount pins the bucket count),
 // whose Scan panics naming the missing Ordered; Ordered is an (a,b)-tree
 // per shard, whose Scan yields each shard's keys ascending.
 func TestStoreDefaultBacking(t *testing.T) {
@@ -816,9 +820,12 @@ func TestStoreDefaultBacking(t *testing.T) {
 	if s.Ordered() {
 		t.Fatal("the zero Config built an ordered store")
 	}
+	if n := s.cfg.ExpectedKeysPerShard; n != 1<<17 {
+		t.Fatalf("the zero Config sizes shards for %d keys, want %d", n, 1<<17)
+	}
 	for i := range s.shards {
-		if n := s.shards[i].m.(*hashtable.Table).Buckets(); n != 1<<17 {
-			t.Fatalf("shard %d has %d buckets, want %d", i, n, 1<<17)
+		if _, ok := s.shards[i].m.(*hashtable.Table); !ok {
+			t.Fatalf("shard %d is a %T, want a hash table", i, s.shards[i].m)
 		}
 	}
 	t.Run("Ordered", func(t *testing.T) {

@@ -130,7 +130,8 @@ type StallEvent struct {
 // the same monotone counter words. Final is that load at Stop, so it
 // equals CoreSource.Stats whenever nothing has retired or reclaimed
 // since — no flush or release has to come first.
-// chaos.Invariants.CheckTimeline asserts it.
+// chaos.Invariants.CheckTimeline asserts it on every popstress -store
+// trial.
 type Timeline struct {
 	Every      time.Duration `json:"every_ns"`
 	Base       core.Stats    `json:"base"` // cumulative snapshot at Start (plus any folded samples)

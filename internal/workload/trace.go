@@ -86,24 +86,6 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	return ops, nil
 }
 
-// AppendTrace renders ops back into the ParseTrace line format —
-// useful for generating sample traces and for round-trip tests. An op
-// with no trace form (StoreMGet, StoreMPut) is written under its own
-// name, which ParseTrace rejects.
-func AppendTrace(buf []byte, ops []TraceOp) []byte {
-	for _, op := range ops {
-		buf = append(buf, op.Op.String()...)
-		buf = append(buf, ',')
-		buf = append(buf, op.Key...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(op.Size), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, op.Offset.Microseconds(), 10)
-		buf = append(buf, '\n')
-	}
-	return buf
-}
-
 // TraceKeys returns the distinct keys appearing in ops, in first-seen
 // order — the load set a replay prefills so reads hit.
 func TraceKeys(ops []TraceOp) []string {

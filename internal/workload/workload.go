@@ -322,19 +322,6 @@ func (s *Sampler) NextInsert() int64 {
 	return k
 }
 
-// Frontier returns the Latest insert frontier (0 otherwise).
-func (s *Sampler) Frontier() int64 { return s.frontier }
-
-// Rank draws an unscrambled Zipfian rank (0 = hottest); uniform for a
-// Uniform sampler. Exposed so the sampler's distribution is directly
-// testable.
-func (s *Sampler) Rank() int64 {
-	if s.z == nil {
-		return s.r.Intn(s.n)
-	}
-	return s.z.next(s.r)
-}
-
 // zipfState is the YCSB-style Zipfian generator (Gray et al.'s
 // "Quickly generating billion-record synthetic databases" method): one
 // O(n) zeta computation at construction, then O(1) per draw.
@@ -486,9 +473,6 @@ func (g *Generator) Value(key int64) uint64 {
 // Key returns a key in [0, keyRange) under the generator's distribution
 // (prefill use).
 func (g *Generator) Key() int64 { return g.keys.Next() }
-
-// KeyIn returns a uniform key in [0, n).
-func (g *Generator) KeyIn(n int64) int64 { return g.r.Intn(n) }
 
 // ---------------------------------------------------------------------
 // Store-workload dialect: string keys, byte values, serving mixes.

@@ -151,9 +151,6 @@ func TestQuickKeysInRange(t *testing.T) {
 			if k := g.Key(); k < 0 || k >= keyRange {
 				return false
 			}
-			if k := g.KeyIn(7); k < 0 || k >= 7 {
-				return false
-			}
 		}
 		return true
 	}

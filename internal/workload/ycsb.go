@@ -35,14 +35,6 @@ var ycsbWorkloads = []YCSBWorkload{
 	{"F", "read-modify-write: 50% read / 50% rmw, zipfian", StoreMix{GetPct: 50, RMWPct: 50}, Zipf},
 }
 
-// YCSBWorkloads returns the six core workloads A–F in order. The slice
-// is a copy; callers may reorder or filter it.
-func YCSBWorkloads() []YCSBWorkload {
-	out := make([]YCSBWorkload, len(ycsbWorkloads))
-	copy(out, ycsbWorkloads)
-	return out
-}
-
 // ParseYCSB resolves a workload by letter ("A".."F", case-insensitive).
 func ParseYCSB(name string) (YCSBWorkload, error) {
 	n := strings.ToUpper(strings.TrimSpace(name))

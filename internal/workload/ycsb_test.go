@@ -14,7 +14,7 @@ import (
 func TestYCSBMixFrequencies(t *testing.T) {
 	const draws = 100_000
 	const tolerance = 1.5 // percentage points
-	for _, w := range YCSBWorkloads() {
+	for _, w := range ycsbWorkloads {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			if !w.Mix.Valid() {
