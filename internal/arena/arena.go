@@ -26,7 +26,10 @@
 // slot's first word is its header, len<<32 | seq32. Alloc publishes it
 // after the payload, Free stores the next (even) sequence, and Read
 // checks it before and after its copy, so a stale handle reads as stale
-// rather than as another value's bytes (bytes.go).
+// rather than as another value's bytes (bytes.go). Both arenas run on
+// one free-list core (freelist.go): a Pool is one class and Bytes is
+// sixteen, each a shared list under its own lock, and one registry per
+// arena sums its caches' counts.
 //
 // Design points that matter for the benchmarks:
 //
@@ -34,9 +37,9 @@
 //     reclaimer's cache and are reused by its next allocations, exactly
 //     like mimalloc's sharded free lists, which the paper's §5.0.1 calls
 //     out as necessary to avoid allocator-induced scalability collapse.
-//   - A global overflow list (mutex-protected, batch transfers) bounds
-//     per-thread hoarding when producers and consumers are different
-//     threads.
+//   - A shared overflow list per class (mutex-protected, batch
+//     transfers) bounds per-thread hoarding when producers and
+//     consumers are different threads.
 //   - Both lists are last-in-first-out and neither knows a slot's
 //     address, so the pool places the next allocations in the reverse
 //     of whatever order a burst of frees arrived in. What mimalloc's
@@ -45,17 +48,17 @@
 //     core.Thread.sweep frees a reclamation pass's nodes grouped by
 //     address.
 //   - Per-cache counters. A thread cache counts its own allocs and frees
-//     with single-writer Counters (counter.go): padding alone stops false
-//     sharing, not the read-modify-write every thread would otherwise pay
-//     on one shared word. Stats and Outstanding sum over the pool's
-//     registry of caches, so the memory statistics (the paper's
-//     memory-consumption plots) read exact counts at quiescence, and a
-//     cache's counts survive the hand-over of its thread slot.
+//     with single-writer Counters: padding alone stops false sharing,
+//     not the read-modify-write every thread would otherwise pay on one
+//     shared word. Each allocator's registry sums its caches' counts
+//     under a lock of its own, which no refill or spill takes, so the
+//     memory statistics (the paper's memory-consumption plots) read
+//     exact counts at quiescence, and a cache's counts survive the
+//     hand-over of its thread slot.
 package arena
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"pop/internal/padded"
@@ -67,12 +70,8 @@ import (
 const slabSize = 4096
 
 // batchSize is the number of nodes moved between a thread cache and the
-// global overflow list in one transfer.
+// shared list in one transfer.
 const batchSize = 256
-
-// maxCache is the per-thread cache size above which frees overflow to the
-// global list.
-const maxCache = 4 * batchSize
 
 // Slot wraps a node with the pool's bookkeeping. Seq is incremented on
 // every Put, so a reader that captured (node, seq) can detect that the
@@ -86,86 +85,57 @@ type Slot[T any] struct {
 	V T
 }
 
-// Stats is a snapshot of pool counters.
-type Stats struct {
-	Allocs      uint64 // total Get calls
-	Frees       uint64 // total Put calls
-	Outstanding int64  // Allocs - Frees (live + retired-but-unfreed nodes)
-	Slabs       int    // slabs ever allocated
-}
-
 // Pool is a type-stable allocator for nodes of type T.
 //
 // Allocation goes through ThreadCache handles, one per thread, and is
 // safe for concurrent use that way. Pool.Get is the handle-less path: it
 // draws straight from the shared list, safe but slower (a lock per call).
 type Pool[T any] struct {
-	mu     sync.Mutex
-	free   []*Slot[T] // global overflow free list
-	slabs  [][]Slot[T]
-	poison func(*T) // optional: scrambles payload on free (debug)
-	reset  func(*T) // optional: zeroes payload on alloc
-
-	caches   []*ThreadCache[T] // every cache, for Stats: counts live in the caches
-	detached uint64            // Pool.Get calls (under mu)
+	registry
+	list   shared[*Slot[T]]
+	slabs  [][]Slot[T] // every slab, under list.mu: never returned to the heap
+	poison func(*T)    // optional: scrambles payload on free (debug)
+	reset  func(*T)    // optional: zeroes payload on alloc
 }
 
 // NewPool returns an empty pool. reset, if non-nil, is applied to every
 // node before Get returns it; poison, if non-nil, is applied on Put so
 // that use-after-free reads observe scrambled data in tests.
 func NewPool[T any](reset, poison func(*T)) *Pool[T] {
-	return &Pool[T]{reset: reset, poison: poison}
+	p := &Pool[T]{reset: reset, poison: poison}
+	p.list.reg = &p.registry
+	p.list.grow = func(free []*Slot[T]) []*Slot[T] {
+		slab := make([]Slot[T], slabSize)
+		p.slabs = append(p.slabs, slab)
+		for i := range slab {
+			free = append(free, &slab[i])
+		}
+		return free
+	}
+	return p
 }
 
 // ThreadCache is a per-thread allocation cache. Not safe for concurrent
 // use by multiple goroutines (one per worker thread, by construction).
 type ThreadCache[T any] struct {
-	p             *Pool[T]
-	cache         []*Slot[T]
-	allocs, frees Counter
-	_             [padded.CacheLine]byte // the next cache's words are not this owner's
+	p     *Pool[T]
+	cache []*Slot[T]
+	counts
+	_ [padded.CacheLine]byte // the next cache's words are not this owner's
 }
 
-// NewCache returns a thread cache bound to the pool. The pool keeps it,
-// so its counts outlive its owner.
+// NewCache returns a thread cache bound to the pool. The pool keeps its
+// counts, so they outlive its owner.
 func (p *Pool[T]) NewCache() *ThreadCache[T] {
-	c := &ThreadCache[T]{p: p, cache: make([]*Slot[T], 0, maxCache)}
-	p.mu.Lock()
-	p.caches = append(p.caches, c)
-	p.mu.Unlock()
+	c := &ThreadCache[T]{p: p, cache: make([]*Slot[T], 0, cacheBatches*batchSize)}
+	p.add(&c.counts)
 	return c
-}
-
-// grow allocates a slab and pushes its slots on the global free list.
-// Caller holds p.mu.
-func (p *Pool[T]) grow() {
-	slab := make([]Slot[T], slabSize)
-	p.slabs = append(p.slabs, slab)
-	for i := range slab {
-		p.free = append(p.free, &slab[i])
-	}
-}
-
-// refill moves up to batchSize slots from the global list into the cache.
-func (c *ThreadCache[T]) refill() {
-	p := c.p
-	p.mu.Lock()
-	if len(p.free) == 0 {
-		p.grow()
-	}
-	n := batchSize
-	if n > len(p.free) {
-		n = len(p.free)
-	}
-	c.cache = append(c.cache, p.free[len(p.free)-n:]...)
-	p.free = p.free[:len(p.free)-n]
-	p.mu.Unlock()
 }
 
 // Get allocates a node. The returned pointer is valid until Put.
 func (c *ThreadCache[T]) Get() *T {
 	if len(c.cache) == 0 {
-		c.refill()
+		c.cache = c.p.list.take(c.cache, batchSize)
 	}
 	s := c.cache[len(c.cache)-1]
 	c.cache = c.cache[:len(c.cache)-1]
@@ -181,14 +151,9 @@ func (c *ThreadCache[T]) Get() *T {
 // shared list, so no batch moves into a cache that may never be used
 // again. Any ThreadCache of the pool may Put it.
 func (p *Pool[T]) Get() *T {
-	p.mu.Lock()
-	if len(p.free) == 0 {
-		p.grow()
-	}
-	s := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.detached++
-	p.mu.Unlock()
+	var one [1]*Slot[T]
+	s := p.list.take(one[:0], 1)[0]
+	p.detached.Add(1)
 	s.Seq++ // even -> odd: now allocated
 	if p.reset != nil {
 		p.reset(&s.V)
@@ -208,43 +173,9 @@ func (c *ThreadCache[T]) Put(v *T) {
 	s.Seq++ // odd -> even: now free
 	c.frees.Add(1)
 	c.cache = append(c.cache, s)
-	if len(c.cache) >= maxCache {
-		p := c.p
-		p.mu.Lock()
-		p.free = append(p.free, c.cache[len(c.cache)-batchSize:]...)
-		p.mu.Unlock()
-		c.cache = c.cache[:len(c.cache)-batchSize]
+	if len(c.cache) >= cacheBatches*batchSize {
+		c.cache = c.p.list.spill(c.cache, batchSize)
 	}
-}
-
-// Stats returns a snapshot of the pool counters. Outstanding can be
-// momentarily negative in a racing snapshot (one cache may free a node
-// another's count has not yet shown allocated); callers treat it as an
-// approximation (it is exact once the pool is quiescent).
-func (p *Pool[T]) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	a, f := p.countsLocked()
-	return Stats{Allocs: a, Frees: f, Outstanding: int64(a) - int64(f), Slabs: len(p.slabs)}
-}
-
-// Outstanding returns Allocs-Frees.
-func (p *Pool[T]) Outstanding() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	a, f := p.countsLocked()
-	return int64(a) - int64(f)
-}
-
-// countsLocked sums the caches' counts and the handle-less Gets. Caller
-// holds p.mu.
-func (p *Pool[T]) countsLocked() (allocs, frees uint64) {
-	allocs = p.detached
-	for _, c := range p.caches {
-		allocs += c.allocs.Load()
-		frees += c.frees.Load()
-	}
-	return allocs, frees
 }
 
 // slotOf recovers the Slot header from a payload pointer. V is at a fixed

@@ -2,7 +2,6 @@ package arena
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"pop/internal/padded"
@@ -68,12 +67,8 @@ var classWords = [bytesClasses]uint32{2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 
 const bytesSlabSlots = 1024
 
 // bytesBatch is the number of slot indices moved between a thread cache
-// and a class's global free list in one transfer.
+// and a class's shared list in one transfer.
 const bytesBatch = 64
-
-// bytesMaxCache is the per-thread, per-class cache size above which
-// frees overflow to the global list.
-const bytesMaxCache = 4 * bytesBatch
 
 // MaxValueLen is the largest payload Bytes can hold: the top class's
 // slot minus its header word.
@@ -111,16 +106,6 @@ func (h Handle) names(hdr uint64) bool {
 	return hdr&1 == 1 && uint32(hdr)&handleSeqMask == h.seq()
 }
 
-// bclass is one size class: a mutex-protected global free list plus a
-// copy-on-grow directory of slabs readers can index without the lock. A
-// slab is bytesSlabSlots slots of classWords[c] words each, fixed-length
-// once created; all element accesses are atomic.
-type bclass struct {
-	mu    sync.Mutex
-	free  []uint32 // free slot indices (global overflow)
-	slabs atomic.Pointer[[][]uint64]
-}
-
 // classFor returns the smallest class whose capacity holds n bytes.
 func classFor(n int) uint32 {
 	for c, w := range classWords {
@@ -134,73 +119,61 @@ func classFor(n int) uint32 {
 // Bytes is the value arena. Alloc/Free go through per-thread
 // BytesCaches; Read is safe from any goroutine.
 type Bytes struct {
-	classes [bytesClasses]bclass
-
-	mu     sync.Mutex
-	caches []*BytesCache // every cache, for Stats: counts live in the caches
+	// dirs is each class's copy-on-grow directory of slabs, which Read
+	// indexes without a lock. A slab is bytesSlabSlots slots of
+	// classWords[c] words each, fixed-length once created; all element
+	// accesses are atomic. The directories sit together, apart from the
+	// free lists' mutexes.
+	dirs [bytesClasses]atomic.Pointer[[][]uint64]
+	registry
+	classes [bytesClasses]shared[uint32] // each class's free slot indices
 }
 
 // NewBytes returns an empty value arena.
-func NewBytes() *Bytes { return &Bytes{} }
+func NewBytes() *Bytes {
+	b := &Bytes{}
+	for c := range b.classes {
+		dir := &b.dirs[c]
+		b.classes[c].reg = &b.registry
+		b.classes[c].grow = func(free []uint32) []uint32 {
+			var slabs [][]uint64
+			if old := dir.Load(); old != nil {
+				slabs = append(slabs, *old...)
+			}
+			base := uint32(len(slabs)) * bytesSlabSlots
+			slabs = append(slabs, make([]uint64, bytesSlabSlots*int(classWords[c])))
+			dir.Store(&slabs)
+			for i := range uint32(bytesSlabSlots) {
+				free = append(free, base+i)
+			}
+			return free
+		}
+	}
+	return b
+}
 
 // BytesCache is a per-thread allocation cache over a Bytes arena. Not
 // safe for concurrent use (one per worker thread, by construction).
 type BytesCache struct {
-	b             *Bytes
-	free          [bytesClasses][]uint32
-	allocs, frees Counter
-	_             [padded.CacheLine]byte // the next cache's words are not this owner's
+	b    *Bytes
+	free [bytesClasses][]uint32
+	counts
+	_ [padded.CacheLine]byte // the next cache's words are not this owner's
 }
 
 // NewCache returns a thread cache bound to the arena. The arena keeps
-// it, so its counts outlive its owner.
+// its counts, so they outlive its owner.
 func (b *Bytes) NewCache() *BytesCache {
 	c := &BytesCache{b: b}
-	b.mu.Lock()
-	b.caches = append(b.caches, c)
-	b.mu.Unlock()
+	b.add(&c.counts)
 	return c
-}
-
-// grow allocates one slab for class c and pushes its slot indices on the
-// class free list. Caller holds the class mutex.
-func (b *Bytes) grow(c uint32) {
-	cl := &b.classes[c]
-	old := cl.slabs.Load()
-	var slabs [][]uint64
-	if old != nil {
-		slabs = append(slabs, *old...)
-	}
-	base := uint32(len(slabs)) * bytesSlabSlots
-	slabs = append(slabs, make([]uint64, bytesSlabSlots*int(classWords[c])))
-	cl.slabs.Store(&slabs)
-	for i := uint32(0); i < bytesSlabSlots; i++ {
-		cl.free = append(cl.free, base+i)
-	}
-}
-
-// refill moves up to bytesBatch slot indices from the class's global
-// list into the cache.
-func (c *BytesCache) refill(class uint32) {
-	cl := &c.b.classes[class]
-	cl.mu.Lock()
-	if len(cl.free) == 0 {
-		c.b.grow(class)
-	}
-	n := bytesBatch
-	if n > len(cl.free) {
-		n = len(cl.free)
-	}
-	c.free[class] = append(c.free[class], cl.free[len(cl.free)-n:]...)
-	cl.free = cl.free[:len(cl.free)-n]
-	cl.mu.Unlock()
 }
 
 // slotOf resolves a (class, idx) pair to its slab and the index of the
 // slot's header word in it. ok=false means idx names a slab that was
 // never allocated — only possible for a corrupted handle.
 func (b *Bytes) slotOf(class, idx uint32) (slab []uint64, base uint32, ok bool) {
-	slabs := b.classes[class].slabs.Load()
+	slabs := b.dirs[class].Load()
 	si := idx / bytesSlabSlots
 	if slabs == nil || si >= uint32(len(*slabs)) {
 		return nil, 0, false
@@ -213,7 +186,7 @@ func (b *Bytes) slotOf(class, idx uint32) (slab []uint64, base uint32, ok bool) 
 func (c *BytesCache) Alloc(v []byte) Handle {
 	class := classFor(len(v))
 	if len(c.free[class]) == 0 {
-		c.refill(class)
+		c.free[class] = c.b.classes[class].take(c.free[class], bytesBatch)
 	}
 	idx := c.free[class][len(c.free[class])-1]
 	c.free[class] = c.free[class][:len(c.free[class])-1]
@@ -259,12 +232,8 @@ func (c *BytesCache) Free(h Handle) {
 	storeRelease(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
 	c.frees.Add(1)
 	c.free[class] = append(c.free[class], idx)
-	if len(c.free[class]) >= bytesMaxCache {
-		cl := &c.b.classes[class]
-		cl.mu.Lock()
-		cl.free = append(cl.free, c.free[class][len(c.free[class])-bytesBatch:]...)
-		cl.mu.Unlock()
-		c.free[class] = c.free[class][:len(c.free[class])-bytesBatch]
+	if len(c.free[class]) >= cacheBatches*bytesBatch {
+		c.free[class] = c.b.classes[class].spill(c.free[class], bytesBatch)
 	}
 }
 
@@ -305,45 +274,6 @@ func (b *Bytes) Read(h Handle, buf []byte) ([]byte, bool) {
 		return buf[:0], false
 	}
 	return buf, true
-}
-
-// Outstanding returns Allocs-Frees (live + retired-but-unfreed values).
-func (b *Bytes) Outstanding() int64 {
-	a, f := b.counts()
-	return int64(a) - int64(f)
-}
-
-// counts sums the caches' allocs and frees. Exact once the arena is
-// quiescent; mid-run each sum is monotone, but a cache may free a slot
-// another cache's count has not yet shown allocated.
-func (b *Bytes) counts() (allocs, frees uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, c := range b.caches {
-		allocs += c.allocs.Load()
-		frees += c.frees.Load()
-	}
-	return allocs, frees
-}
-
-// BytesStats is a snapshot of value-arena counters.
-type BytesStats struct {
-	Allocs      uint64 // total Alloc calls
-	Frees       uint64 // total Free calls
-	Outstanding int64  // Allocs - Frees
-	Slabs       int    // slabs ever allocated, all classes
-}
-
-// Stats returns a snapshot of the arena counters.
-func (b *Bytes) Stats() BytesStats {
-	a, f := b.counts()
-	slabs := 0
-	for c := range b.classes {
-		if s := b.classes[c].slabs.Load(); s != nil {
-			slabs += len(*s)
-		}
-	}
-	return BytesStats{Allocs: a, Frees: f, Outstanding: int64(a) - int64(f), Slabs: slabs}
 }
 
 // leWord packs b[0:8] little-endian into a word.

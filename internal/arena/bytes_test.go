@@ -126,10 +126,10 @@ func TestBytesSlabFootprint(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			cl.mu.Lock()
-			b.grow(c)
+			cl.free = cl.grow(cl.free)
 			cl.mu.Unlock()
 			runtime.ReadMemStats(&after)
-			if got := len((*cl.slabs.Load())[0]); got != want {
+			if got := len((*b.dirs[c].Load())[0]); got != want {
 				t.Fatalf("class %d: slab of %d words, want %d", c, got, want)
 			}
 			extra = min(extra, int64(after.TotalAlloc-before.TotalAlloc)-8*int64(want))
@@ -150,7 +150,7 @@ func TestBytesStaleHandleAfterRecycle(t *testing.T) {
 	// allocation must not be readable through the old handle.
 	var reused Handle
 	var live []Handle
-	for i := 0; i < 10*bytesMaxCache; i++ {
+	for i := 0; i < 10*cacheBatches*bytesBatch; i++ {
 		nh := c.Alloc([]byte("recycled payload"))
 		if sameSlot(nh, h) {
 			reused = nh

@@ -3,9 +3,10 @@ package core
 import (
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"pop/internal/arena"
 )
 
 // TestStatsAddFoldsEveryField fails when a field is added to Stats and
@@ -69,8 +70,8 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 }
 
 // TestCountersBackEveryStatsField fails when a field is added to Stats
-// without a per-thread counter behind it: counters must hold one atomic
-// word per Stats field, in the same order under the same name, and load
+// without a per-thread counter behind it: counters must hold one
+// arena.Counter per Stats field, in the same order under the same name, and load
 // must copy each word, set to a distinct value, into its own field.
 func TestCountersBackEveryStatsField(t *testing.T) {
 	st, ct := reflect.TypeFor[Stats](), reflect.TypeFor[counters]()
@@ -81,10 +82,10 @@ func TestCountersBackEveryStatsField(t *testing.T) {
 	cv := reflect.ValueOf(&c).Elem()
 	for i := 0; i < ct.NumField(); i++ {
 		f := ct.Field(i)
-		if !strings.EqualFold(f.Name, st.Field(i).Name) || f.Type != reflect.TypeFor[atomic.Uint64]() {
-			t.Fatalf("counters field %d is %s %v, want an atomic.Uint64 named %s", i, f.Name, f.Type, st.Field(i).Name)
+		if !strings.EqualFold(f.Name, st.Field(i).Name) || f.Type != reflect.TypeFor[arena.Counter]() {
+			t.Fatalf("counters field %d is %s %v, want an arena.Counter named %s", i, f.Name, f.Type, st.Field(i).Name)
 		}
-		(*atomic.Uint64)(unsafe.Pointer(cv.Field(i).UnsafeAddr())).Store(uint64(100 + i))
+		(*arena.Counter)(unsafe.Pointer(cv.Field(i).UnsafeAddr())).Add(uint64(100 + i))
 	}
 	sv := reflect.ValueOf(c.load())
 	for i := 0; i < sv.NumField(); i++ {

@@ -552,12 +552,12 @@ func (t *Thread) Retire(h *Header) {
 }
 
 // retiredGrew republishes the retire list's length after an append and
-// raises the MaxRetire word if the list outgrew it; nothing else stores
-// that word.
+// raises the MaxRetire word to it if the list outgrew it; nothing else
+// adds to that word.
 func (t *Thread) retiredGrew() {
 	n := uint64(len(t.retired))
-	if n > t.stats.maxRetire.Load() {
-		t.stats.maxRetire.Store(n)
+	if m := t.stats.maxRetire.Load(); n > m {
+		t.stats.maxRetire.Add(n - m)
 	}
 	t.retiredLen.Store(uint32(n))
 }

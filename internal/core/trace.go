@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
+	"pop/internal/arena"
 	"pop/internal/report"
 )
 
@@ -11,18 +11,20 @@ import (
 // counters and histograms that internal/telemetry samples mid-run.
 // Nothing here is written by StartOp, Protect or EndOp.
 
-// counters is a thread's Stats as single-writer atomic words, one per
-// field: the owner adds where the event happens — a retire, a pass and
-// its EpochPOP mode, a ping broadcast, a slot walk, a publish, an NBR
-// restart, a free — and any goroutine loads them, so Domain.Stats is
-// exact and race-free mid-run. A Retire pays one uncontended add on a
-// line only its owner writes; a pass pays a handful; maxRetire is
-// stored only when the list outgrows it. Each word is monotone on its
-// own, which is what interval deltas need; a snapshot of several words
-// taken mid-run is not a cut across them.
+// counters is a thread's Stats as single-writer words, one
+// arena.Counter per field: the owner adds where the event happens — a
+// retire, a pass and its EpochPOP mode, a ping broadcast, a slot walk,
+// a publish, an NBR restart, a free — and any goroutine loads them, so
+// Domain.Stats is exact and race-free mid-run. Every add runs on the
+// slot's current tenant, and a slot passes between tenants only through
+// a lease, so no word has a second writer: an add is a load and a
+// release store on a line only its owner writes, with no locked
+// instruction. maxRetire grows only when the list outgrows it. Each word
+// is monotone on its own, which is what interval deltas need; a
+// snapshot of several words taken mid-run is not a cut across them.
 type counters struct {
 	retires, frees, reclaims, epochReclaims, popReclaims, pingsSent,
-	threadsScanned, publishes, restarts, maxRetire atomic.Uint64
+	threadsScanned, publishes, restarts, maxRetire arena.Counter
 }
 
 // load reads every word into a Stats value.

@@ -284,7 +284,7 @@ func TestStoreStatsExact(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				got := s.Stats()
-				got.Values = arena.BytesStats{Allocs: got.Values.Allocs}
+				got.Values = arena.Stats{Allocs: got.Values.Allocs}
 				if got != want {
 					t.Fatalf("%s: Stats\n got %+v\nwant %+v", when, got, want)
 				}

@@ -852,7 +852,7 @@ type Stats struct {
 	ScanPairs  uint64 // pairs yielded by scans
 	StaleReads uint64 // value reads that lost to reclamation and retried
 
-	Values arena.BytesStats // value-arena counters
+	Values arena.Stats // value-arena counters
 }
 
 // Stats sums every thread slot's counts. Exact once the store is
