@@ -135,12 +135,12 @@ func main() {
 }
 
 // shutdown closes the server, verifies the lease drain, and prints the
-// final counters.
+// final counters, read once Close has folded every connection's.
 func shutdown(s *server.Server) error {
-	st := s.Stats()
 	if err := s.Close(); err != nil {
 		return err
 	}
+	st := s.Stats()
 	lc := s.Group().Lifecycle()
 	adm := s.AdmissionWait()
 	fmt.Printf("popserve: served %d gets (%d hits), %d sets, %d deletes over %d connections\n",

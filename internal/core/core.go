@@ -242,8 +242,6 @@ type Domain struct {
 	freeFns [maxTypes]func(*Thread, *Header)
 	ntypes  int
 
-	leaked padded.Int64 // nodes dropped by NR (never freed)
-
 	// Reclamation trace histograms (see trace.go): per-pass ping→ack
 	// wait and whole-pass duration, recorded by whichever thread runs
 	// the pass. Always on — passes are threshold-gated, so two clock
@@ -416,8 +414,6 @@ func (d *Domain) finishRelease(t *Thread) {
 		d.orphansDonated += uint64(donated)
 		d.orphanLen.Add(donated)
 	}
-	t.retiredLen.Store(0)
-	t.batchedLen.Store(0)
 	d.freeSlots = append(d.freeSlots, t.tid)
 	d.leasedCount--
 	d.releases++
@@ -460,10 +456,17 @@ func (l *LifecycleStats) Add(o LifecycleStats) {
 func (d *Domain) Lifecycle() LifecycleStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	leases := make([]uint64, len(d.threads))
+	l := d.lifecycleCounts()
+	l.SlotLeases = make([]uint64, len(d.threads))
 	for i, t := range d.threads {
-		leases[i] = t.incarnation.Load()
+		l.SlotLeases[i] = t.incarnation.Load()
 	}
+	return l
+}
+
+// lifecycleCounts is Lifecycle without the SlotLeases vector, which a
+// group's fold would throw away. d.mu must be held.
+func (d *Domain) lifecycleCounts() LifecycleStats {
 	return LifecycleStats{
 		Slots:          len(d.threads),
 		Leased:         d.leasedCount,
@@ -472,7 +475,6 @@ func (d *Domain) Lifecycle() LifecycleStats {
 		OrphanNodes:    d.orphanLen.Load(),
 		OrphansDonated: d.orphansDonated,
 		OrphansAdopted: d.orphansAdopted,
-		SlotLeases:     leases,
 	}
 }
 
@@ -509,16 +511,21 @@ func (d *Domain) free(t *Thread, h *Header) {
 	fn(t, h)
 }
 
-// Unreclaimed returns the number of retired-but-unfreed nodes across all
-// threads — orphaned retire lists awaiting adoption included — plus
-// nodes leaked by NR. It is exact when the domain is quiescent and
-// approximate otherwise.
+// Unreclaimed returns the number of retired-but-unfreed nodes, orphans
+// included: the threads' Retires less their Frees (NR frees nothing).
+// Exact when the domain is quiescent; mid-run every Frees word loads
+// before any Retires word, and a retire counts before its free, so it
+// never goes below zero.
 func (d *Domain) Unreclaimed() int64 {
-	total := d.leaked.Load() + d.orphanLen.Load()
-	for _, t := range d.threadList() {
-		total += int64(t.retiredLen.Load()) + t.batchedLen.Load()
+	ts := d.threadList()
+	var n uint64
+	for _, t := range ts {
+		n -= t.stats.frees.Load()
 	}
-	return total
+	for _, t := range ts {
+		n += t.stats.retires.Load()
+	}
+	return int64(n)
 }
 
 // Stats aggregates per-thread statistics. Any goroutine may call it,

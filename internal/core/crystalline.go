@@ -49,7 +49,6 @@ func (t *Thread) seal(min int) {
 	bs := t.batches
 	bs.full = append(bs.full, b)
 	bs.pending += len(b.nodes)
-	t.batchedLen.Store(int64(bs.pending))
 	t.retired = t.retired[:0]
 }
 
@@ -85,5 +84,4 @@ func (t *Thread) reclaimCrystalline(final bool) {
 		bs.pending -= len(b.nodes)
 	}
 	bs.full = kept
-	t.batchedLen.Store(int64(bs.pending))
 }

@@ -250,14 +250,15 @@ func (g *DomainGroup) Unreclaimed() int64 {
 func (g *DomainGroup) Lifecycle() LifecycleStats {
 	var agg LifecycleStats
 	for _, d := range g.members {
-		agg.Add(d.Lifecycle())
+		d.mu.Lock()
+		agg.Add(d.lifecycleCounts())
+		d.mu.Unlock()
 	}
 	g.mu.Lock()
-	leases := make([]uint64, len(g.handles))
+	agg.SlotLeases = make([]uint64, len(g.handles))
 	for i, h := range g.handles {
-		leases[i] = h.leases
+		agg.SlotLeases[i] = h.leases
 	}
 	g.mu.Unlock()
-	agg.SlotLeases = leases
 	return agg
 }

@@ -258,3 +258,33 @@ func TestGroupConstructionPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupLifecycleAllocs pins DomainGroup.Lifecycle to one allocation,
+// the group-slot vector: it folds each member's counts without building
+// the member's own SlotLeases, which the group would discard. A
+// telemetry tick, a /metrics scrape and a server stats reply each read
+// it.
+func TestGroupLifecycleAllocs(t *testing.T) {
+	g := core.NewDomainGroup(core.EBR, 4, 3, nil)
+	var hs []*core.GroupHandle
+	for range 2 {
+		h, err := g.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m < g.Members(); m++ {
+			h.Member(m) // lease a thread in every member
+		}
+		hs = append(hs, h)
+	}
+	var lc core.LifecycleStats
+	if n := testing.AllocsPerRun(100, func() { lc = g.Lifecycle() }); n != 1 {
+		t.Fatalf("Lifecycle allocates %v times on a 4-member group, want 1", n)
+	}
+	if lc.Slots != 8 || lc.Leased != 8 || len(lc.SlotLeases) != 2 {
+		t.Fatalf("Lifecycle = %+v, want 8 member slots leased and 2 group slots", lc)
+	}
+	for _, h := range hs {
+		g.Release(h)
+	}
+}

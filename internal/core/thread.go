@@ -63,10 +63,6 @@ type Thread struct {
 	// ibrLo/ibrHi are IBR's reserved interval.
 	ibrLo padded.Uint64
 	ibrHi padded.Uint64
-	// retiredLen mirrors len(retired) for Domain.Unreclaimed.
-	retiredLen padded.Uint32
-	// batchedLen mirrors the Crystalline-lite sealed-batch population.
-	batchedLen padded.Int64
 	// incarnation counts leases of this slot (monotone, bumped by the
 	// domain on each lease): tenant k+1 of a reused slot is
 	// distinguishable from tenant k even though tid is identical.
@@ -236,7 +232,6 @@ func (t *Thread) adoptOrphans() {
 			bs.pending += len(b.nodes)
 		}
 		bs.full = append(bs.full, batches...)
-		t.batchedLen.Store(int64(bs.pending))
 	}
 }
 
@@ -539,7 +534,9 @@ func (t *Thread) Retire(h *Header) {
 	t.sinceReclaim++
 	switch t.policy {
 	case NR:
-		t.leak()
+		// NR leaks: the retires count above is what Unreclaimed reports,
+		// and the list stays empty, so NR has no backlog and no pass.
+		t.retired = t.retired[:0]
 	case Crystalline:
 		t.seal(t.d.opts.BatchSize)
 		fallthrough
@@ -548,18 +545,16 @@ func (t *Thread) Retire(h *Header) {
 			t.pass(false)
 		}
 	}
-	t.retiredLen.Store(uint32(len(t.retired)))
 }
 
-// retiredGrew republishes the retire list's length after an append and
-// raises the MaxRetire word to it if the list outgrew it; nothing else
-// adds to that word.
+// retiredGrew raises the MaxRetire word to the retire list's length
+// after an append if the list outgrew it; nothing else adds to that
+// word.
 func (t *Thread) retiredGrew() {
 	n := uint64(len(t.retired))
 	if m := t.stats.maxRetire.Load(); n > m {
 		t.stats.maxRetire.Add(n - m)
 	}
-	t.retiredLen.Store(uint32(n))
 }
 
 // Poll is a reclamation safepoint for threads that are busy outside
@@ -592,7 +587,7 @@ func (t *Thread) Flush() { t.pass(true) }
 // Crystalline seals its open tail, and EpochPOP escalates if anything
 // at all is left.
 //
-// NR has no pass: it leaks at every retire (Thread.leak), so its list
+// NR has no pass: it leaks at every retire (Thread.Retire), so its list
 // is empty at quiescence, its Release never donates orphans, and there
 // is nothing to adopt, count or time.
 func (t *Thread) pass(final bool) {
@@ -625,7 +620,6 @@ func (t *Thread) pass(final bool) {
 	case Crystalline:
 		t.reclaimCrystalline(final)
 	}
-	t.retiredLen.Store(uint32(len(t.retired)))
 	t.d.recordPass(start)
 }
 

@@ -72,20 +72,16 @@ func (d *Domain) PingAckHist() report.Histogram { return d.pingAckH.Snapshot() }
 func (d *Domain) PassDurHist() report.Histogram { return d.passDurH.Snapshot() }
 
 // PingAckHist merges the ping-ack distributions of all members.
-func (g *DomainGroup) PingAckHist() report.Histogram {
-	var out report.Histogram
-	for _, d := range g.members {
-		h := d.pingAckH.Snapshot()
-		out.Merge(&h)
-	}
-	return out
-}
+func (g *DomainGroup) PingAckHist() report.Histogram { return g.merge((*Domain).PingAckHist) }
 
 // PassDurHist merges the pass-duration distributions of all members.
-func (g *DomainGroup) PassDurHist() report.Histogram {
+func (g *DomainGroup) PassDurHist() report.Histogram { return g.merge((*Domain).PassDurHist) }
+
+// merge sums one distribution over the members.
+func (g *DomainGroup) merge(of func(*Domain) report.Histogram) report.Histogram {
 	var out report.Histogram
 	for _, d := range g.members {
-		h := d.passDurH.Snapshot()
+		h := of(d)
 		out.Merge(&h)
 	}
 	return out

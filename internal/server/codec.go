@@ -18,6 +18,9 @@
 //     the admission budget, so a read-heavy load never queues behind
 //     Slots. Multi-key gets, sets and deletes run on the burst's lease.
 //
+// Serving counts keep the one counting rule (ARCHITECTURE, § Telemetry,
+// "The counters"): one block per connection, folded in as it closes.
+//
 // This file is the protocol codec: request-line parsing and data-chunk
 // framing, kept free of net so it is table-testable and fuzzable.
 package server

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pop/internal/arena"
 	"pop/internal/core"
 	"pop/internal/padded"
 	"pop/internal/report"
@@ -81,29 +81,78 @@ type Server struct {
 	closed  atomic.Bool
 	connWG  sync.WaitGroup // accept loop + connection goroutines
 
-	mu     sync.Mutex
-	conns  map[uint64]*conn
-	nextID uint64
+	mu           sync.Mutex
+	conns        map[uint64]*conn
+	nextID       uint64
+	closedCounts connCounts // every connection that left conns, folded (mu-guarded)
 
 	// adm is the admission semaphore: a running burst holds one of its
 	// Slots tokens. Blocked senders are served in arrival order, so
 	// queued bursts are admitted FIFO and a newcomer cannot jump them.
 	adm      chan struct{}
-	admPeak  atomic.Int64 // most tokens held at once
-	admQueue atomic.Int64 // bursts blocked on adm now
-	admWaits atomic.Uint64
+	admPeak  atomic.Int64           // most tokens held at once
+	admQueue atomic.Int64           // bursts blocked on adm now
 	admWait  report.AtomicHistogram // admission-queue wait per burst (ns)
 
 	sampler atomic.Pointer[telemetry.Sampler] // attached via SetTelemetry
 
-	accepted  atomic.Uint64
-	cmdGet    atomic.Uint64 // get/gets commands (not keys)
-	cmdSet    atomic.Uint64 // set+add commands
-	cmdDelete atomic.Uint64
-	getKeys   atomic.Uint64 // keys asked across get/gets
-	getHits   atomic.Uint64
-	admTimeos atomic.Uint64 // bursts that timed out in the admission queue
-	protoErrs atomic.Uint64 // CLIENT_ERROR/ERROR responses
+	accepted arena.Counter // connections accepted (the accept loop's)
+}
+
+// The counts of a connCounts block, by index.
+const (
+	getHits     = iota // keys found (before getKeys: see addTo)
+	getKeys            // keys asked across get/gets
+	cmdGet             // get/gets commands
+	cmdSet             // set/add commands
+	cmdDelete          // delete commands
+	cmdOther           // stats, version and quit commands
+	loneGets           // single-key gets served on the shard handles
+	protoErrs          // CLIENT_ERROR/ERROR replies
+	admissions         // bursts that leased a thread
+	admQueued          // bursts that queued for an admission token
+	admTimeouts        // bursts that timed out in the admission queue
+	admNanos           // admission wait, summed over bursts (ns)
+	bytesIn
+	bytesOut
+	numCounts
+)
+
+// connCounts is one connection's serving counts. The connection's
+// goroutine adds to them once per event and any goroutine loads them.
+// When the connection leaves Server.conns, its counts fold into
+// Server.closedCounts in the same critical section, so a sum under
+// Server.mu sees each connection exactly once (ARCHITECTURE,
+// § Telemetry, "The counters").
+type connCounts [numCounts]arena.Counter
+
+// addTo adds every count of c to sum, in index order, so hits load
+// before keys: a get adds its keys before any hit it counts, so every
+// hit this load sees has its keys visible to the later load.
+func (c *connCounts) addTo(sum *connCounts) {
+	for i := range c {
+		sum[i].Add(c[i].Load())
+	}
+}
+
+// totals sums the closed connections' counts and every open
+// connection's, and counts the open ones.
+func (s *Server) totals() (sum connCounts, open int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closedCounts.addTo(&sum)
+	for _, c := range s.conns {
+		c.counts.addTo(&sum)
+	}
+	return sum, len(s.conns)
+}
+
+// leave takes c out of conns and folds its counts into closedCounts.
+func (s *Server) leave(c *conn) {
+	s.mu.Lock()
+	delete(s.conns, c.id)
+	c.counts.addTo(&s.closedCounts)
+	s.mu.Unlock()
 }
 
 // shard is one store shard's lone-get path: a group handle leased in
@@ -115,10 +164,9 @@ type Server struct {
 // never queues behind Slots, and the handles never show in
 // slots_inuse.
 type shard struct {
-	mu   sync.Mutex
-	h    *core.GroupHandle
-	gets atomic.Uint64          // lone gets served on h
-	_    [padded.CacheLine]byte // neighbouring shards' locks on other lines
+	mu sync.Mutex
+	h  *core.GroupHandle
+	_  [padded.CacheLine]byte // neighbouring shards' locks on other lines
 }
 
 // New builds the domain group, the store, and one get handle per
@@ -177,9 +225,9 @@ func (s *Server) ExtraNames() []string {
 // ReadExtras appends the current cumulative serving counters, aligned
 // with ExtraNames (telemetry.ExtrasSource).
 func (s *Server) ReadExtras(dst []uint64) []uint64 {
-	return append(dst, s.accepted.Load(), s.cmdGet.Load(), s.cmdSet.Load(),
-		s.cmdDelete.Load(), s.getKeys.Load(), s.getHits.Load(),
-		s.admTimeos.Load(), s.protoErrs.Load())
+	st := s.Stats()
+	return append(dst, st.Accepted, st.CmdGet, st.CmdSet, st.CmdDelete,
+		st.GetKeys, st.GetHits, st.AdmissionTimeouts, st.ProtocolErrors)
 }
 
 // Store exposes the store underneath (prefill, direct inspection).
@@ -293,31 +341,23 @@ type Stats struct {
 	ProtocolErrors    uint64 // ERROR/CLIENT_ERROR replies
 }
 
-// Stats aggregates the server's counters.
+// Stats sums every connection's counts, open and closed.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	open := len(s.conns)
-	s.mu.Unlock()
-	// Hits load before keys: a get adds its keys before (in program
-	// order) any hit it counts, so every hit this load sees has its key
-	// add visible to the later keys load, and GetMisses cannot wrap.
-	hits := s.getHits.Load()
+	n, open := s.totals()
 	st := Stats{
 		Accepted:          s.accepted.Load(),
 		Conns:             open,
-		CmdGet:            s.cmdGet.Load(),
-		CmdSet:            s.cmdSet.Load(),
-		CmdDelete:         s.cmdDelete.Load(),
-		GetKeys:           s.getKeys.Load(),
-		GetHits:           hits,
-		AdmissionWaits:    s.admWaits.Load(),
-		AdmissionTimeouts: s.admTimeos.Load(),
-		ProtocolErrors:    s.protoErrs.Load(),
+		CmdGet:            n[cmdGet].Load(),
+		CmdSet:            n[cmdSet].Load(),
+		CmdDelete:         n[cmdDelete].Load(),
+		GetKeys:           n[getKeys].Load(),
+		GetHits:           n[getHits].Load(),
+		ExecutorGets:      n[loneGets].Load(),
+		AdmissionWaits:    n[admQueued].Load(),
+		AdmissionTimeouts: n[admTimeouts].Load(),
+		ProtocolErrors:    n[protoErrs].Load(),
 	}
 	st.GetMisses = st.GetKeys - st.GetHits
-	for i := range s.shards {
-		st.ExecutorGets += s.shards[i].gets.Load()
-	}
 	return st
 }
 
@@ -326,16 +366,14 @@ func (s *Server) Stats() Stats {
 // ---------------------------------------------------------------------
 
 // conn is one client connection: a goroutine, a codec, reply scratch,
-// and per-connection accounting (the per-tenant groundwork: ops and
-// bytes per connection, admission waits per burst).
+// and its counts (the per-tenant groundwork: ops and bytes per
+// connection, admission waits per burst).
 type conn struct {
 	id  uint64
 	srv *Server
 	nc  net.Conn
 	cr  *Reader
 	w   *bufio.Writer
-	in  *socketReader
-	out *countingWriter
 
 	cmd   Command
 	vbuf  []byte      // set/add payload scratch
@@ -344,14 +382,7 @@ type conn struct {
 
 	th *core.GroupHandle // held only inside a burst
 
-	// Counters read by stats from other goroutines.
-	ops      atomic.Uint64
-	gets     atomic.Uint64 // keys requested
-	hits     atomic.Uint64
-	sets     atomic.Uint64
-	deletes  atomic.Uint64
-	admWaits atomic.Uint64 // bursts that acquired a thread
-	admNanos atomic.Uint64 // total admission wait
+	counts connCounts
 }
 
 // socketReader is the codec's only way to the socket, and so the
@@ -360,42 +391,31 @@ type conn struct {
 // connection returns its lease and flushes the replies it owes. A
 // connection never blocks on its client holding a slot or withholding
 // an answer.
-type socketReader struct {
-	c *conn
-	n atomic.Uint64
-}
+type socketReader struct{ c *conn }
 
-func (r *socketReader) Read(p []byte) (int, error) {
+func (r socketReader) Read(p []byte) (int, error) {
 	r.c.dropThread()
 	if err := r.c.w.Flush(); err != nil {
 		return 0, err
 	}
 	n, err := r.c.nc.Read(p)
-	r.n.Add(uint64(n))
+	r.c.counts[bytesIn].Add(uint64(n))
 	return n, err
 }
 
-type countingWriter struct {
-	w io.Writer
-	n atomic.Uint64
-}
+// connWriter is the reply buffer's way to the socket, counting bytes.
+type connWriter struct{ c *conn }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(uint64(n))
+func (w connWriter) Write(p []byte) (int, error) {
+	n, err := w.c.nc.Write(p)
+	w.c.counts[bytesOut].Add(uint64(n))
 	return n, err
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	out := &countingWriter{w: nc}
-	c := &conn{
-		srv: s,
-		nc:  nc,
-		w:   bufio.NewWriterSize(out, 16<<10),
-		out: out,
-	}
-	c.in = &socketReader{c: c}
-	c.cr = NewReader(c.in, s.st.MaxValueLen())
+	c := &conn{srv: s, nc: nc}
+	c.w = bufio.NewWriterSize(connWriter{c}, 16<<10)
+	c.cr = NewReader(socketReader{c}, s.st.MaxValueLen())
 	return c
 }
 
@@ -412,9 +432,7 @@ func (c *conn) serve() {
 	defer func() {
 		c.dropThread()
 		c.nc.Close()
-		s.mu.Lock()
-		delete(s.conns, c.id)
-		s.mu.Unlock()
+		s.leave(c)
 		s.connWG.Done()
 	}()
 	for {
@@ -433,17 +451,16 @@ func (c *conn) serve() {
 // recoverProtocol answers a recoverable protocol error; false means the
 // connection is unusable.
 func (c *conn) recoverProtocol(err error) bool {
-	s := c.srv
 	var ce ClientError
 	switch {
 	case errors.As(err, &ce):
-		s.protoErrs.Add(1)
+		c.counts[protoErrs].Add(1)
 		return c.reply("CLIENT_ERROR " + string(ce) + crlf)
 	case errors.Is(err, ErrUnknownCommand):
-		s.protoErrs.Add(1)
+		c.counts[protoErrs].Add(1)
 		return c.reply("ERROR" + crlf)
 	case errors.Is(err, ErrValueTooLarge):
-		s.protoErrs.Add(1)
+		c.counts[protoErrs].Add(1)
 		return c.reply("SERVER_ERROR object too large for cache" + crlf)
 	default:
 		return false // io error: peer gone or stream unrecoverable
@@ -452,19 +469,19 @@ func (c *conn) recoverProtocol(err error) bool {
 
 const crlf = "\r\n"
 
+// opCount is the count a command of each Op adds to, once, at dispatch.
+var opCount = [...]int{OpGet: cmdGet, OpGets: cmdGet, OpSet: cmdSet, OpAdd: cmdSet,
+	OpDelete: cmdDelete, OpStats: cmdOther, OpQuit: cmdOther, OpVersion: cmdOther}
+
 // dispatch executes one parsed command; false closes the connection.
 func (c *conn) dispatch() bool {
-	s := c.srv
-	c.ops.Add(1)
+	c.counts[opCount[c.cmd.Op]].Add(1)
 	switch c.cmd.Op {
 	case OpGet, OpGets:
-		s.cmdGet.Add(1)
 		return c.doGet(c.cmd.Op == OpGets)
 	case OpSet, OpAdd:
-		s.cmdSet.Add(1)
 		return c.doSet(c.cmd.Op == OpAdd)
 	case OpDelete:
-		s.cmdDelete.Add(1)
 		return c.doDelete()
 	case OpStats:
 		return c.doStats(c.cmd.StatsArg)
@@ -478,16 +495,17 @@ func (c *conn) dispatch() bool {
 
 var errAdmissionTimeout = errors.New("admission queue timeout")
 
-// admit takes an admission token for a burst. A free token costs no
+// admit takes an admission token for c's burst. A free token costs no
 // timer; otherwise the burst queues, counted as a wait, for at most
 // AcquireTimeout. false means it timed out.
-func (s *Server) admit() bool {
+func (c *conn) admit() bool {
+	s := c.srv
 	select {
 	case s.adm <- struct{}{}:
 		return true
 	default:
 	}
-	s.admWaits.Add(1)
+	c.counts[admQueued].Add(1)
 	s.admQueue.Add(1)
 	defer s.admQueue.Add(-1)
 	t := time.NewTimer(s.cfg.AcquireTimeout)
@@ -509,12 +527,12 @@ func (c *conn) needThread() (*core.GroupHandle, error) {
 	}
 	s := c.srv
 	start := time.Now()
-	admitted := s.admit()
+	admitted := c.admit()
 	wait := time.Since(start)
 	s.admWait.Record(wait.Nanoseconds())
-	c.admNanos.Add(uint64(wait.Nanoseconds()))
+	c.counts[admNanos].Add(uint64(wait.Nanoseconds()))
 	if !admitted {
-		s.admTimeos.Add(1)
+		c.counts[admTimeouts].Add(1)
 		return nil, errAdmissionTimeout
 	}
 	held := int64(len(s.adm)) // admPeak = max(admPeak, held)
@@ -527,7 +545,7 @@ func (c *conn) needThread() (*core.GroupHandle, error) {
 		<-s.adm
 		return nil, err
 	}
-	c.admWaits.Add(1)
+	c.counts[admissions].Add(1)
 	c.th = th
 	return th, nil
 }
@@ -549,14 +567,12 @@ func (c *conn) dropThread() {
 func (c *conn) doGet(withCas bool) bool {
 	s := c.srv
 	keys := c.cmd.Keys
-	s.getKeys.Add(uint64(len(keys)))
-	c.gets.Add(uint64(len(keys)))
+	c.counts[getKeys].Add(uint64(len(keys)))
 	if len(keys) == 1 {
-		val, ok := s.get(keys[0], c.gbuf)
+		val, ok := c.get(keys[0], c.gbuf)
 		c.gbuf = val[:0]
 		if ok {
-			s.getHits.Add(1)
-			c.hits.Add(1)
+			c.counts[getHits].Add(1)
 			if !c.writeValue(keys[0], val, withCas) {
 				return false
 			}
@@ -573,8 +589,7 @@ func (c *conn) doGet(withCas bool) bool {
 		if !b.OK[i] {
 			continue
 		}
-		s.getHits.Add(1)
-		c.hits.Add(1)
+		c.counts[getHits].Add(1)
 		if !c.writeValue(k, b.Vals[i], withCas) {
 			return false
 		}
@@ -583,12 +598,13 @@ func (c *conn) doGet(withCas bool) bool {
 }
 
 // get answers a single-key get on the key's shard handle, copying the
-// value into buf[:0] (Store.Get).
-func (s *Server) get(key string, buf []byte) ([]byte, bool) {
+// value into buf[:0] (Store.Get), and counts it as a lone get.
+func (c *conn) get(key string, buf []byte) ([]byte, bool) {
+	s := c.srv
+	c.counts[loneGets].Add(1)
 	sh := &s.shards[s.st.ShardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.gets.Add(1)
 	return s.st.Get(sh.h, key, buf)
 }
 
@@ -613,7 +629,6 @@ func (c *conn) doSet(ifAbsent bool) bool {
 	if err != nil {
 		return c.cmd.Noreply || c.reply("SERVER_ERROR "+err.Error()+crlf)
 	}
-	c.sets.Add(1)
 	key := c.cmd.Keys[0]
 	stored := true
 	if ifAbsent {
@@ -636,7 +651,6 @@ func (c *conn) doDelete() bool {
 	if err != nil {
 		return c.cmd.Noreply || c.reply("SERVER_ERROR "+err.Error()+crlf)
 	}
-	c.deletes.Add(1)
 	ok := s.st.Delete(th, c.cmd.Keys[0])
 	if c.cmd.Noreply {
 		return true
@@ -726,16 +740,18 @@ func (c *conn) doStats(arg string) bool {
 		s.mu.Unlock()
 		sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
 		for _, cc := range conns {
+			var n connCounts
+			cc.counts.addTo(&n)
 			p := fmt.Sprintf("conn.%d.", cc.id)
-			emit(p+"ops", "%d", cc.ops.Load())
-			emit(p+"get_keys", "%d", cc.gets.Load())
-			emit(p+"get_hits", "%d", cc.hits.Load())
-			emit(p+"sets", "%d", cc.sets.Load())
-			emit(p+"deletes", "%d", cc.deletes.Load())
-			emit(p+"bytes_in", "%d", cc.in.n.Load())
-			emit(p+"bytes_out", "%d", cc.out.n.Load())
-			emit(p+"admissions", "%d", cc.admWaits.Load())
-			emit(p+"admission_wait_us", "%d", cc.admNanos.Load()/1e3)
+			emit(p+"ops", "%d", n[cmdGet].Load()+n[cmdSet].Load()+n[cmdDelete].Load()+n[cmdOther].Load())
+			emit(p+"get_keys", "%d", n[getKeys].Load())
+			emit(p+"get_hits", "%d", n[getHits].Load())
+			emit(p+"sets", "%d", n[cmdSet].Load())
+			emit(p+"deletes", "%d", n[cmdDelete].Load())
+			emit(p+"bytes_in", "%d", n[bytesIn].Load())
+			emit(p+"bytes_out", "%d", n[bytesOut].Load())
+			emit(p+"admissions", "%d", n[admissions].Load())
+			emit(p+"admission_wait_us", "%d", n[admNanos].Load()/1e3)
 		}
 	case "slots":
 		lc := s.g.Lifecycle()
@@ -790,7 +806,7 @@ func (c *conn) doStats(arg string) bool {
 		}
 		return c.reply("RESET" + crlf)
 	default:
-		c.srv.protoErrs.Add(1)
+		c.counts[protoErrs].Add(1)
 		return c.reply("CLIENT_ERROR unknown stats argument" + crlf)
 	}
 	return c.reply("END" + crlf)

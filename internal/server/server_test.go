@@ -491,7 +491,9 @@ func TestServerPartialCommandReleasesSlot(t *testing.T) {
 // lockstep rounds every goroutine issues exactly one get and the round
 // ends only when all are answered; the free-running leg keeps the shard
 // mutex contended. Under -race it is the check that the mutex orders
-// every use of the shard handle.
+// every use of the shard handle. Each goroutine stands in for one
+// connection: it counts its gets in a connection's block and folds the
+// block on leaving, as a connection does at close.
 func TestShardHandleStorm(t *testing.T) {
 	s := startServer(t, Config{
 		Policy: core.EpochPOP,
@@ -517,9 +519,11 @@ func TestShardHandleStorm(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
+						c := &conn{srv: s}
+						defer s.leave(c)
 						var buf []byte
 						for i := 0; i < leg.each; i++ {
-							val, ok := s.get("hotkey", buf)
+							val, ok := c.get("hotkey", buf)
 							if ok && string(val) == "hot" {
 								answered.Add(1)
 							}

@@ -86,19 +86,20 @@
 // Read validates the slot's sequence number around an atomic-word copy
 // — a reader that lost the race to an overwrite's reclamation observes
 // a deterministic "stale" verdict (never torn or recycled bytes) and
-// retries through a fresh lookup. Staleness is counted per shard
+// retries through a fresh lookup. Staleness is counted per thread slot
 // (Stats.StaleReads): it is the read-side cost of eager value
 // reclamation, and it varies by policy exactly the way retire-to-free
 // latency does.
 //
 // # Statistics
 //
-// Every operation counts itself (Stats) in its own thread slot's state,
-// one block of counts per shard of the slot's member, each count a
-// single-writer arena.Counter: a Get pays no read-modify-write on a line
-// another serving thread writes. Stats sums over every slot the store
-// has built, so the counts survive a slot's hand-over to its next
-// tenant and are exact once the store is quiescent.
+// The store follows the repository's one counting rule (ARCHITECTURE,
+// § Telemetry, "The counters"): every operation counts itself in its
+// own thread slot's one block of single-writer arena.Counters, a batch
+// or a scan in the first member slot it touches, and Stats is a sum
+// over every slot the store has built. The counts survive a slot's
+// hand-over to its next tenant and are exact once the store is
+// quiescent.
 //
 // # Elastic serving
 //
@@ -272,9 +273,9 @@ type shard struct {
 	scanner ds.RangeScanner // nil unless Config.Ordered
 }
 
-// shardCounts is one thread slot's counts for one shard, written only by
-// the slot's tenant (see Statistics in the package comment).
-type shardCounts struct {
+// counts is one thread slot's counts, written only by the slot's tenant
+// (see Statistics in the package comment).
+type counts struct {
 	gets       arena.Counter // single-key lookups (GetBatch keys included)
 	misses     arena.Counter // lookups that found no entry
 	puts       arena.Counter // upserts (inserts + overwrites; PutBatch keys included)
@@ -282,24 +283,24 @@ type shardCounts struct {
 	deletes    arena.Counter // deletes that removed a value
 	stale      arena.Counter // value reads that lost to reclamation and retried
 	scanPairs  arena.Counter // pairs yielded by scans
-	_          uint64        // one 64-byte line per shard
+	batches    arena.Counter // GetBatch calls
+	putBatches arena.Counter // PutBatch calls
+	scans      arena.Counter // Scan calls
 }
 
-// countsPad is the number of shardCounts (64 bytes each) either side of
-// a slot's counts: a padded.CacheLine that no other heap object shares.
-const countsPad = padded.CacheLine / 64
-
 // storeLocal is one member-domain thread slot's state: its value-arena
-// cache, its counts for its member's shards, and reusable scratch for
-// scans. It is a core.Local
+// cache, its counts, and reusable scratch for scans. It is a core.Local
 // of the member domain, so when a serving goroutine releases its group
 // handle and another goroutine re-leases the slot (the elastic-pool
 // lifecycle), the state transfers with it: the member domain's
 // lease/release mutex is the happens-before edge, and the new tenant
 // simply continues filling the previous tenant's caches.
 type storeLocal struct {
-	vc     *arena.BytesCache
-	counts []shardCounts // indexed by shard & Store.shardMask
+	vc *arena.BytesCache
+
+	_      [padded.CacheLine]byte // counts share no line with another slot's
+	counts counts
+	_      [padded.CacheLine]byte
 
 	// scan scratch (owner-only)
 	keys    []int64
@@ -316,17 +317,12 @@ type Store struct {
 	cfg         Config
 	mask        uint64
 	memberShift uint // shard >> memberShift = member domain index
-	shardMask   int  // shard & shardMask = index among its member's shards
 	shards      []shard
 	vals        *arena.Bytes
 	locals      []core.Local[storeLocal] // per member
 
 	mu    sync.Mutex
 	slots []*storeLocal // every slot state built, for Stats
-
-	batches    padded.Uint64 // GetBatch calls
-	putBatches padded.Uint64 // PutBatch calls
-	scans      padded.Uint64 // Scan calls
 }
 
 // New creates a store over domain group g. The group's member domains
@@ -352,7 +348,6 @@ func New(g *core.DomainGroup, cfg Config) (*Store, error) {
 		cfg:         cfg,
 		mask:        uint64(cfg.Shards - 1),
 		memberShift: shift,
-		shardMask:   1<<shift - 1,
 		shards:      make([]shard, cfg.Shards),
 		vals:        arena.NewBytes(),
 		locals:      make([]core.Local[storeLocal], groups),
@@ -408,11 +403,7 @@ func (s *Store) Ordered() bool { return s.cfg.Ordered }
 // newLocal builds a member thread slot's state on its first use and
 // registers it for Stats.
 func (s *Store) newLocal(*core.Thread) *storeLocal {
-	n := s.shardMask + 1
-	tl := &storeLocal{
-		vc:     s.vals.NewCache(),
-		counts: make([]shardCounts, n+2*countsPad)[countsPad : countsPad+n],
-	}
+	tl := &storeLocal{vc: s.vals.NewCache()}
 	tl.collect = func(k int64, v uint64) bool {
 		tl.keys = append(tl.keys, k)
 		tl.vals = append(tl.vals, v)
@@ -509,11 +500,6 @@ func (s *Store) slot(h *core.GroupHandle, si int) (*core.Thread, *storeLocal) {
 	return t, s.locals[m].Of(t)
 }
 
-// countsOf returns tl's counts for shard si.
-func (s *Store) countsOf(tl *storeLocal, si int) *shardCounts {
-	return &tl.counts[si&s.shardMask]
-}
-
 // readWord resolves a map word to value bytes: an inline word decodes
 // from the word itself (always succeeds — the payload travels with the
 // map cell), an arena word goes through the stale-detecting arena read.
@@ -534,7 +520,7 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 	si, ik := s.locate(key)
 	sh := &s.shards[si]
 	t, tl := s.slot(h, si)
-	c := s.countsOf(tl, si)
+	c := &tl.counts
 	c.gets.Add(1)
 	w, ok := sh.m.Get(t, ik)
 	if !ok {
@@ -556,7 +542,7 @@ func (s *Store) Get(h *core.GroupHandle, key string, buf []byte) ([]byte, bool) 
 // again in a fresh protected operation and reads the value it finds,
 // until a read succeeds or the key is gone (ok=false). Every read path
 // calls it only after a first readWord fails, so a hit pays nothing.
-func (s *Store) reread(sh *shard, t *core.Thread, c *shardCounts, ik int64, buf []byte) ([]byte, bool) {
+func (s *Store) reread(sh *shard, t *core.Thread, c *counts, ik int64, buf []byte) ([]byte, bool) {
 	for {
 		c.stale.Add(1)
 		w, ok := sh.m.Get(t, ik)
@@ -581,10 +567,9 @@ func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
 	si, ik := s.locate(key)
 	t, tl := s.slot(h, si)
 	_, replaced := s.shards[si].m.Put(t, ik, tl.encode(val))
-	c := s.countsOf(tl, si)
-	c.puts.Add(1)
+	tl.counts.puts.Add(1)
 	if replaced {
-		c.overwrites.Add(1)
+		tl.counts.overwrites.Add(1)
 	}
 }
 
@@ -596,7 +581,7 @@ func (s *Store) PutIfAbsent(h *core.GroupHandle, key string, val []byte) bool {
 	t, tl := s.slot(h, si)
 	w := tl.encode(val)
 	if s.shards[si].m.PutIfAbsent(t, ik, w) {
-		s.countsOf(tl, si).puts.Add(1)
+		tl.counts.puts.Add(1)
 		return true
 	}
 	tl.free(w) // never published: no grace period needed
@@ -610,7 +595,7 @@ func (s *Store) Delete(h *core.GroupHandle, key string) bool {
 	t, tl := s.slot(h, si)
 	_, ok := s.shards[si].m.Delete(t, ik)
 	if ok {
-		s.countsOf(tl, si).deletes.Add(1)
+		tl.counts.deletes.Add(1)
 	}
 	return ok
 }
@@ -633,13 +618,15 @@ func (s *Store) Scan(h *core.GroupHandle, lo, hi int64, fn func(hkey int64, val 
 	if !s.Ordered() {
 		panic("store: Scan on a store built without Config.Ordered")
 	}
-	s.scans.Add(1)
 	var vbuf []byte
 	visited := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		t, tl := s.slot(h, i)
-		c := s.countsOf(tl, i)
+		c := &tl.counts
+		if i == 0 {
+			c.scans.Add(1)
+		}
 		from := lo
 		for from <= hi {
 			tl.keys, tl.vals = tl.keys[:0], tl.vals[:0]
@@ -693,10 +680,11 @@ type Batch struct {
 // byMember hashes keys into b.hks once, groups their indices into
 // b.order by member domain with a stable counting sort, and calls fn
 // once per member the batch touches, with the handle's thread in that
-// member, the thread slot's state and the member's key indices in batch
-// order. fn opens at most one operation, so the handle is mid-operation
-// in at most one member at a time.
-func (s *Store) byMember(h *core.GroupHandle, keys []string, b *Batch, fn func(t *core.Thread, tl *storeLocal, idx []int)) {
+// member, the thread slot's state, the member's key indices in batch
+// order, and whether this is the batch's first member (whose slot
+// counts the batch). fn opens at most one operation, so the handle is
+// mid-operation in at most one member at a time.
+func (s *Store) byMember(h *core.GroupHandle, keys []string, b *Batch, fn func(t *core.Thread, tl *storeLocal, idx []int, first bool)) {
 	n := len(keys)
 	b.hks = resize(b.hks, n)
 	b.order = resize(b.order, n)
@@ -717,7 +705,7 @@ func (s *Store) byMember(h *core.GroupHandle, keys []string, b *Batch, fn func(t
 	for m := range s.locals {
 		if hi := next[m]; hi > lo {
 			t := h.Member(m)
-			fn(t, s.locals[m].Of(t), b.order[lo:hi])
+			fn(t, s.locals[m].Of(t), b.order[lo:hi], lo == 0)
 			lo = hi
 		}
 	}
@@ -732,12 +720,15 @@ func (s *Store) memberOf(hk uint64) int { return int(hk&s.mask) >> s.memberShift
 // values resolve after it through the same stale-detecting path as Get.
 // Results are positional: input order is preserved.
 func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
-	s.batches.Add(1)
 	b.Vals = resize(b.Vals, len(keys))
 	b.OK = resize(b.OK, len(keys))
 	b.words = resize(b.words, len(keys))
 	b.buf = b.buf[:0]
-	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int) {
+	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int, first bool) {
+		c := &tl.counts
+		if first {
+			c.batches.Add(1)
+		}
 		t.StartOp()
 		for _, i := range idx {
 			hk := b.hks[i]
@@ -746,7 +737,6 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 		t.EndOp()
 		for _, i := range idx {
 			si := int(b.hks[i] & s.mask)
-			c := s.countsOf(tl, si)
 			c.gets.Add(1)
 			off := len(b.buf)
 			var v []byte
@@ -788,10 +778,13 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 	for _, v := range vals {
 		s.checkLen(v)
 	}
-	s.putBatches.Add(1)
 	b.OK = resize(b.OK, len(keys))
 	b.words = resize(b.words, len(keys))
-	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int) {
+	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int, first bool) {
+		c := &tl.counts
+		if first {
+			c.putBatches.Add(1)
+		}
 		for _, i := range idx {
 			b.words[i] = tl.encode(vals[i])
 		}
@@ -802,7 +795,6 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		}
 		t.EndOp()
 		for _, i := range idx {
-			c := s.countsOf(tl, int(b.hks[i]&s.mask))
 			c.puts.Add(1)
 			if b.OK[i] {
 				c.overwrites.Add(1)
@@ -839,15 +831,15 @@ func (s *Store) Outstanding() int64 {
 	return n
 }
 
-// Stats is a snapshot of store counters, aggregated across shards.
+// Stats is a snapshot of store counters, summed over thread slots.
 type Stats struct {
 	Gets       uint64 // lookups (batch keys included)
 	GetMisses  uint64 // lookups finding no entry
 	Puts       uint64 // upserts (batch keys included)
 	Overwrites uint64 // upserts that replaced a value
 	Deletes    uint64 // deletes that removed a value
-	Batches    uint64 // GetBatch calls
-	PutBatches uint64 // PutBatch calls
+	Batches    uint64 // GetBatch calls (with at least one key)
+	PutBatches uint64 // PutBatch calls (with at least one key)
 	Scans      uint64 // Scan calls
 	ScanPairs  uint64 // pairs yielded by scans
 	StaleReads uint64 // value reads that lost to reclamation and retried
@@ -862,21 +854,19 @@ func (s *Store) Stats() Stats {
 	var out Stats
 	s.mu.Lock()
 	for _, tl := range s.slots {
-		for i := range tl.counts {
-			c := &tl.counts[i]
-			out.Gets += c.gets.Load()
-			out.GetMisses += c.misses.Load()
-			out.Puts += c.puts.Load()
-			out.Overwrites += c.overwrites.Load()
-			out.Deletes += c.deletes.Load()
-			out.ScanPairs += c.scanPairs.Load()
-			out.StaleReads += c.stale.Load()
-		}
+		c := &tl.counts
+		out.Gets += c.gets.Load()
+		out.GetMisses += c.misses.Load()
+		out.Puts += c.puts.Load()
+		out.Overwrites += c.overwrites.Load()
+		out.Deletes += c.deletes.Load()
+		out.Batches += c.batches.Load()
+		out.PutBatches += c.putBatches.Load()
+		out.Scans += c.scans.Load()
+		out.ScanPairs += c.scanPairs.Load()
+		out.StaleReads += c.stale.Load()
 	}
 	s.mu.Unlock()
-	out.Batches = s.batches.Load()
-	out.PutBatches = s.putBatches.Load()
-	out.Scans = s.scans.Load()
 	out.Values = s.vals.Stats()
 	return out
 }

@@ -10,9 +10,9 @@
 //
 // The sampler owns one goroutine. A tick is a fixed number of atomic
 // loads and ring-buffer stores plus a few small allocations: the
-// Sample's Extras slice (when an ExtrasSource is attached), the
-// SlotLeases vectors every Lifecycle call builds, and a StallEvent on
-// stall onset. Sampling at 100ms is invisible next to the workload it
+// Sample's Extras slice (when an ExtrasSource is attached), the group's
+// SlotLeases vector that Lifecycle builds, and a StallEvent on stall
+// onset. Sampling at 100ms is invisible next to the workload it
 // watches (the acceptance bound is ≤2% at 10ms-class intervals).
 package telemetry
 
