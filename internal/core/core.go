@@ -478,17 +478,6 @@ func (d *Domain) lifecycleCounts() LifecycleStats {
 	}
 }
 
-// Threads returns a snapshot of every thread slot ever created,
-// including released (unleased) ones — released slots read as quiescent
-// and reservation-free, exactly how reclaimer scans see them.
-func (d *Domain) Threads() []*Thread {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*Thread, len(d.threads))
-	copy(out, d.threads)
-	return out
-}
-
 // snapshot of registered threads without copying; reclaimers iterate this.
 // The backing array only ever grows and registration is rare, so reading
 // the slice header under the lock once per reclamation pass is cheap.

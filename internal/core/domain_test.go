@@ -39,19 +39,21 @@ func TestNewDomainRejectsUnknownPolicy(t *testing.T) {
 	core.NewDomain(core.Policy(len(core.Policies())), 1, nil)
 }
 
+// TestThreadsSnapshot: the domain's probes list one entry per thread
+// slot, in slot order, each a first tenancy.
 func TestThreadsSnapshot(t *testing.T) {
 	d := core.NewDomain(core.HP, 3, nil)
 	a := d.RegisterThread()
 	b := d.RegisterThread()
-	ts := d.Threads()
-	if len(ts) != 2 || ts[0] != a || ts[1] != b {
-		t.Fatalf("Threads() = %v", ts)
+	ps := d.Probes(nil)
+	if len(ps) != 2 || ps[0].Slot != a.ID() || ps[1].Slot != b.ID() {
+		t.Fatalf("Probes() = %+v", ps)
 	}
 	if a.ID() != 0 || b.ID() != 1 {
 		t.Fatalf("ids = %d, %d", a.ID(), b.ID())
 	}
-	if a.Domain() != d {
-		t.Fatal("Domain() mismatch")
+	if ps[0].Incarnation != 1 || ps[1].Incarnation != 1 {
+		t.Fatalf("incarnations = %d, %d, want 1, 1", ps[0].Incarnation, ps[1].Incarnation)
 	}
 }
 

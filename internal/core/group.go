@@ -102,13 +102,9 @@ type GroupHandle struct {
 	threads []*Thread // lazily leased member threads, indexed by member
 }
 
-// Slot returns the handle's dense group-slot index, stable across
-// release/re-lease — the group-level tid for slot-indexed caches.
-func (h *GroupHandle) Slot() int { return h.slot }
-
-// Incarnation returns the slot's cumulative lease count; (Slot,
-// Incarnation) names this tenancy uniquely, mirroring
-// Thread.Incarnation.
+// Incarnation returns the handle's group-slot lease count: 1 for the
+// slot's first tenant, bumped on every re-lease. With the slot it names
+// the tenancy uniquely; Lifecycle().SlotLeases lists it per slot.
 func (h *GroupHandle) Incarnation() uint64 { return h.leases }
 
 // Member returns the handle's thread in member domain i, leasing it on
@@ -149,17 +145,6 @@ func (h *GroupHandle) Flush() {
 func (h *GroupHandle) Drain() {
 	for i := range h.threads {
 		h.Member(i).Flush()
-	}
-}
-
-// Poll answers pending pings on every member thread this handle has
-// leased. Call it from code that runs long outside protected
-// operations.
-func (h *GroupHandle) Poll() {
-	for _, t := range h.threads {
-		if t != nil {
-			t.Poll()
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,20 +34,20 @@ func TestGroupFacadeSemantics(t *testing.T) {
 	if g.InUse() != 3 {
 		t.Fatalf("InUse=%d, want 3", g.InUse())
 	}
-	slots := map[int]bool{h1.Slot(): true, h2.Slot(): true, h3.Slot(): true}
-	if len(slots) != 3 {
-		t.Fatalf("slots not distinct: %d %d %d", h1.Slot(), h2.Slot(), h3.Slot())
+	// Fresh slots are handed out in order: h1, h2, h3 hold slots 0, 1, 2.
+	if leases := g.Lifecycle().SlotLeases; !slices.Equal(leases, []uint64{1, 1, 1}) {
+		t.Fatalf("SlotLeases = %v, want three distinct slots leased once", leases)
 	}
 	// LIFO reuse: the most recently released slot is handed out next,
 	// with a bumped incarnation.
-	slot, inc := h2.Slot(), h2.Incarnation()
+	inc := h2.Incarnation()
 	g.Release(h2)
 	h2b, err := g.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2b.Slot() != slot {
-		t.Fatalf("re-lease got slot %d, want the just-freed %d", h2b.Slot(), slot)
+	if leases := g.Lifecycle().SlotLeases; !slices.Equal(leases, []uint64{1, 2, 1}) {
+		t.Fatalf("SlotLeases = %v after re-lease, want the just-freed slot 1 leased twice", leases)
 	}
 	if h2b.Incarnation() != inc+1 {
 		t.Fatalf("incarnation = %d, want %d", h2b.Incarnation(), inc+1)

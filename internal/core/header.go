@@ -71,22 +71,3 @@ func WithMark(p unsafe.Pointer) unsafe.Pointer {
 	}
 	return unsafe.Add(p, 1)
 }
-
-// Flag is an atomic boolean for data-structure state bits (the lazy
-// list's marked flag, the trees' dead flags). A plain bool under a lock
-// would race with optimistic readers, so the bit is atomic.
-type Flag struct {
-	v atomic.Uint32
-}
-
-// Load reports the flag.
-func (f *Flag) Load() bool { return f.v.Load() != 0 }
-
-// Store sets the flag.
-func (f *Flag) Store(b bool) {
-	if b {
-		f.v.Store(1)
-	} else {
-		f.v.Store(0)
-	}
-}

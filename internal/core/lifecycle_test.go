@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,12 +36,18 @@ func TestTryRegisterThreadCapacityError(t *testing.T) {
 	}
 }
 
+// incarnation reads th's lease count from d's probes, as the telemetry
+// sampler does.
+func incarnation(d *core.Domain, th *core.Thread) uint64 {
+	return d.Probes(nil)[th.ID()].Incarnation
+}
+
 func TestSlotReuse(t *testing.T) {
 	d := core.NewDomain(core.HazardPtrPOP, 2, nil)
 	a := d.RegisterThread()
 	b := d.RegisterThread()
-	if a.Incarnation() != 1 || b.Incarnation() != 1 {
-		t.Fatalf("fresh incarnations = %d, %d, want 1, 1", a.Incarnation(), b.Incarnation())
+	if ia, ib := incarnation(d, a), incarnation(d, b); ia != 1 || ib != 1 {
+		t.Fatalf("fresh incarnations = %d, %d, want 1, 1", ia, ib)
 	}
 	bid := b.ID()
 	b.Release()
@@ -48,8 +55,8 @@ func TestSlotReuse(t *testing.T) {
 	if c.ID() != bid {
 		t.Fatalf("re-lease got slot %d, want released slot %d", c.ID(), bid)
 	}
-	if c.Incarnation() != 2 {
-		t.Fatalf("re-leased incarnation = %d, want 2", c.Incarnation())
+	if ic := incarnation(d, c); ic != 2 {
+		t.Fatalf("re-leased incarnation = %d, want 2", ic)
 	}
 	lc := d.Lifecycle()
 	if lc.Slots != 2 || lc.Leased != 2 || lc.Peak != 2 || lc.Releases != 1 {
@@ -322,7 +329,7 @@ func TestHandlesPool(t *testing.T) {
 	if pool.InUse() != 3 {
 		t.Fatalf("InUse=%d, want 3", pool.InUse())
 	}
-	bslot, btid := b.Slot(), b.Member(0).ID()
+	btid := b.Member(0).ID() // a, b, c hold group slots 0, 1, 2
 	pool.Release(b)
 	if pool.InUse() != 2 {
 		t.Fatalf("InUse after release = %d", pool.InUse())
@@ -334,13 +341,13 @@ func TestHandlesPool(t *testing.T) {
 	th := h.Member(0)
 	th.StartOp()
 	th.EndOp()
-	if h.Slot() != bslot || th.ID() != btid {
-		t.Fatalf("re-lease got slot %d (thread %d), want released slot %d (thread %d)", h.Slot(), th.ID(), bslot, btid)
+	if th.ID() != btid {
+		t.Fatalf("re-lease got thread %d, want released thread %d", th.ID(), btid)
 	}
 	pool.Release(h)
 	leases := pool.Lifecycle().SlotLeases
-	if pool.InUse() != 2 || len(leases) != 3 || leases[bslot] != 2 || leases[a.Slot()] != 1 {
-		t.Fatalf("InUse=%d SlotLeases=%v after re-lease, want 2 and slot %d leased twice", pool.InUse(), leases, bslot)
+	if pool.InUse() != 2 || !slices.Equal(leases, []uint64{1, 2, 1}) {
+		t.Fatalf("InUse=%d SlotLeases=%v after re-lease, want 2 and b's slot 1 leased twice", pool.InUse(), leases)
 	}
 	pool.Release(a)
 	pool.Release(c)

@@ -121,13 +121,6 @@ type Thread struct {
 // tid-indexed caches in higher layers transfer with the lease.
 func (t *Thread) ID() int { return t.tid }
 
-// Incarnation returns the slot's lease count: 1 for a slot's first
-// tenant, bumped every time the slot is re-leased after a Release.
-func (t *Thread) Incarnation() uint64 { return t.incarnation.Load() }
-
-// Domain returns the owning domain.
-func (t *Thread) Domain() *Domain { return t.d }
-
 // Release returns the thread's slot to the domain. It must be called by
 // the thread's owner, outside any operation (after EndOp); the handle
 // must not be used afterwards. The slot becomes re-leasable by any

@@ -166,8 +166,8 @@ func TestProbesShape(t *testing.T) {
 	if pa.OpSeq%2 != 1 {
 		t.Fatalf("mid-op slot has even OpSeq %d", pa.OpSeq)
 	}
-	if pa.Incarnation != a.Incarnation() {
-		t.Fatalf("probe incarnation %d != thread %d", pa.Incarnation, a.Incarnation())
+	if inc := e.d.Lifecycle().SlotLeases[a.ID()]; pa.Incarnation != inc {
+		t.Fatalf("probe incarnation %d != slot's lease count %d", pa.Incarnation, inc)
 	}
 	pb := byID[b.ID()]
 	if pb.OpSeq%2 != 0 {

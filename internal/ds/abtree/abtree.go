@@ -80,6 +80,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"pop/internal/core"
@@ -108,7 +109,7 @@ type node struct {
 	core.Header
 	leaf  bool
 	drop  uint8
-	dead  core.Flag
+	dead  atomic.Bool
 	mu    sync.Mutex
 	nkeys int
 	keys  [maxKeys]int64

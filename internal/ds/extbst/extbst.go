@@ -43,7 +43,7 @@ type node struct {
 	key    int64
 	val    atomic.Uint64
 	isLeaf bool
-	dead   core.Flag // set under lock when unlinked; validates optimism
+	dead   atomic.Bool // set under lock when unlinked; validates optimism
 	mu     sync.Mutex
 	left   core.Atomic // routers only
 	right  core.Atomic

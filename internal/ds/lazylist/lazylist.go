@@ -39,7 +39,7 @@ type node struct {
 	core.Header
 	key    int64
 	val    atomic.Uint64
-	marked core.Flag // logical deletion mark (distinct from link tags)
+	marked atomic.Bool // logical deletion mark (distinct from link tags)
 	mu     sync.Mutex
 	next   core.Atomic
 }

@@ -75,7 +75,7 @@ func TestPrefillHitsTarget(t *testing.T) {
 		{"RunServe", func() (float64, error) {
 			res, err := harness.RunServe(harness.ServeConfig{
 				Policy: core.EBR, Slots: 3, Conns: 2, Duration: 60 * time.Millisecond,
-				Keys: keys, Shards: 4, GetPct: 100,
+				Keys: keys, GetPct: 100,
 			})
 			return float64(res.Hits) / float64(res.Gets), err
 		}},
@@ -186,7 +186,7 @@ func TestThroughputOverMeasuredElapsed(t *testing.T) {
 			return res.Core, err
 		}},
 		{"RunServe", func() (harness.Core, error) {
-			res, err := harness.RunServe(harness.ServeConfig{Policy: core.EpochPOP, Slots: 2, Conns: 2, Duration: dur, Keys: 1024, Shards: 2})
+			res, err := harness.RunServe(harness.ServeConfig{Policy: core.EpochPOP, Slots: 2, Conns: 2, Duration: dur, Keys: 1024})
 			return res.Core, err
 		}},
 	} {

@@ -44,11 +44,13 @@ func TestYCSBWorkloadsEndToEnd(t *testing.T) {
 				t.Errorf("%s", v)
 			}
 			// Each named class must actually have been drawn.
+			m := w.Mix
+			share := [workload.NumStoreOps]int{m.GetPct, m.PutPct, m.MGetPct, m.ScanPct, m.DeletePct, m.RMWPct, m.MPutPct}
 			for c := workload.StoreOp(0); int(c) < workload.NumStoreOps; c++ {
-				if w.Mix.Share(c) > 0 && res.OpCounts[c] == 0 {
-					t.Errorf("class %v has %d%% share but 0 ops", c, w.Mix.Share(c))
+				if share[c] > 0 && res.OpCounts[c] == 0 {
+					t.Errorf("class %v has %d%% share but 0 ops", c, share[c])
 				}
-				if w.Mix.Share(c) == 0 && res.OpCounts[c] != 0 {
+				if share[c] == 0 && res.OpCounts[c] != 0 {
 					t.Errorf("class %v has no share but %d ops", c, res.OpCounts[c])
 				}
 			}

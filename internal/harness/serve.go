@@ -37,7 +37,6 @@ type ServeConfig struct {
 	Conns    int           // client connections (the interesting runs have Conns ≫ Slots)
 	Duration time.Duration // execution-phase length
 	Keys     int64         // key population (ranks 0..Keys-1)
-	Shards   int           // store shard count (power of two; default 8)
 	Seed     uint64        // trial seed
 
 	// GetPct is the get share of the op mix (default 90); the rest are
@@ -55,9 +54,6 @@ type ServeConfig struct {
 	// Dist is the key-popularity distribution (zipf at
 	// workload.DefaultZipfS skew).
 	Dist workload.Dist
-
-	// ValueMin/ValueMax bound set payload sizes (defaults 16, 256).
-	ValueMin, ValueMax int
 
 	// Chaos runs the fault-injector bundle against the server's store
 	// (not over the wire) for the trial's length: the server's group is
@@ -79,24 +75,21 @@ func (c ServeConfig) withDefaults() (ServeConfig, error) {
 	if c.Keys <= 1 {
 		return c, fmt.Errorf("harness: serve Keys must exceed 1")
 	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.GetPct == 0 {
 		c.GetPct = 90
 	}
 	if c.GetPct < 0 || c.GetPct > 100 {
 		return c, fmt.Errorf("harness: GetPct %d out of [0,100]", c.GetPct)
 	}
-	var err error
-	if c.ValueMin, c.ValueMax, err = valueBounds(c.ValueMin, c.ValueMax); err != nil {
-		return c, err
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x5e7e_cafe
 	}
 	return c, nil
 }
+
+// serveValueMin and serveValueMax bound a set's payload size: the
+// defaults of valueBounds, 16 and 256 bytes (defaults it never rejects).
+var serveValueMin, serveValueMax, _ = valueBounds(0, 0)
 
 // ServeResult is the outcome of one serve trial: the shared Core (an op
 // is one client get or set, ValueErrors counts values that crossed the
@@ -209,21 +202,19 @@ const (
 
 // RunServe executes one serve trial: a live server on a loopback port,
 // Conns client connections generating the get/set mix, latency measured
-// at the client. The server's store is the unordered hash table: the
-// wire protocol has no scan command.
+// at the client. The server's store is the unordered hash table at its
+// default shard count: the wire protocol has no scan command.
 func RunServe(cfg ServeConfig) (ServeResult, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return ServeResult{}, err
 	}
+	shards, _, _ := store.Layout(0, 1) // the store's default shard count; no error at the defaults
 	srv, err := server.New(server.Config{
-		Addr:   "127.0.0.1:0",
-		Policy: cfg.Policy,
-		Slots:  cfg.Slots,
-		Store: store.Config{
-			Shards:               cfg.Shards,
-			ExpectedKeysPerShard: (cfg.Keys + int64(cfg.Shards) - 1) / int64(cfg.Shards),
-		},
+		Addr:       "127.0.0.1:0",
+		Policy:     cfg.Policy,
+		Slots:      cfg.Slots,
+		Store:      store.Config{ExpectedKeysPerShard: (cfg.Keys + int64(shards) - 1) / int64(shards)},
 		ExtraSlots: cfg.Chaos.Slots(),
 	})
 	if err != nil {
@@ -250,7 +241,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 			vbuf []byte
 		)
 		return func() bool {
-			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
+			size := serveValueMin + int(r.Intn(int64(serveValueMax-serveValueMin+1)))
 			key := workload.PutKey(&kb, rank)
 			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), 0x800001+uint32(rank), size)
 			s.Put(h, key, vbuf)
@@ -310,14 +301,17 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 		cl.close()
 	}
 
+	// The server's counts are read after Close, once every connection
+	// has folded its block into the closed totals: the final count.
+	closeErr := srv.Close()
 	res := ServeResult{
 		Config: cfg, Core: c, Hits: sum.keys,
 		Gets: sum.byClass[serveGet], Sets: sum.byClass[serveSet],
 		GetLat: sum.lats[serveGet], SetLat: sum.lats[serveSet],
 		AdmWait: srv.AdmissionWait(), Server: srv.Stats(), Chaos: chaosStats,
 	}
-	if err := srv.Close(); err != nil {
-		return res, err
+	if closeErr != nil {
+		return res, closeErr
 	}
 	res.Lifecycle = g.Lifecycle()
 	for i, err := range errs {
@@ -386,7 +380,7 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 			}
 		} else {
 			tag++
-			size := cfg.ValueMin + int(r.Intn(int64(cfg.ValueMax-cfg.ValueMin+1)))
+			size := serveValueMin + int(r.Intn(int64(serveValueMax-serveValueMin+1)))
 			vbuf = workload.AppendValueBytes(vbuf[:0], store.KeyHash(key), tag, size)
 			if err := c.set(key, vbuf); err != nil {
 				return err

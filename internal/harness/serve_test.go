@@ -20,7 +20,6 @@ func TestRunServeClosedLoop(t *testing.T) {
 				Conns:    8,
 				Duration: 80 * time.Millisecond,
 				Keys:     256,
-				Shards:   2,
 				Seed:     7,
 			})
 			if err != nil {
@@ -56,7 +55,6 @@ func TestRunServeOpenLoop(t *testing.T) {
 		Conns:    4,
 		Duration: 80 * time.Millisecond,
 		Keys:     256,
-		Shards:   2,
 		Dist:     workload.Zipf,
 		OpenRate: 8000,
 		Seed:     11,
@@ -73,5 +71,36 @@ func TestRunServeOpenLoop(t *testing.T) {
 	}
 	if res.ValueErrors != 0 {
 		t.Fatalf("ValueErrors = %d", res.ValueErrors)
+	}
+}
+
+// TestRunServeCountsMatchServer: the server's counts, read after Close,
+// match the clients' exactly. Each client counts a command once its
+// reply arrives and the server counts it at dispatch, so a count read
+// before every connection folded its block would come up short.
+func TestRunServeCountsMatchServer(t *testing.T) {
+	for _, p := range []core.Policy{core.EpochPOP, core.HP} {
+		t.Run(p.String(), func(t *testing.T) {
+			res, err := RunServe(ServeConfig{
+				Policy:   p,
+				Slots:    2,
+				Conns:    4,
+				Duration: 60 * time.Millisecond,
+				Keys:     512,
+				GetPct:   70,
+				Seed:     5,
+			})
+			if err != nil {
+				t.Fatalf("RunServe: %v", err)
+			}
+			if res.Gets == 0 || res.Sets == 0 || res.Hits == 0 {
+				t.Fatalf("no load flowed: gets %d sets %d hits %d", res.Gets, res.Sets, res.Hits)
+			}
+			clients := [3]uint64{res.Gets, res.Sets, res.Hits}
+			server := [3]uint64{res.Server.CmdGet, res.Server.CmdSet, res.Server.GetHits}
+			if clients != server {
+				t.Fatalf("gets, sets, hits: clients counted %v, server %v", clients, server)
+			}
+		})
 	}
 }

@@ -34,9 +34,6 @@ func (p *Uint64) Store(v uint64) { p.v.Store(v) }
 // Add atomically adds delta and returns the new value.
 func (p *Uint64) Add(delta uint64) uint64 { return p.v.Add(delta) }
 
-// CompareAndSwap executes the CAS on the padded word.
-func (p *Uint64) CompareAndSwap(old, new uint64) bool { return p.v.CompareAndSwap(old, new) }
-
 // Uint32 is an atomic uint32 alone on its cache-line pair.
 type Uint32 struct {
 	_ [CacheLine - 4]byte
@@ -49,12 +46,6 @@ func (p *Uint32) Load() uint32 { return p.v.Load() }
 
 // Store atomically stores v.
 func (p *Uint32) Store(v uint32) { p.v.Store(v) }
-
-// Add atomically adds delta and returns the new value.
-func (p *Uint32) Add(delta uint32) uint32 { return p.v.Add(delta) }
-
-// CompareAndSwap executes the CAS on the padded word.
-func (p *Uint32) CompareAndSwap(old, new uint32) bool { return p.v.CompareAndSwap(old, new) }
 
 // Int64 is an atomic int64 alone on its cache-line pair.
 type Int64 struct {
@@ -71,22 +62,3 @@ func (p *Int64) Store(v int64) { p.v.Store(v) }
 
 // Add atomically adds delta and returns the new value.
 func (p *Int64) Add(delta int64) int64 { return p.v.Add(delta) }
-
-// Bool is an atomic boolean alone on its cache-line pair.
-type Bool struct {
-	_ [CacheLine - 4]byte
-	v atomic.Uint32
-	_ [CacheLine - 4]byte
-}
-
-// Load reports the current value.
-func (p *Bool) Load() bool { return p.v.Load() != 0 }
-
-// Store sets the value.
-func (p *Bool) Store(b bool) {
-	if b {
-		p.v.Store(1)
-	} else {
-		p.v.Store(0)
-	}
-}

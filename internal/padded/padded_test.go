@@ -20,9 +20,6 @@ func TestSizesDefeatFalseSharing(t *testing.T) {
 	if s := unsafe.Sizeof(padded.Int64{}); s < 2*64 {
 		t.Fatalf("padded.Int64 is %d bytes", s)
 	}
-	if s := unsafe.Sizeof(padded.Bool{}); s < 2*64 {
-		t.Fatalf("padded.Bool is %d bytes", s)
-	}
 }
 
 func TestUint64Ops(t *testing.T) {
@@ -34,22 +31,13 @@ func TestUint64Ops(t *testing.T) {
 	if v.Add(5) != 15 {
 		t.Fatal("add")
 	}
-	if !v.CompareAndSwap(15, 20) || v.Load() != 20 {
-		t.Fatal("cas success path")
-	}
-	if v.CompareAndSwap(15, 30) {
-		t.Fatal("cas false positive")
-	}
 }
 
 func TestUint32Ops(t *testing.T) {
 	var v padded.Uint32
-	v.Store(1)
-	if v.Add(2) != 3 || v.Load() != 3 {
-		t.Fatal("uint32 ops")
-	}
-	if !v.CompareAndSwap(3, 9) {
-		t.Fatal("uint32 cas")
+	v.Store(3)
+	if v.Load() != 3 {
+		t.Fatal("uint32 store/load")
 	}
 }
 
@@ -58,21 +46,6 @@ func TestInt64Negative(t *testing.T) {
 	v.Store(-5)
 	if v.Add(-5) != -10 || v.Load() != -10 {
 		t.Fatal("int64 negative arithmetic")
-	}
-}
-
-func TestBool(t *testing.T) {
-	var v padded.Bool
-	if v.Load() {
-		t.Fatal("zero value not false")
-	}
-	v.Store(true)
-	if !v.Load() {
-		t.Fatal("store true")
-	}
-	v.Store(false)
-	if v.Load() {
-		t.Fatal("store false")
 	}
 }
 

@@ -42,13 +42,3 @@ func (h *AtomicHistogram) Snapshot() Histogram {
 	out.max = h.max.Load()
 	return out
 }
-
-// Count returns the number of recorded observations (approximate while
-// writers are active, like every concurrent counter read).
-func (h *AtomicHistogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}

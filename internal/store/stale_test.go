@@ -129,7 +129,9 @@ func TestStoreStaleValueDetection(t *testing.T) {
 						// the writers make the progress being waited on). One
 						// overwrite past the capture retires the held handle.
 						for overwrites[i].Load() < gen+1 {
-							h.Poll()
+							for m := 0; m < g.Members(); m++ {
+								h.Member(m).Poll()
+							}
 							runtime.Gosched()
 						}
 						var rok bool

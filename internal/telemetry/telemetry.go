@@ -396,14 +396,6 @@ func (s *Sampler) scanStallsLocked(now time.Time) int {
 	return stalled
 }
 
-// Stalled returns the stall episodes observed so far (both recovered
-// and still-open), oldest first.
-func (s *Sampler) Stalled() []StallEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]StallEvent(nil), s.stalls...)
-}
-
 // snapshotLocked assembles a Timeline from current state.
 func (s *Sampler) snapshotLocked() Timeline {
 	tl := Timeline{

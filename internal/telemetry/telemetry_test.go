@@ -138,26 +138,26 @@ func TestStallDetector(t *testing.T) {
 	}
 	s.Start()
 	s.Tick() // first sight: records state, nothing stalled yet
-	if ev := s.Stalled(); len(ev) != 0 {
+	if ev := s.Snapshot().Stalls; len(ev) != 0 {
 		t.Fatalf("stalled on first sight: %+v", ev)
 	}
 	time.Sleep(time.Millisecond)
 	s.Tick() // unchanged past StallAfter: in-op stall
-	ev := s.Stalled()
+	ev := s.Snapshot().Stalls
 	if len(ev) != 1 || ev[0].Slot != 0 || ev[0].Kind != telemetry.StallInOp || ev[0].Recovered {
 		t.Fatalf("want one open in-op stall on slot 0, got %+v", ev)
 	}
 	// A ping lands and goes unanswered: escalate to no-ack.
 	f.probes[0].PingPending = true
 	s.Tick()
-	if ev = s.Stalled(); len(ev) != 1 || ev[0].Kind != telemetry.StallNoAck {
+	if ev = s.Snapshot().Stalls; len(ev) != 1 || ev[0].Kind != telemetry.StallNoAck {
 		t.Fatalf("want escalation to no-ack, got %+v", ev)
 	}
 	// The reader finally advances: episode closes as recovered.
 	f.probes[0].OpSeq = 8
 	f.probes[0].PingPending = false
 	s.Tick()
-	if ev = s.Stalled(); len(ev) != 1 || !ev[0].Recovered || ev[0].Age <= 0 {
+	if ev = s.Snapshot().Stalls; len(ev) != 1 || !ev[0].Recovered || ev[0].Age <= 0 {
 		t.Fatalf("want recovered episode, got %+v", ev)
 	}
 	// Same slot, new tenant parked mid-op: fresh state, second episode.
@@ -165,7 +165,7 @@ func TestStallDetector(t *testing.T) {
 	s.Tick()
 	time.Sleep(time.Millisecond)
 	s.Tick()
-	ev = s.Stalled()
+	ev = s.Snapshot().Stalls
 	if len(ev) != 2 || ev[1].Incarnation != 2 || ev[1].Recovered {
 		t.Fatalf("want second open episode for incarnation 2, got %+v", ev)
 	}

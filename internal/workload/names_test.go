@@ -3,8 +3,8 @@ package workload
 import "testing"
 
 // TestOpNamesAndShares pins each op kind's reporting name (the column
-// and row names the figures and popbench print) and the mix field its
-// Share reads.
+// and row names the figures and popbench print) and, for the tree
+// workload's Op, the mix field its Share reads.
 func TestOpNamesAndShares(t *testing.T) {
 	mix := Mix{ContainsPct: 1, InsertPct: 2, DeletePct: 3, RangePct: 4, OverwritePct: 5}
 	for _, c := range []struct {
@@ -25,25 +25,20 @@ func TestOpNamesAndShares(t *testing.T) {
 			t.Errorf("Mix.Share(%v) = %d, want %d", c.op, got, c.share)
 		}
 	}
-	smix := StoreMix{GetPct: 1, PutPct: 2, MGetPct: 3, ScanPct: 4, DeletePct: 5, RMWPct: 6, MPutPct: 7}
 	for _, c := range []struct {
-		op    StoreOp
-		name  string
-		share int
+		op   StoreOp
+		name string
 	}{
-		{StoreGet, "get", smix.GetPct},
-		{StorePut, "put", smix.PutPct},
-		{StoreMGet, "mget", smix.MGetPct},
-		{StoreScan, "scan", smix.ScanPct},
-		{StoreDelete, "delete", smix.DeletePct},
-		{StoreRMW, "rmw", smix.RMWPct},
-		{StoreMPut, "mput", smix.MPutPct},
+		{StoreGet, "get"},
+		{StorePut, "put"},
+		{StoreMGet, "mget"},
+		{StoreScan, "scan"},
+		{StoreDelete, "delete"},
+		{StoreRMW, "rmw"},
+		{StoreMPut, "mput"},
 	} {
 		if got := c.op.String(); got != c.name {
 			t.Errorf("StoreOp(%d).String() = %q, want %q", c.op, got, c.name)
-		}
-		if got := smix.Share(c.op); got != c.share {
-			t.Errorf("StoreMix.Share(%v) = %d, want %d", c.op, got, c.share)
 		}
 	}
 	if NumOps != 5 || NumStoreOps != 7 {

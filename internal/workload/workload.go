@@ -540,27 +540,6 @@ type StoreMix struct {
 // continuously.
 var StoreServe = StoreMix{GetPct: 65, PutPct: 15, MGetPct: 10, ScanPct: 5, DeletePct: 5}
 
-// Share returns op's percentage of the mix (0 for an unknown op).
-func (m StoreMix) Share(op StoreOp) int {
-	switch op {
-	case StoreGet:
-		return m.GetPct
-	case StorePut:
-		return m.PutPct
-	case StoreMGet:
-		return m.MGetPct
-	case StoreScan:
-		return m.ScanPct
-	case StoreDelete:
-		return m.DeletePct
-	case StoreRMW:
-		return m.RMWPct
-	case StoreMPut:
-		return m.MPutPct
-	}
-	return 0
-}
-
 // Valid reports whether the mix sums to 100 with no negatives.
 func (m StoreMix) Valid() bool {
 	return m.GetPct >= 0 && m.PutPct >= 0 && m.MGetPct >= 0 && m.ScanPct >= 0 &&
