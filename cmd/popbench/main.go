@@ -448,6 +448,7 @@ func chaosMetrics[R any](stats func(R) chaos.Stats) []figures.Metric[R] {
 	return []figures.Metric[R]{
 		{Name: "chaos injector ops", Get: func(r R) float64 { return float64(stats(r).Ops) }},
 		{Name: "chaos stall windows", Get: func(r R) float64 { return float64(stats(r).Stalls) }},
+		{Name: "chaos GC cycles", Get: func(r R) float64 { return float64(stats(r).GCCycles) }},
 		{Name: "chaos lease cycles", Get: func(r R) float64 { return float64(stats(r).Leases) }},
 	}
 }
@@ -541,7 +542,7 @@ func (o storeSweepOpts) run() error {
 	cm := figures.Shared[R]()
 	metrics := []figures.Metric[R]{
 		cm.Throughput,
-		{Name: "served keys/s", Get: func(r R) float64 { return r.KeyTput }},
+		{Name: "served keys/s", Get: func(r R) float64 { return float64(r.ServedKeys) / r.Elapsed.Seconds() }},
 		figures.StoreLat("get latency p50 (µs)", workload.StoreGet, 0.50),
 		figures.StoreLat("get latency p99 (µs)", workload.StoreGet, 0.99),
 	}
@@ -778,7 +779,9 @@ func (o sweepOpts) run() error {
 	metrics = append(metrics, cm.ValueErrors, cm.AllocsPerOp, cm.AllocBytesPerOp)
 	if mix.RangePct > 0 {
 		metrics = append(metrics,
-			figures.Metric[R]{Name: "range throughput (scans/s)", Get: func(r R) float64 { return r.RangeTput }},
+			figures.Metric[R]{Name: "range throughput (scans/s)", Get: func(r R) float64 {
+				return float64(r.OpCounts[workload.RangeQuery]) / r.Elapsed.Seconds()
+			}},
 			figures.Metric[R]{Name: "keys per scan", Get: func(r R) float64 {
 				if r.OpCounts[workload.RangeQuery] == 0 {
 					return 0

@@ -11,6 +11,8 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,6 +35,19 @@ import (
 //     or its pointer implements that interface.
 //
 // A field, or a method of another type, of the same name does not count.
+//
+// Two rules cover the exported fields of exported struct types:
+//   - every non-embedded field must be read by a non-test file: a use of
+//     that exact field that is not the target of an assignment or of ++
+//     or --, and not a composite-literal key. A field with a json tag is
+//     exempt: encoding/json reads it.
+//   - every field of a config type, an exported struct whose name ends
+//     in Config or that has a withDefaults method, must be set by a
+//     non-test file outside withDefaults, as a composite-literal key or
+//     an assignment target. A value no program sets is a constant, not
+//     an option. The name counts as well as the method because a config
+//     whose every field is set needs no defaults.
+//
 // internal/ds/dstest is exempt: it is the ds conformance suite, a
 // test-support package whose only callers are tests. String and Error
 // are exempt too: fmt calls them.
@@ -74,7 +89,11 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 
 	// What the non-test files use: exact objects, and method names
 	// selected on interfaces (a type parameter selects on its constraint).
+	// A use of a field reads it or sets it; a set keeps its position, so
+	// a set inside withDefaults can be told apart.
 	used := map[types.Object]bool{}
+	read := map[types.Object]bool{}
+	set := map[types.Object][]token.Pos{}
 	type ifaceCall struct {
 		iface *types.Interface
 		name  string
@@ -94,10 +113,39 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				}
 			}
 		}
+		targets := map[*ast.Ident]bool{}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						targets[target(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					targets[target(n.X)] = true
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								targets[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
 		for id, obj := range c.info.Uses {
 			obj = origin(obj)
 			if !recvs[id] && !within(obj, id.Pos()) {
 				used[obj] = true
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if targets[id] {
+					set[obj] = append(set[obj], id.Pos())
+				} else {
+					read[obj] = true
+				}
 			}
 		}
 		for _, sel := range c.info.Selections {
@@ -127,7 +175,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		return false
 	}
 
-	var unused []string
+	var unused, unread, unset []string
 	report := func(obj types.Object, name string) {
 		unused = append(unused, fmt.Sprintf("%s %s.%s", fset.Position(obj.Pos()), obj.Pkg().Name(), name))
 	}
@@ -152,8 +200,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			if !ok {
 				continue
 			}
+			var defaults *types.Func
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
+				if m.Name() == "withDefaults" {
+					defaults = m
+				}
 				if !m.Exported() || m.Name() == "String" || m.Name() == "Error" {
 					continue
 				}
@@ -161,12 +213,51 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					report(m, name+"."+m.Name())
 				}
 			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
+					continue
+				}
+				field := fmt.Sprintf("%s %s.%s.%s", fset.Position(f.Pos()), c.pkg.Name(), name, f.Name())
+				if _, encoded := reflect.StructTag(st.Tag(i)).Lookup("json"); !encoded && !read[f] {
+					unread = append(unread, field)
+				}
+				outside := func(p token.Pos) bool { return defaults == nil || !within(defaults, p) }
+				if (defaults != nil || strings.HasSuffix(name, "Config")) && !slices.ContainsFunc(set[f], outside) {
+					unset = append(unset, field)
+				}
+			}
 		}
 	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s: exported, but no non-test file uses it", u)
+	for _, l := range []struct {
+		names []string
+		what  string
+	}{
+		{unused, "exported, but no non-test file uses it"},
+		{unread, "exported field, but no non-test file reads it"},
+		{unset, "config field, but no non-test file sets it outside withDefaults"},
+	} {
+		sort.Strings(l.names)
+		for _, n := range l.names {
+			t.Errorf("%s: %s", n, l.what)
+		}
 	}
+}
+
+// target is the identifier an assignment or ++/-- writes through: the
+// field of a selector, or a plain name.
+func target(lhs ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr:
+		return e.Sel
+	case *ast.Ident:
+		return e
+	}
+	return nil
 }
 
 // checked is one type-checked package with the files it was checked from.

@@ -18,6 +18,12 @@
 //     shard's keys and flips shards on a timer, moving retirement
 //     pressure around the store.
 //
+// Config chooses which injectors run and how many; how hard each one
+// pushes is fixed: a stalled reader holds each window for 2ms, the GC
+// loop forces a cycle every 5ms, a churner runs 200 ops per lease, and
+// the hotspot moves to another shard every 2ms. Every injector's op
+// stream derives from one fixed seed.
+//
 // Every injector write is checksum-valid (workload.AppendValueBytes),
 // so a run under chaos remains fully value-verifiable: chaos perturbs
 // schedules, never the correctness contract.
@@ -42,37 +48,38 @@ import (
 	"pop/internal/workload"
 )
 
-// Config selects which injectors run and how hard. The zero value
-// runs nothing; Default returns the standard bundle.
+// Config selects which injectors run. The zero value runs nothing;
+// Default returns the standard bundle.
 type Config struct {
 	// Stalls is the number of stalled-reader injectors. Each holds a
-	// protected op for StallHold (default 2ms) at a time, polling so
-	// ping-based policies get their answers, then releases and
-	// re-enters — a rolling population of long reads.
-	Stalls    int
-	StallHold time.Duration
+	// protected op for stallHold at a time, polling so ping-based
+	// policies get their answers, then releases and re-enters — a
+	// rolling population of long reads.
+	Stalls int
 
 	// GCPressure runs a forced-GC loop: one runtime.GC plus an
-	// allocation ballast every GCEvery (default 5ms).
+	// allocation ballast every gcEvery.
 	GCPressure bool
-	GCEvery    time.Duration
 
 	// Churners is the number of lease-churn injectors; each acquires a
-	// thread slot from the store's pool, performs ChurnOps ops
-	// (default 200), and releases — oscillating the live thread count
-	// and exercising orphan donation/adoption continuously.
+	// thread slot from the store's pool, performs churnOps ops, and
+	// releases — oscillating the live thread count and exercising
+	// orphan donation/adoption continuously.
 	Churners int
-	ChurnOps int
 
 	// Hotspot runs the shard-hotspot flipper: overwrites concentrate
-	// on one shard's keys and the target shard flips every FlipEvery
-	// (default 2ms).
-	Hotspot   bool
-	FlipEvery time.Duration
-
-	// Seed makes injector op streams reproducible (0 = fixed default).
-	Seed uint64
+	// on one shard's keys and the target shard flips every flipEvery.
+	Hotspot bool
 }
+
+// How hard each injector pushes, and the seed of their op streams.
+const (
+	stallHold = 2 * time.Millisecond
+	gcEvery   = 5 * time.Millisecond
+	churnOps  = 200
+	flipEvery = 2 * time.Millisecond
+	baseSeed  = 0xc4a05_5eed
+)
 
 // Default returns the standard chaos bundle: one of each injector.
 func Default() Config {
@@ -95,25 +102,6 @@ func (c Config) Slots() int {
 	return n
 }
 
-func (c Config) withDefaults() Config {
-	if c.StallHold <= 0 {
-		c.StallHold = 2 * time.Millisecond
-	}
-	if c.GCEvery <= 0 {
-		c.GCEvery = 5 * time.Millisecond
-	}
-	if c.ChurnOps <= 0 {
-		c.ChurnOps = 200
-	}
-	if c.FlipEvery <= 0 {
-		c.FlipEvery = 2 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xc4a05_5eed
-	}
-	return c
-}
-
 // Stats counts what the injectors actually did — storms assert these
 // are nonzero, so a silently idle injector fails the test rather than
 // weakening it.
@@ -127,7 +115,6 @@ type Stats struct {
 
 // Runner drives a set of injectors against a store until Stop.
 type Runner struct {
-	cfg  Config
 	s    *store.Store
 	keys int64 // key population: ranks [0, keys)
 
@@ -145,11 +132,10 @@ type Runner struct {
 // cfg.Slots() spare slots — and churners cycle leases for the run's
 // whole length.
 func Start(cfg Config, s *store.Store, keys int64) (*Runner, error) {
-	cfg = cfg.withDefaults()
 	if keys <= 0 && cfg.Enabled() {
 		return nil, fmt.Errorf("chaos: empty key population")
 	}
-	r := &Runner{cfg: cfg, s: s, keys: keys}
+	r := &Runner{s: s, keys: keys}
 
 	// Lease every long-lived injector handle before spawning anything,
 	// so capacity misconfiguration fails here — with all partial leases
@@ -186,15 +172,15 @@ func Start(cfg Config, s *store.Store, keys int64) (*Runner, error) {
 
 	for i, h := range stallHs {
 		r.wg.Add(1)
-		go r.stalledReader(h, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
+		go r.stalledReader(h, baseSeed+uint64(i)*0x9e3779b97f4a7c15)
 	}
 	if hotH != nil {
 		r.wg.Add(1)
-		go r.hotspotFlipper(hotH, cfg.Seed^0xf11b)
+		go r.hotspotFlipper(hotH, baseSeed^0xf11b)
 	}
 	for i := 0; i < cfg.Churners; i++ {
 		r.wg.Add(1)
-		go r.churner(cfg.Seed ^ (uint64(i+1) * 0xff51afd7ed558ccd))
+		go r.churner(baseSeed ^ (uint64(i+1) * 0xff51afd7ed558ccd))
 	}
 	if cfg.GCPressure {
 		r.wg.Add(1)
@@ -219,7 +205,7 @@ func (r *Runner) Stop() Stats {
 	}
 }
 
-// stalledReader holds a protected operation for StallHold at a time,
+// stalledReader holds a protected operation for stallHold at a time,
 // polling throughout so ping-based policies (POP, NBR) get their
 // answers while the reservation pins memory — the §5.1.2 schedule as a
 // rolling background condition. On a grouped store the stall pins the
@@ -243,7 +229,7 @@ func (r *Runner) stalledReader(h *core.GroupHandle, seed uint64) {
 		r.ops.Add(1)
 		th := h.Member(r.s.MemberIndex(r.s.ShardIndex(key)))
 		th.StartOp()
-		deadline := time.Now().Add(r.cfg.StallHold)
+		deadline := time.Now().Add(stallHold)
 		for time.Now().Before(deadline) && !r.stop.Load() {
 			th.Poll()
 			time.Sleep(20 * time.Microsecond)
@@ -255,7 +241,7 @@ func (r *Runner) stalledReader(h *core.GroupHandle, seed uint64) {
 	r.s.Release(h)
 }
 
-// gcLoop forces a GC cycle every GCEvery with a rotating allocation
+// gcLoop forces a GC cycle every gcEvery with a rotating allocation
 // ballast, so reclamation constantly races the runtime's own memory
 // machinery.
 func (r *Runner) gcLoop() {
@@ -268,7 +254,7 @@ func (r *Runner) gcLoop() {
 		}
 		runtime.GC()
 		r.gcCycles.Add(1)
-		time.Sleep(r.cfg.GCEvery)
+		time.Sleep(gcEvery)
 	}
 }
 
@@ -291,7 +277,7 @@ func (r *Runner) churner(seed uint64) {
 			panic(fmt.Sprintf("chaos: churner lease: %v", err))
 		}
 		r.leases.Add(1)
-		for i := 0; i < r.cfg.ChurnOps && !r.stop.Load(); i++ {
+		for i := 0; i < churnOps && !r.stop.Load(); i++ {
 			key := workload.PutKey(&kb, rg.Intn(r.keys))
 			switch p := rg.Pct(); {
 			case p < 50:
@@ -312,7 +298,7 @@ func (r *Runner) churner(seed uint64) {
 }
 
 // hotspotFlipper concentrates overwrites on one shard's keys, flipping
-// the target shard every FlipEvery — retirement pressure that moves
+// the target shard every flipEvery — retirement pressure that moves
 // around the store instead of spreading evenly.
 func (r *Runner) hotspotFlipper(h *core.GroupHandle, seed uint64) {
 	defer r.wg.Done()
@@ -334,7 +320,7 @@ func (r *Runner) hotspotFlipper(h *core.GroupHandle, seed uint64) {
 			continue
 		}
 		hot := byShard[sh]
-		deadline := time.Now().Add(r.cfg.FlipEvery)
+		deadline := time.Now().Add(flipEvery)
 		for time.Now().Before(deadline) && !r.stop.Load() {
 			key := workload.PutKey(&kb, int64(hot[rg.Intn(int64(len(hot)))]))
 			tag++

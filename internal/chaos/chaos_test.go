@@ -25,17 +25,7 @@ func storm(t *testing.T, p core.Policy, members int) {
 		nKeys   = 2048
 		runFor  = 80 * time.Millisecond
 	)
-	cfg := Config{
-		Stalls:     1,
-		StallHold:  500 * time.Microsecond,
-		GCPressure: true,
-		GCEvery:    2 * time.Millisecond,
-		Churners:   1,
-		ChurnOps:   64,
-		Hotspot:    true,
-		FlipEvery:  time.Millisecond,
-		Seed:       uint64(p) + 1,
-	}
+	cfg := Default()
 	// Workers + injectors + the post-run checker slot.
 	g := core.NewDomainGroup(p, members, workers+cfg.Slots()+1, &core.Options{ReclaimThreshold: 128})
 	s, err := store.New(g, store.Config{Shards: shards, ExpectedKeysPerShard: nKeys/shards + 1})

@@ -369,6 +369,9 @@ func longReadsFigure() Figure {
 				cells := make([]float64, len(policies))
 				mems := make([]float64, len(policies))
 				var nrTput float64
+				readTput := func(r harness.Result) float64 {
+					return float64(r.OpCounts[workload.Get]) / r.Elapsed.Seconds()
+				}
 				run := func(p core.Policy) (harness.Result, error) {
 					return harness.Run(harness.Config{
 						DS:        harness.DSHarrisMichaelList,
@@ -386,7 +389,7 @@ func longReadsFigure() Figure {
 				if err != nil {
 					return nil, err
 				}
-				nrTput = base.ReadTput
+				nrTput = readTput(base)
 				for pi, p := range policies {
 					var res harness.Result
 					if p == core.NR {
@@ -399,7 +402,7 @@ func longReadsFigure() Figure {
 						}
 					}
 					if nrTput > 0 {
-						cells[pi] = res.ReadTput / nrTput
+						cells[pi] = readTput(res) / nrTput
 					}
 					mems[pi] = float64(res.Reclaim.MaxRetire)
 				}

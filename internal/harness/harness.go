@@ -153,12 +153,9 @@ func (c Config) withDefaults() (Config, error) {
 // counts Gets whose value failed the checksum) plus the map trial's
 // per-op view.
 type Result struct {
-	Config Config
 	Core
 
-	RangeKeys uint64  // keys returned across all range queries
-	ReadTput  float64 // gets (OpCounts[workload.Get]) per second (Fig. 4's metric)
-	RangeTput float64 // range queries (OpCounts[workload.RangeQuery]) per second
+	RangeKeys uint64 // keys returned across all range queries
 
 	// OpCounts splits Ops by operation kind — the KV serving view of
 	// the trial.
@@ -299,11 +296,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	c, sum, _ := t.run()
 
-	res := Result{Config: cfg, Core: c, RangeKeys: sum.keys}
+	res := Result{Core: c, RangeKeys: sum.keys}
 	copy(res.OpCounts[:], sum.byClass)
 	copy(res.OpLat[:], sum.lats)
-	res.ReadTput = float64(res.OpCounts[workload.Get]) / c.Elapsed.Seconds()
-	res.RangeTput = float64(res.OpCounts[workload.RangeQuery]) / c.Elapsed.Seconds()
 	return res, nil
 }
 

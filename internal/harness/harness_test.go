@@ -77,7 +77,7 @@ func TestPrefillHitsTarget(t *testing.T) {
 				Policy: core.EBR, Slots: 3, Conns: 2, Duration: 60 * time.Millisecond,
 				Keys: keys, GetPct: 100,
 			})
-			return float64(res.Hits) / float64(res.Gets), err
+			return float64(res.Server.GetHits) / float64(res.Server.GetKeys), err
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -149,8 +149,8 @@ func TestStallInjection(t *testing.T) {
 	}
 }
 
-// TestThroughputOverMeasuredElapsed: every runner's rates divide by the
-// measured phase, not the configured one. In the map trial the staller
+// TestThroughputOverMeasuredElapsed: every runner's throughput divides by
+// the measured phase, not the configured one. In the map trial the staller
 // is mid-stall when stop fires (a stall every millisecond, each ten
 // times the run's length), so the phase outlasts Duration by at least
 // the time it takes to notice.
@@ -173,16 +173,10 @@ func TestThroughputOverMeasuredElapsed(t *testing.T) {
 			if err == nil && res.Elapsed == dur {
 				t.Errorf("Elapsed %v, want more than the configured %v", res.Elapsed, dur)
 			}
-			if want := float64(res.OpCounts[workload.Get]) / res.Elapsed.Seconds(); err == nil && res.ReadTput != want {
-				t.Errorf("ReadTput %v, want gets/Elapsed = %v", res.ReadTput, want)
-			}
 			return res.Core, err
 		}},
 		{"RunStore", func() (harness.Core, error) {
 			res, err := harness.RunStore(harness.StoreConfig{Policy: core.EpochPOP, Threads: 2, Duration: dur, Keys: 1024, Shards: 2})
-			if want := float64(res.ServedKeys) / res.Elapsed.Seconds(); err == nil && res.KeyTput != want {
-				t.Errorf("KeyTput %v, want served keys/Elapsed = %v", res.KeyTput, want)
-			}
 			return res.Core, err
 		}},
 		{"RunServe", func() (harness.Core, error) {
@@ -230,7 +224,7 @@ func TestRangeSweepBothScanners(t *testing.T) {
 				t.Fatalf("%s/%v: %v", dsName, p, err)
 			}
 			rangeOps, scanLat := res.OpCounts[workload.RangeQuery], res.OpLat[workload.RangeQuery]
-			if rangeOps == 0 || res.RangeTput == 0 {
+			if rangeOps == 0 {
 				t.Fatalf("%s/%v: no range queries recorded (ops=%d)", dsName, p, rangeOps)
 			}
 			if res.RangeKeys == 0 {

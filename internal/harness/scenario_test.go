@@ -178,12 +178,7 @@ func TestServeChaosTrial(t *testing.T) {
 		Duration: 60 * time.Millisecond,
 		Keys:     1024,
 		Seed:     3,
-		Chaos: chaos.Config{
-			Stalls: 1, StallHold: 500 * time.Microsecond,
-			GCPressure: true, GCEvery: 2 * time.Millisecond,
-			Churners: 1, ChurnOps: 64,
-			Hotspot: true, FlipEvery: time.Millisecond,
-		},
+		Chaos:    chaos.Default(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,12 +215,7 @@ func TestStoreChaosTrial(t *testing.T) {
 					Keys:     2048,
 					Shards:   4,
 					Seed:     11,
-					Chaos: chaos.Config{
-						Stalls: 1, StallHold: 500 * time.Microsecond,
-						GCPressure: true, GCEvery: 2 * time.Millisecond,
-						Churners: 1, ChurnOps: 64,
-						Hotspot: true, FlipEvery: time.Millisecond,
-					},
+					Chaos:    chaos.Default(),
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -96,14 +96,11 @@ var serveValueMin, serveValueMax, _ = valueBounds(0, 0)
 // wire stale or torn, and Lifecycle is read after shutdown, so its
 // Leased counts leaks and must be 0) plus the serving front's view.
 type ServeResult struct {
-	Config ServeConfig
 	Core
 
-	Gets, Sets uint64 // Ops split by class
-	Hits       uint64 // gets that returned a value
-
 	// GetLat/SetLat are client-observed latencies (ns): closed-loop
-	// from send, open-loop from the intended send time.
+	// from send, open-loop from the intended send time. Every get and
+	// set is timed, so their counts split Ops by class.
 	GetLat, SetLat *report.Histogram
 
 	// AdmWait is the server's admission-queue wait distribution (ns)
@@ -305,8 +302,7 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	// has folded its block into the closed totals: the final count.
 	closeErr := srv.Close()
 	res := ServeResult{
-		Config: cfg, Core: c, Hits: sum.keys,
-		Gets: sum.byClass[serveGet], Sets: sum.byClass[serveSet],
+		Core:   c,
 		GetLat: sum.lats[serveGet], SetLat: sum.lats[serveSet],
 		AdmWait: srv.AdmissionWait(), Server: srv.Stats(), Chaos: chaosStats,
 	}
@@ -321,6 +317,11 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}
 	if res.Lifecycle.Leased != 0 {
 		return res, fmt.Errorf("harness: %d thread leases leaked after shutdown", res.Lifecycle.Leased)
+	}
+	// Every client waits for its last reply, and the server counts a
+	// hit before it replies: the two counts must agree exactly.
+	if sum.keys != res.Server.GetHits {
+		return res, fmt.Errorf("harness: clients saw %d get hits, the server counted %d", sum.keys, res.Server.GetHits)
 	}
 	return res, nil
 }
@@ -338,9 +339,8 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 		tag  = uint32(id)<<24 | 0x400000
 
 		ops, hits, valueErrs uint64
-		byClass              [numServeClasses]uint64
 	)
-	defer func() { out.add(ops, hits, valueErrs, byClass[:]) }()
+	defer func() { out.add(ops, hits, valueErrs, nil) }()
 	// Open loop: the intended send times are a fixed grid; latency is
 	// measured from the intended time, so a stalled server accrues the
 	// backlog it caused.
@@ -371,7 +371,6 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 				return err
 			}
 			out.lats[serveGet].Record(time.Since(intended).Nanoseconds())
-			byClass[serveGet]++
 			if ok {
 				hits++
 				if !workload.ValueBytesValid(store.KeyHash(key), gbuf) {
@@ -386,7 +385,6 @@ func runServeClient(cfg ServeConfig, c *serveClient, keys *workload.Sampler, id 
 				return err
 			}
 			out.lats[serveSet].Record(time.Since(intended).Nanoseconds())
-			byClass[serveSet]++
 		}
 		ops++
 	}

@@ -218,11 +218,9 @@ func valueBounds(vmin, vmax int) (int, int, error) {
 // op is one get, put, batch or scan; PeakResident counts nodes and
 // values) plus the store's own view.
 type StoreResult struct {
-	Config StoreConfig
 	Core
 
-	ServedKeys uint64  // keys served: gets + batch keys + scan pairs
-	KeyTput    float64 // ServedKeys per second
+	ServedKeys uint64 // keys served: gets + batch keys + scan pairs
 
 	// OpCounts splits Ops by operation kind.
 	OpCounts [workload.NumStoreOps]uint64
@@ -452,10 +450,9 @@ func RunStore(cfg StoreConfig) (StoreResult, error) {
 	if err != nil {
 		return StoreResult{}, err
 	}
-	res := StoreResult{Config: cfg, Core: c, ServedKeys: sum.keys, Store: s.Stats(), Chaos: chaosStats}
+	res := StoreResult{Core: c, ServedKeys: sum.keys, Store: s.Stats(), Chaos: chaosStats}
 	copy(res.OpCounts[:], sum.byClass)
 	copy(res.OpLat[:], sum.lats)
-	res.KeyTput = float64(res.ServedKeys) / c.Elapsed.Seconds()
 	return res, nil
 }
 

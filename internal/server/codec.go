@@ -62,12 +62,12 @@ const (
 )
 
 // Command is one parsed request. Keys is reused across parses; copy
-// entries to keep them past the next ReadCommand.
+// entries to keep them past the next ReadCommand. A set's flags and
+// exptime are range-checked and dropped: values are served with flags 0
+// and never expire.
 type Command struct {
 	Op       Op
 	Keys     []string // get/gets: all keys; set/add/delete: Keys[0]
-	Flags    uint32   // set/add (accepted, not stored; served back as 0)
-	Exptime  int64    // set/add (accepted, ignored: no TTL yet)
 	Bytes    int      // set/add payload length
 	Noreply  bool
 	StatsArg string
@@ -226,16 +226,12 @@ func ParseCommand(line []byte, cmd *Command) error {
 			return ClientError("bad key")
 		}
 		cmd.Keys = append(cmd.Keys, string(args[0]))
-		flags, err := parseUint(args[1], 32)
-		if err != nil {
+		if _, err := parseUint(args[1], 32); err != nil {
 			return ClientError("bad flags")
 		}
-		cmd.Flags = uint32(flags)
-		exp, err := parseUint(args[2], 63)
-		if err != nil {
+		if _, err := parseUint(args[2], 63); err != nil {
 			return ClientError("bad exptime")
 		}
-		cmd.Exptime = int64(exp)
 		n, err := parseUint(args[3], 31)
 		if err != nil {
 			return ClientError("bad data length")

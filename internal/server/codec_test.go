@@ -14,8 +14,6 @@ func TestParseCommand(t *testing.T) {
 	type want struct {
 		op      Op
 		keys    []string
-		flags   uint32
-		exptime int64
 		bytes   int
 		noreply bool
 		stats   string
@@ -35,12 +33,14 @@ func TestParseCommand(t *testing.T) {
 		{"get key max len", "get " + strings.Repeat("k", MaxKeyLen), &want{op: OpGet, keys: []string{strings.Repeat("k", MaxKeyLen)}}, ""},
 		{"get control char key", "get a\x01b", nil, "bad key"},
 
-		{"set", "set k 7 0 5", &want{op: OpSet, keys: []string{"k"}, flags: 7, bytes: 5}, ""},
+		{"set", "set k 7 0 5", &want{op: OpSet, keys: []string{"k"}, bytes: 5}, ""},
 		{"set noreply", "set k 0 0 3 noreply", &want{op: OpSet, keys: []string{"k"}, bytes: 3, noreply: true}, ""},
-		{"set exptime", "set k 0 120 4", &want{op: OpSet, keys: []string{"k"}, exptime: 120, bytes: 4}, ""},
+		{"set exptime", "set k 0 120 4", &want{op: OpSet, keys: []string{"k"}, bytes: 4}, ""},
 		{"add", "add k 0 0 2", &want{op: OpAdd, keys: []string{"k"}, bytes: 2}, ""},
 		{"set missing bytes", "set k 0 0", nil, "bad command line format"},
 		{"set junk flags", "set k x 0 5", nil, "bad flags"},
+		{"set flags overflow", "set k 4294967296 0 5", nil, "bad flags"},
+		{"set junk exptime", "set k 0 x 5", nil, "bad exptime"},
 		{"set negative bytes", "set k 0 0 -1", nil, "bad data length"},
 		{"set bytes overflow", "set k 0 0 99999999999999999999", nil, "bad data length"},
 		{"set trailing junk", "set k 0 0 5 banana", nil, "bad command line format"},
@@ -100,8 +100,7 @@ func TestParseCommand(t *testing.T) {
 					t.Errorf("keys[%d] = %q, want %q", i, cmd.Keys[i], tc.want.keys[i])
 				}
 			}
-			if cmd.Flags != tc.want.flags || cmd.Exptime != tc.want.exptime ||
-				cmd.Bytes != tc.want.bytes || cmd.Noreply != tc.want.noreply ||
+			if cmd.Bytes != tc.want.bytes || cmd.Noreply != tc.want.noreply ||
 				cmd.StatsArg != tc.want.stats {
 				t.Errorf("parsed %+v, want %+v", cmd, *tc.want)
 			}
@@ -260,8 +259,8 @@ func TestReadCommandFraming(t *testing.T) {
 
 // sameCommand compares everything a caller can read from a Command.
 func sameCommand(a, b Command) bool {
-	return a.Op == b.Op && slices.Equal(a.Keys, b.Keys) && a.Flags == b.Flags &&
-		a.Exptime == b.Exptime && a.Bytes == b.Bytes && a.Noreply == b.Noreply &&
+	return a.Op == b.Op && slices.Equal(a.Keys, b.Keys) &&
+		a.Bytes == b.Bytes && a.Noreply == b.Noreply &&
 		a.StatsArg == b.StatsArg
 }
 

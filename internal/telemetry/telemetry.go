@@ -14,6 +14,10 @@
 // SlotLeases vector that Lifecycle builds, and a StallEvent on stall
 // onset. Sampling at 100ms is invisible next to the workload it
 // watches (the acceptance bound is ≤2% at 10ms-class intervals).
+//
+// The ring keeps the latest 512 samples, folding older ones into the
+// Timeline's Base, and a slot is flagged stalled once it has sat inside
+// one operation, or on an unanswered ping, for 50ms.
 package telemetry
 
 import (
@@ -53,14 +57,6 @@ type Config struct {
 	// sampler then only records the base and final snapshots, and Tick
 	// can be driven manually in tests).
 	Every time.Duration
-	// Capacity bounds the sample ring. When full, the oldest sample's
-	// deltas fold into Base (telescoping is preserved; Dropped counts
-	// the folds). Default 512.
-	Capacity int
-	// StallAfter is how long a slot may sit inside one operation (odd,
-	// unchanged opSeq) — or on an unanswered ping — before it is flagged
-	// stalled. Default 50ms. Detection resolution is Every.
-	StallAfter time.Duration
 	// Ops, if set, reads the host's cumulative completed-operation
 	// count (for throughput deltas).
 	Ops func() uint64
@@ -68,15 +64,16 @@ type Config struct {
 	Extras ExtrasSource
 }
 
-func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 512
-	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 50 * time.Millisecond
-	}
-	return c
-}
+const (
+	// ringSize bounds the sample ring. When full, the oldest sample's
+	// deltas fold into Base (telescoping is preserved; Dropped counts
+	// the folds).
+	ringSize = 512
+	// stallAfter is how long a slot may sit inside one operation (odd,
+	// unchanged opSeq) — or on an unanswered ping — before it is flagged
+	// stalled. Detection resolution is Config.Every.
+	stallAfter = 50 * time.Millisecond
+)
 
 // Sample is one interval's deltas (not cumulative totals): what
 // happened between the previous tick and this one.
@@ -100,7 +97,7 @@ type StallKind string
 
 const (
 	// StallInOp: the slot's opSeq has been odd and unchanged past
-	// StallAfter — a reader parked inside an operation (it may still be
+	// stallAfter (50ms) — a reader parked inside an operation (it may still be
 	// answering pings; EBR-style readers have nothing to answer).
 	StallInOp StallKind = "in-op"
 	// StallNoAck: in-op and sitting on a pending ping without having
@@ -215,7 +212,7 @@ type Sampler struct {
 
 // NewSampler builds a sampler over src. Call Start to begin.
 func NewSampler(src CoreSource, cfg Config) *Sampler {
-	return &Sampler{src: src, cfg: cfg.withDefaults()}
+	return &Sampler{src: src, cfg: cfg}
 }
 
 // Start records the base snapshot and, if cfg.Every > 0, launches the
@@ -229,7 +226,7 @@ func (s *Sampler) Start() {
 	s.running = true
 	s.started = time.Now()
 	s.rebaseLocked()
-	s.ring = make([]Sample, s.cfg.Capacity)
+	s.ring = make([]Sample, ringSize)
 	s.head, s.n, s.dropped = 0, 0, 0
 	s.slots = make(map[slotKey]slotState)
 	s.stalls = nil
@@ -369,7 +366,7 @@ func (s *Sampler) scanStallsLocked(now time.Time) int {
 			}
 			st = slotState{incarnation: p.Incarnation, opSeq: p.OpSeq, pubCount: p.PubCount, since: now}
 		}
-		if p.OpSeq%2 == 1 && !fresh && now.Sub(st.since) > s.cfg.StallAfter {
+		if p.OpSeq%2 == 1 && !fresh && now.Sub(st.since) > stallAfter {
 			kind := StallInOp
 			if p.PingPending && p.PubCount == st.pubCount {
 				kind = StallNoAck

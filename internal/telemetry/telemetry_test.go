@@ -49,14 +49,14 @@ func TestTimelineTelescoping(t *testing.T) {
 	ex := &fakeExtras{}
 	var ops uint64
 	s := telemetry.NewSampler(f, telemetry.Config{
-		Capacity: 4, // tiny ring: force folds
-		Ops:      func() uint64 { return ops },
-		Extras:   ex,
+		Ops:    func() uint64 { return ops },
+		Extras: ex,
 	})
 	f.stats = core.Stats{Retires: 100, Frees: 40, MaxRetire: 9}
 	ops, ex.gets = 1000, 7
 	s.Start()
-	for i := 0; i < 12; i++ {
+	// One tick more than the 512-sample ring holds: the oldest folds.
+	for i := 0; i < 513; i++ {
 		f.stats.Retires += uint64(3 + i)
 		f.stats.Frees += uint64(i)
 		f.stats.Reclaims++
@@ -73,8 +73,8 @@ func TestTimelineTelescoping(t *testing.T) {
 	if tl == nil {
 		t.Fatal("Stop returned nil after Start")
 	}
-	if tl.Dropped == 0 {
-		t.Fatalf("12 ticks into a 4-slot ring dropped nothing")
+	if tl.Dropped != 1 {
+		t.Fatalf("513 ticks into a 512-sample ring dropped %d samples, want 1", tl.Dropped)
 	}
 	if got := tl.SumDeltas(); got != tl.Final {
 		t.Fatalf("telescoping broken: SumDeltas %+v != Final %+v", got, tl.Final)
@@ -130,8 +130,10 @@ func TestSnapshotMidRun(t *testing.T) {
 // when a ping goes unanswered, recovers when opSeq moves, and a new
 // incarnation inherits nothing.
 func TestStallDetector(t *testing.T) {
+	// Past the sampler's 50ms stall threshold.
+	const stallWait = 60 * time.Millisecond
 	f := &fakeSource{}
-	s := telemetry.NewSampler(f, telemetry.Config{StallAfter: time.Nanosecond})
+	s := telemetry.NewSampler(f, telemetry.Config{})
 	f.probes = []core.SlotProbe{
 		{Slot: 0, Incarnation: 1, OpSeq: 7, PubCount: 3},       // in-op, will stall
 		{Slot: 1, Incarnation: 1, OpSeq: 4, PingPending: true}, // quiescent: stale ping word, must NOT stall
@@ -141,8 +143,8 @@ func TestStallDetector(t *testing.T) {
 	if ev := s.Snapshot().Stalls; len(ev) != 0 {
 		t.Fatalf("stalled on first sight: %+v", ev)
 	}
-	time.Sleep(time.Millisecond)
-	s.Tick() // unchanged past StallAfter: in-op stall
+	time.Sleep(stallWait)
+	s.Tick() // unchanged past the 50ms stall threshold: in-op stall
 	ev := s.Snapshot().Stalls
 	if len(ev) != 1 || ev[0].Slot != 0 || ev[0].Kind != telemetry.StallInOp || ev[0].Recovered {
 		t.Fatalf("want one open in-op stall on slot 0, got %+v", ev)
@@ -163,7 +165,7 @@ func TestStallDetector(t *testing.T) {
 	// Same slot, new tenant parked mid-op: fresh state, second episode.
 	f.probes[0] = core.SlotProbe{Slot: 0, Incarnation: 2, OpSeq: 11}
 	s.Tick()
-	time.Sleep(time.Millisecond)
+	time.Sleep(stallWait)
 	s.Tick()
 	ev = s.Snapshot().Stalls
 	if len(ev) != 2 || ev[1].Incarnation != 2 || ev[1].Recovered {

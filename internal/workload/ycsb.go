@@ -13,8 +13,6 @@ import (
 type YCSBWorkload struct {
 	// Name is the single-letter workload name, "A" through "F".
 	Name string
-	// Desc is the spec's one-line characterisation.
-	Desc string
 	// Mix is the op mixture in the store dialect.
 	Mix StoreMix
 	// Dist is the key distribution the spec pairs with the mix.
@@ -27,12 +25,12 @@ type YCSBWorkload struct {
 // advancing insert frontier (NextInsert), which is exactly workload D's
 // "read the records just inserted" shape.
 var ycsbWorkloads = []YCSBWorkload{
-	{"A", "update-heavy: 50% read / 50% update, zipfian", StoreMix{GetPct: 50, PutPct: 50}, Zipf},
-	{"B", "read-heavy: 95% read / 5% update, zipfian", StoreMix{GetPct: 95, PutPct: 5}, Zipf},
-	{"C", "read-only: 100% read, zipfian", StoreMix{GetPct: 100}, Zipf},
-	{"D", "read-latest: 95% read / 5% insert, latest", StoreMix{GetPct: 95, PutPct: 5}, Latest},
-	{"E", "scan-heavy: 95% scan / 5% insert, zipfian", StoreMix{ScanPct: 95, PutPct: 5}, Zipf},
-	{"F", "read-modify-write: 50% read / 50% rmw, zipfian", StoreMix{GetPct: 50, RMWPct: 50}, Zipf},
+	{"A", StoreMix{GetPct: 50, PutPct: 50}, Zipf},  // update-heavy
+	{"B", StoreMix{GetPct: 95, PutPct: 5}, Zipf},   // read-heavy
+	{"C", StoreMix{GetPct: 100}, Zipf},             // read-only
+	{"D", StoreMix{GetPct: 95, PutPct: 5}, Latest}, // read-latest
+	{"E", StoreMix{ScanPct: 95, PutPct: 5}, Zipf},  // scan-heavy
+	{"F", StoreMix{GetPct: 50, RMWPct: 50}, Zipf},  // read-modify-write
 }
 
 // ParseYCSB resolves a workload by letter ("A".."F", case-insensitive).
