@@ -21,15 +21,18 @@
 // frees itself.
 //
 // Bytes is the second arena: the store's variable-size values, named by
-// Handles instead of pointers. Its slots come in 16 size classes, 2 to
-// 256 words wide, in steps of 1.2–1.33× between 4 and 32 words. A
-// slot's first word is its header, len<<32 | seq32. Alloc publishes it
-// after the payload, Free stores the next (even) sequence, and Read
-// checks it before and after its copy, so a stale handle reads as stale
-// rather than as another value's bytes (bytes.go). Both arenas run on
-// one free-list core (freelist.go): a Pool is one class and Bytes is
-// sixteen, each a shared list under its own lock, and one registry per
-// arena sums its caches' counts.
+// Handles instead of pointers. Its slots come in 30 size classes, 2 to
+// 256 words wide, in steps of at most 1.25× or one word, and a payload
+// of 2^k bytes (8 to 1024) takes exactly 2^k + 8: a 64 B value takes
+// 72 B. A slot's first word is its header, len<<32 | seq32. Alloc
+// publishes it after the payload, Free stores the next (even) sequence,
+// and Read checks it before and after its copy, so a stale handle reads
+// as stale rather than as another value's bytes (bytes.go). Alloc loads
+// nothing from the slot: the free-list entry carries the sequence Free
+// stored, so a write does not wait on a cold slot's header. Both arenas
+// run on one free-list core (freelist.go): a Pool is one class and
+// Bytes is thirty, each a shared list under its own lock, and one
+// registry per arena sums its caches' counts.
 //
 // Design points that matter for the benchmarks:
 //

@@ -48,20 +48,28 @@ import (
 // sequence validation, exactly the role the node pools' Slot.Seq
 // discipline plays for pointers.
 //
-// Slot widths (classWords) step by 1.2–1.33× between 4 and 32 words,
-// and by up to 2× above: a 64-byte value takes an 80-byte slot, where
-// power-of-two classes would give it 128.
+// Alloc loads nothing from the slot it fills: each free-list entry
+// carries the slot's even sequence beside its index (freeSlot), stored
+// there by the Free that pushed it, so a write pays no miss on a cold
+// recycled slot before its first store.
+//
+// Slot widths (classWords) step by at most 1.25× or one word, and every
+// power-of-two payload from 8 to 1024 bytes fits exactly: a 64-byte
+// value takes a 72-byte slot, its payload and the header word.
 
 // bytesClasses is the number of size classes: 16 B .. 2048 B slots.
-// Sixteen fill the Handle's 4-bit class field.
-const bytesClasses = 16
+// The Handle's 5-bit class field holds up to 32.
+const bytesClasses = 30
 
 // bytesTopWords is the width of the largest class's slot, in words.
 const bytesTopWords = 256
 
 // classWords is each size class's slot width in 8-byte words, header
 // included. Class c holds payloads of up to 8·(classWords[c]−1) bytes.
-var classWords = [bytesClasses]uint32{2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 128, bytesTopWords}
+var classWords = [bytesClasses]uint32{
+	2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 21, 25, 29, 33,
+	41, 49, 57, 65, 81, 97, 113, 129, 161, 193, 225, bytesTopWords,
+}
 
 // bytesSlabSlots is the number of slots allocated per slab (per class).
 const bytesSlabSlots = 1024
@@ -79,7 +87,7 @@ const MaxValueLen = 8 * (bytesTopWords - 1)
 // zero Handle is never produced by Alloc, so 0 can mean "no value" in
 // the structures that store handles.
 //
-// Layout: 0 << 63 | seq31 << 32 | class4 << 28 | idx28.
+// Layout: 0 << 63 | seq31 << 32 | class5 << 27 | idx27.
 //
 // Bit 63 is reserved-zero: the store layer tags values that are encoded
 // inline (not arena-backed at all) with that bit in the same uint64
@@ -92,19 +100,26 @@ type Handle uint64
 // handleSeqMask selects the sequence bits a Handle carries.
 const handleSeqMask = 1<<31 - 1
 
+// handleIdxBits is the width of a Handle's slot index.
+const handleIdxBits = 27
+
 func makeHandle(seq uint32, class, idx uint32) Handle {
-	return Handle(uint64(seq&handleSeqMask)<<32 | uint64(class)<<28 | uint64(idx))
+	return Handle(uint64(seq&handleSeqMask)<<32 | uint64(class)<<handleIdxBits | uint64(idx))
 }
 
 func (h Handle) seq() uint32   { return uint32(uint64(h)>>32) & handleSeqMask }
-func (h Handle) class() uint32 { return uint32(h) >> 28 }
-func (h Handle) idx() uint32   { return uint32(h) & (1<<28 - 1) }
+func (h Handle) class() uint32 { return uint32(h) >> handleIdxBits }
+func (h Handle) idx() uint32   { return uint32(h) & (1<<handleIdxBits - 1) }
 
 // names reports whether slot header hdr is the live allocation h names:
 // its sequence is odd and matches the handle's.
 func (h Handle) names(hdr uint64) bool {
 	return hdr&1 == 1 && uint32(hdr)&handleSeqMask == h.seq()
 }
+
+// freeSlot is a free-list entry, idx | seq<<32: a free slot's index and
+// the even sequence its header holds.
+type freeSlot = uint64
 
 // classFor returns the smallest class whose capacity holds n bytes.
 func classFor(n int) uint32 {
@@ -126,7 +141,7 @@ type Bytes struct {
 	// free lists' mutexes.
 	dirs [bytesClasses]atomic.Pointer[[][]uint64]
 	registry
-	classes [bytesClasses]shared[uint32] // each class's free slot indices
+	classes [bytesClasses]shared[freeSlot] // each class's free slots
 }
 
 // NewBytes returns an empty value arena.
@@ -135,16 +150,19 @@ func NewBytes() *Bytes {
 	for c := range b.classes {
 		dir := &b.dirs[c]
 		b.classes[c].reg = &b.registry
-		b.classes[c].grow = func(free []uint32) []uint32 {
+		b.classes[c].grow = func(free []freeSlot) []freeSlot {
 			var slabs [][]uint64
 			if old := dir.Load(); old != nil {
 				slabs = append(slabs, *old...)
 			}
 			base := uint32(len(slabs)) * bytesSlabSlots
+			if base+bytesSlabSlots > 1<<handleIdxBits {
+				panic(fmt.Sprintf("arena: value class %d is full (%d slots)", c, base))
+			}
 			slabs = append(slabs, make([]uint64, bytesSlabSlots*int(classWords[c])))
 			dir.Store(&slabs)
 			for i := range uint32(bytesSlabSlots) {
-				free = append(free, base+i)
+				free = append(free, freeSlot(base+i)) // a new slot's header is 0
 			}
 			return free
 		}
@@ -156,7 +174,7 @@ func NewBytes() *Bytes {
 // safe for concurrent use (one per worker thread, by construction).
 type BytesCache struct {
 	b    *Bytes
-	free [bytesClasses][]uint32
+	free [bytesClasses][]freeSlot
 	counts
 	_ [padded.CacheLine]byte // the next cache's words are not this owner's
 }
@@ -188,8 +206,9 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 	if len(c.free[class]) == 0 {
 		c.free[class] = c.b.classes[class].take(c.free[class], bytesBatch)
 	}
-	idx := c.free[class][len(c.free[class])-1]
+	e := c.free[class][len(c.free[class])-1]
 	c.free[class] = c.free[class][:len(c.free[class])-1]
+	idx, seq := uint32(e), uint32(e>>32)+1 // even -> odd: allocated
 	slab, base, ok := c.b.slotOf(class, idx)
 	if !ok {
 		panic("arena: cached slot index names no slab")
@@ -210,7 +229,6 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 		copy(last[:], v)
 		storeRelease(&slab[w], leWord(last[:]))
 	}
-	seq := uint32(atomic.LoadUint64(&slab[base])) + 1 // even -> odd: allocated
 	storeRelease(&slab[base], n<<32|uint64(seq))
 	c.allocs.Add(1)
 	return makeHandle(seq, class, idx)
@@ -229,9 +247,10 @@ func (c *BytesCache) Free(h Handle) {
 	if !h.names(hdr) {
 		panic(fmt.Sprintf("arena: double or stale free of value slot (seq=%d, handle seq=%d)", uint32(hdr), h.seq()))
 	}
-	storeRelease(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
+	seq := uint32(hdr) + 1 // odd -> even: free
+	storeRelease(&slab[base], uint64(seq))
 	c.frees.Add(1)
-	c.free[class] = append(c.free[class], idx)
+	c.free[class] = append(c.free[class], freeSlot(idx)|freeSlot(seq)<<32)
 	if len(c.free[class]) >= cacheBatches*bytesBatch {
 		c.free[class] = c.b.classes[class].spill(c.free[class], bytesBatch)
 	}

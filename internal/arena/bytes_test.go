@@ -46,8 +46,10 @@ func sameSlot(a, b Handle) bool { return a.class() == b.class() && a.idx() == b.
 func classCap(c uint32) int { return 8 * int(classWords[c]-1) }
 
 // TestBytesClassFor checks the class table over every payload size: the
-// chosen class holds n bytes and the class below it does not, and a
-// 64-byte value takes the 80-byte slot.
+// chosen class holds n bytes and the class below it does not. The
+// ladder steps by at most 1.25× or one word, every power-of-two payload
+// from 8 to 1024 bytes takes exactly its own size plus the header word,
+// and so a 64-byte value takes a 72-byte slot.
 func TestBytesClassFor(t *testing.T) {
 	for n := 0; n <= MaxValueLen; n++ {
 		c := classFor(n)
@@ -61,8 +63,19 @@ func TestBytesClassFor(t *testing.T) {
 	if classCap(bytesClasses-1) != MaxValueLen {
 		t.Fatalf("top class holds %d bytes, MaxValueLen is %d", classCap(bytesClasses-1), MaxValueLen)
 	}
-	if w := classWords[classFor(64)]; 8*w != 80 {
-		t.Fatalf("a 64-byte value takes a %d-byte slot, want 80", 8*w)
+	for c := 1; c < bytesClasses; c++ {
+		lo, hi := classWords[c-1], classWords[c]
+		if hi != lo+1 && 4*hi > 5*lo {
+			t.Errorf("class %d steps from %d to %d words, over 1.25x", c, lo, hi)
+		}
+	}
+	for n := 8; n <= 1024; n *= 2 {
+		if w := classWords[classFor(n)]; 8*int(w) != n+8 {
+			t.Errorf("a %d-byte value takes a %d-byte slot, want %d", n, 8*w, n+8)
+		}
+	}
+	if w := classWords[classFor(64)]; 8*w != 72 {
+		t.Fatalf("a 64-byte value takes a %d-byte slot, want 72", 8*w)
 	}
 }
 
@@ -86,6 +99,27 @@ func TestBytesHeaderWrap(t *testing.T) {
 	}
 	if got, ok := b.Read(h, nil); !ok || string(got) != "after the wrap!" {
 		t.Fatalf("handle after the wrap reads %q, %v", got, ok)
+	}
+}
+
+// TestBytesFreeAllocSequence frees a slot at a chosen sequence and
+// allocates it again: the new handle's sequence is the old one plus 2,
+// which Alloc took from the free-list entry Free pushed, and the old
+// handle reads as stale.
+func TestBytesFreeAllocSequence(t *testing.T) {
+	b := NewBytes()
+	c := b.NewCache()
+	old := b.SetSeq(c.Alloc([]byte("first tenant")), 41)
+	c.Free(old)
+	h := c.Alloc([]byte("second tenant"))
+	if !sameSlot(h, old) || h.seq() != old.seq()+2 {
+		t.Fatalf("Free+Alloc gave slot %v seq %d, want the same slot at seq %d", sameSlot(h, old), h.seq(), old.seq()+2)
+	}
+	if _, ok := b.Read(old, nil); ok {
+		t.Fatal("the freed handle reads the slot's next tenant")
+	}
+	if got, ok := b.Read(h, nil); !ok || string(got) != "second tenant" {
+		t.Fatalf("live handle reads %q, %v", got, ok)
 	}
 }
 
@@ -122,7 +156,7 @@ func TestBytesSlabFootprint(t *testing.T) {
 		for range 5 {
 			b := NewBytes()
 			cl := &b.classes[c]
-			cl.free = make([]uint32, 0, bytesSlabSlots) // the free list's growth is not the slab's
+			cl.free = make([]freeSlot, 0, bytesSlabSlots) // the free list's growth is not the slab's
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			cl.mu.Lock()

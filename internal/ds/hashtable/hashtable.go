@@ -67,8 +67,7 @@ func (t *Table) head(key int64) *core.Atomic {
 func (t *Table) PutIfAbsent(th *core.Thread, key int64, val uint64) bool {
 	th.StartOp()
 	defer th.EndOp()
-	inserted, _, _ := t.l.PutInOpAt(th, t.head(key), key, val, false)
-	return inserted
+	return t.PutIfAbsentInOp(th, key, val)
 }
 
 // Put maps key to val, overwriting; returns the previous value.
@@ -104,6 +103,13 @@ func (t *Table) GetInOp(th *core.Thread, key int64) (uint64, bool) {
 func (t *Table) PutInOp(th *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := t.l.PutInOpAt(th, t.head(key), key, val, true)
 	return old, replaced
+}
+
+// PutIfAbsentInOp is PutIfAbsent inside an operation the caller already
+// opened (the ds.InOp contract).
+func (t *Table) PutIfAbsentInOp(th *core.Thread, key int64, val uint64) bool {
+	inserted, _, _ := t.l.PutInOpAt(th, t.head(key), key, val, false)
+	return inserted
 }
 
 // Size sums bucket sizes. Quiescent use only.

@@ -370,11 +370,15 @@ type tally struct {
 }
 
 // add folds one leg's counts into c; a churned worker's counts span
-// many legs.
+// many legs. The serve clients pass a nil byClass (their latency
+// histograms carry those counts), so their tallies keep no class counts.
 func (c *tally) add(ops, keys, valueErrs uint64, byClass []uint64) {
 	c.ops += ops
 	c.keys += keys
 	c.valueErrs += valueErrs
+	if c.byClass == nil {
+		c.byClass = make([]uint64, len(byClass))
+	}
 	for i, n := range byClass {
 		c.byClass[i] += n
 	}
@@ -385,7 +389,6 @@ func (c *tally) add(ops, keys, valueErrs uint64, byClass []uint64) {
 func newTallies(workers, classes int, timed func(class int) bool) []tally {
 	ts := make([]tally, workers)
 	for i := range ts {
-		ts[i].byClass = make([]uint64, classes)
 		ts[i].lats = make([]*report.Histogram, classes)
 		for c := range ts[i].lats {
 			if timed(c) {
@@ -399,17 +402,14 @@ func newTallies(workers, classes int, timed func(class int) bool) []tally {
 // sumTallies folds per-worker tallies into one: counters sum, each
 // class's histograms merge (nil when no worker timed the class).
 func sumTallies(ts []tally) tally {
-	classes := len(ts[0].byClass)
-	sum := tally{byClass: make([]uint64, classes), lats: make([]*report.Histogram, classes)}
+	classes := len(ts[0].lats)
+	sum := tally{lats: make([]*report.Histogram, classes)}
 	per := make([]*report.Histogram, len(ts))
 	for i := range ts {
-		sum.ops += ts[i].ops
-		sum.keys += ts[i].keys
-		sum.valueErrs += ts[i].valueErrs
+		sum.add(ts[i].ops, ts[i].keys, ts[i].valueErrs, ts[i].byClass)
 	}
 	for c := 0; c < classes; c++ {
 		for i := range ts {
-			sum.byClass[c] += ts[i].byClass[c]
 			per[i] = ts[i].lats[c]
 		}
 		sum.lats[c] = report.MergeAll(per...)
