@@ -27,9 +27,7 @@
 // 72 B. A slot's first word is its header, len<<32 | seq32. Alloc
 // publishes it after the payload, Free stores the next (even) sequence,
 // and Read checks it before and after its copy, so a stale handle reads
-// as stale rather than as another value's bytes (bytes.go). Alloc loads
-// nothing from the slot: the free-list entry carries the sequence Free
-// stored, so a write does not wait on a cold slot's header. Both arenas
+// as stale rather than as another value's bytes (bytes.go). Both arenas
 // run on one free-list core (freelist.go): a Pool is one class and
 // Bytes is thirty, each a shared list under its own lock, and one
 // registry per arena sums its caches' counts.

@@ -48,11 +48,6 @@ import (
 // sequence validation, exactly the role the node pools' Slot.Seq
 // discipline plays for pointers.
 //
-// Alloc loads nothing from the slot it fills: each free-list entry
-// carries the slot's even sequence beside its index (freeSlot), stored
-// there by the Free that pushed it, so a write pays no miss on a cold
-// recycled slot before its first store.
-//
 // Slot widths (classWords) step by at most 1.25× or one word, and every
 // power-of-two payload from 8 to 1024 bytes fits exactly: a 64-byte
 // value takes a 72-byte slot, its payload and the header word.
@@ -95,6 +90,12 @@ const MaxValueLen = 8 * (bytesTopWords - 1)
 // 31 bits halves the recycle count needed for a stale handle to read
 // as live, from 2^32 to 2^31 per-slot reuses within one reader's
 // protected operation — still far beyond any reachable churn.
+//
+// The 27-bit index caps each class at 2^27 slots per arena: about 134M
+// values, 2 GiB of the smallest class's 16 B slots or 9 GiB of 64 B
+// values in 72 B slots. A grow past that panics rather than spill into
+// the class field. The fifth class bit came from the index, not the
+// sequence, so stale detection keeps its 2^31 reuses.
 type Handle uint64
 
 // handleSeqMask selects the sequence bits a Handle carries.
@@ -117,10 +118,6 @@ func (h Handle) names(hdr uint64) bool {
 	return hdr&1 == 1 && uint32(hdr)&handleSeqMask == h.seq()
 }
 
-// freeSlot is a free-list entry, idx | seq<<32: a free slot's index and
-// the even sequence its header holds.
-type freeSlot = uint64
-
 // classFor returns the smallest class whose capacity holds n bytes.
 func classFor(n int) uint32 {
 	for c, w := range classWords {
@@ -141,7 +138,7 @@ type Bytes struct {
 	// free lists' mutexes.
 	dirs [bytesClasses]atomic.Pointer[[][]uint64]
 	registry
-	classes [bytesClasses]shared[freeSlot] // each class's free slots
+	classes [bytesClasses]shared[uint32] // each class's free slot indices
 }
 
 // NewBytes returns an empty value arena.
@@ -150,7 +147,7 @@ func NewBytes() *Bytes {
 	for c := range b.classes {
 		dir := &b.dirs[c]
 		b.classes[c].reg = &b.registry
-		b.classes[c].grow = func(free []freeSlot) []freeSlot {
+		b.classes[c].grow = func(free []uint32) []uint32 {
 			var slabs [][]uint64
 			if old := dir.Load(); old != nil {
 				slabs = append(slabs, *old...)
@@ -162,7 +159,7 @@ func NewBytes() *Bytes {
 			slabs = append(slabs, make([]uint64, bytesSlabSlots*int(classWords[c])))
 			dir.Store(&slabs)
 			for i := range uint32(bytesSlabSlots) {
-				free = append(free, freeSlot(base+i)) // a new slot's header is 0
+				free = append(free, base+i)
 			}
 			return free
 		}
@@ -174,7 +171,7 @@ func NewBytes() *Bytes {
 // safe for concurrent use (one per worker thread, by construction).
 type BytesCache struct {
 	b    *Bytes
-	free [bytesClasses][]freeSlot
+	free [bytesClasses][]uint32
 	counts
 	_ [padded.CacheLine]byte // the next cache's words are not this owner's
 }
@@ -206,9 +203,8 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 	if len(c.free[class]) == 0 {
 		c.free[class] = c.b.classes[class].take(c.free[class], bytesBatch)
 	}
-	e := c.free[class][len(c.free[class])-1]
+	idx := c.free[class][len(c.free[class])-1]
 	c.free[class] = c.free[class][:len(c.free[class])-1]
-	idx, seq := uint32(e), uint32(e>>32)+1 // even -> odd: allocated
 	slab, base, ok := c.b.slotOf(class, idx)
 	if !ok {
 		panic("arena: cached slot index names no slab")
@@ -229,6 +225,9 @@ func (c *BytesCache) Alloc(v []byte) Handle {
 		copy(last[:], v)
 		storeRelease(&slab[w], leWord(last[:]))
 	}
+	// Free-list entries that carried the sequence, so that Alloc loaded
+	// no header, doubled each entry and moved no store-update metric.
+	seq := uint32(atomic.LoadUint64(&slab[base])) + 1 // even -> odd: allocated
 	storeRelease(&slab[base], n<<32|uint64(seq))
 	c.allocs.Add(1)
 	return makeHandle(seq, class, idx)
@@ -247,10 +246,9 @@ func (c *BytesCache) Free(h Handle) {
 	if !h.names(hdr) {
 		panic(fmt.Sprintf("arena: double or stale free of value slot (seq=%d, handle seq=%d)", uint32(hdr), h.seq()))
 	}
-	seq := uint32(hdr) + 1 // odd -> even: free
-	storeRelease(&slab[base], uint64(seq))
+	storeRelease(&slab[base], uint64(uint32(hdr)+1)) // odd -> even: free
 	c.frees.Add(1)
-	c.free[class] = append(c.free[class], freeSlot(idx)|freeSlot(seq)<<32)
+	c.free[class] = append(c.free[class], idx)
 	if len(c.free[class]) >= cacheBatches*bytesBatch {
 		c.free[class] = c.b.classes[class].spill(c.free[class], bytesBatch)
 	}

@@ -79,47 +79,30 @@ func TestBytesClassFor(t *testing.T) {
 	}
 }
 
-// TestBytesHeaderWrap recycles a slot whose sequence is at the top of
-// its 32 bits: Free wraps it to 0 and the next Alloc to 1, and the
-// handle from before the wrap must not read the new value.
+// TestBytesHeaderWrap recycles a slot at a chosen sequence: Free takes
+// it to the next even value and the next Alloc to the odd one after, so
+// the new handle's sequence is the old one plus 2, and the old handle
+// must not read the new value. At the top of the 32 bits, 2^32-1, Free
+// wraps the sequence to 0 and the next Alloc to 1.
 func TestBytesHeaderWrap(t *testing.T) {
-	b := NewBytes()
-	c := b.NewCache()
-	old := b.SetSeq(c.Alloc([]byte("before the wrap")), 1<<32-1)
-	if got, ok := b.Read(old, nil); !ok || string(got) != "before the wrap" {
-		t.Fatalf("handle at sequence 2^32-1 reads %q, %v", got, ok)
-	}
-	c.Free(old)
-	h := c.Alloc([]byte("after the wrap!"))
-	if !sameSlot(h, old) || h.seq() != 1 {
-		t.Fatalf("Free+Alloc gave slot %v seq %d, want the same slot at seq 1", sameSlot(h, old), h.seq())
-	}
-	if _, ok := b.Read(old, nil); ok {
-		t.Fatal("the handle from before the wrap reads the recycled slot")
-	}
-	if got, ok := b.Read(h, nil); !ok || string(got) != "after the wrap!" {
-		t.Fatalf("handle after the wrap reads %q, %v", got, ok)
-	}
-}
-
-// TestBytesFreeAllocSequence frees a slot at a chosen sequence and
-// allocates it again: the new handle's sequence is the old one plus 2,
-// which Alloc took from the free-list entry Free pushed, and the old
-// handle reads as stale.
-func TestBytesFreeAllocSequence(t *testing.T) {
-	b := NewBytes()
-	c := b.NewCache()
-	old := b.SetSeq(c.Alloc([]byte("first tenant")), 41)
-	c.Free(old)
-	h := c.Alloc([]byte("second tenant"))
-	if !sameSlot(h, old) || h.seq() != old.seq()+2 {
-		t.Fatalf("Free+Alloc gave slot %v seq %d, want the same slot at seq %d", sameSlot(h, old), h.seq(), old.seq()+2)
-	}
-	if _, ok := b.Read(old, nil); ok {
-		t.Fatal("the freed handle reads the slot's next tenant")
-	}
-	if got, ok := b.Read(h, nil); !ok || string(got) != "second tenant" {
-		t.Fatalf("live handle reads %q, %v", got, ok)
+	for _, start := range []uint32{41, 1<<32 - 1} {
+		b := NewBytes()
+		c := b.NewCache()
+		old := b.SetSeq(c.Alloc([]byte("first tenant")), start)
+		if got, ok := b.Read(old, nil); !ok || string(got) != "first tenant" {
+			t.Fatalf("handle at sequence %d reads %q, %v", start, got, ok)
+		}
+		c.Free(old)
+		h := c.Alloc([]byte("second tenant"))
+		if want := (start + 2) & handleSeqMask; !sameSlot(h, old) || h.seq() != want {
+			t.Fatalf("from sequence %d, Free+Alloc gave slot %v seq %d, want the same slot at seq %d", start, sameSlot(h, old), h.seq(), want)
+		}
+		if _, ok := b.Read(old, nil); ok {
+			t.Fatalf("the handle at sequence %d reads the recycled slot", start)
+		}
+		if got, ok := b.Read(h, nil); !ok || string(got) != "second tenant" {
+			t.Fatalf("the handle after sequence %d reads %q, %v", start, got, ok)
+		}
 	}
 }
 
@@ -156,7 +139,7 @@ func TestBytesSlabFootprint(t *testing.T) {
 		for range 5 {
 			b := NewBytes()
 			cl := &b.classes[c]
-			cl.free = make([]freeSlot, 0, bytesSlabSlots) // the free list's growth is not the slab's
+			cl.free = make([]uint32, 0, bytesSlabSlots) // the free list's growth is not the slab's
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			cl.mu.Lock()
@@ -172,6 +155,42 @@ func TestBytesSlabFootprint(t *testing.T) {
 		if extra < 0 || extra > 64 {
 			t.Fatalf("class %d: grow allocated %d bytes beside its %d-byte slab", c, extra, 8*want)
 		}
+	}
+}
+
+// TestBytesClassFull grows the top class to its last slab: the slot at
+// index 2^27-1 allocates, round-trips its class and index through the
+// Handle and reads back. The next grow panics and adds no slab, since
+// its indices would spill into the class field.
+func TestBytesClassFull(t *testing.T) {
+	const c = bytesClasses - 1
+	b := NewBytes()
+	cl := &b.classes[c]
+	dir := make([][]uint64, 1<<handleIdxBits/bytesSlabSlots-1) // all but the last slab, unallocated
+	b.dirs[c].Store(&dir)
+	cl.mu.Lock()
+	cl.free = cl.grow(cl.free)
+	cl.mu.Unlock()
+	v := bytes.Repeat([]byte{0xa5}, MaxValueLen)
+	h := b.NewCache().Alloc(v)
+	if h.class() != c || h.idx() != 1<<handleIdxBits-1 {
+		t.Fatalf("top slot allocated as class %d idx %d, want class %d idx %d", h.class(), h.idx(), c, 1<<handleIdxBits-1)
+	}
+	if got, ok := b.Read(h, nil); !ok || !bytes.Equal(got, v) {
+		t.Fatalf("top slot reads %d bytes, %v", len(got), ok)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("grow past 2^27 slots did not panic")
+			}
+		}()
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		cl.free = cl.grow(cl.free)
+	}()
+	if n := len(*b.dirs[c].Load()); n != 1<<handleIdxBits/bytesSlabSlots {
+		t.Fatalf("class holds %d slabs after the failed grow, want %d", n, 1<<handleIdxBits/bytesSlabSlots)
 	}
 }
 

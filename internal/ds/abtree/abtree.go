@@ -291,7 +291,8 @@ func (tr *Tree) newInternal(t *core.Thread, keys []int64, kids []unsafe.Pointer)
 func (tr *Tree) PutIfAbsent(t *core.Thread, key int64, val uint64) bool {
 	t.StartOp()
 	defer t.EndOp()
-	return tr.PutIfAbsentInOp(t, key, val)
+	ok, _, _ := tr.put(t, key, val, false)
+	return ok
 }
 
 // Put maps key to val, overwriting; returns the previous value.
@@ -307,13 +308,6 @@ func (tr *Tree) Put(t *core.Thread, key int64, val uint64) (uint64, bool) {
 func (tr *Tree) PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := tr.put(t, key, val, true)
 	return old, replaced
-}
-
-// PutIfAbsentInOp is PutIfAbsent inside an operation the caller already
-// opened (the ds.InOp contract).
-func (tr *Tree) PutIfAbsentInOp(t *core.Thread, key int64, val uint64) bool {
-	ok, _, _ := tr.put(t, key, val, false)
-	return ok
 }
 
 // put is the shared insert/overwrite body, run inside the caller's

@@ -106,14 +106,10 @@ type RangeScanner interface {
 // keys then share one protected operation (one StartOp/EndOp, one
 // reservation epoch) instead of paying the entry/exit protocol per key.
 // The store's GetBatch and PutBatch bracket each member domain's keys
-// this way, and its Put and PutIfAbsent encode the value inside the
-// operation they open, so both store structures implement it: hashtable
-// and abtree.
+// this way, so both store structures implement it: hashtable and abtree.
 type InOp interface {
 	// GetInOp is Get without the StartOp/EndOp bracket.
 	GetInOp(t *core.Thread, key int64) (uint64, bool)
 	// PutInOp is Put without the StartOp/EndOp bracket.
 	PutInOp(t *core.Thread, key int64, val uint64) (uint64, bool)
-	// PutIfAbsentInOp is PutIfAbsent without the StartOp/EndOp bracket.
-	PutIfAbsentInOp(t *core.Thread, key int64, val uint64) bool
 }

@@ -67,7 +67,8 @@ func (t *Table) head(key int64) *core.Atomic {
 func (t *Table) PutIfAbsent(th *core.Thread, key int64, val uint64) bool {
 	th.StartOp()
 	defer th.EndOp()
-	return t.PutIfAbsentInOp(th, key, val)
+	inserted, _, _ := t.l.PutInOpAt(th, t.head(key), key, val, false)
+	return inserted
 }
 
 // Put maps key to val, overwriting; returns the previous value.
@@ -103,13 +104,6 @@ func (t *Table) GetInOp(th *core.Thread, key int64) (uint64, bool) {
 func (t *Table) PutInOp(th *core.Thread, key int64, val uint64) (uint64, bool) {
 	_, old, replaced := t.l.PutInOpAt(th, t.head(key), key, val, true)
 	return old, replaced
-}
-
-// PutIfAbsentInOp is PutIfAbsent inside an operation the caller already
-// opened (the ds.InOp contract).
-func (t *Table) PutIfAbsentInOp(th *core.Thread, key int64, val uint64) bool {
-	inserted, _, _ := t.l.PutInOpAt(th, t.head(key), key, val, false)
-	return inserted
 }
 
 // Size sums bucket sizes. Quiescent use only.

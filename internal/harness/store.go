@@ -620,7 +620,7 @@ func runStoreWorker(cfg StoreConfig, s *store.Store, h *core.GroupHandle, keys *
 			x.put(key, hk, tag, drawValueSize(cfg, r))
 		case workload.StoreMPut:
 			// Batched upsert: one protected op per member domain, each
-			// payload encoded inside its member's op.
+			// payload encoded before its member's op opens.
 			if pvals == nil {
 				pvals = make([][]byte, cfg.BatchSize)
 			}

@@ -371,13 +371,14 @@ type tally struct {
 
 // add folds one leg's counts into c; a churned worker's counts span
 // many legs. The serve clients pass a nil byClass (their latency
-// histograms carry those counts), so their tallies keep no class counts.
+// histograms carry those counts), so their tallies keep no class counts;
+// c.byClass grows to the longest byClass folded in.
 func (c *tally) add(ops, keys, valueErrs uint64, byClass []uint64) {
 	c.ops += ops
 	c.keys += keys
 	c.valueErrs += valueErrs
-	if c.byClass == nil {
-		c.byClass = make([]uint64, len(byClass))
+	if n := len(byClass) - len(c.byClass); n > 0 {
+		c.byClass = append(c.byClass, make([]uint64, n)...)
 	}
 	for i, n := range byClass {
 		c.byClass[i] += n

@@ -64,7 +64,9 @@
 // word dies with the map cell; the arena handle frees as below).
 //
 // Longer values live out of line in an arena.Bytes value arena; the
-// uint64 a shard's map stores is the value's arena.Handle. A replaced
+// uint64 a shard's map stores is the value's arena.Handle. The store's
+// one arena holds at most 2^27 live values (about 134M) per size class,
+// the Handle's index width; a Put past that panics. A replaced
 // value is freed by the *same core retire path as nodes*, so value
 // lifetime is policy-visible: EBR holds overwritten values until the
 // epoch drains, HP frees them at the next scan, NR leaks them. A value
@@ -124,8 +126,8 @@
 // operation it opens itself, running the shard structures' ds.InOp
 // lookups inside it. With one member, the default, a batch is one
 // operation. PutBatch is the write-side mirror: a member's payloads are
-// encoded (inline words, or arena copies by the slot cache's Alloc) and
-// upserted inside its operation. Keys keep
+// encoded (inline words, or arena copies by the slot cache's Alloc)
+// before its operation opens, and its upserts run inside it. Keys keep
 // their batch order within a member, so a key repeated in one batch
 // resolves last-wins. See store.getbatch_ns_per_key against
 // store.get_ns in bench/, BenchmarkStoreGetBatch16 and
@@ -562,17 +564,11 @@ func (s *Store) reread(sh *shard, t *core.Thread, c *counts, ik int64, buf []byt
 // with the node the shard's map retired for the overwrite, when the
 // policy in the shard's member domain frees that node; a replaced
 // inline value dies with the map cell.
-//
-// The value is encoded inside the operation, after StartOp: the arena
-// slot's stores then overlap the walk's cache misses instead of
-// draining at StartOp's fence.
 func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
 	s.checkLen(val)
 	si, ik := s.locate(key)
 	t, tl := s.slot(h, si)
-	t.StartOp()
-	_, replaced := s.shards[si].m.PutInOp(t, ik, tl.encode(val))
-	t.EndOp()
+	_, replaced := s.shards[si].m.Put(t, ik, tl.encode(val))
 	tl.counts.puts.Add(1)
 	if replaced {
 		tl.counts.overwrites.Add(1)
@@ -580,16 +576,13 @@ func (s *Store) Put(h *core.GroupHandle, key string, val []byte) {
 }
 
 // PutIfAbsent maps key to a copy of val only if key is absent and
-// reports whether it did. Like Put, it encodes inside the operation.
+// reports whether it did.
 func (s *Store) PutIfAbsent(h *core.GroupHandle, key string, val []byte) bool {
 	s.checkLen(val)
 	si, ik := s.locate(key)
 	t, tl := s.slot(h, si)
-	t.StartOp()
 	w := tl.encode(val)
-	inserted := s.shards[si].m.PutIfAbsentInOp(t, ik, w)
-	t.EndOp()
-	if inserted {
+	if s.shards[si].m.PutIfAbsent(t, ik, w) {
 		tl.counts.puts.Add(1)
 		return true
 	}
@@ -682,7 +675,7 @@ type Batch struct {
 
 	hks   []uint64 // hash per key
 	order []int    // key indices grouped by member, batch order within
-	words []uint64 // map word per key, found by GetBatch
+	words []uint64 // map word per key: found by GetBatch, put by PutBatch
 	buf   []byte   // GetBatch's value bytes
 }
 
@@ -774,9 +767,9 @@ func (s *Store) GetBatch(h *core.GroupHandle, keys []string, b *Batch) {
 // PutBatch upserts every keys[i] to a private copy of vals[i], the
 // write-side mirror of GetBatch: each member's payloads are encoded
 // (inline words, or arena copies by the slot cache's Alloc, which locks
-// a size class once per refill of 64 slots) inside its one protected
-// operation, each just before its upsert (ds.InOp), and each replaced
-// value frees with the node its upsert retired. b.OK[i]
+// a size class once per refill of 64 slots) before its one protected
+// operation opens, and its upserts (ds.InOp) run inside it, each
+// replaced value freeing with the node its upsert retired. b.OK[i]
 // reports whether keys[i] replaced a previous value. A key repeated in
 // one batch resolves last-wins. vals may alias b.Vals from a preceding
 // GetBatch: PutBatch never writes the bytes they point into.
@@ -788,15 +781,19 @@ func (s *Store) PutBatch(h *core.GroupHandle, keys []string, vals [][]byte, b *B
 		s.checkLen(v)
 	}
 	b.OK = resize(b.OK, len(keys))
+	b.words = resize(b.words, len(keys))
 	s.byMember(h, keys, b, func(t *core.Thread, tl *storeLocal, idx []int, first bool) {
 		c := &tl.counts
 		if first {
 			c.putBatches.Add(1)
 		}
+		for _, i := range idx {
+			b.words[i] = tl.encode(vals[i])
+		}
 		t.StartOp()
 		for _, i := range idx {
 			hk := b.hks[i]
-			_, b.OK[i] = s.shards[hk&s.mask].m.PutInOp(t, ikeyOf(hk), tl.encode(vals[i]))
+			_, b.OK[i] = s.shards[hk&s.mask].m.PutInOp(t, ikeyOf(hk), b.words[i])
 		}
 		t.EndOp()
 		for _, i := range idx {
